@@ -13,8 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -259,15 +258,6 @@ class CheckReport:
     worst_margin: float
     worst_case_seed: int    # trial index; replay with rng_for(seed, CHECK_STREAM, check_id, it)
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "trials_run": self.trials_run,
-            "violations": self.violations,
-            "worst_margin": self.worst_margin,
-            "worst_case_seed": self.worst_case_seed,
-        }
-
 
 def _dump_counterexample(directory: Path, name: str, trial: int, margin: float,
                          payload: dict) -> None:
@@ -306,14 +296,11 @@ def run_check(spec: CheckSpec, report_dir: str | Path | None = None) -> CheckRep
 
 def run_all(seed: int = 0, trials_per_check: int = 10_000,
             names: Iterable[str] | None = None,
-            report_dir: str | Path | None = None, jobs: int = 1) -> list[CheckReport]:
+            report_dir: str | Path | None = None) -> list[CheckReport]:
     """Run the whole suite (or a named subset) with per-check independent streams."""
     selected = list(REGISTRY) if names is None else list(names)
-    specs = [CheckSpec(n, trials=trials_per_check, seed=seed) for n in selected]
-    if jobs <= 1:
-        return [run_check(s, report_dir) for s in specs]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda s: run_check(s, report_dir), specs))
+    return [run_check(CheckSpec(n, trials=trials_per_check, seed=seed), report_dir)
+            for n in selected]
 
 
 def any_violations(reports: Iterable[CheckReport]) -> bool:
@@ -321,7 +308,7 @@ def any_violations(reports: Iterable[CheckReport]) -> bool:
 
 
 def reports_to_json(reports: Iterable[CheckReport]) -> str:
-    return json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=2) + "\n"
+    return json.dumps([asdict(r) for r in reports], sort_keys=True, indent=2) + "\n"
 
 
 def reports_to_csv(reports: Iterable[CheckReport], path: str | Path) -> None:

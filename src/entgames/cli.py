@@ -16,6 +16,7 @@ import fnmatch
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -145,7 +146,7 @@ def cmd_verify(args) -> int:
             raise ValueError(f"filter {args.filter!r} matches no checks")
     out = _out_dir(args, "verify", seed)
     reports = checks_mod.run_all(seed=seed, trials_per_check=args.trials,
-                                 names=names, report_dir=out, jobs=args.jobs)
+                                 names=names, report_dir=out)
     (out / "report.json").write_text(checks_mod.reports_to_json(reports))
     checks_mod.reports_to_csv(reports, out / "report.csv")
     for rep in reports:
@@ -153,7 +154,7 @@ def cmd_verify(args) -> int:
               f"worst_margin={rep.worst_margin:.3e}")
     outputs = ["report.json", "report.csv"]
     outputs += sorted(p.name for p in out.glob("counterexample_*.json"))
-    cfg = {"trials": args.trials, "filter": args.filter, "jobs": args.jobs}
+    cfg = {"trials": args.trials, "filter": args.filter}
     _write_manifest(out, "verify", cfg, seed, t0, outputs)
     return 1 if checks_mod.any_violations(reports) else 0
 
@@ -198,9 +199,9 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args, "simulate", config.seed)
     report = {
         "command": "simulate",
-        "config": config.to_dict(),
-        "stats": stats.to_dict(),
-        "guarantee": verdict.to_dict(),
+        "config": asdict(config),
+        "stats": asdict(stats),
+        "guarantee": asdict(verdict),
     }
     (out / "report.json").write_text(_canonical_json(report))
     (out / "report.csv").write_text(
@@ -318,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=10_000)
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--filter", default=None, help="glob over check names")
-    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_verify)
 

@@ -2,14 +2,20 @@
 
 A device plays n rounds of a game.  The referee draws v independent uniform
 round indices (with replacement), inspects those rounds, and accepts iff all
-inspected rounds were won.  The projection variant replaces literal string
-comparison with a random GF(2)-linear hash: on a mismatch the referee still
-accepts iff the hashes collide, which for a fresh random linear map happens
-with probability exactly 2**-hash_bits whenever the strings differ (any lost
-round forces a nonzero symbol difference).  The simulator therefore draws one
-fresh uniform hash value per mismatched trial, which reproduces the
-acceptance distribution exactly; the explicit hash family lives in
-Gf2LinearHash and is verified separately.
+inspected rounds were won.  Given W won rounds out of n, the v inspections
+all land on won rounds with probability exactly (W/n)**v, so each trial draws
+its win count W from the round model and then one uniform u, and the
+inspections match iff u < (W/n)**v.  The "won most rounds" statistic needs
+only W as well.
+
+The projection variant replaces literal string comparison with a random
+GF(2)-linear hash: on a mismatch the referee still accepts iff the hashes
+collide, which for a fresh random linear map happens with probability exactly
+2**-hash_bits whenever the strings differ (any lost round forces a nonzero
+symbol difference).  The simulator therefore draws one fresh uniform hash
+value per mismatched trial, which reproduces the acceptance distribution
+exactly; the explicit hash family lives in Gf2LinearHash and is verified
+separately.
 
 Conditional threshold: the "won most rounds" statistic uses the fraction
 1 - epsilon/256 for both variants.
@@ -23,8 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import MAX_TABLE_ENTRIES, BudgetError
-from .games import Game, QuantumStrategy, _digit_table, strategy_win_probability
+from .config import BudgetError
+from .games import Game, QuantumStrategy, strategy_win_probability
 from .random_states import rng_for
 
 _STREAM_PROTOCOL = 301
@@ -89,15 +95,10 @@ class ProtocolConfig:
     def win_threshold(self) -> float:
         return (1.0 - self.epsilon / 256.0) * self.n
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n, "epsilon": self.epsilon, "t": self.t,
-            "trials": self.trials, "seed": self.seed, "variant": self.variant,
-            "v_override": self.v_override, "hash_bits": self.hash_bits,
-        }
-
 
 # --- round-outcome models ---------------------------------------------------
+# sample_wins(rng, n, trials) returns the number of rounds won, one int per
+# trial; which rounds were won never matters to the referee.
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,7 @@ class IidBernoulli:
             raise ValueError("w must lie in [0, 1]")
 
     def sample_wins(self, rng, n: int, trials: int) -> np.ndarray:
-        return rng.random((trials, n)) < self.w
+        return rng.binomial(n, self.w, size=trials)
 
     def win_all_probability(self, n: int) -> float:
         return self.w ** n
@@ -133,16 +134,7 @@ class WinAllOrPartial:
         return int(round(self.f * n))
 
     def sample_wins(self, rng, n: int, trials: int) -> np.ndarray:
-        all_branch = rng.random(trials) < self.q
-        wins = np.zeros((trials, n), dtype=bool)
-        wins[all_branch] = True
-        rest = int((~all_branch).sum())
-        if rest:
-            m = self.partial_win_count(n)
-            # argsort of iid uniforms = uniform random permutation per row
-            order = np.argsort(rng.random((rest, n)), axis=1)
-            wins[~all_branch] = order < m
-        return wins
+        return np.where(rng.random(trials) < self.q, n, self.partial_win_count(n))
 
     def win_all_probability(self, n: int) -> float:
         return self.q + (1.0 - self.q) * (self.partial_win_count(n) == n)
@@ -150,51 +142,23 @@ class WinAllOrPartial:
 
 class StrategyBacked:
     """Rounds generated by playing a fixed entangled strategy on the n-fold
-    repetition: joint inputs sampled from the repeated game's distribution,
-    decoded little-endian into per-round inputs, outputs drawn from the
-    strategy's exact outcome distribution for each round."""
+    repetition.  Inputs are drawn independently per round and outputs are
+    measured independently per round, so the rounds are won i.i.d. with the
+    strategy's exact win probability omega: the same rounds as
+    IidBernoulli(omega), with no table and no limit on n."""
 
     def __init__(self, game: Game, strategy: QuantumStrategy, n: int):
         strategy.validate()
         if strategy.alice.shape[0] != game.k or strategy.alice.shape[1] != game.l:
             raise ValueError("strategy arity does not match the game")
-        if game.k ** (2 * n) > MAX_TABLE_ENTRIES:
-            raise BudgetError("joint input table too large for exact sampling")
-        self.game = game
-        self.strategy = strategy
         self.n = n
-        self._digits = _digit_table(game.k, n)
-        # joint input distribution of the n-fold repetition; only the input
-        # side is tabulated, the predicate is evaluated per round
-        kn = game.k ** n
-        p = np.ones((kn, kn))
-        for i in range(n):
-            p = p * game.p[self._digits[:, None, i], self._digits[None, :, i]]
-        self._p_cum = np.cumsum(p.ravel())
-        self._p_cum[-1] = 1.0
-        phi = strategy.state.tensor()
-        kmat = np.einsum("ij,ybkj,lk->ybil", phi, strategy.bob, phi.conj())
-        born = np.einsum("xail,ybli->xyab", strategy.alice, kmat).real
-        born = np.clip(born, 0.0, None)
-        cdf = np.cumsum(born.reshape(game.k, game.k, -1), axis=-1)
-        self._cdf = cdf / cdf[..., -1:]
-        self.omega = strategy_win_probability(game, strategy)
+        # clipped so float round-off cannot push it outside [0, 1]
+        self.omega = min(1.0, max(0.0, strategy_win_probability(game, strategy)))
 
     def sample_wins(self, rng, n: int, trials: int) -> np.ndarray:
         if n != self.n:
             raise ValueError("model was built for a different round count")
-        g = self.game
-        kn = g.k ** self.n
-        joint = np.searchsorted(self._p_cum, rng.random(trials), side="right")
-        xs = self._digits[joint // kn]     # (trials, n) per-round inputs
-        ys = self._digits[joint % kn]
-        wins = np.empty((trials, self.n), dtype=bool)
-        for r in range(self.n):
-            rows = self._cdf[xs[:, r], ys[:, r]]
-            idx = (rows < rng.random((trials, 1))).sum(axis=1)
-            a, b = idx // g.l, idx % g.l
-            wins[:, r] = g.v[a, b, xs[:, r], ys[:, r]]
-        return wins
+        return rng.binomial(n, self.omega, size=trials)
 
     def win_all_probability(self, n: int) -> float:
         return self.omega ** n
@@ -234,23 +198,6 @@ class ProtocolStats:
     mismatch_accepts: int = 0
     p_hash_accept_given_mismatch: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "variant": self.variant, "n": self.n, "epsilon": self.epsilon,
-            "t": self.t, "v_used": self.v_used,
-            "trials_effective": self.trials_effective,
-            "successes": self.successes,
-            "p_succeed_hat": self.p_succeed_hat,
-            "succeed_ci": list(self.succeed_ci),
-            "conditional_defined": self.conditional_defined,
-            "mostwin_successes": self.mostwin_successes,
-            "p_mostwin_given_succeed_hat": self.p_mostwin_given_succeed_hat,
-            "mostwin_ci": None if self.mostwin_ci is None else list(self.mostwin_ci),
-            "mismatch_trials": self.mismatch_trials,
-            "mismatch_accepts": self.mismatch_accepts,
-            "p_hash_accept_given_mismatch": self.p_hash_accept_given_mismatch,
-        }
-
 
 def _simulate(config: ProtocolConfig, model, projection: bool) -> ProtocolStats:
     n, v = config.n, config.resolved_v()
@@ -262,9 +209,9 @@ def _simulate(config: ProtocolConfig, model, projection: bool) -> ProtocolStats:
     while done < config.trials:
         size = min(_CHUNK, config.trials - done)
         rng = rng_for(config.seed, _STREAM_PROTOCOL, chunk_idx)
-        wins = model.sample_wins(rng, n, size)
-        idx = rng.integers(0, n, size=(size, v))
-        matched = np.take_along_axis(wins, idx, axis=1).all(axis=1)
+        nwins = model.sample_wins(rng, n, size)
+        # v inspections with replacement all hit won rounds w.p. (W/n)^v
+        matched = rng.random(size) < (nwins / n) ** v
         if projection:
             miss = ~matched
             n_miss = int(miss.sum())
@@ -278,7 +225,6 @@ def _simulate(config: ProtocolConfig, model, projection: bool) -> ProtocolStats:
             mismatch_accepts += int(collide.sum())
         else:
             ok = matched
-        nwins = wins.sum(axis=1)
         successes += int(ok.sum())
         mostwin += int((ok & (nwins >= thr)).sum())
         done += size
@@ -417,20 +363,6 @@ class GuaranteeReport:
     verdict: str
     scalar_margin_log2: float | None
     notes: tuple[str, ...] = field(default_factory=tuple)
-
-    def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon, "t": self.t, "v_used": self.v_used,
-            "win_all_probability": self.win_all_probability,
-            "applicable": self.applicable,
-            "succeed_bound": self.succeed_bound,
-            "succeed_verdict": self.succeed_verdict,
-            "cond_bound": self.cond_bound,
-            "cond_verdict": self.cond_verdict,
-            "verdict": self.verdict,
-            "scalar_margin_log2": self.scalar_margin_log2,
-            "notes": list(self.notes),
-        }
 
 
 def _bound_verdict(ci: tuple[float, float] | None, bound: float, samples: int) -> str:

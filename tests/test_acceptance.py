@@ -103,8 +103,6 @@ def _cool_product_gap_min_eig(rho: np.ndarray) -> float:
 
 
 def test_criterion_3_randomized_suite_clean(tmp_path):
-    # serial on purpose: the checks are GIL-bound numpy on <= 24x24 matrices,
-    # so a thread pool only adds overhead; jobs= equality is tested elsewhere
     t0 = time.perf_counter()
     reports = run_all(seed=0, trials_per_check=10_000, report_dir=tmp_path)
     dt = time.perf_counter() - t0

@@ -153,15 +153,6 @@ class TestVerify:
             blobs.append((out / "report.json").read_bytes())
         assert blobs[0] == blobs[1]
 
-    def test_jobs_match_serial(self, tmp_path):
-        outs = []
-        for name, jobs in (("s", "1"), ("p", "4")):
-            out = tmp_path / name
-            main(["verify", "--filter", "*_*", "--trials", "25", "--seed", "0",
-                  "--jobs", jobs, "--out", str(out)])
-            outs.append((out / "report.json").read_bytes())
-        assert outs[0] == outs[1]
-
     def test_bad_filter(self, tmp_path, capsys):
         assert main(["verify", "--filter", "zzz*", "--trials", "5",
                      "--out", str(tmp_path / "o")]) == 2
@@ -220,6 +211,23 @@ class TestSimulate:
         rep = json.loads((out / "report.json").read_text())
         assert rep["guarantee"]["win_all_probability"] == pytest.approx(
             math.cos(math.pi / 8) ** 4, abs=1e-3)
+
+    def test_readme_strategy_backed_example(self, tmp_path):
+        # the README config with its strategy_backed model, at n = 256
+        write_chsh(tmp_path)
+        cfg = self.write_config(tmp_path, n=256, epsilon=1.0, t=1.0, trials=100_000,
+                                variant="general", v_override=None,
+                                model={"kind": "strategy_backed", "game": "chsh.json",
+                                       "d": 2, "restarts": 8, "iters": 60,
+                                       "strategy_seed": 0})
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg), "--seed", "0", "--out", str(out)]) == 0
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["stats"]["v_used"] == 2304
+        assert rep["stats"]["trials_effective"] == 100_000
+        omega = rep["guarantee"]["win_all_probability"] ** (1 / 256)
+        assert omega == pytest.approx(math.cos(math.pi / 8) ** 2, abs=1e-6)
+        assert rep["guarantee"]["verdict"] == "inconclusive"   # omega^256 < 2^-1
 
     def test_projection_variant(self, tmp_path):
         cfg = self.write_config(tmp_path, variant="projection", t=2.0,

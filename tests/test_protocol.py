@@ -9,6 +9,7 @@ from entgames.config import BudgetError
 from entgames.games import chsh, entangled_value_seesaw
 from entgames.protocol import (
     CSV_HEADER,
+    VARIANTS,
     Gf2LinearHash,
     IidBernoulli,
     ProtocolConfig,
@@ -29,10 +30,17 @@ from entgames.protocol import (
 from entgames.random_states import rng_for
 
 
+def count_pmf(model, n: int, k: int) -> float:
+    """P(W = k) for the two closed-form round models."""
+    if isinstance(model, IidBernoulli):
+        return math.comb(n, k) * model.w**k * (1 - model.w) ** (n - k)
+    m = model.partial_win_count(n)
+    return model.q * (k == n) + (1 - model.q) * (k == m)
+
+
 def binom_expect_match(n: int, v: int, w: float) -> float:
     # closed form for iid rounds: E[(K/n)^v], K ~ Binomial(n, w)
-    return sum(math.comb(n, k) * w**k * (1 - w) ** (n - k) * (k / n) ** v
-               for k in range(n + 1))
+    return sum(count_pmf(IidBernoulli(w), n, k) * (k / n) ** v for k in range(n + 1))
 
 
 class TestRequiredV:
@@ -113,35 +121,38 @@ class TestModels:
 
     def test_two_branch_row_counts(self):
         m = WinAllOrPartial(0.5, 0.75)
-        wins = m.sample_wins(rng_for(3), 8, 4000)
-        counts = wins.sum(axis=1)
+        counts = m.sample_wins(rng_for(3), 8, 4000)
+        assert counts.shape == (4000,)
         assert set(np.unique(counts)) <= {6, 8}
         frac_all = (counts == 8).mean()
         assert abs(frac_all - 0.5) < 0.03
 
+    def test_iid_counts_are_binomial(self):
+        counts = IidBernoulli(0.3).sample_wins(rng_for(4), 10, 50_000)
+        assert counts.shape == (50_000,)
+        assert counts.min() >= 0 and counts.max() <= 10
+        assert abs(counts.mean() - 3.0) < 0.03
+        assert abs(counts.var() - 2.1) < 0.06
+
     def test_strategy_backed_round_rate(self):
         res = entangled_value_seesaw(chsh(), d=2, restarts=3, iters=60, seed=0)
         model = StrategyBacked(chsh(), res.strategy, 2)
-        wins = model.sample_wins(rng_for(0), 2, 50_000)
-        assert abs(wins.mean() - model.omega) < 0.006
-        assert abs(wins.all(axis=1).mean() - model.omega**2) < 0.008
+        counts = model.sample_wins(rng_for(0), 2, 50_000)
+        assert abs(counts.mean() / 2 - model.omega) < 0.006
+        assert abs((counts == 2).mean() - model.omega**2) < 0.008
         assert_allclose(model.win_all_probability(2), model.omega**2)
 
     def test_strategy_backed_many_rounds(self):
-        # only the joint input table is materialized, never the n-fold
-        # predicate, so moderate n stays cheap
         res = entangled_value_seesaw(chsh(), d=2, restarts=2, iters=40, seed=0)
         model = StrategyBacked(chsh(), res.strategy, 8)
-        wins = model.sample_wins(rng_for(1), 8, 4000)
-        assert abs(wins.mean() - model.omega) < 0.02
+        counts = model.sample_wins(rng_for(1), 8, 4000)
+        assert abs(counts.mean() / 8 - model.omega) < 0.02
 
     def test_strategy_backed_errors(self):
         res = entangled_value_seesaw(chsh(), d=2, restarts=2, iters=40, seed=0)
         model = StrategyBacked(chsh(), res.strategy, 2)
         with pytest.raises(ValueError):
             model.sample_wins(rng_for(0), 3, 10)
-        with pytest.raises(BudgetError):
-            StrategyBacked(chsh(), res.strategy, 14)
 
 
 class TestChecking:
@@ -207,6 +218,29 @@ class TestChecking:
         w = model.omega
         truth = binom_expect_match(2, 4, w)
         assert stats.succeed_ci[0] <= truth <= stats.succeed_ci[1]
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("model", [IidBernoulli(0.998), WinAllOrPartial(0.99, 255 / 256)],
+                             ids=["iid_bernoulli", "win_all_or_partial"])
+    def test_paper_size_matches_closed_form(self, variant, model):
+        # n = 256, eps = 1, t = 1: the paper's v = 2304 (general), 320 (projection)
+        cfg = ProtocolConfig(n=256, epsilon=1.0, t=1.0, trials=100_000, seed=2,
+                             variant=variant)
+        n, v = cfg.n, cfg.resolved_v()
+        assert v == {"general": 2304, "projection": 320}[variant]
+        pmf = np.array([count_pmf(model, n, k) for k in range(n + 1)])
+        match = pmf * (np.arange(n + 1) / n) ** v     # P(W = k, all v inspections won)
+        collide = 2.0 ** -cfg.resolved_hash_bits() if variant == "projection" else 0.0
+        accept = match + (pmf - match) * collide
+        mostly = np.arange(n + 1) >= cfg.win_threshold()
+        p_succ = accept.sum()
+        p_cond = accept[mostly].sum() / p_succ
+        stats = run_protocol(cfg, model)
+        se = math.sqrt(p_succ * (1 - p_succ) / cfg.trials)
+        assert abs(stats.p_succeed_hat - p_succ) <= 5 * se
+        se_cond = max(math.sqrt(p_cond * (1 - p_cond) / stats.successes),
+                      1 / stats.successes)     # p_cond is exactly 1 for the two-branch model
+        assert abs(stats.p_mostwin_given_succeed_hat - p_cond) <= 5 * se_cond
 
     def test_deterministic_and_seed_sensitive(self):
         cfg = ProtocolConfig(n=8, epsilon=0.5, t=1.0, trials=1500, v_override=4, seed=5)
