@@ -239,15 +239,11 @@ REGISTRY: dict[str, CheckDef] = {
 
 @dataclass(frozen=True)
 class CheckSpec:
-    """One suite entry: which check, how many trials, at what tolerance."""
+    """One suite entry: which check, how many trials, from which seed."""
 
     name: str
     trials: int = 10_000
-    tolerance: float | None = None   # None: per-check registry default
     seed: int = 0
-
-    def resolved_tolerance(self) -> float:
-        return REGISTRY[self.name].tolerance if self.tolerance is None else self.tolerance
 
 
 @dataclass(frozen=True)
@@ -276,8 +272,7 @@ def run_check(spec: CheckSpec, report_dir: str | Path | None = None) -> CheckRep
     if spec.name not in REGISTRY:
         raise ValueError(f"unknown check {spec.name!r}; have {sorted(REGISTRY)}")
     check_id = list(REGISTRY).index(spec.name)
-    func = REGISTRY[spec.name].func
-    tol = spec.resolved_tolerance()
+    func, tol = REGISTRY[spec.name].func, REGISTRY[spec.name].tolerance
     worst = math.inf
     worst_trial = -1
     violations = 0

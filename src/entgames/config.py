@@ -19,7 +19,6 @@ class Tolerances:
     herm: float = 1e-9       # max |A - A^dag| entry for Hermitian inputs
     trace: float = 1e-9      # unit-trace slack for density operators
     psd: float = 1e-9        # most negative admissible eigenvalue
-    eig: float = 1e-11       # relative eigendecomposition residual
     norm: float = 1e-9       # pure-state normalization slack
     proj: float = 1e-8       # projector idempotence / completeness slack
     support: float = 1e-10   # eigenvalue cutoff deciding support (infinity decisions)

@@ -3,14 +3,14 @@
 A game is (inputs [k] x [k] with distribution p, outputs [l] x [l], winning
 predicate V indexed [a, b, x, y]).  Repeated games use little-endian
 mixed-radix index encoding: round 1 is the least significant digit of every
-combined input/output index.  The protocol simulator relies on that encoding.
+combined input/output index.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,8 +45,8 @@ class Game:
     name: str | None = None
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float).copy()
-        v = np.asarray(self.v).astype(bool).copy()
+        p = np.array(self.p, dtype=float)
+        v = np.array(self.v, dtype=bool)
         if p.shape != (self.k, self.k):
             raise ValueError(f"p has shape {p.shape}, expected {(self.k, self.k)}")
         if v.shape != (self.l, self.l, self.k, self.k):
@@ -236,10 +236,8 @@ def strategy_win_probability(g: Game, strategy: ClassicalStrategy | QuantumStrat
         b = np.array(strategy.bob)
         xs = np.arange(g.k)
         return float((g.p * g.v[a[:, None], b[None, :], xs[:, None], xs[None, :]]).sum())
-    phi = strategy.state.tensor()
-    kmat = np.einsum("ij,ybkj,lk->ybil", phi, strategy.bob, phi.conj())
-    return float(np.einsum("xy,abxy,xail,ybli->", g.p, g.v.astype(float),
-                           strategy.alice, kmat).real)
+    ops = _alice_payoffs(g, strategy.bob, strategy.state.tensor()[None, None])
+    return float(np.einsum("xail,xali->", strategy.alice, ops).real)
 
 
 # ---------------------------------------------------------------------------
@@ -298,20 +296,61 @@ def _update_measurements(meas: np.ndarray, ops: np.ndarray) -> np.ndarray:
     return new
 
 
-def _alice_payoffs(g: Game, bob: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    kmat = np.einsum("ij,ybkj,lk->ybil", phi, bob, phi.conj())
-    return np.einsum("xy,abxy,ybil->xail", g.p, g.v.astype(float), kmat)
+def _alice_payoffs(g: Game, bob: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Alice's operators [x, a] for Bob's measurements and per-input-pair states.
+
+    states has shape (k, k, dA, dB); a single shared state is passed as
+    phi[None, None], whose size-1 axes einsum broadcasts.
+    """
+    kmat = np.einsum("xyij,ybkj,xylk->xybil", states, bob, states.conj())
+    return np.einsum("xy,abxy,xybil->xail", g.p, g.v.astype(float), kmat)
 
 
-def _bob_payoffs(g: Game, alice: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    cmat = np.einsum("ij,xali,lm->xajm", phi, alice, phi.conj())
-    return np.einsum("xy,abxy,xajm->ybjm", g.p, g.v.astype(float), cmat)
+def _bob_payoffs(g: Game, alice: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Bob's operators [y, b]; states as in _alice_payoffs."""
+    cmat = np.einsum("xyij,xali,xylm->xyajm", states, alice, states.conj())
+    return np.einsum("xy,abxy,xyajm->ybjm", g.p, g.v.astype(float), cmat)
 
 
 def _payoff_operator(g: Game, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
     d = alice.shape[2] * bob.shape[2]
     t = np.einsum("xy,abxy,xail,ybjm->ijlm", g.p, g.v.astype(float), alice, bob)
     return hermitianize(t.reshape(d, d))
+
+
+def _seesaw_restarts(g: Game, dims: tuple[int, int], states: np.ndarray | None,
+                     stream: int, restarts: int, iters: int, seed: int,
+                     improve_tol: float):
+    """Restart loop of both see-saws; yields (trace, states, alice, bob) per restart.
+
+    With states None each restart first draws a Haar state and updates it
+    after every Bob update; given states stay fixed.
+    """
+    da, db = dims
+    for r in range(restarts):
+        rng = rng_for(seed, stream, r)
+        cur = states
+        if states is None:
+            cur = haar_state(rng, da * db).reshape(1, 1, da, db)
+        alice = np.stack([random_projective(rng, da, g.l) for _ in range(g.k)])
+        bob = np.stack([random_projective(rng, db, g.l) for _ in range(g.k)])
+        trace: list[float] = []
+        prev = -np.inf
+        for _ in range(iters):
+            alice = _update_measurements(alice, _alice_payoffs(g, bob, cur))
+            n_ops = _bob_payoffs(g, alice, cur)
+            bob = _update_measurements(bob, n_ops)
+            if states is None:
+                w, v = hermitian_eig(_payoff_operator(g, alice, bob))
+                val = float(w[-1])
+                cur = v[:, -1].reshape(1, 1, da, db)
+            else:
+                val = float(np.einsum("ybjm,ybmj->", bob, n_ops).real)
+            trace.append(val)
+            if val - prev < improve_tol:
+                break
+            prev = val
+        yield trace, cur, alice, bob
 
 
 @dataclass(frozen=True)
@@ -339,28 +378,13 @@ def entangled_value_seesaw(g: Game, d: int, restarts: int = 20, iters: int = 100
         raise ValueError("local dimension must be >= 1")
     best_val, best_strategy, best_restart = -1.0, None, -1
     traces: list[tuple[float, ...]] = []
-    for r in range(restarts):
-        rng = rng_for(seed, _STREAM_SEESAW, r)
-        phi = haar_state(rng, d * d).reshape(d, d)
-        alice = np.stack([random_projective(rng, d, g.l) for _ in range(g.k)])
-        bob = np.stack([random_projective(rng, d, g.l) for _ in range(g.k)])
-        trace: list[float] = []
-        prev = -np.inf
-        for _ in range(iters):
-            alice = _update_measurements(alice, _alice_payoffs(g, bob, phi))
-            bob = _update_measurements(bob, _bob_payoffs(g, alice, phi))
-            t = _payoff_operator(g, alice, bob)
-            w, v = hermitian_eig(t)
-            val = float(w[-1])
-            phi = v[:, -1].reshape(d, d)
-            trace.append(val)
-            if val - prev < improve_tol:
-                break
-            prev = val
+    layout = RegisterLayout((d, d), ("A", "B"))
+    runs = _seesaw_restarts(g, (d, d), None, _STREAM_SEESAW, restarts, iters,
+                            seed, improve_tol)
+    for r, (trace, phi, alice, bob) in enumerate(runs):
         traces.append(tuple(trace))
         val = trace[-1]
         if val > best_val:
-            layout = RegisterLayout((d, d), ("A", "B"))
             best_strategy = QuantumStrategy(
                 PureState(phi.reshape(-1), layout, validate=False), alice, bob)
             best_val, best_restart = val, r
@@ -379,66 +403,41 @@ def value_with_advice(g: Game, advice: AdviceEnsemble, restarts: int = 20,
         raise ValueError("advice input arity does not match the game")
     if np.abs(advice.p - g.p).max() > 1e-12:
         raise ValueError("advice ensemble was built for a different distribution")
-    states = advice.states
-    vmat = g.v.astype(float)
-    best = -1.0
-    for r in range(restarts):
-        rng = rng_for(seed, _STREAM_ADVICE, r)
-        da, db = advice.dims()
-        alice = np.stack([random_projective(rng, da, g.l) for _ in range(g.k)])
-        bob = np.stack([random_projective(rng, db, g.l) for _ in range(g.k)])
-        prev = -np.inf
-        for _ in range(iters):
-            kmat = np.einsum("xyij,ybkj,xylk->xybil", states, bob, states.conj())
-            m_ops = np.einsum("xy,abxy,xybil->xail", g.p, vmat, kmat)
-            alice = _update_measurements(alice, m_ops)
-            cmat = np.einsum("xyij,xali,xylm->xyajm", states, alice, states.conj())
-            n_ops = np.einsum("xy,abxy,xyajm->ybjm", g.p, vmat, cmat)
-            bob = _update_measurements(bob, n_ops)
-            val = float(np.einsum("ybjm,ybmj->", bob, n_ops).real)
-            if val - prev < improve_tol:
-                break
-            prev = val
-        best = max(best, val)
-    return min(best, 1.0)
+    runs = _seesaw_restarts(g, advice.dims(), advice.states, _STREAM_ADVICE,
+                            restarts, iters, seed, improve_tol)
+    return min(max((trace[-1] for trace, *_ in runs), default=-1.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
 # repetition
 
 
-def repeat(g: Game, n: int, budget: int = MAX_TABLE_ENTRIES) -> Game:
-    """n-fold parallel repetition: product distribution, conjunction predicate."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+def _win_counts(g: Game, n: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """Product distribution and rounds won per [a, b, x, y] of the n-fold game.
+
+    Counts are stored in the narrowest unsigned type that holds n.
+    """
     kk, ll = g.k**n, g.l**n
     if ll * ll * kk * kk > budget:
         raise BudgetError(f"repeated predicate table would need {ll*ll*kk*kk} entries")
     dk = _digit_table(g.k, n)
     dl = _digit_table(g.l, n)
     p = np.ones((kk, kk))
-    v = np.ones((ll, ll, kk, kk), dtype=bool)
-    for i in range(n):
-        p = p * g.p[dk[:, None, i], dk[None, :, i]]
-        v = v & g.v[dl[:, None, None, None, i], dl[None, :, None, None, i],
-                    dk[None, None, :, None, i], dk[None, None, None, :, i]]
-    name = g.name if n == 1 else (f"{g.name}^{n}" if g.name else None)
-    return Game(kk, ll, p, v, name=name)
-
-
-def _win_counts(g: Game, n: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
-    kk, ll = g.k**n, g.l**n
-    if ll * ll * kk * kk > budget:
-        raise BudgetError(f"threshold predicate table would need {ll*ll*kk*kk} entries")
-    dk = _digit_table(g.k, n)
-    dl = _digit_table(g.l, n)
-    p = np.ones((kk, kk))
-    counts = np.zeros((ll, ll, kk, kk), dtype=np.int32)
+    counts = np.zeros((ll, ll, kk, kk), dtype=np.min_scalar_type(n))
     for i in range(n):
         p = p * g.p[dk[:, None, i], dk[None, :, i]]
         counts += g.v[dl[:, None, None, None, i], dl[None, :, None, None, i],
                       dk[None, None, :, None, i], dk[None, None, None, :, i]]
     return p, counts
+
+
+def repeat(g: Game, n: int, budget: int = MAX_TABLE_ENTRIES) -> Game:
+    """n-fold parallel repetition: product distribution, conjunction predicate."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    p, counts = _win_counts(g, n, budget)
+    name = g.name if n == 1 else (f"{g.name}^{n}" if g.name else None)
+    return Game(g.k**n, g.l**n, p, counts == n, name=name)
 
 
 def majority_game(g: Game, n: int, alpha: float, budget: int = MAX_TABLE_ENTRIES) -> Game:

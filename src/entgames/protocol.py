@@ -199,7 +199,10 @@ class ProtocolStats:
     p_hash_accept_given_mismatch: float | None = None
 
 
-def _simulate(config: ProtocolConfig, model, projection: bool) -> ProtocolStats:
+def run_protocol(config: ProtocolConfig, model) -> ProtocolStats:
+    """Simulate the spot-checking procedure; config.variant selects the plain
+    string comparison ("general") or the hash-compressed one ("projection")."""
+    projection = config.variant == "projection"
     n, v = config.n, config.resolved_v()
     thr = config.win_threshold() - 1e-9    # integer counts vs real threshold
     bits = config.resolved_hash_bits()
@@ -232,7 +235,7 @@ def _simulate(config: ProtocolConfig, model, projection: bool) -> ProtocolStats:
     trials = config.trials
     p_succ = successes / trials
     cond_defined = successes > 0
-    stats = ProtocolStats(
+    return ProtocolStats(
         variant=config.variant, n=n, epsilon=config.epsilon, t=config.t,
         v_used=v, trials_effective=trials, successes=successes,
         p_succeed_hat=p_succ,
@@ -246,27 +249,6 @@ def _simulate(config: ProtocolConfig, model, projection: bool) -> ProtocolStats:
         p_hash_accept_given_mismatch=(mismatch_accepts / mismatches)
         if projection and mismatches else None,
     )
-    return stats
-
-
-def run_checking(config: ProtocolConfig, model) -> ProtocolStats:
-    """Simulate the plain spot-checking procedure."""
-    if config.variant != "general":
-        raise ValueError("run_checking requires variant='general'")
-    return _simulate(config, model, projection=False)
-
-
-def run_projection(config: ProtocolConfig, model) -> ProtocolStats:
-    """Simulate the hash-compressed variant."""
-    if config.variant != "projection":
-        raise ValueError("run_projection requires variant='projection'")
-    return _simulate(config, model, projection=True)
-
-
-def run_protocol(config: ProtocolConfig, model) -> ProtocolStats:
-    if config.variant == "general":
-        return run_checking(config, model)
-    return run_projection(config, model)
 
 
 # --- GF(2) linear hashing ----------------------------------------------------
@@ -301,21 +283,6 @@ class Gf2LinearHash:
         for j, row in enumerate(self.rows):
             out |= ((row & x).bit_count() & 1) << j
         return out
-
-
-def random_hash_rows(rng, count: int, in_bits: int, out_bits: int) -> np.ndarray:
-    """count independent hash matrices as uint64 row masks, shape (count, out_bits)."""
-    if in_bits > 62:
-        raise ValueError("in_bits must be <= 62 for packed sampling")
-    return rng.integers(0, 1 << in_bits, size=(count, out_bits), dtype=np.uint64)
-
-
-def hash_collides(rows: np.ndarray, diff: int) -> np.ndarray:
-    """For each packed matrix, whether it maps the given difference to zero."""
-    if diff == 0:
-        return np.ones(rows.shape[0], dtype=bool)
-    parities = np.bitwise_count(rows & np.uint64(diff)) & np.uint64(1)
-    return (parities == 0).all(axis=1)
 
 
 def exact_collision_probability(in_bits: int, out_bits: int) -> float:

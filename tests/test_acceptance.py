@@ -27,8 +27,6 @@ from entgames.protocol import (
     checking_bound_margin,
     exact_collision_probability,
     guarantee_report,
-    run_checking,
-    run_projection,
     run_protocol,
 )
 from entgames.random_states import haar_state, rng_for
@@ -230,7 +228,7 @@ def test_criterion_7_hash_family():
         for b in range(1, 13) for w in (1, 2, 4, 8))
     cfg = ProtocolConfig(n=16, epsilon=1.0, t=2.0, trials=100_000, seed=0,
                          variant="projection", v_override=1, hash_bits=4)
-    stats = run_projection(cfg, IidBernoulli(0.0))
+    stats = run_protocol(cfg, IidBernoulli(0.0))
     rate = stats.p_hash_accept_given_mismatch
     half_width = 2.5758 * math.sqrt(rate * (1 - rate) / stats.mismatch_trials)
     mc_ok = rate <= 2.0 ** -4 + half_width and abs(rate - 2.0 ** -4) < 0.004

@@ -47,10 +47,6 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown check"):
             run_check(CheckSpec("no_such_check", trials=1))
 
-    def test_tolerance_override(self):
-        assert CheckSpec("weak_triangle").resolved_tolerance() == REGISTRY["weak_triangle"].tolerance
-        assert CheckSpec("weak_triangle", tolerance=0.5).resolved_tolerance() == 0.5
-
 
 class TestRunCheck:
     def test_single_trial_runs(self):
@@ -80,7 +76,7 @@ class TestRunCheck:
     def test_sound_checks_clean_at_small_trials(self, name):
         rep = run_check(CheckSpec(name, trials=200))
         assert rep.violations == 0
-        assert rep.worst_margin >= -CheckSpec(name).resolved_tolerance()
+        assert rep.worst_margin >= -REGISTRY[name].tolerance
 
 
 class TestCoolProduct:

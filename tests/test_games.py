@@ -145,6 +145,35 @@ class TestStrategyWinProbability:
         classical = strategy_win_probability(g, ClassicalStrategy((0, 0), (0, 0)))
         assert abs(strategy_win_probability(g, q) - classical) <= 1e-12
 
+    def test_tensor_square_of_chsh_optimum(self):
+        # Bell state; Alice measures Z, X and Bob (Z +- X)/sqrt(2)
+        phi = np.eye(2, dtype=complex) / math.sqrt(2)
+        z, x = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+
+        def proj(obs):
+            return np.stack([(np.eye(2) + obs) / 2, (np.eye(2) - obs) / 2])
+
+        alice = np.stack([proj(z), proj(x)]).astype(complex)
+        bob = np.stack([proj((z + x) / math.sqrt(2)),
+                        proj((z - x) / math.sqrt(2))]).astype(complex)
+        base = QuantumStrategy(PureState.from_vector(phi.reshape(-1), (2, 2), ("A", "B")),
+                               alice, bob)
+        assert abs(strategy_win_probability(chsh(), base) - TSIRELSON) <= 1e-12
+
+        def square(meas):
+            out = np.zeros((4, 4, 4, 4), dtype=complex)
+            for x1, x2, a1, a2 in itertools.product(range(2), repeat=4):
+                out[encode_tuple((x1, x2), 2), encode_tuple((a1, a2), 2)] = \
+                    np.kron(meas[x1, a1], meas[x2, a2])
+            return out
+
+        state = np.einsum("ij,kl->ikjl", phi, phi).reshape(-1)
+        sq = QuantumStrategy(PureState.from_vector(state, (4, 4), ("A", "B")),
+                             square(alice), square(bob))
+        sq.validate()
+        value = strategy_win_probability(repeat(chsh(), 2), sq)
+        assert abs(value - math.cos(math.pi / 8) ** 4) <= 1e-12
+
 
 class TestSeesaw:
     def test_reaches_tsirelson(self):
@@ -265,6 +294,12 @@ class TestRepetition:
         wins = sum(bool(base.v[a[i], b[i], x[i], y[i]]) for i in range(3))
         idx = [encode_tuple(t, 2) for t in (a, b, x, y)]
         assert bool(g.v[idx[0], idx[1], idx[2], idx[3]]) == (wins >= 2)
+
+    def test_many_rounds_of_trivial_game(self):
+        # 300 rounds won do not fit in uint8; the count must not wrap around
+        g = all_ones_game(1, 1)
+        assert repeat(g, 300).v.all()
+        assert majority_game(g, 300, 1.0).v.all()
 
     def test_majority_alpha_range(self):
         with pytest.raises(ValueError):

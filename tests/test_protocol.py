@@ -18,11 +18,7 @@ from entgames.protocol import (
     checking_bound_margin,
     exact_collision_probability,
     guarantee_report,
-    hash_collides,
-    random_hash_rows,
     required_v,
-    run_checking,
-    run_projection,
     run_protocol,
     stats_csv_lines,
     wilson_interval,
@@ -158,7 +154,7 @@ class TestModels:
 class TestChecking:
     def test_always_winner(self):
         cfg = ProtocolConfig(n=20, epsilon=1.0, t=0.0, trials=400, v_override=16)
-        stats = run_checking(cfg, IidBernoulli(1.0))
+        stats = run_protocol(cfg, IidBernoulli(1.0))
         assert stats.successes == 400
         assert stats.p_succeed_hat == 1.0
         assert stats.p_mostwin_given_succeed_hat == 1.0
@@ -168,7 +164,7 @@ class TestChecking:
 
     def test_never_winner(self):
         cfg = ProtocolConfig(n=10, epsilon=0.5, t=1.0, trials=300, v_override=4)
-        stats = run_checking(cfg, IidBernoulli(0.0))
+        stats = run_protocol(cfg, IidBernoulli(0.0))
         assert stats.successes == 0
         assert not stats.conditional_defined
         assert stats.p_mostwin_given_succeed_hat is None
@@ -180,7 +176,7 @@ class TestChecking:
 
     def test_iid_success_probability_matches_closed_form(self):
         cfg = ProtocolConfig(n=8, epsilon=1.0, t=0.0, trials=20_000, v_override=3)
-        stats = run_checking(cfg, IidBernoulli(0.7))
+        stats = run_protocol(cfg, IidBernoulli(0.7))
         truth = binom_expect_match(8, 3, 0.7)
         lo, hi = stats.succeed_ci
         assert lo <= truth <= hi
@@ -189,7 +185,7 @@ class TestChecking:
         q, f, n, v = 0.3, 0.75, 16, 8
         cfg = ProtocolConfig(n=n, epsilon=1.0, t=2.0, trials=20_000, v_override=v)
         model = WinAllOrPartial(q, f)
-        stats = run_checking(cfg, model)
+        stats = run_protocol(cfg, model)
         m = model.partial_win_count(n)
         p_succ = q + (1 - q) * (m / n) ** v
         p_cond = q / p_succ                  # only the win-all branch clears the threshold
@@ -206,7 +202,7 @@ class TestChecking:
         # nwins exactly at (1 - eps/256) n must count as mostly-won
         model = WinAllOrPartial(0.0, 255 / 256)
         cfg = ProtocolConfig(n=256, epsilon=1.0, t=0.0, trials=300, v_override=1)
-        stats = run_checking(cfg, model)
+        stats = run_protocol(cfg, model)
         assert stats.conditional_defined
         assert stats.p_mostwin_given_succeed_hat == 1.0
 
@@ -214,7 +210,7 @@ class TestChecking:
         res = entangled_value_seesaw(chsh(), d=2, restarts=3, iters=60, seed=0)
         model = StrategyBacked(chsh(), res.strategy, 2)
         cfg = ProtocolConfig(n=2, epsilon=1.0, t=0.0, trials=20_000, v_override=4)
-        stats = run_checking(cfg, model)
+        stats = run_protocol(cfg, model)
         w = model.omega
         truth = binom_expect_match(2, 4, w)
         assert stats.succeed_ci[0] <= truth <= stats.succeed_ci[1]
@@ -244,21 +240,17 @@ class TestChecking:
 
     def test_deterministic_and_seed_sensitive(self):
         cfg = ProtocolConfig(n=8, epsilon=0.5, t=1.0, trials=1500, v_override=4, seed=5)
-        a = run_checking(cfg, IidBernoulli(0.8))
-        b = run_checking(cfg, IidBernoulli(0.8))
+        a = run_protocol(cfg, IidBernoulli(0.8))
+        b = run_protocol(cfg, IidBernoulli(0.8))
         assert a == b
-        c = run_checking(ProtocolConfig(n=8, epsilon=0.5, t=1.0, trials=1500,
+        c = run_protocol(ProtocolConfig(n=8, epsilon=0.5, t=1.0, trials=1500,
                                         v_override=4, seed=6), IidBernoulli(0.8))
         assert a.successes != c.successes
 
     def test_variant_dispatch(self):
         cfg = ProtocolConfig(n=4, epsilon=1.0, t=0.0, trials=50, v_override=2)
-        with pytest.raises(ValueError):
-            run_projection(cfg, IidBernoulli(1.0))
         pcfg = ProtocolConfig(n=4, epsilon=1.0, t=0.0, trials=50, v_override=2,
                               variant="projection")
-        with pytest.raises(ValueError):
-            run_checking(pcfg, IidBernoulli(1.0))
         assert run_protocol(cfg, IidBernoulli(1.0)).variant == "general"
         assert run_protocol(pcfg, IidBernoulli(1.0)).variant == "projection"
 
@@ -267,7 +259,7 @@ class TestProjection:
     def test_no_mismatch_when_always_winning(self):
         cfg = ProtocolConfig(n=6, epsilon=1.0, t=2.0, trials=400, v_override=3,
                              variant="projection")
-        stats = run_projection(cfg, IidBernoulli(1.0))
+        stats = run_protocol(cfg, IidBernoulli(1.0))
         assert stats.mismatch_trials == 0
         assert stats.p_hash_accept_given_mismatch is None
         assert stats.successes == 400
@@ -276,7 +268,7 @@ class TestProjection:
         # all trials mismatch; acceptance = collision of a 4-bit uniform hash
         cfg = ProtocolConfig(n=6, epsilon=1.0, t=2.0, trials=20_000, v_override=1,
                              variant="projection", hash_bits=4)
-        stats = run_projection(cfg, IidBernoulli(0.0))
+        stats = run_protocol(cfg, IidBernoulli(0.0))
         assert stats.mismatch_trials == 20_000
         p = stats.p_hash_accept_given_mismatch
         assert abs(p - 2.0**-4) < 0.006
@@ -286,14 +278,14 @@ class TestProjection:
     def test_hash_bits_zero_always_accepts(self):
         cfg = ProtocolConfig(n=6, epsilon=1.0, t=0.0, trials=200, v_override=1,
                              variant="projection", hash_bits=0)
-        stats = run_projection(cfg, IidBernoulli(0.0))
+        stats = run_protocol(cfg, IidBernoulli(0.0))
         assert stats.successes == 200
         assert stats.p_hash_accept_given_mismatch == 1.0
 
     def test_report_notes_fixed_threshold(self):
         cfg = ProtocolConfig(n=6, epsilon=1.0, t=0.0, trials=200, v_override=2,
                              variant="projection")
-        stats = run_projection(cfg, IidBernoulli(1.0))
+        stats = run_protocol(cfg, IidBernoulli(1.0))
         rep = guarantee_report(cfg, IidBernoulli(1.0), stats)
         assert any("1 - epsilon/256" in note for note in rep.notes)
         assert rep.scalar_margin_log2 is None
@@ -302,7 +294,7 @@ class TestProjection:
 class TestGuaranteeReport:
     def test_rejects_foreign_stats(self):
         cfg = ProtocolConfig(n=8, epsilon=1.0, t=0.0, trials=50, v_override=2)
-        stats = run_checking(cfg, IidBernoulli(1.0))
+        stats = run_protocol(cfg, IidBernoulli(1.0))
         other = ProtocolConfig(n=8, epsilon=1.0, t=0.0, trials=50, v_override=3)
         with pytest.raises(ValueError):
             guarantee_report(other, IidBernoulli(1.0), stats)
@@ -311,7 +303,7 @@ class TestGuaranteeReport:
         # conditional estimate far below the bound, but too few successes
         model = WinAllOrPartial(0.05, 0.5)
         cfg = ProtocolConfig(n=10, epsilon=1.0, t=4.0, trials=200, v_override=4)
-        stats = run_checking(cfg, model)
+        stats = run_protocol(cfg, model)
         assert 0 < stats.successes < 100
         rep = guarantee_report(cfg, model, stats)
         assert rep.cond_verdict == "inconclusive"
@@ -319,7 +311,7 @@ class TestGuaranteeReport:
     def test_honest_violation_detected(self):
         cfg = ProtocolConfig(n=20, epsilon=1.0, t=15.0, trials=3000, v_override=1)
         model = IidBernoulli(0.6)
-        stats = run_checking(cfg, model)
+        stats = run_protocol(cfg, model)
         rep = guarantee_report(cfg, model, stats)
         assert rep.applicable                # 0.6^20 >= 2^-15
         assert stats.successes >= 100
@@ -328,7 +320,7 @@ class TestGuaranteeReport:
 
     def test_scalar_margin_only_for_default_v(self):
         cfg = ProtocolConfig(n=4, epsilon=1.0, t=0.0, trials=30)
-        stats = run_checking(cfg, IidBernoulli(1.0))
+        stats = run_protocol(cfg, IidBernoulli(1.0))
         rep = guarantee_report(cfg, IidBernoulli(1.0), stats)
         assert rep.scalar_margin_log2 is not None
         assert rep.scalar_margin_log2 >= 0.0
@@ -370,19 +362,6 @@ class TestHashing:
         with pytest.raises(ValueError):
             h(1 << 4)
 
-    def test_packed_rows_match_scalar_hash(self):
-        rng = rng_for(13)
-        rows = random_hash_rows(rng, 30, 10, 3)
-        for diff in (1, 0b1010, 0b1111111111):
-            packed = hash_collides(rows, diff)
-            for i in range(rows.shape[0]):
-                h = Gf2LinearHash(10, 3, tuple(int(r) for r in rows[i]))
-                assert packed[i] == (h(diff) == 0)
-
-    def test_zero_difference_always_collides(self):
-        rows = random_hash_rows(rng_for(1), 8, 6, 2)
-        assert hash_collides(rows, 0).all()
-
     def test_exact_collision_probability(self):
         for in_bits in (1, 4, 8, 12):
             for out_bits in (1, 3, 6):
@@ -392,18 +371,11 @@ class TestHashing:
         with pytest.raises(BudgetError):
             exact_collision_probability(13, 2)
 
-    def test_monte_carlo_rate(self):
-        rng = rng_for(99)
-        rows = random_hash_rows(rng, 100_000, 16, 4)
-        diff = 0b1011001110001101
-        rate = hash_collides(rows, diff).mean()
-        assert abs(rate - 2.0**-4) < 0.004
-
 
 class TestCsv:
     def test_lines_parse(self):
         cfg = ProtocolConfig(n=4, epsilon=1.0, t=0.0, trials=60, v_override=2)
-        stats = run_checking(cfg, IidBernoulli(1.0))
+        stats = run_protocol(cfg, IidBernoulli(1.0))
         header, row = stats_csv_lines(stats, "consistent")
         assert header == ",".join(CSV_HEADER)
         cells = row.split(",")
@@ -413,7 +385,7 @@ class TestCsv:
 
     def test_undefined_conditional_blank(self):
         cfg = ProtocolConfig(n=4, epsilon=1.0, t=0.0, trials=60, v_override=2)
-        stats = run_checking(cfg, IidBernoulli(0.0))
+        stats = run_protocol(cfg, IidBernoulli(0.0))
         _, row = stats_csv_lines(stats, "inconclusive")
         cells = row.split(",")
         assert cells[9] == "" and cells[10] == "" and cells[11] == ""
