@@ -2,9 +2,10 @@
 
 Subcommands: value, repeat, verify, simulate, sic.  Every run writes an
 output directory (default out/<command>/<timestamp>-<seed>/) containing
-manifest.json (command, config echo, seed, version, wall time, output paths)
-and report.json.  report.json is byte-deterministic for a fixed seed; the
-manifest holds the nondeterministic bookkeeping.
+manifest.json (command, config echo, seed, version, wall time, output paths;
+verify adds each check's wall seconds and trials/s) and report.json.
+report.json is byte-deterministic for a fixed seed; the manifest holds the
+nondeterministic bookkeeping.
 
 Exit codes: 0 success, 1 property violation, 2 input error, 3 budget.
 """
@@ -68,7 +69,7 @@ def _out_dir(args, command: str, seed) -> Path:
 
 
 def _write_manifest(out: Path, command: str, config: dict, seed, t0: float,
-                    outputs: list[str]) -> None:
+                    outputs: list[str], **extra) -> None:
     manifest = {
         "command": command,
         "config": config,
@@ -76,6 +77,7 @@ def _write_manifest(out: Path, command: str, config: dict, seed, t0: float,
         "version": VERSION,
         "wall_time_s": time.perf_counter() - t0,
         "outputs": outputs,
+        **extra,
     }
     (out / "manifest.json").write_text(_canonical_json(manifest))
 
@@ -145,8 +147,14 @@ def cmd_verify(args) -> int:
         if not names:
             raise ValueError(f"filter {args.filter!r} matches no checks")
     out = _out_dir(args, "verify", seed)
-    reports = checks_mod.run_all(seed=seed, trials_per_check=args.trials,
-                                 names=names, report_dir=out)
+    reports, timings = [], {}
+    for name in names:
+        t_check = time.perf_counter()
+        rep = checks_mod.run_check(
+            checks_mod.CheckSpec(name, trials=args.trials, seed=seed), out)
+        wall = time.perf_counter() - t_check
+        reports.append(rep)
+        timings[name] = {"wall_s": wall, "trials_per_s": rep.trials_run / wall}
     (out / "report.json").write_text(checks_mod.reports_to_json(reports))
     checks_mod.reports_to_csv(reports, out / "report.csv")
     for rep in reports:
@@ -155,7 +163,7 @@ def cmd_verify(args) -> int:
     outputs = ["report.json", "report.csv"]
     outputs += sorted(p.name for p in out.glob("counterexample_*.json"))
     cfg = {"trials": args.trials, "filter": args.filter}
-    _write_manifest(out, "verify", cfg, seed, t0, outputs)
+    _write_manifest(out, "verify", cfg, seed, t0, outputs, checks=timings)
     return 1 if checks_mod.any_violations(reports) else 0
 
 

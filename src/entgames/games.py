@@ -324,8 +324,11 @@ def _seesaw_restarts(g: Game, dims: tuple[int, int], states: np.ndarray | None,
     """Restart loop of both see-saws; yields (trace, states, alice, bob) per restart.
 
     With states None each restart first draws a Haar state and updates it
-    after every Bob update; given states stay fixed.
+    after every Bob update; given states stay fixed.  Raises ValueError, on
+    the first step, unless restarts and iters are both at least 1.
     """
+    if restarts < 1 or iters < 1:
+        raise ValueError(f"restarts and iters must be >= 1, got {restarts} and {iters}")
     da, db = dims
     for r in range(restarts):
         rng = rng_for(seed, stream, r)

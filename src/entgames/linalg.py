@@ -5,6 +5,10 @@ separately by RegisterLayout, whose factor order is authoritative.  Nothing
 here reorders registers implicitly: kron concatenates layouts left-to-right
 and partial_trace keeps the surviving factors in their original order.  Use
 permute_registers for explicit reordering.
+
+hermitian_eig, psd_eigvalsh, matrix_sqrt_psd, partial_trace_matrix and kron
+also take stacks of shape (..., d, d) and act on each slice, validating each
+slice as they would a single matrix; a single matrix is the unbatched case.
 """
 
 from __future__ import annotations
@@ -18,20 +22,33 @@ import numpy as np
 from .config import DEFAULT_TOLS, MAX_KRON_DIM, BudgetError, Tolerances
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce a matrix-like (ndarray or DensityOperator) to a complex ndarray."""
+def as_stack(a) -> np.ndarray:
+    """Coerce a matrix or a stack of matrices, shape (..., d, d), to complex."""
     m = getattr(a, "matrix", a)
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {m.shape}")
+    if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m
 
 
+def as_matrix(a) -> np.ndarray:
+    """Coerce a matrix-like (ndarray or DensityOperator) to a complex ndarray."""
+    m = as_stack(a)
+    if m.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
+def dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def hermitianize(m: np.ndarray) -> np.ndarray:
-    """Project onto the Hermitian part, (m + m^dag)/2."""
-    return 0.5 * (m + m.conj().T)
+    """Project onto the Hermitian part, (m + m^dag)/2, slice by slice."""
+    return 0.5 * (m + dagger(m))
 
 
 @dataclass(frozen=True)
@@ -132,11 +149,16 @@ class DensityOperator:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product with a dimension guard; layout bookkeeping is the caller's."""
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[0] * b.shape[0] > MAX_KRON_DIM:
-        raise BudgetError(f"kron result dimension {a.shape[0] * b.shape[0]} exceeds MAX_KRON_DIM")
-    return np.kron(a, b)
+    """Kronecker product with a dimension guard; layout bookkeeping is the caller's.
+
+    Stacks (..., m, m) and (..., n, n) give the product of each pair of slices.
+    """
+    a, b = as_stack(a), as_stack(b)
+    m, n = a.shape[-1], b.shape[-1]
+    if m * n > MAX_KRON_DIM:
+        raise BudgetError(f"kron result dimension {m * n} exceeds MAX_KRON_DIM")
+    t = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return t.reshape(t.shape[:-4] + (m * n, m * n))
 
 
 def kron_density(a: DensityOperator, b: DensityOperator) -> DensityOperator:
@@ -147,31 +169,56 @@ def kron_density(a: DensityOperator, b: DensityOperator) -> DensityOperator:
     return DensityOperator(kron(a.matrix, b.matrix), lay, validate=False)
 
 
+def _check_hermitian(h: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> None:
+    """Raise unless every slice is Hermitian within tols.herm * max(1, |h|)."""
+    scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
+    if (np.abs(h - dagger(h)).max(axis=(-2, -1)) > tols.herm * scale).any():
+        raise ValueError("matrix is not Hermitian within tolerance")
+
+
+def _check_psd_spectrum(w: np.ndarray, tols: Tolerances) -> None:
+    """Raise unless every ascending spectrum in w is above -tols.psd."""
+    low = w[..., 0].min()
+    if low < -tols.psd:
+        raise ValueError(f"matrix has eigenvalue {low:.3e}; not PSD within tolerance")
+
+
 def hermitian_eig(h, tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix in a stack.
 
     Returns (eigenvalues ascending, eigenvector matrix with orthonormal
     columns).  Raises on input that is not Hermitian within tolerance;
     convergence failures surface as numpy.linalg.LinAlgError.
     """
-    h = as_matrix(h)
-    if np.abs(h - h.conj().T).max() > tols.herm * max(1.0, np.abs(h).max()):
-        raise ValueError("matrix is not Hermitian within tolerance")
+    h = as_stack(h)
+    _check_hermitian(h, tols)
     w, v = np.linalg.eigh(hermitianize(h))
     return w, v
 
 
+def psd_eigvalsh(a, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+    """Eigenvalues of a PSD Hermitian matrix (or stack); raises like matrix_sqrt_psd."""
+    a = as_stack(a)
+    _check_hermitian(a, tols)
+    w = np.linalg.eigvalsh(hermitianize(a))
+    _check_psd_spectrum(w, tols)
+    return w
+
+
 def partial_trace_matrix(m: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
-    """Partial trace of a raw matrix over the factors not listed in keep (positions)."""
+    """Partial trace over the factors not listed in keep (positions).
+
+    m is one matrix or a stack (..., D, D) with D = prod(dims).
+    """
     dims = tuple(dims)
     n = len(dims)
     keep = sorted(keep)
-    t = m.reshape(dims + dims)
+    t = m.reshape(m.shape[:-2] + dims + dims)
     row = list(range(n))
     col = [i if i not in keep else i + n for i in range(n)]
     out = [i for i in keep] + [i + n for i in keep]
     dk = math.prod(dims[i] for i in keep)
-    return np.einsum(t, row + col, out).reshape(dk, dk)
+    return np.einsum(t, [..., *row, *col], [..., *out]).reshape(m.shape[:-2] + (dk, dk))
 
 
 def partial_trace(rho: DensityOperator, keep: Iterable[str]) -> DensityOperator:
@@ -197,16 +244,15 @@ def permute_registers(rho: DensityOperator, order: Sequence[str]) -> DensityOper
 
 
 def matrix_sqrt_psd(a, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """Principal square root of a PSD Hermitian matrix.
+    """Principal square root of a PSD Hermitian matrix, or of each in a stack.
 
     Eigenvalues in [-psd_tol, 0) are clipped to 0; anything more negative is
     an error.
     """
     w, v = hermitian_eig(a, tols)
-    if w.min() < -tols.psd:
-        raise ValueError(f"matrix has eigenvalue {w.min():.3e}; not PSD within tolerance")
+    _check_psd_spectrum(w, tols)
     w = np.sqrt(np.clip(w, 0.0, None))
-    return hermitianize((v * w) @ v.conj().T)
+    return hermitianize((v * w[..., None, :]) @ dagger(v))
 
 
 def trace_norm(a) -> float:

@@ -4,6 +4,11 @@ All entropic quantities use base-2 logarithms (bits).  Two-state scalar
 functions accept either DensityOperator or raw ndarrays; register-aware
 functions (conditional entropy, mutual information, measurement, Schmidt
 decomposition) need the layout and take DensityOperator / PureState.
+
+fidelity, relative_entropy, min_relative_entropy, von_neumann_entropy and
+povm_outcome_bound also take stacks of states, shape (..., d, d), and then
+return an array with one value per slice; every per-matrix validation applies
+to each slice.  A single matrix gives a float.
 """
 
 from __future__ import annotations
@@ -19,13 +24,28 @@ from .linalg import (
     DensityOperator,
     RegisterLayout,
     as_matrix,
+    as_stack,
+    dagger,
     hermitian_eig,
     hermitianize,
     matrix_sqrt_psd,
     partial_trace,
     partial_trace_matrix,
-    trace_norm,
+    psd_eigvalsh,
 )
+
+
+def _value(x):
+    """A float for a single result, the array itself for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _pair(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
+    """Two states, or two stacks of states, of one shape."""
+    r, s = as_stack(rho), as_stack(sigma)
+    if r.shape != s.shape:
+        raise ValueError("states have different dimensions")
+    return r, s
 
 
 @dataclass(frozen=True)
@@ -84,43 +104,65 @@ class Povm:
         object.__setattr__(self, "elements", els)
         if not els:
             raise ValueError("POVM needs at least one element")
-        d = els[0].shape[0]
-        t = self.tols
-        total = np.zeros((d, d), dtype=complex)
-        for e in els:
-            if e.shape[0] != d:
-                raise ValueError("POVM elements have mixed dimensions")
-            if np.abs(e - e.conj().T).max() > t.herm:
-                raise ValueError("POVM element is not Hermitian within tolerance")
-            if np.linalg.eigvalsh(hermitianize(e)).min() < -t.psd:
-                raise ValueError("POVM element is not PSD within tolerance")
-            total += e
-        if np.abs(total - np.eye(d)).max() > t.proj:
-            raise ValueError("POVM elements do not sum to the identity within tolerance")
+        if any(e.shape != els[0].shape for e in els):
+            raise ValueError("POVM elements have mixed dimensions")
+        check_povm(np.stack(els), self.tols)
 
     @property
     def dim(self) -> int:
         return self.elements[0].shape[0]
 
     def outcome_distribution(self, rho) -> np.ndarray:
-        r = as_matrix(rho)
-        p = np.array([np.trace(e @ r).real for e in self.elements])
-        return np.clip(p, 0.0, None)
+        return _outcome_distribution(np.stack(self.elements), as_matrix(rho))
+
+
+def check_povm(elements: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> None:
+    """Raise unless each (..., n, d, d) stack of n elements is a POVM."""
+    elements = as_stack(elements)
+    if (np.abs(elements - dagger(elements)).max(axis=(-2, -1)) > tols.herm).any():
+        raise ValueError("POVM element is not Hermitian within tolerance")
+    if np.linalg.eigvalsh(hermitianize(elements))[..., 0].min() < -tols.psd:
+        raise ValueError("POVM element is not PSD within tolerance")
+    total = elements.sum(axis=-3)
+    if np.abs(total - np.eye(total.shape[-1])).max() > tols.proj:
+        raise ValueError("POVM elements do not sum to the identity within tolerance")
+
+
+def _outcome_distribution(elements: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Outcome probabilities tr(E_i rho), shape (..., n), clipped at 0."""
+    p = np.trace(elements @ rho[..., None, :, :], axis1=-2, axis2=-1).real
+    return np.clip(p, 0.0, None)
 
 
 # ---------------------------------------------------------------------------
 # fidelity family
 
 
-def fidelity(rho, sigma, tols: Tolerances = DEFAULT_TOLS) -> float:
-    """Root fidelity F(rho, sigma) = ||sqrt(rho) sqrt(sigma)||_1, in [0, 1]."""
-    r, s = as_matrix(rho), as_matrix(sigma)
-    if r.shape != s.shape:
-        raise ValueError("states have different dimensions")
-    f = trace_norm(matrix_sqrt_psd(r, tols) @ matrix_sqrt_psd(s, tols))
-    if f > 1.0 + 1e-7:
-        raise ValueError(f"fidelity {f} exceeds 1 beyond numerical slack")
-    return min(max(f, 0.0), 1.0)
+def fidelity(rho, sigma, tols: Tolerances = DEFAULT_TOLS):
+    """Root fidelity F(rho, sigma) = ||sqrt(rho) sqrt(sigma)||_1, in [0, 1].
+
+    Both states are checked Hermitian and PSD; see fidelity_from_root.
+    """
+    r, s = _pair(rho, sigma)
+    psd_eigvalsh(s, tols)
+    return fidelity_from_root(matrix_sqrt_psd(r, tols), s)
+
+
+def fidelity_from_root(root_rho: np.ndarray, sigma: np.ndarray):
+    """F(rho, sigma) = sum of sqrt(eigenvalues of sqrt(rho) sigma sqrt(rho)).
+
+    root_rho is matrix_sqrt_psd(rho); sigma must already be checked PSD.  A
+    caller that needs several fidelities against one rho computes its root
+    once.  Eigenvalues below the rounding floor of the product are noise
+    whose square roots would each leak ~sqrt(eps) into the sum, so they
+    count as 0.  Raises if any fidelity exceeds 1 + 1e-7.
+    """
+    w = np.linalg.eigvalsh(hermitianize(root_rho @ sigma @ root_rho))
+    floor = np.maximum(w[..., -1:], 0.0) * w.shape[-1] * np.finfo(float).eps
+    f = np.sqrt(np.where(w > floor, w, 0.0)).sum(axis=-1)
+    if (f > 1.0 + 1e-7).any():
+        raise ValueError(f"fidelity {f.max()} exceeds 1 beyond numerical slack")
+    return _value(np.clip(f, 0.0, 1.0))
 
 
 def fbar(rho, sigma, tols: Tolerances = DEFAULT_TOLS) -> float:
@@ -133,11 +175,16 @@ def angle(rho, sigma, tols: Tolerances = DEFAULT_TOLS) -> float:
     return float(np.arccos(fidelity(rho, sigma, tols)))
 
 
-def povm_outcome_bound(rho, sigma, povm: Povm) -> float:
-    """Classical-outcome fidelity sum_i sqrt(p_i q_i); upper-bounds F(rho, sigma)."""
-    p = povm.outcome_distribution(rho)
-    q = povm.outcome_distribution(sigma)
-    return float(np.sqrt(p * q).sum())
+def povm_outcome_bound(rho, sigma, povm):
+    """Classical-outcome fidelity sum_i sqrt(p_i q_i); upper-bounds F(rho, sigma).
+
+    povm is a Povm, or a stack of elements (..., n, d, d) already passed
+    through check_povm, one POVM per slice of rho and sigma.
+    """
+    els = np.stack(povm.elements) if isinstance(povm, Povm) else povm
+    p = _outcome_distribution(els, as_stack(rho))
+    q = _outcome_distribution(els, as_stack(sigma))
+    return _value(np.sqrt(p * q).sum(axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -238,16 +285,16 @@ def uhlmann_partner(rho: DensityOperator, sigma, phi: PureState,
 # entropies
 
 
-def entropy_of_spectrum(w: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> float:
-    w = w[w > tols.zero_eig]
-    if w.size == 0:
-        return 0.0
-    return float(max(-(w * np.log2(w)).sum(), 0.0))
+def entropy_of_spectrum(w: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
+    """Entropy in bits of a spectrum (..., d); eigenvalues below the zero cutoff count 0."""
+    keep = w > tols.zero_eig
+    h = -np.where(keep, w * np.log2(np.where(keep, w, 1.0)), 0.0).sum(axis=-1)
+    return _value(np.where(h > 0.0, h, 0.0))
 
 
-def von_neumann_entropy(rho, tols: Tolerances = DEFAULT_TOLS) -> float:
+def von_neumann_entropy(rho, tols: Tolerances = DEFAULT_TOLS):
     """S(rho) in bits; eigenvalues below the zero cutoff contribute 0."""
-    w = np.linalg.eigvalsh(hermitianize(as_matrix(rho)))
+    w = np.linalg.eigvalsh(hermitianize(as_stack(rho)))
     return entropy_of_spectrum(w, tols)
 
 
@@ -276,50 +323,42 @@ def mutual_information(rho: DensityOperator, x: Iterable[str], y: Iterable[str],
             - _reduced_entropy(rho, x + y, tols))
 
 
-def _support_leak(rho_m: np.ndarray, w_sigma: np.ndarray, v_sigma: np.ndarray,
-                  tols: Tolerances) -> tuple[np.ndarray, float]:
-    """Diagonal of rho in sigma's eigenbasis, plus rho's mass outside sigma's support."""
-    diag = np.einsum("ij,jk,ki->i", v_sigma.conj().T, rho_m, v_sigma).real
-    outside = diag[w_sigma <= tols.support]
-    return diag, float(np.clip(outside, 0.0, None).sum())
+def _sigma_basis(r: np.ndarray, s: np.ndarray, tols: Tolerances):
+    """sigma's eigensystem, rho's diagonal in that basis, and whether rho leaves
+    sigma's support: its mass on eigenvalues <= tols.support exceeds tols.support.
+    """
+    ws, vs = hermitian_eig(s, tols)
+    diag = np.einsum("...ik,...ki->...i", dagger(vs) @ r, vs).real
+    leak = np.where(ws > tols.support, 0.0, np.clip(diag, 0.0, None)).sum(axis=-1)
+    return ws, vs, diag, leak > tols.support
 
 
-def relative_entropy(rho, sigma, tols: Tolerances = DEFAULT_TOLS) -> float:
+def relative_entropy(rho, sigma, tols: Tolerances = DEFAULT_TOLS):
     """S(rho || sigma) in bits; +inf iff rho's support leaves sigma's support.
 
     Support is decided by the eigenvalue cutoff tols.support (1e-10).
     """
-    r, s = as_matrix(rho), as_matrix(sigma)
-    if r.shape != s.shape:
-        raise ValueError("states have different dimensions")
-    ws, vs = hermitian_eig(s, tols)
-    diag, leak = _support_leak(r, ws, vs, tols)
-    if leak > tols.support:
-        return math.inf
+    r, s = _pair(rho, sigma)
+    ws, _, diag, leaves = _sigma_basis(r, s, tols)
     wr = np.linalg.eigvalsh(hermitianize(r))
     tr_rho_log_rho = -entropy_of_spectrum(wr, tols)
     sup = ws > tols.support
-    tr_rho_log_sigma = float((diag[sup] * np.log2(ws[sup])).sum())
-    return tr_rho_log_rho - tr_rho_log_sigma
+    tr_rho_log_sigma = np.where(sup, diag * np.log2(np.where(sup, ws, 1.0)), 0.0).sum(axis=-1)
+    return _value(np.where(leaves, np.inf, tr_rho_log_rho - tr_rho_log_sigma))
 
 
-def min_relative_entropy(rho, sigma, tols: Tolerances = DEFAULT_TOLS) -> float:
+def min_relative_entropy(rho, sigma, tols: Tolerances = DEFAULT_TOLS):
     """S_inf(rho || sigma) = log2 of the least k with rho <= 2^k sigma.
 
     Computed as log2 lambda_max(sigma^{-1/2} rho sigma^{-1/2}) on sigma's
     support; +inf under the same support rule as relative_entropy.
     """
-    r, s = as_matrix(rho), as_matrix(sigma)
-    if r.shape != s.shape:
-        raise ValueError("states have different dimensions")
-    ws, vs = hermitian_eig(s, tols)
-    _, leak = _support_leak(r, ws, vs, tols)
-    if leak > tols.support:
-        return math.inf
-    sup = ws > tols.support
-    q = (vs[:, sup] / np.sqrt(ws[sup])) @ vs[:, sup].conj().T
-    lam = np.linalg.eigvalsh(hermitianize(q @ r @ q)).max()
-    return float(np.log2(max(lam, tols.zero_eig)))
+    r, s = _pair(rho, sigma)
+    ws, vs, _, leaves = _sigma_basis(r, s, tols)
+    sup = (ws > tols.support)[..., None, :]
+    q = np.where(sup, vs / np.sqrt(np.where(sup, ws[..., None, :], 1.0)), 0.0) @ dagger(vs)
+    lam = np.linalg.eigvalsh(hermitianize(q @ r @ q))[..., -1]
+    return _value(np.where(leaves, np.inf, np.log2(np.maximum(lam, tols.zero_eig))))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import dagger, hermitianize
+
 
 def rng_for(*path: int) -> np.random.Generator:
     """Generator addressed by an integer path (master seed first)."""
@@ -46,13 +48,14 @@ def random_classical(rng: np.random.Generator, dim: int) -> np.ndarray:
 def floor_eigenvalues(rho: np.ndarray, floor: float = 1e-8) -> np.ndarray:
     """Push eigenvalues up to at least `floor` and renormalize the trace.
 
-    Used for reference states of relative-entropy checks so support is full
-    and infinity branches are not triggered by sampling accidents.
+    Takes one state or a stack (..., d, d).  Used for reference states of
+    relative-entropy checks so support is full and infinity branches are not
+    triggered by sampling accidents.
     """
-    w, v = np.linalg.eigh(0.5 * (rho + rho.conj().T))
+    w, v = np.linalg.eigh(hermitianize(rho))
     w = np.maximum(w, floor)
-    w = w / w.sum()
-    return (v * w) @ v.conj().T
+    w = w / w.sum(axis=-1, keepdims=True)
+    return (v * w[..., None, :]) @ dagger(v)
 
 
 def random_povm(rng: np.random.Generator, dim: int, n_outcomes: int) -> list[np.ndarray]:

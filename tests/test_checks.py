@@ -5,6 +5,10 @@ import numpy as np
 import pytest
 
 from entgames.checks import (
+    _BLOCK,
+    _dim,
+    CHECK_STREAM,
+    DIM_POOL,
     REGISTRY,
     CheckReport,
     CheckSpec,
@@ -14,6 +18,16 @@ from entgames.checks import (
     run_all,
     run_check,
 )
+from entgames.linalg import partial_trace_matrix
+from entgames.qinfo import (
+    Povm,
+    fidelity,
+    min_relative_entropy,
+    povm_outcome_bound,
+    relative_entropy,
+    von_neumann_entropy,
+)
+from entgames.random_states import rng_for
 
 EXPECTED_ORDER = [
     "weak_triangle",
@@ -71,6 +85,11 @@ class TestRunCheck:
         short = run_check(CheckSpec("povm_bound", trials=30))
         long = run_check(CheckSpec("povm_bound", trials=60))
         assert long.worst_margin <= short.worst_margin
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_rejects_no_trials(self, trials):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            run_check(CheckSpec("fact_sum", trials=trials))
 
     @pytest.mark.parametrize("name", SOUND)
     def test_sound_checks_clean_at_small_trials(self, name):
@@ -146,3 +165,118 @@ class TestSuite:
         dirty = clean + [CheckReport("b", 5, 2, -0.1, 3)]
         assert not any_violations(clean)
         assert any_violations(dirty)
+
+
+def _bits(margins) -> bytes:
+    return np.asarray(margins, dtype=float).tobytes()
+
+
+class TestDimDraw:
+    def test_same_draw_as_choice(self):
+        # _dim replaces rng.choice(pool); the draw and the stream after it must match
+        for t in range(300):
+            for pool in (DIM_POOL, (2, 3), (2, 3, 4)):
+                a, b = rng_for(0, CHECK_STREAM, 0, t), rng_for(0, CHECK_STREAM, 0, t)
+                assert _dim(a, pool) == int(b.choice(pool))
+                assert a.random() == b.random()
+
+
+class TestStackedEvaluation:
+    """A trial's margin is the same bits whether it is evaluated alone (the
+    replay entry point REGISTRY[name].func) or stacked with any block mates."""
+
+    @pytest.mark.parametrize("name", EXPECTED_ORDER)
+    def test_stacked_margins_replay_bit_for_bit(self, name):
+        check, check_id = REGISTRY[name], EXPECTED_ORDER.index(name)
+        n = _BLOCK + 21                     # run_check crosses a block boundary
+        for seed in (0, 5):
+            single = [check.func(rng_for(seed, CHECK_STREAM, check_id, t))[0]
+                      for t in range(n)]
+            samples = [check.sample(rng_for(seed, CHECK_STREAM, check_id, t))
+                       for t in range(n)]
+            stacked = check.evaluate(samples)
+            assert _bits(stacked) == _bits(single)
+            # other block mates, and other group sizes, for every trial
+            shifted = check.evaluate(samples[7:])
+            assert _bits(shifted) == _bits(single[7:])
+            rep = run_check(CheckSpec(name, trials=n, seed=seed))
+            assert _bits(rep.worst_margin) == _bits(min(single))
+            assert rep.worst_case_seed == single.index(min(single))
+            assert rep.violations == sum(m < -check.tolerance for m in single)
+
+    def test_replay_payload_matches_dump(self, tmp_path):
+        # the dumped states are those the stacked kernel evaluated
+        run_check(CheckSpec("cool_product", trials=962), report_dir=tmp_path)
+        doc = json.loads((tmp_path / "counterexample_cool_product_961.json").read_text())
+        margin, payload = REGISTRY["cool_product"].func(
+            rng_for(0, CHECK_STREAM, EXPECTED_ORDER.index("cool_product"), 961))
+        assert doc["margin"] == margin
+        rho = np.array(doc["states"]["rho"]["re"]) + 1j * np.array(doc["states"]["rho"]["im"])
+        assert np.array_equal(rho, payload["rho"])
+
+
+def _reference_margin(name, key, st):
+    """Each check's margin from its dumped states through the single-matrix API."""
+    F, S, pt = fidelity, relative_entropy, partial_trace_matrix
+    if name in ("weak_triangle", "fidelity_sq_sum", "four_state"):
+        r = [st[f"rho{i + 1}"] for i in range(len(st))]
+        if name == "weak_triangle":
+            return 2 * (1 - F(r[0], r[1])) + 2 * (1 - F(r[1], r[2])) - (1 - F(r[0], r[2]))
+        if name == "fidelity_sq_sum":
+            return 1 + F(r[0], r[2]) - F(r[0], r[1]) ** 2 - F(r[1], r[2]) ** 2
+        chain = sum(1 - F(r[i], r[i + 1]) for i in range(3))
+        return 3 * chain - (1 - F(r[0], r[3]))
+    if name == "cq_fidelity":
+        k, d = key
+        blockwise = 0.0
+        for x in range(k):
+            bp = st["rho"][x * d:(x + 1) * d, x * d:(x + 1) * d]
+            bq = st["sigma"][x * d:(x + 1) * d, x * d:(x + 1) * d]
+            p, q = np.trace(bp).real, np.trace(bq).real
+            blockwise += math.sqrt(p * q) * F(bp / p, bq / q)
+        return -abs(F(st["rho"], st["sigma"]) - blockwise)
+    if name == "povm_bound":
+        povm = Povm(tuple(st["povm"]))
+        return povm_outcome_bound(st["rho"], st["sigma"], povm) - F(st["rho"], st["sigma"])
+    if name == "cptp_mono":
+        d1, d2, pinch = key
+        r, s = st["rho"], st["sigma"]
+        if pinch:
+            mask = np.kron(np.eye(d1), np.ones((d2, d2)))
+            return F(r * mask, s * mask) - F(r, s)
+        return F(pt(r, (d1, d2), [0]), pt(s, (d1, d2), [0])) - F(r, s)
+    if name == "subadd_cond":
+        def ent(keep):
+            return von_neumann_entropy(pt(st["rho"], key, keep))
+        return ent([0, 2]) + ent([1, 2]) - ent([0, 1, 2]) - ent([2])
+    if name == "relent_vs_fid":
+        return S(st["rho"], st["sigma"]) - (1 - F(st["rho"], st["sigma"]))
+    if name == "superadd_classical":
+        j, r1, r2 = st["sigma12"], st["ref1"], st["ref2"]
+        return S(j, np.kron(r1, r2)) - S(pt(j, key, [0]), r1) - S(pt(j, key, [1]), r2)
+    if name == "smax_ge_s":
+        return min_relative_entropy(st["rho"], st["sigma"]) - S(st["rho"], st["sigma"])
+    if name == "mi_min_relent":
+        r = st["rho"]
+        return (S(r, np.kron(st["sigma_x"], st["sigma_y"]))
+                - S(r, np.kron(pt(r, key, [0]), pt(r, key, [1]))))
+    if name == "relent_mono":
+        r, s = st["rho"], st["sigma"]
+        return S(r, s) - S(pt(r, key, [0]), pt(s, key, [0]))
+    if name == "cool_product":
+        r, (_, db) = st["rho"], key
+        gap = db * db * np.kron(pt(r, key, [0]), pt(r, key, [1])) - r
+        return np.linalg.eigvalsh((gap + gap.conj().T) / 2).min()
+    x, c = st["x"], st["c"]
+    return (x <= c * x.mean()).sum() - len(x) * (1 - 1 / c)
+
+
+class TestKernelsMatchReference:
+    @pytest.mark.parametrize("name", EXPECTED_ORDER)
+    def test_margin_from_dumped_states(self, name):
+        # the kernel computes the stated inequality on the states it reports
+        check, check_id = REGISTRY[name], EXPECTED_ORDER.index(name)
+        for t in range(40):
+            key, _ = check.sample(rng_for(1, CHECK_STREAM, check_id, t))
+            margin, states = check.func(rng_for(1, CHECK_STREAM, check_id, t))
+            assert abs(margin - _reference_margin(name, key, states)) <= 1e-10

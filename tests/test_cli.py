@@ -81,6 +81,17 @@ class TestValue:
             outs.append((out / "report.json").read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("flag", ["--iters", "--restarts"])
+    def test_entangled_rejects_zero(self, tmp_path, capsys, flag):
+        # --iters 0 used to die on an empty trace; --restarts 0 reported -1.0
+        game = write_chsh(tmp_path)
+        out = tmp_path / "out"
+        code = main(["value", str(game), "--mode", "entangled", "--seed", "0",
+                     flag, "0", "--out", str(out)])
+        assert code == 2
+        assert "restarts and iters must be >= 1" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["value", str(tmp_path / "nope.json")]) == 2
         assert "file not found" in capsys.readouterr().err
@@ -143,6 +154,29 @@ class TestVerify:
         assert dump.exists()
         man = json.loads((out / "manifest.json").read_text())
         assert dump.name in man["outputs"]
+
+    def test_manifest_check_timings(self, tmp_path):
+        # per-check wall time and throughput go to the manifest, never the report
+        out = tmp_path / "out"
+        main(["verify", "--filter", "*_mono", "--trials", "30", "--seed", "2",
+              "--out", str(out)])
+        man = json.loads((out / "manifest.json").read_text())
+        assert list(man["checks"]) == ["cptp_mono", "relent_mono"]
+        for timing in man["checks"].values():
+            assert timing["wall_s"] > 0
+            assert timing["trials_per_s"] == pytest.approx(30 / timing["wall_s"])
+        assert sum(t["wall_s"] for t in man["checks"].values()) <= man["wall_time_s"]
+        assert "wall_s" not in (out / "report.json").read_text()
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_rejects_no_trials(self, tmp_path, capsys, trials):
+        # used to exit 0 with "worst_margin": Infinity, which is not JSON
+        out = tmp_path / "out"
+        code = main(["verify", "--filter", "fact_sum", "--trials", trials,
+                     "--seed", "0", "--out", str(out)])
+        assert code == 2
+        assert "trials must be >= 1" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     def test_deterministic_reports(self, tmp_path):
         blobs = []

@@ -203,6 +203,12 @@ class TestSeesaw:
         res.strategy.validate()
         assert abs(strategy_win_probability(chsh(), res.strategy) - res.value) <= 1e-9
 
+    @pytest.mark.parametrize("restarts, iters", [(0, 10), (-1, 10), (3, 0), (3, -2)])
+    def test_rejects_empty_runs(self, restarts, iters):
+        # no restart or no iteration gives no lower bound to report
+        with pytest.raises(ValueError, match="restarts and iters must be >= 1"):
+            entangled_value_seesaw(chsh(), d=2, restarts=restarts, iters=iters, seed=0)
+
 
 class TestAdvice:
     def test_self_input_advice_stays_classical(self):
@@ -247,6 +253,13 @@ class TestAdvice:
         bad_p = np.array([[0.4, 0.1], [0.1, 0.4]])
         with pytest.raises(ValueError):
             value_with_advice(g, AdviceEnsemble(skew, bad_p), restarts=1)
+
+    @pytest.mark.parametrize("restarts, iters", [(0, 10), (3, 0)])
+    def test_rejects_empty_runs(self, restarts, iters):
+        g = chsh()
+        adv = AdviceEnsemble(np.broadcast_to(np.eye(2) / math.sqrt(2), (2, 2, 2, 2)), g.p)
+        with pytest.raises(ValueError, match="restarts and iters must be >= 1"):
+            value_with_advice(g, adv, restarts=restarts, iters=iters, seed=0)
 
 
 class TestRepetition:

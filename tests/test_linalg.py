@@ -211,3 +211,48 @@ class TestTolerances:
         DensityOperator.from_matrix(m, tols=loose)   # trace 1.2 admitted
         with pytest.raises(ValueError):
             DensityOperator.from_matrix(m)
+
+
+class TestStacks:
+    """Stacked calls act slice by slice: each slice equals the single call,
+    and one bad slice fails the whole call as it would alone."""
+
+    def test_slices_match_single_calls(self, rng):
+        rhos = np.stack([random_mixed(rng, 6) for _ in range(4)])
+        w, v = hermitian_eig(rhos)
+        roots = matrix_sqrt_psd(rhos)
+        traced = partial_trace_matrix(rhos, (2, 3), [1])
+        prods = kron(rhos[:, :2, :2], rhos[:, :3, :3])
+        for i, rho in enumerate(rhos):
+            wi, vi = hermitian_eig(rho)
+            assert np.array_equal(w[i], wi) and np.array_equal(v[i], vi)
+            assert np.array_equal(roots[i], matrix_sqrt_psd(rho))
+            assert np.array_equal(traced[i], partial_trace_matrix(rho, (2, 3), [1]))
+            assert np.array_equal(prods[i], np.kron(rho[:2, :2], rho[:3, :3]))
+
+    def test_nested_leading_axes(self, rng):
+        rhos = np.stack([random_mixed(rng, 4) for _ in range(6)]).reshape(2, 3, 4, 4)
+        traced = partial_trace_matrix(rhos, (2, 2), [0])
+        assert traced.shape == (2, 3, 2, 2)
+        assert np.array_equal(traced[1, 2], partial_trace_matrix(rhos[1, 2], (2, 2), [0]))
+
+    def test_one_non_hermitian_slice_raises(self, rng):
+        hs = np.stack([random_mixed(rng, 2) for _ in range(3)])
+        hs[1] = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hermitian_eig(hs)
+
+    def test_hermitian_slack_scales_per_slice(self):
+        # a 1e-8 asymmetry is slack on a slice of norm 100, not on one of norm 1
+        big = np.diag([100.0, 0.0]).astype(complex)
+        big[0, 1] = 1e-8
+        small = np.eye(2, dtype=complex)
+        hermitian_eig(np.stack([big, small]))
+        small[0, 1] = 1e-8
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hermitian_eig(np.stack([big, small]))
+
+    def test_one_indefinite_slice_raises(self, rng):
+        a = np.stack([random_mixed(rng, 2), np.diag([1.0, -1.0])])
+        with pytest.raises(ValueError, match="not PSD"):
+            matrix_sqrt_psd(a)

@@ -14,10 +14,12 @@ from entgames.qinfo import (
     Povm,
     PureState,
     angle,
+    check_povm,
     conditional_entropy,
     entropy_of_spectrum,
     fbar,
     fidelity,
+    fidelity_from_root,
     measure_register,
     min_relative_entropy,
     mutual_information,
@@ -319,3 +321,67 @@ class TestSchmidt:
         spec = np.sort(np.linalg.eigvalsh(red))[::-1]
         assert_allclose(np.sort(sd.coefficients ** 2)[::-1], spec[:len(sd.coefficients)],
                         atol=1e-10)
+
+
+def _stack(rng, n, d):
+    return np.stack([random_mixed(rng, d) for _ in range(n)])
+
+
+class TestStacks:
+    """Stacked calls act slice by slice: each slice equals the single call,
+    and one bad slice fails the whole call as it would alone."""
+
+    def test_slices_match_single_calls(self, rng):
+        r, s = _stack(rng, 5, 4), floor_eigenvalues(_stack(rng, 5, 4), 1e-8)
+        povm = np.stack([np.stack(random_povm(rng, 4, 3)) for _ in range(5)])
+        for func in (fidelity, relative_entropy, min_relative_entropy):
+            got = func(r, s)
+            assert got.shape == (5,)
+            assert [func(r[i], s[i]) for i in range(5)] == got.tolist()
+        got = von_neumann_entropy(r)
+        assert [von_neumann_entropy(x) for x in r] == got.tolist()
+        got = povm_outcome_bound(r, s, povm)
+        assert [povm_outcome_bound(r[i], s[i], Povm(tuple(povm[i]))) for i in range(5)] \
+            == got.tolist()
+        floored = floor_eigenvalues(r, 1e-3)
+        for i in range(5):
+            assert np.array_equal(floored[i], floor_eigenvalues(r[i], 1e-3))
+
+    def test_fidelity_from_shared_root(self, rng):
+        # one root of rho serves every fidelity against it
+        r, s = _stack(rng, 3, 3), _stack(rng, 3, 3)
+        got = fidelity_from_root(matrix_sqrt_psd(r), s)
+        assert got.tolist() == fidelity(r, s).tolist()
+
+    def test_fidelity_one_non_psd_sigma_raises(self, rng):
+        r, s = _stack(rng, 4, 2), _stack(rng, 4, 2)
+        s[2] = np.diag([1.5, -0.5])
+        with pytest.raises(ValueError, match="not PSD"):
+            fidelity(r, s)
+        with pytest.raises(ValueError, match="not PSD"):
+            fidelity(s, r)
+
+    def test_relative_entropy_support_miss_is_per_slice(self, rng):
+        r = np.stack([KET0, PLUS, KET0])
+        s = np.stack([np.eye(2) / 2, np.eye(2) / 2, KET1])
+        got = relative_entropy(r, s)
+        assert got[2] == math.inf and math.isfinite(got[0]) and math.isfinite(got[1])
+        assert got[:2].tolist() == [relative_entropy(r[i], s[i]) for i in range(2)]
+        got = min_relative_entropy(r, s)
+        assert got[2] == math.inf
+        assert got[:2].tolist() == [min_relative_entropy(r[i], s[i]) for i in range(2)]
+        assert_allclose(got[:2], [1.0, 1.0], atol=1e-12)
+
+    def test_one_non_finite_slice_raises(self, rng):
+        r = _stack(rng, 3, 2)
+        r[1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            von_neumann_entropy(r)
+        with pytest.raises(ValueError, match="non-finite"):
+            fidelity(r, _stack(rng, 3, 2))
+
+    def test_one_bad_povm_raises(self, rng):
+        povm = np.stack([np.stack(random_povm(rng, 2, 2)) for _ in range(3)])
+        povm[1, 0] *= 0.5
+        with pytest.raises(ValueError, match="sum to the identity"):
+            check_povm(povm)
