@@ -3,9 +3,10 @@
 Subcommands: value, repeat, verify, simulate, sic.  Every run writes an
 output directory (default out/<command>/<timestamp>-<seed>/) containing
 manifest.json (command, config echo, seed, version, wall time, output paths;
-verify adds each check's wall seconds and trials/s) and report.json.
-report.json is byte-deterministic for a fixed seed; the manifest holds the
-nondeterministic bookkeeping.
+verify adds each check's wall seconds and trials/s, sic its phase timings) and
+report.json.  report.json is byte-deterministic for a fixed seed; the manifest
+holds the nondeterministic bookkeeping.  The directory is created only once a
+command's input has passed validation, so an input error (exit 2) leaves none.
 
 Exit codes: 0 success, 1 property violation, 2 input error, 3 budget.
 """
@@ -58,12 +59,16 @@ def _fresh_seed() -> int:
     return int(np.random.SeedSequence().entropy % (1 << 32))
 
 
-def _out_dir(args, command: str, seed) -> Path:
+def _out_path(args, command: str, seed) -> Path:
     if args.out is not None:
-        out = Path(args.out)
-    else:
-        stamp = time.strftime("%Y%m%d-%H%M%S")
-        out = Path("out") / command / f"{stamp}-{seed}"
+        return Path(args.out)
+    stamp = time.strftime("%Y%m%d-%H%M%S")
+    return Path("out") / command / f"{stamp}-{seed}"
+
+
+def _out_dir(args, command: str, seed) -> Path:
+    """The output directory, created; call it only after input validation."""
+    out = _out_path(args, command, seed)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -88,7 +93,6 @@ def cmd_value(args) -> int:
     seed = args.seed
     if args.mode == "entangled" and seed is None:
         seed = _fresh_seed()
-    out = _out_dir(args, "value", 0 if seed is None else seed)
     report: dict = {"command": "value", "mode": args.mode, "game": g.name or ""}
     if args.mode == "classical":
         res = classical_value(g)
@@ -111,6 +115,7 @@ def cmd_value(args) -> int:
         print(f"entangled value (lower bound): {res.value:.12g}")
         for r, tr in enumerate(res.traces):
             print(f"  restart {r}: {tr[-1]:.12g} after {len(tr)} iterations")
+    out = _out_dir(args, "value", 0 if seed is None else seed)
     (out / "report.json").write_text(_canonical_json(report))
     cfg = {"game": str(args.game), "mode": args.mode, "d": args.d,
            "restarts": args.restarts, "iters": args.iters}
@@ -146,7 +151,7 @@ def cmd_verify(args) -> int:
         names = [n for n in names if fnmatch.fnmatch(n, args.filter)]
         if not names:
             raise ValueError(f"filter {args.filter!r} matches no checks")
-    out = _out_dir(args, "verify", seed)
+    out = _out_path(args, "verify", seed)     # counterexample dumps create it
     reports, timings = [], {}
     for name in names:
         t_check = time.perf_counter()
@@ -155,6 +160,7 @@ def cmd_verify(args) -> int:
         wall = time.perf_counter() - t_check
         reports.append(rep)
         timings[name] = {"wall_s": wall, "trials_per_s": rep.trials_run / wall}
+    out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(checks_mod.reports_to_json(reports))
     checks_mod.reports_to_csv(reports, out / "report.csv")
     for rep in reports:
@@ -256,8 +262,14 @@ def cmd_sic(args) -> int:
     t0 = time.perf_counter()
     doc = _load_json(Path(args.spec))
     omega = _superposed_from_doc(doc)
-    term_x, term_y = sic_terms(omega)
-    out = _out_dir(args, "sic", 0)
+    t_load = time.perf_counter()
+    dec = None
+    if args.decouple:
+        dec = build_decoupling(omega)       # computes the two terms as delta_x, delta_y
+        term_x, term_y = dec.delta_x, dec.delta_y
+    else:
+        term_x, term_y = sic_terms(omega)
+    t_compute = time.perf_counter()
     report: dict = {
         "command": "sic",
         "objective": term_x + term_y,
@@ -266,8 +278,7 @@ def cmd_sic(args) -> int:
     }
     print(f"objective: {term_x + term_y:.12g} (terms {term_x:.12g}, {term_y:.12g})")
     code = 0
-    if args.decouple:
-        dec = build_decoupling(omega)
+    if dec is not None:
         alice_ok = dec.fbar_alice <= 9.0 * dec.delta_x + 1e-6
         out_ok = dec.fbar_out <= 81.0 * dec.delta_in + 1e-6
         report["decoupling"] = {
@@ -289,9 +300,18 @@ def cmd_sic(args) -> int:
               f"{'ok' if out_ok else 'VIOLATED'}")
         if not (alice_ok and out_ok):
             code = 1
+    t_write = time.perf_counter()
+    out = _out_dir(args, "sic", 0)
     (out / "report.json").write_text(_canonical_json(report))
+    compute_s = t_compute - t_load
+    timings = {
+        "load_s": t_load - t0,
+        "terms_s": 0.0 if dec is not None else compute_s,
+        "decouple_s": compute_s if dec is not None else 0.0,
+        "write_s": time.perf_counter() - t_write,
+    }
     cfg = {"spec": str(args.spec), "decouple": bool(args.decouple)}
-    _write_manifest(out, "sic", cfg, 0, t0, ["report.json"])
+    _write_manifest(out, "sic", cfg, 0, t0, ["report.json"], timings=timings)
     return code
 
 

@@ -7,6 +7,8 @@ with the named input register dephased.  For product input distributions,
 build_decoupling constructs per-input isometries (Alice's U_x on A, Bob's V_y
 on B) that push the state toward a product across the (inputs : work
 registers) cut, with fidelity defects controlled by 9*delta and 81*delta.
+All of it is computed from the (x, a, b, y) amplitude tensor; no density
+matrix of a full state is formed.
 """
 
 from __future__ import annotations
@@ -16,15 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_TOLS
 from .games import AdviceEnsemble
-from .linalg import (
-    RegisterLayout,
-    hermitian_eig,
-    kron_density,
-    partial_trace,
-    permute_registers,
-)
-from .qinfo import PureState, fidelity, max_overlap_isometry, measure_register, mutual_information
+from .linalg import RegisterLayout, _check_psd_spectrum, hermitian_eig, psd_eigvalsh
+from .qinfo import PureState, entropy_of_spectrum, max_overlap_isometry
 
 _REGS = ("X", "A", "B", "Y")
 
@@ -56,8 +53,8 @@ class SuperposedState:
         amps = np.sqrt(p)[:, None, None, :] * adv.states.transpose(0, 2, 3, 1)
         layout = RegisterLayout((k, da, db, k), _REGS)
         state = PureState(amps.reshape(-1), layout)
-        diag = np.diag(partial_trace(state.density(), ("X", "Y")).matrix).real
-        if np.abs(diag.reshape(k, k) - p).max() > 1e-9:
+        diag = (np.abs(amps) ** 2).sum(axis=(1, 2))
+        if np.abs(diag - p).max() > 1e-9:
             raise ValueError("reduced (X, Y) diagonal does not match p")
         return cls(p, adv, state)
 
@@ -69,12 +66,31 @@ class SuperposedState:
         return self.advice.dims()
 
 
+def _holevo(s_total: float, cond: np.ndarray) -> float:
+    """S(rho) - sum_x p_x S(rho_x / p_x) for rho = sum_x rho_x, given S(rho).
+
+    cond[x] is an amplitude matrix of the unnormalized rho_x (trace p_x), so
+    rho_x's spectrum is its squared singular values.  The conditional sum is
+    the entropy of all those spectra together less H(p).
+    """
+    w = np.linalg.svd(cond, compute_uv=False) ** 2
+    return s_total - entropy_of_spectrum(w.reshape(-1)) + entropy_of_spectrum(w.sum(axis=-1))
+
+
 def sic_terms(omega: SuperposedState) -> tuple[float, float]:
-    """(I(X:BY), I(Y:XA)), each with the corresponding input register dephased."""
-    mx = measure_register(omega.state, ("X",))
-    my = measure_register(omega.state, ("Y",))
-    return (mutual_information(mx, ("X",), ("B", "Y")),
-            mutual_information(my, ("Y",), ("X", "A")))
+    """(I(X:BY), I(Y:XA)), each with the corresponding input register dephased.
+
+    With X dephased, I(X:BY) is the Holevo quantity S(rho_BY) - sum_x p_x
+    S(rho_BY^x), and likewise for Y.  rho_BY and rho_XA share the spectrum of
+    the (XA x BY) amplitude matrix of |Omega>; rho_BY^x is that of the (A x BY)
+    slice at x, rho_XA^y that of the (XA x B) slice at y.
+    """
+    t = omega.state.tensor()                            # [x, a, b, y]
+    k, da, db, _ = t.shape
+    s_total = entropy_of_spectrum(
+        np.linalg.svd(t.reshape(k * da, db * k), compute_uv=False) ** 2)
+    return (_holevo(s_total, t.reshape(k, da, db * k)),
+            _holevo(s_total, t.transpose(3, 0, 1, 2).reshape(k, k * da, db)))
 
 
 def sic_objective(omega: SuperposedState) -> float:
@@ -113,6 +129,7 @@ class DecouplingResult:
 def _canonical_purification_matrix(rho: np.ndarray, anc_dim: int) -> np.ndarray:
     """(d_sys x anc_dim) amplitude matrix purifying rho, eigenvalues descending."""
     w, v = hermitian_eig(rho)
+    _check_psd_spectrum(w, DEFAULT_TOLS)
     order = np.argsort(w)[::-1]
     w = np.clip(w[order], 0.0, None)
     v = v[:, order]
@@ -126,6 +143,22 @@ def _canonical_purification_matrix(rho: np.ndarray, anc_dim: int) -> np.ndarray:
     return m
 
 
+def pure_product_fidelity(m: np.ndarray) -> float:
+    """F(|psi><psi|, rho_S (x) rho_R) for the pure psi with (S x R) amplitude matrix m.
+
+    For pure psi, F^2 = <psi|rho_S (x) rho_R|psi>; in psi's Schmidt basis this
+    is sum(lambda^3) over the Schmidt weights lambda, which are the spectrum of
+    rho_S = m m^dag, so the smaller side belongs in the rows.  No density
+    matrix of psi itself is formed.  rho_S is checked Hermitian and PSD, and
+    F > 1 + 1e-7 raises, as in qinfo.fidelity.
+    """
+    w = psd_eigvalsh(m @ m.conj().T)
+    f = math.sqrt(max(float((w ** 3).sum()), 0.0))
+    if f > 1.0 + 1e-7:
+        raise ValueError(f"fidelity {f} exceeds 1 beyond numerical slack")
+    return min(f, 1.0)
+
+
 def build_decoupling(omega: SuperposedState) -> DecouplingResult:
     """Construct decoupling isometries for a product input distribution.
 
@@ -134,7 +167,8 @@ def build_decoupling(omega: SuperposedState) -> DecouplingResult:
     ancilla A, and a fixed canonical purification of the average rho_+ on a
     larger ancilla A'.  Bob's V_y mirror this on the other side.  The reported
     defects satisfy fbar_alice <= 9*I(X:BY) and fbar_out <= 81*delta_in up to
-    numerical slack.
+    numerical slack.  Everything is computed from the amplitude tensor; the
+    defects come from pure_product_fidelity.
     """
     p = omega.p
     k = omega.k
@@ -148,10 +182,10 @@ def build_decoupling(omega: SuperposedState) -> DecouplingResult:
     px, py = np.clip(px, 0.0, None), np.clip(py, 0.0, None)
 
     omega_t = omega.state.tensor()                      # [x, a, b, y]
-    rho_full = omega.state.density()
+    t = omega_t.reshape(k * da, db * k)                 # (X, A) x (B, Y)
 
     # Alice side: conditionals on (B, Y) given x, average rho_+.
-    rho_plus = partial_trace(rho_full, ("B", "Y")).matrix
+    rho_plus = t.T @ t.conj()
     m_phi = _canonical_purification_matrix(rho_plus, da2)   # (db*k, da2), sys = (B, Y)
     u_list = np.zeros((k, da2, da), dtype=complex)
     for x in range(k):
@@ -165,13 +199,10 @@ def build_decoupling(omega: SuperposedState) -> DecouplingResult:
     omega1_t = np.einsum("xpa,xaby->xpby", u_list, omega_t)
     lay1 = RegisterLayout((k, da2, db, k), _REGS)
     omega1 = PureState(omega1_t.reshape(-1), lay1, validate=False)
-    rho1 = omega1.density()
-    prod1 = kron_density(partial_trace(rho1, ("X",)),
-                         partial_trace(rho1, ("A", "B", "Y")))
-    fbar_alice = 1.0 - fidelity(rho1.matrix, prod1.matrix)
+    fbar_alice = 1.0 - pure_product_fidelity(omega1_t.reshape(k, -1))   # X : A'BY
 
     # Bob side: conditionals on (X, A) given y.
-    rho_plus_b = partial_trace(rho_full, ("X", "A")).matrix
+    rho_plus_b = t @ t.conj().T
     m_phi_b = _canonical_purification_matrix(rho_plus_b, db2)  # (k*da, db2), sys = (X, A)
     v_list = np.zeros((k, db2, db), dtype=complex)
     for y in range(k):
@@ -185,10 +216,8 @@ def build_decoupling(omega: SuperposedState) -> DecouplingResult:
     omega3_t = np.einsum("yqb,xpby->xpqy", v_list, omega1_t)
     lay3 = RegisterLayout((k, da2, db2, k), _REGS)
     omega3 = PureState(omega3_t.reshape(-1), lay3, validate=False)
-    rho3 = omega3.density()
-    prod3 = kron_density(partial_trace(rho3, ("X", "Y")),
-                         partial_trace(rho3, ("A", "B")))
-    fbar_out = 1.0 - fidelity(rho3.matrix, permute_registers(prod3, _REGS).matrix)
+    fbar_out = 1.0 - pure_product_fidelity(                               # XY : A'B'
+        omega3_t.transpose(0, 3, 1, 2).reshape(k * k, -1))
 
     return DecouplingResult(
         isometries_alice=u_list,

@@ -90,7 +90,7 @@ class TestValue:
                      flag, "0", "--out", str(out)])
         assert code == 2
         assert "restarts and iters must be >= 1" in capsys.readouterr().err
-        assert not (out / "report.json").exists()
+        assert not out.exists()         # input errors leave no output directory
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["value", str(tmp_path / "nope.json")]) == 2
@@ -176,7 +176,7 @@ class TestVerify:
                      "--seed", "0", "--out", str(out)])
         assert code == 2
         assert "trials must be >= 1" in capsys.readouterr().err
-        assert not (out / "report.json").exists()
+        assert not out.exists()
 
     def test_deterministic_reports(self, tmp_path):
         blobs = []
@@ -335,6 +335,31 @@ class TestSic:
         assert dec["fbar_alice"] <= dec["alice_bound_9x"] + 1e-6
         text = capsys.readouterr().out
         assert "decoupling: fbar_alice" in text and "ok" in text
+
+    def test_manifest_phase_timings(self, tmp_path):
+        # phase timings go to the manifest, never the report
+        spec = revealing_spec(tmp_path)
+        for flag in ([], ["--decouple"]):
+            out = tmp_path / f"out{len(flag)}"
+            assert main(["sic", str(spec), *flag, "--out", str(out)]) == 0
+            man = json.loads((out / "manifest.json").read_text())
+            timings = man["timings"]
+            assert set(timings) == {"load_s", "terms_s", "decouple_s", "write_s"}
+            assert all(v >= 0.0 for v in timings.values())
+            assert sum(timings.values()) <= man["wall_time_s"]
+            assert (timings["decouple_s"] > 0.0) == bool(flag)
+            assert (timings["terms_s"] > 0.0) != bool(flag)
+            assert "timings" not in (out / "report.json").read_text()
+
+    def test_decouple_rejects_correlated_input(self, tmp_path, capsys):
+        doc = json.loads(constant_spec(tmp_path).read_text())
+        doc["p"] = [[0.5, 0.0], [0.0, 0.5]]
+        spec = tmp_path / "correlated.json"
+        spec.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["sic", str(spec), "--decouple", "--out", str(out)]) == 2
+        assert "product input distribution" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_spec_errors(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

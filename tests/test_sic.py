@@ -1,16 +1,21 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from entgames.cli import main
 from entgames.games import AdviceEnsemble
+from entgames.linalg import kron_density, partial_trace, permute_registers
+from entgames.qinfo import fidelity, measure_register, mutual_information
 from entgames.random_states import haar_state, rng_for
 from entgames.sic import (
     SuperposedState,
     build_decoupling,
     check_bound_at_delta_zero,
     check_supercos,
+    pure_product_fidelity,
     rel_ent_game_shift_check,
     sic_lower_bound,
     sic_objective,
@@ -36,14 +41,18 @@ def revealing_advice(k: int = 2) -> np.ndarray:
     return states
 
 
-def random_product_instance(rng, k: int = 2, da: int = 2, db: int = 2) -> SuperposedState:
-    px = rng.dirichlet(np.ones(k))
-    py = rng.dirichlet(np.ones(k))
+def haar_advice(rng, k: int, da: int, db: int) -> np.ndarray:
     states = np.zeros((k, k, da, db), dtype=complex)
     for x in range(k):
         for y in range(k):
             states[x, y] = haar_state(rng, da * db).reshape(da, db)
-    return SuperposedState.build(np.outer(px, py), states)
+    return states
+
+
+def random_product_instance(rng, k: int = 2, da: int = 2, db: int = 2) -> SuperposedState:
+    px = rng.dirichlet(np.ones(k))
+    py = rng.dirichlet(np.ones(k))
+    return SuperposedState.build(np.outer(px, py), haar_advice(rng, k, da, db))
 
 
 class TestSuperposedState:
@@ -140,6 +149,65 @@ class TestDecoupling:
         res = build_decoupling(om)
         assert_allclose(np.linalg.norm(res.state_alice.amplitudes), 1.0, atol=1e-9)
         assert_allclose(np.linalg.norm(res.state_out.amplitudes), 1.0, atol=1e-9)
+
+
+def _amplitude_instances():
+    """Seeded product instances over k in {2, 3}, (dA, dB) in {1, 2, 3}^2, plus
+    one with a weightless input on each side and one with constant advice."""
+    cases = [pytest.param(random_product_instance(rng_for(61, k, da, db), k, da, db),
+                          id=f"k{k}-{da}x{db}")
+             for k in (2, 3) for da in (1, 2, 3) for db in (1, 2, 3)]
+    p = np.outer([0.3, 0.0, 0.7], [0.0, 0.6, 0.4])     # zero row x=1, zero column y=0
+    cases.append(pytest.param(SuperposedState.build(p, haar_advice(rng_for(62), 3, 2, 2)),
+                              id="zero-weight"))
+    cases.append(pytest.param(SuperposedState.build(UNIFORM2, constant_advice()),
+                              id="constant"))
+    return cases
+
+
+class TestAmplitudeRoute:
+    """The amplitude-tensor route against density-matrix references."""
+
+    @pytest.mark.parametrize("om", _amplitude_instances())
+    def test_matches_density_matrix_references(self, om):
+        res = build_decoupling(om)
+
+        rho1 = res.state_alice.density()
+        prod1 = kron_density(partial_trace(rho1, ("X",)),
+                             partial_trace(rho1, ("A", "B", "Y")))
+        assert abs(res.fbar_alice - (1.0 - fidelity(rho1, prod1.matrix))) <= 1e-12
+
+        rho3 = res.state_out.density()
+        prod3 = kron_density(partial_trace(rho3, ("X", "Y")),
+                             partial_trace(rho3, ("A", "B")))
+        prod3 = permute_registers(prod3, ("X", "A", "B", "Y"))
+        assert abs(res.fbar_out - (1.0 - fidelity(rho3, prod3.matrix))) <= 1e-12
+
+        ref_x = mutual_information(measure_register(om.state, ("X",)), ("X",), ("B", "Y"))
+        ref_y = mutual_information(measure_register(om.state, ("Y",)), ("Y",), ("X", "A"))
+        tx, ty = sic_terms(om)
+        assert abs(tx - ref_x) <= 1e-12 and abs(ty - ref_y) <= 1e-12
+        assert (res.delta_x, res.delta_y) == (tx, ty)
+
+    def test_fidelity_kernel_raises_above_one(self):
+        m = np.zeros((2, 3), dtype=complex)
+        m[0, 0] = 1.01                  # product state of norm 1.01: F = 1.01^3
+        with pytest.raises(ValueError, match="exceeds 1"):
+            pure_product_fidelity(m)
+        m[0, 0] = 1.0
+        assert pure_product_fidelity(m) == 1.0
+
+    def test_cli_terms_are_decoupling_deltas(self, tmp_path):
+        om = random_product_instance(rng_for(63), 2, 3, 2)
+        advice = [[[[a.real, a.imag] for a in om.advice.states[x, y].reshape(-1)]
+                   for y in range(2)] for x in range(2)]
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"p": om.p.tolist(), "dims": [3, 2], "advice": advice}))
+        out = tmp_path / "out"
+        assert main(["sic", str(spec), "--decouple", "--out", str(out)]) == 0
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["term_x"] == rep["decoupling"]["delta_x"]
+        assert rep["term_y"] == rep["decoupling"]["delta_y"]
 
 
 class TestScalarBound:
