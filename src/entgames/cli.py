@@ -3,7 +3,8 @@
 Subcommands: value, repeat, verify, simulate, sic.  Every run writes an
 output directory (default out/<command>/<timestamp>-<seed>/) containing
 manifest.json (command, config echo, seed, version, wall time, output paths;
-verify adds each check's wall seconds and trials/s, sic its phase timings) and
+value and sic add phase timings, the see-saw its iteration rate, verify each
+check's wall seconds and trials/s) and
 report.json.  report.json is byte-deterministic for a fixed seed; the manifest
 holds the nondeterministic bookkeeping.  The directory is created only once a
 command's input has passed validation, so an input error (exit 2) leaves none.
@@ -90,10 +91,12 @@ def _write_manifest(out: Path, command: str, config: dict, seed, t0: float,
 def cmd_value(args) -> int:
     t0 = time.perf_counter()
     g = load_game(args.game)
+    t_load = time.perf_counter()
     seed = args.seed
     if args.mode == "entangled" and seed is None:
         seed = _fresh_seed()
     report: dict = {"command": "value", "mode": args.mode, "game": g.name or ""}
+    extra: dict = {}
     if args.mode == "classical":
         res = classical_value(g)
         report["value"] = res.value
@@ -105,6 +108,9 @@ def cmd_value(args) -> int:
     else:
         res = entangled_value_seesaw(g, d=args.d, restarts=args.restarts,
                                      iters=args.iters, seed=seed)
+        n_iter = sum(len(tr) for tr in res.traces)
+        extra["seesaw"] = {"iterations": n_iter,
+                           "iterations_per_s": n_iter / (time.perf_counter() - t_load)}
         report["value"] = res.value
         report["seed"] = seed
         report["d"] = args.d
@@ -115,11 +121,15 @@ def cmd_value(args) -> int:
         print(f"entangled value (lower bound): {res.value:.12g}")
         for r, tr in enumerate(res.traces):
             print(f"  restart {r}: {tr[-1]:.12g} after {len(tr)} iterations")
+    t_write = time.perf_counter()
     out = _out_dir(args, "value", 0 if seed is None else seed)
     (out / "report.json").write_text(_canonical_json(report))
+    timings = {"load_s": t_load - t0, "compute_s": t_write - t_load,
+               "write_s": time.perf_counter() - t_write}
     cfg = {"game": str(args.game), "mode": args.mode, "d": args.d,
            "restarts": args.restarts, "iters": args.iters}
-    _write_manifest(out, "value", cfg, seed, t0, ["report.json"])
+    _write_manifest(out, "value", cfg, seed, t0, ["report.json"],
+                    timings=timings, **extra)
     return 0
 
 

@@ -22,7 +22,7 @@ from .config import (
     BudgetError,
     Tolerances,
 )
-from .linalg import RegisterLayout, hermitian_eig, hermitianize
+from .linalg import RegisterLayout, dagger, hermitian_eig, hermitianize
 from .qinfo import PureState
 from .random_states import haar_state, random_projective, rng_for
 
@@ -236,7 +236,8 @@ def strategy_win_probability(g: Game, strategy: ClassicalStrategy | QuantumStrat
         b = np.array(strategy.bob)
         xs = np.arange(g.k)
         return float((g.p * g.v[a[:, None], b[None, :], xs[:, None], xs[None, :]]).sum())
-    ops = _alice_payoffs(g, strategy.bob, strategy.state.tensor()[None, None])
+    ops = _alice_payoffs(_payoff_weights(g), strategy.bob,
+                         strategy.state.tensor()[None, None])
     return float(np.einsum("xail,xali->", strategy.alice, ops).real)
 
 
@@ -245,77 +246,80 @@ def strategy_win_probability(g: Game, strategy: ClassicalStrategy | QuantumStrat
 
 
 def _best_projective(ops: np.ndarray) -> np.ndarray:
-    """Projective measurement maximizing sum_a Tr(P_a ops[a]), heuristically.
+    """Projective measurements maximizing sum_a Tr(P_a ops[x, a]) for every input x.
 
-    Two outcomes: exact positive/negative eigenspace split of the difference
-    (zero eigenvalues go to outcome 0).  More outcomes: greedy eigenvalue
-    assignment by iterative subspace compression, ties to the lowest output.
+    ops has shape (k, l, d, d).  Two outcomes: exact positive/negative
+    eigenspace split of the difference (zero eigenvalues go to outcome 0).
+    More outcomes: greedy eigenvalue assignment by iterative subspace
+    compression, ties to the lowest output; each greedy step solves all
+    inputs and outcomes in one stacked eigensolve.
     """
-    l, d = ops.shape[0], ops.shape[1]
+    k, l, d = ops.shape[:3]
     out = np.zeros_like(ops)
     if l == 1:
-        out[0] = np.eye(d)
+        out[:, 0] = np.eye(d)
         return out
     if l == 2:
-        w, v = np.linalg.eigh(hermitianize(ops[0] - ops[1]))
-        sel = v[:, w >= 0.0]
-        p0 = sel @ sel.conj().T
-        out[0] = hermitianize(p0)
-        out[1] = hermitianize(np.eye(d) - p0)
+        w, v = np.linalg.eigh(hermitianize(ops[:, 0] - ops[:, 1]))
+        sel = v * (w >= 0.0)[:, None, :]
+        p0 = sel @ dagger(sel)
+        out[:, 0] = hermitianize(p0)
+        out[:, 1] = hermitianize(np.eye(d) - p0)
         return out
-    q = np.eye(d, dtype=complex)
+    xs = np.arange(k)
+    q = np.broadcast_to(np.eye(d, dtype=complex), (k, d, d))
     for _ in range(d):
-        r = q.shape[1]
-        best_a, best_lam, best_u = -1, -np.inf, None
-        for a in range(l):
-            c = hermitianize(q.conj().T @ ops[a] @ q)
-            w, v = np.linalg.eigh(c)
-            if w[-1] > best_lam + 1e-15:
-                best_a, best_lam, best_u = a, float(w[-1]), v[:, -1]
-        vec = q @ best_u
-        out[best_a] += np.outer(vec, vec.conj())
+        r = q.shape[2]
+        w, v = np.linalg.eigh(hermitianize(dagger(q)[:, None] @ ops @ q[:, None]))
+        best_a, best_lam = np.zeros(k, dtype=int), w[:, 0, -1]
+        for a in range(1, l):
+            better = w[:, a, -1] > best_lam + 1e-15
+            best_a = np.where(better, a, best_a)
+            best_lam = np.where(better, w[:, a, -1], best_lam)
+        u = v[xs, best_a, :, -1]                                  # (k, r)
+        vec = (q @ u[:, :, None])[:, :, 0]
+        out[xs, best_a] += vec[:, :, None] * vec.conj()[:, None, :]
         if r == 1:
             break
-        comp = np.eye(r, dtype=complex) - np.outer(best_u, best_u.conj())
-        wh, vh = np.linalg.eigh(hermitianize(comp))
-        q = q @ vh[:, 1:]
-    return np.stack([hermitianize(m) for m in out])
-
-
-def _measurement_score(meas_x: np.ndarray, ops_x: np.ndarray) -> float:
-    return float(np.einsum("ail,ali->", meas_x, ops_x).real)
+        comp = np.eye(r) - u[:, :, None] * u.conj()[:, None, :]
+        q = q @ np.linalg.eigh(hermitianize(comp))[1][:, :, 1:]
+    return hermitianize(out)
 
 
 def _update_measurements(meas: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """Per-input best-projective update, kept only when it does not decrease the score."""
-    new = meas.copy()
-    for x in range(meas.shape[0]):
-        cand = _best_projective(ops[x])
-        if _measurement_score(cand, ops[x]) >= _measurement_score(meas[x], ops[x]):
-            new[x] = cand
-    return new
+    """Best-projective update, kept per input only when it does not decrease the score."""
+    cand = _best_projective(ops)
+    new, old = (np.einsum("xail,xali->x", m, ops).real for m in (cand, meas))
+    return np.where((new >= old)[:, None, None, None], cand, meas)
 
 
-def _alice_payoffs(g: Game, bob: np.ndarray, states: np.ndarray) -> np.ndarray:
+def _payoff_weights(g: Game) -> np.ndarray:
+    """The table p[x, y] * V[a, b, x, y], indexed [x, a, y, b]."""
+    return np.einsum("xy,abxy->xayb", g.p, g.v.astype(float))
+
+
+def _alice_payoffs(w: np.ndarray, bob: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Alice's operators [x, a] for Bob's measurements and per-input-pair states.
 
-    states has shape (k, k, dA, dB); a single shared state is passed as
-    phi[None, None], whose size-1 axes einsum broadcasts.
+    w is the _payoff_weights table; states has shape (k, k, dA, dB), and a
+    single shared state is passed as phi[None, None], whose size-1 axes
+    einsum broadcasts.
     """
     kmat = np.einsum("xyij,ybkj,xylk->xybil", states, bob, states.conj())
-    return np.einsum("xy,abxy,xybil->xail", g.p, g.v.astype(float), kmat)
+    return np.einsum("xayb,xybil->xail", w, kmat)
 
 
-def _bob_payoffs(g: Game, alice: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Bob's operators [y, b]; states as in _alice_payoffs."""
+def _bob_payoffs(w: np.ndarray, alice: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Bob's operators [y, b]; w and states as in _alice_payoffs."""
     cmat = np.einsum("xyij,xali,xylm->xyajm", states, alice, states.conj())
-    return np.einsum("xy,abxy,xyajm->ybjm", g.p, g.v.astype(float), cmat)
+    return np.einsum("xayb,xyajm->ybjm", w, cmat)
 
 
-def _payoff_operator(g: Game, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
-    d = alice.shape[2] * bob.shape[2]
-    t = np.einsum("xy,abxy,xail,ybjm->ijlm", g.p, g.v.astype(float), alice, bob)
-    return hermitianize(t.reshape(d, d))
+def _payoff_operator(w: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    """Sum of w[x, a, y, b] alice[x, a] (x) bob[y, b], as two GEMMs."""
+    (k, l, da), db = alice.shape[:3], bob.shape[2]
+    t = alice.reshape(k * l, -1).T @ (w.reshape(k * l, -1) @ bob.reshape(k * l, -1))
+    return hermitianize(t.reshape(da, da, db, db).transpose(0, 2, 1, 3).reshape(da * db, -1))
 
 
 def _seesaw_restarts(g: Game, dims: tuple[int, int], states: np.ndarray | None,
@@ -330,6 +334,7 @@ def _seesaw_restarts(g: Game, dims: tuple[int, int], states: np.ndarray | None,
     if restarts < 1 or iters < 1:
         raise ValueError(f"restarts and iters must be >= 1, got {restarts} and {iters}")
     da, db = dims
+    weights = _payoff_weights(g)
     for r in range(restarts):
         rng = rng_for(seed, stream, r)
         cur = states
@@ -340,11 +345,11 @@ def _seesaw_restarts(g: Game, dims: tuple[int, int], states: np.ndarray | None,
         trace: list[float] = []
         prev = -np.inf
         for _ in range(iters):
-            alice = _update_measurements(alice, _alice_payoffs(g, bob, cur))
-            n_ops = _bob_payoffs(g, alice, cur)
+            alice = _update_measurements(alice, _alice_payoffs(weights, bob, cur))
+            n_ops = _bob_payoffs(weights, alice, cur)
             bob = _update_measurements(bob, n_ops)
             if states is None:
-                w, v = hermitian_eig(_payoff_operator(g, alice, bob))
+                w, v = hermitian_eig(_payoff_operator(weights, alice, bob))
                 val = float(w[-1])
                 cur = v[:, -1].reshape(1, 1, da, db)
             else:

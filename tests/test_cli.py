@@ -81,6 +81,26 @@ class TestValue:
             outs.append((out / "report.json").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_manifest_timings(self, tmp_path):
+        game = write_chsh(tmp_path)
+        for mode in ("classical", "entangled"):
+            out = tmp_path / mode
+            assert main(["value", str(game), "--mode", mode, "--seed", "0",
+                         "--restarts", "4", "--iters", "30", "--out", str(out)]) == 0
+            man = json.loads((out / "manifest.json").read_text())
+            rep = json.loads((out / "report.json").read_text())
+            assert set(man["timings"]) == {"load_s", "compute_s", "write_s"}
+            assert all(t >= 0.0 for t in man["timings"].values())
+            if mode == "classical":
+                assert "seesaw" not in man
+                assert set(rep) == {"command", "mode", "game", "value", "strategy"}
+                continue
+            # timings stay out of report.json, which is byte-deterministic
+            assert set(rep) == {"command", "mode", "game", "value", "seed", "d",
+                                "restarts", "iters", "best_restart", "traces"}
+            assert man["seesaw"]["iterations"] == sum(len(t) for t in rep["traces"])
+            assert man["seesaw"]["iterations_per_s"] > 0.0
+
     @pytest.mark.parametrize("flag", ["--iters", "--restarts"])
     def test_entangled_rejects_zero(self, tmp_path, capsys, flag):
         # --iters 0 used to die on an empty trace; --restarts 0 reported -1.0

@@ -29,7 +29,10 @@ from entgames.games import (
     strategy_win_probability,
     value_with_advice,
 )
+from entgames.games import _update_measurements
+from entgames.linalg import hermitianize
 from entgames.qinfo import PureState
+from entgames.random_states import random_projective, rng_for
 
 TSIRELSON = math.cos(math.pi / 8) ** 2
 
@@ -37,6 +40,93 @@ TSIRELSON = math.cos(math.pi / 8) ** 2
 def all_ones_game(k: int = 2, l: int = 2) -> Game:
     p = np.full((k, k), 1.0 / k**2)
     return Game(k, l, p, np.ones((l, l, k, k), dtype=bool), name="trivial")
+
+
+def xor_game(p: np.ndarray, f: np.ndarray) -> Game:
+    """Two-output game won iff a xor b = f[x, y]."""
+    bit = np.arange(2)
+    v = (bit[:, None, None, None] ^ bit[None, :, None, None]) == f[None, None]
+    return Game(p.shape[0], 2, p, v)
+
+
+def xor_value_bounds(p: np.ndarray, f: np.ndarray, sweeps: int = 2000) -> tuple[float, float]:
+    """Certified (lower, upper) bracket on the entangled value of an XOR game.
+
+    The entangled bias is max sum_xy B_xy <u_x, v_y> over unit vectors, with
+    B = p (-1)^f (Tsirelson).  Alternating u/v normalizations give unit
+    vectors, so a lower bound.  With alpha_x = |sum_y B_xy v_y|,
+    beta_y = |sum_x B_xy u_x| and shift = -(smallest eigenvalue of
+    M = [[diag alpha, -B], [-B^T, diag beta]]), M + shift I is PSD, a
+    feasible point of the dual SDP, so (sum alpha + sum beta +
+    shift (kA + kB)) / 2 bounds the bias from above.  The value is
+    (1 + bias) / 2.
+    """
+    b = p * (-1.0) ** f
+    ka, kb = b.shape
+    v = np.random.default_rng(0).standard_normal((kb, ka + kb))
+    for _ in range(sweeps):
+        u = b @ v
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        v = b.T @ u
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+    lower = float(np.sum(b * (u @ v.T)))
+    alpha, beta = np.linalg.norm(b @ v, axis=1), np.linalg.norm(b.T @ u, axis=1)
+    m = np.block([[np.diag(alpha), -b], [-b.T, np.diag(beta)]])
+    shift = max(0.0, -float(np.linalg.eigvalsh(m)[0]))
+    upper = (alpha.sum() + beta.sum() + shift * (ka + kb)) / 2
+    return (1 + lower) / 2, (1 + upper) / 2
+
+
+def reference_best_projective(ops: np.ndarray) -> np.ndarray:
+    """One input's best-projective measurement by plain loops over outcomes.
+
+    The stacked update in games must match it: eigenspace split for two
+    outcomes, greedy assignment with ties to the lowest output otherwise.
+    """
+    l, d = ops.shape[0], ops.shape[1]
+    out = np.zeros_like(ops)
+    if l == 1:
+        out[0] = np.eye(d)
+        return out
+    if l == 2:
+        w, v = np.linalg.eigh(hermitianize(ops[0] - ops[1]))
+        sel = v[:, w >= 0.0]
+        p0 = sel @ sel.conj().T
+        out[0] = hermitianize(p0)
+        out[1] = hermitianize(np.eye(d) - p0)
+        return out
+    q = np.eye(d, dtype=complex)
+    for _ in range(d):
+        r = q.shape[1]
+        best_a, best_lam, best_u = -1, -np.inf, None
+        for a in range(l):
+            w, v = np.linalg.eigh(hermitianize(q.conj().T @ ops[a] @ q))
+            if w[-1] > best_lam + 1e-15:
+                best_a, best_lam, best_u = a, float(w[-1]), v[:, -1]
+        vec = q @ best_u
+        out[best_a] += np.outer(vec, vec.conj())
+        if r == 1:
+            break
+        comp = np.eye(r, dtype=complex) - np.outer(best_u, best_u.conj())
+        q = q @ np.linalg.eigh(hermitianize(comp))[1][:, 1:]
+    return np.stack([hermitianize(m) for m in out])
+
+
+def reference_update(meas: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """Per-input update, kept only when it does not decrease Tr-score."""
+    new = meas.copy()
+    for x in range(meas.shape[0]):
+        cand = reference_best_projective(ops[x])
+        score = lambda m: np.einsum("ail,ali->", m, ops[x]).real
+        if score(cand) >= score(meas[x]):
+            new[x] = cand
+    return new
+
+
+def assert_projective(meas: np.ndarray) -> None:
+    d = meas.shape[-1]
+    state = PureState.from_vector(np.eye(d * d)[0].astype(complex), (d, d), ("A", "B"))
+    QuantumStrategy(state, meas, meas).validate()
 
 
 def brute_force_value(g: Game) -> float:
@@ -203,11 +293,105 @@ class TestSeesaw:
         res.strategy.validate()
         assert abs(strategy_win_probability(chsh(), res.strategy) - res.value) <= 1e-9
 
+    def test_chsh_squared_work_pinned(self):
+        # The benchmark times this run.  Its value is the documented shortfall
+        # of ROADMAP item 1 (cos^4(pi/8) = 0.728553 is exact); update the
+        # lengths and the value when that item lands.
+        res = entangled_value_seesaw(repeat(chsh(), 2), 4, 20, 200, seed=0)
+        assert [len(t) for t in res.traces] == [6, 19, 9, 15, 24, 10, 5, 35, 29, 22,
+                                                11, 11, 5, 5, 5, 14, 26, 4, 4, 19]
+        assert abs(res.value - 0.676776695296636) <= 1e-12
+
     @pytest.mark.parametrize("restarts, iters", [(0, 10), (-1, 10), (3, 0), (3, -2)])
     def test_rejects_empty_runs(self, restarts, iters):
         # no restart or no iteration gives no lower bound to report
         with pytest.raises(ValueError, match="restarts and iters must be >= 1"):
             entangled_value_seesaw(chsh(), d=2, restarts=restarts, iters=iters, seed=0)
+
+
+class TestStackedUpdate:
+    @pytest.mark.parametrize("l", [1, 2, 3, 4, 5])
+    def test_matches_per_input_reference(self, l):
+        # d < l covers outcomes that end with zero projectors
+        for k in range(1, 5):
+            for d in range(1, 6):
+                rng = np.random.default_rng([l, k, d])
+                m = rng.standard_normal((k, l, d, d)) + 1j * rng.standard_normal((k, l, d, d))
+                ops = hermitianize(m)
+                meas = np.stack([random_projective(rng, d, l) for _ in range(k)])
+                got = _update_measurements(meas, ops)
+                assert_allclose(got, reference_update(meas, ops), atol=1e-12, rtol=0)
+                assert_projective(got)
+
+    @pytest.mark.parametrize("l", [1, 2, 3, 4, 5])
+    def test_ties_follow_reference(self, l):
+        # input 0 is all zeros, so every measurement ties and the candidate
+        # (everything on outcome 0) replaces the old one; with more than two
+        # outcomes input 1 repeats outcome 0 in outcome 1, so greedy ties go
+        # to the lower output; input 2 is diagonal with entries in {-1, 0, 1}
+        for d in range(1, 6):
+            rng = np.random.default_rng([l, d])
+            m = rng.standard_normal((3, l, d, d)) + 1j * rng.standard_normal((3, l, d, d))
+            ops = hermitianize(m)
+            ops[0] = 0.0
+            if l > 2:
+                ops[1, 1] = ops[1, 0]
+            ops[2] = 0.0
+            ops[2, :, range(d), range(d)] = rng.integers(-1, 2, size=(d, l))
+            meas = np.stack([random_projective(rng, d, l) for _ in range(3)])
+            got = _update_measurements(meas, ops)
+            assert_allclose(got, reference_update(meas, ops), atol=1e-12, rtol=0)
+            assert_allclose(got[0, 0], np.eye(d), atol=1e-12)
+            assert_projective(got)
+
+    def test_keeps_measurement_that_beats_greedy(self):
+        # input 0: greedy takes e0 for outcome 0 (1.0) and is left with 0.45,
+        # while |+><+|, |-><-| on outcomes 1, 2 score 1.8; on input 1 greedy
+        # takes the identity for outcome 0, which scores 3 against 2
+        plus = np.full((2, 2), 0.5, dtype=complex)
+        minus = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
+        ops = np.stack([np.stack([np.diag([1.0, 0.0]).astype(complex), 0.9 * plus, 0.9 * minus]),
+                        np.stack([np.diag([2.0, 1.0]).astype(complex), plus, minus])])
+        meas = np.stack([np.stack([np.zeros((2, 2), dtype=complex), plus, minus]),
+                         np.stack([np.zeros((2, 2), dtype=complex), plus, minus])])
+        got = _update_measurements(meas, ops)
+        assert np.array_equal(got[0], meas[0])
+        assert_allclose(got[1, 0], np.eye(2), atol=1e-12)
+        assert_allclose(got[1, 1:], 0.0, atol=1e-12)
+
+    def test_three_outcome_game_end_to_end(self):
+        # win iff a + b = x * y (mod 3): the greedy path runs in every update
+        v = np.zeros((3, 3, 2, 2), dtype=bool)
+        for a, b, x, y in itertools.product(range(3), range(3), range(2), range(2)):
+            v[a, b, x, y] = (a + b) % 3 == (x * y) % 3
+        g = Game(2, 3, np.full((2, 2), 0.25), v, name="CHSH3")
+        res = entangled_value_seesaw(g, d=3, restarts=8, iters=60, seed=0)
+        res.strategy.validate()
+        assert res.value >= classical_value(g).value - 1e-9
+        assert abs(strategy_win_probability(g, res.strategy) - res.value) <= 1e-9
+        for trace in res.traces:
+            assert all(b >= a - 1e-10 for a, b in zip(trace, trace[1:]))
+
+
+class TestXorCertificate:
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4, 5])
+    def test_seesaw_reaches_certified_value(self, seed):
+        # seed None is CHSH; the others are random 3x3 XOR games
+        if seed is None:
+            p, f = chsh().p, np.array([[0, 0], [0, 1]])
+        else:
+            rng = rng_for(seed, 900)
+            p = rng.random((3, 3))
+            p /= p.sum()
+            f = rng.integers(0, 2, size=(3, 3))
+        lower, upper = xor_value_bounds(p, f)
+        assert upper - lower <= 1e-10
+        res = entangled_value_seesaw(xor_game(p, f), d=2, restarts=10, iters=200, seed=0)
+        assert upper - 1e-8 <= res.value <= upper + 1e-9
+
+    def test_chsh_bracket_is_tsirelson(self):
+        lower, upper = xor_value_bounds(chsh().p, np.array([[0, 0], [0, 1]]))
+        assert abs(lower - TSIRELSON) <= 1e-12 and abs(upper - TSIRELSON) <= 1e-12
 
 
 class TestAdvice:
