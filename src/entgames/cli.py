@@ -20,6 +20,7 @@ import json
 import sys
 import time
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,23 @@ def _load_json(path: Path):
         raise ValueError(
             f"invalid JSON in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+
+
+def _field(what: str, doc: dict, key: str, conv, default=None):
+    """conv(doc[key]) for a field of the input document named by what.
+
+    A missing or null field gives default, or, when there is none, an input
+    error naming the field; a value conv rejects is an input error too.
+    """
+    value = doc.get(key)
+    if value is None:
+        if default is None:
+            raise ValueError(f"{what} missing field {key!r}")
+        return default
+    try:
+        return conv(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} field {key!r} has an invalid value") from None
 
 
 def _canonical_json(obj) -> str:
@@ -186,16 +204,16 @@ def cmd_verify(args) -> int:
 def _model_from_doc(doc: dict, base_dir: Path, n: int):
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError("model must be an object with a 'kind' field")
-    kind = doc["kind"]
+    kind, get = doc["kind"], partial(_field, "model", doc)
     if kind == "iid_bernoulli":
-        return protocol_mod.IidBernoulli(w=float(doc["w"]))
+        return protocol_mod.IidBernoulli(w=get("w", float))
     if kind == "win_all_or_partial":
-        return protocol_mod.WinAllOrPartial(q=float(doc["q"]), f=float(doc["f"]))
+        return protocol_mod.WinAllOrPartial(q=get("q", float), f=get("f", float))
     if kind == "strategy_backed":
-        game = load_game(base_dir / doc["game"])
+        game = load_game(base_dir / get("game", str))
         res = entangled_value_seesaw(
-            game, d=int(doc.get("d", 2)), restarts=int(doc.get("restarts", 8)),
-            iters=int(doc.get("iters", 60)), seed=int(doc.get("strategy_seed", 0)))
+            game, d=get("d", int, 2), restarts=get("restarts", int, 8),
+            iters=get("iters", int, 60), seed=get("strategy_seed", int, 0))
         return protocol_mod.StrategyBacked(game, res.strategy, n)
     raise ValueError(f"unknown model kind {kind!r}")
 
@@ -206,17 +224,15 @@ def cmd_simulate(args) -> int:
     doc = _load_json(path)
     if not isinstance(doc, dict) or "model" not in doc:
         raise ValueError("simulate config must be an object with a 'model' field")
-    try:
-        config = protocol_mod.ProtocolConfig(
-            n=int(doc["n"]), epsilon=float(doc["epsilon"]), t=float(doc["t"]),
-            trials=int(doc["trials"]),
-            seed=int(args.seed if args.seed is not None else doc.get("seed", 0)),
-            variant=str(doc.get("variant", "general")),
-            v_override=doc.get("v_override"),
-            hash_bits=doc.get("hash_bits"),
-        )
-    except KeyError as exc:
-        raise ValueError(f"simulate config missing field {exc.args[0]!r}") from exc
+    get = partial(_field, "simulate config", doc)
+    config = protocol_mod.ProtocolConfig(
+        n=get("n", int), epsilon=get("epsilon", float), t=get("t", float),
+        trials=get("trials", int),
+        seed=args.seed if args.seed is not None else get("seed", int, 0),
+        variant=get("variant", str, "general"),
+        v_override=doc.get("v_override"),
+        hash_bits=doc.get("hash_bits"),
+    )
     model = _model_from_doc(doc["model"], path.parent, config.n)
     stats = protocol_mod.run_protocol(config, model)
     verdict = protocol_mod.guarantee_report(config, model, stats)
@@ -245,26 +261,19 @@ def cmd_simulate(args) -> int:
     return 1 if verdict.verdict == "violated" else 0
 
 
-def _superposed_from_doc(doc: dict) -> SuperposedState:
-    for key in ("p", "dims", "advice"):
-        if key not in doc:
-            raise ValueError(f"state spec missing field {key!r}")
-    p = np.asarray(doc["p"], dtype=float)
+def _superposed_from_doc(doc) -> SuperposedState:
+    if not isinstance(doc, dict):
+        raise ValueError("state spec must be a JSON object")
+    get = partial(_field, "state spec", doc)
+    p = get("p", lambda v: np.asarray(v, dtype=float))
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ValueError("'p' must be a square matrix")
     k = p.shape[0]
-    da, db = (int(d) for d in doc["dims"])
-    raw = doc["advice"]
-    if len(raw) != k or any(len(row) != k for row in raw):
-        raise ValueError("'advice' must be a k x k grid of amplitude lists")
-    states = np.zeros((k, k, da, db), dtype=complex)
-    for x in range(k):
-        for y in range(k):
-            amps = np.asarray(raw[x][y], dtype=float)
-            if amps.shape != (da * db, 2):
-                raise ValueError(
-                    f"advice[{x}][{y}] must list {da * db} [re, im] pairs")
-            states[x, y] = (amps[:, 0] + 1j * amps[:, 1]).reshape(da, db)
+    da, db = get("dims", lambda v: [int(d) for d in v])
+    adv = get("advice", lambda v: np.asarray(v, dtype=float))
+    if adv.shape != (k, k, da * db, 2):
+        raise ValueError(f"'advice' must be a k x k grid of lists of {da * db} [re, im] pairs")
+    states = (adv[..., 0] + 1j * adv[..., 1]).reshape(k, k, da, db)
     return SuperposedState.build(p, states)
 
 

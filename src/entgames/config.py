@@ -1,8 +1,9 @@
-"""Central tolerance settings and resource budgets.
+"""Fixed validation tolerances and resource budgets.
 
-Every validation tolerance in the package is read from a Tolerances record so
-that one object controls all of them; functions take an optional ``tols``
-argument defaulting to DEFAULT_TOLS.
+DEFAULT_TOLS holds the tolerances linalg, qinfo and QuantumStrategy.validate
+check states, measurements and spectra against; code reads its fields and no
+function takes a tolerance argument.  Slacks local to one construction are
+literals beside it (games' distribution checks, the purification rule).
 """
 
 from __future__ import annotations

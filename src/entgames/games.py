@@ -15,13 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (
-    DEFAULT_TOLS,
-    MAX_ENUMERATION,
-    MAX_TABLE_ENTRIES,
-    BudgetError,
-    Tolerances,
-)
+from .config import DEFAULT_TOLS, MAX_ENUMERATION, MAX_TABLE_ENTRIES, BudgetError
 from .linalg import RegisterLayout, dagger, hermitian_eig, hermitianize
 from .qinfo import PureState
 from .random_states import haar_state, random_projective, rng_for
@@ -51,10 +45,7 @@ class Game:
             raise ValueError(f"p has shape {p.shape}, expected {(self.k, self.k)}")
         if v.shape != (self.l, self.l, self.k, self.k):
             raise ValueError(f"V has shape {v.shape}, expected {(self.l, self.l, self.k, self.k)}")
-        if p.min() < -1e-15:
-            raise ValueError("p has negative entries")
-        if abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError(f"p sums to {p.sum()!r}, not 1 within 1e-12")
+        check_distribution(p)
         p.flags.writeable = False
         v.flags.writeable = False
         object.__setattr__(self, "p", p)
@@ -65,6 +56,19 @@ class Game:
             return NotImplemented
         return (self.k == other.k and self.l == other.l and self.name == other.name
                 and np.array_equal(self.p, other.p) and np.array_equal(self.v, other.v))
+
+
+def check_distribution(p: np.ndarray) -> None:
+    """Raise unless p has no entry below -1e-15 and sums to 1 within 1e-12."""
+    if p.min() < -1e-15:
+        raise ValueError("p has negative entries")
+    if abs(p.sum() - 1.0) > 1e-12:
+        raise ValueError(f"p sums to {p.sum()!r}, not 1 within 1e-12")
+
+
+def is_product(p: np.ndarray) -> bool:
+    """True iff p[x, y] is the product of its marginals within 1e-10 per entry."""
+    return bool(np.abs(p - np.outer(p.sum(axis=1), p.sum(axis=0))).max() <= 1e-10)
 
 
 def chsh() -> Game:
@@ -109,22 +113,18 @@ class QuantumStrategy:
     def dims(self) -> tuple[int, int]:
         return self.state.layout.dims[0], self.state.layout.dims[1]
 
-    def validate(self, tols: Tolerances = DEFAULT_TOLS) -> None:
+    def validate(self) -> None:
+        """Raise unless every (input, output) element is a projector within
+        DEFAULT_TOLS.proj and each input's elements sum to the identity."""
         da, db = self.dims()
         for name, meas, d in (("alice", self.alice, da), ("bob", self.bob, db)):
             if meas.shape[2:] != (d, d):
                 raise ValueError(f"{name} measurement dimension mismatch")
-            for x in range(meas.shape[0]):
-                total = np.zeros((d, d), dtype=complex)
-                for a in range(meas.shape[1]):
-                    e = meas[x, a]
-                    if np.abs(e - e.conj().T).max() > tols.proj:
-                        raise ValueError(f"{name} element ({x},{a}) is not Hermitian")
-                    if np.abs(e @ e - e).max() > tols.proj:
-                        raise ValueError(f"{name} element ({x},{a}) is not idempotent within tolerance")
-                    total += e
-                if np.abs(total - np.eye(d)).max() > tols.proj:
-                    raise ValueError(f"{name} measurement for input {x} does not sum to identity")
+            for what, dev in (("is not Hermitian", meas - dagger(meas)),
+                              ("is not idempotent", meas @ meas - meas),
+                              ("does not sum to identity", meas.sum(axis=1) - np.eye(d))):
+                if np.abs(dev).max(initial=0.0) > DEFAULT_TOLS.proj:
+                    raise ValueError(f"{name} measurement {what} within tolerance")
 
 
 @dataclass(frozen=True)
@@ -469,10 +469,9 @@ def majority_game(g: Game, n: int, alpha: float, budget: int = MAX_TABLE_ENTRIES
 # structure predicates
 
 
-def is_free(g: Game, tol: float = 1e-10) -> bool:
-    """True iff the input distribution is a product of its marginals."""
-    px, py = g.p.sum(axis=1), g.p.sum(axis=0)
-    return bool(np.abs(g.p - np.outer(px, py)).max() <= tol)
+def is_free(g: Game) -> bool:
+    """True iff the input distribution is a product of its marginals (is_product)."""
+    return is_product(g.p)
 
 
 def is_projection(g: Game) -> bool:

@@ -9,6 +9,8 @@ permute_registers for explicit reordering.
 hermitian_eig, psd_eigvalsh, matrix_sqrt_psd, partial_trace_matrix and kron
 also take stacks of shape (..., d, d) and act on each slice, validating each
 slice as they would a single matrix; a single matrix is the unbatched case.
+psd_eigvalsh is the one Hermitian-and-PSD check, which DensityOperator and
+qinfo.check_povm build on; tolerances are the fixed config.DEFAULT_TOLS.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, MAX_KRON_DIM, BudgetError, Tolerances
+from .config import DEFAULT_TOLS, MAX_KRON_DIM, BudgetError
 
 
 def as_stack(a) -> np.ndarray:
@@ -108,15 +110,14 @@ class RegisterLayout:
 class DensityOperator:
     """Validated density matrix together with its register layout.
 
-    Construction checks Hermiticity, positivity and unit trace against the
-    supplied tolerances; pass validate=False only for operators produced by
+    Construction checks Hermiticity, positivity and unit trace against
+    DEFAULT_TOLS; pass validate=False only for operators produced by
     operations that preserve validity (internal fast path).
     """
 
     matrix: np.ndarray
     layout: RegisterLayout
     validate: bool = field(default=True, repr=False, compare=False)
-    tols: Tolerances = field(default=DEFAULT_TOLS, repr=False, compare=False)
 
     def __post_init__(self):
         m = as_matrix(self.matrix)
@@ -124,14 +125,9 @@ class DensityOperator:
         if m.shape[0] != self.layout.dim:
             raise ValueError(f"matrix dim {m.shape[0]} != layout dim {self.layout.dim}")
         if self.validate:
-            t = self.tols
-            if np.abs(m - m.conj().T).max() > t.herm:
-                raise ValueError("density matrix is not Hermitian within tolerance")
-            if abs(m.trace() - 1.0) > t.trace:
+            psd_eigvalsh(m)
+            if abs(m.trace() - 1.0) > DEFAULT_TOLS.trace:
                 raise ValueError(f"density matrix trace {m.trace():.3e} != 1 within tolerance")
-            w = np.linalg.eigvalsh(hermitianize(m))
-            if w.min() < -t.psd:
-                raise ValueError(f"density matrix has eigenvalue {w.min():.3e} < -psd tolerance")
 
     @classmethod
     def from_matrix(cls, m, dims: Sequence[int] | None = None,
@@ -169,21 +165,21 @@ def kron_density(a: DensityOperator, b: DensityOperator) -> DensityOperator:
     return DensityOperator(kron(a.matrix, b.matrix), lay, validate=False)
 
 
-def _check_hermitian(h: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> None:
-    """Raise unless every slice is Hermitian within tols.herm * max(1, |h|)."""
+def _check_hermitian(h: np.ndarray) -> None:
+    """Raise unless every slice is Hermitian within herm * max(1, |h|)."""
     scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
-    if (np.abs(h - dagger(h)).max(axis=(-2, -1)) > tols.herm * scale).any():
+    if (np.abs(h - dagger(h)).max(axis=(-2, -1)) > DEFAULT_TOLS.herm * scale).any():
         raise ValueError("matrix is not Hermitian within tolerance")
 
 
-def _check_psd_spectrum(w: np.ndarray, tols: Tolerances) -> None:
-    """Raise unless every ascending spectrum in w is above -tols.psd."""
+def _check_psd_spectrum(w: np.ndarray) -> None:
+    """Raise unless every ascending spectrum in w is above -psd."""
     low = w[..., 0].min()
-    if low < -tols.psd:
+    if low < -DEFAULT_TOLS.psd:
         raise ValueError(f"matrix has eigenvalue {low:.3e}; not PSD within tolerance")
 
 
-def hermitian_eig(h, tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, or of each matrix in a stack.
 
     Returns (eigenvalues ascending, eigenvector matrix with orthonormal
@@ -191,17 +187,17 @@ def hermitian_eig(h, tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, np.nd
     convergence failures surface as numpy.linalg.LinAlgError.
     """
     h = as_stack(h)
-    _check_hermitian(h, tols)
+    _check_hermitian(h)
     w, v = np.linalg.eigh(hermitianize(h))
     return w, v
 
 
-def psd_eigvalsh(a, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def psd_eigvalsh(a) -> np.ndarray:
     """Eigenvalues of a PSD Hermitian matrix (or stack); raises like matrix_sqrt_psd."""
     a = as_stack(a)
-    _check_hermitian(a, tols)
+    _check_hermitian(a)
     w = np.linalg.eigvalsh(hermitianize(a))
-    _check_psd_spectrum(w, tols)
+    _check_psd_spectrum(w)
     return w
 
 
@@ -243,14 +239,14 @@ def permute_registers(rho: DensityOperator, order: Sequence[str]) -> DensityOper
     return DensityOperator(t.reshape(new.dim, new.dim), new, validate=False)
 
 
-def matrix_sqrt_psd(a, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def matrix_sqrt_psd(a) -> np.ndarray:
     """Principal square root of a PSD Hermitian matrix, or of each in a stack.
 
     Eigenvalues in [-psd_tol, 0) are clipped to 0; anything more negative is
     an error.
     """
-    w, v = hermitian_eig(a, tols)
-    _check_psd_spectrum(w, tols)
+    w, v = hermitian_eig(a)
+    _check_psd_spectrum(w)
     w = np.sqrt(np.clip(w, 0.0, None))
     return hermitianize((v * w[..., None, :]) @ dagger(v))
 

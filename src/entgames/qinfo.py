@@ -9,6 +9,8 @@ fidelity, relative_entropy, min_relative_entropy, von_neumann_entropy and
 povm_outcome_bound also take stacks of states, shape (..., d, d), and then
 return an array with one value per slice; every per-matrix validation applies
 to each slice.  A single matrix gives a float.
+purification_matrix is the one purification, used by purify, uhlmann_partner
+and sic's decoupling.  Tolerances are the fixed config.DEFAULT_TOLS.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ from typing import Iterable
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS
 from .linalg import (
     DensityOperator,
     RegisterLayout,
+    _check_psd_spectrum,
     as_matrix,
     as_stack,
     dagger,
@@ -30,7 +33,6 @@ from .linalg import (
     hermitianize,
     matrix_sqrt_psd,
     partial_trace,
-    partial_trace_matrix,
     psd_eigvalsh,
 )
 
@@ -55,7 +57,6 @@ class PureState:
     amplitudes: np.ndarray
     layout: RegisterLayout
     validate: bool = field(default=True, repr=False, compare=False)
-    tols: Tolerances = field(default=DEFAULT_TOLS, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
@@ -64,7 +65,7 @@ class PureState:
             raise ValueError(f"amplitude length {a.size} != layout dim {self.layout.dim}")
         if not np.all(np.isfinite(a)):
             raise ValueError("amplitudes have non-finite entries")
-        if self.validate and abs(np.linalg.norm(a) - 1.0) > self.tols.norm:
+        if self.validate and abs(np.linalg.norm(a) - 1.0) > DEFAULT_TOLS.norm:
             raise ValueError(f"state norm {np.linalg.norm(a):.6e} != 1 within tolerance")
 
     @classmethod
@@ -97,7 +98,6 @@ class Povm:
     """POVM: Hermitian PSD elements summing to the identity."""
 
     elements: tuple[np.ndarray, ...]
-    tols: Tolerances = field(default=DEFAULT_TOLS, repr=False, compare=False)
 
     def __post_init__(self):
         els = tuple(as_matrix(e) for e in self.elements)
@@ -106,7 +106,7 @@ class Povm:
             raise ValueError("POVM needs at least one element")
         if any(e.shape != els[0].shape for e in els):
             raise ValueError("POVM elements have mixed dimensions")
-        check_povm(np.stack(els), self.tols)
+        check_povm(np.stack(els))
 
     @property
     def dim(self) -> int:
@@ -116,15 +116,12 @@ class Povm:
         return _outcome_distribution(np.stack(self.elements), as_matrix(rho))
 
 
-def check_povm(elements: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> None:
+def check_povm(elements: np.ndarray) -> None:
     """Raise unless each (..., n, d, d) stack of n elements is a POVM."""
     elements = as_stack(elements)
-    if (np.abs(elements - dagger(elements)).max(axis=(-2, -1)) > tols.herm).any():
-        raise ValueError("POVM element is not Hermitian within tolerance")
-    if np.linalg.eigvalsh(hermitianize(elements))[..., 0].min() < -tols.psd:
-        raise ValueError("POVM element is not PSD within tolerance")
+    psd_eigvalsh(elements)
     total = elements.sum(axis=-3)
-    if np.abs(total - np.eye(total.shape[-1])).max() > tols.proj:
+    if np.abs(total - np.eye(total.shape[-1])).max() > DEFAULT_TOLS.proj:
         raise ValueError("POVM elements do not sum to the identity within tolerance")
 
 
@@ -138,14 +135,14 @@ def _outcome_distribution(elements: np.ndarray, rho: np.ndarray) -> np.ndarray:
 # fidelity family
 
 
-def fidelity(rho, sigma, tols: Tolerances = DEFAULT_TOLS):
+def fidelity(rho, sigma):
     """Root fidelity F(rho, sigma) = ||sqrt(rho) sqrt(sigma)||_1, in [0, 1].
 
     Both states are checked Hermitian and PSD; see fidelity_from_root.
     """
     r, s = _pair(rho, sigma)
-    psd_eigvalsh(s, tols)
-    return fidelity_from_root(matrix_sqrt_psd(r, tols), s)
+    psd_eigvalsh(s)
+    return fidelity_from_root(matrix_sqrt_psd(r), s)
 
 
 def fidelity_from_root(root_rho: np.ndarray, sigma: np.ndarray):
@@ -165,14 +162,14 @@ def fidelity_from_root(root_rho: np.ndarray, sigma: np.ndarray):
     return _value(np.clip(f, 0.0, 1.0))
 
 
-def fbar(rho, sigma, tols: Tolerances = DEFAULT_TOLS) -> float:
+def fbar(rho, sigma) -> float:
     """Fidelity defect 1 - F(rho, sigma)."""
-    return 1.0 - fidelity(rho, sigma, tols)
+    return 1.0 - fidelity(rho, sigma)
 
 
-def angle(rho, sigma, tols: Tolerances = DEFAULT_TOLS) -> float:
+def angle(rho, sigma) -> float:
     """Angle distance arccos F(rho, sigma), a metric in [0, pi/2]."""
-    return float(np.arccos(fidelity(rho, sigma, tols)))
+    return float(np.arccos(fidelity(rho, sigma)))
 
 
 def povm_outcome_bound(rho, sigma, povm):
@@ -199,17 +196,34 @@ def _unique_label(base: str, taken: Iterable[str]) -> str:
     return lb
 
 
+def purification_matrix(rho, anc_dim: int) -> np.ndarray:
+    """(d x anc_dim) amplitude matrix m with m m^dag = rho, eigenvalues descending.
+
+    Column j is sqrt(w_j) v_j for rho's j-th largest eigenpair; columns past
+    d are zero, so the width is always anc_dim.  rho is checked Hermitian and
+    PSD; eigenvalue mass beyond the first anc_dim above 1e-9 raises.
+    """
+    rho = as_matrix(rho)
+    w, v = hermitian_eig(rho)
+    _check_psd_spectrum(w)
+    order = np.argsort(w)[::-1]
+    w, v = np.clip(w[order], 0.0, None), v[:, order]
+    k = min(anc_dim, rho.shape[0])
+    if w[k:].sum() > 1e-9:
+        raise ValueError(f"ancilla (dim {anc_dim}) too small to purify: trailing eigenvalue mass")
+    m = np.zeros((rho.shape[0], anc_dim), dtype=complex)
+    m[:, :k] = v[:, :k] * np.sqrt(w[:k])
+    return m
+
+
 def purify(rho: DensityOperator, ancilla_label: str | None = None) -> PureState:
     """Canonical purification with ancilla dimension equal to the system dimension.
 
     Eigenvalues are taken in descending order, so a pure input purifies to
     |anc_0> tensor |psi>.  The ancilla register comes first in the layout.
     """
-    w, v = hermitian_eig(rho.matrix, rho.tols)
-    order = np.argsort(w)[::-1]
-    w, v = w[order], v[:, order]
     d = rho.dim
-    amps = (v * np.sqrt(np.clip(w, 0.0, None))).T.reshape(-1)  # index (anc, sys)
+    amps = purification_matrix(rho.matrix, d).T.reshape(-1)    # index (anc, sys)
     lb = _unique_label(ancilla_label or "anc", rho.layout.labels)
     lay = RegisterLayout((d,) + rho.layout.dims, (lb,) + rho.layout.labels)
     return PureState(amps, lay, validate=False)
@@ -221,7 +235,7 @@ def _split_matrix(psi: PureState, system: Iterable[str]) -> tuple[np.ndarray, li
     sys_pos = lay.positions(system)
     anc_pos = [p for p in range(lay.nfactors) if p not in sys_pos]
     if not anc_pos:
-        raise ValueError("state has no ancilla registers beyond the system")
+        raise ValueError("state has no registers outside the chosen ones")
     t = psi.tensor().transpose(sys_pos + anc_pos)
     d_sys = math.prod(lay.dims[p] for p in sys_pos)
     return t.reshape(d_sys, -1), sys_pos, anc_pos
@@ -243,33 +257,21 @@ def max_overlap_isometry(target: np.ndarray, source: np.ndarray) -> tuple[np.nda
     return u, float(sv.sum())
 
 
-def uhlmann_partner(rho: DensityOperator, sigma, phi: PureState,
-                    tols: Tolerances = DEFAULT_TOLS) -> PureState:
+def uhlmann_partner(rho: DensityOperator, sigma, phi: PureState) -> PureState:
     """Purification of sigma, on phi's space, closest to the purification phi of rho.
 
     The system registers are identified by rho's layout labels inside phi; all
     other registers of phi form the ancilla.  The construction is the polar /
     SVD one, so <phi|psi> is real nonnegative and equals F(rho, sigma) up to
-    numerics.
+    numerics.  sigma's purification follows purification_matrix's rules.
     """
     s = as_matrix(sigma)
     if s.shape[0] != rho.dim:
         raise ValueError("sigma dimension differs from rho")
     m_phi, sys_pos, anc_pos = _split_matrix(phi, rho.layout.labels)
-    red = partial_trace_matrix(phi.density().matrix, phi.layout.dims, sys_pos)
-    if np.abs(red - rho.matrix).max() > 1e-8:
+    if np.abs(m_phi @ m_phi.conj().T - rho.matrix).max() > 1e-8:
         raise ValueError("phi does not purify rho within 1e-8")
-
-    d_anc = m_phi.shape[1]
-    w, v = hermitian_eig(s, tols)
-    order = np.argsort(w)[::-1]
-    w, v = np.clip(w[order], 0.0, None), v[:, order]
-    rank = int((w > tols.support).sum())
-    if rank > d_anc:
-        raise ValueError(f"phi's ancilla (dim {d_anc}) is too small to purify sigma (rank {rank})")
-    k = min(d_anc, rho.dim)
-    m_src = v[:, :k] * np.sqrt(w[:k])     # d_sys x k, canonical purification of sigma
-
+    m_src = purification_matrix(s, m_phi.shape[1])     # d_sys x d_anc, zero-padded
     u, _ = max_overlap_isometry(m_phi, m_src)
     m_psi = m_src @ u.T                   # d_sys x d_anc
 
@@ -285,88 +287,85 @@ def uhlmann_partner(rho: DensityOperator, sigma, phi: PureState,
 # entropies
 
 
-def entropy_of_spectrum(w: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
+def entropy_of_spectrum(w: np.ndarray):
     """Entropy in bits of a spectrum (..., d); eigenvalues below the zero cutoff count 0."""
-    keep = w > tols.zero_eig
+    keep = w > DEFAULT_TOLS.zero_eig
     h = -np.where(keep, w * np.log2(np.where(keep, w, 1.0)), 0.0).sum(axis=-1)
     return _value(np.where(h > 0.0, h, 0.0))
 
 
-def von_neumann_entropy(rho, tols: Tolerances = DEFAULT_TOLS):
+def von_neumann_entropy(rho):
     """S(rho) in bits; eigenvalues below the zero cutoff contribute 0."""
     w = np.linalg.eigvalsh(hermitianize(as_stack(rho)))
-    return entropy_of_spectrum(w, tols)
+    return entropy_of_spectrum(w)
 
 
-def _reduced_entropy(rho: DensityOperator, labels: Iterable[str], tols: Tolerances) -> float:
-    return von_neumann_entropy(partial_trace(rho, labels).matrix, tols)
+def _reduced_entropy(rho: DensityOperator, labels: Iterable[str]) -> float:
+    return von_neumann_entropy(partial_trace(rho, labels).matrix)
 
 
-def conditional_entropy(rho: DensityOperator, a: Iterable[str], c: Iterable[str],
-                        tols: Tolerances = DEFAULT_TOLS) -> float:
+def conditional_entropy(rho: DensityOperator, a: Iterable[str], c: Iterable[str]) -> float:
     """S(A|C) = S(AC) - S(C); an empty conditioning set gives plain S(A)."""
     a, c = list(a), list(c)
     if set(a) & set(c):
         raise ValueError("conditioning registers overlap the target registers")
     if not c:
-        return _reduced_entropy(rho, a, tols)
-    return _reduced_entropy(rho, a + c, tols) - _reduced_entropy(rho, c, tols)
+        return _reduced_entropy(rho, a)
+    return _reduced_entropy(rho, a + c) - _reduced_entropy(rho, c)
 
 
-def mutual_information(rho: DensityOperator, x: Iterable[str], y: Iterable[str],
-                       tols: Tolerances = DEFAULT_TOLS) -> float:
+def mutual_information(rho: DensityOperator, x: Iterable[str], y: Iterable[str]) -> float:
     """I(X:Y) = S(X) + S(Y) - S(XY)."""
     x, y = list(x), list(y)
     if set(x) & set(y):
         raise ValueError("the two register groups overlap")
-    return (_reduced_entropy(rho, x, tols) + _reduced_entropy(rho, y, tols)
-            - _reduced_entropy(rho, x + y, tols))
+    return (_reduced_entropy(rho, x) + _reduced_entropy(rho, y)
+            - _reduced_entropy(rho, x + y))
 
 
-def _sigma_basis(r: np.ndarray, s: np.ndarray, tols: Tolerances):
+def _sigma_basis(r: np.ndarray, s: np.ndarray):
     """sigma's eigensystem, rho's diagonal in that basis, and whether rho leaves
-    sigma's support: its mass on eigenvalues <= tols.support exceeds tols.support.
+    sigma's support: its mass on eigenvalues <= support exceeds support.
     """
-    ws, vs = hermitian_eig(s, tols)
+    ws, vs = hermitian_eig(s)
     diag = np.einsum("...ik,...ki->...i", dagger(vs) @ r, vs).real
-    leak = np.where(ws > tols.support, 0.0, np.clip(diag, 0.0, None)).sum(axis=-1)
-    return ws, vs, diag, leak > tols.support
+    leak = np.where(ws > DEFAULT_TOLS.support, 0.0, np.clip(diag, 0.0, None)).sum(axis=-1)
+    return ws, vs, diag, leak > DEFAULT_TOLS.support
 
 
-def relative_entropy(rho, sigma, tols: Tolerances = DEFAULT_TOLS):
+def relative_entropy(rho, sigma):
     """S(rho || sigma) in bits; +inf iff rho's support leaves sigma's support.
 
-    Support is decided by the eigenvalue cutoff tols.support (1e-10).
+    Support is decided by the eigenvalue cutoff DEFAULT_TOLS.support (1e-10).
     """
     r, s = _pair(rho, sigma)
-    ws, _, diag, leaves = _sigma_basis(r, s, tols)
+    ws, _, diag, leaves = _sigma_basis(r, s)
     wr = np.linalg.eigvalsh(hermitianize(r))
-    tr_rho_log_rho = -entropy_of_spectrum(wr, tols)
-    sup = ws > tols.support
+    tr_rho_log_rho = -entropy_of_spectrum(wr)
+    sup = ws > DEFAULT_TOLS.support
     tr_rho_log_sigma = np.where(sup, diag * np.log2(np.where(sup, ws, 1.0)), 0.0).sum(axis=-1)
     return _value(np.where(leaves, np.inf, tr_rho_log_rho - tr_rho_log_sigma))
 
 
-def min_relative_entropy(rho, sigma, tols: Tolerances = DEFAULT_TOLS):
+def min_relative_entropy(rho, sigma):
     """S_inf(rho || sigma) = log2 of the least k with rho <= 2^k sigma.
 
     Computed as log2 lambda_max(sigma^{-1/2} rho sigma^{-1/2}) on sigma's
     support; +inf under the same support rule as relative_entropy.
     """
     r, s = _pair(rho, sigma)
-    ws, vs, _, leaves = _sigma_basis(r, s, tols)
-    sup = (ws > tols.support)[..., None, :]
+    ws, vs, _, leaves = _sigma_basis(r, s)
+    sup = (ws > DEFAULT_TOLS.support)[..., None, :]
     q = np.where(sup, vs / np.sqrt(np.where(sup, ws[..., None, :], 1.0)), 0.0) @ dagger(vs)
     lam = np.linalg.eigvalsh(hermitianize(q @ r @ q))[..., -1]
-    return _value(np.where(leaves, np.inf, np.log2(np.maximum(lam, tols.zero_eig))))
+    return _value(np.where(leaves, np.inf, np.log2(np.maximum(lam, DEFAULT_TOLS.zero_eig))))
 
 
 # ---------------------------------------------------------------------------
 # measurement and Schmidt decomposition
 
 
-def measure_register(state: PureState | DensityOperator, regs: Iterable[str],
-                     tols: Tolerances = DEFAULT_TOLS) -> DensityOperator:
+def measure_register(state: PureState | DensityOperator, regs: Iterable[str]) -> DensityOperator:
     """Dephase the named registers in the computational basis (explicit pinching).
 
     Off-diagonal blocks on the measured registers are zeroed exactly; no
@@ -382,7 +381,7 @@ def measure_register(state: PureState | DensityOperator, regs: Iterable[str],
         shape[p] = lay.dims[p]
         shape[p + n] = lay.dims[p]
         t = t * np.eye(lay.dims[p]).reshape(shape)
-    return DensityOperator(t.reshape(lay.dim, lay.dim), lay, validate=False, tols=tols)
+    return DensityOperator(t.reshape(lay.dim, lay.dim), lay, validate=False)
 
 
 @dataclass(frozen=True)
@@ -407,13 +406,7 @@ class SchmidtDecomposition:
 def schmidt_decompose(psi: PureState, cut: Iterable[str]) -> SchmidtDecomposition:
     """Schmidt decomposition across the bipartition (cut registers, rest)."""
     lay = psi.layout
-    cut_pos = lay.positions(cut)
-    rest_pos = [p for p in range(lay.nfactors) if p not in cut_pos]
-    if not rest_pos:
-        raise ValueError("cut must leave at least one register on the other side")
-    t = psi.tensor().transpose(cut_pos + rest_pos)
-    d_left = math.prod(lay.dims[p] for p in cut_pos)
-    m = t.reshape(d_left, -1)
+    m, cut_pos, rest_pos = _split_matrix(psi, cut)
     u, sv, vh = np.linalg.svd(m, full_matrices=False)
     return SchmidtDecomposition(
         coefficients=sv,

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLS
-from .games import AdviceEnsemble
-from .linalg import RegisterLayout, _check_psd_spectrum, hermitian_eig, psd_eigvalsh
-from .qinfo import PureState, entropy_of_spectrum, max_overlap_isometry
+from .games import AdviceEnsemble, check_distribution, is_product
+from .linalg import RegisterLayout, psd_eigvalsh
+from .qinfo import PureState, entropy_of_spectrum, max_overlap_isometry, purification_matrix
 
 _REGS = ("X", "A", "B", "Y")
 
@@ -41,8 +40,7 @@ class SuperposedState:
         k = p.shape[0]
         if p.shape != (k, k):
             raise ValueError("p must be square")
-        if p.min() < -1e-15 or abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError("p is not a probability distribution")
+        check_distribution(p)
         adv = advice_states if isinstance(advice_states, AdviceEnsemble) \
             else AdviceEnsemble(np.asarray(advice_states, dtype=complex), p)
         if adv.k != k:
@@ -126,23 +124,6 @@ class DecouplingResult:
     state_out: PureState
 
 
-def _canonical_purification_matrix(rho: np.ndarray, anc_dim: int) -> np.ndarray:
-    """(d_sys x anc_dim) amplitude matrix purifying rho, eigenvalues descending."""
-    w, v = hermitian_eig(rho)
-    _check_psd_spectrum(w, DEFAULT_TOLS)
-    order = np.argsort(w)[::-1]
-    w = np.clip(w[order], 0.0, None)
-    v = v[:, order]
-    k = min(anc_dim, rho.shape[0])
-    if w[k:].sum() > 1e-9:
-        raise ValueError("ancilla too small to purify: trailing eigenvalue mass")
-    # pad unused ancilla directions with zero amplitude so the matrix always
-    # has anc_dim columns; the polar isometries downstream need the full width
-    m = np.zeros((rho.shape[0], anc_dim), dtype=complex)
-    m[:, :k] = v[:, :k] * np.sqrt(w[:k])
-    return m
-
-
 def pure_product_fidelity(m: np.ndarray) -> float:
     """F(|psi><psi|, rho_S (x) rho_R) for the pure psi with (S x R) amplitude matrix m.
 
@@ -159,6 +140,20 @@ def pure_product_fidelity(m: np.ndarray) -> float:
     return min(f, 1.0)
 
 
+def _polar_isometries(rho_plus: np.ndarray, conds: np.ndarray, px: np.ndarray) -> np.ndarray:
+    """Maximal-overlap isometries from each conditional conds[x] (system x ancilla,
+    weight px[x]) onto the purification of rho_plus on a k times larger ancilla."""
+    k, _, d = conds.shape
+    m_phi = purification_matrix(rho_plus, k * d)
+    iso = np.zeros((k, k * d, d), dtype=complex)
+    for x in range(k):
+        if px[x] <= 1e-15:                              # weightless (or rounded-negative)
+            iso[x] = np.eye(k * d, d)                   # input: any isometry
+        else:
+            iso[x], _ = max_overlap_isometry(m_phi, conds[x] / math.sqrt(px[x]))
+    return iso
+
+
 def build_decoupling(omega: SuperposedState) -> DecouplingResult:
     """Construct decoupling isometries for a product input distribution.
 
@@ -172,46 +167,28 @@ def build_decoupling(omega: SuperposedState) -> DecouplingResult:
     """
     p = omega.p
     k = omega.k
-    px, py = p.sum(axis=1), p.sum(axis=0)
-    if np.abs(p - np.outer(px, py)).max() > 1e-10:
+    if not is_product(p):
         raise ValueError("decoupling construction requires a product input distribution")
 
     da, db = omega.dims()
     da2, db2 = da * k, db * k
     delta_x, delta_y = sic_terms(omega)
-    px, py = np.clip(px, 0.0, None), np.clip(py, 0.0, None)
 
     omega_t = omega.state.tensor()                      # [x, a, b, y]
     t = omega_t.reshape(k * da, db * k)                 # (X, A) x (B, Y)
 
-    # Alice side: conditionals on (B, Y) given x, average rho_+.
-    rho_plus = t.T @ t.conj()
-    m_phi = _canonical_purification_matrix(rho_plus, da2)   # (db*k, da2), sys = (B, Y)
-    u_list = np.zeros((k, da2, da), dtype=complex)
-    for x in range(k):
-        if px[x] <= 1e-15:
-            u_list[x] = np.eye(da2, da)                 # weightless input, any isometry
-            continue
-        psi_x = omega_t[x] / math.sqrt(px[x])           # [a, b, y]
-        src = psi_x.transpose(1, 2, 0).reshape(db * k, da)
-        u_list[x], _ = max_overlap_isometry(m_phi, src)
+    # Alice side: conditionals on (B, Y) given x, average rho_+ on (B, Y).
+    u_list = _polar_isometries(t.T @ t.conj(),
+                               omega_t.transpose(0, 2, 3, 1).reshape(k, db * k, da), p.sum(axis=1))
 
     omega1_t = np.einsum("xpa,xaby->xpby", u_list, omega_t)
     lay1 = RegisterLayout((k, da2, db, k), _REGS)
     omega1 = PureState(omega1_t.reshape(-1), lay1, validate=False)
     fbar_alice = 1.0 - pure_product_fidelity(omega1_t.reshape(k, -1))   # X : A'BY
 
-    # Bob side: conditionals on (X, A) given y.
-    rho_plus_b = t @ t.conj().T
-    m_phi_b = _canonical_purification_matrix(rho_plus_b, db2)  # (k*da, db2), sys = (X, A)
-    v_list = np.zeros((k, db2, db), dtype=complex)
-    for y in range(k):
-        if py[y] <= 1e-15:
-            v_list[y] = np.eye(db2, db)
-            continue
-        psi_y = omega_t[:, :, :, y] / math.sqrt(py[y])  # [x, a, b]
-        src = psi_y.reshape(k * da, db)
-        v_list[y], _ = max_overlap_isometry(m_phi_b, src)
+    # Bob side: conditionals on (X, A) given y, average on (X, A).
+    v_list = _polar_isometries(t @ t.conj().T,
+                               omega_t.transpose(3, 0, 1, 2).reshape(k, k * da, db), p.sum(axis=0))
 
     omega3_t = np.einsum("yqb,xpby->xpqy", v_list, omega1_t)
     lay3 = RegisterLayout((k, da2, db2, k), _REGS)

@@ -327,6 +327,22 @@ class TestSimulate:
         assert main(["simulate", str(badkind)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("overrides, field", [
+        ({"model": {"kind": "iid_bernoulli"}}, "'w'"),
+        ({"model": {"kind": "win_all_or_partial", "q": 0.9}}, "'f'"),
+        ({"model": {"kind": "strategy_backed", "game": "chsh.json", "d": [2]}}, "'d'"),
+        ({"n": None}, "'n'"),
+        ({"trials": [5]}, "'trials'"),
+    ])
+    def test_bad_fields_are_input_errors(self, tmp_path, capsys, overrides, field):
+        write_chsh(tmp_path)
+        cfg = self.write_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not out.exists()
+
 
 class TestSic:
     def test_constant_advice(self, tmp_path, capsys):
@@ -392,6 +408,24 @@ class TestSic:
             "advice": [[[[1.0, 0.0]] * 4]],
         }))
         assert main(["sic", str(short)]) == 2
+
+    @pytest.mark.parametrize("advice", [5, "grid", [1, 2], [[None, None], [None]]])
+    def test_malformed_advice_is_input_error(self, tmp_path, capsys, advice):
+        doc = json.loads(constant_spec(tmp_path).read_text())
+        doc["advice"] = advice
+        spec = tmp_path / "bad_advice.json"
+        spec.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["sic", str(spec), "--decouple", "--out", str(out)]) == 2
+        assert "'advice'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_object_spec_is_input_error(self, tmp_path, capsys):
+        spec = tmp_path / "list.json"
+        spec.write_text("[1, 2]")
+        assert main(["sic", str(spec), "--out", str(tmp_path / "out")]) == 2
+        assert "JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestTopLevel:

@@ -32,7 +32,7 @@ from entgames.games import (
 from entgames.games import _update_measurements
 from entgames.linalg import hermitianize
 from entgames.qinfo import PureState
-from entgames.random_states import random_projective, rng_for
+from entgames.random_states import haar_state, random_projective, rng_for
 
 TSIRELSON = math.cos(math.pi / 8) ** 2
 
@@ -263,6 +263,56 @@ class TestStrategyWinProbability:
         sq.validate()
         value = strategy_win_probability(repeat(chsh(), 2), sq)
         assert abs(value - math.cos(math.pi / 8) ** 4) <= 1e-12
+
+
+class TestStrategyValidate:
+    """Each way a projective strategy can be malformed is rejected on its own."""
+
+    @staticmethod
+    def parts(da: int = 2, db: int = 3, k: int = 3, l: int = 2):
+        rng = rng_for(0, 903)
+        psi = PureState.from_vector(haar_state(rng, da * db), (da, db), ("A", "B"))
+        alice = np.stack([random_projective(rng, da, l) for _ in range(k)])
+        bob = np.stack([random_projective(rng, db, l) for _ in range(k)])
+        return psi, {"alice": alice, "bob": bob}
+
+    def check(self, psi, meas, side, match):
+        q = QuantumStrategy(psi, meas["alice"], meas["bob"])
+        with pytest.raises(ValueError, match=f"{side}.*{match}"):
+            q.validate()
+
+    def test_accepts_projective_within_tolerance(self):
+        psi, meas = self.parts()
+        meas["bob"][1, 0] += 1e-10 * np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+        QuantumStrategy(psi, meas["alice"], meas["bob"]).validate()
+
+    @pytest.mark.parametrize("side", ["alice", "bob"])
+    def test_rejects_non_hermitian(self, side):
+        psi, meas = self.parts()
+        meas[side][1, 0, 0, 1] += 1e-3
+        self.check(psi, meas, side, "not Hermitian")
+
+    @pytest.mark.parametrize("side", ["alice", "bob"])
+    def test_rejects_non_idempotent(self, side):
+        # Hermitian and complete, but a two-outcome POVM rather than projective
+        psi, meas = self.parts()
+        e0, e1 = meas[side][2]
+        meas[side][2] = np.stack([0.9 * e0 + 0.1 * e1, 0.1 * e0 + 0.9 * e1])
+        self.check(psi, meas, side, "not idempotent")
+
+    @pytest.mark.parametrize("side", ["alice", "bob"])
+    def test_rejects_incomplete(self, side):
+        # every element is still a projector; input 1 just loses an outcome
+        psi, meas = self.parts()
+        meas[side][1, 1] = 0.0
+        self.check(psi, meas, side, "sum to identity")
+
+    @pytest.mark.parametrize("side", ["alice", "bob"])
+    def test_rejects_dimension_mismatch(self, side):
+        # valid 4-dimensional measurements on a 2 x 3 state
+        psi, meas = self.parts()
+        meas[side] = np.stack([random_projective(rng_for(1, 903), 4, 2) for _ in range(3)])
+        self.check(psi, meas, side, "dimension mismatch")
 
 
 class TestSeesaw:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from entgames.config import BudgetError, Tolerances
+from entgames.config import BudgetError
 from entgames.linalg import (
     DensityOperator,
     RegisterLayout,
@@ -65,6 +65,10 @@ class TestDensityOperator:
         m = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(ValueError):
             DensityOperator.from_matrix(m)
+
+    def test_rejects_trace_above_one(self):
+        with pytest.raises(ValueError, match="trace"):
+            DensityOperator.from_matrix(np.eye(2, dtype=complex) * 0.6)
 
 
 class TestHermitianEig:
@@ -202,15 +206,6 @@ class TestAsMatrix:
     def test_unwraps_matrix_attr(self, rng):
         d = DensityOperator.from_matrix(random_mixed(rng, 3))
         assert as_matrix(d) is d.matrix
-
-
-class TestTolerances:
-    def test_override_threading(self):
-        loose = Tolerances(trace=0.5)
-        m = np.eye(2, dtype=complex) * 0.6
-        DensityOperator.from_matrix(m, tols=loose)   # trace 1.2 admitted
-        with pytest.raises(ValueError):
-            DensityOperator.from_matrix(m)
 
 
 class TestStacks:

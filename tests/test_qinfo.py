@@ -24,6 +24,7 @@ from entgames.qinfo import (
     min_relative_entropy,
     mutual_information,
     povm_outcome_bound,
+    purification_matrix,
     purify,
     relative_entropy,
     schmidt_decompose,
@@ -179,6 +180,39 @@ class TestPurify:
         assert_allclose(np.abs(amps[1]), [0.0, 0.0], atol=1e-10)
 
 
+class TestPurificationMatrix:
+    def test_reproduces_rho_with_descending_columns(self, rng):
+        for d in (2, 3, 5):
+            rho = random_mixed(rng, d)
+            m = purification_matrix(rho, d)
+            assert m.shape == (d, d)
+            assert_allclose(m @ m.conj().T, rho, atol=1e-12)
+            norms = (np.abs(m) ** 2).sum(axis=0)
+            assert (np.diff(norms) <= 1e-15).all()
+            assert_allclose(norms, np.linalg.eigvalsh(rho)[::-1], atol=1e-12)
+
+    def test_columns_past_d_are_zero(self, rng):
+        rho = random_mixed(rng, 3)
+        m = purification_matrix(rho, 7)
+        assert m.shape == (3, 7)
+        assert not m[:, 3:].any()
+        assert_allclose(m @ m.conj().T, rho, atol=1e-12)
+
+    def test_trailing_mass_rule(self):
+        # eigenvalue mass beyond the ancilla's width is dropped up to 1e-9
+        for tail in (0.0, 5e-10):
+            m = purification_matrix(np.diag([0.6, 0.4 - tail, tail]).astype(complex), 2)
+            assert_allclose(np.abs(m) ** 2, [[0.6, 0.0], [0.0, 0.4 - tail], [0.0, 0.0]],
+                            atol=1e-15)
+        rho = np.diag([0.6, 0.4 - 2e-9, 2e-9]).astype(complex)
+        with pytest.raises(ValueError, match="trailing eigenvalue mass"):
+            purification_matrix(rho, 2)
+
+    def test_rejects_non_psd(self):
+        with pytest.raises(ValueError, match="not PSD"):
+            purification_matrix(np.diag([1.5, -0.5]).astype(complex), 2)
+
+
 class TestUhlmann:
     def test_overlap_matches_fidelity(self, rng):
         for d in (2, 3, 4):
@@ -196,6 +230,30 @@ class TestUhlmann:
         psi = uhlmann_partner(r, s, purify(r))
         red = partial_trace(psi.density(), ["S"])
         assert_allclose(red.matrix, s.matrix, atol=1e-9)
+
+    def test_ancilla_larger_than_system(self, rng):
+        # phi's 5-dim ancilla exceeds the 2-dim system: sigma's purification
+        # is padded with zero columns before the polar step
+        r = DensityOperator.from_matrix(random_mixed(rng, 2), (2,), ("S",))
+        s = random_mixed(rng, 2)
+        m_phi = purification_matrix(r.matrix, 5) @ haar_unitary(rng, 5)
+        phi = PureState.from_vector(m_phi.reshape(-1), (2, 5), ("S", "E"))
+        psi = uhlmann_partner(r, s, phi)
+        assert psi.layout == phi.layout
+        ov = phi.overlap(psi)
+        assert abs(ov.imag) <= 1e-9
+        assert abs(ov.real - fidelity(r.matrix, s)) <= 1e-9
+        assert_allclose(partial_trace(psi.density(), ["S"]).matrix, s, atol=1e-12)
+
+    def test_ancilla_too_small(self):
+        # a pure rho purified on a 1-dim ancilla; sigma fits iff its mass
+        # beyond the top eigenvalue is at most 1e-9
+        r = DensityOperator.from_matrix(KET0, (2,), ("S",))
+        phi = PureState.from_vector([1.0, 0.0], (2, 1), ("S", "E"))
+        near_pure = np.diag([1.0 - 5e-10, 5e-10]).astype(complex)
+        assert abs(uhlmann_partner(r, near_pure, phi).overlap(phi)) >= 1.0 - 1e-9
+        with pytest.raises(ValueError, match="trailing eigenvalue mass"):
+            uhlmann_partner(r, np.eye(2, dtype=complex) / 2, phi)
 
     def test_rejects_wrong_purification(self, rng):
         r = DensityOperator.from_matrix(random_mixed(rng, 3), (3,), ("S",))
