@@ -1,20 +1,24 @@
 """Randomized verification suite for the fidelity/entropy inequality stack.
 
 Each named check is a sampler plus a margin kernel.  The sampler draws one
-trial's inputs from that trial's generator and returns them with a group key
-(the trial's dimensions and any discrete choice).  The kernel takes the
-inputs of a group of trials stacked along a leading axis and returns one
-signed margin per trial: nonnegative means the inequality held (equality
-checks return minus the absolute deviation).  A trial counts as a violation
-when the margin falls below minus the check's tolerance.  Trial t of check c
-uses the generator rng_for(seed, CHECK_STREAM, c, t), so any single trial can
-be replayed from the report alone with REGISTRY[name].func, which runs the
-sampler and the kernel on a batch of one.
+trial's raw numbers from that trial's generator (Gaussian entries of its
+states, Dirichlet weights, samples) and returns them with a group key (the
+trial's dimensions and any discrete choice).  CheckDef.inputs stacks the
+draws of a group of trials along a leading axis and builds their states on
+the whole stack (_BUILD names which draws are states, and how they are
+built).  The kernel takes those stacked inputs and returns one signed margin
+per trial: nonnegative means the inequality held (equality checks return
+minus the absolute deviation).  A trial counts as a violation when the margin
+falls below minus the check's tolerance.  Trial t of check c uses the
+generator rng_for(seed, CHECK_STREAM, c, t), so any single trial can be
+replayed from the report alone with REGISTRY[name].func, which runs the
+sampler, the construction and the kernel on a batch of one.
 
-run_check samples trials in blocks of _BLOCK and calls the kernel once per
-group key in a block.  Every kernel operation acts on each slice on its own,
-so a trial's margin does not depend on the trials that share its block; a
-violating trial's states are dumped by replaying it.
+run_check derives the generators of each block of _BLOCK trials in one
+rng_block pass, and builds and evaluates the block once per group key.  Every
+construction and kernel operation acts on each slice on its own, so a trial's
+margin does not depend on the trials that share its block; a violating
+trial's states are dumped by replaying it.
 """
 
 from __future__ import annotations
@@ -45,10 +49,13 @@ from .qinfo import (
     von_neumann_entropy,
 )
 from .random_states import (
+    classical_states,
     floor_eigenvalues,
-    random_classical,
-    random_mixed,
-    random_povm,
+    mixed_draw,
+    mixed_states,
+    povm_draw,
+    povms,
+    rng_block,
     rng_for,
 )
 
@@ -86,7 +93,7 @@ def _sample_states(n: int) -> Callable:
     """Sampler of n mixed states rho1..rhon of one dimension from DIM_POOL."""
     def sample(rng):
         d = _dim(rng)
-        return (d,), {f"rho{i + 1}": random_mixed(rng, d) for i in range(n)}
+        return (d,), {f"rho{i + 1}": mixed_draw(rng, d) for i in range(n)}
     return sample
 
 
@@ -110,8 +117,8 @@ def _sample_cq_fidelity(rng):
     k = int(rng.integers(2, 4))
     d = _dim(rng, (2, 3, 4))
     p, q = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(k))
-    blocks_p = np.stack([random_mixed(rng, d) for _ in range(k)])
-    blocks_q = np.stack([random_mixed(rng, d) for _ in range(k)])
+    blocks_p = np.stack([mixed_draw(rng, d) for _ in range(k)])
+    blocks_q = np.stack([mixed_draw(rng, d) for _ in range(k)])
     return (k, d), {"p": p, "q": q, "rho_blocks": blocks_p, "sigma_blocks": blocks_q}
 
 
@@ -132,8 +139,8 @@ def _cq_fidelity(key, x):
 def _sample_povm_bound(rng):
     d = _dim(rng)
     n_out = int(rng.integers(2, 6))
-    r, s = random_mixed(rng, d), random_mixed(rng, d)
-    return (d, n_out), {"rho": r, "sigma": s, "povm": np.stack(random_povm(rng, d, n_out))}
+    r, s = mixed_draw(rng, d), mixed_draw(rng, d)
+    return (d, n_out), {"rho": r, "sigma": s, "povm": povm_draw(rng, d, n_out)}
 
 
 def _povm_bound(key, x):
@@ -144,7 +151,7 @@ def _povm_bound(key, x):
 
 def _sample_cptp_mono(rng):
     d1, d2 = _dim(rng, (2, 3)), _dim(rng, (2, 3, 4))
-    r, s = random_mixed(rng, d1 * d2), random_mixed(rng, d1 * d2)
+    r, s = mixed_draw(rng, d1 * d2), mixed_draw(rng, d1 * d2)
     return (d1, d2, int(rng.integers(2))), {"rho": r, "sigma": s}
 
 
@@ -162,7 +169,7 @@ def _cptp_mono(key, x):
 
 def _sample_subadd_cond(rng):
     dims = tuple(_dim(rng, (2, 3)) for _ in range(3))
-    return dims, {"rho": random_mixed(rng, math.prod(dims))}
+    return dims, {"rho": mixed_draw(rng, math.prod(dims))}
 
 
 def _subadd_cond(dims, x):
@@ -174,7 +181,7 @@ def _subadd_cond(dims, x):
 
 def _sample_rho_sigma(rng):
     d = _dim(rng)
-    return (d,), {"rho": random_mixed(rng, d), "sigma": random_mixed(rng, d)}
+    return (d,), {"rho": mixed_draw(rng, d), "sigma": mixed_draw(rng, d)}
 
 
 def _relent_vs_fid(key, x):
@@ -184,9 +191,9 @@ def _relent_vs_fid(key, x):
 
 def _sample_superadd_classical(rng):
     d1, d2 = _dim(rng, (2, 3, 4)), _dim(rng, (2, 3, 4))
-    joint = np.diag(rng.dirichlet(np.ones(d1 * d2)).astype(complex))
-    return (d1, d2), {"sigma12": joint, "ref1": random_classical(rng, d1),
-                      "ref2": random_classical(rng, d2)}
+    return (d1, d2), {"sigma12": rng.dirichlet(np.ones(d1 * d2)),
+                      "ref1": rng.dirichlet(np.ones(d1)),
+                      "ref2": rng.dirichlet(np.ones(d2))}
 
 
 def _superadd_classical(dims, x):
@@ -205,9 +212,8 @@ def _smax_ge_s(key, x):
 
 def _sample_mi_min_relent(rng):
     d1, d2 = _dim(rng, (2, 3)), _dim(rng, (2, 3))
-    r = random_mixed(rng, d1 * d2)
-    return (d1, d2), {"rho": r, "sigma_x": random_mixed(rng, d1),
-                      "sigma_y": random_mixed(rng, d2)}
+    r = mixed_draw(rng, d1 * d2)
+    return (d1, d2), {"rho": r, "sigma_x": mixed_draw(rng, d1), "sigma_y": mixed_draw(rng, d2)}
 
 
 def _mi_min_relent(dims, x):
@@ -221,7 +227,7 @@ def _mi_min_relent(dims, x):
 
 def _sample_relent_mono(rng):
     d1, d2 = _dim(rng, (2, 3)), _dim(rng, (2, 3))
-    r, s = random_mixed(rng, d1 * d2), random_mixed(rng, d1 * d2)
+    r, s = mixed_draw(rng, d1 * d2), mixed_draw(rng, d1 * d2)
     return (d1, d2), {"rho": r, "sigma": s}
 
 
@@ -236,7 +242,7 @@ def _relent_mono(dims, x):
 def _sample_cool_product(rng):
     db = _dim(rng, (2, 3))
     da = _dim(rng, tuple(d for d in (2, 3, 4) if d >= db))
-    return (da, db), {"rho": random_mixed(rng, da * db)}
+    return (da, db), {"rho": mixed_draw(rng, da * db)}
 
 
 def _cool_product(dims, x):
@@ -260,16 +266,33 @@ def _fact_sum(key, x):
     return count - n * (1 - 1 / c), x
 
 
+# how each named raw draw becomes a state, on the stack of a group's trials;
+# inputs not named here (distributions, samples, constants) are used as drawn
+_BUILD = {
+    **dict.fromkeys(("rho", "sigma", "rho1", "rho2", "rho3", "rho4", "rho_blocks",
+                     "sigma_blocks", "sigma_x", "sigma_y"), mixed_states),
+    "povm": povms,
+    **dict.fromkeys(("sigma12", "ref1", "ref2"), classical_states),
+}
+
+
 @dataclass(frozen=True)
 class CheckDef:
-    sample: Callable    # rng -> (group key, dict of one trial's input arrays)
+    sample: Callable    # rng -> (group key, dict of one trial's raw draws)
     kernel: Callable    # (group key, dict of stacked inputs) -> (margins, stacked dump states)
     tolerance: float
     statement: str
 
-    def _run_group(self, key, inputs: list[dict]):
+    @staticmethod
+    def inputs(draws: list[dict]) -> dict:
+        """Kernel inputs of trials that share a group key: their raw draws
+        stacked, and the states among them built on the whole stack."""
+        x = {n: np.stack([d[n] for d in draws]) for n in draws[0]}
+        return {n: _BUILD[n](a) if n in _BUILD else a for n, a in x.items()}
+
+    def _run_group(self, key, draws: list[dict]):
         """The kernel on the stacked inputs of trials that share a group key."""
-        return self.kernel(key, {n: np.stack([x[n] for x in inputs]) for n in inputs[0]})
+        return self.kernel(key, self.inputs(draws))
 
     def evaluate(self, samples: list) -> np.ndarray:
         """Margins of sampled trials, with one kernel call per group key."""
@@ -282,9 +305,10 @@ class CheckDef:
         return margins
 
     def func(self, rng) -> tuple[float, dict]:
-        """One trial's (margin, dump states): the sampler and kernel on a batch of one."""
-        key, inputs = self.sample(rng)
-        margins, dump = self._run_group(key, [inputs])
+        """One trial's (margin, dump states): sampler, construction and kernel
+        on a batch of one."""
+        key, draws = self.sample(rng)
+        margins, dump = self._run_group(key, [draws])
         return float(margins[0]), {n: a[0] for n, a in dump.items()}
 
 
@@ -364,8 +388,8 @@ def run_check(spec: CheckSpec, report_dir: str | Path | None = None) -> CheckRep
     violations = 0
     for start in range(0, spec.trials, _BLOCK):
         trials = range(start, min(start + _BLOCK, spec.trials))
-        margins = check.evaluate(
-            [check.sample(rng_for(spec.seed, CHECK_STREAM, check_id, t)) for t in trials])
+        rngs = rng_block(spec.seed, CHECK_STREAM, check_id, trials=trials)
+        margins = check.evaluate([check.sample(rng) for rng in rngs])
         for trial, margin in zip(trials, margins.tolist()):
             if margin < worst:
                 worst, worst_trial = margin, trial

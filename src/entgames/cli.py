@@ -3,8 +3,9 @@
 Subcommands: value, repeat, verify, simulate, sic.  Every run writes an
 output directory (default out/<command>/<timestamp>-<seed>/) containing
 manifest.json (command, config echo, seed, version, wall time, output paths;
-value and sic add phase timings, the see-saw its iteration rate, verify each
-check's wall seconds and trials/s) and
+value, repeat, simulate and sic add phase timings, the see-saw its iteration
+rate, simulate its number of chunk generators, verify each check's wall
+seconds and trials/s) and
 report.json.  report.json is byte-deterministic for a fixed seed; the manifest
 holds the nondeterministic bookkeeping.  The directory is created only once a
 command's input has passed validation, so an input error (exit 2) leaves none.
@@ -53,21 +54,32 @@ def _load_json(path: Path):
         ) from exc
 
 
-def _field(what: str, doc: dict, key: str, conv, default=None):
+_REQUIRED = object()     # _field default of a field that must be given
+
+
+def _field(what: str, doc: dict, key: str, conv, default=_REQUIRED):
     """conv(doc[key]) for a field of the input document named by what.
 
-    A missing or null field gives default, or, when there is none, an input
-    error naming the field; a value conv rejects is an input error too.
+    A missing or null field gives default (which may be None), or, for a
+    required field, an input error naming the field; a value conv rejects is
+    an input error too.
     """
     value = doc.get(key)
     if value is None:
-        if default is None:
+        if default is _REQUIRED:
             raise ValueError(f"{what} missing field {key!r}")
         return default
     try:
         return conv(value)
     except (TypeError, ValueError):
         raise ValueError(f"{what} field {key!r} has an invalid value") from None
+
+
+def _integer(value) -> int:
+    """int(value), refusing a number with a fractional part such as 2.5."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
 
 
 def _canonical_json(obj) -> str:
@@ -154,10 +166,12 @@ def cmd_value(args) -> int:
 def cmd_repeat(args) -> int:
     t0 = time.perf_counter()
     g = load_game(args.game)
+    t_load = time.perf_counter()
     if args.alpha is None:
         rep = repeat(g, args.n)
     else:
         rep = majority_game(g, args.n, args.alpha)
+    t_write = time.perf_counter()
     out = _out_dir(args, "repeat", 0)
     save_game(rep, out / "game.json")
     report = {
@@ -166,7 +180,10 @@ def cmd_repeat(args) -> int:
     }
     (out / "report.json").write_text(_canonical_json(report))
     cfg = {"game": str(args.game), "n": args.n, "alpha": args.alpha}
-    _write_manifest(out, "repeat", cfg, 0, t0, ["game.json", "report.json"])
+    timings = {"load_s": t_load - t0, "compute_s": t_write - t_load,
+               "write_s": time.perf_counter() - t_write}
+    _write_manifest(out, "repeat", cfg, 0, t0, ["game.json", "report.json"],
+                    timings=timings)
     print(f"wrote {out / 'game.json'} ({rep.k} inputs, {rep.l} outputs per side)")
     return 0
 
@@ -212,8 +229,8 @@ def _model_from_doc(doc: dict, base_dir: Path, n: int):
     if kind == "strategy_backed":
         game = load_game(base_dir / get("game", str))
         res = entangled_value_seesaw(
-            game, d=get("d", int, 2), restarts=get("restarts", int, 8),
-            iters=get("iters", int, 60), seed=get("strategy_seed", int, 0))
+            game, d=get("d", _integer, 2), restarts=get("restarts", _integer, 8),
+            iters=get("iters", _integer, 60), seed=get("strategy_seed", _integer, 0))
         return protocol_mod.StrategyBacked(game, res.strategy, n)
     raise ValueError(f"unknown model kind {kind!r}")
 
@@ -226,16 +243,18 @@ def cmd_simulate(args) -> int:
         raise ValueError("simulate config must be an object with a 'model' field")
     get = partial(_field, "simulate config", doc)
     config = protocol_mod.ProtocolConfig(
-        n=get("n", int), epsilon=get("epsilon", float), t=get("t", float),
-        trials=get("trials", int),
-        seed=args.seed if args.seed is not None else get("seed", int, 0),
+        n=get("n", _integer), epsilon=get("epsilon", float), t=get("t", float),
+        trials=get("trials", _integer),
+        seed=args.seed if args.seed is not None else get("seed", _integer, 0),
         variant=get("variant", str, "general"),
-        v_override=doc.get("v_override"),
-        hash_bits=doc.get("hash_bits"),
+        v_override=get("v_override", _integer, None),
+        hash_bits=get("hash_bits", _integer, None),
     )
+    t_load = time.perf_counter()
     model = _model_from_doc(doc["model"], path.parent, config.n)
     stats = protocol_mod.run_protocol(config, model)
     verdict = protocol_mod.guarantee_report(config, model, stats)
+    t_write = time.perf_counter()
     out = _out_dir(args, "simulate", config.seed)
     report = {
         "command": "simulate",
@@ -256,8 +275,10 @@ def cmd_simulate(args) -> int:
     print(f"verdict: {verdict.verdict}")
     cfg = dict(doc)
     cfg["seed"] = config.seed
-    _write_manifest(out, "simulate", cfg, config.seed, t0,
-                    ["report.json", "report.csv"])
+    timings = {"load_s": t_load - t0, "compute_s": t_write - t_load,
+               "write_s": time.perf_counter() - t_write}
+    _write_manifest(out, "simulate", cfg, config.seed, t0, ["report.json", "report.csv"],
+                    timings=timings, chunks=protocol_mod.chunk_count(config.trials))
     return 1 if verdict.verdict == "violated" else 0
 
 
@@ -269,7 +290,7 @@ def _superposed_from_doc(doc) -> SuperposedState:
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ValueError("'p' must be a square matrix")
     k = p.shape[0]
-    da, db = get("dims", lambda v: [int(d) for d in v])
+    da, db = get("dims", lambda v: [_integer(d) for d in v])
     adv = get("advice", lambda v: np.asarray(v, dtype=float))
     if adv.shape != (k, k, da * db, 2):
         raise ValueError(f"'advice' must be a k x k grid of lists of {da * db} [re, im] pairs")

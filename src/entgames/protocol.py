@@ -31,7 +31,7 @@ import numpy as np
 
 from .config import BudgetError
 from .games import Game, QuantumStrategy, strategy_win_probability
-from .random_states import rng_for
+from .random_states import rng_block
 
 _STREAM_PROTOCOL = 301
 _CHUNK = 512          # trials per derived generator; fixed so results are
@@ -199,6 +199,11 @@ class ProtocolStats:
     p_hash_accept_given_mismatch: float | None = None
 
 
+def chunk_count(trials: int) -> int:
+    """Chunks in a run of trials: chunk i draws from rng_for(seed, 301, i)."""
+    return -(-trials // _CHUNK)
+
+
 def run_protocol(config: ProtocolConfig, model) -> ProtocolStats:
     """Simulate the spot-checking procedure; config.variant selects the plain
     string comparison ("general") or the hash-compressed one ("projection")."""
@@ -207,11 +212,9 @@ def run_protocol(config: ProtocolConfig, model) -> ProtocolStats:
     thr = config.win_threshold() - 1e-9    # integer counts vs real threshold
     bits = config.resolved_hash_bits()
     successes = mostwin = mismatches = mismatch_accepts = 0
-    done = 0
-    chunk_idx = 0
-    while done < config.trials:
-        size = min(_CHUNK, config.trials - done)
-        rng = rng_for(config.seed, _STREAM_PROTOCOL, chunk_idx)
+    rngs = rng_block(config.seed, _STREAM_PROTOCOL, trials=range(chunk_count(config.trials)))
+    for chunk_idx, rng in enumerate(rngs):
+        size = min(_CHUNK, config.trials - chunk_idx * _CHUNK)
         nwins = model.sample_wins(rng, n, size)
         # v inspections with replacement all hit won rounds w.p. (W/n)^v
         matched = rng.random(size) < (nwins / n) ** v
@@ -230,8 +233,6 @@ def run_protocol(config: ProtocolConfig, model) -> ProtocolStats:
             ok = matched
         successes += int(ok.sum())
         mostwin += int((ok & (nwins >= thr)).sum())
-        done += size
-        chunk_idx += 1
     trials = config.trials
     p_succ = successes / trials
     cond_defined = successes > 0

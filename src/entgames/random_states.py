@@ -5,18 +5,138 @@ rng_for(master_seed, *stream), which feeds the whole integer path into one
 numpy SeedSequence.  Identical paths give identical streams; distinct paths
 are statistically independent.  This is the package-wide splittable-counter
 scheme, so results are reproducible from (seed, documented stream ids) alone.
+
+rng_block derives the same generators for a run of consecutive trial indices
+at once: numpy's SeedSequence mixing runs vectorized over the block's paths,
+PCG64's seeding step on Python ints, and one reused Generator takes each
+trial's state in turn.  It is draw for draw equal to rng_for, which stays the
+replay entry point.
+
+Random states are drawn in two steps.  A trial draws only raw numbers
+(mixed_draw, povm_draw), and the states are built from stacks of those draws
+(mixed_states, povms, classical_states), so a block of trials shares one
+construction.  Every construction acts on each slice on its own; random_mixed
+and random_povm are the one-slice case.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .linalg import dagger, hermitianize
 
+# numpy's SeedSequence (pool size 4, numpy/random/bit_generator.pyx) and the
+# PCG64 128-bit LCG multiplier (pcg64.h); rng_block reproduces both
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_M32 = 0xFFFFFFFF
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M128 = (1 << 128) - 1
+_RNG_BLOCK = 256    # trial indices derived per vectorized pass; bounds memory
+
 
 def rng_for(*path: int) -> np.random.Generator:
     """Generator addressed by an integer path (master seed first)."""
     return np.random.default_rng(np.random.SeedSequence([int(p) for p in path]))
+
+
+def _words(n) -> list[int]:
+    """SeedSequence's uint32 words of one path entry, least significant first."""
+    n = int(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _M32]
+    while n > _M32:
+        n >>= 32
+        words.append(n & _M32)
+    return words
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix on rows of values (calls, paths), call i taking
+    the running hash constant from consts[i] to consts[i + 1]."""
+    x = (values ^ consts[:-1, None]) * consts[1:, None]
+    return x ^ (x >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+    return r ^ (r >> 16)
+
+
+def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
+    return np.array([init * pow(mult, k, 1 << 32) & _M32 for k in range(n + 1)],
+                    dtype=np.uint32)
+
+
+_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)
+
+
+def _pcg64_states(entropy: np.ndarray) -> list[dict]:
+    """PCG64 states of default_rng(SeedSequence(path)) for each row of a
+    (paths, words) uint32 array.
+
+    SeedSequence mixes a path word by word, but each step's hash constant does
+    not depend on the data, so every step runs on all paths at once, and the
+    updates of one source word into the other pool words run together.
+    """
+    words = entropy.shape[1]
+    extra = max(words - _POOL, 0)
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * extra)
+    first = np.zeros((_POOL, len(entropy)), dtype=np.uint32)
+    first[:min(words, _POOL)] = entropy.T[:_POOL]
+    pool = _hashmix(first, consts[:_POOL + 1])
+    k = _POOL
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        hashed = _hashmix(np.broadcast_to(pool[src], (len(dst), len(entropy))),
+                          consts[k:k + len(dst) + 1])
+        pool[dst] = _mix(pool[dst], hashed)
+        k += len(dst)
+    for word in entropy.T[_POOL:]:
+        hashed = _hashmix(np.broadcast_to(word, pool.shape), consts[k:k + _POOL + 1])
+        pool = _mix(pool, hashed)
+        k += _POOL
+    # generate_state(4, np.uint64): eight words cycled from the pool, paired
+    # little-endian into (seed_hi, seed_lo, inc_hi, inc_lo)
+    out = _hashmix(np.tile(pool, (2, 1)), _STATE_CONSTS).astype(np.uint64)
+    seeds = out[0::2] | (out[1::2] << np.uint64(32))
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*seeds.tolist()):
+        # pcg64_set_seed: srandom(initstate = s, initseq = i)
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+        state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _M128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
+def rng_block(*prefix: int, trials: Iterable[int]) -> Iterator[np.random.Generator]:
+    """rng_for(*prefix, t) for each t in trials, derived _RNG_BLOCK at a time.
+
+    Yields one Generator, reused: its state is set for each trial in turn, so
+    a trial must finish drawing before the next one is taken.
+    """
+    head = [w for p in prefix for w in _words(p)]
+    rng = np.random.Generator(np.random.PCG64(0))
+    trials = iter(trials)
+    while block := list(itertools.islice(trials, _RNG_BLOCK)):
+        tails = [_words(t) for t in block]
+        states: list = [None] * len(block)
+        for width in {len(w) for w in tails}:
+            rows = [i for i, w in enumerate(tails) if len(w) == width]
+            entropy = np.array([head + tails[i] for i in rows], dtype=np.uint32)
+            for i, state in zip(rows, _pcg64_states(entropy)):
+                states[i] = state
+        for state in states:
+            rng.bit_generator.state = state
+            yield rng
 
 
 def haar_state(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -33,16 +153,29 @@ def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def random_mixed(rng: np.random.Generator, dim: int, rank: int | None = None) -> np.ndarray:
-    """Random mixed state: partial trace of a Haar pure state on dim x rank."""
-    r = dim if rank is None else rank
-    psi = haar_state(rng, dim * r).reshape(dim, r)
-    return psi @ psi.conj().T
+def mixed_draw(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Raw draw of one random mixed state: real and imaginary parts, (2, dim^2)."""
+    return rng.standard_normal((2, dim * dim))
 
 
-def random_classical(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Random classical (diagonal) state with Dirichlet(1,...,1) weights."""
-    return np.diag(rng.dirichlet(np.ones(dim)).astype(complex))
+def mixed_states(g: np.ndarray) -> np.ndarray:
+    """Mixed states from stacked raw draws (..., 2, d^2): the partial trace of
+    the Haar pure state g[..., 0, :] + i g[..., 1, :] (normalized) on d x d."""
+    v = g[..., 0, :] + 1j * g[..., 1, :]
+    v = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    d = math.isqrt(v.shape[-1])
+    psi = v.reshape(v.shape[:-1] + (d, d))
+    return psi @ dagger(psi)
+
+
+def random_mixed(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Random mixed state: partial trace of a Haar pure state on dim x dim."""
+    return mixed_states(mixed_draw(rng, dim)[None])[0]
+
+
+def classical_states(p: np.ndarray) -> np.ndarray:
+    """Classical (diagonal, complex) states of distributions stacked as (..., d)."""
+    return (p[..., None, :] * np.eye(p.shape[-1])).astype(complex)
 
 
 def floor_eigenvalues(rho: np.ndarray, floor: float = 1e-8) -> np.ndarray:
@@ -58,16 +191,25 @@ def floor_eigenvalues(rho: np.ndarray, floor: float = 1e-8) -> np.ndarray:
     return (v * w[..., None, :]) @ dagger(v)
 
 
-def random_povm(rng: np.random.Generator, dim: int, n_outcomes: int) -> list[np.ndarray]:
-    """Random POVM: Wishart-like PSD pieces normalized by their sum."""
-    gs = []
-    for _ in range(n_outcomes):
-        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        gs.append(x @ x.conj().T)
-    s = sum(gs)
-    w, v = np.linalg.eigh(0.5 * (s + s.conj().T))
-    s_isqrt = (v / np.sqrt(w)) @ v.conj().T
-    return [s_isqrt @ g @ s_isqrt for g in gs]
+def povm_draw(rng: np.random.Generator, dim: int, n_outcomes: int) -> np.ndarray:
+    """Raw draw of one random POVM: per outcome, real and imaginary parts of a
+    complex Gaussian matrix, (n_outcomes, 2, dim, dim)."""
+    return rng.standard_normal((n_outcomes, 2, dim, dim))
+
+
+def povms(g: np.ndarray) -> np.ndarray:
+    """POVMs from stacked raw draws (..., n, 2, d, d): Wishart pieces
+    G_a = X_a X_a^dag normalized as S^(-1/2) G_a S^(-1/2), S = sum_a G_a."""
+    x = g[..., 0, :, :] + 1j * g[..., 1, :, :]
+    gs = x @ dagger(x)
+    w, v = np.linalg.eigh(hermitianize(gs.sum(axis=-3)))
+    s_isqrt = ((v / np.sqrt(w)[..., None, :]) @ dagger(v))[..., None, :, :]
+    return s_isqrt @ gs @ s_isqrt
+
+
+def random_povm(rng: np.random.Generator, dim: int, n_outcomes: int) -> np.ndarray:
+    """Random POVM (n_outcomes, dim, dim): Wishart-like PSD pieces normalized by their sum."""
+    return povms(povm_draw(rng, dim, n_outcomes)[None])[0]
 
 
 def random_projective(rng: np.random.Generator, dim: int, n_outcomes: int) -> np.ndarray:

@@ -280,3 +280,110 @@ class TestKernelsMatchReference:
             key, _ = check.sample(rng_for(1, CHECK_STREAM, check_id, t))
             margin, states = check.func(rng_for(1, CHECK_STREAM, check_id, t))
             assert abs(margin - _reference_margin(name, key, states)) <= 1e-10
+
+
+# --- the per-trial samplers from before stacked construction, kept as
+# references: each draws the same numbers in the same order as a check's
+# sampler, and builds every state on its own with the single-matrix formulas
+
+
+def _ref_dim(rng, pool=DIM_POOL) -> int:
+    return int(rng.choice(pool))
+
+
+def _ref_mixed(rng, dim):
+    v = rng.standard_normal(dim * dim) + 1j * rng.standard_normal(dim * dim)
+    psi = (v / np.linalg.norm(v)).reshape(dim, dim)
+    return psi @ psi.conj().T
+
+
+def _ref_povm(rng, dim, n_outcomes):
+    gs = []
+    for _ in range(n_outcomes):
+        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        gs.append(x @ x.conj().T)
+    s = sum(gs)
+    w, v = np.linalg.eigh(0.5 * (s + s.conj().T))
+    s_isqrt = (v / np.sqrt(w)) @ v.conj().T
+    return np.stack([s_isqrt @ g @ s_isqrt for g in gs])
+
+
+def _ref_classical(rng, dim):
+    return np.diag(rng.dirichlet(np.ones(dim)).astype(complex))
+
+
+def _ref_sample(name, rng):
+    """(group key, states) of one trial of check name, built per trial."""
+    if name in ("weak_triangle", "four_state", "fidelity_sq_sum"):
+        d = _ref_dim(rng)
+        n = 4 if name == "four_state" else 3
+        return (d,), {f"rho{i + 1}": _ref_mixed(rng, d) for i in range(n)}
+    if name == "cq_fidelity":
+        k = int(rng.integers(2, 4))
+        d = _ref_dim(rng, (2, 3, 4))
+        p, q = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(k))
+        blocks_p = np.stack([_ref_mixed(rng, d) for _ in range(k)])
+        blocks_q = np.stack([_ref_mixed(rng, d) for _ in range(k)])
+        return (k, d), {"p": p, "q": q, "rho_blocks": blocks_p, "sigma_blocks": blocks_q}
+    if name == "povm_bound":
+        d = _ref_dim(rng)
+        n_out = int(rng.integers(2, 6))
+        r, s = _ref_mixed(rng, d), _ref_mixed(rng, d)
+        return (d, n_out), {"rho": r, "sigma": s, "povm": _ref_povm(rng, d, n_out)}
+    if name == "cptp_mono":
+        d1, d2 = _ref_dim(rng, (2, 3)), _ref_dim(rng, (2, 3, 4))
+        r, s = _ref_mixed(rng, d1 * d2), _ref_mixed(rng, d1 * d2)
+        return (d1, d2, int(rng.integers(2))), {"rho": r, "sigma": s}
+    if name == "subadd_cond":
+        dims = tuple(_ref_dim(rng, (2, 3)) for _ in range(3))
+        return dims, {"rho": _ref_mixed(rng, math.prod(dims))}
+    if name in ("relent_vs_fid", "smax_ge_s"):
+        d = _ref_dim(rng)
+        return (d,), {"rho": _ref_mixed(rng, d), "sigma": _ref_mixed(rng, d)}
+    if name == "superadd_classical":
+        d1, d2 = _ref_dim(rng, (2, 3, 4)), _ref_dim(rng, (2, 3, 4))
+        joint = _ref_classical(rng, d1 * d2)
+        return (d1, d2), {"sigma12": joint, "ref1": _ref_classical(rng, d1),
+                          "ref2": _ref_classical(rng, d2)}
+    if name == "mi_min_relent":
+        d1, d2 = _ref_dim(rng, (2, 3)), _ref_dim(rng, (2, 3))
+        r = _ref_mixed(rng, d1 * d2)
+        return (d1, d2), {"rho": r, "sigma_x": _ref_mixed(rng, d1),
+                          "sigma_y": _ref_mixed(rng, d2)}
+    if name == "relent_mono":
+        d1, d2 = _ref_dim(rng, (2, 3)), _ref_dim(rng, (2, 3))
+        r, s = _ref_mixed(rng, d1 * d2), _ref_mixed(rng, d1 * d2)
+        return (d1, d2), {"rho": r, "sigma": s}
+    if name == "cool_product":
+        db = _ref_dim(rng, (2, 3))
+        da = _ref_dim(rng, tuple(d for d in (2, 3, 4) if d >= db))
+        return (da, db), {"rho": _ref_mixed(rng, da * db)}
+    assert name == "fact_sum"
+    n = int(rng.integers(5, 51))
+    x = rng.exponential(1.0, size=n)
+    return (n,), {"x": x, "c": float(rng.uniform(1.05, 8.0))}
+
+
+class TestStackedConstruction:
+    """Samplers draw raw numbers per trial; CheckDef.inputs builds the states
+    of a whole group at once.  That gives each trial the key and states of the
+    per-trial reference, up to the order of floating-point sums."""
+
+    @pytest.mark.parametrize("name", EXPECTED_ORDER)
+    def test_matches_per_trial_reference(self, name):
+        check, check_id = REGISTRY[name], EXPECTED_ORDER.index(name)
+        trials = range(150)
+        samples = [check.sample(rng_for(2, CHECK_STREAM, check_id, t)) for t in trials]
+        refs = [_ref_sample(name, rng_for(2, CHECK_STREAM, check_id, t)) for t in trials]
+        assert [key for key, _ in samples] == [key for key, _ in refs]
+        groups: dict = {}
+        for i, (key, _) in enumerate(samples):
+            groups.setdefault(key, []).append(i)
+        for idx in groups.values():
+            built = check.inputs([samples[i][1] for i in idx])
+            for j, i in enumerate(idx):
+                ref = refs[i][1]
+                assert built.keys() == ref.keys()
+                for n, want in ref.items():
+                    assert built[n][j].shape == np.shape(want)
+                    assert np.abs(built[n][j] - want).max() <= 1e-12, (name, i, n)

@@ -146,6 +146,17 @@ class TestRepeat:
         g = load_game(out / "game.json")
         assert g.v.all()
 
+    def test_manifest_timings(self, tmp_path):
+        game = write_chsh(tmp_path)
+        out = tmp_path / "out"
+        assert main(["repeat", str(game), "--n", "2", "--out", str(out)]) == 0
+        man = json.loads((out / "manifest.json").read_text())
+        assert set(man["timings"]) == {"load_s", "compute_s", "write_s"}
+        assert all(t >= 0.0 for t in man["timings"].values())
+        # timings stay out of report.json, which is byte-deterministic
+        rep = json.loads((out / "report.json").read_text())
+        assert set(rep) == {"command", "n", "alpha", "k", "l", "name"}
+
     def test_budget_exit_code(self, tmp_path, capsys):
         game = write_chsh(tmp_path)
         assert main(["repeat", str(game), "--n", "12",
@@ -314,6 +325,26 @@ class TestSimulate:
             blobs.append((out / "report.json").read_bytes())
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize("trials, chunks", [(400, 1), (512, 1), (1100, 3)])
+    def test_manifest_timings_and_chunks(self, tmp_path, trials, chunks):
+        cfg = self.write_config(tmp_path, trials=trials)
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 0
+        man = json.loads((out / "manifest.json").read_text())
+        assert set(man["timings"]) == {"load_s", "compute_s", "write_s"}
+        assert all(t >= 0.0 for t in man["timings"].values())
+        assert man["chunks"] == chunks     # one derived generator per 512 trials
+        # timings stay out of report.json, which is byte-deterministic
+        rep = json.loads((out / "report.json").read_text())
+        assert set(rep) == {"command", "config", "stats", "guarantee"}
+
+    def test_integral_float_fields_accepted(self, tmp_path):
+        cfg = self.write_config(tmp_path, v_override=4.0, hash_bits=3.0, trials=400.0)
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 0
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["config"]["v_override"] == 4 and rep["config"]["hash_bits"] == 3
+
     def test_config_errors(self, tmp_path, capsys):
         missing = tmp_path / "none.json"
         assert main(["simulate", str(missing)]) == 2
@@ -333,6 +364,12 @@ class TestSimulate:
         ({"model": {"kind": "strategy_backed", "game": "chsh.json", "d": [2]}}, "'d'"),
         ({"n": None}, "'n'"),
         ({"trials": [5]}, "'trials'"),
+        ({"v_override": "x"}, "'v_override'"),
+        ({"v_override": [3]}, "'v_override'"),
+        ({"v_override": 2.5}, "'v_override'"),
+        ({"hash_bits": "x"}, "'hash_bits'"),
+        ({"hash_bits": [3]}, "'hash_bits'"),
+        ({"hash_bits": 2.5}, "'hash_bits'"),
     ])
     def test_bad_fields_are_input_errors(self, tmp_path, capsys, overrides, field):
         write_chsh(tmp_path)
@@ -418,6 +455,16 @@ class TestSic:
         out = tmp_path / "out"
         assert main(["sic", str(spec), "--decouple", "--out", str(out)]) == 2
         assert "'advice'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fractional_dims_are_input_error(self, tmp_path, capsys):
+        doc = json.loads(constant_spec(tmp_path).read_text())
+        doc["dims"] = [2.5, 2]
+        spec = tmp_path / "bad_dims.json"
+        spec.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["sic", str(spec), "--out", str(out)]) == 2
+        assert "'dims'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_object_spec_is_input_error(self, tmp_path, capsys):

@@ -16,6 +16,7 @@ from entgames.protocol import (
     StrategyBacked,
     WinAllOrPartial,
     checking_bound_margin,
+    chunk_count,
     exact_collision_probability,
     guarantee_report,
     required_v,
@@ -246,6 +247,19 @@ class TestChecking:
         c = run_protocol(ProtocolConfig(n=8, epsilon=0.5, t=1.0, trials=1500,
                                         v_override=4, seed=6), IidBernoulli(0.8))
         assert a.successes != c.successes
+
+    def test_chunk_i_draws_from_rng_for(self):
+        # chunk generators come from rng_block; 301 chunks cross a derivation block
+        n, v, seed, model = 16, 3, 5, IidBernoulli(0.9)
+        cfg = ProtocolConfig(n=n, epsilon=1.0, t=2.0, trials=300 * 512 + 7, v_override=v,
+                             seed=seed)
+        successes = 0
+        for i in range(chunk_count(cfg.trials)):
+            rng, size = rng_for(seed, 301, i), min(512, cfg.trials - 512 * i)
+            wins = model.sample_wins(rng, n, size)
+            successes += int((rng.random(size) < (wins / n) ** v).sum())
+        assert chunk_count(cfg.trials) == 301
+        assert run_protocol(cfg, model).successes == successes
 
     def test_variant_dispatch(self):
         cfg = ProtocolConfig(n=4, epsilon=1.0, t=0.0, trials=50, v_override=2)

@@ -1,0 +1,96 @@
+import numpy as np
+import pytest
+
+from entgames.random_states import (
+    _RNG_BLOCK,
+    classical_states,
+    mixed_draw,
+    mixed_states,
+    povm_draw,
+    povms,
+    random_mixed,
+    random_povm,
+    rng_block,
+    rng_for,
+)
+
+# prefixes of the paths rng_block derives, with the trial index appended:
+# the protocol's 3-part path, a 1-part path, the checks' 4-part path,
+# multi-word seeds (>= 2^32 and >= 2^64) and paths longer than the 4-word pool
+PREFIXES = [
+    (0, 301),
+    (),
+    (0, 201, 12),
+    (7, 201, 0),
+    (2**32 + 5, 201, 3),
+    (2**64 + 3, 301),
+    (1, 2, 3, 4, 5),
+]
+# trial 0, a run longer than one derivation block, and large indices,
+# including several word widths within one block
+TRIALS = [range(2 * _RNG_BLOCK + 17),
+          [0, 2**31, 2**32 - 1, 2**32, 2**40 + 3, 5, 2**64 + 1, 2**96]]
+
+
+def _draws(rng):
+    """One of each draw kind the samplers and run_protocol use."""
+    return [rng.integers(5), rng.integers(2, 51), rng.integers(0, 1 << 40, size=3),
+            rng.integers(0, 2, size=9), rng.standard_normal((2, 9)), rng.random(4),
+            rng.dirichlet(np.ones(3)), rng.exponential(1.0, size=7), rng.uniform(1.05, 8.0),
+            rng.binomial(256, 0.998, size=5), rng.binomial(8, 0.3, size=5)]
+
+
+class TestRngBlock:
+    @pytest.mark.parametrize("prefix", PREFIXES)
+    def test_equals_seed_sequence_draw_for_draw(self, prefix):
+        # pins the vectorized SeedSequence/PCG64 seeding against numpy itself,
+        # so a numpy change to either fails here rather than moving streams
+        for trials in TRIALS:
+            seen = 0
+            for t, rng in zip(trials, rng_block(*prefix, trials=trials)):
+                ref = np.random.default_rng(np.random.SeedSequence([*prefix, t]))
+                for a, b in zip(_draws(rng), _draws(ref)):
+                    assert np.array_equal(a, b), (prefix, t)
+                seen += 1
+            assert seen == len(trials)
+
+    def test_equals_rng_for(self):
+        trials = range(300, 340)
+        for t, rng in zip(trials, rng_block(3, 201, 5, trials=trials)):
+            assert np.array_equal(rng.random(6), rng_for(3, 201, 5, t).random(6))
+
+    def test_empty(self):
+        assert list(rng_block(0, 201, 1, trials=range(0))) == []
+
+    @pytest.mark.parametrize("prefix, trials", [((0, -1), range(2)), ((0,), [3, -2])])
+    def test_negative_entry_raises(self, prefix, trials):
+        with pytest.raises(ValueError):
+            rng_for(*prefix, -1)
+        with pytest.raises(ValueError):
+            list(rng_block(*prefix, trials=trials))
+
+
+class TestStackedConstruction:
+    @pytest.mark.parametrize("d", [2, 3, 4, 6, 8])
+    def test_random_mixed_is_a_slice_of_the_stack(self, d):
+        draws = np.stack([mixed_draw(rng_for(0, 9, d, t), d) for t in range(20)])
+        stacked = mixed_states(draws)
+        for t in range(20):
+            assert np.array_equal(random_mixed(rng_for(0, 9, d, t), d), stacked[t])
+            assert np.array_equal(random_mixed(rng_for(0, 9, d, t), d),
+                                  mixed_states(draws[t:t + 1])[0])
+
+    @pytest.mark.parametrize("d, n_out", [(2, 2), (3, 5), (8, 4)])
+    def test_random_povm_is_a_slice_of_the_stack(self, d, n_out):
+        stacked = povms(np.stack([povm_draw(rng_for(1, d, t), d, n_out) for t in range(10)]))
+        for t in range(10):
+            povm = random_povm(rng_for(1, d, t), d, n_out)
+            assert np.array_equal(povm, stacked[t])
+            assert np.abs(povm.sum(axis=0) - np.eye(d)).max() <= 1e-12
+
+    def test_classical_states(self):
+        p = rng_for(2).dirichlet(np.ones(4))
+        stacked = classical_states(np.stack([p, p[::-1]]))
+        assert stacked.dtype == complex
+        assert np.array_equal(stacked[0], np.diag(p.astype(complex)))
+        assert np.array_equal(stacked[1], np.diag(p[::-1].astype(complex)))
