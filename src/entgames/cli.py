@@ -4,8 +4,8 @@ Subcommands: value, repeat, verify, simulate, sic.  Every run writes an
 output directory (default out/<command>/<timestamp>-<seed>/) containing
 manifest.json (command, config echo, seed, version, wall time, output paths;
 value, repeat, simulate and sic add phase timings, the see-saw its iteration
-rate, simulate its number of chunk generators, verify each check's wall
-seconds and trials/s) and
+count and rate and its lockstep steps, simulate its number of chunk
+generators, verify each check's wall seconds and trials/s) and
 report.json.  report.json is byte-deterministic for a fixed seed; the manifest
 holds the nondeterministic bookkeeping.  The directory is created only once a
 command's input has passed validation, so an input error (exit 2) leaves none.
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import fnmatch
+import functools
 import json
 import sys
 import time
@@ -139,7 +140,7 @@ def cmd_value(args) -> int:
         res = entangled_value_seesaw(g, d=args.d, restarts=args.restarts,
                                      iters=args.iters, seed=seed)
         n_iter = sum(len(tr) for tr in res.traces)
-        extra["seesaw"] = {"iterations": n_iter,
+        extra["seesaw"] = {"iterations": n_iter, "steps": res.steps,
                            "iterations_per_s": n_iter / (time.perf_counter() - t_load)}
         report["value"] = res.value
         report["seed"] = seed
@@ -405,9 +406,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's tree, built on the first main call and reused after it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except BudgetError as exc:

@@ -287,10 +287,11 @@ def _best_projective(ops: np.ndarray) -> np.ndarray:
 
 
 def _update_measurements(meas: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """Best-projective update, kept per input only when it does not decrease the score."""
-    cand = _best_projective(ops)
-    new, old = (np.einsum("xail,xali->x", m, ops).real for m in (cand, meas))
-    return np.where((new >= old)[:, None, None, None], cand, meas)
+    """Best-projective update of (..., k, l, d, d) measurements, kept per input
+    only when it does not decrease the score."""
+    cand = _best_projective(ops.reshape(-1, *ops.shape[-3:])).reshape(ops.shape)
+    new, old = (np.einsum("...ail,...ali->...", m, ops).real for m in (cand, meas))
+    return np.where((new >= old)[..., None, None, None], cand, meas)
 
 
 def _payoff_weights(g: Game) -> np.ndarray:
@@ -299,76 +300,122 @@ def _payoff_weights(g: Game) -> np.ndarray:
 
 
 def _alice_payoffs(w: np.ndarray, bob: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Alice's operators [x, a] for Bob's measurements and per-input-pair states.
+    """Alice's operators [..., x, a] for Bob's measurements and per-input-pair states.
 
-    w is the _payoff_weights table; states has shape (k, k, dA, dB), and a
-    single shared state is passed as phi[None, None], whose size-1 axes
-    einsum broadcasts.
+    w is the _payoff_weights table; bob has shape (..., k, l, dB, dB) and
+    states (..., k, k, dA, dB).  A single shared state is passed with size-1
+    input axes, which einsum broadcasts, and states without the leading axes
+    are shared by every stacked strategy.
     """
-    kmat = np.einsum("xyij,ybkj,xylk->xybil", states, bob, states.conj())
-    return np.einsum("xayb,xybil->xail", w, kmat)
+    kmat = np.einsum("...xyij,...ybkj,...xylk->...xybil", states, bob, states.conj())
+    return np.einsum("xayb,...xybil->...xail", w, kmat)
 
 
 def _bob_payoffs(w: np.ndarray, alice: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Bob's operators [y, b]; w and states as in _alice_payoffs."""
-    cmat = np.einsum("xyij,xali,xylm->xyajm", states, alice, states.conj())
-    return np.einsum("xayb,xyajm->ybjm", w, cmat)
+    """Bob's operators [..., y, b]; w and states as in _alice_payoffs."""
+    cmat = np.einsum("...xyij,...xali,...xylm->...xyajm", states, alice, states.conj())
+    return np.einsum("xayb,...xyajm->...ybjm", w, cmat)
 
 
 def _payoff_operator(w: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
-    """Sum of w[x, a, y, b] alice[x, a] (x) bob[y, b], as two GEMMs."""
-    (k, l, da), db = alice.shape[:3], bob.shape[2]
-    t = alice.reshape(k * l, -1).T @ (w.reshape(k * l, -1) @ bob.reshape(k * l, -1))
-    return hermitianize(t.reshape(da, da, db, db).transpose(0, 2, 1, 3).reshape(da * db, -1))
+    """Sum of w[x, a, y, b] alice[..., x, a] (x) bob[..., y, b], as two batched GEMMs."""
+    lead, (k, l, da), db = alice.shape[:-4], alice.shape[-4:-1], bob.shape[-1]
+    a = alice.reshape(*lead, k * l, da * da)
+    t = a.swapaxes(-1, -2) @ (w.reshape(k * l, -1) @ bob.reshape(*lead, k * l, db * db))
+    t = t.reshape(*lead, da, da, db, db).swapaxes(-3, -2)
+    return hermitianize(t.reshape(*lead, da * db, da * db))
+
+
+def _lockstep(weights: np.ndarray, fixed: np.ndarray | None, cur: np.ndarray,
+              alice: np.ndarray, bob: np.ndarray, iters: int,
+              improve_tol: float) -> tuple[list[list[float]], int]:
+    """Run the restarts stacked in (cur, alice, bob) in lockstep, in place.
+
+    cur holds (R, 1, 1, dA, dB) states, used when fixed (the given states) is
+    None; alice and bob hold (R, k, l, d, d) measurements.  Each step
+    advances the restarts still active, indexed by act, through one Alice,
+    Bob and (with fixed None) state update on their stacks.  A restart leaves
+    the set when its value rose by less than improve_tol, so its trace and
+    final strategy are those of running it alone.  Returns the traces and the
+    number of steps.
+    """
+    traces: list[list[float]] = [[] for _ in range(alice.shape[0])]
+    prev = np.full(alice.shape[0], -np.inf)
+    act = np.arange(alice.shape[0])
+    for step in range(1, iters + 1):
+        st = cur[act] if fixed is None else fixed
+        a = _update_measurements(alice[act], _alice_payoffs(weights, bob[act], st))
+        n_ops = _bob_payoffs(weights, a, st)
+        b = _update_measurements(bob[act], n_ops)
+        if fixed is None:
+            w, v = hermitian_eig(_payoff_operator(weights, a, b))
+            val = w[:, -1]
+            cur[act] = v[:, :, -1].reshape(-1, *cur.shape[1:])
+        else:
+            val = np.einsum("...ybjm,...ybmj->...", b, n_ops).real
+        alice[act], bob[act] = a, b
+        for r, v_r in zip(act, val):
+            traces[r].append(float(v_r))
+        keep = val - prev[act] >= improve_tol
+        prev[act] = val
+        act = act[keep]
+        if act.size == 0:
+            break
+    return traces, step
 
 
 def _seesaw_restarts(g: Game, dims: tuple[int, int], states: np.ndarray | None,
                      stream: int, restarts: int, iters: int, seed: int,
                      improve_tol: float):
-    """Restart loop of both see-saws; yields (trace, states, alice, bob) per restart.
+    """Restart loop of both see-saws; all restarts advance in lockstep.
 
-    With states None each restart first draws a Haar state and updates it
-    after every Bob update; given states stay fixed.  Raises ValueError, on
-    the first step, unless restarts and iters are both at least 1.
+    Restart r draws its start from rng_for(seed, stream, r): with states None
+    a Haar state (updated after every Bob update), then Alice's and Bob's
+    measurements; given states stay fixed.  The restarts then run in
+    consecutive groups (_lockstep) whose largest intermediate,
+    (R, k, k, l, d, d) on the advice path, stays within MAX_TABLE_ENTRIES.
+
+    Returns (traces, states, alice, bob, steps): the per-restart value
+    traces, the final (R, 1, 1, dA, dB) states or the given ones, the final
+    (R, k, l, d, d) measurements, and the number of lockstep steps.  Raises
+    ValueError unless restarts and iters are both at least 1.
     """
     if restarts < 1 or iters < 1:
         raise ValueError(f"restarts and iters must be >= 1, got {restarts} and {iters}")
     da, db = dims
-    weights = _payoff_weights(g)
+    cur = np.zeros((restarts, 1, 1, da, db), dtype=complex)
+    alice = np.zeros((restarts, g.k, g.l, da, da), dtype=complex)
+    bob = np.zeros((restarts, g.k, g.l, db, db), dtype=complex)
     for r in range(restarts):
         rng = rng_for(seed, stream, r)
-        cur = states
         if states is None:
-            cur = haar_state(rng, da * db).reshape(1, 1, da, db)
-        alice = np.stack([random_projective(rng, da, g.l) for _ in range(g.k)])
-        bob = np.stack([random_projective(rng, db, g.l) for _ in range(g.k)])
-        trace: list[float] = []
-        prev = -np.inf
-        for _ in range(iters):
-            alice = _update_measurements(alice, _alice_payoffs(weights, bob, cur))
-            n_ops = _bob_payoffs(weights, alice, cur)
-            bob = _update_measurements(bob, n_ops)
-            if states is None:
-                w, v = hermitian_eig(_payoff_operator(weights, alice, bob))
-                val = float(w[-1])
-                cur = v[:, -1].reshape(1, 1, da, db)
-            else:
-                val = float(np.einsum("ybjm,ybmj->", bob, n_ops).real)
-            trace.append(val)
-            if val - prev < improve_tol:
-                break
-            prev = val
-        yield trace, cur, alice, bob
+            cur[r, 0, 0] = haar_state(rng, da * db).reshape(da, db)
+        alice[r] = [random_projective(rng, da, g.l) for _ in range(g.k)]
+        bob[r] = [random_projective(rng, db, g.l) for _ in range(g.k)]
+    weights = _payoff_weights(g)
+    per_restart = (1 if states is None else g.k) * g.k * g.l * max(da, db) ** 2
+    group = max(1, MAX_TABLE_ENTRIES // per_restart)
+    traces: list[list[float]] = []
+    steps = 0
+    for lo in range(0, restarts, group):
+        part = slice(lo, lo + group)
+        tr, n = _lockstep(weights, states, cur[part], alice[part], bob[part],
+                          iters, improve_tol)
+        traces += tr
+        steps += n
+    return traces, (cur if states is None else states), alice, bob, steps
 
 
 @dataclass(frozen=True)
 class SeesawResult:
-    """Best lower bound found, its strategy, and per-restart value traces."""
+    """Best lower bound found, its strategy, per-restart value traces, and the
+    number of lockstep steps the restarts took together."""
 
     value: float
     strategy: QuantumStrategy
     traces: tuple[tuple[float, ...], ...]
     best_restart: int
+    steps: int
 
 
 def entangled_value_seesaw(g: Game, d: int, restarts: int = 20, iters: int = 100,
@@ -381,22 +428,23 @@ def entangled_value_seesaw(g: Game, d: int, restarts: int = 20, iters: int = 100
     so the value trace is monotone; non-convergence within `iters` is not an
     error, the best iterate is still returned.  Heuristic: no optimality claim
     at fixed d, only a valid lower bound.
+
+    value is the largest final value; best_restart, whose strategy is
+    returned, is the first restart that ends within 1e-12 of it, so rounding
+    noise between restarts that reach the same value does not pick it.
     """
     if d < 1:
         raise ValueError("local dimension must be >= 1")
-    best_val, best_strategy, best_restart = -1.0, None, -1
-    traces: list[tuple[float, ...]] = []
+    traces, phi, alice, bob, steps = _seesaw_restarts(
+        g, (d, d), None, _STREAM_SEESAW, restarts, iters, seed, improve_tol)
+    finals = np.array([trace[-1] for trace in traces])
+    best_val = float(finals.max())
+    best = int(np.argmax(finals >= best_val - 1e-12))
     layout = RegisterLayout((d, d), ("A", "B"))
-    runs = _seesaw_restarts(g, (d, d), None, _STREAM_SEESAW, restarts, iters,
-                            seed, improve_tol)
-    for r, (trace, phi, alice, bob) in enumerate(runs):
-        traces.append(tuple(trace))
-        val = trace[-1]
-        if val > best_val:
-            best_strategy = QuantumStrategy(
-                PureState(phi.reshape(-1), layout, validate=False), alice, bob)
-            best_val, best_restart = val, r
-    return SeesawResult(min(best_val, 1.0), best_strategy, tuple(traces), best_restart)
+    strategy = QuantumStrategy(PureState(phi[best].reshape(-1), layout, validate=False),
+                               alice[best], bob[best])
+    return SeesawResult(min(best_val, 1.0), strategy,
+                        tuple(tuple(trace) for trace in traces), best, steps)
 
 
 def value_with_advice(g: Game, advice: AdviceEnsemble, restarts: int = 20,
@@ -411,9 +459,9 @@ def value_with_advice(g: Game, advice: AdviceEnsemble, restarts: int = 20,
         raise ValueError("advice input arity does not match the game")
     if np.abs(advice.p - g.p).max() > 1e-12:
         raise ValueError("advice ensemble was built for a different distribution")
-    runs = _seesaw_restarts(g, advice.dims(), advice.states, _STREAM_ADVICE,
-                            restarts, iters, seed, improve_tol)
-    return min(max((trace[-1] for trace, *_ in runs), default=-1.0), 1.0)
+    traces, *_ = _seesaw_restarts(g, advice.dims(), advice.states, _STREAM_ADVICE,
+                                  restarts, iters, seed, improve_tol)
+    return min(max(trace[-1] for trace in traces), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import entgames
+from entgames import cli
 from entgames.cli import main
 from entgames.games import chsh, classical_value, load_game, save_game
 
@@ -100,6 +106,8 @@ class TestValue:
                                 "restarts", "iters", "best_restart", "traces"}
             assert man["seesaw"]["iterations"] == sum(len(t) for t in rep["traces"])
             assert man["seesaw"]["iterations_per_s"] > 0.0
+            # the restarts advance in lockstep, so the longest trace sets the steps
+            assert man["seesaw"]["steps"] == max(len(t) for t in rep["traces"])
 
     @pytest.mark.parametrize("flag", ["--iters", "--restarts"])
     def test_entangled_rejects_zero(self, tmp_path, capsys, flag):
@@ -475,9 +483,59 @@ class TestSic:
         assert not (tmp_path / "out").exists()
 
 
+def run_fresh(args: list[str]) -> int:
+    """Exit code of `python args` in a new interpreter that imports this entgames."""
+    src = str(Path(entgames.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          timeout=300).returncode
+
+
 class TestTopLevel:
     def test_version_flag(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["--version"])
-        assert exc.value.code == 0
-        assert "entgames" in capsys.readouterr().out
+        for _ in range(2):          # also once the parser is built and reused
+            with pytest.raises(SystemExit) as exc:
+                main(["--version"])
+            assert exc.value.code == 0
+            assert "entgames" in capsys.readouterr().out
+
+    def test_argparse_error_exits_2(self, capsys):
+        for argv in (["value"], ["repeat", "g.json", "--n", "x"], ["nocommand"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "error:" in capsys.readouterr().err
+
+    def test_parser_built_once_and_not_at_import(self, capsys):
+        code = "import entgames.cli as c; assert c._parser.cache_info().currsize == 0"
+        assert run_fresh(["-c", code]) == 0
+        for _ in range(2):
+            with pytest.raises(SystemExit):
+                main(["--version"])
+        info = cli._parser.cache_info()
+        assert info.misses == 1 and info.hits >= 1
+
+    def test_reused_parser_matches_fresh_process(self, tmp_path):
+        # one process running several subcommands in turn writes the same
+        # report.json bytes as a fresh process per command
+        game = write_chsh(tmp_path)
+        sim = tmp_path / "sim.json"
+        sim.write_text(json.dumps({
+            "n": 8, "epsilon": 1.0, "t": 0.0, "trials": 500, "seed": 0,
+            "model": {"kind": "strategy_backed", "game": "chsh.json", "restarts": 4,
+                      "iters": 40}}))
+        commands = [
+            ["value", str(game), "--mode", "entangled", "--seed", "7",
+             "--restarts", "3", "--iters", "40"],
+            ["repeat", str(game), "--n", "2"],
+            ["value", str(game)],
+            ["sic", str(revealing_spec(tmp_path)), "--decouple"],
+            ["verify", "--filter", "four_state", "--trials", "100", "--seed", "3"],
+            ["simulate", str(sim)],
+        ]
+        for i, argv in enumerate(commands):
+            same, fresh = tmp_path / f"same{i}", tmp_path / f"fresh{i}"
+            code = main([*argv, "--out", str(same)])
+            assert run_fresh(["-m", "entgames.cli", *argv, "--out", str(fresh)]) == code
+            assert (same / "report.json").read_bytes() == (fresh / "report.json").read_bytes()

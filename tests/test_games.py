@@ -29,8 +29,14 @@ from entgames.games import (
     strategy_win_probability,
     value_with_advice,
 )
-from entgames.games import _update_measurements
-from entgames.linalg import hermitianize
+from entgames import games as games_mod
+from entgames.games import (
+    _STREAM_ADVICE,
+    _STREAM_SEESAW,
+    _seesaw_restarts,
+    _update_measurements,
+)
+from entgames.linalg import hermitian_eig, hermitianize
 from entgames.qinfo import PureState
 from entgames.random_states import haar_state, random_projective, rng_for
 
@@ -121,6 +127,69 @@ def reference_update(meas: np.ndarray, ops: np.ndarray) -> np.ndarray:
         if score(cand) >= score(meas[x]):
             new[x] = cand
     return new
+
+
+def reference_seesaw(g: Game, dims: tuple[int, int], states: np.ndarray | None,
+                     stream: int, restarts: int, iters: int, seed: int,
+                     improve_tol: float = 1e-12) -> list[list[float]]:
+    """Per-restart see-saw traces, each restart run alone to its stopping rule.
+
+    The lockstep core in games must match it restart by restart: the same
+    draws from rng_for(seed, stream, r), the same trace lengths and values
+    within 1e-12.  With states None the state is a Haar draw updated to the
+    top eigenvector of the payoff operator; given states stay fixed.
+    """
+    da, db = dims
+    w = np.einsum("xy,abxy->xayb", g.p, g.v.astype(float))
+    kl = g.k * g.l
+    traces = []
+    for r in range(restarts):
+        rng = rng_for(seed, stream, r)
+        cur = states
+        if states is None:
+            cur = haar_state(rng, da * db).reshape(1, 1, da, db)
+        alice = np.stack([random_projective(rng, da, g.l) for _ in range(g.k)])
+        bob = np.stack([random_projective(rng, db, g.l) for _ in range(g.k)])
+        trace, prev = [], -np.inf
+        for _ in range(iters):
+            kmat = np.einsum("xyij,ybkj,xylk->xybil", cur, bob, cur.conj())
+            alice = _update_measurements(alice, np.einsum("xayb,xybil->xail", w, kmat))
+            cmat = np.einsum("xyij,xali,xylm->xyajm", cur, alice, cur.conj())
+            n_ops = np.einsum("xayb,xyajm->ybjm", w, cmat)
+            bob = _update_measurements(bob, n_ops)
+            if states is None:
+                t = alice.reshape(kl, -1).T @ (w.reshape(kl, -1) @ bob.reshape(kl, -1))
+                op = t.reshape(da, da, db, db).transpose(0, 2, 1, 3).reshape(da * db, -1)
+                ev, vec = hermitian_eig(hermitianize(op))
+                val, cur = float(ev[-1]), vec[:, -1].reshape(1, 1, da, db)
+            else:
+                val = float(np.einsum("ybjm,ybmj->", bob, n_ops).real)
+            trace.append(val)
+            if val - prev < improve_tol:
+                break
+            prev = val
+        traces.append(trace)
+    return traces
+
+
+def assert_same_traces(got, want) -> None:
+    assert [len(t) for t in got] == [len(t) for t in want]
+    for a, b in zip(got, want):
+        assert_allclose(a, b, atol=1e-12, rtol=0)
+
+
+def chsh3() -> Game:
+    """Three-outcome CHSH: win iff a + b = x * y (mod 3)."""
+    v = np.zeros((3, 3, 2, 2), dtype=bool)
+    for a, b, x, y in itertools.product(range(3), range(3), range(2), range(2)):
+        v[a, b, x, y] = (a + b) % 3 == (x * y) % 3
+    return Game(2, 3, np.full((2, 2), 0.25), v, name="CHSH3")
+
+
+def bell_advice(g: Game) -> AdviceEnsemble:
+    bell = np.zeros((2, 2), dtype=complex)
+    bell[0, 0] = bell[1, 1] = 1 / math.sqrt(2)
+    return AdviceEnsemble(np.broadcast_to(bell, (2, 2, 2, 2)).copy(), g.p)
 
 
 def assert_projective(meas: np.ndarray) -> None:
@@ -327,7 +396,10 @@ class TestSeesaw:
             assert all(b >= a - 1e-10 for a, b in zip(trace, trace[1:]))
         best = max(t[-1] for t in res.traces)
         assert_allclose(res.value, best, atol=1e-12)
-        assert res.traces[res.best_restart][-1] == max(t[-1] for t in res.traces)
+        # the first restart within 1e-12 of the best, so rounding noise between
+        # restarts that reach the same value does not pick it
+        finals = [t[-1] for t in res.traces]
+        assert res.best_restart == next(r for r, v in enumerate(finals) if v >= best - 1e-12)
 
     def test_deterministic(self):
         r1 = entangled_value_seesaw(chsh(), d=2, restarts=3, iters=40, seed=11)
@@ -410,17 +482,65 @@ class TestStackedUpdate:
         assert_allclose(got[1, 1:], 0.0, atol=1e-12)
 
     def test_three_outcome_game_end_to_end(self):
-        # win iff a + b = x * y (mod 3): the greedy path runs in every update
-        v = np.zeros((3, 3, 2, 2), dtype=bool)
-        for a, b, x, y in itertools.product(range(3), range(3), range(2), range(2)):
-            v[a, b, x, y] = (a + b) % 3 == (x * y) % 3
-        g = Game(2, 3, np.full((2, 2), 0.25), v, name="CHSH3")
+        # the greedy path runs in every update
+        g = chsh3()
         res = entangled_value_seesaw(g, d=3, restarts=8, iters=60, seed=0)
         res.strategy.validate()
         assert res.value >= classical_value(g).value - 1e-9
         assert abs(strategy_win_probability(g, res.strategy) - res.value) <= 1e-9
         for trace in res.traces:
             assert all(b >= a - 1e-10 for a, b in zip(trace, trace[1:]))
+
+
+class TestLockstep:
+    """The lockstep restarts reproduce the per-restart loop, restart by restart."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_chsh_matches_sequential(self, seed):
+        res = entangled_value_seesaw(chsh(), d=2, restarts=20, iters=100, seed=seed)
+        assert_same_traces(res.traces,
+                           reference_seesaw(chsh(), (2, 2), None, _STREAM_SEESAW, 20, 100, seed))
+        assert res.steps == max(len(t) for t in res.traces)
+
+    def test_chsh_squared_matches_sequential(self):
+        g = repeat(chsh(), 2)
+        res = entangled_value_seesaw(g, 4, 20, 200, seed=0)
+        want = reference_seesaw(g, (4, 4), None, _STREAM_SEESAW, 20, 200, 0)
+        assert_same_traces(res.traces, want)
+        assert res.steps == 35 and sum(len(t) for t in want) == 278
+
+    @pytest.mark.parametrize("g, d", [(chsh3(), 3), (chsh(), 1)])
+    def test_three_outcomes_and_dimension_one(self, g, d):
+        res = entangled_value_seesaw(g, d=d, restarts=8, iters=60, seed=0)
+        assert_same_traces(res.traces, reference_seesaw(g, (d, d), None, _STREAM_SEESAW, 8, 60, 0))
+
+    def test_advice_matches_sequential(self):
+        g = chsh()
+        adv = bell_advice(g)
+        want = reference_seesaw(g, (2, 2), adv.states, _STREAM_ADVICE, 10, 120, 0)
+        traces, *_ = _seesaw_restarts(g, (2, 2), adv.states, _STREAM_ADVICE, 10, 120, 0, 1e-12)
+        assert_same_traces(traces, want)
+        val = value_with_advice(g, adv, restarts=10, iters=120, seed=0)
+        assert abs(val - max(t[-1] for t in want)) <= 1e-12
+
+    def test_restart_does_not_depend_on_its_neighbours(self):
+        r20 = entangled_value_seesaw(chsh(), d=2, restarts=20, iters=100, seed=3)
+        r5 = entangled_value_seesaw(chsh(), d=2, restarts=5, iters=100, seed=3)
+        assert r20.traces[:5] == r5.traces
+
+    def test_advice_groups_give_same_traces(self, monkeypatch):
+        # (R, k, k, l, d, d) = R * 32 entries for CHSH at d = 2: groups of 3
+        g = chsh()
+        adv = bell_advice(g)
+        full, _, alice, bob, steps = _seesaw_restarts(g, (2, 2), adv.states, _STREAM_ADVICE,
+                                                      10, 120, 0, 1e-12)
+        monkeypatch.setattr(games_mod, "MAX_TABLE_ENTRIES", 3 * 32 + 5)
+        grouped, _, g_alice, g_bob, grouped_steps = _seesaw_restarts(
+            g, (2, 2), adv.states, _STREAM_ADVICE, 10, 120, 0, 1e-12)
+        assert grouped == full
+        assert np.array_equal(g_alice, alice) and np.array_equal(g_bob, bob)
+        lens = [len(t) for t in full]
+        assert grouped_steps == sum(max(lens[i:i + 3]) for i in range(0, 10, 3)) > steps
 
 
 class TestXorCertificate:
@@ -469,11 +589,7 @@ class TestAdvice:
 
     def test_bell_advice_recovers_tsirelson(self):
         g = chsh()
-        bell = np.zeros((2, 2), dtype=complex)
-        bell[0, 0] = bell[1, 1] = 1 / math.sqrt(2)
-        states = np.broadcast_to(bell, (2, 2, 2, 2)).copy()
-        adv = AdviceEnsemble(states, g.p)
-        val = value_with_advice(g, adv, restarts=10, iters=120, seed=0)
+        val = value_with_advice(g, bell_advice(g), restarts=10, iters=120, seed=0)
         assert abs(val - TSIRELSON) <= 1e-6
 
     def test_arity_and_distribution_errors(self):
