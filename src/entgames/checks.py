@@ -18,7 +18,8 @@ run_check derives the generators of each block of _BLOCK trials in one
 rng_block pass, and builds and evaluates the block once per group key.  Every
 construction and kernel operation acts on each slice on its own, so a trial's
 margin does not depend on the trials that share its block; a violating
-trial's states are dumped by replaying it.
+trial's states are dumped by replaying it.  run_all runs the suite, or a
+named subset, and times each check; `entgames verify` calls it.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterable
@@ -404,11 +406,18 @@ def run_check(spec: CheckSpec, report_dir: str | Path | None = None) -> CheckRep
 
 def run_all(seed: int = 0, trials_per_check: int = 10_000,
             names: Iterable[str] | None = None,
-            report_dir: str | Path | None = None) -> list[CheckReport]:
-    """Run the whole suite (or a named subset) with per-check independent streams."""
-    selected = list(REGISTRY) if names is None else list(names)
-    return [run_check(CheckSpec(n, trials=trials_per_check, seed=seed), report_dir)
-            for n in selected]
+            report_dir: str | Path | None = None) -> tuple[list[CheckReport], list[float]]:
+    """Run the whole suite (or a named subset) with per-check independent streams.
+
+    Returns the reports in run order and each check's wall seconds.
+    """
+    reports, walls = [], []
+    for name in REGISTRY if names is None else names:
+        t0 = time.perf_counter()
+        reports.append(run_check(CheckSpec(name, trials=trials_per_check, seed=seed),
+                                 report_dir))
+        walls.append(time.perf_counter() - t0)
+    return reports, walls
 
 
 def any_violations(reports: Iterable[CheckReport]) -> bool:

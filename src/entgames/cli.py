@@ -29,7 +29,7 @@ import numpy as np
 
 from . import checks as checks_mod
 from . import protocol as protocol_mod
-from .config import VERSION, BudgetError
+from .config import VERSION, BudgetError, _field, _integer
 from .games import (
     classical_value,
     entangled_value_seesaw,
@@ -53,34 +53,6 @@ def _load_json(path: Path):
         raise ValueError(
             f"invalid JSON in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-
-
-_REQUIRED = object()     # _field default of a field that must be given
-
-
-def _field(what: str, doc: dict, key: str, conv, default=_REQUIRED):
-    """conv(doc[key]) for a field of the input document named by what.
-
-    A missing or null field gives default (which may be None), or, for a
-    required field, an input error naming the field; a value conv rejects is
-    an input error too.
-    """
-    value = doc.get(key)
-    if value is None:
-        if default is _REQUIRED:
-            raise ValueError(f"{what} missing field {key!r}")
-        return default
-    try:
-        return conv(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{what} field {key!r} has an invalid value") from None
-
-
-def _integer(value) -> int:
-    """int(value), refusing a number with a fractional part such as 2.5."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
 
 
 def _canonical_json(obj) -> str:
@@ -198,14 +170,9 @@ def cmd_verify(args) -> int:
         if not names:
             raise ValueError(f"filter {args.filter!r} matches no checks")
     out = _out_path(args, "verify", seed)     # counterexample dumps create it
-    reports, timings = [], {}
-    for name in names:
-        t_check = time.perf_counter()
-        rep = checks_mod.run_check(
-            checks_mod.CheckSpec(name, trials=args.trials, seed=seed), out)
-        wall = time.perf_counter() - t_check
-        reports.append(rep)
-        timings[name] = {"wall_s": wall, "trials_per_s": rep.trials_run / wall}
+    reports, walls = checks_mod.run_all(seed, args.trials, names, out)
+    timings = {rep.name: {"wall_s": wall, "trials_per_s": rep.trials_run / wall}
+               for rep, wall in zip(reports, walls)}
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(checks_mod.reports_to_json(reports))
     checks_mod.reports_to_csv(reports, out / "report.csv")
@@ -291,7 +258,10 @@ def _superposed_from_doc(doc) -> SuperposedState:
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ValueError("'p' must be a square matrix")
     k = p.shape[0]
-    da, db = get("dims", lambda v: [_integer(d) for d in v])
+    dims = get("dims", lambda v: [_integer(d) for d in v])
+    if len(dims) != 2 or min(dims) < 1:
+        raise ValueError("'dims' must be two positive integers")
+    da, db = dims
     adv = get("advice", lambda v: np.asarray(v, dtype=float))
     if adv.shape != (k, k, da * db, 2):
         raise ValueError(f"'advice' must be a k x k grid of lists of {da * db} [re, im] pairs")

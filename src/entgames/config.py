@@ -1,9 +1,11 @@
-"""Fixed validation tolerances and resource budgets.
+"""Fixed validation tolerances, resource budgets and the input-field reader.
 
 DEFAULT_TOLS holds the tolerances linalg, qinfo and QuantumStrategy.validate
 check states, measurements and spectra against; code reads its fields and no
 function takes a tolerance argument.  Slacks local to one construction are
 literals beside it (games' distribution checks, the purification rule).
+_field reads one field of a JSON input document (a game, a simulate config,
+a state spec) and turns any malformed value into a ValueError naming it.
 """
 
 from __future__ import annotations
@@ -36,3 +38,31 @@ MAX_TABLE_ENTRIES = 10**8    # predicate-table entries for repeated games
 
 class BudgetError(RuntimeError):
     """Instance exceeds a configured enumeration or memory budget."""
+
+
+_REQUIRED = object()     # _field default of a field that must be given
+
+
+def _field(what: str, doc: dict, key: str, conv, default=_REQUIRED):
+    """conv(doc[key]) for a field of the input document named by what.
+
+    A missing or null field gives default (which may be None), or, for a
+    required field, an input error naming the field; a value conv rejects is
+    an input error too.
+    """
+    value = doc.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ValueError(f"{what} missing field {key!r}")
+        return default
+    try:
+        return conv(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} field {key!r} has an invalid value") from None
+
+
+def _integer(value) -> int:
+    """int(value), refusing a number with a fractional part such as 2.5."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)

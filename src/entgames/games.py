@@ -11,11 +11,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, MAX_ENUMERATION, MAX_TABLE_ENTRIES, BudgetError
+from .config import DEFAULT_TOLS, MAX_ENUMERATION, MAX_TABLE_ENTRIES, BudgetError, _field, _integer
 from .linalg import RegisterLayout, dagger, hermitian_eig, hermitianize
 from .qinfo import PureState
 from .random_states import haar_state, random_projective, rng_for
@@ -171,15 +172,8 @@ def encode_tuple(digits, base: int) -> int:
     return idx
 
 
-def decode_index(idx: int, base: int, n: int) -> tuple[int, ...]:
-    """Inverse of encode_tuple."""
-    if not 0 <= idx < base**n:
-        raise ValueError(f"index {idx} out of range for base {base}, {n} rounds")
-    return tuple((idx // base**i) % base for i in range(n))
-
-
 def _digit_table(base: int, n: int) -> np.ndarray:
-    """(base**n, n) array; row r holds decode_index(r, base, n)."""
+    """(base**n, n) array; row r holds the n digits of r, so encode_tuple(row r) = r."""
     idx = np.arange(base**n)
     return np.stack([(idx // base**i) % base for i in range(n)], axis=1)
 
@@ -544,11 +538,13 @@ def game_to_dict(g: Game) -> dict:
 
 
 def game_from_dict(d: dict) -> Game:
-    try:
-        return Game(int(d["k"]), int(d["l"]), np.array(d["p"], dtype=float),
-                    np.array(d["V"]), name=d.get("name"))
-    except KeyError as e:
-        raise ValueError(f"game document is missing field {e.args[0]!r}") from None
+    """Game of a JSON document; a malformed document is a ValueError naming the field."""
+    if not isinstance(d, dict):
+        raise ValueError("game document must be a JSON object")
+    get = partial(_field, "game document", d)
+    return Game(get("k", _integer), get("l", _integer),
+                get("p", partial(np.array, dtype=float)), get("V", np.array),
+                name=d.get("name"))
 
 
 def game_to_json(g: Game) -> str:

@@ -2,9 +2,8 @@
 
 Matrices are plain 2-d complex ndarrays; tensor-factor structure is carried
 separately by RegisterLayout, whose factor order is authoritative.  Nothing
-here reorders registers implicitly: kron concatenates layouts left-to-right
-and partial_trace keeps the surviving factors in their original order.  Use
-permute_registers for explicit reordering.
+here reorders registers implicitly: kron takes its factors left-to-right
+and partial_trace keeps the surviving factors in their original order.
 
 hermitian_eig, psd_eigvalsh, matrix_sqrt_psd, partial_trace_matrix and kron
 also take stacks of shape (..., d, d) and act on each slice, validating each
@@ -72,10 +71,6 @@ class RegisterLayout:
         if len(set(self.labels)) != len(self.labels):
             raise ValueError(f"duplicate register labels: {self.labels}")
 
-    @classmethod
-    def single(cls, dim: int, label: str = "S") -> "RegisterLayout":
-        return cls((dim,), (label,))
-
     @property
     def dim(self) -> int:
         return math.prod(self.dims)
@@ -101,9 +96,6 @@ class RegisterLayout:
         """Sub-layout of the given labels, in original factor order."""
         pos = self.positions(labels)
         return RegisterLayout(tuple(self.dims[p] for p in pos), tuple(self.labels[p] for p in pos))
-
-    def dim_of(self, labels: Iterable[str]) -> int:
-        return math.prod(self.dims[p] for p in self.positions(labels))
 
 
 @dataclass(frozen=True)
@@ -155,14 +147,6 @@ def kron(a, b) -> np.ndarray:
         raise BudgetError(f"kron result dimension {m * n} exceeds MAX_KRON_DIM")
     t = a[..., :, None, :, None] * b[..., None, :, None, :]
     return t.reshape(t.shape[:-4] + (m * n, m * n))
-
-
-def kron_density(a: DensityOperator, b: DensityOperator) -> DensityOperator:
-    """Tensor product of density operators; layouts concatenate left-to-right."""
-    if set(a.layout.labels) & set(b.layout.labels):
-        raise ValueError("layouts share labels; relabel before taking products")
-    lay = RegisterLayout(a.layout.dims + b.layout.dims, a.layout.labels + b.layout.labels)
-    return DensityOperator(kron(a.matrix, b.matrix), lay, validate=False)
 
 
 def _check_hermitian(h: np.ndarray) -> None:
@@ -226,19 +210,6 @@ def partial_trace(rho: DensityOperator, keep: Iterable[str]) -> DensityOperator:
     return DensityOperator(out, rho.layout.keep([rho.layout.labels[p] for p in pos]), validate=False)
 
 
-def permute_registers(rho: DensityOperator, order: Sequence[str]) -> DensityOperator:
-    """Explicitly reorder tensor factors to the given label order."""
-    lay = rho.layout
-    if sorted(order) != sorted(lay.labels):
-        raise ValueError(f"order {order!r} is not a permutation of {lay.labels!r}")
-    perm = [lay.position(lb) for lb in order]
-    n = lay.nfactors
-    t = rho.matrix.reshape(lay.dims + lay.dims)
-    t = t.transpose([*perm, *(p + n for p in perm)])
-    new = RegisterLayout(tuple(lay.dims[p] for p in perm), tuple(order))
-    return DensityOperator(t.reshape(new.dim, new.dim), new, validate=False)
-
-
 def matrix_sqrt_psd(a) -> np.ndarray:
     """Principal square root of a PSD Hermitian matrix, or of each in a stack.
 
@@ -251,12 +222,17 @@ def matrix_sqrt_psd(a) -> np.ndarray:
     return hermitianize((v * w[..., None, :]) @ dagger(v))
 
 
+def _root_sum(w: np.ndarray) -> np.ndarray:
+    """Sum of square roots of each ascending PSD spectrum in w, shape (..., n).
+
+    Eigenvalues under the rounding floor max(w) * n * eps are noise whose
+    square roots would each leak ~sqrt(eps) into the sum, so they count as 0.
+    """
+    floor = np.maximum(w[..., -1:], 0.0) * w.shape[-1] * np.finfo(float).eps
+    return np.sqrt(np.where(w > floor, w, 0.0)).sum(axis=-1)
+
+
 def trace_norm(a) -> float:
-    """Sum of singular values, computed from the eigenvalues of a^dag a."""
+    """Sum of singular values, from the eigenvalues of a^dag a (see _root_sum)."""
     a = as_matrix(a)
-    w = np.linalg.eigvalsh(hermitianize(a.conj().T @ a))
-    # eigenvalues below the rounding floor of a^dag a are noise; their square
-    # roots would otherwise leak ~sqrt(eps) each into the sum
-    floor = w.max(initial=0.0) * a.shape[0] * np.finfo(float).eps
-    w = np.where(w > floor, w, 0.0)
-    return float(np.sqrt(w).sum())
+    return float(_root_sum(np.linalg.eigvalsh(hermitianize(a.conj().T @ a))))

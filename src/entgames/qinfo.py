@@ -1,8 +1,8 @@
-"""Fidelity, entropies, purification and measurement primitives.
+"""Fidelity, entropies, purification, POVM and Schmidt primitives.
 
 All entropic quantities use base-2 logarithms (bits).  Two-state scalar
 functions accept either DensityOperator or raw ndarrays; register-aware
-functions (conditional entropy, mutual information, measurement, Schmidt
+functions (mutual information, purification, Uhlmann partners, Schmidt
 decomposition) need the layout and take DensityOperator / PureState.
 
 fidelity, relative_entropy, min_relative_entropy, von_neumann_entropy and
@@ -26,6 +26,7 @@ from .linalg import (
     DensityOperator,
     RegisterLayout,
     _check_psd_spectrum,
+    _root_sum,
     as_matrix,
     as_stack,
     dagger,
@@ -150,15 +151,17 @@ def fidelity_from_root(root_rho: np.ndarray, sigma: np.ndarray):
 
     root_rho is matrix_sqrt_psd(rho); sigma must already be checked PSD.  A
     caller that needs several fidelities against one rho computes its root
-    once.  Eigenvalues below the rounding floor of the product are noise
-    whose square roots would each leak ~sqrt(eps) into the sum, so they
-    count as 0.  Raises if any fidelity exceeds 1 + 1e-7.
+    once.  Eigenvalues under the product's rounding floor count as 0 (see
+    linalg._root_sum); the result goes through clip_fidelity.
     """
     w = np.linalg.eigvalsh(hermitianize(root_rho @ sigma @ root_rho))
-    floor = np.maximum(w[..., -1:], 0.0) * w.shape[-1] * np.finfo(float).eps
-    f = np.sqrt(np.where(w > floor, w, 0.0)).sum(axis=-1)
-    if (f > 1.0 + 1e-7).any():
-        raise ValueError(f"fidelity {f.max()} exceeds 1 beyond numerical slack")
+    return clip_fidelity(_root_sum(w))
+
+
+def clip_fidelity(f):
+    """Fidelities f clipped to [0, 1]; raises if any exceeds 1 + 1e-7."""
+    if np.any(f > 1.0 + 1e-7):
+        raise ValueError(f"fidelity {np.max(f)} exceeds 1 beyond numerical slack")
     return _value(np.clip(f, 0.0, 1.0))
 
 
@@ -304,16 +307,6 @@ def _reduced_entropy(rho: DensityOperator, labels: Iterable[str]) -> float:
     return von_neumann_entropy(partial_trace(rho, labels).matrix)
 
 
-def conditional_entropy(rho: DensityOperator, a: Iterable[str], c: Iterable[str]) -> float:
-    """S(A|C) = S(AC) - S(C); an empty conditioning set gives plain S(A)."""
-    a, c = list(a), list(c)
-    if set(a) & set(c):
-        raise ValueError("conditioning registers overlap the target registers")
-    if not c:
-        return _reduced_entropy(rho, a)
-    return _reduced_entropy(rho, a + c) - _reduced_entropy(rho, c)
-
-
 def mutual_information(rho: DensityOperator, x: Iterable[str], y: Iterable[str]) -> float:
     """I(X:Y) = S(X) + S(Y) - S(XY)."""
     x, y = list(x), list(y)
@@ -362,26 +355,7 @@ def min_relative_entropy(rho, sigma):
 
 
 # ---------------------------------------------------------------------------
-# measurement and Schmidt decomposition
-
-
-def measure_register(state: PureState | DensityOperator, regs: Iterable[str]) -> DensityOperator:
-    """Dephase the named registers in the computational basis (explicit pinching).
-
-    Off-diagonal blocks on the measured registers are zeroed exactly; no
-    sampling is involved.  Idempotent, trace preserving.
-    """
-    rho = state.density() if isinstance(state, PureState) else state
-    lay = rho.layout
-    pos = lay.positions(regs)
-    n = lay.nfactors
-    t = rho.matrix.reshape(lay.dims + lay.dims).copy()
-    for p in pos:
-        shape = [1] * (2 * n)
-        shape[p] = lay.dims[p]
-        shape[p + n] = lay.dims[p]
-        t = t * np.eye(lay.dims[p]).reshape(shape)
-    return DensityOperator(t.reshape(lay.dim, lay.dim), lay, validate=False)
+# Schmidt decomposition
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,13 @@ import numpy as np
 
 from .games import AdviceEnsemble, check_distribution, is_product
 from .linalg import RegisterLayout, psd_eigvalsh
-from .qinfo import PureState, entropy_of_spectrum, max_overlap_isometry, purification_matrix
+from .qinfo import (
+    PureState,
+    clip_fidelity,
+    entropy_of_spectrum,
+    max_overlap_isometry,
+    purification_matrix,
+)
 
 _REGS = ("X", "A", "B", "Y")
 
@@ -131,13 +137,10 @@ def pure_product_fidelity(m: np.ndarray) -> float:
     is sum(lambda^3) over the Schmidt weights lambda, which are the spectrum of
     rho_S = m m^dag, so the smaller side belongs in the rows.  No density
     matrix of psi itself is formed.  rho_S is checked Hermitian and PSD, and
-    F > 1 + 1e-7 raises, as in qinfo.fidelity.
+    the result goes through qinfo.clip_fidelity, as in qinfo.fidelity.
     """
     w = psd_eigvalsh(m @ m.conj().T)
-    f = math.sqrt(max(float((w ** 3).sum()), 0.0))
-    if f > 1.0 + 1e-7:
-        raise ValueError(f"fidelity {f} exceeds 1 beyond numerical slack")
-    return min(f, 1.0)
+    return clip_fidelity(math.sqrt(max(float((w ** 3).sum()), 0.0)))
 
 
 def _polar_isometries(rho_plus: np.ndarray, conds: np.ndarray, px: np.ndarray) -> np.ndarray:

@@ -102,8 +102,9 @@ def _cool_product_gap_min_eig(rho: np.ndarray) -> float:
 
 def test_criterion_3_randomized_suite_clean(tmp_path):
     t0 = time.perf_counter()
-    reports = run_all(seed=0, trials_per_check=10_000, report_dir=tmp_path)
+    reports, walls = run_all(seed=0, trials_per_check=10_000, report_dir=tmp_path)
     dt = time.perf_counter() - t0
+    assert len(walls) == len(reports) == 14 and 0.0 < sum(walls) <= dt
     by_name = {r.name: r for r in reports}
     cool = by_name.pop("cool_product")
     dirty = [r for r in by_name.values() if r.violations > 0]

@@ -139,18 +139,19 @@ class TestCoolProduct:
 
 class TestSuite:
     def test_run_all_subset(self):
-        reps = run_all(trials_per_check=10, names=["four_state", "fact_sum"])
+        reps, walls = run_all(trials_per_check=10, names=["four_state", "fact_sum"])
         assert [r.name for r in reps] == ["four_state", "fact_sum"]
         assert not any_violations(reps)
+        assert len(walls) == 2 and all(w > 0.0 for w in walls)
 
     def test_json_round_trip(self):
-        reps = run_all(trials_per_check=5, names=["weak_triangle"])
+        reps, _ = run_all(trials_per_check=5, names=["weak_triangle"])
         doc = json.loads(reports_to_json(reps))
         assert doc[0]["name"] == "weak_triangle"
         assert doc[0]["trials_run"] == 5
 
     def test_csv_writer(self, tmp_path):
-        reps = run_all(trials_per_check=5, names=["weak_triangle", "fact_sum"])
+        reps, _ = run_all(trials_per_check=5, names=["weak_triangle", "fact_sum"])
         path = tmp_path / "out.csv"
         reports_to_csv(reps, path)
         lines = path.read_text().strip().splitlines()

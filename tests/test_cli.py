@@ -388,6 +388,28 @@ class TestSimulate:
         assert err.startswith("error: ") and field in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("doc, field", [
+        ([1, 2], "JSON object"),
+        ({"k": None}, "'k'"),
+        ({"k": [2]}, "'k'"),
+        ({"k": 2.5}, "'k'"),
+        ({"l": 2.5}, "'l'"),
+        ({"p": {"x": 1}}, "'p'"),
+        ({"V": [[1], [1, 2]]}, "'V'"),
+    ])
+    def test_malformed_game_is_input_error(self, tmp_path, capsys, doc, field):
+        game = json.loads(write_chsh(tmp_path).read_text())
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**game, **doc} if isinstance(doc, dict) else doc))
+        cfg = self.write_config(tmp_path, model={"kind": "strategy_backed", "game": "bad.json"})
+        for argv in (["value", str(bad)], ["repeat", str(bad), "--n", "2"],
+                     ["simulate", str(cfg)]):
+            out = tmp_path / "out"
+            assert main([*argv, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and field in err
+            assert not out.exists()
+
 
 class TestSic:
     def test_constant_advice(self, tmp_path, capsys):
@@ -473,6 +495,17 @@ class TestSic:
         out = tmp_path / "out"
         assert main(["sic", str(spec), "--out", str(out)]) == 2
         assert "'dims'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dims", [[2, 2, 2], [2], [], [-1, -2], [0, 2]])
+    def test_dims_not_two_positive_integers(self, tmp_path, capsys, dims):
+        doc = json.loads(constant_spec(tmp_path).read_text())
+        doc["dims"] = dims
+        spec = tmp_path / "bad_dims.json"
+        spec.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["sic", str(spec), "--out", str(out)]) == 2
+        assert "'dims' must be two positive integers" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_object_spec_is_input_error(self, tmp_path, capsys):

@@ -14,7 +14,6 @@ from entgames.games import (
     QuantumStrategy,
     chsh,
     classical_value,
-    decode_index,
     encode_tuple,
     entangled_value_seesaw,
     game_from_dict,
@@ -240,12 +239,15 @@ class TestGameType:
 class TestEncoding:
     def test_round_trip(self):
         for base, n in ((2, 5), (3, 4), (5, 3)):
-            for idx in range(base**n):
-                assert encode_tuple(decode_index(idx, base, n), base) == idx
+            table = games_mod._digit_table(base, n)
+            assert table.shape == (base**n, n)
+            for idx, row in enumerate(table):
+                assert encode_tuple(row, base) == idx
 
     def test_little_endian(self):
         # round 1 is the least significant digit
-        assert decode_index(1, 2, 3) == (1, 0, 0)
+        assert games_mod._digit_table(2, 3)[1].tolist() == [1, 0, 0]
+        assert games_mod._digit_table(3, 2)[5].tolist() == [2, 1]
         assert encode_tuple((0, 0, 1), 2) == 4
 
 

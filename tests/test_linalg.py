@@ -10,11 +10,9 @@ from entgames.linalg import (
     hermitian_eig,
     hermitianize,
     kron,
-    kron_density,
     matrix_sqrt_psd,
     partial_trace,
     partial_trace_matrix,
-    permute_registers,
     trace_norm,
 )
 from entgames.random_states import haar_state, random_mixed, rng_for
@@ -32,7 +30,6 @@ class TestRegisterLayout:
         assert lay.nfactors == 3
         assert lay.position("B") == 1
         assert lay.positions(["C", "A"]) == [0, 2]
-        assert lay.dim_of(["A", "C"]) == 8
         assert lay.keep(["C"]).dims == (4,)
 
     def test_duplicate_labels_rejected(self):
@@ -128,39 +125,10 @@ class TestKron:
         a, b, c = (rng.normal(size=(2, 2)) for _ in range(3))
         assert_allclose(kron(kron(a, b), c), kron(a, kron(b, c)), atol=1e-12)
 
-    def test_density_kron_layout(self, rng):
-        da = DensityOperator.from_matrix(random_mixed(rng, 2), (2,), ("A",))
-        db = DensityOperator.from_matrix(random_mixed(rng, 3), (3,), ("B",))
-        joint = kron_density(da, db)
-        assert joint.layout.labels == ("A", "B")
-        assert_allclose(partial_trace(joint, ["A"]).matrix, da.matrix, atol=1e-12)
-
-    def test_label_collision(self, rng):
-        da = DensityOperator.from_matrix(random_mixed(rng, 2), (2,), ("A",))
-        with pytest.raises(ValueError):
-            kron_density(da, da)
-
     def test_dimension_budget(self):
         big = np.eye(1 << 11) / (1 << 11)
         with pytest.raises(BudgetError):
             kron(big, big)
-
-
-class TestPermuteRegisters:
-    def test_swap_matches_manual(self, rng):
-        rho = random_mixed(rng, 6)
-        d = DensityOperator.from_matrix(rho, (2, 3), ("A", "B"))
-        sw = permute_registers(d, ("B", "A"))
-        t = rho.reshape(2, 3, 2, 3).transpose(1, 0, 3, 2).reshape(6, 6)
-        assert_allclose(sw.matrix, t, atol=1e-12)
-        assert sw.layout.labels == ("B", "A")
-
-    def test_round_trip(self, rng):
-        rho = random_mixed(rng, 8)
-        d = DensityOperator.from_matrix(rho, (2, 2, 2), ("A", "B", "C"))
-        back = permute_registers(permute_registers(d, ("C", "A", "B")),
-                                 ("A", "B", "C"))
-        assert_allclose(back.matrix, rho, atol=1e-12)
 
 
 class TestMatrixSqrt:

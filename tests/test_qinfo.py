@@ -15,12 +15,10 @@ from entgames.qinfo import (
     PureState,
     angle,
     check_povm,
-    conditional_entropy,
     entropy_of_spectrum,
     fbar,
     fidelity,
     fidelity_from_root,
-    measure_register,
     min_relative_entropy,
     mutual_information,
     povm_outcome_bound,
@@ -277,23 +275,6 @@ class TestEntropies:
         assert_allclose(entropy_of_spectrum(np.array([1.0, 0.0, 1e-15])),
                         0.0, atol=1e-12)
 
-    def test_conditional_bell(self):
-        assert_allclose(conditional_entropy(bell_state().density(), ("A",), ("B",)),
-                        -1.0, atol=1e-9)
-
-    def test_conditional_product(self, rng):
-        ra = random_mixed(rng, 2)
-        rb = random_mixed(rng, 3)
-        d = DensityOperator.from_matrix(np.kron(ra, rb), (2, 3), ("A", "B"))
-        assert abs(conditional_entropy(d, ("A",), ("B",))
-                   - von_neumann_entropy(ra)) <= 1e-9
-
-    def test_conditional_empty_condition(self, rng):
-        ra = random_mixed(rng, 3)
-        d = DensityOperator.from_matrix(ra, (3,), ("A",))
-        assert abs(conditional_entropy(d, ("A",), ())
-                   - von_neumann_entropy(ra)) <= 1e-12
-
     def test_mutual_information_bell(self):
         assert_allclose(mutual_information(bell_state().density(), ("A",), ("B",)),
                         2.0, atol=1e-9)
@@ -338,26 +319,6 @@ class TestMinRelativeEntropy:
             rho = random_mixed(rng, 4)
             sig = floor_eigenvalues(random_mixed(rng, 4), 1e-8)
             assert min_relative_entropy(rho, sig) >= relative_entropy(rho, sig) - 1e-7
-
-
-class TestMeasureRegister:
-    def test_pinches_offdiagonals(self):
-        out = measure_register(bell_state(), ("A",))
-        m = out.matrix
-        assert_allclose(m, np.diag(np.diag(m)), atol=1e-12)
-        assert_allclose(np.diag(m).real, [0.5, 0, 0, 0.5], atol=1e-12)
-
-    def test_idempotent(self, rng):
-        rho = DensityOperator.from_matrix(random_mixed(rng, 4), (2, 2), ("A", "B"))
-        once = measure_register(rho, ("A",))
-        twice = measure_register(once, ("A",))
-        assert_allclose(once.matrix, twice.matrix, atol=1e-12)
-
-    def test_preserves_other_marginal(self, rng):
-        rho = DensityOperator.from_matrix(random_mixed(rng, 4), (2, 2), ("A", "B"))
-        out = measure_register(rho, ("B",))
-        assert_allclose(partial_trace(out, ["A"]).matrix,
-                        partial_trace(rho, ["A"]).matrix, atol=1e-12)
 
 
 class TestSchmidt:

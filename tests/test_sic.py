@@ -7,8 +7,8 @@ from numpy.testing import assert_allclose
 
 from entgames.cli import main
 from entgames.games import AdviceEnsemble
-from entgames.linalg import kron_density, partial_trace, permute_registers
-from entgames.qinfo import fidelity, measure_register, mutual_information
+from entgames.linalg import kron, partial_trace_matrix
+from entgames.qinfo import fidelity, von_neumann_entropy
 from entgames.random_states import haar_state, rng_for
 from entgames.sic import (
     SuperposedState,
@@ -165,6 +165,23 @@ def _amplitude_instances():
     return cases
 
 
+def _pinch(rho, dims, pos):
+    """rho dephased in the computational basis of factor pos: sum_i P_i rho P_i."""
+    before, after = math.prod(dims[:pos]), math.prod(dims[pos + 1:])
+    out = np.zeros_like(rho)
+    for i in range(dims[pos]):
+        proj = kron(kron(np.eye(before), np.diag(np.eye(dims[pos])[i])), np.eye(after))
+        out += proj @ rho @ proj
+    return out
+
+
+def _mutual_information(rho, dims, x, y):
+    """I(X:Y) = S(X) + S(Y) - S(XY) over factor positions x and y."""
+    def s(keep):
+        return von_neumann_entropy(partial_trace_matrix(rho, dims, keep))
+    return s(x) + s(y) - s(x + y)
+
+
 class TestAmplitudeRoute:
     """The amplitude-tensor route against density-matrix references."""
 
@@ -172,19 +189,23 @@ class TestAmplitudeRoute:
     def test_matches_density_matrix_references(self, om):
         res = build_decoupling(om)
 
-        rho1 = res.state_alice.density()
-        prod1 = kron_density(partial_trace(rho1, ("X",)),
-                             partial_trace(rho1, ("A", "B", "Y")))
-        assert abs(res.fbar_alice - (1.0 - fidelity(rho1, prod1.matrix))) <= 1e-12
+        rho1, dims = res.state_alice.density().matrix, res.state_alice.layout.dims
+        prod1 = kron(partial_trace_matrix(rho1, dims, [0]),
+                     partial_trace_matrix(rho1, dims, [1, 2, 3]))
+        assert abs(res.fbar_alice - (1.0 - fidelity(rho1, prod1))) <= 1e-12
 
-        rho3 = res.state_out.density()
-        prod3 = kron_density(partial_trace(rho3, ("X", "Y")),
-                             partial_trace(rho3, ("A", "B")))
-        prod3 = permute_registers(prod3, ("X", "A", "B", "Y"))
-        assert abs(res.fbar_out - (1.0 - fidelity(rho3, prod3.matrix))) <= 1e-12
+        # rho_XY (x) rho_AB is ordered (X, Y, A, B); move Y last to match rho3
+        rho3, dims = res.state_out.density().matrix, res.state_out.layout.dims
+        k, da, db, _ = dims
+        prod3 = kron(partial_trace_matrix(rho3, dims, [0, 3]),
+                     partial_trace_matrix(rho3, dims, [1, 2]))
+        prod3 = prod3.reshape(2 * (k, k, da, db)).transpose(0, 2, 3, 1, 4, 6, 7, 5)
+        prod3 = prod3.reshape(rho3.shape)
+        assert abs(res.fbar_out - (1.0 - fidelity(rho3, prod3))) <= 1e-12
 
-        ref_x = mutual_information(measure_register(om.state, ("X",)), ("X",), ("B", "Y"))
-        ref_y = mutual_information(measure_register(om.state, ("Y",)), ("Y",), ("X", "A"))
+        omega, dims = om.state.density().matrix, om.state.layout.dims    # (X, A, B, Y)
+        ref_x = _mutual_information(_pinch(omega, dims, 0), dims, [0], [2, 3])
+        ref_y = _mutual_information(_pinch(omega, dims, 3), dims, [3], [0, 1])
         tx, ty = sic_terms(om)
         assert abs(tx - ref_x) <= 1e-12 and abs(ty - ref_y) <= 1e-12
         assert (res.delta_x, res.delta_y) == (tx, ty)
