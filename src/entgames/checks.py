@@ -14,12 +14,20 @@ generator rng_for(seed, CHECK_STREAM, c, t), so any single trial can be
 replayed from the report alone with REGISTRY[name].func, which runs the
 sampler, the construction and the kernel on a batch of one.
 
-run_check derives the generators of each block of _BLOCK trials in one
-rng_block pass, and builds and evaluates the block once per group key.  Every
-construction and kernel operation acts on each slice on its own, so a trial's
-margin does not depend on the trials that share its block; a violating
-trial's states are dumped by replaying it.  run_all runs the suite, or a
-named subset, and times each check; `entgames verify` calls it.
+run_check takes trials from one lazily consumed rng_block stream until the
+block's built inputs reach _BUDGET matrix entries, counting a fixed charge
+per trial for its sampled objects (a trial's count is looked up by its group
+key), then builds and evaluates the block once per group key.  So checks on
+small states get long blocks, and the memory of a block is bounded whatever
+its dimensions.  Every construction and kernel operation acts on each slice
+on its own, so a trial's margin does not depend on the trials that share its
+block, nor on the budget; a violating trial's states are dumped by replaying
+it.  Kernels solve each eigensystem once: a floored reference state's
+eigensystem comes from the floor step, rho's one solve serves its root and
+its entropy, and a Kronecker product's eigensystem is built from its
+factors'; the validations run on the reused spectra.  run_all runs the
+suite, or a named subset, and times and counts each check; `entgames
+verify` calls it.
 """
 
 from __future__ import annotations
@@ -30,11 +38,12 @@ import math
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .linalg import (
+    hermitian_eig,
     hermitianize,
     kron,
     matrix_sqrt_psd,
@@ -52,6 +61,7 @@ from .qinfo import (
 )
 from .random_states import (
     classical_states,
+    floor_eigensystem,
     floor_eigenvalues,
     mixed_draw,
     mixed_states,
@@ -64,7 +74,11 @@ from .random_states import (
 CHECK_STREAM = 201
 DIM_POOL = (2, 3, 4, 6, 8)
 SIGMA_FLOOR = 1e-8
-_BLOCK = 128        # trials sampled, then evaluated stacked, per step of run_check
+# run_check closes a block once its trials' entries reach _BUDGET: a trial's
+# entries are the matrix entries of its built inputs plus _TRIAL_ENTRIES, a
+# charge for its draw dict and arrays, which outweigh the entries of 2x2 states
+_BUDGET = 1 << 15
+_TRIAL_ENTRIES = 32
 
 
 def _dim(rng, pool=DIM_POOL) -> int:
@@ -93,9 +107,11 @@ def _fidelities(states, pairs):
 
 def _sample_states(n: int) -> Callable:
     """Sampler of n mixed states rho1..rhon of one dimension from DIM_POOL."""
+    names = tuple(f"rho{i + 1}" for i in range(n))
+
     def sample(rng):
         d = _dim(rng)
-        return (d,), {f"rho{i + 1}": mixed_draw(rng, d) for i in range(n)}
+        return (d,), dict(zip(names, mixed_draw(rng, d, n)))
     return sample
 
 
@@ -119,8 +135,7 @@ def _sample_cq_fidelity(rng):
     k = int(rng.integers(2, 4))
     d = _dim(rng, (2, 3, 4))
     p, q = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(k))
-    blocks_p = np.stack([mixed_draw(rng, d) for _ in range(k)])
-    blocks_q = np.stack([mixed_draw(rng, d) for _ in range(k)])
+    blocks_p, blocks_q = mixed_draw(rng, d, k), mixed_draw(rng, d, k)
     return (k, d), {"p": p, "q": q, "rho_blocks": blocks_p, "sigma_blocks": blocks_q}
 
 
@@ -141,7 +156,7 @@ def _cq_fidelity(key, x):
 def _sample_povm_bound(rng):
     d = _dim(rng)
     n_out = int(rng.integers(2, 6))
-    r, s = mixed_draw(rng, d), mixed_draw(rng, d)
+    r, s = mixed_draw(rng, d, 2)
     return (d, n_out), {"rho": r, "sigma": s, "povm": povm_draw(rng, d, n_out)}
 
 
@@ -153,7 +168,7 @@ def _povm_bound(key, x):
 
 def _sample_cptp_mono(rng):
     d1, d2 = _dim(rng, (2, 3)), _dim(rng, (2, 3, 4))
-    r, s = mixed_draw(rng, d1 * d2), mixed_draw(rng, d1 * d2)
+    r, s = mixed_draw(rng, d1 * d2, 2)
     return (d1, d2, int(rng.integers(2))), {"rho": r, "sigma": s}
 
 
@@ -183,12 +198,25 @@ def _subadd_cond(dims, x):
 
 def _sample_rho_sigma(rng):
     d = _dim(rng)
-    return (d,), {"rho": mixed_draw(rng, d), "sigma": mixed_draw(rng, d)}
+    r, s = mixed_draw(rng, d, 2)
+    return (d,), {"rho": r, "sigma": s}
+
+
+def _kron_eig(a, b):
+    """Eigensystem of kron(A, B) from eigensystems a of A and b of B: products
+    of eigenvalues, sorted ascending, on kron products of eigenvectors."""
+    (wa, va), (wb, vb) = a, b
+    w = (wa[..., :, None] * wb[..., None, :]).reshape(wa.shape[:-1] + (-1,))
+    order = np.argsort(w, axis=-1)
+    return (np.take_along_axis(w, order, axis=-1),
+            np.take_along_axis(kron(va, vb), order[..., None, :], axis=-1))
 
 
 def _relent_vs_fid(key, x):
-    r, s = x["rho"], floor_eigenvalues(x["sigma"], SIGMA_FLOOR)
-    return relative_entropy(r, s) - (1 - fidelity(r, s)), {"rho": r, "sigma": s}
+    r, (s, s_eig) = x["rho"], floor_eigensystem(x["sigma"], SIGMA_FLOOR)
+    r_eig = hermitian_eig(r)            # one solve for rho's root and its entropy
+    f = fidelity(r, s, r_eig, s_eig)
+    return relative_entropy(r, s, s_eig, r_eig[0]) - (1 - f), {"rho": r, "sigma": s}
 
 
 def _sample_superadd_classical(rng):
@@ -208,8 +236,9 @@ def _superadd_classical(dims, x):
 
 
 def _smax_ge_s(key, x):
-    r, s = x["rho"], floor_eigenvalues(x["sigma"], SIGMA_FLOOR)
-    return min_relative_entropy(r, s) - relative_entropy(r, s), {"rho": r, "sigma": s}
+    r, (s, s_eig) = x["rho"], floor_eigensystem(x["sigma"], SIGMA_FLOOR)
+    m = min_relative_entropy(r, s, s_eig) - relative_entropy(r, s, s_eig)
+    return m, {"rho": r, "sigma": s}
 
 
 def _sample_mi_min_relent(rng):
@@ -220,22 +249,28 @@ def _sample_mi_min_relent(rng):
 
 def _mi_min_relent(dims, x):
     r = x["rho"]
+    wr = np.linalg.eigvalsh(hermitianize(r))        # the one full-size solve
     rx = partial_trace_matrix(r, dims, [0])
     ry = partial_trace_matrix(r, dims, [1])
-    sx, sy = (floor_eigenvalues(x[k], SIGMA_FLOOR) for k in ("sigma_x", "sigma_y"))
-    m = relative_entropy(r, kron(sx, sy)) - relative_entropy(r, kron(rx, ry))
+    (sx, sx_eig), (sy, sy_eig) = (floor_eigensystem(x[k], SIGMA_FLOOR)
+                                  for k in ("sigma_x", "sigma_y"))
+
+    def to_product(a, a_eig, b, b_eig):
+        return relative_entropy(r, kron(a, b), _kron_eig(a_eig, b_eig), wr)
+    m = (to_product(sx, sx_eig, sy, sy_eig)
+         - to_product(rx, hermitian_eig(rx), ry, hermitian_eig(ry)))
     return m, {"rho": r, "sigma_x": sx, "sigma_y": sy}
 
 
 def _sample_relent_mono(rng):
     d1, d2 = _dim(rng, (2, 3)), _dim(rng, (2, 3))
-    r, s = mixed_draw(rng, d1 * d2), mixed_draw(rng, d1 * d2)
+    r, s = mixed_draw(rng, d1 * d2, 2)
     return (d1, d2), {"rho": r, "sigma": s}
 
 
 def _relent_mono(dims, x):
-    r, s = x["rho"], floor_eigenvalues(x["sigma"], SIGMA_FLOOR)
-    m = (relative_entropy(r, s)
+    r, (s, s_eig) = x["rho"], floor_eigensystem(x["sigma"], SIGMA_FLOOR)
+    m = (relative_entropy(r, s, s_eig)
          - relative_entropy(partial_trace_matrix(r, dims, [0]),
                             partial_trace_matrix(s, dims, [0])))
     return m, {"rho": r, "sigma": s}
@@ -291,6 +326,10 @@ class CheckDef:
         stacked, and the states among them built on the whole stack."""
         x = {n: np.stack([d[n] for d in draws]) for n in draws[0]}
         return {n: _BUILD[n](a) if n in _BUILD else a for n, a in x.items()}
+
+    def entries(self, draws: dict) -> int:
+        """Matrix entries of one trial's built inputs, the unit of _BUDGET."""
+        return sum(a.size for a in self.inputs([draws]).values())
 
     def _run_group(self, key, draws: list[dict]):
         """The kernel on the stacked inputs of trials that share a group key."""
@@ -377,8 +416,32 @@ def _dump_counterexample(directory: Path, name: str, trial: int, margin: float,
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def run_check(spec: CheckSpec, report_dir: str | Path | None = None) -> CheckReport:
-    """Run one check; deterministic given (spec.name, spec.trials, spec.seed)."""
+def _blocks(check: CheckDef, rngs) -> Iterator[list]:
+    """Sampled trials of check, in blocks that close once their entries reach
+    _BUDGET.  A trial's entries (those of its built inputs, plus _TRIAL_ENTRIES)
+    depend only on its group key, so they are counted once per key."""
+    entries: dict = {}
+    block, used = [], 0
+    for rng in rngs:
+        key, draws = check.sample(rng)
+        if key not in entries:
+            entries[key] = check.entries(draws) + _TRIAL_ENTRIES
+        block.append((key, draws))
+        used += entries[key]
+        if used >= _BUDGET:
+            yield block
+            block, used = [], 0
+    if block:
+        yield block
+
+
+def run_check(spec: CheckSpec, report_dir: str | Path | None = None,
+              counters: dict | None = None) -> CheckReport:
+    """Run one check; deterministic given (spec.name, spec.trials, spec.seed).
+
+    counters, if given, receives the run's number of evaluated blocks and of
+    kernel calls (one per group key of each block).
+    """
     if spec.name not in REGISTRY:
         raise ValueError(f"unknown check {spec.name!r}; have {sorted(REGISTRY)}")
     if spec.trials < 1:
@@ -388,11 +451,12 @@ def run_check(spec: CheckSpec, report_dir: str | Path | None = None) -> CheckRep
     worst = math.inf
     worst_trial = -1
     violations = 0
-    for start in range(0, spec.trials, _BLOCK):
-        trials = range(start, min(start + _BLOCK, spec.trials))
-        rngs = rng_block(spec.seed, CHECK_STREAM, check_id, trials=trials)
-        margins = check.evaluate([check.sample(rng) for rng in rngs])
-        for trial, margin in zip(trials, margins.tolist()):
+    start = blocks = kernel_calls = 0
+    rngs = rng_block(spec.seed, CHECK_STREAM, check_id, trials=range(spec.trials))
+    for block in _blocks(check, rngs):
+        blocks += 1
+        kernel_calls += len({key for key, _ in block})
+        for trial, margin in enumerate(check.evaluate(block).tolist(), start):
             if margin < worst:
                 worst, worst_trial = margin, trial
             if margin < -check.tolerance:
@@ -401,21 +465,27 @@ def run_check(spec: CheckSpec, report_dir: str | Path | None = None) -> CheckRep
                     # replaying the trial gives the same margin bits and its states
                     _, states = check.func(rng_for(spec.seed, CHECK_STREAM, check_id, trial))
                     _dump_counterexample(Path(report_dir), spec.name, trial, margin, states)
+        start += len(block)
+    if counters is not None:
+        counters.update(blocks=blocks, kernel_calls=kernel_calls)
     return CheckReport(spec.name, spec.trials, violations, worst, worst_trial)
 
 
 def run_all(seed: int = 0, trials_per_check: int = 10_000,
             names: Iterable[str] | None = None,
-            report_dir: str | Path | None = None) -> tuple[list[CheckReport], list[float]]:
+            report_dir: str | Path | None = None,
+            counters: dict | None = None) -> tuple[list[CheckReport], list[float]]:
     """Run the whole suite (or a named subset) with per-check independent streams.
 
-    Returns the reports in run order and each check's wall seconds.
+    Returns the reports in run order and each check's wall seconds; counters,
+    if given, maps each check's name to its run_check counters.
     """
     reports, walls = [], []
     for name in REGISTRY if names is None else names:
         t0 = time.perf_counter()
         reports.append(run_check(CheckSpec(name, trials=trials_per_check, seed=seed),
-                                 report_dir))
+                                 report_dir,
+                                 None if counters is None else counters.setdefault(name, {})))
         walls.append(time.perf_counter() - t0)
     return reports, walls
 

@@ -2,12 +2,13 @@
 
 Subcommands: value, repeat, verify, simulate, sic.  Every run writes an
 output directory (default out/<command>/<timestamp>-<seed>/) containing
-manifest.json (command, config echo, seed, version, wall time, output paths;
-value, repeat, simulate and sic add phase timings, the see-saw its iteration
-count and rate and its lockstep steps, simulate its number of chunk
-generators, verify each check's wall seconds and trials/s) and
-report.json.  report.json is byte-deterministic for a fixed seed; the manifest
-holds the nondeterministic bookkeeping.  The directory is created only once a
+manifest.json (command, config echo, seed, version, environment (cores,
+numpy, BLAS), wall time, output paths; value, repeat, simulate and sic add
+phase timings, the see-saw its iteration count and rate and its lockstep
+steps, simulate its number of chunk generators, verify each check's wall
+seconds, trials/s, evaluated blocks and kernel calls) and report.json.
+report.json is byte-deterministic for a fixed seed; the manifest holds the
+nondeterministic bookkeeping.  The directory is created only once a
 command's input has passed validation, so an input error (exit 2) leaves none.
 
 Exit codes: 0 success, 1 property violation, 2 input error, 3 budget.
@@ -19,6 +20,7 @@ import argparse
 import fnmatch
 import functools
 import json
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import checks as checks_mod
 from . import protocol as protocol_mod
-from .config import VERSION, BudgetError, _field, _integer
+from .config import VERSION, BudgetError, _field, _integer, _load_json
 from .games import (
     classical_value,
     entangled_value_seesaw,
@@ -40,19 +42,6 @@ from .games import (
     save_game,
 )
 from .sic import SuperposedState, build_decoupling, sic_terms
-
-
-def _load_json(path: Path):
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"invalid JSON in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
 
 
 def _canonical_json(obj) -> str:
@@ -77,6 +66,14 @@ def _out_dir(args, command: str, seed) -> Path:
     return out
 
 
+@functools.cache
+def _environment() -> dict:
+    """The machine a run's timings come from: cores, numpy and its BLAS."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"cpu_count": os.cpu_count(), "numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")}}
+
+
 def _write_manifest(out: Path, command: str, config: dict, seed, t0: float,
                     outputs: list[str], **extra) -> None:
     manifest = {
@@ -84,6 +81,7 @@ def _write_manifest(out: Path, command: str, config: dict, seed, t0: float,
         "config": config,
         "seed": seed,
         "version": VERSION,
+        "environment": _environment(),
         "wall_time_s": time.perf_counter() - t0,
         "outputs": outputs,
         **extra,
@@ -170,9 +168,11 @@ def cmd_verify(args) -> int:
         if not names:
             raise ValueError(f"filter {args.filter!r} matches no checks")
     out = _out_path(args, "verify", seed)     # counterexample dumps create it
-    reports, walls = checks_mod.run_all(seed, args.trials, names, out)
-    timings = {rep.name: {"wall_s": wall, "trials_per_s": rep.trials_run / wall}
-               for rep, wall in zip(reports, walls)}
+    counters: dict = {}
+    reports, walls = checks_mod.run_all(seed, args.trials, names, out, counters)
+    per_check = {rep.name: {"wall_s": wall, "trials_per_s": rep.trials_run / wall,
+                            **counters[rep.name]}
+                 for rep, wall in zip(reports, walls)}
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(checks_mod.reports_to_json(reports))
     checks_mod.reports_to_csv(reports, out / "report.csv")
@@ -182,7 +182,7 @@ def cmd_verify(args) -> int:
     outputs = ["report.json", "report.csv"]
     outputs += sorted(p.name for p in out.glob("counterexample_*.json"))
     cfg = {"trials": args.trials, "filter": args.filter}
-    _write_manifest(out, "verify", cfg, seed, t0, outputs, checks=timings)
+    _write_manifest(out, "verify", cfg, seed, t0, outputs, checks=per_check)
     return 1 if checks_mod.any_violations(reports) else 0
 
 

@@ -4,13 +4,16 @@ DEFAULT_TOLS holds the tolerances linalg, qinfo and QuantumStrategy.validate
 check states, measurements and spectra against; code reads its fields and no
 function takes a tolerance argument.  Slacks local to one construction are
 literals beside it (games' distribution checks, the purification rule).
-_field reads one field of a JSON input document (a game, a simulate config,
-a state spec) and turns any malformed value into a ValueError naming it.
+_load_json reads a JSON input document (a game, a simulate config, a state
+spec), and _field reads one field of it; both turn malformed input into a
+ValueError that names the file or the field.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from pathlib import Path
 
 VERSION = "0.1.0"
 
@@ -66,3 +69,28 @@ def _integer(value) -> int:
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
+
+
+def _string(value) -> str:
+    """value itself, refusing anything but a string."""
+    if not isinstance(value, str):
+        raise ValueError(f"{value!r} is not a string")
+    return value
+
+
+def _load_json(path) -> object:
+    """The JSON document in path.  A file that cannot be read or parsed is a
+    ValueError; a missing one raises FileNotFoundError, which the CLI reports
+    as an input error too."""
+    try:
+        text = Path(path).read_text()
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(
+            f"invalid JSON in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from exc

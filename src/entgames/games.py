@@ -16,7 +16,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, MAX_ENUMERATION, MAX_TABLE_ENTRIES, BudgetError, _field, _integer
+from .config import (
+    DEFAULT_TOLS,
+    MAX_ENUMERATION,
+    MAX_TABLE_ENTRIES,
+    BudgetError,
+    _field,
+    _integer,
+    _load_json,
+    _string,
+)
 from .linalg import RegisterLayout, dagger, hermitian_eig, hermitianize
 from .qinfo import PureState
 from .random_states import haar_state, random_projective, rng_for
@@ -544,7 +553,7 @@ def game_from_dict(d: dict) -> Game:
     get = partial(_field, "game document", d)
     return Game(get("k", _integer), get("l", _integer),
                 get("p", partial(np.array, dtype=float)), get("V", np.array),
-                name=d.get("name"))
+                name=get("name", _string, None))
 
 
 def game_to_json(g: Game) -> str:
@@ -561,9 +570,4 @@ def save_game(g: Game, path: str | Path) -> None:
 
 
 def load_game(path: str | Path) -> Game:
-    try:
-        return game_from_json(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"invalid JSON in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+    return game_from_dict(_load_json(path))

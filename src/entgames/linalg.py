@@ -10,6 +10,9 @@ also take stacks of shape (..., d, d) and act on each slice, validating each
 slice as they would a single matrix; a single matrix is the unbatched case.
 psd_eigvalsh is the one Hermitian-and-PSD check, which DensityOperator and
 qinfo.check_povm build on; tolerances are the fixed config.DEFAULT_TOLS.
+hermitian_eig, psd_eigvalsh and matrix_sqrt_psd take an eigensystem the
+caller already solved as known, and then run their checks on it instead of
+solving again.
 """
 
 from __future__ import annotations
@@ -163,24 +166,31 @@ def _check_psd_spectrum(w: np.ndarray) -> None:
         raise ValueError(f"matrix has eigenvalue {low:.3e}; not PSD within tolerance")
 
 
-def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(h, known=None) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, or of each matrix in a stack.
 
     Returns (eigenvalues ascending, eigenvector matrix with orthonormal
     columns).  Raises on input that is not Hermitian within tolerance;
-    convergence failures surface as numpy.linalg.LinAlgError.
+    convergence failures surface as numpy.linalg.LinAlgError.  A caller that
+    already has h's eigensystem passes it as known: h gets the same checks
+    and known is returned without a second solve.
     """
     h = as_stack(h)
     _check_hermitian(h)
+    if known is not None:
+        return known
     w, v = np.linalg.eigh(hermitianize(h))
     return w, v
 
 
-def psd_eigvalsh(a) -> np.ndarray:
-    """Eigenvalues of a PSD Hermitian matrix (or stack); raises like matrix_sqrt_psd."""
+def psd_eigvalsh(a, known=None) -> np.ndarray:
+    """Eigenvalues of a PSD Hermitian matrix (or stack); raises like matrix_sqrt_psd.
+
+    known, a spectrum of a the caller already has, is checked in place of a solve.
+    """
     a = as_stack(a)
     _check_hermitian(a)
-    w = np.linalg.eigvalsh(hermitianize(a))
+    w = np.linalg.eigvalsh(hermitianize(a)) if known is None else known
     _check_psd_spectrum(w)
     return w
 
@@ -210,13 +220,13 @@ def partial_trace(rho: DensityOperator, keep: Iterable[str]) -> DensityOperator:
     return DensityOperator(out, rho.layout.keep([rho.layout.labels[p] for p in pos]), validate=False)
 
 
-def matrix_sqrt_psd(a) -> np.ndarray:
+def matrix_sqrt_psd(a, known=None) -> np.ndarray:
     """Principal square root of a PSD Hermitian matrix, or of each in a stack.
 
     Eigenvalues in [-psd_tol, 0) are clipped to 0; anything more negative is
-    an error.
+    an error.  known is a's eigensystem if the caller has it (see hermitian_eig).
     """
-    w, v = hermitian_eig(a)
+    w, v = hermitian_eig(a, known)
     _check_psd_spectrum(w)
     w = np.sqrt(np.clip(w, 0.0, None))
     return hermitianize((v * w[..., None, :]) @ dagger(v))

@@ -8,7 +8,10 @@ decomposition) need the layout and take DensityOperator / PureState.
 fidelity, relative_entropy, min_relative_entropy, von_neumann_entropy and
 povm_outcome_bound also take stacks of states, shape (..., d, d), and then
 return an array with one value per slice; every per-matrix validation applies
-to each slice.  A single matrix gives a float.
+to each slice.  A single matrix gives a float.  fidelity, relative_entropy
+and min_relative_entropy take eigensystems the caller already solved, so that
+a state's spectrum is solved once across several quantities; the validations
+run on the given spectra.
 purification_matrix is the one purification, used by purify, uhlmann_partner
 and sic's decoupling.  Tolerances are the fixed config.DEFAULT_TOLS.
 """
@@ -136,14 +139,16 @@ def _outcome_distribution(elements: np.ndarray, rho: np.ndarray) -> np.ndarray:
 # fidelity family
 
 
-def fidelity(rho, sigma):
+def fidelity(rho, sigma, rho_eig=None, sigma_eig=None):
     """Root fidelity F(rho, sigma) = ||sqrt(rho) sqrt(sigma)||_1, in [0, 1].
 
     Both states are checked Hermitian and PSD; see fidelity_from_root.
+    rho_eig and sigma_eig are the states' eigensystems (w ascending, v) if
+    the caller already solved them; the checks then run on those.
     """
     r, s = _pair(rho, sigma)
-    psd_eigvalsh(s)
-    return fidelity_from_root(matrix_sqrt_psd(r), s)
+    psd_eigvalsh(s, None if sigma_eig is None else sigma_eig[0])
+    return fidelity_from_root(matrix_sqrt_psd(r, rho_eig), s)
 
 
 def fidelity_from_root(root_rho: np.ndarray, sigma: np.ndarray):
@@ -316,38 +321,42 @@ def mutual_information(rho: DensityOperator, x: Iterable[str], y: Iterable[str])
             - _reduced_entropy(rho, x + y))
 
 
-def _sigma_basis(r: np.ndarray, s: np.ndarray):
-    """sigma's eigensystem, rho's diagonal in that basis, and whether rho leaves
-    sigma's support: its mass on eigenvalues <= support exceeds support.
+def _sigma_basis(r: np.ndarray, s: np.ndarray, known=None):
+    """sigma's eigensystem (solved unless known), rho's diagonal in that basis,
+    and whether rho leaves sigma's support: its mass on eigenvalues <= support
+    exceeds support.
     """
-    ws, vs = hermitian_eig(s)
+    ws, vs = hermitian_eig(s, known)
     diag = np.einsum("...ik,...ki->...i", dagger(vs) @ r, vs).real
     leak = np.where(ws > DEFAULT_TOLS.support, 0.0, np.clip(diag, 0.0, None)).sum(axis=-1)
     return ws, vs, diag, leak > DEFAULT_TOLS.support
 
 
-def relative_entropy(rho, sigma):
+def relative_entropy(rho, sigma, sigma_eig=None, rho_spectrum=None):
     """S(rho || sigma) in bits; +inf iff rho's support leaves sigma's support.
 
     Support is decided by the eigenvalue cutoff DEFAULT_TOLS.support (1e-10).
+    sigma_eig (sigma's eigensystem) and rho_spectrum (rho's eigenvalues), if
+    the caller already has them, are used instead of solving again.
     """
     r, s = _pair(rho, sigma)
-    ws, _, diag, leaves = _sigma_basis(r, s)
-    wr = np.linalg.eigvalsh(hermitianize(r))
+    ws, _, diag, leaves = _sigma_basis(r, s, sigma_eig)
+    wr = np.linalg.eigvalsh(hermitianize(r)) if rho_spectrum is None else rho_spectrum
     tr_rho_log_rho = -entropy_of_spectrum(wr)
     sup = ws > DEFAULT_TOLS.support
     tr_rho_log_sigma = np.where(sup, diag * np.log2(np.where(sup, ws, 1.0)), 0.0).sum(axis=-1)
     return _value(np.where(leaves, np.inf, tr_rho_log_rho - tr_rho_log_sigma))
 
 
-def min_relative_entropy(rho, sigma):
+def min_relative_entropy(rho, sigma, sigma_eig=None):
     """S_inf(rho || sigma) = log2 of the least k with rho <= 2^k sigma.
 
     Computed as log2 lambda_max(sigma^{-1/2} rho sigma^{-1/2}) on sigma's
-    support; +inf under the same support rule as relative_entropy.
+    support; +inf under the same support rule as relative_entropy, which
+    also takes sigma_eig.
     """
     r, s = _pair(rho, sigma)
-    ws, vs, _, leaves = _sigma_basis(r, s)
+    ws, vs, _, leaves = _sigma_basis(r, s, sigma_eig)
     sup = (ws > DEFAULT_TOLS.support)[..., None, :]
     q = np.where(sup, vs / np.sqrt(np.where(sup, ws[..., None, :], 1.0)), 0.0) @ dagger(vs)
     lam = np.linalg.eigvalsh(hermitianize(q @ r @ q))[..., -1]

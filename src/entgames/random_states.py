@@ -153,9 +153,13 @@ def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def mixed_draw(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Raw draw of one random mixed state: real and imaginary parts, (2, dim^2)."""
-    return rng.standard_normal((2, dim * dim))
+def mixed_draw(rng: np.random.Generator, dim: int, n: int | None = None) -> np.ndarray:
+    """Raw draw of one random mixed state: real and imaginary parts, (2, dim^2).
+
+    With n, the draws of n states in one call, (n, 2, dim^2): the same numbers
+    as n successive single draws.
+    """
+    return rng.standard_normal((2, dim * dim) if n is None else (n, 2, dim * dim))
 
 
 def mixed_states(g: np.ndarray) -> np.ndarray:
@@ -185,10 +189,18 @@ def floor_eigenvalues(rho: np.ndarray, floor: float = 1e-8) -> np.ndarray:
     relative-entropy checks so support is full and infinity branches are not
     triggered by sampling accidents.
     """
+    return floor_eigensystem(rho, floor)[0]
+
+
+def floor_eigensystem(rho: np.ndarray, floor: float = 1e-8):
+    """floor_eigenvalues(rho, floor) together with its eigensystem, known from
+    the one solve of rho: eigenvalues max(w, floor) / sum (still ascending)
+    on rho's eigenvectors.  Returns (state, (eigenvalues, eigenvectors)).
+    """
     w, v = np.linalg.eigh(hermitianize(rho))
     w = np.maximum(w, floor)
     w = w / w.sum(axis=-1, keepdims=True)
-    return (v * w[..., None, :]) @ dagger(v)
+    return (v * w[..., None, :]) @ dagger(v), (w, v)
 
 
 def povm_draw(rng: np.random.Generator, dim: int, n_outcomes: int) -> np.ndarray:

@@ -1,12 +1,15 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from entgames import checks
 from entgames.checks import (
-    _BLOCK,
+    SIGMA_FLOOR,
     _dim,
+    _kron_eig,
     CHECK_STREAM,
     DIM_POOL,
     REGISTRY,
@@ -18,7 +21,7 @@ from entgames.checks import (
     run_all,
     run_check,
 )
-from entgames.linalg import partial_trace_matrix
+from entgames.linalg import kron, partial_trace_matrix
 from entgames.qinfo import (
     Povm,
     fidelity,
@@ -27,7 +30,7 @@ from entgames.qinfo import (
     relative_entropy,
     von_neumann_entropy,
 )
-from entgames.random_states import rng_for
+from entgames.random_states import floor_eigensystem, floor_eigenvalues, rng_block, rng_for
 
 EXPECTED_ORDER = [
     "weak_triangle",
@@ -187,9 +190,11 @@ class TestStackedEvaluation:
     replay entry point REGISTRY[name].func) or stacked with any block mates."""
 
     @pytest.mark.parametrize("name", EXPECTED_ORDER)
-    def test_stacked_margins_replay_bit_for_bit(self, name):
+    def test_stacked_margins_replay_bit_for_bit(self, name, monkeypatch):
         check, check_id = REGISTRY[name], EXPECTED_ORDER.index(name)
-        n = _BLOCK + 21                     # run_check crosses a block boundary
+        n = 149
+        # a budget that makes run_check cross block boundaries within n trials
+        monkeypatch.setattr(checks, "_BUDGET", 4000)
         for seed in (0, 5):
             single = [check.func(rng_for(seed, CHECK_STREAM, check_id, t))[0]
                       for t in range(n)]
@@ -200,7 +205,9 @@ class TestStackedEvaluation:
             # other block mates, and other group sizes, for every trial
             shifted = check.evaluate(samples[7:])
             assert _bits(shifted) == _bits(single[7:])
-            rep = run_check(CheckSpec(name, trials=n, seed=seed))
+            counters: dict = {}
+            rep = run_check(CheckSpec(name, trials=n, seed=seed), counters=counters)
+            assert counters["blocks"] >= 2
             assert _bits(rep.worst_margin) == _bits(min(single))
             assert rep.worst_case_seed == single.index(min(single))
             assert rep.violations == sum(m < -check.tolerance for m in single)
@@ -214,6 +221,185 @@ class TestStackedEvaluation:
         assert doc["margin"] == margin
         rho = np.array(doc["states"]["rho"]["re"]) + 1j * np.array(doc["states"]["rho"]["im"])
         assert np.array_equal(rho, payload["rho"])
+
+
+def _report_bits(rep: CheckReport) -> tuple:
+    return rep.name, rep.trials_run, rep.violations, _bits(rep.worst_margin), \
+        rep.worst_case_seed
+
+
+class TestBudget:
+    """Blocks close on an entry budget; no budget changes a report's bits."""
+
+    @pytest.mark.parametrize("name", EXPECTED_ORDER)
+    def test_reports_independent_of_budget(self, name, monkeypatch):
+        check, check_id = REGISTRY[name], EXPECTED_ORDER.index(name)
+        default = checks._BUDGET
+        for seed in (0, 5):
+            # enough trials that the default budget closes one block, not two
+            monkeypatch.setattr(checks, "_BUDGET", default)
+            rngs = rng_block(seed, CHECK_STREAM, check_id, trials=range(10_000))
+            first = next(checks._blocks(check, rngs))
+            spec = CheckSpec(name, trials=len(first) + 25, seed=seed)
+            runs = {}
+            for budget in (1, default, 10**12):
+                monkeypatch.setattr(checks, "_BUDGET", budget)
+                counters: dict = {}
+                runs[budget] = (_report_bits(run_check(spec, counters=counters)), counters)
+            reps = {r for r, _ in runs.values()}
+            assert len(reps) == 1, runs
+            blocks = [c["blocks"] for _, c in runs.values()]
+            assert blocks == [spec.trials, 2, 1]
+            assert runs[1][1]["kernel_calls"] == spec.trials
+
+    def test_entries_count_built_states(self):
+        # classical_states turns d Dirichlet weights into d x d entries
+        draws = REGISTRY["superadd_classical"].sample(rng_for(0, CHECK_STREAM, 8, 0))[1]
+        d12, d1, d2 = (draws[k].size for k in ("sigma12", "ref1", "ref2"))
+        assert REGISTRY["superadd_classical"].entries(draws) == d12**2 + d1**2 + d2**2
+        # a mixed state's (2, d^2) raw draw becomes d^2 complex entries
+        key, draws = REGISTRY["weak_triangle"].sample(rng_for(0, CHECK_STREAM, 0, 0))
+        assert REGISTRY["weak_triangle"].entries(draws) == 3 * key[0] ** 2
+
+
+# the compositions the reuse kernels replaced: each solves the floored sigma
+# again, and rho once per quantity
+def _old_relent_vs_fid(key, x):
+    r, s = x["rho"], floor_eigenvalues(x["sigma"], SIGMA_FLOOR)
+    return relative_entropy(r, s) - (1 - fidelity(r, s))
+
+
+def _old_smax_ge_s(key, x):
+    r, s = x["rho"], floor_eigenvalues(x["sigma"], SIGMA_FLOOR)
+    return min_relative_entropy(r, s) - relative_entropy(r, s)
+
+
+def _old_mi_min_relent(dims, x):
+    r = x["rho"]
+    rx, ry = (partial_trace_matrix(r, dims, [i]) for i in (0, 1))
+    sx, sy = (floor_eigenvalues(x[k], SIGMA_FLOOR) for k in ("sigma_x", "sigma_y"))
+    return relative_entropy(r, kron(sx, sy)) - relative_entropy(r, kron(rx, ry))
+
+
+def _old_relent_mono(dims, x):
+    r, s = x["rho"], floor_eigenvalues(x["sigma"], SIGMA_FLOOR)
+    return (relative_entropy(r, s)
+            - relative_entropy(partial_trace_matrix(r, dims, [0]),
+                               partial_trace_matrix(s, dims, [0])))
+
+
+OLD_KERNELS = {"relent_vs_fid": _old_relent_vs_fid, "smax_ge_s": _old_smax_ge_s,
+               "mi_min_relent": _old_mi_min_relent, "relent_mono": _old_relent_mono}
+PAIR_KEYS = {(d1, d2) for d1 in (2, 3) for d2 in (2, 3)}
+ALL_KEYS = {"relent_vs_fid": {(d,) for d in DIM_POOL}, "smax_ge_s": {(d,) for d in DIM_POOL},
+            "mi_min_relent": PAIR_KEYS, "relent_mono": PAIR_KEYS}
+# eigensolves per trial: (full-size, smaller); the old compositions took
+# (6, 0), (5, 0), (4, 2) and (3, 2)
+SOLVES = {"relent_vs_fid": (3, 0), "smax_ge_s": (3, 0), "mi_min_relent": (1, 4),
+          "relent_mono": (2, 2)}
+
+
+def _mp_herm(a):
+    m = mpmath.matrix(np.asarray(a).tolist())
+    return (m + m.H) / 2
+
+
+def _mp_apply(m, f):
+    """V f(W) V^H for the Hermitian mpmath matrix m = V W V^H."""
+    w, v = mpmath.eighe(m)
+    return v * mpmath.diag([f(x) for x in w]) * v.H
+
+
+def _mp_trace(m):
+    return mpmath.re(mpmath.fsum(m[i, i] for i in range(m.rows)))
+
+
+def _exact_relent(r, s):
+    rm, sm = _mp_herm(r), _mp_herm(s)
+    wr = mpmath.eighe(rm, eigvals_only=True)
+    return (mpmath.fsum(w * mpmath.log(w, 2) for w in wr if w > 0)
+            - _mp_trace(rm * _mp_apply(sm, lambda w: mpmath.log(w, 2))))
+
+
+def _exact_margin(name, key, st):
+    """A reuse check's margin on its dumped states in 40-digit arithmetic."""
+    pt = partial_trace_matrix
+    with mpmath.workdps(40):
+        if name == "mi_min_relent":
+            r = st["rho"]
+            m = (_exact_relent(r, np.kron(st["sigma_x"], st["sigma_y"]))
+                 - _exact_relent(r, np.kron(pt(r, key, [0]), pt(r, key, [1]))))
+            return float(m)
+        r, s = st["rho"], st["sigma"]
+        if name == "relent_mono":
+            return float(_exact_relent(r, s) - _exact_relent(pt(r, key, [0]), pt(s, key, [0])))
+        rm, sm = _mp_herm(r), _mp_herm(s)
+        if name == "smax_ge_s":
+            q = _mp_apply(sm, lambda w: 1 / mpmath.sqrt(w))
+            d_max = mpmath.log(max(mpmath.eighe(q * rm * q, eigvals_only=True)), 2)
+            return float(d_max - _exact_relent(r, s))
+        root = _mp_apply(rm, lambda w: mpmath.sqrt(max(w, 0)))
+        f = mpmath.fsum(mpmath.sqrt(max(w, 0))
+                        for w in mpmath.eighe(root * sm * root, eigvals_only=True))
+        return float(_exact_relent(r, s) - (1 - f))
+
+
+class TestEigensystemReuse:
+    """Kernels that reuse eigensystems match the compositions they replaced."""
+
+    @pytest.mark.parametrize("name", sorted(OLD_KERNELS))
+    def test_matches_old_composition(self, name):
+        check, check_id = REGISTRY[name], EXPECTED_ORDER.index(name)
+        groups: dict = {}
+        for t in range(200):
+            key, draws = check.sample(rng_for(3, CHECK_STREAM, check_id, t))
+            groups.setdefault(key, []).append(draws)
+        assert groups.keys() == ALL_KEYS[name]
+        for key, draws in groups.items():
+            x = check.inputs(draws)
+            new, states = check.kernel(key, x)
+            old = OLD_KERNELS[name](key, x)
+            assert np.abs(new - old).max() <= 1e-9, key
+            for i in np.flatnonzero(np.abs(new - old) > 1e-12):
+                # solving a state again loses digits on its small eigenvalues,
+                # so where the two differ by more, the reuse is the closer one
+                exact = _exact_margin(name, key, {n: a[i] for n, a in states.items()})
+                assert abs(new[i] - exact) < abs(old[i] - exact), (key, i)
+
+    @pytest.mark.parametrize("name", sorted(OLD_KERNELS))
+    def test_solves_per_trial(self, name, monkeypatch):
+        sizes = []
+
+        def counted(solve):
+            def wrapper(a, *args, **kwargs):
+                sizes.append(np.shape(a)[-1])
+                return solve(a, *args, **kwargs)
+            return wrapper
+        for solver in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, solver, counted(getattr(np.linalg, solver)))
+        check, check_id = REGISTRY[name], EXPECTED_ORDER.index(name)
+        for t in range(20):
+            sizes.clear()
+            key, _ = check.sample(rng_for(0, CHECK_STREAM, check_id, t))
+            check.func(rng_for(0, CHECK_STREAM, check_id, t))
+            full = math.prod(key)
+            assert (sizes.count(full), len(sizes) - sizes.count(full)) == SOLVES[name]
+
+    def test_floored_eigensystem(self):
+        sigma = np.stack([checks.mixed_states(np.random.default_rng(s).standard_normal(
+            (2, 16))) for s in range(5)])
+        s, (w, v) = floor_eigensystem(sigma, SIGMA_FLOOR)
+        assert np.array_equal(s, floor_eigenvalues(sigma, SIGMA_FLOOR))
+        assert np.all(np.diff(w, axis=-1) >= 0) and w.min() > 0
+        assert np.abs(s @ v - v * w[:, None, :]).max() <= 1e-14
+
+    def test_kron_eigensystem(self):
+        rng = np.random.default_rng(0)
+        a, b = (checks.mixed_states(rng.standard_normal((4, 2, d * d))) for d in (2, 3))
+        w, v = _kron_eig(np.linalg.eigh(a), np.linalg.eigh(b))
+        assert np.all(np.diff(w, axis=-1) >= 0)
+        assert np.abs(kron(a, b) @ v - v * w[:, None, :]).max() <= 1e-14
+        assert np.abs(w - np.linalg.eigvalsh(kron(a, b))).max() <= 1e-14
 
 
 def _reference_margin(name, key, st):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import entgames
-from entgames import cli
+from entgames import checks, cli
 from entgames.cli import main
 from entgames.games import chsh, classical_value, load_game, save_game
 
@@ -207,6 +207,27 @@ class TestVerify:
         assert sum(t["wall_s"] for t in man["checks"].values()) <= man["wall_time_s"]
         assert "wall_s" not in (out / "report.json").read_text()
 
+    def test_manifest_and_report_schema(self, tmp_path):
+        # counters and the environment go to the manifest; report.json keeps
+        # exactly the CheckReport fields, the same bytes as the suite runner's
+        out = tmp_path / "out"
+        main(["verify", "--filter", "*_mono", "--trials", "300", "--seed", "2",
+              "--out", str(out)])
+        man = json.loads((out / "manifest.json").read_text())
+        assert set(man["environment"]) == {"cpu_count", "numpy", "blas"}
+        assert man["environment"]["numpy"] == np.__version__
+        assert set(man["environment"]["blas"]) == {"name", "version"}
+        counters: dict = {}
+        reports, _ = checks.run_all(2, 300, ["cptp_mono", "relent_mono"], None, counters)
+        for name, entry in man["checks"].items():
+            assert set(entry) == {"wall_s", "trials_per_s", "blocks", "kernel_calls"}
+            assert {k: entry[k] for k in ("blocks", "kernel_calls")} == counters[name]
+            assert 1 <= entry["blocks"] <= entry["kernel_calls"]
+        assert (out / "report.json").read_text() == checks.reports_to_json(reports)
+        for rep in json.loads((out / "report.json").read_text()):
+            assert set(rep) == {"name", "trials_run", "violations", "worst_margin",
+                                "worst_case_seed"}
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_rejects_no_trials(self, tmp_path, capsys, trials):
         # used to exit 0 with "worst_margin": Infinity, which is not JSON
@@ -396,6 +417,8 @@ class TestSimulate:
         ({"l": 2.5}, "'l'"),
         ({"p": {"x": 1}}, "'p'"),
         ({"V": [[1], [1, 2]]}, "'V'"),
+        ({"name": {"a": 1}}, "'name'"),
+        ({"name": 3}, "'name'"),
     ])
     def test_malformed_game_is_input_error(self, tmp_path, capsys, doc, field):
         game = json.loads(write_chsh(tmp_path).read_text())
@@ -409,6 +432,29 @@ class TestSimulate:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and field in err
             assert not out.exists()
+
+
+    def test_game_path_is_a_directory(self, tmp_path, capsys):
+        # an unreadable game file is an input error, not a traceback (exit 1)
+        (tmp_path / "dir.json").mkdir()
+        cfg = self.write_config(tmp_path, model={"kind": "strategy_backed", "game": "dir.json"})
+        for argv in (["value", str(tmp_path / "dir.json")],
+                     ["repeat", str(tmp_path / "dir.json"), "--n", "2"],
+                     ["simulate", str(cfg)]):
+            out = tmp_path / "out"
+            assert main([*argv, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: cannot read ") and "dir.json" in err
+            assert not out.exists()
+
+    def test_game_name_kept_or_absent(self, tmp_path):
+        game = json.loads(write_chsh(tmp_path).read_text())
+        for name, want in (("CHSH", "CHSH^2"), (None, "")):
+            path = tmp_path / "named.json"
+            path.write_text(json.dumps({**game, "name": name}))
+            out = tmp_path / f"out{want}"
+            assert main(["repeat", str(path), "--n", "2", "--out", str(out)]) == 0
+            assert json.loads((out / "report.json").read_text())["name"] == want
 
 
 class TestSic:
@@ -572,3 +618,20 @@ class TestTopLevel:
             code = main([*argv, "--out", str(same)])
             assert run_fresh(["-m", "entgames.cli", *argv, "--out", str(fresh)]) == code
             assert (same / "report.json").read_bytes() == (fresh / "report.json").read_bytes()
+
+    def test_every_manifest_names_its_machine(self, tmp_path):
+        game = write_chsh(tmp_path)
+        sim = tmp_path / "sim.json"
+        sim.write_text(json.dumps({"n": 8, "epsilon": 1.0, "t": 0.0, "trials": 50,
+                                   "model": {"kind": "iid_bernoulli", "w": 0.9}}))
+        commands = [["value", str(game)], ["repeat", str(game), "--n", "2"],
+                    ["sic", str(constant_spec(tmp_path))],
+                    ["verify", "--filter", "fact_sum", "--trials", "5", "--seed", "0"],
+                    ["simulate", str(sim)]]
+        for i, argv in enumerate(commands):
+            out = tmp_path / f"out{i}"
+            assert main([*argv, "--out", str(out)]) == 0
+            man = json.loads((out / "manifest.json").read_text())
+            assert man["environment"] == cli._environment()
+            assert man["environment"]["cpu_count"] == os.cpu_count()
+            assert "environment" not in (out / "report.json").read_text()
