@@ -61,6 +61,7 @@ from .qinfo import (
 )
 from .random_states import (
     classical_states,
+    flat_dirichlet,
     floor_eigensystem,
     floor_eigenvalues,
     mixed_draw,
@@ -134,7 +135,7 @@ def _fidelity_sq_sum(key, x):
 def _sample_cq_fidelity(rng):
     k = int(rng.integers(2, 4))
     d = _dim(rng, (2, 3, 4))
-    p, q = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(k))
+    p, q = flat_dirichlet(rng, k), flat_dirichlet(rng, k)
     blocks_p, blocks_q = mixed_draw(rng, d, k), mixed_draw(rng, d, k)
     return (k, d), {"p": p, "q": q, "rho_blocks": blocks_p, "sigma_blocks": blocks_q}
 
@@ -221,9 +222,9 @@ def _relent_vs_fid(key, x):
 
 def _sample_superadd_classical(rng):
     d1, d2 = _dim(rng, (2, 3, 4)), _dim(rng, (2, 3, 4))
-    return (d1, d2), {"sigma12": rng.dirichlet(np.ones(d1 * d2)),
-                      "ref1": rng.dirichlet(np.ones(d1)),
-                      "ref2": rng.dirichlet(np.ones(d2))}
+    return (d1, d2), {"sigma12": flat_dirichlet(rng, d1 * d2),
+                      "ref1": flat_dirichlet(rng, d1),
+                      "ref2": flat_dirichlet(rng, d2)}
 
 
 def _superadd_classical(dims, x):

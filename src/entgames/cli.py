@@ -4,9 +4,10 @@ Subcommands: value, repeat, verify, simulate, sic.  Every run writes an
 output directory (default out/<command>/<timestamp>-<seed>/) containing
 manifest.json (command, config echo, seed, version, environment (cores,
 numpy, BLAS), wall time, output paths; value, repeat, simulate and sic add
-phase timings, the see-saw its iteration count and rate and its lockstep
-steps, simulate its number of chunk generators, verify each check's wall
-seconds, trials/s, evaluated blocks and kernel calls) and report.json.
+phase timings, the see-saw its iteration count and rate, its lockstep
+steps and each restart's final increment, simulate its number of chunk
+generators, verify each check's wall seconds, trials/s, evaluated blocks
+and kernel calls) and report.json.
 report.json is byte-deterministic for a fixed seed; the manifest holds the
 nondeterministic bookkeeping.  The directory is created only once a
 command's input has passed validation, so an input error (exit 2) leaves none.
@@ -110,8 +111,11 @@ def cmd_value(args) -> int:
         res = entangled_value_seesaw(g, d=args.d, restarts=args.restarts,
                                      iters=args.iters, seed=seed)
         n_iter = sum(len(tr) for tr in res.traces)
+        # a restart whose last step still rose by 1e-12 or more hit --iters
         extra["seesaw"] = {"iterations": n_iter, "steps": res.steps,
-                           "iterations_per_s": n_iter / (time.perf_counter() - t_load)}
+                           "iterations_per_s": n_iter / (time.perf_counter() - t_load),
+                           "final_increments": [tr[-1] - tr[-2] if len(tr) > 1 else None
+                                                for tr in res.traces]}
         report["value"] = res.value
         report["seed"] = seed
         report["d"] = args.d

@@ -28,7 +28,7 @@ from .config import (
 )
 from .linalg import RegisterLayout, dagger, hermitian_eig, hermitianize
 from .qinfo import PureState
-from .random_states import haar_state, random_projective, rng_for
+from .random_states import haar_state, haar_unitaries, projectives, rng_block, unitary_draw
 
 _STREAM_SEESAW = 101
 _STREAM_ADVICE = 102
@@ -248,14 +248,29 @@ def strategy_win_probability(g: Game, strategy: ClassicalStrategy | QuantumStrat
 # see-saw heuristic for the entangled value
 
 
+def _compress(ops: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """q[x]^dag ops[x, a] q[x] for every input x and outcome a, (k, l, r, r).
+
+    Two GEMMs per input: the outcomes' operators stacked as rows times q[x],
+    then q[x]^dag times the products stacked as columns.
+    """
+    k, l, d = ops.shape[:3]
+    r = q.shape[-1]
+    m = (ops.reshape(k, l * d, d) @ q).reshape(k, l, d, r)
+    m = dagger(q) @ m.transpose(0, 2, 1, 3).reshape(k, d, l * r)
+    return m.reshape(k, r, l, r).transpose(0, 2, 1, 3)
+
+
 def _best_projective(ops: np.ndarray) -> np.ndarray:
     """Projective measurements maximizing sum_a Tr(P_a ops[x, a]) for every input x.
 
     ops has shape (k, l, d, d).  Two outcomes: exact positive/negative
     eigenspace split of the difference (zero eigenvalues go to outcome 0).
     More outcomes: greedy eigenvalue assignment by iterative subspace
-    compression, ties to the lowest output; each greedy step solves all
-    inputs and outcomes in one stacked eigensolve.
+    compression, ties to the lowest output.  Each greedy step picks every
+    input's outcome from the eigenvalues of all inputs and outcomes (one
+    stacked eigvalsh; none on the last, 1 x 1 step) and solves for
+    eigenvectors only on the picked outcomes' stack.
     """
     k, l, d = ops.shape[:3]
     out = np.zeros_like(ops)
@@ -270,30 +285,46 @@ def _best_projective(ops: np.ndarray) -> np.ndarray:
         out[:, 1] = hermitianize(np.eye(d) - p0)
         return out
     xs = np.arange(k)
-    q = np.broadcast_to(np.eye(d, dtype=complex), (k, d, d))
-    for _ in range(d):
-        r = q.shape[2]
-        w, v = np.linalg.eigh(hermitianize(dagger(q)[:, None] @ ops @ q[:, None]))
-        best_a, best_lam = np.zeros(k, dtype=int), w[:, 0, -1]
+    q = np.broadcast_to(np.eye(d, dtype=complex), (k, d, d))    # unassigned subspace
+    for r in range(d, 0, -1):
+        comp = hermitianize(ops if r == d else _compress(ops, q))
+        # a 1 x 1 block is its own eigenvalue, with eigenvector 1
+        top = comp[..., 0, 0].real if r == 1 else np.linalg.eigvalsh(comp)[..., -1]
+        best_a, best_lam = np.zeros(k, dtype=int), top[:, 0]
         for a in range(1, l):
-            better = w[:, a, -1] > best_lam + 1e-15
+            better = top[:, a] > best_lam + 1e-15
             best_a = np.where(better, a, best_a)
-            best_lam = np.where(better, w[:, a, -1], best_lam)
-        u = v[xs, best_a, :, -1]                                  # (k, r)
+            best_lam = np.where(better, top[:, a], best_lam)
+        if r == 1:
+            u = np.ones((k, 1), dtype=complex)
+        else:
+            u = np.linalg.eigh(comp[xs, best_a])[1][:, :, -1]        # (k, r)
         vec = (q @ u[:, :, None])[:, :, 0]
         out[xs, best_a] += vec[:, :, None] * vec.conj()[:, None, :]
-        if r == 1:
-            break
-        comp = np.eye(r) - u[:, :, None] * u.conj()[:, None, :]
-        q = q @ np.linalg.eigh(hermitianize(comp))[1][:, :, 1:]
+        if r > 1:
+            rest = np.eye(r) - u[:, :, None] * u.conj()[:, None, :]
+            q = q @ np.linalg.eigh(hermitianize(rest))[1][:, :, 1:]
     return hermitianize(out)
+
+
+def _pairing(m: np.ndarray, ops: np.ndarray, axes: int) -> np.ndarray:
+    """Re of the sum of m[..., i, j] ops[..., j, i] over the last `axes` axes.
+
+    One BLAS dot per slice, so a slice's value does not depend on the stack
+    around it (a reducing einsum may sum in another order when the stack's
+    shape changes).
+    """
+    lead = m.shape[:m.ndim - axes]
+    rows = m.reshape(*lead, 1, -1)
+    cols = ops.swapaxes(-1, -2).reshape(*lead, -1, 1)
+    return (rows @ cols)[..., 0, 0].real
 
 
 def _update_measurements(meas: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """Best-projective update of (..., k, l, d, d) measurements, kept per input
-    only when it does not decrease the score."""
+    only when it does not decrease the score sum_a Tr(P_a ops[a])."""
     cand = _best_projective(ops.reshape(-1, *ops.shape[-3:])).reshape(ops.shape)
-    new, old = (np.einsum("...ail,...ali->...", m, ops).real for m in (cand, meas))
+    new, old = (_pairing(m, ops, 3) for m in (cand, meas))
     return np.where((new >= old)[..., None, None, None], cand, meas)
 
 
@@ -306,18 +337,31 @@ def _alice_payoffs(w: np.ndarray, bob: np.ndarray, states: np.ndarray) -> np.nda
     """Alice's operators [..., x, a] for Bob's measurements and per-input-pair states.
 
     w is the _payoff_weights table; bob has shape (..., k, l, dB, dB) and
-    states (..., k, k, dA, dB).  A single shared state is passed with size-1
-    input axes, which einsum broadcasts, and states without the leading axes
-    are shared by every stacked strategy.
+    states (..., X, Y, dA, dB), with X = Y = k for a state per input pair and
+    X = Y = 1 for one state shared by every pair.  States without the leading
+    axes are shared by every stacked strategy.  psi B^T psi^dag for every
+    (x, y, b) takes batched matmuls.  The sum over (y, b) weighted by w is a
+    real GEMM on the real and imaginary parts at once: one per stacked
+    strategy, and one per x with per-pair states.  No GEMM spans two stacked
+    strategies, so a strategy's operators do not depend on the stack.
     """
-    kmat = np.einsum("...xyij,...ybkj,...xylk->...xybil", states, bob, states.conj())
-    return np.einsum("xayb,...xybil->...xail", w, kmat)
+    k, l, n = w.shape[0], w.shape[1], states.shape[-4]
+    psi = states[..., None, :, :]
+    kmat = psi @ bob.swapaxes(-1, -2)[..., None, :, :, :, :] @ dagger(psi)
+    lead, da = kmat.shape[:-5], kmat.shape[-1]
+    parts = kmat.reshape(*lead, n, k * l, da * da).view(float)
+    ops = w.reshape(n, k * l // n, k * l) @ parts
+    return ops.view(complex).reshape(*lead, k, l, da, da)
 
 
 def _bob_payoffs(w: np.ndarray, alice: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Bob's operators [..., y, b]; w and states as in _alice_payoffs."""
-    cmat = np.einsum("...xyij,...xali,...xylm->...xyajm", states, alice, states.conj())
-    return np.einsum("xayb,...xyajm->...ybjm", w, cmat)
+    """Bob's operators [..., y, b]; w and states as in _alice_payoffs.
+
+    They are Alice's operators of the game with the players swapped: w
+    indexed [y, b, x, a] and each state transposed to B (x) A.
+    """
+    return _alice_payoffs(w.transpose(2, 3, 0, 1),
+                          alice, states.swapaxes(-4, -3).swapaxes(-2, -1))
 
 
 def _payoff_operator(w: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
@@ -355,7 +399,7 @@ def _lockstep(weights: np.ndarray, fixed: np.ndarray | None, cur: np.ndarray,
             val = w[:, -1]
             cur[act] = v[:, :, -1].reshape(-1, *cur.shape[1:])
         else:
-            val = np.einsum("...ybjm,...ybmj->...", b, n_ops).real
+            val = _pairing(b, n_ops, 4)
         alice[act], bob[act] = a, b
         for r, v_r in zip(act, val):
             traces[r].append(float(v_r))
@@ -367,16 +411,40 @@ def _lockstep(weights: np.ndarray, fixed: np.ndarray | None, cur: np.ndarray,
     return traces, step
 
 
+def _draw_starts(g: Game, dims: tuple[int, int], with_state: bool, stream: int,
+                 restarts: int, seed: int):
+    """Start points of the see-saw restarts: (states, alice, bob).
+
+    Restart r draws from rng_for(seed, stream, r) (derived through
+    rng_block): with with_state a Haar state, then the raw draws of Alice's
+    and Bob's measurements, input by input.  Each player's measurements of
+    every restart are then built with one stacked QR, draw for draw equal to
+    random_projective.  states is (R, 1, 1, dA, dB), zero without with_state;
+    alice and bob are (R, k, l, d, d).
+    """
+    da, db = dims
+    cur = np.zeros((restarts, 1, 1, da, db), dtype=complex)
+    draw_a = np.zeros((restarts, g.k, 2, da, da))
+    draw_b = np.zeros((restarts, g.k, 2, db, db))
+    for r, rng in enumerate(rng_block(seed, stream, trials=range(restarts))):
+        if with_state:
+            cur[r, 0, 0] = haar_state(rng, da * db).reshape(da, db)
+        draw_a[r] = unitary_draw(rng, da, g.k)
+        draw_b[r] = unitary_draw(rng, db, g.k)
+    return (cur, projectives(haar_unitaries(draw_a), g.l),
+            projectives(haar_unitaries(draw_b), g.l))
+
+
 def _seesaw_restarts(g: Game, dims: tuple[int, int], states: np.ndarray | None,
                      stream: int, restarts: int, iters: int, seed: int,
                      improve_tol: float):
     """Restart loop of both see-saws; all restarts advance in lockstep.
 
-    Restart r draws its start from rng_for(seed, stream, r): with states None
-    a Haar state (updated after every Bob update), then Alice's and Bob's
-    measurements; given states stay fixed.  The restarts then run in
-    consecutive groups (_lockstep) whose largest intermediate,
-    (R, k, k, l, d, d) on the advice path, stays within MAX_TABLE_ENTRIES.
+    Each restart starts from _draw_starts: with states None from a Haar
+    state, updated after every Bob update; given states stay fixed.  The
+    restarts then run in consecutive groups (_lockstep) whose largest
+    intermediate, (R, k, k, l, d, d) on the advice path, stays within
+    MAX_TABLE_ENTRIES.
 
     Returns (traces, states, alice, bob, steps): the per-restart value
     traces, the final (R, 1, 1, dA, dB) states or the given ones, the final
@@ -386,15 +454,7 @@ def _seesaw_restarts(g: Game, dims: tuple[int, int], states: np.ndarray | None,
     if restarts < 1 or iters < 1:
         raise ValueError(f"restarts and iters must be >= 1, got {restarts} and {iters}")
     da, db = dims
-    cur = np.zeros((restarts, 1, 1, da, db), dtype=complex)
-    alice = np.zeros((restarts, g.k, g.l, da, da), dtype=complex)
-    bob = np.zeros((restarts, g.k, g.l, db, db), dtype=complex)
-    for r in range(restarts):
-        rng = rng_for(seed, stream, r)
-        if states is None:
-            cur[r, 0, 0] = haar_state(rng, da * db).reshape(da, db)
-        alice[r] = [random_projective(rng, da, g.l) for _ in range(g.k)]
-        bob[r] = [random_projective(rng, db, g.l) for _ in range(g.k)]
+    cur, alice, bob = _draw_starts(g, dims, states is None, stream, restarts, seed)
     weights = _payoff_weights(g)
     per_restart = (1 if states is None else g.k) * g.k * g.l * max(da, db) ** 2
     group = max(1, MAX_TABLE_ENTRIES // per_restart)

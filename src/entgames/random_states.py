@@ -13,10 +13,11 @@ trial's state in turn.  It is draw for draw equal to rng_for, which stays the
 replay entry point.
 
 Random states are drawn in two steps.  A trial draws only raw numbers
-(mixed_draw, povm_draw), and the states are built from stacks of those draws
-(mixed_states, povms, classical_states), so a block of trials shares one
-construction.  Every construction acts on each slice on its own; random_mixed
-and random_povm are the one-slice case.
+(mixed_draw, povm_draw, unitary_draw), and the states are built from stacks
+of those draws (mixed_states, povms, classical_states, haar_unitaries and
+projectives), so a block of trials shares one construction.  Every
+construction acts on each slice on its own; random_mixed, random_povm,
+haar_unitary and random_projective are the one-slice case.
 """
 
 from __future__ import annotations
@@ -145,12 +146,26 @@ def haar_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def unitary_draw(rng: np.random.Generator, dim: int, n: int | None = None) -> np.ndarray:
+    """Raw draw of one Haar unitary: real and imaginary parts, (2, dim, dim).
+
+    With n, the draws of n unitaries in one call, (n, 2, dim, dim): the same
+    numbers as n successive single draws.
+    """
+    return rng.standard_normal((2, dim, dim) if n is None else (n, 2, dim, dim))
+
+
+def haar_unitaries(g: np.ndarray) -> np.ndarray:
+    """Haar unitaries from stacked raw draws (..., 2, d, d): one stacked QR of
+    the complex Gaussians g[..., 0] + i g[..., 1] with the standard phase fix."""
+    q, r = np.linalg.qr(g[..., 0, :, :] + 1j * g[..., 1, :, :])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Haar-random unitary via QR with the standard phase fix."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return haar_unitaries(unitary_draw(rng, dim))
 
 
 def mixed_draw(rng: np.random.Generator, dim: int, n: int | None = None) -> np.ndarray:
@@ -175,6 +190,17 @@ def mixed_states(g: np.ndarray) -> np.ndarray:
 def random_mixed(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Random mixed state: partial trace of a Haar pure state on dim x dim."""
     return mixed_states(mixed_draw(rng, dim)[None])[0]
+
+
+def flat_dirichlet(rng: np.random.Generator, k: int) -> np.ndarray:
+    """rng.dirichlet(np.ones(k)), draw for draw, without its argument checks.
+
+    numpy draws a flat Dirichlet as k gamma(1) variates, which are standard
+    exponentials, scaled by the inverse of their running sum; this repeats
+    that arithmetic, so the result and the stream after it are the same.
+    """
+    y = rng.standard_exponential(k)
+    return y * (1.0 / y.cumsum()[-1])
 
 
 def classical_states(p: np.ndarray) -> np.ndarray:
@@ -224,18 +250,24 @@ def random_povm(rng: np.random.Generator, dim: int, n_outcomes: int) -> np.ndarr
     return povms(povm_draw(rng, dim, n_outcomes)[None])[0]
 
 
-def random_projective(rng: np.random.Generator, dim: int, n_outcomes: int) -> np.ndarray:
-    """Random projective measurement: Haar unitary columns split into blocks.
+def projectives(u: np.ndarray, n_outcomes: int) -> np.ndarray:
+    """Projective measurements (..., n_outcomes, d, d) from stacked unitaries.
 
-    Outcome a gets columns [a*dim//n, (a+1)*dim//n); when n_outcomes > dim the
-    trailing outcomes get zero projectors, which is still a valid projective
-    measurement.
+    Outcome a gets the projector onto columns [a*d//n, (a+1)*d//n) of each
+    unitary; when n_outcomes > d, n_outcomes - d of these blocks are empty
+    and give zero projectors, which is still a valid projective measurement.
     """
-    u = haar_unitary(rng, dim)
-    out = np.zeros((n_outcomes, dim, dim), dtype=complex)
+    d = u.shape[-1]
+    out = np.zeros(u.shape[:-2] + (n_outcomes, d, d), dtype=complex)
     for a in range(n_outcomes):
-        lo, hi = a * dim // n_outcomes, (a + 1) * dim // n_outcomes
+        lo, hi = a * d // n_outcomes, (a + 1) * d // n_outcomes
         if hi > lo:
-            block = u[:, lo:hi]
-            out[a] = block @ block.conj().T
+            block = u[..., lo:hi]
+            out[..., a, :, :] = block @ dagger(block)
     return out
+
+
+def random_projective(rng: np.random.Generator, dim: int, n_outcomes: int) -> np.ndarray:
+    """Random projective measurement: Haar unitary columns split into blocks
+    (projectives)."""
+    return projectives(haar_unitary(rng, dim), n_outcomes)

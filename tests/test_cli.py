@@ -109,6 +109,30 @@ class TestValue:
             # the restarts advance in lockstep, so the longest trace sets the steps
             assert man["seesaw"]["steps"] == max(len(t) for t in rep["traces"])
 
+    def test_manifest_final_increments(self, tmp_path):
+        # each restart's last trace step, null for a one-entry trace; a
+        # restart that still rose by 1e-12 or more stopped at --iters
+        game = write_chsh(tmp_path)
+        for iters in (1, 2, 100):
+            out = tmp_path / f"iters{iters}"
+            assert main(["value", str(game), "--mode", "entangled", "--seed", "2",
+                         "--restarts", "6", "--iters", str(iters), "--out", str(out)]) == 0
+            man = json.loads((out / "manifest.json").read_text())
+            rep = json.loads((out / "report.json").read_text())
+            assert "final_increments" not in rep
+            incs = man["seesaw"]["final_increments"]
+            assert len(incs) == len(rep["traces"]) == 6
+            for inc, trace in zip(incs, rep["traces"]):
+                if len(trace) == 1:
+                    assert inc is None
+                    continue
+                assert inc == trace[-1] - trace[-2]
+                assert inc < 1e-12 or len(trace) == iters
+            if iters == 1:
+                assert incs == [None] * 6
+            if iters == 2:
+                assert any(inc is not None and inc >= 1e-12 for inc in incs)
+
     @pytest.mark.parametrize("flag", ["--iters", "--restarts"])
     def test_entangled_rejects_zero(self, tmp_path, capsys, flag):
         # --iters 0 used to die on an empty trace; --restarts 0 reported -1.0

@@ -32,6 +32,9 @@ from entgames import games as games_mod
 from entgames.games import (
     _STREAM_ADVICE,
     _STREAM_SEESAW,
+    _alice_payoffs,
+    _bob_payoffs,
+    _draw_starts,
     _seesaw_restarts,
     _update_measurements,
 )
@@ -128,6 +131,19 @@ def reference_update(meas: np.ndarray, ops: np.ndarray) -> np.ndarray:
     return new
 
 
+def einsum_alice_payoffs(w: np.ndarray, bob: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Alice's payoff operators [..., x, a] by the plain einsum formulas:
+    sum over (y, b) of w[x, a, y, b] psi_xy B_yb^T psi_xy^dag."""
+    kmat = np.einsum("...xyij,...ybkj,...xylk->...xybil", states, bob, states.conj())
+    return np.einsum("xayb,...xybil->...xail", w, kmat)
+
+
+def einsum_bob_payoffs(w: np.ndarray, alice: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Bob's payoff operators [..., y, b] by the plain einsum formulas."""
+    cmat = np.einsum("...xyij,...xali,...xylm->...xyajm", states, alice, states.conj())
+    return np.einsum("xayb,...xyajm->...ybjm", w, cmat)
+
+
 def reference_seesaw(g: Game, dims: tuple[int, int], states: np.ndarray | None,
                      stream: int, restarts: int, iters: int, seed: int,
                      improve_tol: float = 1e-12) -> list[list[float]]:
@@ -137,6 +153,12 @@ def reference_seesaw(g: Game, dims: tuple[int, int], states: np.ndarray | None,
     draws from rng_for(seed, stream, r), the same trace lengths and values
     within 1e-12.  With states None the state is a Haar draw updated to the
     top eigenvector of the payoff operator; given states stay fixed.
+
+    The payoffs and measurement updates are the production functions, which
+    TestPayoffs and TestStackedUpdate check against plain formulas.  A
+    see-saw amplifies rounding: on CHSH^2 (d = 4, seed 0) restart 7 grows a
+    4e-16 difference between the einsum and the GEMM payoffs to 7.9e-8
+    mid-trace, so a trace gate of 1e-12 holds only on the same payoffs.
     """
     da, db = dims
     w = np.einsum("xy,abxy->xayb", g.p, g.v.astype(float))
@@ -151,10 +173,8 @@ def reference_seesaw(g: Game, dims: tuple[int, int], states: np.ndarray | None,
         bob = np.stack([random_projective(rng, db, g.l) for _ in range(g.k)])
         trace, prev = [], -np.inf
         for _ in range(iters):
-            kmat = np.einsum("xyij,ybkj,xylk->xybil", cur, bob, cur.conj())
-            alice = _update_measurements(alice, np.einsum("xayb,xybil->xail", w, kmat))
-            cmat = np.einsum("xyij,xali,xylm->xyajm", cur, alice, cur.conj())
-            n_ops = np.einsum("xayb,xyajm->ybjm", w, cmat)
+            alice = _update_measurements(alice, _alice_payoffs(w, bob, cur))
+            n_ops = _bob_payoffs(w, alice, cur)
             bob = _update_measurements(bob, n_ops)
             if states is None:
                 t = alice.reshape(kl, -1).T @ (w.reshape(kl, -1) @ bob.reshape(kl, -1))
@@ -426,11 +446,61 @@ class TestSeesaw:
                                                 11, 11, 5, 5, 5, 14, 26, 4, 4, 19]
         assert abs(res.value - 0.676776695296636) <= 1e-12
 
+    def test_chsh_squared_solves_pinned(self, monkeypatch):
+        # The solves of the run the benchmark times, as (calls, matrices): a
+        # change that adds solves fails here without timing noise.
+        counts: dict[str, list[int]] = {}
+
+        def counted(name, solve):
+            def run(a, *args, **kwargs):
+                c = counts.setdefault(name, [0, 0])
+                c[0] += 1
+                c[1] += math.prod(np.shape(a)[:-2])
+                return solve(a, *args, **kwargs)
+            return run
+
+        for name in ("eigh", "eigvalsh", "qr"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        entangled_value_seesaw(repeat(chsh(), 2), 4, 20, 200, seed=0)
+        assert counts == {"eigh": [455, 13_622], "eigvalsh": [210, 26_688], "qr": [2, 160]}
+
     @pytest.mark.parametrize("restarts, iters", [(0, 10), (-1, 10), (3, 0), (3, -2)])
     def test_rejects_empty_runs(self, restarts, iters):
         # no restart or no iteration gives no lower bound to report
         with pytest.raises(ValueError, match="restarts and iters must be >= 1"):
             entangled_value_seesaw(chsh(), d=2, restarts=restarts, iters=iters, seed=0)
+
+
+class TestPayoffs:
+    """The GEMM payoffs equal the einsum formulas on every kind of state stack."""
+
+    @pytest.mark.parametrize("k, l, da, db", [(3, 2, 2, 3), (2, 3, 3, 2), (4, 4, 4, 4)])
+    @pytest.mark.parametrize("state_lead, meas_lead, n", [
+        ((5,), (5,), 1),        # shared states of stacked restarts
+        ((2, 3), (2, 3), 1),    # two leading axes
+        ((), (4,), None),       # advice states, shared by every stacked strategy
+        ((4,), (4,), None),     # advice states per stacked strategy
+        ((), (), 1),            # one state, as strategy_win_probability passes it
+        ((), (), None),         # one set of advice states
+    ])
+    def test_match_einsum(self, k, l, da, db, state_lead, meas_lead, n):
+        n = k if n is None else n
+        rng = np.random.default_rng([k, l, da, db, len(state_lead), len(meas_lead), n])
+
+        def gauss(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        w = rng.random((k, l, k, l))
+        states = gauss(*state_lead, n, n, da, db)
+        states /= np.linalg.norm(states, axis=(-2, -1), keepdims=True)
+        alice = hermitianize(gauss(*meas_lead, k, l, da, da))
+        bob = hermitianize(gauss(*meas_lead, k, l, db, db))
+        got = _alice_payoffs(w, bob, states)
+        assert got.shape == alice.shape
+        assert_allclose(got, einsum_alice_payoffs(w, bob, states), atol=1e-13, rtol=0)
+        got = _bob_payoffs(w, alice, states)
+        assert got.shape == bob.shape
+        assert_allclose(got, einsum_bob_payoffs(w, alice, states), atol=1e-13, rtol=0)
 
 
 class TestStackedUpdate:
@@ -492,6 +562,30 @@ class TestStackedUpdate:
         assert abs(strategy_win_probability(g, res.strategy) - res.value) <= 1e-9
         for trace in res.traces:
             assert all(b >= a - 1e-10 for a, b in zip(trace, trace[1:]))
+
+
+class TestStartDraws:
+    @pytest.mark.parametrize("k, l, dims", [(4, 4, (4, 4)), (2, 2, (2, 2)), (2, 3, (3, 3)),
+                                            (3, 5, (4, 4)), (2, 3, (2, 2)), (2, 3, (2, 3))])
+    @pytest.mark.parametrize("with_state", [True, False])
+    def test_stacked_starts_equal_per_draw_loop(self, k, l, dims, with_state):
+        # without a state (the advice path) no state is drawn; l > d gives
+        # zero projectors
+        da, db = dims
+        cur, alice, bob = _draw_starts(all_ones_game(k, l), dims, with_state, 7, 6, 3)
+        assert alice.shape == (6, k, l, da, da) and bob.shape == (6, k, l, db, db)
+        for r in range(6):
+            rng = rng_for(3, 7, r)
+            if with_state:
+                assert np.array_equal(cur[r, 0, 0], haar_state(rng, da * db).reshape(da, db))
+            for x in range(k):
+                assert np.array_equal(alice[r, x], random_projective(rng, da, l))
+            for x in range(k):
+                assert np.array_equal(bob[r, x], random_projective(rng, db, l))
+        if not with_state:
+            assert not cur.any()
+        zero = ~alice.any(axis=(-2, -1))
+        assert (zero.sum(axis=-1) == max(l - da, 0)).all()
 
 
 class TestLockstep:

@@ -4,14 +4,20 @@ import pytest
 from entgames.random_states import (
     _RNG_BLOCK,
     classical_states,
+    flat_dirichlet,
+    haar_unitaries,
+    haar_unitary,
     mixed_draw,
     mixed_states,
     povm_draw,
     povms,
+    projectives,
     random_mixed,
     random_povm,
+    random_projective,
     rng_block,
     rng_for,
+    unitary_draw,
 )
 
 # prefixes of the paths rng_block derives, with the trial index appended:
@@ -88,9 +94,35 @@ class TestStackedConstruction:
             assert np.array_equal(povm, stacked[t])
             assert np.abs(povm.sum(axis=0) - np.eye(d)).max() <= 1e-12
 
+    @pytest.mark.parametrize("d, n_out", [(1, 1), (2, 2), (3, 3), (4, 4), (4, 5), (2, 3), (5, 2)])
+    def test_random_projective_is_a_slice_of_the_stack(self, d, n_out):
+        # n_out > d gives n_out - d empty blocks, so zero projectors
+        draws = np.stack([unitary_draw(rng_for(3, d, t), d, 4) for t in range(6)])
+        units = haar_unitaries(draws)
+        stacked = projectives(units, n_out)
+        for t in range(6):
+            assert np.array_equal(haar_unitary(rng_for(3, d, t), d), units[t, 0])
+            rng = rng_for(3, d, t)
+            for x in range(4):
+                assert np.array_equal(random_projective(rng, d, n_out), stacked[t, x])
+            assert np.abs(stacked[t].sum(axis=1) - np.eye(d)).max() <= 1e-12
+        zero = ~stacked.any(axis=(-2, -1))
+        assert (zero.sum(axis=-1) == max(n_out - d, 0)).all()
+
     def test_classical_states(self):
         p = rng_for(2).dirichlet(np.ones(4))
         stacked = classical_states(np.stack([p, p[::-1]]))
         assert stacked.dtype == complex
         assert np.array_equal(stacked[0], np.diag(p.astype(complex)))
         assert np.array_equal(stacked[1], np.diag(p[::-1].astype(complex)))
+
+
+class TestFlatDirichlet:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 9, 12, 16])
+    def test_equals_numpy_dirichlet_draw_for_draw(self, k):
+        # numpy draws gamma(1) as a standard exponential; a numpy change to
+        # that or to its normalization fails here rather than moving streams
+        for seed in range(300):
+            ref, rng = rng_for(seed, k), rng_for(seed, k)
+            assert np.array_equal(flat_dirichlet(rng, k), ref.dirichlet(np.ones(k)))
+            assert rng.standard_normal() == ref.standard_normal()
