@@ -269,8 +269,10 @@ def _best_projective(ops: np.ndarray) -> np.ndarray:
     More outcomes: greedy eigenvalue assignment by iterative subspace
     compression, ties to the lowest output.  Each greedy step picks every
     input's outcome from the eigenvalues of all inputs and outcomes (one
-    stacked eigvalsh; none on the last, 1 x 1 step) and solves for
-    eigenvectors only on the picked outcomes' stack.
+    stacked eigvalsh) and solves for eigenvectors only on the picked
+    outcomes' stack (one eigh).  The picked outcome's top eigenvector is
+    assigned to it, and its other eigenvectors are the next step's basis, so
+    a step with r >= 2 makes those two solves and the last, 1 x 1 step none.
     """
     k, l, d = ops.shape[:3]
     out = np.zeros_like(ops)
@@ -295,15 +297,12 @@ def _best_projective(ops: np.ndarray) -> np.ndarray:
             better = top[:, a] > best_lam + 1e-15
             best_a = np.where(better, a, best_a)
             best_lam = np.where(better, top[:, a], best_lam)
-        if r == 1:
-            u = np.ones((k, 1), dtype=complex)
-        else:
-            u = np.linalg.eigh(comp[xs, best_a])[1][:, :, -1]        # (k, r)
-        vec = (q @ u[:, :, None])[:, :, 0]
-        out[xs, best_a] += vec[:, :, None] * vec.conj()[:, None, :]
         if r > 1:
-            rest = np.eye(r) - u[:, :, None] * u.conj()[:, None, :]
-            q = q @ np.linalg.eigh(hermitianize(rest))[1][:, :, 1:]
+            # columns: a basis of the next, smaller subspace, then the pick
+            q = q @ np.linalg.eigh(comp[xs, best_a])[1]            # (k, d, r)
+        vec = q[:, :, -1]
+        out[xs, best_a] += vec[:, :, None] * vec.conj()[:, None, :]
+        q = q[:, :, :-1]
     return hermitianize(out)
 
 
@@ -443,21 +442,28 @@ def _seesaw_restarts(g: Game, dims: tuple[int, int], states: np.ndarray | None,
     Each restart starts from _draw_starts: with states None from a Haar
     state, updated after every Bob update; given states stay fixed.  The
     restarts then run in consecutive groups (_lockstep) whose largest
-    intermediate, (R, k, k, l, d, d) on the advice path, stays within
-    MAX_TABLE_ENTRIES.
+    intermediate stays within MAX_TABLE_ENTRIES: (R, k, k, l, d, d) on the
+    advice path, and on the shared-state path (R, k, l, d, d) or the
+    (R, dA dB, dA dB) payoff operator, whichever is larger.
 
     Returns (traces, states, alice, bob, steps): the per-restart value
     traces, the final (R, 1, 1, dA, dB) states or the given ones, the final
     (R, k, l, d, d) measurements, and the number of lockstep steps.  Raises
-    ValueError unless restarts and iters are both at least 1.
+    ValueError unless restarts and iters are both at least 1, and BudgetError,
+    before anything is drawn, when one restart alone exceeds the budget.
     """
     if restarts < 1 or iters < 1:
         raise ValueError(f"restarts and iters must be >= 1, got {restarts} and {iters}")
     da, db = dims
+    per_restart = (1 if states is None else g.k) * g.k * g.l * max(da, db) ** 2
+    if states is None:
+        per_restart = max(per_restart, (da * db) ** 2)
+    if per_restart > MAX_TABLE_ENTRIES:
+        raise BudgetError(f"one see-saw restart needs {per_restart} entries, "
+                          f"more than the budget of {MAX_TABLE_ENTRIES}")
     cur, alice, bob = _draw_starts(g, dims, states is None, stream, restarts, seed)
     weights = _payoff_weights(g)
-    per_restart = (1 if states is None else g.k) * g.k * g.l * max(da, db) ** 2
-    group = max(1, MAX_TABLE_ENTRIES // per_restart)
+    group = MAX_TABLE_ENTRIES // per_restart
     traces: list[list[float]] = []
     steps = 0
     for lo in range(0, restarts, group):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import entgames
-from entgames import checks, cli
+from entgames import checks, cli, games
 from entgames.cli import main
 from entgames.games import chsh, classical_value, load_game, save_game
 
@@ -153,6 +153,16 @@ class TestValue:
         path.write_text('{"k": 2,,}')
         assert main(["value", str(path)]) == 2
         assert "invalid JSON" in capsys.readouterr().err
+
+    def test_seesaw_budget_exit_code(self, tmp_path, capsys, monkeypatch):
+        # one CHSH restart at d = 2 needs a 16-entry payoff operator
+        game = write_chsh(tmp_path)
+        monkeypatch.setattr(games, "MAX_TABLE_ENTRIES", 15)
+        out = tmp_path / "o"
+        assert main(["value", str(game), "--mode", "entangled", "--d", "2",
+                     "--seed", "0", "--out", str(out)]) == 3
+        assert "one see-saw restart needs 16 entries" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRepeat:

@@ -33,6 +33,7 @@ from entgames.games import (
     _STREAM_ADVICE,
     _STREAM_SEESAW,
     _alice_payoffs,
+    _best_projective,
     _bob_payoffs,
     _draw_starts,
     _seesaw_restarts,
@@ -209,6 +210,23 @@ def bell_advice(g: Game) -> AdviceEnsemble:
     bell = np.zeros((2, 2), dtype=complex)
     bell[0, 0] = bell[1, 1] = 1 / math.sqrt(2)
     return AdviceEnsemble(np.broadcast_to(bell, (2, 2, 2, 2)).copy(), g.p)
+
+
+def count_solves(monkeypatch, names=("eigh", "eigvalsh", "qr")) -> dict[str, list[int]]:
+    """Wrap np.linalg solves to count [calls, matrices] per name, filled as they run."""
+    counts: dict[str, list[int]] = {}
+
+    def counted(name, solve):
+        def run(a, *args, **kwargs):
+            c = counts.setdefault(name, [0, 0])
+            c[0] += 1
+            c[1] += math.prod(np.shape(a)[:-2])
+            return solve(a, *args, **kwargs)
+        return run
+
+    for name in names:
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    return counts
 
 
 def assert_projective(meas: np.ndarray) -> None:
@@ -449,20 +467,9 @@ class TestSeesaw:
     def test_chsh_squared_solves_pinned(self, monkeypatch):
         # The solves of the run the benchmark times, as (calls, matrices): a
         # change that adds solves fails here without timing noise.
-        counts: dict[str, list[int]] = {}
-
-        def counted(name, solve):
-            def run(a, *args, **kwargs):
-                c = counts.setdefault(name, [0, 0])
-                c[0] += 1
-                c[1] += math.prod(np.shape(a)[:-2])
-                return solve(a, *args, **kwargs)
-            return run
-
-        for name in ("eigh", "eigvalsh", "qr"):
-            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        counts = count_solves(monkeypatch)
         entangled_value_seesaw(repeat(chsh(), 2), 4, 20, 200, seed=0)
-        assert counts == {"eigh": [455, 13_622], "eigvalsh": [210, 26_688], "qr": [2, 160]}
+        assert counts == {"eigh": [245, 6_950], "eigvalsh": [210, 26_688], "qr": [2, 160]}
 
     @pytest.mark.parametrize("restarts, iters", [(0, 10), (-1, 10), (3, 0), (3, -2)])
     def test_rejects_empty_runs(self, restarts, iters):
@@ -537,6 +544,25 @@ class TestStackedUpdate:
             assert_allclose(got, reference_update(meas, ops), atol=1e-12, rtol=0)
             assert_allclose(got[0, 0], np.eye(d), atol=1e-12)
             assert_projective(got)
+
+    @pytest.mark.parametrize("l", [3, 4, 5])
+    def test_degenerate_spectra(self, l, monkeypatch):
+        # ops[x, a] = U diag(w) U^dag with w in {-1, 0, 1}^d: repeated top
+        # eigenvalues leave the picked eigenvector to the eigensolver, so only
+        # projectivity and the solve counts are asserted; l > d covers outcomes
+        # that end with zero projectors
+        for d in range(1, 6):
+            rng = np.random.default_rng([l, d, 5])
+            z = rng.standard_normal((4, l, d, d)) + 1j * rng.standard_normal((4, l, d, d))
+            u = np.linalg.qr(z)[0]
+            w = rng.integers(-1, 2, size=(4, l, 1, d))
+            ops = hermitianize((u * w) @ u.conj().swapaxes(-1, -2))
+            counts = count_solves(monkeypatch, ("eigh", "eigvalsh"))
+            got = _best_projective(ops)
+            monkeypatch.undo()
+            assert_projective(got)
+            assert counts == ({} if d == 1 else {"eigh": [d - 1, 4 * (d - 1)],
+                                                 "eigvalsh": [d - 1, 4 * l * (d - 1)]})
 
     def test_keeps_measurement_that_beats_greedy(self):
         # input 0: greedy takes e0 for outcome 0 (1.0) and is left with 0.45,
@@ -619,6 +645,19 @@ class TestLockstep:
         val = value_with_advice(g, adv, restarts=10, iters=120, seed=0)
         assert abs(val - max(t[-1] for t in want)) <= 1e-12
 
+    @pytest.mark.parametrize("dims", [(3, 3), (2, 3)])
+    def test_three_outcome_advice_matches_sequential(self, dims):
+        # random per-pair advice runs the greedy (l > 2) update with fixed states
+        g = chsh3()
+        rng = np.random.default_rng([3, *dims])
+        s = rng.standard_normal((2, 2, *dims)) + 1j * rng.standard_normal((2, 2, *dims))
+        adv = AdviceEnsemble(s / np.linalg.norm(s, axis=(-2, -1), keepdims=True), g.p)
+        want = reference_seesaw(g, dims, adv.states, _STREAM_ADVICE, 8, 80, 1)
+        traces, *_ = _seesaw_restarts(g, dims, adv.states, _STREAM_ADVICE, 8, 80, 1, 1e-12)
+        assert_same_traces(traces, want)
+        val = value_with_advice(g, adv, restarts=8, iters=80, seed=1)
+        assert abs(val - max(t[-1] for t in want)) <= 1e-12
+
     def test_restart_does_not_depend_on_its_neighbours(self):
         r20 = entangled_value_seesaw(chsh(), d=2, restarts=20, iters=100, seed=3)
         r5 = entangled_value_seesaw(chsh(), d=2, restarts=5, iters=100, seed=3)
@@ -637,6 +676,37 @@ class TestLockstep:
         assert np.array_equal(g_alice, alice) and np.array_equal(g_bob, bob)
         lens = [len(t) for t in full]
         assert grouped_steps == sum(max(lens[i:i + 3]) for i in range(0, 10, 3)) > steps
+
+    def test_state_groups_count_payoff_operator(self, monkeypatch):
+        # CHSH3 at d = 3: the (R, 9, 9) payoff operator, 81 entries per
+        # restart, outgrows the (R, k, l, d, d) measurements (54): groups of 2
+        g = chsh3()
+        full, phi, alice, bob, steps = _seesaw_restarts(g, (3, 3), None, _STREAM_SEESAW,
+                                                        7, 60, 0, 1e-12)
+        monkeypatch.setattr(games_mod, "MAX_TABLE_ENTRIES", 2 * 81 + 5)
+        grouped, g_phi, g_alice, g_bob, grouped_steps = _seesaw_restarts(
+            g, (3, 3), None, _STREAM_SEESAW, 7, 60, 0, 1e-12)
+        assert grouped == full
+        assert np.array_equal(g_phi, phi) and np.array_equal(g_alice, alice)
+        lens = [len(t) for t in full]
+        assert grouped_steps == sum(max(lens[i:i + 2]) for i in range(0, 7, 2)) > steps
+
+    @pytest.mark.parametrize("advice, dims, need", [(False, (3, 3), 81), (True, (2, 2), 48)])
+    def test_restart_over_budget_raises_before_drawing(self, monkeypatch, advice, dims, need):
+        # one CHSH3 restart at d = 3 needs its 81-entry payoff operator, and
+        # k k l d^2 = 48 entries with advice at d = 2
+        g = chsh3()
+        states = bell_advice(chsh()).states if advice else None
+        monkeypatch.setattr(games_mod, "MAX_TABLE_ENTRIES", need - 1)
+        monkeypatch.setattr(games_mod, "_draw_starts",
+                            lambda *args: pytest.fail("drew starts over budget"))
+        with pytest.raises(BudgetError, match=f"one see-saw restart needs {need} entries"):
+            _seesaw_restarts(g, dims, states, _STREAM_SEESAW, 4, 10, 0, 1e-12)
+        # at exactly the budget the restarts run, one per group
+        monkeypatch.undo()
+        monkeypatch.setattr(games_mod, "MAX_TABLE_ENTRIES", need)
+        traces, *_ = _seesaw_restarts(g, dims, states, _STREAM_SEESAW, 2, 10, 0, 1e-12)
+        assert len(traces) == 2
 
 
 class TestXorCertificate:
