@@ -26,12 +26,13 @@ from .config import (
     _load_json,
     _string,
 )
-from .linalg import RegisterLayout, dagger, hermitian_eig, hermitianize
+from .linalg import dagger, hermitian_eig, hermitianize
 from .qinfo import PureState
 from .random_states import haar_state, haar_unitaries, projectives, rng_block, unitary_draw
 
 _STREAM_SEESAW = 101
 _STREAM_ADVICE = 102
+_IMPROVE_TOL = 1e-12    # a see-saw restart stops at the first step that gains less
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,9 @@ class Game:
 
 
 def check_distribution(p: np.ndarray) -> None:
-    """Raise unless p has no entry below -1e-15 and sums to 1 within 1e-12."""
+    """Raise unless p is finite, has no entry below -1e-15 and sums to 1 within 1e-12."""
+    if not np.isfinite(p).all():
+        raise ValueError("p has non-finite entries")
     if p.min() < -1e-15:
         raise ValueError("p has negative entries")
     if abs(p.sum() - 1.0) > 1e-12:
@@ -121,7 +124,7 @@ class QuantumStrategy:
     bob: np.ndarray
 
     def dims(self) -> tuple[int, int]:
-        return self.state.layout.dims[0], self.state.layout.dims[1]
+        return self.state.dims[0], self.state.dims[1]
 
     def validate(self) -> None:
         """Raise unless every (input, output) element is a projector within
@@ -373,15 +376,14 @@ def _payoff_operator(w: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.nd
 
 
 def _lockstep(weights: np.ndarray, fixed: np.ndarray | None, cur: np.ndarray,
-              alice: np.ndarray, bob: np.ndarray, iters: int,
-              improve_tol: float) -> tuple[list[list[float]], int]:
+              alice: np.ndarray, bob: np.ndarray, iters: int) -> tuple[list[list[float]], int]:
     """Run the restarts stacked in (cur, alice, bob) in lockstep, in place.
 
     cur holds (R, 1, 1, dA, dB) states, used when fixed (the given states) is
     None; alice and bob hold (R, k, l, d, d) measurements.  Each step
     advances the restarts still active, indexed by act, through one Alice,
     Bob and (with fixed None) state update on their stacks.  A restart leaves
-    the set when its value rose by less than improve_tol, so its trace and
+    the set when its value rose by less than _IMPROVE_TOL, so its trace and
     final strategy are those of running it alone.  Returns the traces and the
     number of steps.
     """
@@ -402,7 +404,7 @@ def _lockstep(weights: np.ndarray, fixed: np.ndarray | None, cur: np.ndarray,
         alice[act], bob[act] = a, b
         for r, v_r in zip(act, val):
             traces[r].append(float(v_r))
-        keep = val - prev[act] >= improve_tol
+        keep = val - prev[act] >= _IMPROVE_TOL
         prev[act] = val
         act = act[keep]
         if act.size == 0:
@@ -435,8 +437,7 @@ def _draw_starts(g: Game, dims: tuple[int, int], with_state: bool, stream: int,
 
 
 def _seesaw_restarts(g: Game, dims: tuple[int, int], states: np.ndarray | None,
-                     stream: int, restarts: int, iters: int, seed: int,
-                     improve_tol: float):
+                     stream: int, restarts: int, iters: int, seed: int):
     """Restart loop of both see-saws; all restarts advance in lockstep.
 
     Each restart starts from _draw_starts: with states None from a Haar
@@ -468,8 +469,7 @@ def _seesaw_restarts(g: Game, dims: tuple[int, int], states: np.ndarray | None,
     steps = 0
     for lo in range(0, restarts, group):
         part = slice(lo, lo + group)
-        tr, n = _lockstep(weights, states, cur[part], alice[part], bob[part],
-                          iters, improve_tol)
+        tr, n = _lockstep(weights, states, cur[part], alice[part], bob[part], iters)
         traces += tr
         steps += n
     return traces, (cur if states is None else states), alice, bob, steps
@@ -488,7 +488,7 @@ class SeesawResult:
 
 
 def entangled_value_seesaw(g: Game, d: int, restarts: int = 20, iters: int = 100,
-                           seed: int = 0, improve_tol: float = 1e-12) -> SeesawResult:
+                           seed: int = 0) -> SeesawResult:
     """Lower-bound the entangled value at local dimension d by alternating updates.
 
     Each restart draws a Haar state and random projective measurements from a
@@ -505,20 +505,18 @@ def entangled_value_seesaw(g: Game, d: int, restarts: int = 20, iters: int = 100
     if d < 1:
         raise ValueError("local dimension must be >= 1")
     traces, phi, alice, bob, steps = _seesaw_restarts(
-        g, (d, d), None, _STREAM_SEESAW, restarts, iters, seed, improve_tol)
+        g, (d, d), None, _STREAM_SEESAW, restarts, iters, seed)
     finals = np.array([trace[-1] for trace in traces])
     best_val = float(finals.max())
     best = int(np.argmax(finals >= best_val - 1e-12))
-    layout = RegisterLayout((d, d), ("A", "B"))
-    strategy = QuantumStrategy(PureState(phi[best].reshape(-1), layout, validate=False),
+    strategy = QuantumStrategy(PureState(phi[best].reshape(-1), (d, d), validate=False),
                                alice[best], bob[best])
     return SeesawResult(min(best_val, 1.0), strategy,
                         tuple(tuple(trace) for trace in traces), best, steps)
 
 
 def value_with_advice(g: Game, advice: AdviceEnsemble, restarts: int = 20,
-                      iters: int = 100, seed: int = 0,
-                      improve_tol: float = 1e-12) -> float:
+                      iters: int = 100, seed: int = 0) -> float:
     """See-saw lower bound on the winning probability with per-input advice states.
 
     The shared state for input pair (x, y) is advice.states[x, y]; only the
@@ -529,7 +527,7 @@ def value_with_advice(g: Game, advice: AdviceEnsemble, restarts: int = 20,
     if np.abs(advice.p - g.p).max() > 1e-12:
         raise ValueError("advice ensemble was built for a different distribution")
     traces, *_ = _seesaw_restarts(g, advice.dims(), advice.states, _STREAM_ADVICE,
-                                  restarts, iters, seed, improve_tol)
+                                  restarts, iters, seed)
     return min(max(trace[-1] for trace in traces), 1.0)
 
 

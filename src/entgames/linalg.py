@@ -1,9 +1,10 @@
 """Dense complex linear algebra on register-structured operators.
 
-Matrices are plain 2-d complex ndarrays; tensor-factor structure is carried
-separately by RegisterLayout, whose factor order is authoritative.  Nothing
-here reorders registers implicitly: kron takes its factors left-to-right
-and partial_trace keeps the surviving factors in their original order.
+Matrices are plain 2-d complex ndarrays; tensor-factor structure is a
+tuple of register dimensions, and a register is named by its position in
+it.  Nothing here reorders registers implicitly: kron takes its factors
+left-to-right and partial_trace keeps the surviving factors in their
+original order.
 
 hermitian_eig, psd_eigvalsh, matrix_sqrt_psd, partial_trace_matrix and kron
 also take stacks of shape (..., d, d) and act on each slice, validating each
@@ -18,6 +19,7 @@ solving again.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -55,84 +57,49 @@ def hermitianize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + dagger(m))
 
 
-@dataclass(frozen=True)
-class RegisterLayout:
-    """Ordered tensor-factor structure: dimensions plus unique labels."""
+def _check_dims(dims, d: int) -> tuple[int, ...]:
+    """dims as a tuple of ints, (d,) when None; raises unless it factors d.
 
-    dims: tuple[int, ...]
-    labels: tuple[str, ...]
+    Registers are named by their position in dims, left to right.
+    """
+    dims = (d,) if dims is None else tuple(int(n) for n in dims)
+    if not dims or any(n < 1 for n in dims) or math.prod(dims) != d:
+        raise ValueError(f"register dims {dims} do not factor dimension {d} into entries >= 1")
+    return dims
 
-    def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if len(self.dims) != len(self.labels):
-            raise ValueError("dims and labels must have equal length")
-        if not self.dims:
-            raise ValueError("layout needs at least one factor")
-        if any(d < 1 for d in self.dims):
-            raise ValueError("factor dimensions must be >= 1")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError(f"duplicate register labels: {self.labels}")
 
-    @property
-    def dim(self) -> int:
-        return math.prod(self.dims)
-
-    @property
-    def nfactors(self) -> int:
-        return len(self.dims)
-
-    def position(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValueError(f"unknown register label {label!r}; have {self.labels}") from None
-
-    def positions(self, labels: Iterable[str]) -> list[int]:
-        """Positions of the given labels, sorted into layout order."""
-        pos = sorted(self.position(lb) for lb in labels)
-        if len(pos) != len(set(pos)):
-            raise ValueError("repeated labels in selection")
-        return pos
-
-    def keep(self, labels: Iterable[str]) -> "RegisterLayout":
-        """Sub-layout of the given labels, in original factor order."""
-        pos = self.positions(labels)
-        return RegisterLayout(tuple(self.dims[p] for p in pos), tuple(self.labels[p] for p in pos))
+def _check_positions(positions: Iterable[int], n: int) -> list[int]:
+    """Register positions, sorted; raises on a repeat or one outside range(n)."""
+    pos = sorted(operator.index(p) for p in positions)
+    if len(set(pos)) != len(pos):
+        raise ValueError(f"repeated register positions in {pos}")
+    if pos and not 0 <= pos[0] <= pos[-1] < n:
+        raise ValueError(f"register positions {pos} outside range({n})")
+    return pos
 
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Validated density matrix together with its register layout.
+    """Validated density matrix together with its register dimensions.
 
-    Construction checks Hermiticity, positivity and unit trace against
-    DEFAULT_TOLS; pass validate=False only for operators produced by
-    operations that preserve validity (internal fast path).
+    dims defaults to one register of the full dimension.  Construction
+    checks Hermiticity, positivity and unit trace against DEFAULT_TOLS; pass
+    validate=False only for operators produced by operations that preserve
+    validity (internal fast path).
     """
 
     matrix: np.ndarray
-    layout: RegisterLayout
+    dims: tuple[int, ...] | None = None
     validate: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
         m = as_matrix(self.matrix)
         object.__setattr__(self, "matrix", m)
-        if m.shape[0] != self.layout.dim:
-            raise ValueError(f"matrix dim {m.shape[0]} != layout dim {self.layout.dim}")
+        object.__setattr__(self, "dims", _check_dims(self.dims, m.shape[0]))
         if self.validate:
             psd_eigvalsh(m)
             if abs(m.trace() - 1.0) > DEFAULT_TOLS.trace:
                 raise ValueError(f"density matrix trace {m.trace():.3e} != 1 within tolerance")
-
-    @classmethod
-    def from_matrix(cls, m, dims: Sequence[int] | None = None,
-                    labels: Sequence[str] | None = None, **kw) -> "DensityOperator":
-        m = as_matrix(m)
-        if dims is None:
-            dims = (m.shape[0],)
-        if labels is None:
-            labels = tuple(f"R{i}" for i in range(len(dims)))
-        return cls(m, RegisterLayout(tuple(dims), tuple(labels)), **kw)
 
     @property
     def dim(self) -> int:
@@ -140,7 +107,7 @@ class DensityOperator:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product with a dimension guard; layout bookkeeping is the caller's.
+    """Kronecker product with a dimension guard; register dims are the caller's.
 
     Stacks (..., m, m) and (..., n, n) give the product of each pair of slices.
     """
@@ -211,13 +178,14 @@ def partial_trace_matrix(m: np.ndarray, dims: Sequence[int], keep: Sequence[int]
     return np.einsum(t, [..., *row, *col], [..., *out]).reshape(m.shape[:-2] + (dk, dk))
 
 
-def partial_trace(rho: DensityOperator, keep: Iterable[str]) -> DensityOperator:
-    """Trace out every register not named in keep; kept factors stay in layout order."""
-    pos = rho.layout.positions(keep)
+def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
+    """Trace out every register whose position is not in keep; kept registers
+    stay in their original order."""
+    pos = _check_positions(keep, len(rho.dims))
     if not pos:
         raise ValueError("must keep at least one register")
-    out = partial_trace_matrix(rho.matrix, rho.layout.dims, pos)
-    return DensityOperator(out, rho.layout.keep([rho.layout.labels[p] for p in pos]), validate=False)
+    out = partial_trace_matrix(rho.matrix, rho.dims, pos)
+    return DensityOperator(out, tuple(rho.dims[p] for p in pos), validate=False)
 
 
 def matrix_sqrt_psd(a, known=None) -> np.ndarray:

@@ -46,8 +46,8 @@ def required_v(epsilon: float, t: float, variant: str = "general") -> int:
     """Number of inspected indices needed for the acceptance guarantees."""
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must lie in (0, 1]")
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     log_term = t + math.log2(1.0 / epsilon)
@@ -72,8 +72,8 @@ class ProtocolConfig:
             raise ValueError("n must be >= 1")
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in (0, 1]")
-        if self.t < 0:
-            raise ValueError("t must be >= 0")
+        if not (math.isfinite(self.t) and self.t >= 0):
+            raise ValueError(f"t must be finite and >= 0, got {self.t}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.variant not in VARIANTS:

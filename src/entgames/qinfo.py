@@ -1,9 +1,11 @@
 """Fidelity, entropies, purification, POVM and Schmidt primitives.
 
 All entropic quantities use base-2 logarithms (bits).  Two-state scalar
-functions accept either DensityOperator or raw ndarrays; register-aware
-functions (mutual information, purification, Uhlmann partners, Schmidt
-decomposition) need the layout and take DensityOperator / PureState.
+functions accept either DensityOperator or raw ndarrays.  Registers are
+named by position in a state's dims: mutual_information takes a
+DensityOperator and two groups of positions, schmidt_decompose a PureState
+and the positions of one side of the cut, and uhlmann_partner the positions
+of phi's system registers.
 
 fidelity, relative_entropy, min_relative_entropy, von_neumann_entropy and
 povm_outcome_bound also take stacks of states, shape (..., d, d), and then
@@ -27,7 +29,8 @@ import numpy as np
 from .config import DEFAULT_TOLS
 from .linalg import (
     DensityOperator,
-    RegisterLayout,
+    _check_dims,
+    _check_positions,
     _check_psd_spectrum,
     _root_sum,
     as_matrix,
@@ -56,30 +59,20 @@ def _pair(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class PureState:
-    """Unit vector with a register layout."""
+    """Unit vector with its register dimensions, one register by default."""
 
     amplitudes: np.ndarray
-    layout: RegisterLayout
+    dims: tuple[int, ...] | None = None
     validate: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         object.__setattr__(self, "amplitudes", a)
-        if a.size != self.layout.dim:
-            raise ValueError(f"amplitude length {a.size} != layout dim {self.layout.dim}")
+        object.__setattr__(self, "dims", _check_dims(self.dims, a.size))
         if not np.all(np.isfinite(a)):
             raise ValueError("amplitudes have non-finite entries")
         if self.validate and abs(np.linalg.norm(a) - 1.0) > DEFAULT_TOLS.norm:
             raise ValueError(f"state norm {np.linalg.norm(a):.6e} != 1 within tolerance")
-
-    @classmethod
-    def from_vector(cls, v, dims=None, labels=None, **kw) -> "PureState":
-        v = np.asarray(v, dtype=complex).reshape(-1)
-        if dims is None:
-            dims = (v.size,)
-        if labels is None:
-            labels = tuple(f"R{i}" for i in range(len(dims)))
-        return cls(v, RegisterLayout(tuple(dims), tuple(labels)), **kw)
 
     @property
     def dim(self) -> int:
@@ -87,11 +80,11 @@ class PureState:
 
     def tensor(self) -> np.ndarray:
         """Amplitudes reshaped to one axis per register."""
-        return self.amplitudes.reshape(self.layout.dims)
+        return self.amplitudes.reshape(self.dims)
 
     def density(self) -> DensityOperator:
         return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()),
-                               self.layout, validate=False)
+                               self.dims, validate=False)
 
     def overlap(self, other: "PureState") -> complex:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
@@ -196,14 +189,6 @@ def povm_outcome_bound(rho, sigma, povm):
 # purification and Uhlmann partners
 
 
-def _unique_label(base: str, taken: Iterable[str]) -> str:
-    taken = set(taken)
-    lb = base
-    while lb in taken:
-        lb += "_"
-    return lb
-
-
 def purification_matrix(rho, anc_dim: int) -> np.ndarray:
     """(d x anc_dim) amplitude matrix m with m m^dag = rho, eigenvalues descending.
 
@@ -224,28 +209,30 @@ def purification_matrix(rho, anc_dim: int) -> np.ndarray:
     return m
 
 
-def purify(rho: DensityOperator, ancilla_label: str | None = None) -> PureState:
+def purify(rho: DensityOperator) -> PureState:
     """Canonical purification with ancilla dimension equal to the system dimension.
 
     Eigenvalues are taken in descending order, so a pure input purifies to
-    |anc_0> tensor |psi>.  The ancilla register comes first in the layout.
+    |anc_0> tensor |psi>.  The ancilla is register 0, followed by rho's
+    registers in their order.
     """
     d = rho.dim
     amps = purification_matrix(rho.matrix, d).T.reshape(-1)    # index (anc, sys)
-    lb = _unique_label(ancilla_label or "anc", rho.layout.labels)
-    lay = RegisterLayout((d,) + rho.layout.dims, (lb,) + rho.layout.labels)
-    return PureState(amps, lay, validate=False)
+    return PureState(amps, (d,) + rho.dims, validate=False)
 
 
-def _split_matrix(psi: PureState, system: Iterable[str]) -> tuple[np.ndarray, list[int], list[int]]:
-    """Amplitudes as a (d_system x d_ancilla) matrix; returns (M, sys_pos, anc_pos)."""
-    lay = psi.layout
-    sys_pos = lay.positions(system)
-    anc_pos = [p for p in range(lay.nfactors) if p not in sys_pos]
-    if not anc_pos:
-        raise ValueError("state has no registers outside the chosen ones")
+def _split_matrix(psi: PureState, system: Iterable[int]) -> tuple[np.ndarray, list[int], list[int]]:
+    """Amplitudes as a (d_system x d_ancilla) matrix; returns (M, sys_pos, anc_pos).
+
+    system holds register positions of psi; it must be non-empty and leave
+    at least one register out.
+    """
+    sys_pos = _check_positions(system, len(psi.dims))
+    anc_pos = [p for p in range(len(psi.dims)) if p not in sys_pos]
+    if not sys_pos or not anc_pos:
+        raise ValueError("a cut needs registers on both sides")
     t = psi.tensor().transpose(sys_pos + anc_pos)
-    d_sys = math.prod(lay.dims[p] for p in sys_pos)
+    d_sys = math.prod(psi.dims[p] for p in sys_pos)
     return t.reshape(d_sys, -1), sys_pos, anc_pos
 
 
@@ -265,30 +252,28 @@ def max_overlap_isometry(target: np.ndarray, source: np.ndarray) -> tuple[np.nda
     return u, float(sv.sum())
 
 
-def uhlmann_partner(rho: DensityOperator, sigma, phi: PureState) -> PureState:
+def uhlmann_partner(rho, sigma, phi: PureState, system: Iterable[int]) -> PureState:
     """Purification of sigma, on phi's space, closest to the purification phi of rho.
 
-    The system registers are identified by rho's layout labels inside phi; all
-    other registers of phi form the ancilla.  The construction is the polar /
-    SVD one, so <phi|psi> is real nonnegative and equals F(rho, sigma) up to
-    numerics.  sigma's purification follows purification_matrix's rules.
+    system holds the positions of phi's system registers, the ones rho and
+    sigma live on, in phi's order; all other registers of phi form the
+    ancilla.  The construction is the polar / SVD one, so <phi|psi> is real
+    nonnegative and equals F(rho, sigma) up to numerics.  sigma's
+    purification follows purification_matrix's rules.
     """
-    s = as_matrix(sigma)
-    if s.shape[0] != rho.dim:
-        raise ValueError("sigma dimension differs from rho")
-    m_phi, sys_pos, anc_pos = _split_matrix(phi, rho.layout.labels)
-    if np.abs(m_phi @ m_phi.conj().T - rho.matrix).max() > 1e-8:
+    r, s = _pair(rho, sigma)
+    m_phi, sys_pos, anc_pos = _split_matrix(phi, system)
+    if r.shape != (m_phi.shape[0],) * 2:
+        raise ValueError("rho's dimension differs from that of phi's system registers")
+    if np.abs(m_phi @ m_phi.conj().T - r).max() > 1e-8:
         raise ValueError("phi does not purify rho within 1e-8")
     m_src = purification_matrix(s, m_phi.shape[1])     # d_sys x d_anc, zero-padded
     u, _ = max_overlap_isometry(m_phi, m_src)
     m_psi = m_src @ u.T                   # d_sys x d_anc
 
-    lay = phi.layout
-    shape = [lay.dims[p] for p in sys_pos] + [lay.dims[p] for p in anc_pos]
-    t = m_psi.reshape(shape)
-    inv = np.argsort(sys_pos + anc_pos)
-    amps = t.transpose(inv).reshape(-1)
-    return PureState(amps, lay, validate=False)
+    t = m_psi.reshape([phi.dims[p] for p in sys_pos + anc_pos])
+    amps = t.transpose(np.argsort(sys_pos + anc_pos)).reshape(-1)
+    return PureState(amps, phi.dims, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +293,12 @@ def von_neumann_entropy(rho):
     return entropy_of_spectrum(w)
 
 
-def _reduced_entropy(rho: DensityOperator, labels: Iterable[str]) -> float:
-    return von_neumann_entropy(partial_trace(rho, labels).matrix)
+def _reduced_entropy(rho: DensityOperator, positions: Iterable[int]) -> float:
+    return von_neumann_entropy(partial_trace(rho, positions).matrix)
 
 
-def mutual_information(rho: DensityOperator, x: Iterable[str], y: Iterable[str]) -> float:
-    """I(X:Y) = S(X) + S(Y) - S(XY)."""
+def mutual_information(rho: DensityOperator, x: Iterable[int], y: Iterable[int]) -> float:
+    """I(X:Y) = S(X) + S(Y) - S(XY) for the registers at positions x and y."""
     x, y = list(x), list(y)
     if set(x) & set(y):
         raise ValueError("the two register groups overlap")
@@ -372,29 +357,29 @@ class SchmidtDecomposition:
     """Schmidt data across a bipartition: descending coefficients and bases.
 
     left/right basis vectors are the columns; they live on the (cut, rest)
-    register ordering, each side's factors in original layout order.
+    register ordering, each side's registers in their original order, at the
+    positions left_positions and right_positions.
     """
 
     coefficients: np.ndarray
     left_vectors: np.ndarray
     right_vectors: np.ndarray
-    left_labels: tuple[str, ...]
-    right_labels: tuple[str, ...]
+    left_positions: tuple[int, ...]
+    right_positions: tuple[int, ...]
 
     def reconstruct(self) -> np.ndarray:
         """Amplitudes on the (left, right) ordering."""
         return (self.left_vectors * self.coefficients) @ self.right_vectors.T
 
 
-def schmidt_decompose(psi: PureState, cut: Iterable[str]) -> SchmidtDecomposition:
-    """Schmidt decomposition across the bipartition (cut registers, rest)."""
-    lay = psi.layout
+def schmidt_decompose(psi: PureState, cut: Iterable[int]) -> SchmidtDecomposition:
+    """Schmidt decomposition across the bipartition (registers at positions cut, rest)."""
     m, cut_pos, rest_pos = _split_matrix(psi, cut)
     u, sv, vh = np.linalg.svd(m, full_matrices=False)
     return SchmidtDecomposition(
         coefficients=sv,
         left_vectors=u,
         right_vectors=vh.T,
-        left_labels=tuple(lay.labels[p] for p in cut_pos),
-        right_labels=tuple(lay.labels[p] for p in rest_pos),
+        left_positions=tuple(cut_pos),
+        right_positions=tuple(rest_pos),
     )

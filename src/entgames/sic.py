@@ -1,12 +1,13 @@
 """Superposed information cost: objective, decoupling construction, scalar bounds.
 
 The central object is the superposition state
-|Omega> = sum_xy sqrt(p_xy) |x>_X |phi_xy>_AB |y>_Y on registers X, A, B, Y.
-The cost objective is I(X:BY) + I(Y:XA), each mutual information computed
-with the named input register dephased.  For product input distributions,
-build_decoupling constructs per-input isometries (Alice's U_x on A, Bob's V_y
-on B) that push the state toward a product across the (inputs : work
-registers) cut, with fidelity defects controlled by 9*delta and 81*delta.
+|Omega> = sum_xy sqrt(p_xy) |x>_X |phi_xy>_AB |y>_Y, whose registers X, A,
+B, Y are positions 0 to 3 of its dims (k, dA, dB, k).  The cost objective
+is I(X:BY) + I(Y:XA), each mutual information computed with the named input
+register dephased.  For product input distributions, build_decoupling
+constructs per-input isometries (Alice's U_x on A, Bob's V_y on B) that push
+the state toward a product across the (inputs : work registers) cut, with
+fidelity defects controlled by 9*delta and 81*delta.
 All of it is computed from the (x, a, b, y) amplitude tensor; no density
 matrix of a full state is formed.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import AdviceEnsemble, check_distribution, is_product
-from .linalg import RegisterLayout, psd_eigvalsh
+from .linalg import psd_eigvalsh
 from .qinfo import (
     PureState,
     clip_fidelity,
@@ -27,8 +28,6 @@ from .qinfo import (
     max_overlap_isometry,
     purification_matrix,
 )
-
-_REGS = ("X", "A", "B", "Y")
 
 
 @dataclass(frozen=True)
@@ -55,8 +54,7 @@ class SuperposedState:
             raise ValueError("advice ensemble carries a different distribution")
         da, db = adv.dims()
         amps = np.sqrt(p)[:, None, None, :] * adv.states.transpose(0, 2, 3, 1)
-        layout = RegisterLayout((k, da, db, k), _REGS)
-        state = PureState(amps.reshape(-1), layout)
+        state = PureState(amps.reshape(-1), (k, da, db, k))
         diag = (np.abs(amps) ** 2).sum(axis=(1, 2))
         if np.abs(diag - p).max() > 1e-9:
             raise ValueError("reduced (X, Y) diagonal does not match p")
@@ -185,8 +183,7 @@ def build_decoupling(omega: SuperposedState) -> DecouplingResult:
                                omega_t.transpose(0, 2, 3, 1).reshape(k, db * k, da), p.sum(axis=1))
 
     omega1_t = np.einsum("xpa,xaby->xpby", u_list, omega_t)
-    lay1 = RegisterLayout((k, da2, db, k), _REGS)
-    omega1 = PureState(omega1_t.reshape(-1), lay1, validate=False)
+    omega1 = PureState(omega1_t.reshape(-1), (k, da2, db, k), validate=False)
     fbar_alice = 1.0 - pure_product_fidelity(omega1_t.reshape(k, -1))   # X : A'BY
 
     # Bob side: conditionals on (X, A) given y, average on (X, A).
@@ -194,8 +191,7 @@ def build_decoupling(omega: SuperposedState) -> DecouplingResult:
                                omega_t.transpose(3, 0, 1, 2).reshape(k, k * da, db), p.sum(axis=0))
 
     omega3_t = np.einsum("yqb,xpby->xpqy", v_list, omega1_t)
-    lay3 = RegisterLayout((k, da2, db2, k), _REGS)
-    omega3 = PureState(omega3_t.reshape(-1), lay3, validate=False)
+    omega3 = PureState(omega3_t.reshape(-1), (k, da2, db2, k), validate=False)
     fbar_out = 1.0 - pure_product_fidelity(                               # XY : A'B'
         omega3_t.transpose(0, 3, 1, 2).reshape(k * k, -1))
 

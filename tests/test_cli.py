@@ -433,6 +433,8 @@ class TestSimulate:
         ({"hash_bits": "x"}, "'hash_bits'"),
         ({"hash_bits": [3]}, "'hash_bits'"),
         ({"hash_bits": 2.5}, "'hash_bits'"),
+        ({"t": float("inf")}, "t must be finite"),
+        ({"t": float("nan")}, "t must be finite"),
     ])
     def test_bad_fields_are_input_errors(self, tmp_path, capsys, overrides, field):
         write_chsh(tmp_path)
@@ -453,6 +455,7 @@ class TestSimulate:
         ({"V": [[1], [1, 2]]}, "'V'"),
         ({"name": {"a": 1}}, "'name'"),
         ({"name": 3}, "'name'"),
+        ({"p": [[float("nan"), 0.25], [0.25, 0.25]]}, "non-finite"),
     ])
     def test_malformed_game_is_input_error(self, tmp_path, capsys, doc, field):
         game = json.loads(write_chsh(tmp_path).read_text())

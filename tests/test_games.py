@@ -231,7 +231,7 @@ def count_solves(monkeypatch, names=("eigh", "eigvalsh", "qr")) -> dict[str, lis
 
 def assert_projective(meas: np.ndarray) -> None:
     d = meas.shape[-1]
-    state = PureState.from_vector(np.eye(d * d)[0].astype(complex), (d, d), ("A", "B"))
+    state = PureState(np.eye(d * d)[0].astype(complex), (d, d))
     QuantumStrategy(state, meas, meas).validate()
 
 
@@ -330,8 +330,7 @@ class TestStrategyWinProbability:
     def test_quantum_embedding_of_classical(self):
         # deterministic strategy as rank-one projective measurements on |00>
         g = chsh()
-        psi = PureState.from_vector(np.array([1, 0, 0, 0], dtype=complex),
-                                    (2, 2), ("A", "B"))
+        psi = PureState(np.array([1, 0, 0, 0], dtype=complex), (2, 2))
         alice = np.zeros((2, 2, 2, 2), dtype=complex)
         bob = np.zeros((2, 2, 2, 2), dtype=complex)
         for x in range(2):
@@ -355,7 +354,7 @@ class TestStrategyWinProbability:
         alice = np.stack([proj(z), proj(x)]).astype(complex)
         bob = np.stack([proj((z + x) / math.sqrt(2)),
                         proj((z - x) / math.sqrt(2))]).astype(complex)
-        base = QuantumStrategy(PureState.from_vector(phi.reshape(-1), (2, 2), ("A", "B")),
+        base = QuantumStrategy(PureState(phi.reshape(-1), (2, 2)),
                                alice, bob)
         assert abs(strategy_win_probability(chsh(), base) - TSIRELSON) <= 1e-12
 
@@ -367,7 +366,7 @@ class TestStrategyWinProbability:
             return out
 
         state = np.einsum("ij,kl->ikjl", phi, phi).reshape(-1)
-        sq = QuantumStrategy(PureState.from_vector(state, (4, 4), ("A", "B")),
+        sq = QuantumStrategy(PureState(state, (4, 4)),
                              square(alice), square(bob))
         sq.validate()
         value = strategy_win_probability(repeat(chsh(), 2), sq)
@@ -380,7 +379,7 @@ class TestStrategyValidate:
     @staticmethod
     def parts(da: int = 2, db: int = 3, k: int = 3, l: int = 2):
         rng = rng_for(0, 903)
-        psi = PureState.from_vector(haar_state(rng, da * db), (da, db), ("A", "B"))
+        psi = PureState(haar_state(rng, da * db), (da, db))
         alice = np.stack([random_projective(rng, da, l) for _ in range(k)])
         bob = np.stack([random_projective(rng, db, l) for _ in range(k)])
         return psi, {"alice": alice, "bob": bob}
@@ -640,7 +639,7 @@ class TestLockstep:
         g = chsh()
         adv = bell_advice(g)
         want = reference_seesaw(g, (2, 2), adv.states, _STREAM_ADVICE, 10, 120, 0)
-        traces, *_ = _seesaw_restarts(g, (2, 2), adv.states, _STREAM_ADVICE, 10, 120, 0, 1e-12)
+        traces, *_ = _seesaw_restarts(g, (2, 2), adv.states, _STREAM_ADVICE, 10, 120, 0)
         assert_same_traces(traces, want)
         val = value_with_advice(g, adv, restarts=10, iters=120, seed=0)
         assert abs(val - max(t[-1] for t in want)) <= 1e-12
@@ -653,7 +652,7 @@ class TestLockstep:
         s = rng.standard_normal((2, 2, *dims)) + 1j * rng.standard_normal((2, 2, *dims))
         adv = AdviceEnsemble(s / np.linalg.norm(s, axis=(-2, -1), keepdims=True), g.p)
         want = reference_seesaw(g, dims, adv.states, _STREAM_ADVICE, 8, 80, 1)
-        traces, *_ = _seesaw_restarts(g, dims, adv.states, _STREAM_ADVICE, 8, 80, 1, 1e-12)
+        traces, *_ = _seesaw_restarts(g, dims, adv.states, _STREAM_ADVICE, 8, 80, 1)
         assert_same_traces(traces, want)
         val = value_with_advice(g, adv, restarts=8, iters=80, seed=1)
         assert abs(val - max(t[-1] for t in want)) <= 1e-12
@@ -668,10 +667,10 @@ class TestLockstep:
         g = chsh()
         adv = bell_advice(g)
         full, _, alice, bob, steps = _seesaw_restarts(g, (2, 2), adv.states, _STREAM_ADVICE,
-                                                      10, 120, 0, 1e-12)
+                                                      10, 120, 0)
         monkeypatch.setattr(games_mod, "MAX_TABLE_ENTRIES", 3 * 32 + 5)
         grouped, _, g_alice, g_bob, grouped_steps = _seesaw_restarts(
-            g, (2, 2), adv.states, _STREAM_ADVICE, 10, 120, 0, 1e-12)
+            g, (2, 2), adv.states, _STREAM_ADVICE, 10, 120, 0)
         assert grouped == full
         assert np.array_equal(g_alice, alice) and np.array_equal(g_bob, bob)
         lens = [len(t) for t in full]
@@ -682,10 +681,10 @@ class TestLockstep:
         # restart, outgrows the (R, k, l, d, d) measurements (54): groups of 2
         g = chsh3()
         full, phi, alice, bob, steps = _seesaw_restarts(g, (3, 3), None, _STREAM_SEESAW,
-                                                        7, 60, 0, 1e-12)
+                                                        7, 60, 0)
         monkeypatch.setattr(games_mod, "MAX_TABLE_ENTRIES", 2 * 81 + 5)
         grouped, g_phi, g_alice, g_bob, grouped_steps = _seesaw_restarts(
-            g, (3, 3), None, _STREAM_SEESAW, 7, 60, 0, 1e-12)
+            g, (3, 3), None, _STREAM_SEESAW, 7, 60, 0)
         assert grouped == full
         assert np.array_equal(g_phi, phi) and np.array_equal(g_alice, alice)
         lens = [len(t) for t in full]
@@ -701,11 +700,11 @@ class TestLockstep:
         monkeypatch.setattr(games_mod, "_draw_starts",
                             lambda *args: pytest.fail("drew starts over budget"))
         with pytest.raises(BudgetError, match=f"one see-saw restart needs {need} entries"):
-            _seesaw_restarts(g, dims, states, _STREAM_SEESAW, 4, 10, 0, 1e-12)
+            _seesaw_restarts(g, dims, states, _STREAM_SEESAW, 4, 10, 0)
         # at exactly the budget the restarts run, one per group
         monkeypatch.undo()
         monkeypatch.setattr(games_mod, "MAX_TABLE_ENTRIES", need)
-        traces, *_ = _seesaw_restarts(g, dims, states, _STREAM_SEESAW, 2, 10, 0, 1e-12)
+        traces, *_ = _seesaw_restarts(g, dims, states, _STREAM_SEESAW, 2, 10, 0)
         assert len(traces) == 2
 
 

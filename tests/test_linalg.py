@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 from entgames.config import BudgetError
 from entgames.linalg import (
     DensityOperator,
-    RegisterLayout,
     as_matrix,
     hermitian_eig,
     hermitianize,
@@ -23,49 +22,39 @@ def rng():
     return rng_for(1234)
 
 
-class TestRegisterLayout:
-    def test_basic(self):
-        lay = RegisterLayout((2, 3, 4), ("A", "B", "C"))
-        assert lay.dim == 24
-        assert lay.nfactors == 3
-        assert lay.position("B") == 1
-        assert lay.positions(["C", "A"]) == [0, 2]
-        assert lay.keep(["C"]).dims == (4,)
-
-    def test_duplicate_labels_rejected(self):
-        with pytest.raises(ValueError):
-            RegisterLayout((2, 2), ("A", "A"))
-
-    def test_unknown_label(self):
-        lay = RegisterLayout((2,), ("A",))
-        with pytest.raises(ValueError):
-            lay.position("Z")
-
-
 class TestDensityOperator:
     def test_valid_state(self, rng):
         rho = random_mixed(rng, 4)
-        d = DensityOperator.from_matrix(rho, (2, 2), ("A", "B"))
-        assert d.dim == 4
+        d = DensityOperator(rho, (2, 2))
+        assert d.dim == 4 and d.dims == (2, 2)
         assert_allclose(np.trace(d.matrix), 1.0, atol=1e-12)
+
+    def test_dims(self, rng):
+        rho = random_mixed(rng, 6)
+        assert DensityOperator(rho).dims == (6,)
+        assert DensityOperator(rho, [2, 3]).dims == (2, 3)
+        assert DensityOperator(rho, (1, 6, 1)).dims == (1, 6, 1)
+        for dims in ((2, 2), (6, 0), (-2, -3), (12,), ()):
+            with pytest.raises(ValueError, match="do not factor"):
+                DensityOperator(rho, dims)
 
     def test_rejects_nonhermitian(self):
         m = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
         with pytest.raises(ValueError):
-            DensityOperator.from_matrix(m)
+            DensityOperator(m)
 
     def test_rejects_bad_trace(self):
         with pytest.raises(ValueError):
-            DensityOperator.from_matrix(np.eye(2, dtype=complex))
+            DensityOperator(np.eye(2, dtype=complex))
 
     def test_rejects_negative(self):
         m = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(ValueError):
-            DensityOperator.from_matrix(m)
+            DensityOperator(m)
 
     def test_rejects_trace_above_one(self):
         with pytest.raises(ValueError, match="trace"):
-            DensityOperator.from_matrix(np.eye(2, dtype=complex) * 0.6)
+            DensityOperator(np.eye(2, dtype=complex) * 0.6)
 
 
 class TestHermitianEig:
@@ -98,15 +87,34 @@ class TestPartialTrace:
         # tracing {B} then {C} equals tracing {B, C} in one shot
         psi = haar_state(rng, 2 * 3 * 2)
         rho = np.outer(psi, psi.conj())
-        d = DensityOperator.from_matrix(rho, (2, 3, 2), ("A", "B", "C"))
-        one = partial_trace(partial_trace(d, ["A", "C"]), ["A"])
-        two = partial_trace(d, ["A"])
+        d = DensityOperator(rho, (2, 3, 2))
+        ac = partial_trace(d, [2, 0])
+        assert ac.dims == (2, 2)
+        one = partial_trace(ac, [0])
+        two = partial_trace(d, [0])
+        assert two.dims == (2,)
         assert_allclose(one.matrix, two.matrix, atol=1e-12)
 
     def test_keep_everything(self, rng):
         rho = random_mixed(rng, 6)
-        d = DensityOperator.from_matrix(rho, (2, 3), ("A", "B"))
-        assert_allclose(partial_trace(d, ["A", "B"]).matrix, rho, atol=1e-12)
+        d = DensityOperator(rho, (2, 3))
+        assert_allclose(partial_trace(d, [0, 1]).matrix, rho, atol=1e-12)
+
+    def test_matches_partial_trace_matrix(self, rng):
+        rho = random_mixed(rng, 12)
+        d = DensityOperator(rho, (2, 3, 2))
+        for keep in ([0], [1], [2], [0, 2], [1, 2]):
+            assert np.array_equal(partial_trace(d, keep).matrix,
+                                  partial_trace_matrix(rho, (2, 3, 2), keep))
+
+    @pytest.mark.parametrize("keep, match", [
+        ([], "at least one"), ([3], "outside"), ([-1], "outside"),
+        ([0, 0], "repeated"), (["A"], None), ([0.0], None),
+    ])
+    def test_bad_positions(self, rng, keep, match):
+        d = DensityOperator(random_mixed(rng, 12), (2, 3, 2))
+        with pytest.raises(ValueError if match else TypeError, match=match):
+            partial_trace(d, keep)
 
     def test_trace_out_all_but_one(self, rng):
         rho = random_mixed(rng, 8)
@@ -172,7 +180,7 @@ class TestAsMatrix:
             as_matrix(np.array([[np.inf, 0], [0, 1.0]]))
 
     def test_unwraps_matrix_attr(self, rng):
-        d = DensityOperator.from_matrix(random_mixed(rng, 3))
+        d = DensityOperator(random_mixed(rng, 3))
         assert as_matrix(d) is d.matrix
 
 

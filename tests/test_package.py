@@ -27,3 +27,10 @@ def test_every_exported_name_resolves():
 def test_all_matches_imports():
     assert len(set(entgames.__all__)) == len(entgames.__all__)
     assert sorted(entgames.__all__) == sorted(imported_names())
+
+
+def test_readme_library_example_runs():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})

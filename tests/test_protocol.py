@@ -59,8 +59,9 @@ class TestRequiredV:
     def test_errors(self):
         with pytest.raises(ValueError):
             required_v(0.0, 1.0)
-        with pytest.raises(ValueError):
-            required_v(0.5, -1.0)
+        for t in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="t must be"):
+                required_v(0.5, t)
         with pytest.raises(ValueError):
             required_v(0.5, 1.0, "compressed")
 

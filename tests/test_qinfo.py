@@ -9,6 +9,7 @@ from entgames.linalg import (
     hermitianize,
     matrix_sqrt_psd,
     partial_trace,
+    partial_trace_matrix,
 )
 from entgames.qinfo import (
     Povm,
@@ -46,7 +47,7 @@ PLUS = np.full((2, 2), 0.5, dtype=complex)
 def bell_state() -> PureState:
     v = np.zeros(4, dtype=complex)
     v[0] = v[3] = 1 / math.sqrt(2)
-    return PureState.from_vector(v, (2, 2), ("A", "B"))
+    return PureState(v, (2, 2))
 
 
 @pytest.fixture
@@ -145,7 +146,16 @@ class TestPovmType:
 class TestPureState:
     def test_norm_validation(self):
         with pytest.raises(ValueError):
-            PureState.from_vector(np.array([1.0, 1.0]))
+            PureState(np.array([1.0, 1.0]))
+
+    def test_dims(self, rng):
+        v = haar_state(rng, 12)
+        assert PureState(v).dims == (12,)
+        assert PureState(v, [3, 4]).dims == (3, 4)
+        assert PureState(v, (2, 3, 2)).tensor().shape == (2, 3, 2)
+        for dims in ((3, 5), (2, 2, 2), (12, 0), (-3, -4), ()):
+            with pytest.raises(ValueError, match="do not factor"):
+                PureState(v, dims)
 
     def test_density_and_overlap(self):
         psi = bell_state()
@@ -156,22 +166,22 @@ class TestPureState:
 
 class TestPurify:
     def test_reduction_recovers_state(self, rng):
-        rho = DensityOperator.from_matrix(random_mixed(rng, 3), (3,), ("S",))
+        rho = DensityOperator(random_mixed(rng, 3))
         phi = purify(rho)
-        back = partial_trace(phi.density(), ["S"])
+        back = partial_trace(phi.density(), [1])
         assert_allclose(back.matrix, rho.matrix, atol=1e-10)
 
     def test_ancilla_first_and_descending(self, rng):
-        rho = DensityOperator.from_matrix(random_mixed(rng, 4), (4,), ("S",))
+        rho = DensityOperator(random_mixed(rng, 4))
         phi = purify(rho)
-        assert phi.layout.labels[0] != "S" and phi.layout.labels[1] == "S"
+        assert phi.dims == (4, 4)
         # canonical form: amplitude blocks ordered by descending eigenvalue
         m = phi.amplitudes.reshape(4, 4)
         col_norms = (np.abs(m) ** 2).sum(axis=1)
         assert (np.diff(col_norms) <= 1e-12).all()
 
     def test_pure_input_passthrough(self):
-        phi = purify(DensityOperator.from_matrix(KET0, (2,), ("S",)))
+        phi = purify(DensityOperator(KET0))
         amps = phi.amplitudes.reshape(2, 2)
         # ancilla collapses to its first basis vector for a pure input
         assert_allclose(np.abs(amps[0]), [1.0, 0.0], atol=1e-10)
@@ -214,50 +224,79 @@ class TestPurificationMatrix:
 class TestUhlmann:
     def test_overlap_matches_fidelity(self, rng):
         for d in (2, 3, 4):
-            r = DensityOperator.from_matrix(random_mixed(rng, d), (d,), ("S",))
-            s = DensityOperator.from_matrix(random_mixed(rng, d), (d,), ("S",))
+            r = DensityOperator(random_mixed(rng, d))
+            s = DensityOperator(random_mixed(rng, d))
             phi = purify(r)
-            psi = uhlmann_partner(r, s, phi)
+            psi = uhlmann_partner(r, s, phi, [1])
             ov = phi.overlap(psi)
             assert abs(ov.imag) <= 1e-9
             assert abs(ov.real - fidelity(r.matrix, s.matrix)) <= 1e-7
 
     def test_partner_purifies_sigma(self, rng):
-        r = DensityOperator.from_matrix(random_mixed(rng, 3), (3,), ("S",))
-        s = DensityOperator.from_matrix(random_mixed(rng, 3), (3,), ("S",))
-        psi = uhlmann_partner(r, s, purify(r))
-        red = partial_trace(psi.density(), ["S"])
+        r = DensityOperator(random_mixed(rng, 3))
+        s = DensityOperator(random_mixed(rng, 3))
+        psi = uhlmann_partner(r, s, purify(r), [1])
+        red = partial_trace(psi.density(), [1])
         assert_allclose(red.matrix, s.matrix, atol=1e-9)
 
     def test_ancilla_larger_than_system(self, rng):
         # phi's 5-dim ancilla exceeds the 2-dim system: sigma's purification
         # is padded with zero columns before the polar step
-        r = DensityOperator.from_matrix(random_mixed(rng, 2), (2,), ("S",))
+        r = DensityOperator(random_mixed(rng, 2))
         s = random_mixed(rng, 2)
         m_phi = purification_matrix(r.matrix, 5) @ haar_unitary(rng, 5)
-        phi = PureState.from_vector(m_phi.reshape(-1), (2, 5), ("S", "E"))
-        psi = uhlmann_partner(r, s, phi)
-        assert psi.layout == phi.layout
+        phi = PureState(m_phi.reshape(-1), (2, 5))
+        psi = uhlmann_partner(r, s, phi, [0])
+        assert psi.dims == phi.dims
         ov = phi.overlap(psi)
         assert abs(ov.imag) <= 1e-9
         assert abs(ov.real - fidelity(r.matrix, s)) <= 1e-9
-        assert_allclose(partial_trace(psi.density(), ["S"]).matrix, s, atol=1e-12)
+        assert_allclose(partial_trace(psi.density(), [0]).matrix, s, atol=1e-12)
 
     def test_ancilla_too_small(self):
         # a pure rho purified on a 1-dim ancilla; sigma fits iff its mass
         # beyond the top eigenvalue is at most 1e-9
-        r = DensityOperator.from_matrix(KET0, (2,), ("S",))
-        phi = PureState.from_vector([1.0, 0.0], (2, 1), ("S", "E"))
+        r = DensityOperator(KET0)
+        phi = PureState([1.0, 0.0], (2, 1))
         near_pure = np.diag([1.0 - 5e-10, 5e-10]).astype(complex)
-        assert abs(uhlmann_partner(r, near_pure, phi).overlap(phi)) >= 1.0 - 1e-9
+        assert abs(uhlmann_partner(r, near_pure, phi, [0]).overlap(phi)) >= 1.0 - 1e-9
         with pytest.raises(ValueError, match="trailing eigenvalue mass"):
-            uhlmann_partner(r, np.eye(2, dtype=complex) / 2, phi)
+            uhlmann_partner(r, np.eye(2, dtype=complex) / 2, phi, [0])
 
     def test_rejects_wrong_purification(self, rng):
-        r = DensityOperator.from_matrix(random_mixed(rng, 3), (3,), ("S",))
-        s = DensityOperator.from_matrix(random_mixed(rng, 3), (3,), ("S",))
+        r = DensityOperator(random_mixed(rng, 3))
+        s = DensityOperator(random_mixed(rng, 3))
         with pytest.raises(ValueError):
-            uhlmann_partner(s, r, purify(r))
+            uhlmann_partner(s, r, purify(r), [1])
+
+    def test_system_in_the_middle(self, rng):
+        # phi on (E1, S, E2) with the system at position 1: the partner
+        # purifies sigma on S, keeps phi's dims, and overlaps phi by F
+        r, s = random_mixed(rng, 3), random_mixed(rng, 3)
+        m_phi = purification_matrix(r, 8) @ haar_unitary(rng, 8)   # S x (E1 E2)
+        amps = m_phi.reshape(3, 2, 4).transpose(1, 0, 2).reshape(-1)
+        phi = PureState(amps, (2, 3, 4))
+        psi = uhlmann_partner(r, s, phi, [1])
+        assert psi.dims == (2, 3, 4)
+        ov = phi.overlap(psi)
+        assert abs(ov.imag) <= 1e-9
+        assert abs(ov.real - fidelity(r, s)) <= 1e-9
+        assert_allclose(partial_trace(psi.density(), [1]).matrix, s, atol=1e-12)
+        # the same partner, computed with the system moved first, then moved back
+        first = uhlmann_partner(r, s, PureState(m_phi.reshape(-1), (3, 8)), [0])
+        assert_allclose(first.amplitudes.reshape(3, 2, 4).transpose(1, 0, 2).reshape(-1),
+                        psi.amplitudes, atol=1e-12)
+
+    @pytest.mark.parametrize("system, match", [
+        ([], "both sides"), ([0, 1], "both sides"), ([2], "outside"),
+        ([-1], "outside"), ([1, 1], "repeated"), ([0], "dimension differs"),
+    ])
+    def test_bad_positions(self, rng, system, match):
+        r = DensityOperator(random_mixed(rng, 3), (3,))
+        phi = PureState(purification_matrix(r.matrix, 2 * 3).T.reshape(-1), (6, 3))
+        assert abs(uhlmann_partner(r, r, phi, [1]).overlap(phi) - 1.0) <= 1e-9
+        with pytest.raises(ValueError, match=match):
+            uhlmann_partner(r, r, phi, system)
 
 
 class TestEntropies:
@@ -276,13 +315,36 @@ class TestEntropies:
                         0.0, atol=1e-12)
 
     def test_mutual_information_bell(self):
-        assert_allclose(mutual_information(bell_state().density(), ("A",), ("B",)),
+        assert_allclose(mutual_information(bell_state().density(), [0], [1]),
                         2.0, atol=1e-9)
 
     def test_mutual_information_product(self, rng):
         ra, rb = random_mixed(rng, 2), random_mixed(rng, 2)
-        d = DensityOperator.from_matrix(np.kron(ra, rb), (2, 2), ("A", "B"))
-        assert abs(mutual_information(d, ("A",), ("B",))) <= 1e-9
+        d = DensityOperator(np.kron(ra, rb), (2, 2))
+        assert abs(mutual_information(d, [0], [1])) <= 1e-9
+
+    def test_mutual_information_non_adjacent_groups(self, rng):
+        # registers (X, M, Y): a Bell pair on X, Y around a pure state on M
+        # gives I(X:Y) = 2 and I(X:M) = 0; its mixture with noise is checked
+        # against partial_trace_matrix, with groups given out of order
+        bell = np.zeros((2, 2), dtype=complex)
+        bell[0, 0] = bell[1, 1] = 1 / math.sqrt(2)
+        psi = np.kron(bell.reshape(-1), haar_state(rng, 3)).reshape(2, 2, 3)
+        psi = psi.transpose(0, 2, 1).reshape(-1)               # (X, M, Y)
+        rho = np.outer(psi, psi.conj())
+        noisy = 0.5 * rho + 0.5 * np.kron(np.kron(np.eye(2) / 2, random_mixed(rng, 3)),
+                                            np.eye(2) / 2)
+        d = DensityOperator(noisy, (2, 3, 2))
+        want = (von_neumann_entropy(partial_trace_matrix(noisy, (2, 3, 2), [0]))
+                + von_neumann_entropy(partial_trace_matrix(noisy, (2, 3, 2), [2]))
+                - von_neumann_entropy(partial_trace_matrix(noisy, (2, 3, 2), [0, 2])))
+        assert want > 0.1
+        assert mutual_information(d, [2], [0]) == pytest.approx(want, abs=1e-12)
+        pure = DensityOperator(rho, (2, 3, 2))
+        assert_allclose(mutual_information(pure, [0], [2]), 2.0, atol=1e-9)
+        assert abs(mutual_information(pure, [0], [1])) <= 1e-9
+        with pytest.raises(ValueError, match="overlap"):
+            mutual_information(pure, [0, 1], [1, 2])
 
 
 class TestRelativeEntropy:
@@ -323,24 +385,47 @@ class TestMinRelativeEntropy:
 
 class TestSchmidt:
     def test_bell_coefficients(self):
-        sd = schmidt_decompose(bell_state(), ("A",))
+        sd = schmidt_decompose(bell_state(), [0])
         assert_allclose(sd.coefficients, [1 / math.sqrt(2)] * 2, atol=1e-12)
 
     def test_reconstructs(self, rng):
-        psi = PureState.from_vector(haar_state(rng, 12), (3, 4), ("A", "B"))
-        sd = schmidt_decompose(psi, ("A",))
+        psi = PureState(haar_state(rng, 12), (3, 4))
+        sd = schmidt_decompose(psi, [0])
+        assert sd.left_positions == (0,) and sd.right_positions == (1,)
         rec = sd.reconstruct().reshape(-1)
         assert_allclose(rec, psi.amplitudes, atol=1e-10)
 
     def test_cut_on_second_register(self, rng):
-        psi = PureState.from_vector(haar_state(rng, 12), (3, 4), ("A", "B"))
-        sd = schmidt_decompose(psi, ("B",))
+        psi = PureState(haar_state(rng, 12), (3, 4))
+        sd = schmidt_decompose(psi, [1])
         # squared coefficients = spectrum of either marginal
-        red = partial_trace(psi.density(), ["B"]).matrix
+        red = partial_trace(psi.density(), [1]).matrix
         spec = np.sort(np.linalg.eigvalsh(red))[::-1]
         assert_allclose(np.sort(sd.coefficients ** 2)[::-1], spec[:len(sd.coefficients)],
                         atol=1e-10)
 
+
+    def test_three_registers_cut_in_the_middle(self, rng):
+        psi = PureState(haar_state(rng, 24), (2, 3, 4))
+        sd = schmidt_decompose(psi, [1])
+        assert sd.left_positions == (1,) and sd.right_positions == (0, 2)
+        assert sd.left_vectors.shape == (3, 3) and sd.right_vectors.shape == (8, 3)
+        rho = psi.density().matrix
+        for keep, vecs in (([1], sd.left_vectors), ([0, 2], sd.right_vectors)):
+            # each side's marginal is sum_i c_i^2 |v_i><v_i| over its vectors
+            assert_allclose(partial_trace_matrix(rho, psi.dims, keep),
+                            (vecs * sd.coefficients ** 2) @ vecs.conj().T, atol=1e-12)
+        rec = sd.reconstruct().reshape(3, 2, 4).transpose(1, 0, 2).reshape(-1)
+        assert_allclose(rec, psi.amplitudes, atol=1e-12)
+
+    @pytest.mark.parametrize("cut, match", [
+        ([], "both sides"), ([0, 1, 2], "both sides"), ([3], "outside"),
+        ([-1], "outside"), ([2, 2], "repeated"),
+    ])
+    def test_bad_positions(self, rng, cut, match):
+        psi = PureState(haar_state(rng, 24), (2, 3, 4))
+        with pytest.raises(ValueError, match=match):
+            schmidt_decompose(psi, cut)
 
 def _stack(rng, n, d):
     return np.stack([random_mixed(rng, d) for _ in range(n)])

@@ -57,13 +57,15 @@ def random_product_instance(rng, k: int = 2, da: int = 2, db: int = 2) -> Superp
 
 class TestSuperposedState:
     def test_build_layout(self):
-        om = SuperposedState.build(UNIFORM2, constant_advice())
-        assert om.k == 2 and om.dims() == (2, 2)
-        assert om.state.layout.labels == ("X", "A", "B", "Y")
+        om = SuperposedState.build(UNIFORM2, constant_advice(2, 2, 3))
+        assert om.k == 2 and om.dims() == (2, 3)
+        assert om.state.dims == (2, 2, 3, 2)      # (X, A, B, Y)
 
     def test_rejects_bad_distribution(self):
         with pytest.raises(ValueError):
             SuperposedState.build(np.full((2, 2), 0.3), constant_advice())
+        with pytest.raises(ValueError, match="non-finite"):
+            SuperposedState.build([[np.nan, 0.25], [0.25, 0.25]], constant_advice())
 
     def test_rejects_arity_mismatch(self):
         with pytest.raises(ValueError):
@@ -189,13 +191,13 @@ class TestAmplitudeRoute:
     def test_matches_density_matrix_references(self, om):
         res = build_decoupling(om)
 
-        rho1, dims = res.state_alice.density().matrix, res.state_alice.layout.dims
+        rho1, dims = res.state_alice.density().matrix, res.state_alice.dims
         prod1 = kron(partial_trace_matrix(rho1, dims, [0]),
                      partial_trace_matrix(rho1, dims, [1, 2, 3]))
         assert abs(res.fbar_alice - (1.0 - fidelity(rho1, prod1))) <= 1e-12
 
         # rho_XY (x) rho_AB is ordered (X, Y, A, B); move Y last to match rho3
-        rho3, dims = res.state_out.density().matrix, res.state_out.layout.dims
+        rho3, dims = res.state_out.density().matrix, res.state_out.dims
         k, da, db, _ = dims
         prod3 = kron(partial_trace_matrix(rho3, dims, [0, 3]),
                      partial_trace_matrix(rho3, dims, [1, 2]))
@@ -203,7 +205,7 @@ class TestAmplitudeRoute:
         prod3 = prod3.reshape(rho3.shape)
         assert abs(res.fbar_out - (1.0 - fidelity(rho3, prod3))) <= 1e-12
 
-        omega, dims = om.state.density().matrix, om.state.layout.dims    # (X, A, B, Y)
+        omega, dims = om.state.density().matrix, om.state.dims    # (X, A, B, Y)
         ref_x = _mutual_information(_pinch(omega, dims, 0), dims, [0], [2, 3])
         ref_y = _mutual_information(_pinch(omega, dims, 3), dims, [3], [0, 1])
         tx, ty = sic_terms(om)
