@@ -6,7 +6,6 @@ simulation of referee spot-checking protocols."""
 
 from .config import DEFAULT_TOLS, VERSION, BudgetError, Tolerances
 from .games import (
-    AdviceEnsemble,
     ClassicalStrategy,
     Game,
     QuantumStrategy,
@@ -22,7 +21,6 @@ from .games import (
     repeat,
     save_game,
     strategy_win_probability,
-    value_with_advice,
 )
 from .linalg import (
     DensityOperator,
@@ -59,7 +57,6 @@ from .sic import (
 __version__ = VERSION
 
 __all__ = [
-    "AdviceEnsemble",
     "BudgetError",
     "ClassicalStrategy",
     "DEFAULT_TOLS",
@@ -106,6 +103,5 @@ __all__ = [
     "strategy_win_probability",
     "trace_norm",
     "uhlmann_partner",
-    "value_with_advice",
     "von_neumann_entropy",
 ]

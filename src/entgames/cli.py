@@ -32,7 +32,7 @@ import numpy as np
 
 from . import checks as checks_mod
 from . import protocol as protocol_mod
-from .config import VERSION, BudgetError, _field, _integer, _load_json
+from .config import VERSION, BudgetError, _field, _integer, _load_json, _seed
 from .games import (
     classical_value,
     entangled_value_seesaw,
@@ -202,7 +202,7 @@ def _model_from_doc(doc: dict, base_dir: Path, n: int):
         game = load_game(base_dir / get("game", str))
         res = entangled_value_seesaw(
             game, d=get("d", _integer, 2), restarts=get("restarts", _integer, 8),
-            iters=get("iters", _integer, 60), seed=get("strategy_seed", _integer, 0))
+            iters=get("iters", _integer, 60), seed=get("strategy_seed", _seed, 0))
         return protocol_mod.StrategyBacked(game, res.strategy, n)
     raise ValueError(f"unknown model kind {kind!r}")
 
@@ -217,7 +217,7 @@ def cmd_simulate(args) -> int:
     config = protocol_mod.ProtocolConfig(
         n=get("n", _integer), epsilon=get("epsilon", float), t=get("t", float),
         trials=get("trials", _integer),
-        seed=args.seed if args.seed is not None else get("seed", _integer, 0),
+        seed=args.seed if args.seed is not None else get("seed", _seed, 0),
         variant=get("variant", str, "general"),
         v_override=get("v_override", _integer, None),
         hash_bits=get("hash_bits", _integer, None),
@@ -330,6 +330,14 @@ def cmd_sic(args) -> int:
     return code
 
 
+def _seed_arg(text: str) -> int:
+    """A --seed value; anything but a non-negative integer is a usage error (exit 2)."""
+    try:
+        return _seed(int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="entgames",
@@ -346,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", type=int, default=2, help="local dimension")
     sp.add_argument("--restarts", type=int, default=20)
     sp.add_argument("--iters", type=int, default=100)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=_seed_arg, default=None)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_value)
 
@@ -360,14 +368,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run the randomized inequality suite")
     sp.add_argument("--trials", type=int, default=10_000)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=_seed_arg, default=None)
     sp.add_argument("--filter", default=None, help="glob over check names")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("simulate", help="referee-protocol Monte Carlo")
     sp.add_argument("config", help="protocol config JSON file")
-    sp.add_argument("--seed", type=int, default=None,
+    sp.add_argument("--seed", type=_seed_arg, default=None,
                     help="override the seed in the config file")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_simulate)

@@ -71,6 +71,14 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _seed(value) -> int:
+    """_integer(value), refusing a negative seed."""
+    seed = _integer(value)
+    if seed < 0:
+        raise ValueError(f"seed {seed} is negative")
+    return seed
+
+
 def _string(value) -> str:
     """value itself, refusing anything but a string."""
     if not isinstance(value, str):

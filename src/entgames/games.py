@@ -31,7 +31,6 @@ from .qinfo import PureState
 from .random_states import haar_state, haar_unitaries, projectives, rng_block, unitary_draw
 
 _STREAM_SEESAW = 101
-_STREAM_ADVICE = 102
 _IMPROVE_TOL = 1e-12    # a see-saw restart stops at the first step that gains less
 
 
@@ -140,52 +139,13 @@ class QuantumStrategy:
                     raise ValueError(f"{name} measurement {what} within tolerance")
 
 
-@dataclass(frozen=True)
-class AdviceEnsemble:
-    """Input-indexed family of shared pure states on A (x) B.
-
-    states has shape (k, k, dA, dB), amplitudes of the state handed out for
-    input pair (x, y); p is the input distribution the ensemble is built for.
-    """
-
-    states: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.states, dtype=complex)
-        p = np.asarray(self.p, dtype=float)
-        if s.ndim != 4 or s.shape[0] != s.shape[1] or s.shape[0] != p.shape[0]:
-            raise ValueError(f"states shape {s.shape} inconsistent with p shape {p.shape}")
-        norms = np.linalg.norm(s.reshape(s.shape[0], s.shape[1], -1), axis=2)
-        if np.abs(norms - 1.0).max() > DEFAULT_TOLS.norm:
-            raise ValueError("advice states must be normalized")
-        object.__setattr__(self, "states", s)
-        object.__setattr__(self, "p", p)
-
-    @property
-    def k(self) -> int:
-        return self.states.shape[0]
-
-    def dims(self) -> tuple[int, int]:
-        return self.states.shape[2], self.states.shape[3]
-
-
 # ---------------------------------------------------------------------------
 # index encoding for repeated games (little-endian, round 1 least significant)
 
 
-def encode_tuple(digits, base: int) -> int:
-    """Little-endian mixed-radix encode: digits[0] is round 1, least significant."""
-    idx = 0
-    for i, d in enumerate(digits):
-        if not 0 <= d < base:
-            raise ValueError(f"digit {d} out of range for base {base}")
-        idx += int(d) * base**i
-    return idx
-
-
 def _digit_table(base: int, n: int) -> np.ndarray:
-    """(base**n, n) array; row r holds the n digits of r, so encode_tuple(row r) = r."""
+    """(base**n, n) array; row r holds the n digits of r, little-endian:
+    r = sum_i row[i] * base**i."""
     idx = np.arange(base**n)
     return np.stack([(idx // base**i) % base for i in range(n)], axis=1)
 
@@ -242,8 +202,7 @@ def strategy_win_probability(g: Game, strategy: ClassicalStrategy | QuantumStrat
         b = np.array(strategy.bob)
         xs = np.arange(g.k)
         return float((g.p * g.v[a[:, None], b[None, :], xs[:, None], xs[None, :]]).sum())
-    ops = _alice_payoffs(_payoff_weights(g), strategy.bob,
-                         strategy.state.tensor()[None, None])
+    ops = _alice_payoffs(_payoff_weights(g), strategy.bob, strategy.state.tensor())
     return float(np.einsum("xail,xali->", strategy.alice, ops).real)
 
 
@@ -309,14 +268,14 @@ def _best_projective(ops: np.ndarray) -> np.ndarray:
     return hermitianize(out)
 
 
-def _pairing(m: np.ndarray, ops: np.ndarray, axes: int) -> np.ndarray:
-    """Re of the sum of m[..., i, j] ops[..., j, i] over the last `axes` axes.
+def _pairing(m: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """Re of the sum of m[..., a, i, j] ops[..., a, j, i] over the last 3 axes.
 
     One BLAS dot per slice, so a slice's value does not depend on the stack
     around it (a reducing einsum may sum in another order when the stack's
     shape changes).
     """
-    lead = m.shape[:m.ndim - axes]
+    lead = m.shape[:-3]
     rows = m.reshape(*lead, 1, -1)
     cols = ops.swapaxes(-1, -2).reshape(*lead, -1, 1)
     return (rows @ cols)[..., 0, 0].real
@@ -326,7 +285,7 @@ def _update_measurements(meas: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """Best-projective update of (..., k, l, d, d) measurements, kept per input
     only when it does not decrease the score sum_a Tr(P_a ops[a])."""
     cand = _best_projective(ops.reshape(-1, *ops.shape[-3:])).reshape(ops.shape)
-    new, old = (_pairing(m, ops, 3) for m in (cand, meas))
+    new, old = (_pairing(m, ops) for m in (cand, meas))
     return np.where((new >= old)[..., None, None, None], cand, meas)
 
 
@@ -336,23 +295,22 @@ def _payoff_weights(g: Game) -> np.ndarray:
 
 
 def _alice_payoffs(w: np.ndarray, bob: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Alice's operators [..., x, a] for Bob's measurements and per-input-pair states.
+    """Alice's operators [..., x, a] for Bob's measurements and shared states.
 
     w is the _payoff_weights table; bob has shape (..., k, l, dB, dB) and
-    states (..., X, Y, dA, dB), with X = Y = k for a state per input pair and
-    X = Y = 1 for one state shared by every pair.  States without the leading
-    axes are shared by every stacked strategy.  psi B^T psi^dag for every
-    (x, y, b) takes batched matmuls.  The sum over (y, b) weighted by w is a
-    real GEMM on the real and imaginary parts at once: one per stacked
-    strategy, and one per x with per-pair states.  No GEMM spans two stacked
-    strategies, so a strategy's operators do not depend on the stack.
+    states (..., dA, dB).  A state without the leading axes is shared by
+    every stacked strategy.  psi B^T psi^dag for every (y, b) takes one
+    batched matmul.  The sum over (y, b) weighted by w is a real GEMM on the
+    real and imaginary parts at once, one per stacked strategy, so no GEMM
+    spans two stacked strategies and a strategy's operators do not depend on
+    the stack.
     """
-    k, l, n = w.shape[0], w.shape[1], states.shape[-4]
-    psi = states[..., None, :, :]
-    kmat = psi @ bob.swapaxes(-1, -2)[..., None, :, :, :, :] @ dagger(psi)
-    lead, da = kmat.shape[:-5], kmat.shape[-1]
-    parts = kmat.reshape(*lead, n, k * l, da * da).view(float)
-    ops = w.reshape(n, k * l // n, k * l) @ parts
+    k, l = w.shape[:2]
+    psi = states[..., None, None, :, :]
+    kmat = psi @ bob.swapaxes(-1, -2) @ dagger(psi)
+    lead, da = kmat.shape[:-4], kmat.shape[-1]
+    parts = kmat.reshape(*lead, k * l, da * da).view(float)
+    ops = w.reshape(k * l, k * l) @ parts
     return ops.view(complex).reshape(*lead, k, l, da, da)
 
 
@@ -362,8 +320,7 @@ def _bob_payoffs(w: np.ndarray, alice: np.ndarray, states: np.ndarray) -> np.nda
     They are Alice's operators of the game with the players swapped: w
     indexed [y, b, x, a] and each state transposed to B (x) A.
     """
-    return _alice_payoffs(w.transpose(2, 3, 0, 1),
-                          alice, states.swapaxes(-4, -3).swapaxes(-2, -1))
+    return _alice_payoffs(w.transpose(2, 3, 0, 1), alice, states.swapaxes(-2, -1))
 
 
 def _payoff_operator(w: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
@@ -375,32 +332,27 @@ def _payoff_operator(w: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.nd
     return hermitianize(t.reshape(*lead, da * db, da * db))
 
 
-def _lockstep(weights: np.ndarray, fixed: np.ndarray | None, cur: np.ndarray,
-              alice: np.ndarray, bob: np.ndarray, iters: int) -> tuple[list[list[float]], int]:
+def _lockstep(weights: np.ndarray, cur: np.ndarray, alice: np.ndarray, bob: np.ndarray,
+              iters: int) -> tuple[list[list[float]], int]:
     """Run the restarts stacked in (cur, alice, bob) in lockstep, in place.
 
-    cur holds (R, 1, 1, dA, dB) states, used when fixed (the given states) is
-    None; alice and bob hold (R, k, l, d, d) measurements.  Each step
-    advances the restarts still active, indexed by act, through one Alice,
-    Bob and (with fixed None) state update on their stacks.  A restart leaves
-    the set when its value rose by less than _IMPROVE_TOL, so its trace and
-    final strategy are those of running it alone.  Returns the traces and the
+    cur holds (R, d, d) states, alice and bob (R, k, l, d, d) measurements.
+    Each step advances the restarts still active, indexed by act, through one
+    Alice, Bob and state update on their stacks.  A restart leaves the set
+    when its value rose by less than _IMPROVE_TOL, so its trace and final
+    strategy are those of running it alone.  Returns the traces and the
     number of steps.
     """
     traces: list[list[float]] = [[] for _ in range(alice.shape[0])]
     prev = np.full(alice.shape[0], -np.inf)
     act = np.arange(alice.shape[0])
     for step in range(1, iters + 1):
-        st = cur[act] if fixed is None else fixed
+        st = cur[act]
         a = _update_measurements(alice[act], _alice_payoffs(weights, bob[act], st))
-        n_ops = _bob_payoffs(weights, a, st)
-        b = _update_measurements(bob[act], n_ops)
-        if fixed is None:
-            w, v = hermitian_eig(_payoff_operator(weights, a, b))
-            val = w[:, -1]
-            cur[act] = v[:, :, -1].reshape(-1, *cur.shape[1:])
-        else:
-            val = _pairing(b, n_ops, 4)
+        b = _update_measurements(bob[act], _bob_payoffs(weights, a, st))
+        w, v = hermitian_eig(_payoff_operator(weights, a, b))
+        val = w[:, -1]
+        cur[act] = v[:, :, -1].reshape(st.shape)
         alice[act], bob[act] = a, b
         for r, v_r in zip(act, val):
             traces[r].append(float(v_r))
@@ -412,67 +364,55 @@ def _lockstep(weights: np.ndarray, fixed: np.ndarray | None, cur: np.ndarray,
     return traces, step
 
 
-def _draw_starts(g: Game, dims: tuple[int, int], with_state: bool, stream: int,
-                 restarts: int, seed: int):
-    """Start points of the see-saw restarts: (states, alice, bob).
+def _draw_starts(g: Game, d: int, restarts: int, seed: int):
+    """Start points of the see-saw restarts at local dimension d: (states, alice, bob).
 
-    Restart r draws from rng_for(seed, stream, r) (derived through
-    rng_block): with with_state a Haar state, then the raw draws of Alice's
-    and Bob's measurements, input by input.  Each player's measurements of
-    every restart are then built with one stacked QR, draw for draw equal to
-    random_projective.  states is (R, 1, 1, dA, dB), zero without with_state;
-    alice and bob are (R, k, l, d, d).
+    Restart r draws from rng_for(seed, _STREAM_SEESAW, r) (derived through
+    rng_block): a Haar state, then the raw draws of Alice's and Bob's
+    measurements, input by input.  Each player's measurements of every
+    restart are then built with one stacked QR, draw for draw equal to
+    random_projective.  states is (R, d, d); alice and bob are (R, k, l, d, d).
     """
-    da, db = dims
-    cur = np.zeros((restarts, 1, 1, da, db), dtype=complex)
-    draw_a = np.zeros((restarts, g.k, 2, da, da))
-    draw_b = np.zeros((restarts, g.k, 2, db, db))
-    for r, rng in enumerate(rng_block(seed, stream, trials=range(restarts))):
-        if with_state:
-            cur[r, 0, 0] = haar_state(rng, da * db).reshape(da, db)
-        draw_a[r] = unitary_draw(rng, da, g.k)
-        draw_b[r] = unitary_draw(rng, db, g.k)
+    cur = np.zeros((restarts, d, d), dtype=complex)
+    draw_a = np.zeros((restarts, g.k, 2, d, d))
+    draw_b = np.zeros((restarts, g.k, 2, d, d))
+    for r, rng in enumerate(rng_block(seed, _STREAM_SEESAW, trials=range(restarts))):
+        cur[r] = haar_state(rng, d * d).reshape(d, d)
+        draw_a[r] = unitary_draw(rng, d, g.k)
+        draw_b[r] = unitary_draw(rng, d, g.k)
     return (cur, projectives(haar_unitaries(draw_a), g.l),
             projectives(haar_unitaries(draw_b), g.l))
 
 
-def _seesaw_restarts(g: Game, dims: tuple[int, int], states: np.ndarray | None,
-                     stream: int, restarts: int, iters: int, seed: int):
-    """Restart loop of both see-saws; all restarts advance in lockstep.
-
-    Each restart starts from _draw_starts: with states None from a Haar
-    state, updated after every Bob update; given states stay fixed.  The
-    restarts then run in consecutive groups (_lockstep) whose largest
-    intermediate stays within MAX_TABLE_ENTRIES: (R, k, k, l, d, d) on the
-    advice path, and on the shared-state path (R, k, l, d, d) or the
-    (R, dA dB, dA dB) payoff operator, whichever is larger.
+def _seesaw_restarts(g: Game, d: int, restarts: int, iters: int, seed: int):
+    """See-saw restarts at local dimension d from _draw_starts, run in
+    consecutive lockstep groups (_lockstep) whose largest intermediate, the
+    (R, k, l, d, d) measurements or the (R, d^2, d^2) payoff operator, stays
+    within MAX_TABLE_ENTRIES.
 
     Returns (traces, states, alice, bob, steps): the per-restart value
-    traces, the final (R, 1, 1, dA, dB) states or the given ones, the final
-    (R, k, l, d, d) measurements, and the number of lockstep steps.  Raises
-    ValueError unless restarts and iters are both at least 1, and BudgetError,
-    before anything is drawn, when one restart alone exceeds the budget.
+    traces, the final (R, d, d) states and (R, k, l, d, d) measurements, and
+    the number of lockstep steps.  Raises ValueError unless restarts and
+    iters are both at least 1, and BudgetError, before anything is drawn,
+    when one restart alone exceeds the budget.
     """
     if restarts < 1 or iters < 1:
         raise ValueError(f"restarts and iters must be >= 1, got {restarts} and {iters}")
-    da, db = dims
-    per_restart = (1 if states is None else g.k) * g.k * g.l * max(da, db) ** 2
-    if states is None:
-        per_restart = max(per_restart, (da * db) ** 2)
+    per_restart = max(g.k * g.l * d * d, d ** 4)
     if per_restart > MAX_TABLE_ENTRIES:
         raise BudgetError(f"one see-saw restart needs {per_restart} entries, "
                           f"more than the budget of {MAX_TABLE_ENTRIES}")
-    cur, alice, bob = _draw_starts(g, dims, states is None, stream, restarts, seed)
+    cur, alice, bob = _draw_starts(g, d, restarts, seed)
     weights = _payoff_weights(g)
     group = MAX_TABLE_ENTRIES // per_restart
     traces: list[list[float]] = []
     steps = 0
     for lo in range(0, restarts, group):
         part = slice(lo, lo + group)
-        tr, n = _lockstep(weights, states, cur[part], alice[part], bob[part], iters)
+        tr, n = _lockstep(weights, cur[part], alice[part], bob[part], iters)
         traces += tr
         steps += n
-    return traces, (cur if states is None else states), alice, bob, steps
+    return traces, cur, alice, bob, steps
 
 
 @dataclass(frozen=True)
@@ -504,8 +444,7 @@ def entangled_value_seesaw(g: Game, d: int, restarts: int = 20, iters: int = 100
     """
     if d < 1:
         raise ValueError("local dimension must be >= 1")
-    traces, phi, alice, bob, steps = _seesaw_restarts(
-        g, (d, d), None, _STREAM_SEESAW, restarts, iters, seed)
+    traces, phi, alice, bob, steps = _seesaw_restarts(g, d, restarts, iters, seed)
     finals = np.array([trace[-1] for trace in traces])
     best_val = float(finals.max())
     best = int(np.argmax(finals >= best_val - 1e-12))
@@ -513,22 +452,6 @@ def entangled_value_seesaw(g: Game, d: int, restarts: int = 20, iters: int = 100
                                alice[best], bob[best])
     return SeesawResult(min(best_val, 1.0), strategy,
                         tuple(tuple(trace) for trace in traces), best, steps)
-
-
-def value_with_advice(g: Game, advice: AdviceEnsemble, restarts: int = 20,
-                      iters: int = 100, seed: int = 0) -> float:
-    """See-saw lower bound on the winning probability with per-input advice states.
-
-    The shared state for input pair (x, y) is advice.states[x, y]; only the
-    measurements are optimized.  Advice must be built for g's distribution.
-    """
-    if advice.k != g.k:
-        raise ValueError("advice input arity does not match the game")
-    if np.abs(advice.p - g.p).max() > 1e-12:
-        raise ValueError("advice ensemble was built for a different distribution")
-    traces, *_ = _seesaw_restarts(g, advice.dims(), advice.states, _STREAM_ADVICE,
-                                  restarts, iters, seed)
-    return min(max(trace[-1] for trace in traces), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ class ProtocolConfig:
     seed: int = 0
     variant: str = "general"
     v_override: int | None = None
-    hash_bits: int | None = None    # None: ceil(2t)
+    hash_bits: int | None = None    # None: ceil(2t), checked for projection only
 
     def __post_init__(self):
         if self.n < 1:
@@ -80,9 +80,11 @@ class ProtocolConfig:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if self.v_override is not None and self.v_override < 1:
             raise ValueError("v_override must be >= 1")
-        b = self.resolved_hash_bits()
-        if not 0 <= b <= 62:
+        if self.hash_bits is not None and not 0 <= self.hash_bits <= 62:
             raise ValueError("hash_bits must lie in [0, 62]")
+        if self.variant == "projection" and self.resolved_hash_bits() > 62:
+            raise ValueError(f"t = {self.t:g} makes the default hash_bits = ceil(2t) "
+                             f"exceed 62; set hash_bits in [0, 62]")
 
     def resolved_v(self) -> int:
         if self.v_override is not None:

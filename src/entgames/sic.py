@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import AdviceEnsemble, check_distribution, is_product
+from .config import DEFAULT_TOLS
+from .games import check_distribution, is_product
 from .linalg import psd_eigvalsh
 from .qinfo import (
     PureState,
@@ -32,29 +33,30 @@ from .qinfo import (
 
 @dataclass(frozen=True)
 class SuperposedState:
-    """Superposition over input pairs with per-input advice states."""
+    """Superposition over input pairs; advice[x, y] holds the (dA, dB)
+    amplitudes of the state |phi_xy> handed out on input pair (x, y)."""
 
     p: np.ndarray
-    advice: AdviceEnsemble
+    advice: np.ndarray
     state: PureState
 
     @classmethod
     def build(cls, p, advice_states) -> "SuperposedState":
-        """Assemble |Omega> from a distribution and a (k, k, dA, dB) advice table."""
+        """Assemble |Omega> from a distribution and a (k, k, dA, dB) advice table
+        whose states are each normalized, also on pairs of probability zero."""
         p = np.asarray(p, dtype=float)
         k = p.shape[0]
         if p.shape != (k, k):
             raise ValueError("p must be square")
         check_distribution(p)
-        adv = advice_states if isinstance(advice_states, AdviceEnsemble) \
-            else AdviceEnsemble(np.asarray(advice_states, dtype=complex), p)
-        if adv.k != k:
-            raise ValueError("advice table shape does not match p")
-        if np.abs(adv.p - p).max() > 1e-12:
-            raise ValueError("advice ensemble carries a different distribution")
-        da, db = adv.dims()
-        amps = np.sqrt(p)[:, None, None, :] * adv.states.transpose(0, 2, 3, 1)
-        state = PureState(amps.reshape(-1), (k, da, db, k))
+        adv = np.asarray(advice_states, dtype=complex)
+        if adv.ndim != 4 or adv.shape[:2] != (k, k):
+            raise ValueError(f"advice table shape {adv.shape} does not match p shape {p.shape}")
+        norms = np.linalg.norm(adv.reshape(k, k, -1), axis=2)
+        if np.abs(norms - 1.0).max() > DEFAULT_TOLS.norm:
+            raise ValueError("advice states must be normalized")
+        amps = np.sqrt(p)[:, None, None, :] * adv.transpose(0, 2, 3, 1)
+        state = PureState(amps.reshape(-1), (k, *adv.shape[2:], k))
         diag = (np.abs(amps) ** 2).sum(axis=(1, 2))
         if np.abs(diag - p).max() > 1e-9:
             raise ValueError("reduced (X, Y) diagonal does not match p")
@@ -65,7 +67,7 @@ class SuperposedState:
         return self.p.shape[0]
 
     def dims(self) -> tuple[int, int]:
-        return self.advice.dims()
+        return self.advice.shape[2], self.advice.shape[3]
 
 
 def _holevo(s_total: float, cond: np.ndarray) -> float:

@@ -154,6 +154,18 @@ class TestValue:
         assert main(["value", str(path)]) == 2
         assert "invalid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-1", "x", "2.5"])
+    def test_seed_must_be_non_negative_integer(self, tmp_path, capsys, seed):
+        # a negative seed used to reach numpy, whose message named no field
+        game = write_chsh(tmp_path)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["value", str(game), "--mode", "entangled", "--seed", seed,
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --seed: must be a non-negative integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seesaw_budget_exit_code(self, tmp_path, capsys, monkeypatch):
         # one CHSH restart at d = 2 needs a 16-entry payoff operator
         game = write_chsh(tmp_path)
@@ -281,6 +293,15 @@ class TestVerify:
             blobs.append((out / "report.json").read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_negative_seed_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--filter", "fact_sum", "--trials", "5", "--seed", "-1",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --seed: must be a non-negative integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_filter(self, tmp_path, capsys):
         assert main(["verify", "--filter", "zzz*", "--trials", "5",
                      "--out", str(tmp_path / "o")]) == 2
@@ -401,6 +422,22 @@ class TestSimulate:
         rep = json.loads((out / "report.json").read_text())
         assert set(rep) == {"command", "config", "stats", "guarantee"}
 
+    def test_negative_seed_flag_is_input_error(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", str(cfg), "--seed", "-1", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "argument --seed: must be a non-negative integer" in capsys.readouterr().err
+
+    def test_general_variant_takes_any_t(self, tmp_path):
+        # the general variant never hashes, so ceil(2t) > 62 is no error there
+        cfg = self.write_config(tmp_path, t=40.0, v_override=None, trials=100)
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 0
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["config"]["t"] == 40.0 and rep["config"]["hash_bits"] is None
+        assert rep["stats"]["p_succeed_hat"] == 1.0
+
     def test_integral_float_fields_accepted(self, tmp_path):
         cfg = self.write_config(tmp_path, v_override=4.0, hash_bits=3.0, trials=400.0)
         out = tmp_path / "out"
@@ -435,6 +472,12 @@ class TestSimulate:
         ({"hash_bits": 2.5}, "'hash_bits'"),
         ({"t": float("inf")}, "t must be finite"),
         ({"t": float("nan")}, "t must be finite"),
+        ({"seed": -4}, "'seed'"),
+        ({"seed": 2.5}, "'seed'"),
+        ({"model": {"kind": "strategy_backed", "game": "chsh.json", "strategy_seed": -1}},
+         "'strategy_seed'"),
+        ({"variant": "projection", "t": 40.0}, "t = 40"),
+        ({"hash_bits": 63}, "hash_bits must lie in [0, 62]"),
     ])
     def test_bad_fields_are_input_errors(self, tmp_path, capsys, overrides, field):
         write_chsh(tmp_path)
@@ -589,6 +632,19 @@ class TestSic:
         out = tmp_path / "out"
         assert main(["sic", str(spec), "--out", str(out)]) == 2
         assert "'dims' must be two positive integers" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unnormalized_advice_is_input_error(self, tmp_path, capsys):
+        # pairs (x, 1) have probability 0 and advice of norm 1/sqrt(2)
+        doc = json.loads(constant_spec(tmp_path).read_text())
+        doc["p"] = [[0.5, 0.0], [0.5, 0.0]]
+        half = [[SQ * SQ, 0.0], [0.0, 0.0], [0.0, 0.0], [SQ * SQ, 0.0]]
+        doc["advice"][0][1] = doc["advice"][1][1] = half
+        spec = tmp_path / "unnormalized.json"
+        spec.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["sic", str(spec), "--out", str(out)]) == 2
+        assert "normalized" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_object_spec_is_input_error(self, tmp_path, capsys):

@@ -8,13 +8,11 @@ from numpy.testing import assert_allclose
 
 from entgames.config import BudgetError
 from entgames.games import (
-    AdviceEnsemble,
     ClassicalStrategy,
     Game,
     QuantumStrategy,
     chsh,
     classical_value,
-    encode_tuple,
     entangled_value_seesaw,
     game_from_dict,
     game_from_json,
@@ -26,11 +24,9 @@ from entgames.games import (
     repeat,
     save_game,
     strategy_win_probability,
-    value_with_advice,
 )
 from entgames import games as games_mod
 from entgames.games import (
-    _STREAM_ADVICE,
     _STREAM_SEESAW,
     _alice_payoffs,
     _best_projective,
@@ -44,6 +40,16 @@ from entgames.qinfo import PureState
 from entgames.random_states import haar_state, random_projective, rng_for
 
 TSIRELSON = math.cos(math.pi / 8) ** 2
+
+
+def encode_tuple(digits, base: int) -> int:
+    """Little-endian mixed-radix encode: digits[0] is round 1, least significant."""
+    idx = 0
+    for i, d in enumerate(digits):
+        if not 0 <= d < base:
+            raise ValueError(f"digit {d} out of range for base {base}")
+        idx += int(d) * base**i
+    return idx
 
 
 def all_ones_game(k: int = 2, l: int = 2) -> Game:
@@ -134,7 +140,8 @@ def reference_update(meas: np.ndarray, ops: np.ndarray) -> np.ndarray:
 
 def einsum_alice_payoffs(w: np.ndarray, bob: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Alice's payoff operators [..., x, a] by the plain einsum formulas:
-    sum over (y, b) of w[x, a, y, b] psi_xy B_yb^T psi_xy^dag."""
+    sum over (y, b) of w[x, a, y, b] psi_xy B_yb^T psi_xy^dag, with states
+    indexed [..., x, y]; a shared state has x and y axes of length 1."""
     kmat = np.einsum("...xyij,...ybkj,...xylk->...xybil", states, bob, states.conj())
     return np.einsum("xayb,...xybil->...xail", w, kmat)
 
@@ -145,15 +152,14 @@ def einsum_bob_payoffs(w: np.ndarray, alice: np.ndarray, states: np.ndarray) -> 
     return np.einsum("xayb,...xyajm->...ybjm", w, cmat)
 
 
-def reference_seesaw(g: Game, dims: tuple[int, int], states: np.ndarray | None,
-                     stream: int, restarts: int, iters: int, seed: int,
+def reference_seesaw(g: Game, d: int, restarts: int, iters: int, seed: int,
                      improve_tol: float = 1e-12) -> list[list[float]]:
     """Per-restart see-saw traces, each restart run alone to its stopping rule.
 
     The lockstep core in games must match it restart by restart: the same
-    draws from rng_for(seed, stream, r), the same trace lengths and values
-    within 1e-12.  With states None the state is a Haar draw updated to the
-    top eigenvector of the payoff operator; given states stay fixed.
+    draws from rng_for(seed, _STREAM_SEESAW, r), the same trace lengths and
+    values within 1e-12.  The state is a Haar draw, updated to the top
+    eigenvector of the payoff operator after every Bob update.
 
     The payoffs and measurement updates are the production functions, which
     TestPayoffs and TestStackedUpdate check against plain formulas.  A
@@ -161,29 +167,22 @@ def reference_seesaw(g: Game, dims: tuple[int, int], states: np.ndarray | None,
     4e-16 difference between the einsum and the GEMM payoffs to 7.9e-8
     mid-trace, so a trace gate of 1e-12 holds only on the same payoffs.
     """
-    da, db = dims
     w = np.einsum("xy,abxy->xayb", g.p, g.v.astype(float))
     kl = g.k * g.l
     traces = []
     for r in range(restarts):
-        rng = rng_for(seed, stream, r)
-        cur = states
-        if states is None:
-            cur = haar_state(rng, da * db).reshape(1, 1, da, db)
-        alice = np.stack([random_projective(rng, da, g.l) for _ in range(g.k)])
-        bob = np.stack([random_projective(rng, db, g.l) for _ in range(g.k)])
+        rng = rng_for(seed, _STREAM_SEESAW, r)
+        cur = haar_state(rng, d * d).reshape(d, d)
+        alice = np.stack([random_projective(rng, d, g.l) for _ in range(g.k)])
+        bob = np.stack([random_projective(rng, d, g.l) for _ in range(g.k)])
         trace, prev = [], -np.inf
         for _ in range(iters):
             alice = _update_measurements(alice, _alice_payoffs(w, bob, cur))
-            n_ops = _bob_payoffs(w, alice, cur)
-            bob = _update_measurements(bob, n_ops)
-            if states is None:
-                t = alice.reshape(kl, -1).T @ (w.reshape(kl, -1) @ bob.reshape(kl, -1))
-                op = t.reshape(da, da, db, db).transpose(0, 2, 1, 3).reshape(da * db, -1)
-                ev, vec = hermitian_eig(hermitianize(op))
-                val, cur = float(ev[-1]), vec[:, -1].reshape(1, 1, da, db)
-            else:
-                val = float(np.einsum("ybjm,ybmj->", bob, n_ops).real)
+            bob = _update_measurements(bob, _bob_payoffs(w, alice, cur))
+            t = alice.reshape(kl, -1).T @ (w.reshape(kl, -1) @ bob.reshape(kl, -1))
+            op = t.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, -1)
+            ev, vec = hermitian_eig(hermitianize(op))
+            val, cur = float(ev[-1]), vec[:, -1].reshape(d, d)
             trace.append(val)
             if val - prev < improve_tol:
                 break
@@ -204,12 +203,6 @@ def chsh3() -> Game:
     for a, b, x, y in itertools.product(range(3), range(3), range(2), range(2)):
         v[a, b, x, y] = (a + b) % 3 == (x * y) % 3
     return Game(2, 3, np.full((2, 2), 0.25), v, name="CHSH3")
-
-
-def bell_advice(g: Game) -> AdviceEnsemble:
-    bell = np.zeros((2, 2), dtype=complex)
-    bell[0, 0] = bell[1, 1] = 1 / math.sqrt(2)
-    return AdviceEnsemble(np.broadcast_to(bell, (2, 2, 2, 2)).copy(), g.p)
 
 
 def count_solves(monkeypatch, names=("eigh", "eigvalsh", "qr")) -> dict[str, list[int]]:
@@ -481,32 +474,30 @@ class TestPayoffs:
     """The GEMM payoffs equal the einsum formulas on every kind of state stack."""
 
     @pytest.mark.parametrize("k, l, da, db", [(3, 2, 2, 3), (2, 3, 3, 2), (4, 4, 4, 4)])
-    @pytest.mark.parametrize("state_lead, meas_lead, n", [
-        ((5,), (5,), 1),        # shared states of stacked restarts
-        ((2, 3), (2, 3), 1),    # two leading axes
-        ((), (4,), None),       # advice states, shared by every stacked strategy
-        ((4,), (4,), None),     # advice states per stacked strategy
-        ((), (), 1),            # one state, as strategy_win_probability passes it
-        ((), (), None),         # one set of advice states
+    @pytest.mark.parametrize("state_lead, meas_lead", [
+        ((5,), (5,)),           # states of stacked restarts
+        ((2, 3), (2, 3)),       # two leading axes
+        ((), (4,)),             # one state shared by every stacked strategy
+        ((), ()),               # one state, as strategy_win_probability passes it
     ])
-    def test_match_einsum(self, k, l, da, db, state_lead, meas_lead, n):
-        n = k if n is None else n
-        rng = np.random.default_rng([k, l, da, db, len(state_lead), len(meas_lead), n])
+    def test_match_einsum(self, k, l, da, db, state_lead, meas_lead):
+        rng = np.random.default_rng([k, l, da, db, len(state_lead), len(meas_lead)])
 
         def gauss(*shape):
             return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
         w = rng.random((k, l, k, l))
-        states = gauss(*state_lead, n, n, da, db)
+        states = gauss(*state_lead, da, db)
         states /= np.linalg.norm(states, axis=(-2, -1), keepdims=True)
+        per_pair = states[..., None, None, :, :]
         alice = hermitianize(gauss(*meas_lead, k, l, da, da))
         bob = hermitianize(gauss(*meas_lead, k, l, db, db))
         got = _alice_payoffs(w, bob, states)
         assert got.shape == alice.shape
-        assert_allclose(got, einsum_alice_payoffs(w, bob, states), atol=1e-13, rtol=0)
+        assert_allclose(got, einsum_alice_payoffs(w, bob, per_pair), atol=1e-13, rtol=0)
         got = _bob_payoffs(w, alice, states)
         assert got.shape == bob.shape
-        assert_allclose(got, einsum_bob_payoffs(w, alice, states), atol=1e-13, rtol=0)
+        assert_allclose(got, einsum_bob_payoffs(w, alice, per_pair), atol=1e-13, rtol=0)
 
 
 class TestStackedUpdate:
@@ -590,27 +581,23 @@ class TestStackedUpdate:
 
 
 class TestStartDraws:
-    @pytest.mark.parametrize("k, l, dims", [(4, 4, (4, 4)), (2, 2, (2, 2)), (2, 3, (3, 3)),
-                                            (3, 5, (4, 4)), (2, 3, (2, 2)), (2, 3, (2, 3))])
-    @pytest.mark.parametrize("with_state", [True, False])
-    def test_stacked_starts_equal_per_draw_loop(self, k, l, dims, with_state):
-        # without a state (the advice path) no state is drawn; l > d gives
-        # zero projectors
-        da, db = dims
-        cur, alice, bob = _draw_starts(all_ones_game(k, l), dims, with_state, 7, 6, 3)
-        assert alice.shape == (6, k, l, da, da) and bob.shape == (6, k, l, db, db)
+    @pytest.mark.parametrize("k, l, d", [(4, 4, 4), (2, 2, 2), (2, 3, 3), (3, 5, 4), (2, 3, 2),
+                                         (2, 2, 1)])
+    def test_stacked_starts_equal_per_draw_loop(self, k, l, d):
+        # l > d gives zero projectors
+        cur, alice, bob = _draw_starts(all_ones_game(k, l), d, 6, 3)
+        assert cur.shape == (6, d, d)
+        assert alice.shape == bob.shape == (6, k, l, d, d)
         for r in range(6):
-            rng = rng_for(3, 7, r)
-            if with_state:
-                assert np.array_equal(cur[r, 0, 0], haar_state(rng, da * db).reshape(da, db))
+            rng = rng_for(3, _STREAM_SEESAW, r)
+            assert np.array_equal(cur[r], haar_state(rng, d * d).reshape(d, d))
             for x in range(k):
-                assert np.array_equal(alice[r, x], random_projective(rng, da, l))
+                assert np.array_equal(alice[r, x], random_projective(rng, d, l))
             for x in range(k):
-                assert np.array_equal(bob[r, x], random_projective(rng, db, l))
-        if not with_state:
-            assert not cur.any()
-        zero = ~alice.any(axis=(-2, -1))
-        assert (zero.sum(axis=-1) == max(l - da, 0)).all()
+                assert np.array_equal(bob[r, x], random_projective(rng, d, l))
+        for meas in (alice, bob):
+            zero = ~meas.any(axis=(-2, -1))
+            assert (zero.sum(axis=-1) == max(l - d, 0)).all()
 
 
 class TestLockstep:
@@ -619,92 +606,55 @@ class TestLockstep:
     @pytest.mark.parametrize("seed", range(8))
     def test_chsh_matches_sequential(self, seed):
         res = entangled_value_seesaw(chsh(), d=2, restarts=20, iters=100, seed=seed)
-        assert_same_traces(res.traces,
-                           reference_seesaw(chsh(), (2, 2), None, _STREAM_SEESAW, 20, 100, seed))
+        assert_same_traces(res.traces, reference_seesaw(chsh(), 2, 20, 100, seed))
         assert res.steps == max(len(t) for t in res.traces)
 
     def test_chsh_squared_matches_sequential(self):
         g = repeat(chsh(), 2)
         res = entangled_value_seesaw(g, 4, 20, 200, seed=0)
-        want = reference_seesaw(g, (4, 4), None, _STREAM_SEESAW, 20, 200, 0)
+        want = reference_seesaw(g, 4, 20, 200, 0)
         assert_same_traces(res.traces, want)
         assert res.steps == 35 and sum(len(t) for t in want) == 278
 
     @pytest.mark.parametrize("g, d", [(chsh3(), 3), (chsh(), 1)])
     def test_three_outcomes_and_dimension_one(self, g, d):
         res = entangled_value_seesaw(g, d=d, restarts=8, iters=60, seed=0)
-        assert_same_traces(res.traces, reference_seesaw(g, (d, d), None, _STREAM_SEESAW, 8, 60, 0))
-
-    def test_advice_matches_sequential(self):
-        g = chsh()
-        adv = bell_advice(g)
-        want = reference_seesaw(g, (2, 2), adv.states, _STREAM_ADVICE, 10, 120, 0)
-        traces, *_ = _seesaw_restarts(g, (2, 2), adv.states, _STREAM_ADVICE, 10, 120, 0)
-        assert_same_traces(traces, want)
-        val = value_with_advice(g, adv, restarts=10, iters=120, seed=0)
-        assert abs(val - max(t[-1] for t in want)) <= 1e-12
-
-    @pytest.mark.parametrize("dims", [(3, 3), (2, 3)])
-    def test_three_outcome_advice_matches_sequential(self, dims):
-        # random per-pair advice runs the greedy (l > 2) update with fixed states
-        g = chsh3()
-        rng = np.random.default_rng([3, *dims])
-        s = rng.standard_normal((2, 2, *dims)) + 1j * rng.standard_normal((2, 2, *dims))
-        adv = AdviceEnsemble(s / np.linalg.norm(s, axis=(-2, -1), keepdims=True), g.p)
-        want = reference_seesaw(g, dims, adv.states, _STREAM_ADVICE, 8, 80, 1)
-        traces, *_ = _seesaw_restarts(g, dims, adv.states, _STREAM_ADVICE, 8, 80, 1)
-        assert_same_traces(traces, want)
-        val = value_with_advice(g, adv, restarts=8, iters=80, seed=1)
-        assert abs(val - max(t[-1] for t in want)) <= 1e-12
+        assert_same_traces(res.traces, reference_seesaw(g, d, 8, 60, 0))
 
     def test_restart_does_not_depend_on_its_neighbours(self):
         r20 = entangled_value_seesaw(chsh(), d=2, restarts=20, iters=100, seed=3)
         r5 = entangled_value_seesaw(chsh(), d=2, restarts=5, iters=100, seed=3)
         assert r20.traces[:5] == r5.traces
 
-    def test_advice_groups_give_same_traces(self, monkeypatch):
-        # (R, k, k, l, d, d) = R * 32 entries for CHSH at d = 2: groups of 3
-        g = chsh()
-        adv = bell_advice(g)
-        full, _, alice, bob, steps = _seesaw_restarts(g, (2, 2), adv.states, _STREAM_ADVICE,
-                                                      10, 120, 0)
-        monkeypatch.setattr(games_mod, "MAX_TABLE_ENTRIES", 3 * 32 + 5)
-        grouped, _, g_alice, g_bob, grouped_steps = _seesaw_restarts(
-            g, (2, 2), adv.states, _STREAM_ADVICE, 10, 120, 0)
-        assert grouped == full
-        assert np.array_equal(g_alice, alice) and np.array_equal(g_bob, bob)
-        lens = [len(t) for t in full]
-        assert grouped_steps == sum(max(lens[i:i + 3]) for i in range(0, 10, 3)) > steps
-
     def test_state_groups_count_payoff_operator(self, monkeypatch):
         # CHSH3 at d = 3: the (R, 9, 9) payoff operator, 81 entries per
         # restart, outgrows the (R, k, l, d, d) measurements (54): groups of 2
         g = chsh3()
-        full, phi, alice, bob, steps = _seesaw_restarts(g, (3, 3), None, _STREAM_SEESAW,
-                                                        7, 60, 0)
+        full, phi, alice, bob, steps = _seesaw_restarts(g, 3, 7, 60, 0)
         monkeypatch.setattr(games_mod, "MAX_TABLE_ENTRIES", 2 * 81 + 5)
-        grouped, g_phi, g_alice, g_bob, grouped_steps = _seesaw_restarts(
-            g, (3, 3), None, _STREAM_SEESAW, 7, 60, 0)
+        grouped, g_phi, g_alice, g_bob, grouped_steps = _seesaw_restarts(g, 3, 7, 60, 0)
         assert grouped == full
         assert np.array_equal(g_phi, phi) and np.array_equal(g_alice, alice)
         lens = [len(t) for t in full]
         assert grouped_steps == sum(max(lens[i:i + 2]) for i in range(0, 7, 2)) > steps
 
-    @pytest.mark.parametrize("advice, dims, need", [(False, (3, 3), 81), (True, (2, 2), 48)])
-    def test_restart_over_budget_raises_before_drawing(self, monkeypatch, advice, dims, need):
-        # one CHSH3 restart at d = 3 needs its 81-entry payoff operator, and
-        # k k l d^2 = 48 entries with advice at d = 2
-        g = chsh3()
-        states = bell_advice(chsh()).states if advice else None
+    @pytest.mark.parametrize("g, d, need", [
+        pytest.param(chsh3(), 3, 81, id="chsh3-d3-operator"),
+        pytest.param(repeat(chsh(), 2), 2, 64, id="chsh2-d2-measurements"),
+    ])
+    def test_restart_over_budget_raises_before_drawing(self, monkeypatch, g, d, need):
+        # one CHSH3 restart at d = 3 needs its 81-entry (d^2, d^2) payoff
+        # operator (its k l d^2 measurements take 54); one CHSH^2 restart at
+        # d = 2 needs its k l d^2 = 64-entry measurements (the operator takes 16)
         monkeypatch.setattr(games_mod, "MAX_TABLE_ENTRIES", need - 1)
         monkeypatch.setattr(games_mod, "_draw_starts",
                             lambda *args: pytest.fail("drew starts over budget"))
         with pytest.raises(BudgetError, match=f"one see-saw restart needs {need} entries"):
-            _seesaw_restarts(g, dims, states, _STREAM_SEESAW, 4, 10, 0)
+            _seesaw_restarts(g, d, 4, 10, 0)
         # at exactly the budget the restarts run, one per group
         monkeypatch.undo()
         monkeypatch.setattr(games_mod, "MAX_TABLE_ENTRIES", need)
-        traces, *_ = _seesaw_restarts(g, dims, states, _STREAM_SEESAW, 2, 10, 0)
+        traces, *_ = _seesaw_restarts(g, d, 2, 10, 0)
         assert len(traces) == 2
 
 
@@ -727,54 +677,6 @@ class TestXorCertificate:
     def test_chsh_bracket_is_tsirelson(self):
         lower, upper = xor_value_bounds(chsh().p, np.array([[0, 0], [0, 1]]))
         assert abs(lower - TSIRELSON) <= 1e-12 and abs(upper - TSIRELSON) <= 1e-12
-
-
-class TestAdvice:
-    def test_self_input_advice_stays_classical(self):
-        # advice encoding the players' own inputs adds nothing for CHSH
-        g = chsh()
-        states = np.zeros((2, 2, 2, 2), dtype=complex)
-        for x in range(2):
-            for y in range(2):
-                states[x, y, x, y] = 1.0
-        adv = AdviceEnsemble(states, g.p)
-        val = value_with_advice(g, adv, restarts=8, iters=60, seed=0)
-        assert abs(val - 0.75) <= 1e-9
-
-    def test_revealing_advice_wins(self):
-        # advice revealing the opponent's input makes CHSH winnable
-        g = chsh()
-        states = np.zeros((2, 2, 2, 2), dtype=complex)
-        for x in range(2):
-            for y in range(2):
-                states[x, y, y, x] = 1.0
-        adv = AdviceEnsemble(states, g.p)
-        val = value_with_advice(g, adv, restarts=8, iters=60, seed=0)
-        assert abs(val - 1.0) <= 1e-9
-
-    def test_bell_advice_recovers_tsirelson(self):
-        g = chsh()
-        val = value_with_advice(g, bell_advice(g), restarts=10, iters=120, seed=0)
-        assert abs(val - TSIRELSON) <= 1e-6
-
-    def test_arity_and_distribution_errors(self):
-        g = chsh()
-        one = np.zeros((1, 1, 2, 2), dtype=complex)
-        one[0, 0, 0, 0] = 1.0
-        with pytest.raises(ValueError):
-            value_with_advice(g, AdviceEnsemble(one, np.ones((1, 1))), restarts=1)
-        skew = np.zeros((2, 2, 2, 2), dtype=complex)
-        skew[:, :, 0, 0] = 1.0
-        bad_p = np.array([[0.4, 0.1], [0.1, 0.4]])
-        with pytest.raises(ValueError):
-            value_with_advice(g, AdviceEnsemble(skew, bad_p), restarts=1)
-
-    @pytest.mark.parametrize("restarts, iters", [(0, 10), (3, 0)])
-    def test_rejects_empty_runs(self, restarts, iters):
-        g = chsh()
-        adv = AdviceEnsemble(np.broadcast_to(np.eye(2) / math.sqrt(2), (2, 2, 2, 2)), g.p)
-        with pytest.raises(ValueError, match="restarts and iters must be >= 1"):
-            value_with_advice(g, adv, restarts=restarts, iters=iters, seed=0)
 
 
 class TestRepetition:

@@ -76,6 +76,19 @@ class TestConfig:
             with pytest.raises(ValueError):
                 ProtocolConfig(**{**good, **bad})
 
+    def test_default_hash_bits_checked_for_projection_only(self):
+        # ceil(2t) = 80 hash bits: the general variant never hashes
+        big = dict(n=256, epsilon=1.0, t=40.0, trials=10)
+        stats = run_protocol(ProtocolConfig(**big), IidBernoulli(1.0))
+        assert stats.successes == 10 and stats.mismatch_trials == 0
+        with pytest.raises(ValueError, match=r"t = 40 .*ceil\(2t\)"):
+            ProtocolConfig(**big, variant="projection")
+        cfg = ProtocolConfig(**big, variant="projection", hash_bits=62)
+        assert cfg.resolved_hash_bits() == 62
+        for variant in VARIANTS:
+            with pytest.raises(ValueError, match=r"hash_bits must lie in \[0, 62\]"):
+                ProtocolConfig(**big, variant=variant, hash_bits=63)
+
     def test_resolved_fields(self):
         c = ProtocolConfig(n=8, epsilon=0.5, t=2.5, trials=10)
         assert c.resolved_v() == required_v(0.5, 2.5)

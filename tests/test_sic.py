@@ -6,7 +6,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from entgames.cli import main
-from entgames.games import AdviceEnsemble
 from entgames.linalg import kron, partial_trace_matrix
 from entgames.qinfo import fidelity, von_neumann_entropy
 from entgames.random_states import haar_state, rng_for
@@ -71,11 +70,28 @@ class TestSuperposedState:
         with pytest.raises(ValueError):
             SuperposedState.build(np.full((3, 3), 1 / 9), constant_advice(k=2))
 
-    def test_rejects_foreign_ensemble(self):
-        skew = np.array([[0.4, 0.1], [0.1, 0.4]])
-        adv = AdviceEnsemble(constant_advice(), skew)
-        with pytest.raises(ValueError):
-            SuperposedState.build(UNIFORM2, adv)
+    def test_rejects_advice_table_not_four_dimensional(self):
+        for table in (constant_advice()[0], constant_advice()[..., None]):
+            with pytest.raises(ValueError, match="advice table shape"):
+                SuperposedState.build(UNIFORM2, table)
+
+    def test_rejects_unnormalized_advice_at_zero_probability(self):
+        # pairs (x, 1) have probability 0, so the diagonal and the PureState
+        # checks, which weight each advice state by p, do not see its norm
+        p = np.array([[0.5, 0.0], [0.5, 0.0]])
+        states = constant_advice()
+        states[:, 1] /= math.sqrt(2)
+        with pytest.raises(ValueError, match="advice states must be normalized"):
+            SuperposedState.build(p, states)
+        states[:, 1] *= math.sqrt(2)
+        om = SuperposedState.build(p, states)
+        assert om.advice.shape == (2, 2, 2, 2) and om.advice.dtype == complex
+
+    def test_advice_within_norm_tolerance(self):
+        states = constant_advice() * (1 + 1e-10)
+        SuperposedState.build(UNIFORM2, states)
+        with pytest.raises(ValueError, match="normalized"):
+            SuperposedState.build(UNIFORM2, constant_advice() * (1 + 1e-8))
 
 
 class TestObjective:
@@ -110,9 +126,7 @@ class TestObjective:
 class TestDecoupling:
     def test_requires_product_distribution(self):
         corr = np.array([[0.5, 0.0], [0.0, 0.5]])
-        states = constant_advice()
-        adv = AdviceEnsemble(states, corr)
-        om = SuperposedState.build(corr, adv)
+        om = SuperposedState.build(corr, constant_advice())
         with pytest.raises(ValueError, match="product"):
             build_decoupling(om)
 
@@ -222,7 +236,7 @@ class TestAmplitudeRoute:
 
     def test_cli_terms_are_decoupling_deltas(self, tmp_path):
         om = random_product_instance(rng_for(63), 2, 3, 2)
-        advice = [[[[a.real, a.imag] for a in om.advice.states[x, y].reshape(-1)]
+        advice = [[[[a.real, a.imag] for a in om.advice[x, y].reshape(-1)]
                    for y in range(2)] for x in range(2)]
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"p": om.p.tolist(), "dims": [3, 2], "advice": advice}))
