@@ -33,7 +33,7 @@ verify` calls it.
 from __future__ import annotations
 
 import csv
-import json
+import io
 import math
 import time
 from dataclasses import asdict, dataclass
@@ -42,6 +42,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
+from .config import _canonical_json
 from .linalg import (
     hermitian_eig,
     hermitianize,
@@ -414,7 +415,7 @@ def _dump_counterexample(directory: Path, name: str, trial: int, margin: float,
         doc["states"][key] = {"re": arr.real.tolist(), "im": arr.imag.tolist()} \
             if np.iscomplexobj(arr) else arr.tolist()
     path = directory / f"counterexample_{name}_{trial}.json"
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    path.write_text(_canonical_json(doc))
 
 
 def _blocks(check: CheckDef, rngs) -> Iterator[list]:
@@ -496,12 +497,14 @@ def any_violations(reports: Iterable[CheckReport]) -> bool:
 
 
 def reports_to_json(reports: Iterable[CheckReport]) -> str:
-    return json.dumps([asdict(r) for r in reports], sort_keys=True, indent=2) + "\n"
+    return _canonical_json([asdict(r) for r in reports])
 
 
-def reports_to_csv(reports: Iterable[CheckReport], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["name", "trials", "violations", "worst_margin"])
-        for r in reports:
-            writer.writerow([r.name, r.trials_run, r.violations, repr(r.worst_margin)])
+def reports_to_csv(reports: Iterable[CheckReport]) -> str:
+    """The reports as CSV text, one row per check (csv's \\r\\n row ends)."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["name", "trials", "violations", "worst_margin"])
+    for r in reports:
+        writer.writerow([r.name, r.trials_run, r.violations, repr(r.worst_margin)])
+    return text.getvalue()

@@ -1,16 +1,14 @@
 """Command-line front end.
 
-Subcommands: value, repeat, verify, simulate, sic.  Every run writes an
-output directory (default out/<command>/<timestamp>-<seed>/) containing
-manifest.json (command, config echo, seed, version, environment (cores,
-numpy, BLAS), wall time, output paths; value, repeat, simulate and sic add
-phase timings, the see-saw its iteration count and rate, its lockstep
-steps and each restart's final increment, simulate its number of chunk
-generators, verify each check's wall seconds, trials/s, evaluated blocks
-and kernel calls) and report.json.
+Subcommands: value, repeat, verify, simulate, sic.  Each loads and validates
+its input, computes and builds its report; _finish writes every run's output
+directory (default out/<command>/<timestamp>-<seed>/): report.json, the
+command's other files, and manifest.json (command, config echo, seed,
+version, environment (cores, numpy, BLAS), wall time, output files, the
+phase timings load_s, compute_s and write_s, and the command's own counters).
 report.json is byte-deterministic for a fixed seed; the manifest holds the
-nondeterministic bookkeeping.  The directory is created only once a
-command's input has passed validation, so an input error (exit 2) leaves none.
+nondeterministic bookkeeping.  The directory is created only once the input
+has passed validation, so an input error (exit 2) leaves none.
 
 Exit codes: 0 success, 1 property violation, 2 input error, 3 budget.
 """
@@ -20,7 +18,6 @@ from __future__ import annotations
 import argparse
 import fnmatch
 import functools
-import json
 import os
 import sys
 import time
@@ -32,7 +29,7 @@ import numpy as np
 
 from . import checks as checks_mod
 from . import protocol as protocol_mod
-from .config import VERSION, BudgetError, _field, _integer, _load_json, _seed
+from .config import VERSION, BudgetError, _canonical_json, _field, _integer, _load_json, _real, _seed
 from .games import (
     classical_value,
     entangled_value_seesaw,
@@ -40,31 +37,20 @@ from .games import (
     load_game,
     majority_game,
     repeat,
-    save_game,
 )
-from .sic import SuperposedState, build_decoupling, sic_terms
-
-
-def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+from .sic import build_decoupling, sic_terms, superposed_from_dict
 
 
 def _fresh_seed() -> int:
     return int(np.random.SeedSequence().entropy % (1 << 32))
 
 
-def _out_path(args, command: str, seed) -> Path:
+def _out_path(args, seed) -> Path:
+    """--out, or out/<command>/<timestamp>-<seed>/ (seed 0 for a run without one)."""
     if args.out is not None:
         return Path(args.out)
     stamp = time.strftime("%Y%m%d-%H%M%S")
-    return Path("out") / command / f"{stamp}-{seed}"
-
-
-def _out_dir(args, command: str, seed) -> Path:
-    """The output directory, created; call it only after input validation."""
-    out = _out_path(args, command, seed)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return Path("out") / args.command / f"{stamp}-{0 if seed is None else seed}"
 
 
 @functools.cache
@@ -75,19 +61,31 @@ def _environment() -> dict:
             "blas": {"name": blas.get("name"), "version": blas.get("version")}}
 
 
-def _write_manifest(out: Path, command: str, config: dict, seed, t0: float,
-                    outputs: list[str], **extra) -> None:
+def _finish(args, out: Path, config: dict, seed, clocks: tuple[float, float],
+            files: dict[str, str], code: int = 0, dumps=(), **extra) -> int:
+    """Create out and write files (name -> text, report.json first) and the
+    manifest there; return code.  clocks are the run's start and the end of its
+    load phase; dumps names the files its computation already wrote into out."""
+    t0, t_load = clocks
+    t_write = time.perf_counter()
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_text(text)
+    timings = {"load_s": t_load - t0, "compute_s": t_write - t_load,
+               "write_s": time.perf_counter() - t_write}
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": config,
         "seed": seed,
         "version": VERSION,
         "environment": _environment(),
         "wall_time_s": time.perf_counter() - t0,
-        "outputs": outputs,
+        "outputs": [*files, *dumps],
+        "timings": timings,
         **extra,
     }
     (out / "manifest.json").write_text(_canonical_json(manifest))
+    return code
 
 
 def cmd_value(args) -> int:
@@ -126,16 +124,10 @@ def cmd_value(args) -> int:
         print(f"entangled value (lower bound): {res.value:.12g}")
         for r, tr in enumerate(res.traces):
             print(f"  restart {r}: {tr[-1]:.12g} after {len(tr)} iterations")
-    t_write = time.perf_counter()
-    out = _out_dir(args, "value", 0 if seed is None else seed)
-    (out / "report.json").write_text(_canonical_json(report))
-    timings = {"load_s": t_load - t0, "compute_s": t_write - t_load,
-               "write_s": time.perf_counter() - t_write}
     cfg = {"game": str(args.game), "mode": args.mode, "d": args.d,
            "restarts": args.restarts, "iters": args.iters}
-    _write_manifest(out, "value", cfg, seed, t0, ["report.json"],
-                    timings=timings, **extra)
-    return 0
+    return _finish(args, _out_path(args, seed), cfg, seed, (t0, t_load),
+                   {"report.json": _canonical_json(report)}, **extra)
 
 
 def cmd_repeat(args) -> int:
@@ -146,21 +138,16 @@ def cmd_repeat(args) -> int:
         rep = repeat(g, args.n)
     else:
         rep = majority_game(g, args.n, args.alpha)
-    t_write = time.perf_counter()
-    out = _out_dir(args, "repeat", 0)
-    save_game(rep, out / "game.json")
     report = {
         "command": "repeat", "n": args.n, "alpha": args.alpha,
         "k": rep.k, "l": rep.l, "name": rep.name or "",
     }
-    (out / "report.json").write_text(_canonical_json(report))
     cfg = {"game": str(args.game), "n": args.n, "alpha": args.alpha}
-    timings = {"load_s": t_load - t0, "compute_s": t_write - t_load,
-               "write_s": time.perf_counter() - t_write}
-    _write_manifest(out, "repeat", cfg, 0, t0, ["game.json", "report.json"],
-                    timings=timings)
+    files = {"report.json": _canonical_json(report), "game.json": game_to_json(rep) + "\n"}
+    out = _out_path(args, 0)
+    code = _finish(args, out, cfg, 0, (t0, t_load), files)
     print(f"wrote {out / 'game.json'} ({rep.k} inputs, {rep.l} outputs per side)")
-    return 0
+    return code
 
 
 def cmd_verify(args) -> int:
@@ -171,23 +158,23 @@ def cmd_verify(args) -> int:
         names = [n for n in names if fnmatch.fnmatch(n, args.filter)]
         if not names:
             raise ValueError(f"filter {args.filter!r} matches no checks")
-    out = _out_path(args, "verify", seed)     # counterexample dumps create it
+    t_load = time.perf_counter()
+    out = _out_path(args, seed)     # counterexample dumps create it
     counters: dict = {}
     reports, walls = checks_mod.run_all(seed, args.trials, names, out, counters)
     per_check = {rep.name: {"wall_s": wall, "trials_per_s": rep.trials_run / wall,
                             **counters[rep.name]}
                  for rep, wall in zip(reports, walls)}
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(checks_mod.reports_to_json(reports))
-    checks_mod.reports_to_csv(reports, out / "report.csv")
     for rep in reports:
         print(f"{rep.name}: trials={rep.trials_run} violations={rep.violations} "
               f"worst_margin={rep.worst_margin:.3e}")
-    outputs = ["report.json", "report.csv"]
-    outputs += sorted(p.name for p in out.glob("counterexample_*.json"))
     cfg = {"trials": args.trials, "filter": args.filter}
-    _write_manifest(out, "verify", cfg, seed, t0, outputs, checks=per_check)
-    return 1 if checks_mod.any_violations(reports) else 0
+    files = {"report.json": checks_mod.reports_to_json(reports),
+             "report.csv": checks_mod.reports_to_csv(reports)}
+    return _finish(args, out, cfg, seed, (t0, t_load), files,
+                   code=1 if checks_mod.any_violations(reports) else 0,
+                   dumps=sorted(p.name for p in out.glob("counterexample_*.json")),
+                   checks=per_check)
 
 
 def _model_from_doc(doc: dict, base_dir: Path, n: int):
@@ -195,9 +182,9 @@ def _model_from_doc(doc: dict, base_dir: Path, n: int):
         raise ValueError("model must be an object with a 'kind' field")
     kind, get = doc["kind"], partial(_field, "model", doc)
     if kind == "iid_bernoulli":
-        return protocol_mod.IidBernoulli(w=get("w", float))
+        return protocol_mod.IidBernoulli(w=get("w", _real))
     if kind == "win_all_or_partial":
-        return protocol_mod.WinAllOrPartial(q=get("q", float), f=get("f", float))
+        return protocol_mod.WinAllOrPartial(q=get("q", _real), f=get("f", _real))
     if kind == "strategy_backed":
         game = load_game(base_dir / get("game", str))
         res = entangled_value_seesaw(
@@ -215,7 +202,7 @@ def cmd_simulate(args) -> int:
         raise ValueError("simulate config must be an object with a 'model' field")
     get = partial(_field, "simulate config", doc)
     config = protocol_mod.ProtocolConfig(
-        n=get("n", _integer), epsilon=get("epsilon", float), t=get("t", float),
+        n=get("n", _integer), epsilon=get("epsilon", _real), t=get("t", _real),
         trials=get("trials", _integer),
         seed=args.seed if args.seed is not None else get("seed", _seed, 0),
         variant=get("variant", str, "general"),
@@ -226,17 +213,12 @@ def cmd_simulate(args) -> int:
     model = _model_from_doc(doc["model"], path.parent, config.n)
     stats = protocol_mod.run_protocol(config, model)
     verdict = protocol_mod.guarantee_report(config, model, stats)
-    t_write = time.perf_counter()
-    out = _out_dir(args, "simulate", config.seed)
     report = {
         "command": "simulate",
         "config": asdict(config),
         "stats": asdict(stats),
         "guarantee": asdict(verdict),
     }
-    (out / "report.json").write_text(_canonical_json(report))
-    (out / "report.csv").write_text(
-        "\n".join(protocol_mod.stats_csv_lines(stats, verdict.verdict)) + "\n")
     print(f"v = {stats.v_used}, success rate = {stats.p_succeed_hat:.6g} "
           f"(99% CI {stats.succeed_ci[0]:.6g}..{stats.succeed_ci[1]:.6g})")
     if stats.conditional_defined:
@@ -245,38 +227,18 @@ def cmd_simulate(args) -> int:
     else:
         print("conditional statistic undefined: no successful trials")
     print(f"verdict: {verdict.verdict}")
-    cfg = dict(doc)
-    cfg["seed"] = config.seed
-    timings = {"load_s": t_load - t0, "compute_s": t_write - t_load,
-               "write_s": time.perf_counter() - t_write}
-    _write_manifest(out, "simulate", cfg, config.seed, t0, ["report.json", "report.csv"],
-                    timings=timings, chunks=protocol_mod.chunk_count(config.trials))
-    return 1 if verdict.verdict == "violated" else 0
-
-
-def _superposed_from_doc(doc) -> SuperposedState:
-    if not isinstance(doc, dict):
-        raise ValueError("state spec must be a JSON object")
-    get = partial(_field, "state spec", doc)
-    p = get("p", lambda v: np.asarray(v, dtype=float))
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise ValueError("'p' must be a square matrix")
-    k = p.shape[0]
-    dims = get("dims", lambda v: [_integer(d) for d in v])
-    if len(dims) != 2 or min(dims) < 1:
-        raise ValueError("'dims' must be two positive integers")
-    da, db = dims
-    adv = get("advice", lambda v: np.asarray(v, dtype=float))
-    if adv.shape != (k, k, da * db, 2):
-        raise ValueError(f"'advice' must be a k x k grid of lists of {da * db} [re, im] pairs")
-    states = (adv[..., 0] + 1j * adv[..., 1]).reshape(k, k, da, db)
-    return SuperposedState.build(p, states)
+    cfg = {**doc, "seed": config.seed}
+    files = {"report.json": _canonical_json(report),
+             "report.csv": "\n".join(protocol_mod.stats_csv_lines(stats, verdict.verdict)) + "\n"}
+    return _finish(args, _out_path(args, config.seed), cfg, config.seed, (t0, t_load), files,
+                   code=1 if verdict.verdict == "violated" else 0,
+                   chunks=protocol_mod.chunk_count(config.trials))
 
 
 def cmd_sic(args) -> int:
     t0 = time.perf_counter()
     doc = _load_json(Path(args.spec))
-    omega = _superposed_from_doc(doc)
+    omega = superposed_from_dict(doc)
     t_load = time.perf_counter()
     dec = None
     if args.decouple:
@@ -284,7 +246,6 @@ def cmd_sic(args) -> int:
         term_x, term_y = dec.delta_x, dec.delta_y
     else:
         term_x, term_y = sic_terms(omega)
-    t_compute = time.perf_counter()
     report: dict = {
         "command": "sic",
         "objective": term_x + term_y,
@@ -315,19 +276,9 @@ def cmd_sic(args) -> int:
               f"{'ok' if out_ok else 'VIOLATED'}")
         if not (alice_ok and out_ok):
             code = 1
-    t_write = time.perf_counter()
-    out = _out_dir(args, "sic", 0)
-    (out / "report.json").write_text(_canonical_json(report))
-    compute_s = t_compute - t_load
-    timings = {
-        "load_s": t_load - t0,
-        "terms_s": 0.0 if dec is not None else compute_s,
-        "decouple_s": compute_s if dec is not None else 0.0,
-        "write_s": time.perf_counter() - t_write,
-    }
     cfg = {"spec": str(args.spec), "decouple": bool(args.decouple)}
-    _write_manifest(out, "sic", cfg, 0, t0, ["report.json"], timings=timings)
-    return code
+    return _finish(args, _out_path(args, 0), cfg, 0, (t0, t_load),
+                   {"report.json": _canonical_json(report)}, code=code)
 
 
 def _seed_arg(text: str) -> int:
@@ -355,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--restarts", type=int, default=20)
     sp.add_argument("--iters", type=int, default=100)
     sp.add_argument("--seed", type=_seed_arg, default=None)
-    sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_value)
 
     sp = sub.add_parser("repeat", help="n-fold repetition or majority game")
@@ -363,28 +313,26 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--alpha", type=float, default=None,
                     help="win fraction threshold; omitted means win-all")
-    sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_repeat)
 
     sp = sub.add_parser("verify", help="run the randomized inequality suite")
     sp.add_argument("--trials", type=int, default=10_000)
     sp.add_argument("--seed", type=_seed_arg, default=None)
     sp.add_argument("--filter", default=None, help="glob over check names")
-    sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("simulate", help="referee-protocol Monte Carlo")
     sp.add_argument("config", help="protocol config JSON file")
     sp.add_argument("--seed", type=_seed_arg, default=None,
                     help="override the seed in the config file")
-    sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("sic", help="superposed-state objective and decoupling")
     sp.add_argument("spec", help="superposed-state spec JSON file")
     sp.add_argument("--decouple", action="store_true")
-    sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_sic)
+    for sp in sub.choices.values():
+        sp.add_argument("--out", default=None)
     return p
 
 

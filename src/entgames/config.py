@@ -6,7 +6,8 @@ function takes a tolerance argument.  Slacks local to one construction are
 literals beside it (games' distribution checks, the purification rule).
 _load_json reads a JSON input document (a game, a simulate config, a state
 spec), and _field reads one field of it; both turn malformed input into a
-ValueError that names the file or the field.
+ValueError that names the file or the field.  _canonical_json is the one
+JSON text every output file is written as.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 VERSION = "0.1.0"
 
@@ -60,15 +63,22 @@ def _field(what: str, doc: dict, key: str, conv, default=_REQUIRED):
         return default
     try:
         return conv(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{what} field {key!r} has an invalid value") from None
 
 
 def _integer(value) -> int:
-    """int(value), refusing a number with a fractional part such as 2.5."""
-    if isinstance(value, float) and not value.is_integer():
+    """int(value), refusing a boolean, a string and a fractional part such as 2.5."""
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
+
+
+def _real(value) -> float:
+    """float(value), refusing a boolean and a string."""
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
 
 
 def _seed(value) -> int:
@@ -84,6 +94,20 @@ def _string(value) -> str:
     if not isinstance(value, str):
         raise ValueError(f"{value!r} is not a string")
     return value
+
+
+def _table(value) -> np.ndarray:
+    """value as an array of numbers, refusing booleans, strings and ragged lists."""
+    table = np.array(value)
+    if table.dtype.kind not in "iuf" or any(
+            isinstance(v, bool) for v in np.array(value, dtype=object).flat):
+        raise ValueError("a table must hold numbers only")
+    return table
+
+
+def _canonical_json(obj) -> str:
+    """The text of an output JSON file: sorted keys, two-space indent, a final newline."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _load_json(path) -> object:

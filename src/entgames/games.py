@@ -25,6 +25,7 @@ from .config import (
     _integer,
     _load_json,
     _string,
+    _table,
 )
 from .linalg import dagger, hermitian_eig, hermitianize
 from .qinfo import PureState
@@ -160,7 +161,7 @@ class ClassicalValueResult:
     strategy: ClassicalStrategy
 
 
-def classical_value(g: Game, budget: int = MAX_ENUMERATION) -> ClassicalValueResult:
+def classical_value(g: Game) -> ClassicalValueResult:
     """Exact classical value by exhaustive enumeration of deterministic maps.
 
     Alice maps are enumerated in lexicographic order on (a(0),...,a(k-1)); for
@@ -169,8 +170,8 @@ def classical_value(g: Game, budget: int = MAX_ENUMERATION) -> ClassicalValueRes
     """
     k, l = g.k, g.l
     n_maps = l**k
-    if n_maps > budget:
-        raise BudgetError(f"l^k = {n_maps} exceeds enumeration budget {budget}")
+    if n_maps > MAX_ENUMERATION:
+        raise BudgetError(f"l^k = {n_maps} exceeds enumeration budget {MAX_ENUMERATION}")
 
     # lexicographic order: digit for x=0 most significant
     powers = l ** np.arange(k - 1, -1, -1)
@@ -458,13 +459,13 @@ def entangled_value_seesaw(g: Game, d: int, restarts: int = 20, iters: int = 100
 # repetition
 
 
-def _win_counts(g: Game, n: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
+def _win_counts(g: Game, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Product distribution and rounds won per [a, b, x, y] of the n-fold game.
 
     Counts are stored in the narrowest unsigned type that holds n.
     """
     kk, ll = g.k**n, g.l**n
-    if ll * ll * kk * kk > budget:
+    if ll * ll * kk * kk > MAX_TABLE_ENTRIES:
         raise BudgetError(f"repeated predicate table would need {ll*ll*kk*kk} entries")
     dk = _digit_table(g.k, n)
     dl = _digit_table(g.l, n)
@@ -477,16 +478,16 @@ def _win_counts(g: Game, n: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
     return p, counts
 
 
-def repeat(g: Game, n: int, budget: int = MAX_TABLE_ENTRIES) -> Game:
+def repeat(g: Game, n: int) -> Game:
     """n-fold parallel repetition: product distribution, conjunction predicate."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    p, counts = _win_counts(g, n, budget)
+    p, counts = _win_counts(g, n)
     name = g.name if n == 1 else (f"{g.name}^{n}" if g.name else None)
     return Game(g.k**n, g.l**n, p, counts == n, name=name)
 
 
-def majority_game(g: Game, n: int, alpha: float, budget: int = MAX_TABLE_ENTRIES) -> Game:
+def majority_game(g: Game, n: int, alpha: float) -> Game:
     """Threshold repetition: win iff at least ceil(alpha*n) rounds won.
 
     Integer alpha*n keeps the threshold at exactly alpha*n; alpha=1 recovers
@@ -498,7 +499,7 @@ def majority_game(g: Game, n: int, alpha: float, budget: int = MAX_TABLE_ENTRIES
         raise ValueError("alpha must lie in [0, 1]")
     m = alpha * n
     thr = round(m) if abs(m - round(m)) < 1e-9 else math.ceil(m)
-    p, counts = _win_counts(g, n, budget)
+    p, counts = _win_counts(g, n)
     name = f"{g.name}^{n}_maj{alpha:g}" if g.name else None
     return Game(g.k**n, g.l**n, p, counts >= thr, name=name)
 
@@ -538,9 +539,10 @@ def game_from_dict(d: dict) -> Game:
     if not isinstance(d, dict):
         raise ValueError("game document must be a JSON object")
     get = partial(_field, "game document", d)
-    return Game(get("k", _integer), get("l", _integer),
-                get("p", partial(np.array, dtype=float)), get("V", np.array),
-                name=get("name", _string, None))
+    k, l, p, v = get("k", _integer), get("l", _integer), get("p", _table), get("V", _table)
+    if not np.isin(v, (0, 1)).all():
+        raise ValueError("game document field 'V' has entries other than 0 and 1")
+    return Game(k, l, p, v, name=get("name", _string, None))
 
 
 def game_to_json(g: Game) -> str:

@@ -169,15 +169,15 @@ class StrategyBacked:
 # --- statistics --------------------------------------------------------------
 
 
-def wilson_interval(successes: int, total: int, z: float = Z99) -> tuple[float, float]:
-    """Two-sided Wilson score interval; (0, 1) when there is no data."""
+def wilson_interval(successes: int, total: int) -> tuple[float, float]:
+    """Two-sided 99% Wilson score interval; (0, 1) when there is no data."""
     if total == 0:
         return 0.0, 1.0
     phat = successes / total
-    z2 = z * z
+    z2 = Z99 * Z99
     denom = 1.0 + z2 / total
     center = (phat + z2 / (2 * total)) / denom
-    half = z * math.sqrt(phat * (1 - phat) / total + z2 / (4 * total * total)) / denom
+    half = Z99 * math.sqrt(phat * (1 - phat) / total + z2 / (4 * total * total)) / denom
     return max(0.0, center - half), min(1.0, center + half)
 
 

@@ -208,7 +208,7 @@ def classical_states(p: np.ndarray) -> np.ndarray:
     return (p[..., None, :] * np.eye(p.shape[-1])).astype(complex)
 
 
-def floor_eigenvalues(rho: np.ndarray, floor: float = 1e-8) -> np.ndarray:
+def floor_eigenvalues(rho: np.ndarray, floor: float) -> np.ndarray:
     """Push eigenvalues up to at least `floor` and renormalize the trace.
 
     Takes one state or a stack (..., d, d).  Used for reference states of
@@ -218,7 +218,7 @@ def floor_eigenvalues(rho: np.ndarray, floor: float = 1e-8) -> np.ndarray:
     return floor_eigensystem(rho, floor)[0]
 
 
-def floor_eigensystem(rho: np.ndarray, floor: float = 1e-8):
+def floor_eigensystem(rho: np.ndarray, floor: float):
     """floor_eigenvalues(rho, floor) together with its eigensystem, known from
     the one solve of rho: eigenvalues max(w, floor) / sum (still ascending)
     on rho's eigenvectors.  Returns (state, (eigenvalues, eigenvectors)).

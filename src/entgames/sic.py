@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .config import DEFAULT_TOLS
+from .config import DEFAULT_TOLS, _field, _integer, _table
 from .games import check_distribution, is_product
 from .linalg import psd_eigvalsh
 from .qinfo import (
@@ -43,7 +44,11 @@ class SuperposedState:
     @classmethod
     def build(cls, p, advice_states) -> "SuperposedState":
         """Assemble |Omega> from a distribution and a (k, k, dA, dB) advice table
-        whose states are each normalized, also on pairs of probability zero."""
+        whose states are each normalized, also on pairs of probability zero.
+
+        The reduced (X, Y) diagonal is p_xy times each state's squared norm, so
+        the norm check bounds its distance from p too.
+        """
         p = np.asarray(p, dtype=float)
         k = p.shape[0]
         if p.shape != (k, k):
@@ -57,9 +62,6 @@ class SuperposedState:
             raise ValueError("advice states must be normalized")
         amps = np.sqrt(p)[:, None, None, :] * adv.transpose(0, 2, 3, 1)
         state = PureState(amps.reshape(-1), (k, *adv.shape[2:], k))
-        diag = (np.abs(amps) ** 2).sum(axis=(1, 2))
-        if np.abs(diag - p).max() > 1e-9:
-            raise ValueError("reduced (X, Y) diagonal does not match p")
         return cls(p, adv, state)
 
     @property
@@ -68,6 +70,27 @@ class SuperposedState:
 
     def dims(self) -> tuple[int, int]:
         return self.advice.shape[2], self.advice.shape[3]
+
+
+def superposed_from_dict(doc) -> SuperposedState:
+    """SuperposedState of a JSON state spec (p, dims [dA, dB], and advice as
+    [re, im] pairs); a malformed spec is a ValueError naming the field."""
+    if not isinstance(doc, dict):
+        raise ValueError("state spec must be a JSON object")
+    get = partial(_field, "state spec", doc)
+    p = get("p", _table)
+    if p.ndim != 2 or p.shape[0] != p.shape[1]:
+        raise ValueError("'p' must be a square matrix")
+    k = p.shape[0]
+    dims = get("dims", lambda v: [_integer(d) for d in v])
+    if len(dims) != 2 or min(dims) < 1:
+        raise ValueError("'dims' must be two positive integers")
+    da, db = dims
+    adv = get("advice", _table)
+    if adv.shape != (k, k, da * db, 2):
+        raise ValueError(f"'advice' must be a k x k grid of lists of {da * db} [re, im] pairs")
+    states = (adv[..., 0] + 1j * adv[..., 1]).reshape(k, k, da, db)
+    return SuperposedState.build(p, states)
 
 
 def _holevo(s_total: float, cond: np.ndarray) -> float:
@@ -214,17 +237,18 @@ def build_decoupling(omega: SuperposedState) -> DecouplingResult:
 # scalar bounds and grid checks
 
 
-def sic_lower_bound(epsilon: float, delta: float) -> float:
+def sic_lower_bound(epsilon: float | np.ndarray,
+                    delta: float | np.ndarray) -> float | np.ndarray:
     """Value of the scalar bound (1 - sqrt((1-eps)(1-delta)) - sqrt(delta*eps)) / 81.
 
     Any strategy family whose objective is at most delta while winning with
     probability 1 - delta on a game of entangled value 1 - eps forces the
-    superposed cost to be at least this.
+    superposed cost to be at least this.  Takes numbers or arrays, elementwise.
     """
-    if not 0.0 <= epsilon <= 1.0 or not 0.0 <= delta <= 1.0:
+    eps, delta = np.asarray(epsilon, dtype=float), np.asarray(delta, dtype=float)
+    if not (((0.0 <= eps) & (eps <= 1.0)).all() and ((0.0 <= delta) & (delta <= 1.0)).all()):
         raise ValueError("epsilon and delta must lie in [0, 1]")
-    return (1.0 - math.sqrt((1.0 - epsilon) * (1.0 - delta))
-            - math.sqrt(delta * epsilon)) / 81.0
+    return (1.0 - np.sqrt((1.0 - eps) * (1.0 - delta)) - np.sqrt(delta * eps)) / 81.0
 
 
 @dataclass(frozen=True)
@@ -255,8 +279,8 @@ def _grid_report(claim: str, grid: np.ndarray, margins: np.ndarray) -> GridRepor
 def check_bound_at_delta_zero(grid_size: int = 10_000) -> GridReport:
     """sic_lower_bound(eps, 0) >= eps/162 over an epsilon grid.  Holds."""
     eps = np.linspace(0.0, 1.0, grid_size)
-    vals = (1.0 - np.sqrt(1.0 - eps)) / 81.0
-    return _grid_report("bound(eps,0) >= eps/162", eps, vals - eps / 162.0)
+    return _grid_report("bound(eps,0) >= eps/162", eps,
+                        sic_lower_bound(eps, 0.0) - eps / 162.0)
 
 
 def special_case_report(grid_size: int = 10_000, divisor: float = 324.0) -> GridReport:
@@ -267,9 +291,8 @@ def special_case_report(grid_size: int = 10_000, divisor: float = 324.0) -> Grid
     finding.  Nothing asserts it.
     """
     eps = np.linspace(0.0, 1.0, grid_size)
-    vals = (1.0 - np.sqrt((1.0 - eps) * (1.0 - eps / 8.0))
-            - np.sqrt(eps * eps / 8.0)) / 81.0
-    return _grid_report(f"bound(eps, eps/8) >= eps/{divisor:g}", eps, vals - eps / divisor)
+    return _grid_report(f"bound(eps, eps/8) >= eps/{divisor:g}", eps,
+                        sic_lower_bound(eps, eps / 8.0) - eps / divisor)
 
 
 def check_supercos(grid_size: int = 10_000) -> GridReport:
@@ -301,14 +324,13 @@ class ShiftCheckReport:
         return self.violations == 0
 
 
-def rel_ent_game_shift_check(epsilon: float, grid_size: int = 4001,
-                             tol: float = 1e-12) -> ShiftCheckReport:
+def rel_ent_game_shift_check(epsilon: float, grid_size: int = 4001) -> ShiftCheckReport:
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must lie in (0, 1]")
     om = np.linspace(0.0, 1.0, grid_size)
     lhs = 1.0 - np.sqrt(om * (1.0 - epsilon)) - np.sqrt((1.0 - om) * epsilon)
     premise = lhs <= epsilon / 8.0
-    beyond = om > 1.0 - epsilon / 4.0 + tol
+    beyond = om > 1.0 - epsilon / 4.0 + 1e-12        # slack for the grid's rounding
     violations = int((premise & beyond).sum())
     max_premise = float(om[premise].max()) if premise.any() else math.nan
     min_slack = float((lhs[beyond] - epsilon / 8.0).min()) if beyond.any() else math.inf

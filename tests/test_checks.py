@@ -153,11 +153,9 @@ class TestSuite:
         assert doc[0]["name"] == "weak_triangle"
         assert doc[0]["trials_run"] == 5
 
-    def test_csv_writer(self, tmp_path):
+    def test_csv_writer(self):
         reps, _ = run_all(trials_per_check=5, names=["weak_triangle", "fact_sum"])
-        path = tmp_path / "out.csv"
-        reports_to_csv(reps, path)
-        lines = path.read_text().strip().splitlines()
+        lines = reports_to_csv(reps).strip().splitlines()
         assert lines[0] == "name,trials,violations,worst_margin"
         assert len(lines) == 3
         # worst_margin column round-trips through repr exactly

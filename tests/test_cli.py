@@ -478,6 +478,16 @@ class TestSimulate:
          "'strategy_seed'"),
         ({"variant": "projection", "t": 40.0}, "t = 40"),
         ({"hash_bits": 63}, "hash_bits must lie in [0, 62]"),
+        # JSON booleans and strings are not numbers
+        ({"trials": True}, "'trials'"),
+        ({"epsilon": True}, "'epsilon'"),
+        ({"n": "256"}, "'n'"),
+        ({"t": "1"}, "'t'"),
+        ({"seed": True}, "'seed'"),
+        ({"v_override": True}, "'v_override'"),
+        ({"model": {"kind": "iid_bernoulli", "w": "0.99"}}, "'w'"),
+        ({"model": {"kind": "win_all_or_partial", "q": True, "f": 0.5}}, "'q'"),
+        ({"t": 10**400}, "'t'"),        # too large for a float
     ])
     def test_bad_fields_are_input_errors(self, tmp_path, capsys, overrides, field):
         write_chsh(tmp_path)
@@ -499,6 +509,16 @@ class TestSimulate:
         ({"name": {"a": 1}}, "'name'"),
         ({"name": 3}, "'name'"),
         ({"p": [[float("nan"), 0.25], [0.25, 0.25]]}, "non-finite"),
+        # JSON booleans and strings are not numbers, and V holds only 0 and 1
+        ({"k": "2"}, "'k'"),
+        ({"l": True}, "'l'"),
+        ({"p": [[True, False], [False, False]]}, "'p'"),
+        ({"p": [[1, 0], [0, False]]}, "'p'"),
+        ({"p": [["0.25", "0.25"], ["0.25", "0.25"]]}, "'p'"),
+        ({"k": 1, "l": 1, "p": [[1.0]], "V": [[[["0"]]]]}, "'V'"),
+        ({"k": 1, "l": 1, "p": [[1.0]], "V": [[[[False]]]]}, "'V'"),
+        ({"k": 1, "l": 1, "p": [[1.0]], "V": [[[[2]]]]}, "'V'"),
+        ({"k": 1, "l": 1, "p": [[1.0]], "V": [[[[0.5]]]]}, "'V'"),
     ])
     def test_malformed_game_is_input_error(self, tmp_path, capsys, doc, field):
         game = json.loads(write_chsh(tmp_path).read_text())
@@ -573,11 +593,11 @@ class TestSic:
             assert main(["sic", str(spec), *flag, "--out", str(out)]) == 0
             man = json.loads((out / "manifest.json").read_text())
             timings = man["timings"]
-            assert set(timings) == {"load_s", "terms_s", "decouple_s", "write_s"}
+            assert set(timings) == {"load_s", "compute_s", "write_s"}
             assert all(v >= 0.0 for v in timings.values())
             assert sum(timings.values()) <= man["wall_time_s"]
-            assert (timings["decouple_s"] > 0.0) == bool(flag)
-            assert (timings["terms_s"] > 0.0) != bool(flag)
+            assert timings["compute_s"] > 0.0
+            assert man["config"]["decouple"] == bool(flag)     # which computation ran
             assert "timings" not in (out / "report.json").read_text()
 
     def test_decouple_rejects_correlated_input(self, tmp_path, capsys):
@@ -647,6 +667,30 @@ class TestSic:
         assert "normalized" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("p", [[True, False], [False, False]]),
+        ("p", [[1, 0], [0, False]]),
+        ("p", [["0.25", "0.25"], ["0.25", "0.25"]]),
+        ("advice", "booleans"),
+        ("advice", "strings"),
+    ])
+    def test_tables_must_hold_numbers(self, tmp_path, capsys, field, value):
+        # JSON booleans and strings used to be read as the numbers 1, 0, 0.25
+        doc = json.loads(revealing_spec(tmp_path).read_text())
+        if value == "booleans":
+            value = [[[[bool(v) for v in pair] for pair in st] for st in row]
+                     for row in doc["advice"]]
+        elif value == "strings":
+            value = [[[[str(v) for v in pair] for pair in st] for st in row]
+                     for row in doc["advice"]]
+        doc[field] = value
+        spec = tmp_path / "bad_table.json"
+        spec.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["sic", str(spec), "--out", str(out)]) == 2
+        assert f"{field!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_object_spec_is_input_error(self, tmp_path, capsys):
         spec = tmp_path / "list.json"
         spec.write_text("[1, 2]")
@@ -711,6 +755,46 @@ class TestTopLevel:
             code = main([*argv, "--out", str(same)])
             assert run_fresh(["-m", "entgames.cli", *argv, "--out", str(fresh)]) == code
             assert (same / "report.json").read_bytes() == (fresh / "report.json").read_bytes()
+
+    @pytest.mark.parametrize("run", ["value", "value_entangled", "repeat", "verify",
+                                     "verify_dumps", "simulate", "sic", "sic_decouple"])
+    def test_manifest_schema(self, tmp_path, run):
+        # every command writes its manifest through one writer, with one
+        # phase-timing schema; only the command's own extra key differs
+        game = write_chsh(tmp_path)
+        sim = tmp_path / "sim.json"
+        sim.write_text(json.dumps({"n": 8, "epsilon": 1.0, "t": 0.0, "trials": 50,
+                                   "model": {"kind": "iid_bernoulli", "w": 0.9}}))
+        spec = str(revealing_spec(tmp_path))
+        argv, extra = {
+            "value": (["value", str(game)], set()),
+            "value_entangled": (["value", str(game), "--mode", "entangled", "--seed", "0",
+                                 "--restarts", "2", "--iters", "10"], {"seesaw"}),
+            "repeat": (["repeat", str(game), "--n", "2"], set()),
+            "verify": (["verify", "--filter", "f*", "--trials", "20", "--seed", "0"],
+                       {"checks"}),
+            "verify_dumps": (["verify", "--filter", "cool_product", "--trials", "1000",
+                              "--seed", "0"], {"checks"}),
+            "simulate": (["simulate", str(sim)], {"chunks"}),
+            "sic": (["sic", spec], set()),
+            "sic_decouple": (["sic", spec, "--decouple"], set()),
+        }[run]
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) in (0, 1)
+        man = json.loads((out / "manifest.json").read_text())
+        assert set(man) == {"command", "config", "seed", "version", "environment",
+                            "wall_time_s", "outputs", "timings"} | extra
+        assert man["command"] == argv[0]
+        timings = man["timings"]
+        assert set(timings) == {"load_s", "compute_s", "write_s"}
+        assert all(t >= 0.0 for t in timings.values())
+        assert sum(timings.values()) <= man["wall_time_s"]
+        written = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+        assert sorted(man["outputs"]) == written
+        assert len(set(man["outputs"])) == len(man["outputs"])
+        assert man["outputs"][0] == "report.json"
+        if run == "verify_dumps":
+            assert "counterexample_cool_product_961.json" in written
 
     def test_every_manifest_names_its_machine(self, tmp_path):
         game = write_chsh(tmp_path)

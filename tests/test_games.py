@@ -309,7 +309,7 @@ class TestClassicalValue:
     def test_budget_error(self):
         g = all_ones_game(k=4, l=40)   # 40^4 deterministic maps per side
         with pytest.raises(BudgetError):
-            classical_value(g, budget=10**6)
+            classical_value(g)
 
     def test_chsh_squared(self):
         assert classical_value(repeat(chsh(), 2)).value == 0.625

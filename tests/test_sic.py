@@ -93,6 +93,17 @@ class TestSuperposedState:
         with pytest.raises(ValueError, match="normalized"):
             SuperposedState.build(UNIFORM2, constant_advice() * (1 + 1e-8))
 
+    def test_norm_rule_bounds_the_diagonal(self):
+        # the reduced (X, Y) diagonal is p_xy ||phi_xy||^2, so advice the norm
+        # check accepts builds (a separate diagonal check used to reject it)
+        p = np.array([[1.0, 0.0], [0.0, 0.0]])
+        states = np.zeros((2, 2, 2, 2), dtype=complex)
+        states[..., 0, 0] = 1 + 9e-10
+        assert SuperposedState.build(p, states).state.dims == (2, 2, 2, 2)
+        states[..., 0, 0] = 1 + 2e-9
+        with pytest.raises(ValueError, match="advice states must be normalized"):
+            SuperposedState.build(p, states)
+
 
 class TestObjective:
     def test_constant_advice_is_free(self):
@@ -262,6 +273,24 @@ class TestScalarBound:
         for eps in (0.1, 0.37, 0.9):
             assert_allclose(sic_lower_bound(eps, 0.0),
                             (1.0 - math.sqrt(1.0 - eps)) / 81.0, atol=1e-15)
+
+    def test_arrays_elementwise(self):
+        eps = np.linspace(0.0, 1.0, 101)
+        got = sic_lower_bound(eps, eps / 8.0)
+        assert got.shape == (101,)
+        assert got.tolist() == [sic_lower_bound(e, e / 8.0) for e in eps.tolist()]
+        with pytest.raises(ValueError, match="must lie in"):
+            sic_lower_bound(eps, np.where(eps > 0.99, 1.5, 0.5))
+
+    def test_grids_keep_their_bits(self):
+        # the grid reports call sic_lower_bound; /8 and delta = 0 are exact,
+        # so the margins are the bits of the formulas they used to inline
+        eps = np.linspace(0.0, 1.0, 10_000)
+        at_zero = (1.0 - np.sqrt(1.0 - eps)) / 81.0
+        at_eighth = (1.0 - np.sqrt((1.0 - eps) * (1.0 - eps / 8.0))
+                     - np.sqrt(eps * eps / 8.0)) / 81.0
+        assert np.array_equal(sic_lower_bound(eps, 0.0), at_zero)
+        assert np.array_equal(sic_lower_bound(eps, eps / 8.0), at_eighth)
 
 
 class TestGrids:
