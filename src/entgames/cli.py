@@ -10,7 +10,7 @@ report.json is byte-deterministic for a fixed seed; the manifest holds the
 nondeterministic bookkeeping.  The directory is created only once the input
 has passed validation, so an input error (exit 2) leaves none.
 
-Exit codes: 0 success, 1 property violation, 2 input error, 3 budget.
+Exit codes: 0 success, 1 property violation, 2 input error, 3 budget or memory.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ import numpy as np
 
 from . import checks as checks_mod
 from . import protocol as protocol_mod
-from .config import VERSION, BudgetError, _canonical_json, _field, _integer, _load_json, _real, _seed
+from .config import (VERSION, BudgetError, _canonical_json, _field, _integer, _load_json, _real,
+                     _seed, _string)
 from .games import (
     classical_value,
     entangled_value_seesaw,
@@ -186,7 +187,7 @@ def _model_from_doc(doc: dict, base_dir: Path, n: int):
     if kind == "win_all_or_partial":
         return protocol_mod.WinAllOrPartial(q=get("q", _real), f=get("f", _real))
     if kind == "strategy_backed":
-        game = load_game(base_dir / get("game", str))
+        game = load_game(base_dir / get("game", _string))
         res = entangled_value_seesaw(
             game, d=get("d", _integer, 2), restarts=get("restarts", _integer, 8),
             iters=get("iters", _integer, 60), seed=get("strategy_seed", _seed, 0))
@@ -205,7 +206,7 @@ def cmd_simulate(args) -> int:
         n=get("n", _integer), epsilon=get("epsilon", _real), t=get("t", _real),
         trials=get("trials", _integer),
         seed=args.seed if args.seed is not None else get("seed", _seed, 0),
-        variant=get("variant", str, "general"),
+        variant=get("variant", _string, "general"),
         v_override=get("v_override", _integer, None),
         hash_bits=get("hash_bits", _integer, None),
     )
@@ -346,8 +347,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (BudgetError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

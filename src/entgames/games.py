@@ -399,9 +399,10 @@ def _seesaw_restarts(g: Game, d: int, restarts: int, iters: int, seed: int):
     """
     if restarts < 1 or iters < 1:
         raise ValueError(f"restarts and iters must be >= 1, got {restarts} and {iters}")
-    per_restart = max(g.k * g.l * d * d, d ** 4)
-    if per_restart > MAX_TABLE_ENTRIES:
-        raise BudgetError(f"one see-saw restart needs {per_restart} entries, "
+    # d^4 is over the budget once d^2 is; it is then neither built nor printed
+    per_restart = max(g.k * g.l * d * d, d ** 4) if d * d <= MAX_TABLE_ENTRIES else None
+    if per_restart is None or per_restart > MAX_TABLE_ENTRIES:
+        raise BudgetError(f"one see-saw restart needs {per_restart or 'd^4'} entries, "
                           f"more than the budget of {MAX_TABLE_ENTRIES}")
     cur, alice, bob = _draw_starts(g, d, restarts, seed)
     weights = _payoff_weights(g)
@@ -464,9 +465,13 @@ def _win_counts(g: Game, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Counts are stored in the narrowest unsigned type that holds n.
     """
+    # the table has base^n entries; for base >= 2 any n of at least the
+    # budget's bit length is over it, so a large n never builds base^n
+    base = (g.k * g.l) ** 2
+    if base > 1 and (n >= MAX_TABLE_ENTRIES.bit_length() or base ** n > MAX_TABLE_ENTRIES):
+        raise BudgetError(f"repeated predicate table would need ({g.k}*{g.l})^{2 * n} "
+                          f"entries, more than the budget of {MAX_TABLE_ENTRIES}")
     kk, ll = g.k**n, g.l**n
-    if ll * ll * kk * kk > MAX_TABLE_ENTRIES:
-        raise BudgetError(f"repeated predicate table would need {ll*ll*kk*kk} entries")
     dk = _digit_table(g.k, n)
     dl = _digit_table(g.l, n)
     p = np.ones((kk, kk))

@@ -14,8 +14,9 @@ collide, which for a fresh random linear map happens with probability exactly
 2**-hash_bits whenever the strings differ (any lost round forces a nonzero
 symbol difference).  The simulator therefore draws one fresh uniform hash
 value per mismatched trial, which reproduces the acceptance distribution
-exactly; the explicit hash family lives in Gf2LinearHash and is verified
-separately.
+exactly.  A 0-bit hash is the same draw: its one value is 0, so every
+mismatch collides.  The explicit hash family lives in Gf2LinearHash and is
+verified separately.
 
 Conditional threshold: the "won most rounds" statistic uses the fraction
 1 - epsilon/256 for both variants.
@@ -42,18 +43,27 @@ VARIANTS = ("general", "projection")
 MIN_SUCCESSES_FOR_VERDICT = 100
 
 
-def required_v(epsilon: float, t: float, variant: str = "general") -> int:
-    """Number of inspected indices needed for the acceptance guarantees."""
+def _check_parameters(epsilon: float, t: float, variant: str) -> None:
+    """ValueError unless epsilon is in (0, 1], t finite and >= 0, variant in VARIANTS."""
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must lie in (0, 1]")
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"t must be finite and >= 0, got {t}")
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
+
+
+def required_v(epsilon: float, t: float, variant: str = "general") -> int:
+    """Number of inspected indices needed for the acceptance guarantees; a
+    ValueError when that number is too large for a float."""
+    _check_parameters(epsilon, t, variant)
     log_term = t + math.log2(1.0 / epsilon)
-    if variant == "general":
-        return math.ceil((256.0 / epsilon) * (log_term + 8.0))
-    return math.ceil((32.0 / epsilon) * (log_term + 9.0))
+    scale, offset = (256.0, 8.0) if variant == "general" else (32.0, 9.0)
+    v = (scale / epsilon) * (log_term + offset)
+    if not math.isfinite(v):
+        raise ValueError(f"epsilon = {epsilon:g} and t = {t:g} make the required v "
+                         f"unbounded; set v_override")
+    return math.ceil(v)
 
 
 @dataclass(frozen=True)
@@ -68,21 +78,17 @@ class ProtocolConfig:
     hash_bits: int | None = None    # None: ceil(2t), checked for projection only
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError("epsilon must lie in (0, 1]")
-        if not (math.isfinite(self.t) and self.t >= 0):
-            raise ValueError(f"t must be finite and >= 0, got {self.t}")
+        if not 1 <= self.n < 1 << 63:
+            raise ValueError("n must lie in [1, 2^63 - 1]")
+        _check_parameters(self.epsilon, self.t, self.variant)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
         if self.v_override is not None and self.v_override < 1:
             raise ValueError("v_override must be >= 1")
+        self.resolved_v()       # an unbounded required v is an input error
         if self.hash_bits is not None and not 0 <= self.hash_bits <= 62:
             raise ValueError("hash_bits must lie in [0, 62]")
-        if self.variant == "projection" and self.resolved_hash_bits() > 62:
+        if self.variant == "projection" and self.hash_bits is None and self.t > 31:
             raise ValueError(f"t = {self.t:g} makes the default hash_bits = ceil(2t) "
                              f"exceed 62; set hash_bits in [0, 62]")
 
@@ -212,27 +218,21 @@ def run_protocol(config: ProtocolConfig, model) -> ProtocolStats:
     projection = config.variant == "projection"
     n, v = config.n, config.resolved_v()
     thr = config.win_threshold() - 1e-9    # integer counts vs real threshold
-    bits = config.resolved_hash_bits()
+    bits = config.resolved_hash_bits() if projection else None
     successes = mostwin = mismatches = mismatch_accepts = 0
     rngs = rng_block(config.seed, _STREAM_PROTOCOL, trials=range(chunk_count(config.trials)))
     for chunk_idx, rng in enumerate(rngs):
         size = min(_CHUNK, config.trials - chunk_idx * _CHUNK)
         nwins = model.sample_wins(rng, n, size)
-        # v inspections with replacement all hit won rounds w.p. (W/n)^v
-        matched = rng.random(size) < (nwins / n) ** v
+        # v inspections with replacement all hit won rounds w.p. (W/n)^v;
+        # under projection a mismatch is still accepted when its hash collides
+        ok = rng.random(size) < (nwins / n) ** v
         if projection:
-            miss = ~matched
-            n_miss = int(miss.sum())
-            if bits == 0:
-                collide = np.ones(n_miss, dtype=bool)
-            else:
-                collide = rng.integers(0, 1 << bits, size=n_miss) == 0
-            ok = matched.copy()
+            miss = ~ok
+            collide = rng.integers(0, 1 << bits, size=int(miss.sum())) == 0
             ok[miss] = collide
-            mismatches += n_miss
+            mismatches += collide.size
             mismatch_accepts += int(collide.sum())
-        else:
-            ok = matched
         successes += int(ok.sum())
         mostwin += int((ok & (nwins >= thr)).sum())
     trials = config.trials
@@ -357,27 +357,23 @@ def guarantee_report(config: ProtocolConfig, model, stats: ProtocolStats) -> Gua
     notes = []
     if config.variant == "projection":
         notes.append("conditional threshold fixed at 1 - epsilon/256 for both variants")
-    if not applicable:
+    if applicable:
+        sv = _bound_verdict(stats.succeed_ci, succeed_bound, stats.trials_effective)
+        cv = _bound_verdict(stats.mostwin_ci, cond_bound, stats.successes)
+        margin = (checking_bound_margin(config.epsilon, config.t, stats.v_used)
+                  if config.variant == "general" and config.v_override is None else None)
+    else:
         notes.append("guarantee not applicable: model win-all probability below 2^-t")
-        return GuaranteeReport(
-            epsilon=config.epsilon, t=config.t, v_used=stats.v_used,
-            win_all_probability=p_all, applicable=False,
-            succeed_bound=succeed_bound, succeed_verdict="inconclusive",
-            cond_bound=cond_bound, cond_verdict="inconclusive",
-            verdict="inconclusive", scalar_margin_log2=None, notes=tuple(notes),
-        )
-    sv = _bound_verdict(stats.succeed_ci, succeed_bound, stats.trials_effective)
-    cv = _bound_verdict(stats.mostwin_ci, cond_bound, stats.successes)
+        sv = cv = "inconclusive"
+        margin = None
     order = {"violated": 2, "inconclusive": 1, "consistent": 0}
-    overall = max((sv, cv), key=order.__getitem__)
-    margin = (checking_bound_margin(config.epsilon, config.t, stats.v_used)
-              if config.variant == "general" and config.v_override is None else None)
     return GuaranteeReport(
         epsilon=config.epsilon, t=config.t, v_used=stats.v_used,
-        win_all_probability=p_all, applicable=True,
+        win_all_probability=p_all, applicable=applicable,
         succeed_bound=succeed_bound, succeed_verdict=sv,
         cond_bound=cond_bound, cond_verdict=cv,
-        verdict=overall, scalar_margin_log2=margin, notes=tuple(notes),
+        verdict=max((sv, cv), key=order.__getitem__), scalar_margin_log2=margin,
+        notes=tuple(notes),
     )
 
 
@@ -388,15 +384,12 @@ CSV_HEADER: Sequence[str] = (
 
 
 def stats_csv_lines(stats: ProtocolStats, verdict: str) -> list[str]:
-    cond = stats.p_mostwin_given_succeed_hat
-    ci = stats.mostwin_ci or ("", "")
+    cond = (stats.p_mostwin_given_succeed_hat, *(stats.mostwin_ci or (None, None)))
     row = [
         stats.variant, stats.n, stats.epsilon, stats.t, stats.v_used,
         stats.trials_effective,
         repr(stats.p_succeed_hat), repr(stats.succeed_ci[0]), repr(stats.succeed_ci[1]),
-        "" if cond is None else repr(cond),
-        "" if ci[0] == "" else repr(ci[0]),
-        "" if ci[1] == "" else repr(ci[1]),
+        *("" if c is None else repr(c) for c in cond),
         verdict,
     ]
     return [",".join(CSV_HEADER), ",".join(str(c) for c in row)]

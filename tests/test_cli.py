@@ -488,6 +488,9 @@ class TestSimulate:
         ({"model": {"kind": "iid_bernoulli", "w": "0.99"}}, "'w'"),
         ({"model": {"kind": "win_all_or_partial", "q": True, "f": 0.5}}, "'q'"),
         ({"t": 10**400}, "'t'"),        # too large for a float
+        ({"model": {"kind": "strategy_backed", "game": 5}}, "'game'"),
+        ({"model": {"kind": "strategy_backed", "game": ["chsh.json"]}}, "'game'"),
+        ({"variant": 5}, "'variant'"),
     ])
     def test_bad_fields_are_input_errors(self, tmp_path, capsys, overrides, field):
         write_chsh(tmp_path)
@@ -706,6 +709,47 @@ def run_fresh(args: list[str]) -> int:
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           timeout=300).returncode
+
+
+def _out_of_memory(*args):
+    raise MemoryError("Unable to allocate 58.2 TiB for an array with shape "
+                      "(1000000000000, 2, 2)")
+
+
+@pytest.mark.parametrize("argv, doc, code, named", [
+    pytest.param(["simulate"], {"t": 1e308}, 2, "t = 1e+308", id="t-general"),
+    pytest.param(["simulate"], {"t": 1e308, "variant": "projection", "hash_bits": 4}, 2,
+                 "t = 1e+308", id="t-projection-hash_bits"),
+    pytest.param(["simulate"], {"t": 1e308, "variant": "projection"}, 2, "t = 1e+308",
+                 id="t-projection"),
+    pytest.param(["simulate"], {"epsilon": 5e-324}, 2, "epsilon = 4.94066e-324",
+                 id="epsilon-subnormal"),
+    pytest.param(["simulate"], {"n": 1 << 63}, 2, "n must lie", id="n-iid"),
+    pytest.param(["simulate"], {"n": 1 << 63, "model": {"kind": "strategy_backed",
+                                                       "game": "chsh.json"}},
+                 2, "n must lie", id="n-strategy"),
+    pytest.param(["repeat", "--n", "4000"], None, 3, "budget", id="repeat"),
+    pytest.param(["repeat", "--n", "4000", "--alpha", "0.5"], None, 3, "budget",
+                 id="repeat-majority"),
+    pytest.param(["value", "--mode", "entangled", "--restarts", "1000000000000",
+                  "--seed", "0"], None, 3, "Unable to allocate", id="value-memory"),
+])
+def test_hostile_input_is_an_error_exit(tmp_path, capsys, monkeypatch, argv, doc, code, named):
+    # an input or budget error, not a traceback: simulate's required v as
+    # ceil(inf), an n beyond numpy's int64 binomial, a table size with over
+    # 4,300 digits, and an allocation of every see-saw start at once
+    target = write_chsh(tmp_path)
+    if doc is not None:
+        target = tmp_path / "config.json"
+        target.write_text(json.dumps({"n": 8, "epsilon": 1.0, "t": 0.0, "trials": 400,
+                                      "model": {"kind": "iid_bernoulli", "w": 1.0}, **doc}))
+    if argv[0] == "value":      # the failed allocation, without allocating
+        monkeypatch.setattr(games, "_draw_starts", _out_of_memory)
+    out = tmp_path / "out"
+    assert main([argv[0], str(target), *argv[1:], "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not out.exists()
 
 
 class TestTopLevel:

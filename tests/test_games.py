@@ -657,6 +657,13 @@ class TestLockstep:
         traces, *_ = _seesaw_restarts(g, d, 2, 10, 0)
         assert len(traces) == 2
 
+    def test_huge_dimension_is_not_printed(self, monkeypatch):
+        # d^4 has over 4,300 digits, too many to print: the message names d^4
+        monkeypatch.setattr(games_mod, "_draw_starts",
+                            lambda *args: pytest.fail("drew starts over budget"))
+        with pytest.raises(BudgetError, match=r"one see-saw restart needs d\^4 entries"):
+            _seesaw_restarts(chsh(), 10**1100, 4, 10, 0)
+
 
 class TestXorCertificate:
     @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4, 5])
@@ -699,6 +706,13 @@ class TestRepetition:
     def test_repeat_budget(self):
         with pytest.raises(BudgetError):
             repeat(chsh(), 12)
+
+    @pytest.mark.parametrize("n", [4000, 10**7])
+    def test_budget_decided_without_the_table_size(self, n):
+        # (kl)^(2n) has over 4,300 digits from n = 3,572 on, too many to print
+        for build in (lambda: repeat(chsh(), n), lambda: majority_game(chsh(), n, 0.5)):
+            with pytest.raises(BudgetError, match=rf"\(2\*2\)\^{2 * n} entries"):
+                build()
 
     def test_majority_alpha_zero_always_wins(self):
         g = majority_game(chsh(), 2, alpha=0.0)

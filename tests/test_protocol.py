@@ -65,6 +65,14 @@ class TestRequiredV:
         with pytest.raises(ValueError):
             required_v(0.5, 1.0, "compressed")
 
+    @pytest.mark.parametrize("eps, t", [(1.0, 1e308), (5e-324, 0.0), (1e-300, 1e10)])
+    def test_unbounded_v_is_an_error(self, eps, t):
+        # a required v too large for a float: no OverflowError from ceil(inf)
+        for variant in VARIANTS:
+            with pytest.raises(ValueError, match="required v unbounded"):
+                required_v(eps, t, variant)
+        assert required_v(1.0, 1e300) == math.ceil(256.0 * (1e300 + 8.0))
+
 
 class TestConfig:
     def test_validation(self):
@@ -75,6 +83,35 @@ class TestConfig:
                     dict(hash_bits=63)):
             with pytest.raises(ValueError):
                 ProtocolConfig(**{**good, **bad})
+
+    @pytest.mark.parametrize("eps, t, variant", [
+        (0.0, 1.0, "general"), (1.5, 1.0, "general"), (0.5, -1.0, "general"),
+        (0.5, math.inf, "general"), (0.5, math.nan, "projection"), (0.5, 1.0, "other"),
+        (1.0, 1e308, "general"), (5e-324, 0.0, "projection"),
+    ])
+    def test_shares_required_v_checks(self, eps, t, variant):
+        with pytest.raises(ValueError) as direct:
+            required_v(eps, t, variant)
+        with pytest.raises(ValueError) as config:
+            ProtocolConfig(n=8, epsilon=eps, t=t, trials=10, variant=variant)
+        assert str(config.value) == str(direct.value)
+
+    def test_n_bound(self):
+        for n in (0, 1 << 63):
+            with pytest.raises(ValueError, match=r"n must lie in \[1, 2\^63 - 1\]"):
+                ProtocolConfig(n=n, epsilon=1.0, t=0.0, trials=10)
+        # numpy's binomial takes an int64 round count, so the largest n runs
+        cfg = ProtocolConfig(n=(1 << 63) - 1, epsilon=1.0, t=0.0, trials=10, v_override=1)
+        assert run_protocol(cfg, IidBernoulli(0.5)).trials_effective == 10
+
+    def test_v_override_runs_at_any_finite_t(self):
+        # no required v is formed, and the general variant never hashes
+        big = dict(n=8, epsilon=1.0, t=1e308, trials=10, v_override=2)
+        assert run_protocol(ProtocolConfig(**big), IidBernoulli(1.0)).successes == 10
+        with pytest.raises(ValueError, match=r"ceil\(2t\)"):
+            ProtocolConfig(**big, variant="projection")
+        cfg = ProtocolConfig(**big, variant="projection", hash_bits=3)
+        assert run_protocol(cfg, IidBernoulli(1.0)).successes == 10
 
     def test_default_hash_bits_checked_for_projection_only(self):
         # ceil(2t) = 80 hash bits: the general variant never hashes
@@ -186,7 +223,8 @@ class TestChecking:
         assert stats.mostwin_ci is None
         rep = guarantee_report(cfg, IidBernoulli(0.0), stats)
         assert not rep.applicable
-        assert rep.verdict == "inconclusive"
+        assert rep.verdict == rep.succeed_verdict == rep.cond_verdict == "inconclusive"
+        assert rep.scalar_margin_log2 is None
         assert any("not applicable" in note for note in rep.notes)
 
     def test_iid_success_probability_matches_closed_form(self):
@@ -309,6 +347,11 @@ class TestProjection:
         stats = run_protocol(cfg, IidBernoulli(0.0))
         assert stats.successes == 200
         assert stats.p_hash_accept_given_mismatch == 1.0
+        # the 0-bit draw is the general one: all zeros, and no state consumed
+        rng = rng_for(0, 301, 0)
+        state = rng.bit_generator.state
+        assert not rng.integers(0, 1 << 0, size=50).any()
+        assert rng.bit_generator.state == state
 
     def test_report_notes_fixed_threshold(self):
         cfg = ProtocolConfig(n=6, epsilon=1.0, t=0.0, trials=200, v_override=2,
