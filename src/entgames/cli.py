@@ -178,7 +178,7 @@ def cmd_verify(args) -> int:
                    checks=per_check)
 
 
-def _model_from_doc(doc: dict, base_dir: Path, n: int):
+def _model_from_doc(doc: dict, base_dir: Path):
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError("model must be an object with a 'kind' field")
     kind, get = doc["kind"], partial(_field, "model", doc)
@@ -191,7 +191,7 @@ def _model_from_doc(doc: dict, base_dir: Path, n: int):
         res = entangled_value_seesaw(
             game, d=get("d", _integer, 2), restarts=get("restarts", _integer, 8),
             iters=get("iters", _integer, 60), seed=get("strategy_seed", _seed, 0))
-        return protocol_mod.StrategyBacked(game, res.strategy, n)
+        return protocol_mod.StrategyBacked(game, res.strategy)
     raise ValueError(f"unknown model kind {kind!r}")
 
 
@@ -211,7 +211,7 @@ def cmd_simulate(args) -> int:
         hash_bits=get("hash_bits", _integer, None),
     )
     t_load = time.perf_counter()
-    model = _model_from_doc(doc["model"], path.parent, config.n)
+    model = _model_from_doc(doc["model"], path.parent)
     stats = protocol_mod.run_protocol(config, model)
     verdict = protocol_mod.guarantee_report(config, model, stats)
     report = {

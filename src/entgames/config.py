@@ -1,9 +1,10 @@
 """Fixed validation tolerances, resource budgets and the input-field reader.
 
-DEFAULT_TOLS holds the tolerances linalg, qinfo and QuantumStrategy.validate
-check states, measurements and spectra against; code reads its fields and no
-function takes a tolerance argument.  Slacks local to one construction are
-literals beside it (games' distribution checks, the purification rule).
+DEFAULT_TOLS holds the tolerances that linalg, qinfo and the construction of
+games.QuantumStrategy check states, measurements and spectra against; code
+reads its fields and no function takes a tolerance argument.  Slacks local
+to one construction are literals beside it (games' distribution checks, the
+purification rule).
 _load_json reads a JSON input document (a game, a simulate config, a state
 spec), and _field reads one field of it; both turn malformed input into a
 ValueError that names the file or the field.  _canonical_json is the one
@@ -122,7 +123,5 @@ def _load_json(path) -> object:
         raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"invalid JSON in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+    except (ValueError, RecursionError) as exc:     # also an over-long integer, deep nesting
+        raise ValueError(f"invalid JSON in {path}: {exc}") from exc

@@ -117,19 +117,18 @@ class QuantumStrategy:
     """Shared pure state plus projective measurements per input.
 
     alice/bob have shape (k, l, d, d): measurement element for (input, output).
+    Construction raises unless the state has two registers (Alice's, Bob's) and
+    every input's elements are projectors within DEFAULT_TOLS.proj summing to I.
     """
 
     state: PureState
     alice: np.ndarray
     bob: np.ndarray
 
-    def dims(self) -> tuple[int, int]:
-        return self.state.dims[0], self.state.dims[1]
-
-    def validate(self) -> None:
-        """Raise unless every (input, output) element is a projector within
-        DEFAULT_TOLS.proj and each input's elements sum to the identity."""
-        da, db = self.dims()
+    def __post_init__(self):
+        if len(self.state.dims) != 2:
+            raise ValueError(f"strategy state has dims {self.state.dims}, not two registers")
+        da, db = self.state.dims
         for name, meas, d in (("alice", self.alice, da), ("bob", self.bob, db)):
             if meas.shape[2:] != (d, d):
                 raise ValueError(f"{name} measurement dimension mismatch")
@@ -195,10 +194,13 @@ def classical_value(g: Game) -> ClassicalValueResult:
 
 
 def strategy_win_probability(g: Game, strategy: ClassicalStrategy | QuantumStrategy) -> float:
-    """Exact winning probability of a strategy in g."""
-    if isinstance(strategy, ClassicalStrategy):
-        if len(strategy.alice) != g.k or len(strategy.bob) != g.k:
-            raise ValueError("strategy input arity does not match the game")
+    """Exact winning probability of a strategy in g; raises unless each player's
+    maps have g's k inputs, or measurements g's k inputs and l outcomes."""
+    classical = isinstance(strategy, ClassicalStrategy)
+    arity = (g.k,) if classical else (g.k, g.l)
+    if any(np.shape(m)[:len(arity)] != arity for m in (strategy.alice, strategy.bob)):
+        raise ValueError("strategy input arity does not match the game")
+    if classical:
         a = np.array(strategy.alice)
         b = np.array(strategy.bob)
         xs = np.arange(g.k)
@@ -450,7 +452,7 @@ def entangled_value_seesaw(g: Game, d: int, restarts: int = 20, iters: int = 100
     finals = np.array([trace[-1] for trace in traces])
     best_val = float(finals.max())
     best = int(np.argmax(finals >= best_val - 1e-12))
-    strategy = QuantumStrategy(PureState(phi[best].reshape(-1), (d, d), validate=False),
+    strategy = QuantumStrategy(PureState(phi[best].reshape(-1), (d, d)),
                                alice[best], bob[best])
     return SeesawResult(min(best_val, 1.0), strategy,
                         tuple(tuple(trace) for trace in traces), best, steps)

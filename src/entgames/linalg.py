@@ -83,9 +83,10 @@ class DensityOperator:
     """Validated density matrix together with its register dimensions.
 
     dims defaults to one register of the full dimension.  Construction
-    checks Hermiticity, positivity and unit trace against DEFAULT_TOLS; pass
-    validate=False only for operators produced by operations that preserve
-    validity (internal fast path).
+    checks Hermiticity, positivity and unit trace against DEFAULT_TOLS.
+    PureState.density and partial_trace turn the checks off, as their input
+    is already checked: a pure state within the 1e-9 norm slack may have a
+    trace 2e-9 from 1, and re-checking a partial trace costs an eigensolve.
     """
 
     matrix: np.ndarray

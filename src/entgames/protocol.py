@@ -155,17 +155,11 @@ class StrategyBacked:
     strategy's exact win probability omega: the same rounds as
     IidBernoulli(omega), with no table and no limit on n."""
 
-    def __init__(self, game: Game, strategy: QuantumStrategy, n: int):
-        strategy.validate()
-        if strategy.alice.shape[0] != game.k or strategy.alice.shape[1] != game.l:
-            raise ValueError("strategy arity does not match the game")
-        self.n = n
+    def __init__(self, game: Game, strategy: QuantumStrategy):
         # clipped so float round-off cannot push it outside [0, 1]
         self.omega = min(1.0, max(0.0, strategy_win_probability(game, strategy)))
 
     def sample_wins(self, rng, n: int, trials: int) -> np.ndarray:
-        if n != self.n:
-            raise ValueError("model was built for a different round count")
         return rng.binomial(n, self.omega, size=trials)
 
     def win_all_probability(self, n: int) -> float:

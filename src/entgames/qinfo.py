@@ -13,7 +13,8 @@ return an array with one value per slice; every per-matrix validation applies
 to each slice.  A single matrix gives a float.  fidelity, relative_entropy
 and min_relative_entropy take eigensystems the caller already solved, so that
 a state's spectrum is solved once across several quantities; the validations
-run on the given spectra.
+run on the given spectra.  von_neumann_entropy and relative_entropy check rho
+Hermitian and PSD on the spectrum they solve or are given (linalg.psd_eigvalsh).
 purification_matrix is the one purification, used by purify, uhlmann_partner
 and sic's decoupling.  Tolerances are the fixed config.DEFAULT_TOLS.
 """
@@ -21,7 +22,7 @@ and sic's decoupling.  Tolerances are the fixed config.DEFAULT_TOLS.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -63,7 +64,6 @@ class PureState:
 
     amplitudes: np.ndarray
     dims: tuple[int, ...] | None = None
-    validate: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
@@ -71,7 +71,7 @@ class PureState:
         object.__setattr__(self, "dims", _check_dims(self.dims, a.size))
         if not np.all(np.isfinite(a)):
             raise ValueError("amplitudes have non-finite entries")
-        if self.validate and abs(np.linalg.norm(a) - 1.0) > DEFAULT_TOLS.norm:
+        if abs(np.linalg.norm(a) - 1.0) > DEFAULT_TOLS.norm:
             raise ValueError(f"state norm {np.linalg.norm(a):.6e} != 1 within tolerance")
 
     @property
@@ -218,7 +218,7 @@ def purify(rho: DensityOperator) -> PureState:
     """
     d = rho.dim
     amps = purification_matrix(rho.matrix, d).T.reshape(-1)    # index (anc, sys)
-    return PureState(amps, (d,) + rho.dims, validate=False)
+    return PureState(amps, (d,) + rho.dims)
 
 
 def _split_matrix(psi: PureState, system: Iterable[int]) -> tuple[np.ndarray, list[int], list[int]]:
@@ -273,7 +273,7 @@ def uhlmann_partner(rho, sigma, phi: PureState, system: Iterable[int]) -> PureSt
 
     t = m_psi.reshape([phi.dims[p] for p in sys_pos + anc_pos])
     amps = t.transpose(np.argsort(sys_pos + anc_pos)).reshape(-1)
-    return PureState(amps, phi.dims, validate=False)
+    return PureState(amps, phi.dims)
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +289,7 @@ def entropy_of_spectrum(w: np.ndarray):
 
 def von_neumann_entropy(rho):
     """S(rho) in bits; eigenvalues below the zero cutoff contribute 0."""
-    w = np.linalg.eigvalsh(hermitianize(as_stack(rho)))
-    return entropy_of_spectrum(w)
+    return entropy_of_spectrum(psd_eigvalsh(rho))
 
 
 def _reduced_entropy(rho: DensityOperator, positions: Iterable[int]) -> float:
@@ -326,8 +325,7 @@ def relative_entropy(rho, sigma, sigma_eig=None, rho_spectrum=None):
     """
     r, s = _pair(rho, sigma)
     ws, _, diag, leaves = _sigma_basis(r, s, sigma_eig)
-    wr = np.linalg.eigvalsh(hermitianize(r)) if rho_spectrum is None else rho_spectrum
-    tr_rho_log_rho = -entropy_of_spectrum(wr)
+    tr_rho_log_rho = -entropy_of_spectrum(psd_eigvalsh(r, rho_spectrum))
     sup = ws > DEFAULT_TOLS.support
     tr_rho_log_sigma = np.where(sup, diag * np.log2(np.where(sup, ws, 1.0)), 0.0).sum(axis=-1)
     return _value(np.where(leaves, np.inf, tr_rho_log_rho - tr_rho_log_sigma))

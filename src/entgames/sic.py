@@ -208,7 +208,7 @@ def build_decoupling(omega: SuperposedState) -> DecouplingResult:
                                omega_t.transpose(0, 2, 3, 1).reshape(k, db * k, da), p.sum(axis=1))
 
     omega1_t = np.einsum("xpa,xaby->xpby", u_list, omega_t)
-    omega1 = PureState(omega1_t.reshape(-1), (k, da2, db, k), validate=False)
+    omega1 = PureState(omega1_t.reshape(-1), (k, da2, db, k))
     fbar_alice = 1.0 - pure_product_fidelity(omega1_t.reshape(k, -1))   # X : A'BY
 
     # Bob side: conditionals on (X, A) given y, average on (X, A).
@@ -216,7 +216,7 @@ def build_decoupling(omega: SuperposedState) -> DecouplingResult:
                                omega_t.transpose(3, 0, 1, 2).reshape(k, k * da, db), p.sum(axis=0))
 
     omega3_t = np.einsum("yqb,xpby->xpqy", v_list, omega1_t)
-    omega3 = PureState(omega3_t.reshape(-1), (k, da2, db2, k), validate=False)
+    omega3 = PureState(omega3_t.reshape(-1), (k, da2, db2, k))
     fbar_out = 1.0 - pure_product_fidelity(                               # XY : A'B'
         omega3_t.transpose(0, 3, 1, 2).reshape(k * k, -1))
 

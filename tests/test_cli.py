@@ -752,6 +752,38 @@ def test_hostile_input_is_an_error_exit(tmp_path, capsys, monkeypatch, argv, doc
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["value", "simulate", "sic"])
+def test_oversized_integer_names_the_file(tmp_path, capsys, command):
+    # json.loads refuses an integer literal over Python's 4,300-digit limit
+    # with a ValueError that names no file
+    if command == "value":
+        doc = json.loads(games.game_to_json(chsh()))
+        doc["k"] = "HUGE"
+    elif command == "simulate":
+        doc = {"n": "HUGE", "epsilon": 1.0, "t": 0.0, "trials": 10,
+               "model": {"kind": "iid_bernoulli", "w": 1.0}}
+    else:
+        doc = json.loads(revealing_spec(tmp_path).read_text())
+        doc["dims"] = [2, "HUGE"]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc).replace('"HUGE"', "1" + "0" * 5000))
+    out = tmp_path / "out"
+    assert main([command, str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid JSON in {path}: ") and "4300" in err
+    assert not out.exists()
+
+
+def test_deeply_nested_json_names_the_file(tmp_path, capsys):
+    # json.loads raises RecursionError on nesting deeper than the interpreter's stack
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["value", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid JSON in {path}: maximum recursion depth")
+    assert not (tmp_path / "out").exists()
+
+
 class TestTopLevel:
     def test_version_flag(self, capsys):
         for _ in range(2):          # also once the parser is built and reused

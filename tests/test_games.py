@@ -225,7 +225,7 @@ def count_solves(monkeypatch, names=("eigh", "eigvalsh", "qr")) -> dict[str, lis
 def assert_projective(meas: np.ndarray) -> None:
     d = meas.shape[-1]
     state = PureState(np.eye(d * d)[0].astype(complex), (d, d))
-    QuantumStrategy(state, meas, meas).validate()
+    QuantumStrategy(state, meas, meas)      # construction checks the measurements
 
 
 def brute_force_value(g: Game) -> float:
@@ -320,6 +320,19 @@ class TestStrategyWinProbability:
         with pytest.raises(ValueError):
             strategy_win_probability(chsh(), ClassicalStrategy((0,), (0,)))
 
+    def test_quantum_arity_mismatch(self):
+        # the CHSH see-saw strategy on CHSH^2 used to fail in numpy's reshape
+        res = entangled_value_seesaw(chsh(), d=2, restarts=2, iters=40, seed=0)
+        with pytest.raises(ValueError, match="arity does not match the game"):
+            strategy_win_probability(repeat(chsh(), 2), res.strategy)
+        # either player's inputs or outcomes alone
+        psi, meas = TestStrategyValidate.parts(k=2, l=2)
+        for side, k, l in (("alice", 3, 2), ("bob", 3, 2), ("alice", 2, 3), ("bob", 2, 3)):
+            _, other = TestStrategyValidate.parts(k=k, l=l)
+            q = QuantumStrategy(psi, **{**meas, side: other[side]})
+            with pytest.raises(ValueError, match="arity does not match the game"):
+                strategy_win_probability(chsh(), q)
+
     def test_quantum_embedding_of_classical(self):
         # deterministic strategy as rank-one projective measurements on |00>
         g = chsh()
@@ -332,7 +345,6 @@ class TestStrategyWinProbability:
             bob[x, 0] = np.diag([1.0, 0.0])
             bob[x, 1] = np.diag([0.0, 1.0])
         q = QuantumStrategy(psi, alice, bob)
-        q.validate()
         classical = strategy_win_probability(g, ClassicalStrategy((0, 0), (0, 0)))
         assert abs(strategy_win_probability(g, q) - classical) <= 1e-12
 
@@ -361,7 +373,6 @@ class TestStrategyWinProbability:
         state = np.einsum("ij,kl->ikjl", phi, phi).reshape(-1)
         sq = QuantumStrategy(PureState(state, (4, 4)),
                              square(alice), square(bob))
-        sq.validate()
         value = strategy_win_probability(repeat(chsh(), 2), sq)
         assert abs(value - math.cos(math.pi / 8) ** 4) <= 1e-12
 
@@ -378,14 +389,28 @@ class TestStrategyValidate:
         return psi, {"alice": alice, "bob": bob}
 
     def check(self, psi, meas, side, match):
-        q = QuantumStrategy(psi, meas["alice"], meas["bob"])
         with pytest.raises(ValueError, match=f"{side}.*{match}"):
-            q.validate()
+            QuantumStrategy(psi, meas["alice"], meas["bob"])
 
     def test_accepts_projective_within_tolerance(self):
         psi, meas = self.parts()
         meas["bob"][1, 0] += 1e-10 * np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
-        QuantumStrategy(psi, meas["alice"], meas["bob"]).validate()
+        QuantumStrategy(psi, meas["alice"], meas["bob"])
+
+    def test_rejects_both_outcomes_identity(self):
+        # each element a projector, but each input's two outcomes sum to 2I;
+        # scoring it on CHSH used to give 1.9999999999999998
+        both = np.stack([np.stack([np.eye(2), np.eye(2)])] * 2).astype(complex)
+        bell = PureState(np.eye(2).reshape(-1) / math.sqrt(2), (2, 2))
+        with pytest.raises(ValueError, match="alice measurement does not sum to identity"):
+            QuantumStrategy(bell, both, both)
+
+    @pytest.mark.parametrize("dims", [(6,), (2, 3, 1)])
+    def test_rejects_state_without_two_registers(self, dims):
+        # one register used to fail with an IndexError, three were accepted
+        psi, meas = self.parts()
+        with pytest.raises(ValueError, match="two registers"):
+            QuantumStrategy(PureState(psi.amplitudes, dims), meas["alice"], meas["bob"])
 
     @pytest.mark.parametrize("side", ["alice", "bob"])
     def test_rejects_non_hermitian(self, side):
@@ -444,7 +469,6 @@ class TestSeesaw:
 
     def test_strategy_attains_value(self):
         res = entangled_value_seesaw(chsh(), d=2, restarts=6, iters=80, seed=0)
-        res.strategy.validate()
         assert abs(strategy_win_probability(chsh(), res.strategy) - res.value) <= 1e-9
 
     def test_chsh_squared_work_pinned(self):
@@ -573,7 +597,6 @@ class TestStackedUpdate:
         # the greedy path runs in every update
         g = chsh3()
         res = entangled_value_seesaw(g, d=3, restarts=8, iters=60, seed=0)
-        res.strategy.validate()
         assert res.value >= classical_value(g).value - 1e-9
         assert abs(strategy_win_probability(g, res.strategy) - res.value) <= 1e-9
         for trace in res.traces:

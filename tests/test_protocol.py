@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from entgames.config import BudgetError
-from entgames.games import chsh, entangled_value_seesaw
+from entgames.games import chsh, entangled_value_seesaw, repeat
 from entgames.protocol import (
     CSV_HEADER,
     VARIANTS,
@@ -184,7 +184,7 @@ class TestModels:
 
     def test_strategy_backed_round_rate(self):
         res = entangled_value_seesaw(chsh(), d=2, restarts=3, iters=60, seed=0)
-        model = StrategyBacked(chsh(), res.strategy, 2)
+        model = StrategyBacked(chsh(), res.strategy)
         counts = model.sample_wins(rng_for(0), 2, 50_000)
         assert abs(counts.mean() / 2 - model.omega) < 0.006
         assert abs((counts == 2).mean() - model.omega**2) < 0.008
@@ -192,15 +192,15 @@ class TestModels:
 
     def test_strategy_backed_many_rounds(self):
         res = entangled_value_seesaw(chsh(), d=2, restarts=2, iters=40, seed=0)
-        model = StrategyBacked(chsh(), res.strategy, 8)
+        model = StrategyBacked(chsh(), res.strategy)
         counts = model.sample_wins(rng_for(1), 8, 4000)
         assert abs(counts.mean() / 8 - model.omega) < 0.02
 
     def test_strategy_backed_errors(self):
+        # a strategy for another game's arity is refused by strategy_win_probability
         res = entangled_value_seesaw(chsh(), d=2, restarts=2, iters=40, seed=0)
-        model = StrategyBacked(chsh(), res.strategy, 2)
-        with pytest.raises(ValueError):
-            model.sample_wins(rng_for(0), 3, 10)
+        with pytest.raises(ValueError, match="arity does not match the game"):
+            StrategyBacked(repeat(chsh(), 2), res.strategy)
 
 
 class TestChecking:
@@ -261,7 +261,7 @@ class TestChecking:
 
     def test_strategy_backed_end_to_end(self):
         res = entangled_value_seesaw(chsh(), d=2, restarts=3, iters=60, seed=0)
-        model = StrategyBacked(chsh(), res.strategy, 2)
+        model = StrategyBacked(chsh(), res.strategy)
         cfg = ProtocolConfig(n=2, epsilon=1.0, t=0.0, trials=20_000, v_override=4)
         stats = run_protocol(cfg, model)
         w = model.omega

@@ -269,6 +269,12 @@ class TestUhlmann:
         with pytest.raises(ValueError):
             uhlmann_partner(s, r, purify(r), [1])
 
+    def test_rejects_unnormalized_sigma(self, rng):
+        # sigma = I has trace 2: its partner used to be a "pure state" of norm sqrt(2)
+        r = DensityOperator(random_mixed(rng, 2))
+        with pytest.raises(ValueError, match="state norm 1.414214e"):
+            uhlmann_partner(r, np.eye(2, dtype=complex), purify(r), [1])
+
     def test_system_in_the_middle(self, rng):
         # phi on (E1, S, E2) with the system at position 1: the partner
         # purifies sigma on S, keeps phi's dims, and overlaps phi by F
@@ -309,6 +315,18 @@ class TestEntropies:
         psi = haar_state(rng, 4)
         assert abs(von_neumann_entropy(np.outer(psi, psi.conj()))) <= 1e-9
         assert_allclose(von_neumann_entropy(np.eye(4) / 4), 2.0, atol=1e-12)
+
+    def test_rejects_non_psd_and_non_hermitian(self):
+        # each used to return a value: 0.0 for diag(1.5, -0.5), 0.1187 for the
+        # non-Hermitian rho, also when rho's spectrum is passed in
+        with pytest.raises(ValueError, match="not PSD"):
+            von_neumann_entropy(np.diag([1.5, -0.5]))
+        bad = np.array([[0.5, 0.4], [0.0, 0.5]])
+        with pytest.raises(ValueError, match="not Hermitian"):
+            relative_entropy(bad, np.eye(2) / 2)
+        with pytest.raises(ValueError, match="not PSD"):
+            relative_entropy(np.diag([1.5, -0.5]), np.eye(2) / 2,
+                             rho_spectrum=np.array([-0.5, 1.5]))
 
     def test_spectrum_cutoff(self):
         assert_allclose(entropy_of_spectrum(np.array([1.0, 0.0, 1e-15])),
@@ -475,6 +493,19 @@ class TestStacks:
         assert got[2] == math.inf
         assert got[:2].tolist() == [min_relative_entropy(r[i], s[i]) for i in range(2)]
         assert_allclose(got[:2], [1.0, 1.0], atol=1e-12)
+
+    def test_entropies_one_bad_rho_slice_raises(self, rng):
+        r, s = _stack(rng, 3, 2), _stack(rng, 3, 2)
+        r[1] = np.diag([1.5, -0.5])
+        with pytest.raises(ValueError, match="not PSD"):
+            von_neumann_entropy(r)
+        with pytest.raises(ValueError, match="not PSD"):
+            relative_entropy(r, s)
+        r[1] = np.array([[0.5, 0.4], [0.0, 0.5]])
+        with pytest.raises(ValueError, match="not Hermitian"):
+            von_neumann_entropy(r)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            relative_entropy(r, s)
 
     def test_one_non_finite_slice_raises(self, rng):
         r = _stack(rng, 3, 2)
