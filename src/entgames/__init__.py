@@ -24,12 +24,12 @@ from .games import (
 )
 from .linalg import (
     DensityOperator,
+    Solved,
     hermitian_eig,
     partial_trace,
     trace_norm,
 )
 from .qinfo import (
-    Povm,
     PureState,
     angle,
     fbar,
@@ -62,9 +62,9 @@ __all__ = [
     "DEFAULT_TOLS",
     "DensityOperator",
     "Game",
-    "Povm",
     "PureState",
     "QuantumStrategy",
+    "Solved",
     "SuperposedState",
     "Tolerances",
     "VERSION",

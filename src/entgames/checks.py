@@ -22,12 +22,12 @@ small states get long blocks, and the memory of a block is bounded whatever
 its dimensions.  Every construction and kernel operation acts on each slice
 on its own, so a trial's margin does not depend on the trials that share its
 block, nor on the budget; a violating trial's states are dumped by replaying
-it.  Kernels solve each eigensystem once: a floored reference state's
-eigensystem comes from the floor step, rho's one solve serves its root and
-its entropy, and a Kronecker product's eigensystem is built from its
-factors'; the validations run on the reused spectra.  run_all runs the
-suite, or a named subset, and times and counts each check; `entgames
-verify` calls it.
+it.  Kernels solve each eigensystem once and pass it on as a linalg.Solved:
+a floored reference state's eigensystem comes from the floor step, rho's one
+solve serves its root, its entropies and its checks, and a Kronecker
+product's eigensystem is built from its factors'; the validations run on the
+reused spectra.  run_all runs the suite, or a named subset, and times and
+counts each check; `entgames verify` calls it.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ import numpy as np
 
 from .config import _canonical_json
 from .linalg import (
+    Solved,
     hermitian_eig,
     hermitianize,
     kron,
@@ -64,7 +65,6 @@ from .random_states import (
     classical_states,
     flat_dirichlet,
     floor_eigensystem,
-    floor_eigenvalues,
     mixed_draw,
     mixed_states,
     povm_draw,
@@ -100,6 +100,11 @@ def _fidelities(states, pairs):
     for j in {j for _, j in pairs} - roots.keys():
         psd_eigvalsh(states[j])
     return [fidelity_from_root(roots[i], states[j]) for i, j in pairs]
+
+
+def _solved(a) -> Solved:
+    """a with its eigensystem, from one solve."""
+    return Solved(a, *hermitian_eig(a))
 
 
 # --- samplers, each returning (group key, one trial's inputs), and kernels,
@@ -163,9 +168,10 @@ def _sample_povm_bound(rng):
 
 
 def _povm_bound(key, x):
-    r, s, povm = x["rho"], x["sigma"], x["povm"]
-    check_povm(povm)
-    return povm_outcome_bound(r, s, povm) - fidelity(r, s), x
+    check_povm(x["povm"])
+    # the solves fidelity needs anyway also serve the bound's state checks
+    r, s = _solved(x["rho"]), Solved(x["sigma"], psd_eigvalsh(x["sigma"]))
+    return povm_outcome_bound(r, s, x["povm"]) - fidelity(r, s), x
 
 
 def _sample_cptp_mono(rng):
@@ -204,21 +210,19 @@ def _sample_rho_sigma(rng):
     return (d,), {"rho": r, "sigma": s}
 
 
-def _kron_eig(a, b):
-    """Eigensystem of kron(A, B) from eigensystems a of A and b of B: products
-    of eigenvalues, sorted ascending, on kron products of eigenvectors."""
-    (wa, va), (wb, vb) = a, b
-    w = (wa[..., :, None] * wb[..., None, :]).reshape(wa.shape[:-1] + (-1,))
+def _kron_eig(a: Solved, b: Solved) -> Solved:
+    """kron(A, B) with its eigensystem built from the factors': products of
+    eigenvalues, sorted ascending, on kron products of eigenvectors."""
+    w = (a.w[..., :, None] * b.w[..., None, :]).reshape(a.w.shape[:-1] + (-1,))
     order = np.argsort(w, axis=-1)
-    return (np.take_along_axis(w, order, axis=-1),
-            np.take_along_axis(kron(va, vb), order[..., None, :], axis=-1))
+    return Solved(kron(a.matrix, b.matrix), np.take_along_axis(w, order, axis=-1),
+                  np.take_along_axis(kron(a.v, b.v), order[..., None, :], axis=-1))
 
 
 def _relent_vs_fid(key, x):
-    r, (s, s_eig) = x["rho"], floor_eigensystem(x["sigma"], SIGMA_FLOOR)
-    r_eig = hermitian_eig(r)            # one solve for rho's root and its entropy
-    f = fidelity(r, s, r_eig, s_eig)
-    return relative_entropy(r, s, s_eig, r_eig[0]) - (1 - f), {"rho": r, "sigma": s}
+    s = floor_eigensystem(x["sigma"], SIGMA_FLOOR)
+    r = _solved(x["rho"])               # one solve for rho's root and its entropy
+    return relative_entropy(r, s) - (1 - fidelity(r, s)), {"rho": x["rho"], "sigma": s.matrix}
 
 
 def _sample_superadd_classical(rng):
@@ -230,7 +234,7 @@ def _sample_superadd_classical(rng):
 
 def _superadd_classical(dims, x):
     joint = x["sigma12"]
-    r1, r2 = (floor_eigenvalues(x[k], SIGMA_FLOOR) for k in ("ref1", "ref2"))
+    r1, r2 = (floor_eigensystem(x[k], SIGMA_FLOOR).matrix for k in ("ref1", "ref2"))
     lhs = relative_entropy(joint, kron(r1, r2))
     rhs = (relative_entropy(partial_trace_matrix(joint, dims, [0]), r1)
            + relative_entropy(partial_trace_matrix(joint, dims, [1]), r2))
@@ -238,9 +242,10 @@ def _superadd_classical(dims, x):
 
 
 def _smax_ge_s(key, x):
-    r, (s, s_eig) = x["rho"], floor_eigensystem(x["sigma"], SIGMA_FLOOR)
-    m = min_relative_entropy(r, s, s_eig) - relative_entropy(r, s, s_eig)
-    return m, {"rho": r, "sigma": s}
+    s = floor_eigensystem(x["sigma"], SIGMA_FLOOR)
+    r = Solved(x["rho"], psd_eigvalsh(x["rho"]))    # one spectrum for both entropies
+    m = min_relative_entropy(r, s) - relative_entropy(r, s)
+    return m, {"rho": x["rho"], "sigma": s.matrix}
 
 
 def _sample_mi_min_relent(rng):
@@ -250,18 +255,11 @@ def _sample_mi_min_relent(rng):
 
 
 def _mi_min_relent(dims, x):
-    r = x["rho"]
-    wr = np.linalg.eigvalsh(hermitianize(r))        # the one full-size solve
-    rx = partial_trace_matrix(r, dims, [0])
-    ry = partial_trace_matrix(r, dims, [1])
-    (sx, sx_eig), (sy, sy_eig) = (floor_eigensystem(x[k], SIGMA_FLOOR)
-                                  for k in ("sigma_x", "sigma_y"))
-
-    def to_product(a, a_eig, b, b_eig):
-        return relative_entropy(r, kron(a, b), _kron_eig(a_eig, b_eig), wr)
-    m = (to_product(sx, sx_eig, sy, sy_eig)
-         - to_product(rx, hermitian_eig(rx), ry, hermitian_eig(ry)))
-    return m, {"rho": r, "sigma_x": sx, "sigma_y": sy}
+    r = Solved(x["rho"], psd_eigvalsh(x["rho"]))    # the one full-size solve
+    rx, ry = (_solved(partial_trace_matrix(x["rho"], dims, [i])) for i in (0, 1))
+    sx, sy = (floor_eigensystem(x[k], SIGMA_FLOOR) for k in ("sigma_x", "sigma_y"))
+    m = relative_entropy(r, _kron_eig(sx, sy)) - relative_entropy(r, _kron_eig(rx, ry))
+    return m, {"rho": x["rho"], "sigma_x": sx.matrix, "sigma_y": sy.matrix}
 
 
 def _sample_relent_mono(rng):
@@ -271,11 +269,11 @@ def _sample_relent_mono(rng):
 
 
 def _relent_mono(dims, x):
-    r, (s, s_eig) = x["rho"], floor_eigensystem(x["sigma"], SIGMA_FLOOR)
-    m = (relative_entropy(r, s, s_eig)
+    r, s = x["rho"], floor_eigensystem(x["sigma"], SIGMA_FLOOR)
+    m = (relative_entropy(r, s)
          - relative_entropy(partial_trace_matrix(r, dims, [0]),
-                            partial_trace_matrix(s, dims, [0])))
-    return m, {"rho": r, "sigma": s}
+                            partial_trace_matrix(s.matrix, dims, [0])))
+    return m, {"rho": r, "sigma": s.matrix}
 
 
 def _sample_cool_product(rng):

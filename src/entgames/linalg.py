@@ -11,9 +11,10 @@ also take stacks of shape (..., d, d) and act on each slice, validating each
 slice as they would a single matrix; a single matrix is the unbatched case.
 psd_eigvalsh is the one Hermitian-and-PSD check, which DensityOperator and
 qinfo.check_povm build on; tolerances are the fixed config.DEFAULT_TOLS.
-hermitian_eig, psd_eigvalsh and matrix_sqrt_psd take an eigensystem the
-caller already solved as known, and then run their checks on it instead of
-solving again.
+A caller that already solved a matrix passes it as a Solved, which every
+function reads as its matrix; only hermitian_eig and psd_eigvalsh look at
+the eigensystem it carries, and they run their checks on the given spectrum
+instead of solving again.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from .config import DEFAULT_TOLS, MAX_KRON_DIM, BudgetError
 
 
 def as_stack(a) -> np.ndarray:
-    """Coerce a matrix or a stack of matrices, shape (..., d, d), to complex."""
+    """Coerce a matrix or a stack of matrices, shape (..., d, d), to complex;
+    a DensityOperator or Solved gives its matrix."""
     m = getattr(a, "matrix", a)
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -134,31 +136,40 @@ def _check_psd_spectrum(w: np.ndarray) -> None:
         raise ValueError(f"matrix has eigenvalue {low:.3e}; not PSD within tolerance")
 
 
-def hermitian_eig(h, known=None) -> tuple[np.ndarray, np.ndarray]:
+@dataclass(frozen=True)
+class Solved:
+    """A matrix or stack (..., d, d) with the eigensystem its caller solved:
+    ascending eigenvalues w and, if solved too, the eigenvectors v."""
+
+    matrix: np.ndarray
+    w: np.ndarray
+    v: np.ndarray | None = None
+
+
+def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, or of each matrix in a stack.
 
     Returns (eigenvalues ascending, eigenvector matrix with orthonormal
     columns).  Raises on input that is not Hermitian within tolerance;
-    convergence failures surface as numpy.linalg.LinAlgError.  A caller that
-    already has h's eigensystem passes it as known: h gets the same checks
-    and known is returned without a second solve.
+    convergence failures surface as numpy.linalg.LinAlgError.  A Solved h
+    with eigenvectors gets the same check and returns its (w, v) unsolved.
     """
-    h = as_stack(h)
-    _check_hermitian(h)
-    if known is not None:
-        return known
-    w, v = np.linalg.eigh(hermitianize(h))
+    m = as_stack(h)
+    _check_hermitian(m)
+    if isinstance(h, Solved) and h.v is not None:
+        return h.w, h.v
+    w, v = np.linalg.eigh(hermitianize(m))
     return w, v
 
 
-def psd_eigvalsh(a, known=None) -> np.ndarray:
+def psd_eigvalsh(a) -> np.ndarray:
     """Eigenvalues of a PSD Hermitian matrix (or stack); raises like matrix_sqrt_psd.
 
-    known, a spectrum of a the caller already has, is checked in place of a solve.
+    A Solved a has its spectrum checked in place of a solve.
     """
-    a = as_stack(a)
-    _check_hermitian(a)
-    w = np.linalg.eigvalsh(hermitianize(a)) if known is None else known
+    m = as_stack(a)
+    _check_hermitian(m)
+    w = a.w if isinstance(a, Solved) else np.linalg.eigvalsh(hermitianize(m))
     _check_psd_spectrum(w)
     return w
 
@@ -189,13 +200,13 @@ def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
     return DensityOperator(out, tuple(rho.dims[p] for p in pos), validate=False)
 
 
-def matrix_sqrt_psd(a, known=None) -> np.ndarray:
+def matrix_sqrt_psd(a) -> np.ndarray:
     """Principal square root of a PSD Hermitian matrix, or of each in a stack.
 
     Eigenvalues in [-psd_tol, 0) are clipped to 0; anything more negative is
-    an error.  known is a's eigensystem if the caller has it (see hermitian_eig).
+    an error.  A Solved a is not solved again (see hermitian_eig).
     """
-    w, v = hermitian_eig(a, known)
+    w, v = hermitian_eig(a)
     _check_psd_spectrum(w)
     w = np.sqrt(np.clip(w, 0.0, None))
     return hermitianize((v * w[..., None, :]) @ dagger(v))

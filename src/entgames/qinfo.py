@@ -1,20 +1,19 @@
 """Fidelity, entropies, purification, POVM and Schmidt primitives.
 
 All entropic quantities use base-2 logarithms (bits).  Two-state scalar
-functions accept either DensityOperator or raw ndarrays.  Registers are
-named by position in a state's dims: mutual_information takes a
-DensityOperator and two groups of positions, schmidt_decompose a PureState
+functions accept DensityOperators, linalg.Solved states or raw ndarrays.
+Registers are named by position in a state's dims: mutual_information takes
+a DensityOperator and two groups of positions, schmidt_decompose a PureState
 and the positions of one side of the cut, and uhlmann_partner the positions
 of phi's system registers.
 
 fidelity, relative_entropy, min_relative_entropy, von_neumann_entropy and
 povm_outcome_bound also take stacks of states, shape (..., d, d), and then
 return an array with one value per slice; every per-matrix validation applies
-to each slice.  A single matrix gives a float.  fidelity, relative_entropy
-and min_relative_entropy take eigensystems the caller already solved, so that
-a state's spectrum is solved once across several quantities; the validations
-run on the given spectra.  von_neumann_entropy and relative_entropy check rho
-Hermitian and PSD on the spectrum they solve or are given (linalg.psd_eigvalsh).
+to each slice.  A single matrix gives a float.  Each state they read is
+checked Hermitian and PSD; one passed as a linalg.Solved is checked on the
+spectrum it carries, so a caller solves a state once for several quantities.
+A POVM is a (..., n, d, d) stack of n elements, checked by check_povm.
 purification_matrix is the one purification, used by purify, uhlmann_partner
 and sic's decoupling.  Tolerances are the fixed config.DEFAULT_TOLS.
 """
@@ -90,29 +89,6 @@ class PureState:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
-@dataclass(frozen=True)
-class Povm:
-    """POVM: Hermitian PSD elements summing to the identity."""
-
-    elements: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        els = tuple(as_matrix(e) for e in self.elements)
-        object.__setattr__(self, "elements", els)
-        if not els:
-            raise ValueError("POVM needs at least one element")
-        if any(e.shape != els[0].shape for e in els):
-            raise ValueError("POVM elements have mixed dimensions")
-        check_povm(np.stack(els))
-
-    @property
-    def dim(self) -> int:
-        return self.elements[0].shape[0]
-
-    def outcome_distribution(self, rho) -> np.ndarray:
-        return _outcome_distribution(np.stack(self.elements), as_matrix(rho))
-
-
 def check_povm(elements: np.ndarray) -> None:
     """Raise unless each (..., n, d, d) stack of n elements is a POVM."""
     elements = as_stack(elements)
@@ -132,16 +108,14 @@ def _outcome_distribution(elements: np.ndarray, rho: np.ndarray) -> np.ndarray:
 # fidelity family
 
 
-def fidelity(rho, sigma, rho_eig=None, sigma_eig=None):
+def fidelity(rho, sigma):
     """Root fidelity F(rho, sigma) = ||sqrt(rho) sqrt(sigma)||_1, in [0, 1].
 
     Both states are checked Hermitian and PSD; see fidelity_from_root.
-    rho_eig and sigma_eig are the states' eigensystems (w ascending, v) if
-    the caller already solved them; the checks then run on those.
     """
-    r, s = _pair(rho, sigma)
-    psd_eigvalsh(s, None if sigma_eig is None else sigma_eig[0])
-    return fidelity_from_root(matrix_sqrt_psd(r, rho_eig), s)
+    _, s = _pair(rho, sigma)
+    psd_eigvalsh(sigma)
+    return fidelity_from_root(matrix_sqrt_psd(rho), s)
 
 
 def fidelity_from_root(root_rho: np.ndarray, sigma: np.ndarray):
@@ -176,12 +150,15 @@ def angle(rho, sigma) -> float:
 def povm_outcome_bound(rho, sigma, povm):
     """Classical-outcome fidelity sum_i sqrt(p_i q_i); upper-bounds F(rho, sigma).
 
-    povm is a Povm, or a stack of elements (..., n, d, d) already passed
-    through check_povm, one POVM per slice of rho and sigma.
+    Both states are checked Hermitian and PSD.  povm is a stack of elements
+    (..., n, d, d) already passed through check_povm, one POVM per slice of
+    rho and sigma.
     """
-    els = np.stack(povm.elements) if isinstance(povm, Povm) else povm
-    p = _outcome_distribution(els, as_stack(rho))
-    q = _outcome_distribution(els, as_stack(sigma))
+    r, s = _pair(rho, sigma)
+    psd_eigvalsh(rho)
+    psd_eigvalsh(sigma)
+    p = _outcome_distribution(povm, r)
+    q = _outcome_distribution(povm, s)
     return _value(np.sqrt(p * q).sum(axis=-1))
 
 
@@ -305,41 +282,40 @@ def mutual_information(rho: DensityOperator, x: Iterable[int], y: Iterable[int])
             - _reduced_entropy(rho, x + y))
 
 
-def _sigma_basis(r: np.ndarray, s: np.ndarray, known=None):
-    """sigma's eigensystem (solved unless known), rho's diagonal in that basis,
-    and whether rho leaves sigma's support: its mass on eigenvalues <= support
-    exceeds support.
+def _sigma_basis(r: np.ndarray, sigma):
+    """sigma's eigensystem, checked Hermitian and PSD, rho's diagonal in that
+    basis, and whether rho leaves sigma's support: its mass on eigenvalues
+    <= support exceeds support.
     """
-    ws, vs = hermitian_eig(s, known)
+    ws, vs = hermitian_eig(sigma)
+    _check_psd_spectrum(ws)
     diag = np.einsum("...ik,...ki->...i", dagger(vs) @ r, vs).real
     leak = np.where(ws > DEFAULT_TOLS.support, 0.0, np.clip(diag, 0.0, None)).sum(axis=-1)
     return ws, vs, diag, leak > DEFAULT_TOLS.support
 
 
-def relative_entropy(rho, sigma, sigma_eig=None, rho_spectrum=None):
+def relative_entropy(rho, sigma):
     """S(rho || sigma) in bits; +inf iff rho's support leaves sigma's support.
 
     Support is decided by the eigenvalue cutoff DEFAULT_TOLS.support (1e-10).
-    sigma_eig (sigma's eigensystem) and rho_spectrum (rho's eigenvalues), if
-    the caller already has them, are used instead of solving again.
     """
-    r, s = _pair(rho, sigma)
-    ws, _, diag, leaves = _sigma_basis(r, s, sigma_eig)
-    tr_rho_log_rho = -entropy_of_spectrum(psd_eigvalsh(r, rho_spectrum))
+    r, _ = _pair(rho, sigma)
+    ws, _, diag, leaves = _sigma_basis(r, sigma)
+    tr_rho_log_rho = -entropy_of_spectrum(psd_eigvalsh(rho))
     sup = ws > DEFAULT_TOLS.support
     tr_rho_log_sigma = np.where(sup, diag * np.log2(np.where(sup, ws, 1.0)), 0.0).sum(axis=-1)
     return _value(np.where(leaves, np.inf, tr_rho_log_rho - tr_rho_log_sigma))
 
 
-def min_relative_entropy(rho, sigma, sigma_eig=None):
+def min_relative_entropy(rho, sigma):
     """S_inf(rho || sigma) = log2 of the least k with rho <= 2^k sigma.
 
     Computed as log2 lambda_max(sigma^{-1/2} rho sigma^{-1/2}) on sigma's
-    support; +inf under the same support rule as relative_entropy, which
-    also takes sigma_eig.
+    support; +inf under the same support rule as relative_entropy.
     """
-    r, s = _pair(rho, sigma)
-    ws, vs, _, leaves = _sigma_basis(r, s, sigma_eig)
+    r, _ = _pair(rho, sigma)
+    psd_eigvalsh(rho)
+    ws, vs, _, leaves = _sigma_basis(r, sigma)
     sup = (ws > DEFAULT_TOLS.support)[..., None, :]
     q = np.where(sup, vs / np.sqrt(np.where(sup, ws[..., None, :], 1.0)), 0.0) @ dagger(vs)
     lam = np.linalg.eigvalsh(hermitianize(q @ r @ q))[..., -1]

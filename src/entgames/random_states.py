@@ -28,7 +28,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .linalg import dagger, hermitianize
+from .linalg import Solved, dagger, hermitianize
 
 # numpy's SeedSequence (pool size 4, numpy/random/bit_generator.pyx) and the
 # PCG64 128-bit LCG multiplier (pcg64.h); rng_block reproduces both
@@ -208,25 +208,19 @@ def classical_states(p: np.ndarray) -> np.ndarray:
     return (p[..., None, :] * np.eye(p.shape[-1])).astype(complex)
 
 
-def floor_eigenvalues(rho: np.ndarray, floor: float) -> np.ndarray:
-    """Push eigenvalues up to at least `floor` and renormalize the trace.
+def floor_eigensystem(rho: np.ndarray, floor: float) -> Solved:
+    """rho with eigenvalues pushed up to at least `floor` and the trace
+    renormalized, with its eigensystem known from the one solve of rho:
+    eigenvalues max(w, floor) / sum (still ascending) on rho's eigenvectors.
 
     Takes one state or a stack (..., d, d).  Used for reference states of
     relative-entropy checks so support is full and infinity branches are not
     triggered by sampling accidents.
     """
-    return floor_eigensystem(rho, floor)[0]
-
-
-def floor_eigensystem(rho: np.ndarray, floor: float):
-    """floor_eigenvalues(rho, floor) together with its eigensystem, known from
-    the one solve of rho: eigenvalues max(w, floor) / sum (still ascending)
-    on rho's eigenvectors.  Returns (state, (eigenvalues, eigenvectors)).
-    """
     w, v = np.linalg.eigh(hermitianize(rho))
     w = np.maximum(w, floor)
     w = w / w.sum(axis=-1, keepdims=True)
-    return (v * w[..., None, :]) @ dagger(v), (w, v)
+    return Solved((v * w[..., None, :]) @ dagger(v), w, v)
 
 
 def povm_draw(rng: np.random.Generator, dim: int, n_outcomes: int) -> np.ndarray:

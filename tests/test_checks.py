@@ -21,16 +21,18 @@ from entgames.checks import (
     run_all,
     run_check,
 )
-from entgames.linalg import kron, partial_trace_matrix
+from entgames.linalg import Solved, kron, partial_trace_matrix
 from entgames.qinfo import (
-    Povm,
+    check_povm,
     fidelity,
     min_relative_entropy,
     povm_outcome_bound,
     relative_entropy,
     von_neumann_entropy,
 )
-from entgames.random_states import floor_eigensystem, floor_eigenvalues, rng_block, rng_for
+from entgames.random_states import floor_eigensystem, rng_block, rng_for
+
+from conftest import count_solves
 
 EXPECTED_ORDER = [
     "weak_triangle",
@@ -260,27 +262,31 @@ class TestBudget:
         assert REGISTRY["weak_triangle"].entries(draws) == 3 * key[0] ** 2
 
 
+def _floored(a):
+    return floor_eigensystem(a, SIGMA_FLOOR).matrix
+
+
 # the compositions the reuse kernels replaced: each solves the floored sigma
 # again, and rho once per quantity
 def _old_relent_vs_fid(key, x):
-    r, s = x["rho"], floor_eigenvalues(x["sigma"], SIGMA_FLOOR)
+    r, s = x["rho"], _floored(x["sigma"])
     return relative_entropy(r, s) - (1 - fidelity(r, s))
 
 
 def _old_smax_ge_s(key, x):
-    r, s = x["rho"], floor_eigenvalues(x["sigma"], SIGMA_FLOOR)
+    r, s = x["rho"], _floored(x["sigma"])
     return min_relative_entropy(r, s) - relative_entropy(r, s)
 
 
 def _old_mi_min_relent(dims, x):
     r = x["rho"]
     rx, ry = (partial_trace_matrix(r, dims, [i]) for i in (0, 1))
-    sx, sy = (floor_eigenvalues(x[k], SIGMA_FLOOR) for k in ("sigma_x", "sigma_y"))
+    sx, sy = (_floored(x[k]) for k in ("sigma_x", "sigma_y"))
     return relative_entropy(r, kron(sx, sy)) - relative_entropy(r, kron(rx, ry))
 
 
 def _old_relent_mono(dims, x):
-    r, s = x["rho"], floor_eigenvalues(x["sigma"], SIGMA_FLOOR)
+    r, s = x["rho"], _floored(x["sigma"])
     return (relative_entropy(r, s)
             - relative_entropy(partial_trace_matrix(r, dims, [0]),
                                partial_trace_matrix(s, dims, [0])))
@@ -295,6 +301,25 @@ ALL_KEYS = {"relent_vs_fid": {(d,) for d in DIM_POOL}, "smax_ge_s": {(d,) for d 
 # (6, 0), (5, 0), (4, 2) and (3, 2)
 SOLVES = {"relent_vs_fid": (3, 0), "smax_ge_s": (3, 0), "mi_min_relent": (1, 4),
           "relent_mono": (2, 2)}
+# np.linalg eigh and eigvalsh [calls, matrices] of each check's 1,000-trial
+# seed-0 run, construction included: a change that solves a state again,
+# where a kernel reuses its solve, fails here and not only as a slowdown
+SUITE_SOLVES = {
+    "weak_triangle": {"eigh": [60, 3000], "eigvalsh": [80, 4000]},
+    "four_state": {"eigh": [100, 4000], "eigvalsh": [125, 5000]},
+    "fidelity_sq_sum": {"eigh": [60, 3000], "eigvalsh": [80, 4000]},
+    "cq_fidelity": {"eigh": [36, 3516], "eigvalsh": [72, 7032]},
+    "povm_bound": {"eigh": [256, 2020], "eigvalsh": [354, 5529]},
+    "cptp_mono": {"eigh": [120, 2000], "eigvalsh": [240, 4000]},
+    "subadd_cond": {"eigvalsh": [316, 4000]},
+    "relent_vs_fid": {"eigh": [30, 2000], "eigvalsh": [15, 1000]},
+    "superadd_classical": {"eigh": [225, 5000], "eigvalsh": [135, 3000]},
+    "smax_ge_s": {"eigh": [15, 1000], "eigvalsh": [30, 2000]},
+    "mi_min_relent": {"eigh": [48, 4000], "eigvalsh": [12, 1000]},
+    "relent_mono": {"eigh": [32, 2000], "eigvalsh": [32, 2000]},
+    "cool_product": {"eigvalsh": [20, 1000]},
+    "fact_sum": {},
+}
 
 
 def _mp_herm(a):
@@ -383,18 +408,26 @@ class TestEigensystemReuse:
             full = math.prod(key)
             assert (sizes.count(full), len(sizes) - sizes.count(full)) == SOLVES[name]
 
+    @pytest.mark.parametrize("name", EXPECTED_ORDER)
+    def test_suite_solves_pinned(self, name, monkeypatch):
+        counts = count_solves(monkeypatch, ("eigh", "eigvalsh"))
+        run_check(CheckSpec(name, trials=1000, seed=0))
+        assert counts == SUITE_SOLVES[name]
+
     def test_floored_eigensystem(self):
         sigma = np.stack([checks.mixed_states(np.random.default_rng(s).standard_normal(
             (2, 16))) for s in range(5)])
-        s, (w, v) = floor_eigensystem(sigma, SIGMA_FLOOR)
-        assert np.array_equal(s, floor_eigenvalues(sigma, SIGMA_FLOOR))
-        assert np.all(np.diff(w, axis=-1) >= 0) and w.min() > 0
-        assert np.abs(s @ v - v * w[:, None, :]).max() <= 1e-14
+        s = floor_eigensystem(sigma, SIGMA_FLOOR)
+        assert np.all(np.diff(s.w, axis=-1) >= 0) and s.w.min() > 0
+        assert np.abs(s.matrix.trace(axis1=-2, axis2=-1) - 1).max() <= 1e-14
+        assert np.abs(s.matrix @ s.v - s.v * s.w[:, None, :]).max() <= 1e-14
 
     def test_kron_eigensystem(self):
         rng = np.random.default_rng(0)
         a, b = (checks.mixed_states(rng.standard_normal((4, 2, d * d))) for d in (2, 3))
-        w, v = _kron_eig(np.linalg.eigh(a), np.linalg.eigh(b))
+        ab = _kron_eig(Solved(a, *np.linalg.eigh(a)), Solved(b, *np.linalg.eigh(b)))
+        w, v = ab.w, ab.v
+        assert np.array_equal(ab.matrix, kron(a, b))
         assert np.all(np.diff(w, axis=-1) >= 0)
         assert np.abs(kron(a, b) @ v - v * w[:, None, :]).max() <= 1e-14
         assert np.abs(w - np.linalg.eigvalsh(kron(a, b))).max() <= 1e-14
@@ -421,8 +454,8 @@ def _reference_margin(name, key, st):
             blockwise += math.sqrt(p * q) * F(bp / p, bq / q)
         return -abs(F(st["rho"], st["sigma"]) - blockwise)
     if name == "povm_bound":
-        povm = Povm(tuple(st["povm"]))
-        return povm_outcome_bound(st["rho"], st["sigma"], povm) - F(st["rho"], st["sigma"])
+        check_povm(st["povm"])
+        return povm_outcome_bound(st["rho"], st["sigma"], st["povm"]) - F(st["rho"], st["sigma"])
     if name == "cptp_mono":
         d1, d2, pinch = key
         r, s = st["rho"], st["sigma"]

@@ -39,6 +39,8 @@ from entgames.linalg import hermitian_eig, hermitianize
 from entgames.qinfo import PureState
 from entgames.random_states import haar_state, random_projective, rng_for
 
+from conftest import count_solves
+
 TSIRELSON = math.cos(math.pi / 8) ** 2
 
 
@@ -203,23 +205,6 @@ def chsh3() -> Game:
     for a, b, x, y in itertools.product(range(3), range(3), range(2), range(2)):
         v[a, b, x, y] = (a + b) % 3 == (x * y) % 3
     return Game(2, 3, np.full((2, 2), 0.25), v, name="CHSH3")
-
-
-def count_solves(monkeypatch, names=("eigh", "eigvalsh", "qr")) -> dict[str, list[int]]:
-    """Wrap np.linalg solves to count [calls, matrices] per name, filled as they run."""
-    counts: dict[str, list[int]] = {}
-
-    def counted(name, solve):
-        def run(a, *args, **kwargs):
-            c = counts.setdefault(name, [0, 0])
-            c[0] += 1
-            c[1] += math.prod(np.shape(a)[:-2])
-            return solve(a, *args, **kwargs)
-        return run
-
-    for name in names:
-        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-    return counts
 
 
 def assert_projective(meas: np.ndarray) -> None:

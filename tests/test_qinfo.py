@@ -6,13 +6,13 @@ from numpy.testing import assert_allclose
 
 from entgames.linalg import (
     DensityOperator,
+    Solved,
     hermitianize,
     matrix_sqrt_psd,
     partial_trace,
     partial_trace_matrix,
 )
 from entgames.qinfo import (
-    Povm,
     PureState,
     angle,
     check_povm,
@@ -31,7 +31,7 @@ from entgames.qinfo import (
     von_neumann_entropy,
 )
 from entgames.random_states import (
-    floor_eigenvalues,
+    floor_eigensystem,
     haar_state,
     haar_unitary,
     random_mixed,
@@ -42,6 +42,11 @@ from entgames.random_states import (
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 KET1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
+BASIS = np.stack([KET0, KET1])          # the computational-basis measurement
+
+
+def floored(rho, floor):
+    return floor_eigensystem(rho, floor).matrix
 
 
 def bell_state() -> PureState:
@@ -114,33 +119,23 @@ class TestPovmBound:
         for _ in range(25):
             d = int(rng.integers(2, 6))
             r, s = random_mixed(rng, d), random_mixed(rng, d)
-            povm = Povm(tuple(random_povm(rng, d, 3)))
+            povm = random_povm(rng, d, 3)
+            check_povm(povm)
             assert povm_outcome_bound(r, s, povm) >= fidelity(r, s) - 1e-9
 
     def test_projective_reading(self):
-        povm = Povm((KET0, KET1))
-        got = povm_outcome_bound(KET0, PLUS, povm)
+        got = povm_outcome_bound(KET0, PLUS, BASIS)
         assert_allclose(got, math.sqrt(0.5), atol=1e-12)
 
+    def test_check_povm_rejects_incomplete(self):
+        with pytest.raises(ValueError, match="sum to the identity"):
+            check_povm(np.stack([KET0 * 0.5, KET1]))
 
-class TestPovmType:
-    def test_outcome_distribution(self, rng):
-        d = 3
-        povm = Povm(tuple(random_povm(rng, d, 4)))
-        p = povm.outcome_distribution(random_mixed(rng, d))
-        assert p.shape == (4,)
-        assert (p >= -1e-12).all()
-        assert_allclose(p.sum(), 1.0, atol=1e-10)
-
-    def test_rejects_incomplete(self):
-        with pytest.raises(ValueError):
-            Povm((KET0 * 0.5, KET1))
-
-    def test_rejects_negative_element(self):
+    def test_check_povm_rejects_negative_element(self):
         e = np.diag([1.5, 1.0]).astype(complex)
         f = np.diag([-0.5, 0.0]).astype(complex)
-        with pytest.raises(ValueError):
-            Povm((e, f))
+        with pytest.raises(ValueError, match="not PSD"):
+            check_povm(np.stack([e, f]))
 
 
 class TestPureState:
@@ -325,8 +320,8 @@ class TestEntropies:
         with pytest.raises(ValueError, match="not Hermitian"):
             relative_entropy(bad, np.eye(2) / 2)
         with pytest.raises(ValueError, match="not PSD"):
-            relative_entropy(np.diag([1.5, -0.5]), np.eye(2) / 2,
-                             rho_spectrum=np.array([-0.5, 1.5]))
+            relative_entropy(Solved(np.diag([1.5, -0.5]), np.array([-0.5, 1.5])),
+                             np.eye(2) / 2)
 
     def test_spectrum_cutoff(self):
         assert_allclose(entropy_of_spectrum(np.array([1.0, 0.0, 1e-15])),
@@ -373,7 +368,7 @@ class TestRelativeEntropy:
         assert_allclose(relative_entropy(rho, sig), expect, atol=1e-12)
 
     def test_zero_iff_equal(self, rng):
-        rho = floor_eigenvalues(random_mixed(rng, 3), 1e-6)
+        rho = floored(random_mixed(rng, 3), 1e-6)
         assert abs(relative_entropy(rho, rho)) <= 1e-9
 
     def test_support_violation_infinite(self):
@@ -382,7 +377,7 @@ class TestRelativeEntropy:
     def test_nonnegative(self, rng):
         for _ in range(20):
             rho = random_mixed(rng, 3)
-            sig = floor_eigenvalues(random_mixed(rng, 3), 1e-8)
+            sig = floored(random_mixed(rng, 3), 1e-8)
             assert relative_entropy(rho, sig) >= -1e-9
 
 
@@ -397,7 +392,7 @@ class TestMinRelativeEntropy:
     def test_dominates_relative_entropy(self, rng):
         for _ in range(20):
             rho = random_mixed(rng, 4)
-            sig = floor_eigenvalues(random_mixed(rng, 4), 1e-8)
+            sig = floored(random_mixed(rng, 4), 1e-8)
             assert min_relative_entropy(rho, sig) >= relative_entropy(rho, sig) - 1e-7
 
 
@@ -454,7 +449,7 @@ class TestStacks:
     and one bad slice fails the whole call as it would alone."""
 
     def test_slices_match_single_calls(self, rng):
-        r, s = _stack(rng, 5, 4), floor_eigenvalues(_stack(rng, 5, 4), 1e-8)
+        r, s = _stack(rng, 5, 4), floored(_stack(rng, 5, 4), 1e-8)
         povm = np.stack([np.stack(random_povm(rng, 4, 3)) for _ in range(5)])
         for func in (fidelity, relative_entropy, min_relative_entropy):
             got = func(r, s)
@@ -463,11 +458,10 @@ class TestStacks:
         got = von_neumann_entropy(r)
         assert [von_neumann_entropy(x) for x in r] == got.tolist()
         got = povm_outcome_bound(r, s, povm)
-        assert [povm_outcome_bound(r[i], s[i], Povm(tuple(povm[i]))) for i in range(5)] \
-            == got.tolist()
-        floored = floor_eigenvalues(r, 1e-3)
+        assert [povm_outcome_bound(r[i], s[i], povm[i]) for i in range(5)] == got.tolist()
+        stacked = floored(r, 1e-3)
         for i in range(5):
-            assert np.array_equal(floored[i], floor_eigenvalues(r[i], 1e-3))
+            assert np.array_equal(stacked[i], floored(r[i], 1e-3))
 
     def test_fidelity_from_shared_root(self, rng):
         # one root of rho serves every fidelity against it
@@ -520,3 +514,33 @@ class TestStacks:
         povm[1, 0] *= 0.5
         with pytest.raises(ValueError, match="sum to the identity"):
             check_povm(povm)
+
+
+# every function that reads states, with its number of state arguments and
+# the arguments that follow them
+STATE_READERS = {
+    "fidelity": (fidelity, 2, ()),
+    "relative_entropy": (relative_entropy, 2, ()),
+    "min_relative_entropy": (min_relative_entropy, 2, ()),
+    "von_neumann_entropy": (von_neumann_entropy, 1, ()),
+    "povm_outcome_bound": (povm_outcome_bound, 2, (BASIS,)),
+}
+HOSTILE = {"non_hermitian": (np.array([[0.5, 0.4], [0.0, 0.5]], dtype=complex), "not Hermitian"),
+           "non_psd": (np.diag([1.5, -0.5]).astype(complex), "not PSD")}
+
+
+@pytest.mark.parametrize("partner", [KET0, np.eye(2) / 2, None], ids=["ket0", "mixed", "itself"])
+@pytest.mark.parametrize("solved", [False, True], ids=["ndarray", "Solved"])
+@pytest.mark.parametrize("kind", sorted(HOSTILE))
+@pytest.mark.parametrize("name, position", [(name, i) for name, (_, n, _) in STATE_READERS.items()
+                                            for i in range(n)])
+def test_hostile_state_raises(name, position, kind, solved, partner):
+    # min_relative_entropy(diag(1.5, -0.5), I/2) was 1.585, relative_entropy(
+    # diag(1, 0), diag(1.5, -0.5)) -0.585 and the basis bound of diag(1.5, -0.5)
+    # against itself 1.5; a Solved state is checked on what it carries
+    func, n_states, rest = STATE_READERS[name]
+    bad, match = HOSTILE[kind]
+    states = [bad if partner is None else partner] * n_states
+    states[position] = Solved(bad, *np.linalg.eigh(hermitianize(bad))) if solved else bad
+    with pytest.raises(ValueError, match=match):
+        func(*states, *rest)
