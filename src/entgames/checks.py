@@ -76,6 +76,7 @@ from .random_states import (
 CHECK_STREAM = 201
 DIM_POOL = (2, 3, 4, 6, 8)
 SIGMA_FLOOR = 1e-8
+POVM_OUTCOMES = 5       # povm_bound draws POVMs of 2..POVM_OUTCOMES outcomes
 # run_check closes a block once its trials' entries reach _BUDGET: a trial's
 # entries are the matrix entries of its built inputs plus _TRIAL_ENTRIES, a
 # charge for its draw dict and arrays, which outweigh the entries of 2x2 states
@@ -161,10 +162,15 @@ def _cq_fidelity(key, x):
 
 
 def _sample_povm_bound(rng):
+    # 2 to POVM_OUTCOMES outcomes, zero-padded to POVM_OUTCOMES so trials
+    # group by d alone: a zero draw builds a zero element, which adds
+    # nothing to the normalization or to the outcome sum
     d = _dim(rng)
-    n_out = int(rng.integers(2, 6))
+    n_out = int(rng.integers(2, POVM_OUTCOMES + 1))
     r, s = mixed_draw(rng, d, 2)
-    return (d, n_out), {"rho": r, "sigma": s, "povm": povm_draw(rng, d, n_out)}
+    g = np.zeros((POVM_OUTCOMES, 2, d, d))
+    g[:n_out] = povm_draw(rng, d, n_out)
+    return (d,), {"rho": r, "sigma": s, "povm": g}
 
 
 def _povm_bound(key, x):
@@ -234,11 +240,11 @@ def _sample_superadd_classical(rng):
 
 def _superadd_classical(dims, x):
     joint = x["sigma12"]
-    r1, r2 = (floor_eigensystem(x[k], SIGMA_FLOOR).matrix for k in ("ref1", "ref2"))
-    lhs = relative_entropy(joint, kron(r1, r2))
-    rhs = (relative_entropy(partial_trace_matrix(joint, dims, [0]), r1)
-           + relative_entropy(partial_trace_matrix(joint, dims, [1]), r2))
-    return lhs - rhs, {"sigma12": joint, "ref1": r1, "ref2": r2}
+    s1, s2 = (floor_eigensystem(x[k], SIGMA_FLOOR) for k in ("ref1", "ref2"))
+    lhs = relative_entropy(joint, _kron_eig(s1, s2))
+    rhs = (relative_entropy(partial_trace_matrix(joint, dims, [0]), s1)
+           + relative_entropy(partial_trace_matrix(joint, dims, [1]), s2))
+    return lhs - rhs, {"sigma12": joint, "ref1": s1.matrix, "ref2": s2.matrix}
 
 
 def _smax_ge_s(key, x):

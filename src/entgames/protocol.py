@@ -8,6 +8,12 @@ its win count W from the round model and then one uniform u, and the
 inspections match iff u < (W/n)**v.  The "won most rounds" statistic needs
 only W as well.
 
+Trials run in chunks of _CHUNK; chunk i draws from rng_for(seed, 301, i).
+An i.i.d. round model (IidBernoulli, StrategyBacked) draws W by inverse CDF:
+one uniform per trial, looked up in a Binomial(n, w) CDF table that is built
+once per (n, w).  The table is used while it has n + 1 <= 2**16 entries;
+beyond that numpy's binomial draws W, which takes any n up to 2**63 - 1.
+
 The projection variant replaces literal string comparison with a random
 GF(2)-linear hash: on a mismatch the referee still accepts iff the hashes
 collide, which for a fresh random linear map happens with probability exactly
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -35,8 +42,10 @@ from .games import Game, QuantumStrategy, strategy_win_probability
 from .random_states import rng_block
 
 _STREAM_PROTOCOL = 301
-_CHUNK = 512          # trials per derived generator; fixed so results are
-                      # independent of how work is scheduled
+_CHUNK = 4096         # trials per derived generator; fixed so results are
+                      # independent of how work is scheduled, and large so
+                      # each generator's fixed cost is paid rarely
+_TABLE_MAX = 1 << 16  # largest Binomial CDF table (n + 1 entries) to draw from
 Z99 = 2.5758293035489004   # two-sided 99% normal quantile
 
 VARIANTS = ("general", "projection")
@@ -109,6 +118,51 @@ class ProtocolConfig:
 # trial; which rounds were won never matters to the referee.
 
 
+def _binomial_pmf(n: int, w: float) -> np.ndarray:
+    """P(W = k) for k = 0..n, W ~ Binomial(n, w), to about 1e-13 relative
+    wherever it exceeds 1e-300.
+
+    Built outward from the mode by products of consecutive pmf ratios, so
+    nothing overflows, and normalized by the sum.  Each ratio is rounded on
+    its own; the one rounding they share, that of q = 1 - w, is taken out by
+    the exact residual e = (1 - q) - w.
+    """
+    if w in (0.0, 1.0):
+        pmf = np.zeros(n + 1)
+        pmf[0 if w == 0.0 else n] = 1.0
+        return pmf
+    q = 1.0 - w
+    e = (1.0 - q) - w                   # 1 - w == q + e exactly
+    m = min(n, int((n + 1) * w))        # a mode: ratios away from it are <= 1
+    k = np.arange(n + 1, dtype=float)
+    up = (n - k[m:n]) * w / ((k[m:n] + 1) * q)           # p(k+1)/p(k), k >= m
+    down = k[1:m + 1] * q / ((n - k[1:m + 1] + 1) * w)   # p(k-1)/p(k), k <= m
+    rel = np.concatenate([np.cumprod(down[::-1])[::-1], [1.0], np.cumprod(up)])
+    rel *= np.exp((m - k) * math.log1p(e / q))
+    return rel / rel.sum()
+
+
+@lru_cache(maxsize=16)
+def _binomial_cdf(n: int, w: float) -> np.ndarray:
+    """Read-only Binomial(n, w) CDF whose last entry is exactly 1, so a
+    uniform in [0, 1) never looks up past k = n."""
+    cdf = np.cumsum(_binomial_pmf(n, w))
+    cdf /= cdf[-1]
+    cdf.flags.writeable = False
+    return cdf
+
+
+def _iid_wins(rng, n: int, w: float, trials: int) -> np.ndarray:
+    """Rounds won of n i.i.d. rounds won w.p. w, one count per trial: one
+    uniform and a CDF lookup while the table fits in _TABLE_MAX entries,
+    numpy's binomial beyond (any n up to 2**63 - 1).  A lookup draws each
+    count with the share of rng.random's 2**-53 grid inside its CDF step,
+    which is off from its pmf by at most about 2**-53."""
+    if n + 1 > _TABLE_MAX:
+        return rng.binomial(n, w, size=trials)
+    return np.searchsorted(_binomial_cdf(n, w), rng.random(trials), side="right")
+
+
 @dataclass(frozen=True)
 class IidBernoulli:
     """Each round won independently with probability w."""
@@ -120,7 +174,7 @@ class IidBernoulli:
             raise ValueError("w must lie in [0, 1]")
 
     def sample_wins(self, rng, n: int, trials: int) -> np.ndarray:
-        return rng.binomial(n, self.w, size=trials)
+        return _iid_wins(rng, n, self.w, trials)
 
     def win_all_probability(self, n: int) -> float:
         return self.w ** n
@@ -153,14 +207,15 @@ class StrategyBacked:
     repetition.  Inputs are drawn independently per round and outputs are
     measured independently per round, so the rounds are won i.i.d. with the
     strategy's exact win probability omega: the same rounds as
-    IidBernoulli(omega), with no table and no limit on n."""
+    IidBernoulli(omega), drawn by the same inverse-CDF helper.  No joint-input
+    table is built, so any n runs."""
 
     def __init__(self, game: Game, strategy: QuantumStrategy):
         # clipped so float round-off cannot push it outside [0, 1]
         self.omega = min(1.0, max(0.0, strategy_win_probability(game, strategy)))
 
     def sample_wins(self, rng, n: int, trials: int) -> np.ndarray:
-        return rng.binomial(n, self.omega, size=trials)
+        return _iid_wins(rng, n, self.omega, trials)
 
     def win_all_probability(self, n: int) -> float:
         return self.omega ** n
@@ -170,7 +225,12 @@ class StrategyBacked:
 
 
 def wilson_interval(successes: int, total: int) -> tuple[float, float]:
-    """Two-sided 99% Wilson score interval; (0, 1) when there is no data."""
+    """Two-sided 99% Wilson score interval; (0, 1) when there is no data.
+
+    The interval reaches 0 at no successes and 1 at all successes exactly;
+    those ends are set, not computed, so rounding cannot pull an all-success
+    run's upper end below a bound of 1.
+    """
     if total == 0:
         return 0.0, 1.0
     phat = successes / total
@@ -178,7 +238,8 @@ def wilson_interval(successes: int, total: int) -> tuple[float, float]:
     denom = 1.0 + z2 / total
     center = (phat + z2 / (2 * total)) / denom
     half = Z99 * math.sqrt(phat * (1 - phat) / total + z2 / (4 * total * total)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    return (0.0 if successes == 0 else max(0.0, center - half),
+            1.0 if successes == total else min(1.0, center + half))
 
 
 @dataclass(frozen=True)

@@ -409,7 +409,7 @@ class TestSimulate:
             blobs.append((out / "report.json").read_bytes())
         assert blobs[0] == blobs[1]
 
-    @pytest.mark.parametrize("trials, chunks", [(400, 1), (512, 1), (1100, 3)])
+    @pytest.mark.parametrize("trials, chunks", [(400, 1), (4096, 1), (8200, 3)])
     def test_manifest_timings_and_chunks(self, tmp_path, trials, chunks):
         cfg = self.write_config(tmp_path, trials=trials)
         out = tmp_path / "out"
@@ -417,7 +417,7 @@ class TestSimulate:
         man = json.loads((out / "manifest.json").read_text())
         assert set(man["timings"]) == {"load_s", "compute_s", "write_s"}
         assert all(t >= 0.0 for t in man["timings"].values())
-        assert man["chunks"] == chunks     # one derived generator per 512 trials
+        assert man["chunks"] == chunks     # one derived generator per 4,096 trials
         # timings stay out of report.json, which is byte-deterministic
         rep = json.loads((out / "report.json").read_text())
         assert set(rep) == {"command", "config", "stats", "guarantee"}

@@ -23,21 +23,55 @@ from entgames.protocol import (
     run_protocol,
     stats_csv_lines,
     wilson_interval,
+    _TABLE_MAX,
+    _binomial_cdf,
+    _binomial_pmf,
 )
 from entgames.random_states import rng_for
 
 
 def count_pmf(model, n: int, k: int) -> float:
-    """P(W = k) for the two closed-form round models."""
-    if isinstance(model, IidBernoulli):
-        return math.comb(n, k) * model.w**k * (1 - model.w) ** (n - k)
-    m = model.partial_win_count(n)
-    return model.q * (k == n) + (1 - model.q) * (k == m)
+    """P(W = k) for each round model."""
+    if isinstance(model, WinAllOrPartial):
+        m = model.partial_win_count(n)
+        return model.q * (k == n) + (1 - model.q) * (k == m)
+    w = model.omega if isinstance(model, StrategyBacked) else model.w
+    return math.comb(n, k) * w**k * (1 - w) ** (n - k)
+
+
+def exact_probabilities(cfg: ProtocolConfig, model) -> tuple[float, float]:
+    """Exact P(accept) and P(most rounds won | accept), as sums over W of
+    P(W = k) P(accept | W = k)."""
+    n, v = cfg.n, cfg.resolved_v()
+    pmf = np.array([count_pmf(model, n, k) for k in range(n + 1)])
+    match = pmf * (np.arange(n + 1) / n) ** v     # P(W = k, all v inspections won)
+    collide = 2.0 ** -cfg.resolved_hash_bits() if cfg.variant == "projection" else 0.0
+    accept = match + (pmf - match) * collide
+    mostly = np.arange(n + 1) >= cfg.win_threshold()
+    return accept.sum(), accept[mostly].sum() / accept.sum()
 
 
 def binom_expect_match(n: int, v: int, w: float) -> float:
     # closed form for iid rounds: E[(K/n)^v], K ~ Binomial(n, w)
     return sum(count_pmf(IidBernoulli(w), n, k) * (k / n) ** v for k in range(n + 1))
+
+
+# (n, variant, trials, model) of the benchmark's six protocol configs, at
+# epsilon = t = 1; None is the CHSH see-saw strategy
+BENCHMARK_CONFIGS = {
+    "general_iid": (256, "general", 20_000, IidBernoulli(0.998)),
+    "general_waop": (256, "general", 20_000, WinAllOrPartial(0.99, 255 / 256)),
+    "projection_iid": (256, "projection", 20_000, IidBernoulli(0.998)),
+    "projection_waop": (256, "projection", 20_000, WinAllOrPartial(0.99, 255 / 256)),
+    "strategy_n8": (8, "general", 20_000, None),
+    "readme_n256": (256, "general", 100_000, None),
+}
+
+
+@pytest.fixture(scope="module")
+def chsh_strategy():
+    res = entangled_value_seesaw(chsh(), d=2, restarts=8, iters=60, seed=0)
+    return StrategyBacked(chsh(), res.strategy)
 
 
 class TestRequiredV:
@@ -154,6 +188,14 @@ class TestWilson:
     def test_degenerate_total(self):
         assert wilson_interval(0, 0) == (0.0, 1.0)
 
+    def test_exact_ends_at_none_and_all(self):
+        # computed, the upper end of an all-success run rounds to 1 - 2^-53
+        # at 6,251 of the totals up to 20,000 (7 is the first), and a t = 0
+        # run, whose bound is 2^0 = 1, then reads "violated" at p_hat = 1
+        for total in range(1, 20_001):
+            assert wilson_interval(total, total)[1] == 1.0
+            assert wilson_interval(0, total)[0] == 0.0
+
 
 class TestModels:
     def test_iid_win_all(self):
@@ -196,11 +238,60 @@ class TestModels:
         counts = model.sample_wins(rng_for(1), 8, 4000)
         assert abs(counts.mean() / 8 - model.omega) < 0.02
 
+    def test_strategy_backed_shares_the_iid_draw(self, chsh_strategy):
+        model = chsh_strategy
+        for n in (8, 256, _TABLE_MAX):
+            assert np.array_equal(model.sample_wins(rng_for(5), n, 100),
+                                  IidBernoulli(model.omega).sample_wins(rng_for(5), n, 100))
+
     def test_strategy_backed_errors(self):
         # a strategy for another game's arity is refused by strategy_win_probability
         res = entangled_value_seesaw(chsh(), d=2, restarts=2, iters=40, seed=0)
         with pytest.raises(ValueError, match="arity does not match the game"):
             StrategyBacked(repeat(chsh(), 2), res.strategy)
+
+
+def _exact_pmf(n: int, w: float) -> list[float]:
+    """Binomial(n, w) pmf of the float w, with 1 - w taken exactly, at 40 digits."""
+    if w in (0.0, 1.0):
+        return [float(k == (0 if w == 0.0 else n)) for k in range(n + 1)]
+    with mp.workdps(40):
+        ratio = mp.mpf(w) / (1 - mp.mpf(w))
+        p, out = (1 - mp.mpf(w)) ** n, []
+        for k in range(n + 1):
+            out.append(float(p))
+            p *= ratio * (n - k) / (k + 1)
+    return out
+
+
+class TestWinCountDraw:
+    """An i.i.d. win count W is one uniform looked up in a Binomial(n, w) CDF
+    table while the table has n + 1 <= 2^16 entries, numpy's binomial beyond."""
+
+    @pytest.mark.parametrize("n", [1, 8, 256, (1 << 16) - 2])
+    @pytest.mark.parametrize("w", [0.0, 0.3, math.cos(math.pi / 8) ** 2, 0.998, 1.0])
+    def test_table_matches_exact_pmf(self, n, w):
+        exact = np.array(_exact_pmf(n, w))
+        pmf = _binomial_pmf(n, w)
+        big = exact >= 1e-300
+        assert np.all(np.abs(pmf[big] - exact[big]) <= 1e-12 * exact[big])
+        assert np.all(pmf[~big] <= 1e-300)
+        cdf = _binomial_cdf(n, w)
+        assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0)
+        assert np.abs(cdf - np.cumsum(exact)).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", [_TABLE_MAX - 1, _TABLE_MAX])
+    def test_both_sides_of_the_table_bound(self, n):
+        w, trials = 0.3, 20_000
+        counts = IidBernoulli(w).sample_wins(rng_for(6), n, trials)
+        rng = rng_for(6)
+        if n + 1 <= _TABLE_MAX:
+            want = np.searchsorted(_binomial_cdf(n, w), rng.random(trials), side="right")
+        else:
+            want = rng.binomial(n, w, size=trials)
+        assert np.array_equal(counts, want)
+        se = math.sqrt(n * w * (1 - w) / trials)
+        assert abs(counts.mean() - n * w) <= 5 * se
 
 
 class TestChecking:
@@ -275,21 +366,26 @@ class TestChecking:
         # n = 256, eps = 1, t = 1: the paper's v = 2304 (general), 320 (projection)
         cfg = ProtocolConfig(n=256, epsilon=1.0, t=1.0, trials=100_000, seed=2,
                              variant=variant)
-        n, v = cfg.n, cfg.resolved_v()
-        assert v == {"general": 2304, "projection": 320}[variant]
-        pmf = np.array([count_pmf(model, n, k) for k in range(n + 1)])
-        match = pmf * (np.arange(n + 1) / n) ** v     # P(W = k, all v inspections won)
-        collide = 2.0 ** -cfg.resolved_hash_bits() if variant == "projection" else 0.0
-        accept = match + (pmf - match) * collide
-        mostly = np.arange(n + 1) >= cfg.win_threshold()
-        p_succ = accept.sum()
-        p_cond = accept[mostly].sum() / p_succ
+        assert cfg.resolved_v() == {"general": 2304, "projection": 320}[variant]
+        p_succ, p_cond = exact_probabilities(cfg, model)
         stats = run_protocol(cfg, model)
         se = math.sqrt(p_succ * (1 - p_succ) / cfg.trials)
         assert abs(stats.p_succeed_hat - p_succ) <= 5 * se
         se_cond = max(math.sqrt(p_cond * (1 - p_cond) / stats.successes),
                       1 / stats.successes)     # p_cond is exactly 1 for the two-branch model
         assert abs(stats.p_mostwin_given_succeed_hat - p_cond) <= 5 * se_cond
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("label", list(BENCHMARK_CONFIGS))
+    def test_benchmark_configs_match_exact_acceptance(self, label, seed, chsh_strategy):
+        # the benchmark's protocol gate in tier-1: a biased win-count draw fails here
+        n, variant, trials, model = BENCHMARK_CONFIGS[label]
+        model = model or chsh_strategy
+        cfg = ProtocolConfig(n=n, epsilon=1.0, t=1.0, trials=trials, seed=seed,
+                             variant=variant)
+        exact = exact_probabilities(cfg, model)[0]
+        se = max(math.sqrt(exact * (1 - exact) / trials), 1 / trials)
+        assert abs(run_protocol(cfg, model).p_succeed_hat - exact) <= 5 * se
 
     def test_deterministic_and_seed_sensitive(self):
         cfg = ProtocolConfig(n=8, epsilon=0.5, t=1.0, trials=1500, v_override=4, seed=5)
@@ -301,17 +397,23 @@ class TestChecking:
         assert a.successes != c.successes
 
     def test_chunk_i_draws_from_rng_for(self):
-        # chunk generators come from rng_block; 301 chunks cross a derivation block
-        n, v, seed, model = 16, 3, 5, IidBernoulli(0.9)
-        cfg = ProtocolConfig(n=n, epsilon=1.0, t=2.0, trials=300 * 512 + 7, v_override=v,
+        # chunk generators come from rng_block; 258 chunks cross a derivation
+        # block.  Chunk i draws 4,096 win-count uniforms, looked up in the
+        # CDF table, then 4,096 inspection uniforms.
+        n, v, seed, w = 16, 3, 5, 0.9
+        cfg = ProtocolConfig(n=n, epsilon=1.0, t=2.0, trials=257 * 4096 + 7, v_override=v,
                              seed=seed)
-        successes = 0
+        table = _binomial_cdf(n, w)
+        successes = mostwin = 0
         for i in range(chunk_count(cfg.trials)):
-            rng, size = rng_for(seed, 301, i), min(512, cfg.trials - 512 * i)
-            wins = model.sample_wins(rng, n, size)
-            successes += int((rng.random(size) < (wins / n) ** v).sum())
-        assert chunk_count(cfg.trials) == 301
-        assert run_protocol(cfg, model).successes == successes
+            rng, size = rng_for(seed, 301, i), min(4096, cfg.trials - 4096 * i)
+            wins = np.searchsorted(table, rng.random(size), side="right")
+            ok = rng.random(size) < (wins / n) ** v
+            successes += int(ok.sum())
+            mostwin += int((ok & (wins >= cfg.win_threshold() - 1e-9)).sum())
+        assert chunk_count(cfg.trials) == 258
+        stats = run_protocol(cfg, IidBernoulli(w))
+        assert (stats.successes, stats.mostwin_successes) == (successes, mostwin)
 
     def test_variant_dispatch(self):
         cfg = ProtocolConfig(n=4, epsilon=1.0, t=0.0, trials=50, v_override=2)
