@@ -12,7 +12,6 @@ from .games import (
     chsh,
     classical_value,
     entangled_value_seesaw,
-    game_from_json,
     game_to_json,
     is_free,
     is_projection,
@@ -31,14 +30,11 @@ from .linalg import (
 )
 from .qinfo import (
     PureState,
-    angle,
-    fbar,
     fidelity,
     min_relative_entropy,
     mutual_information,
     purify,
     relative_entropy,
-    schmidt_decompose,
     uhlmann_partner,
     von_neumann_entropy,
 )
@@ -49,7 +45,6 @@ from .sic import (
     check_bound_at_delta_zero,
     rel_ent_game_shift_check,
     sic_lower_bound,
-    sic_objective,
     sic_terms,
     special_case_report,
 )
@@ -68,15 +63,12 @@ __all__ = [
     "SuperposedState",
     "Tolerances",
     "VERSION",
-    "angle",
     "build_decoupling",
     "check_bound_at_delta_zero",
     "chsh",
     "classical_value",
     "entangled_value_seesaw",
-    "fbar",
     "fidelity",
-    "game_from_json",
     "game_to_json",
     "haar_state",
     "haar_unitary",
@@ -95,9 +87,7 @@ __all__ = [
     "repeat",
     "rng_for",
     "save_game",
-    "schmidt_decompose",
     "sic_lower_bound",
-    "sic_objective",
     "sic_terms",
     "special_case_report",
     "strategy_win_probability",

@@ -22,12 +22,12 @@ small states get long blocks, and the memory of a block is bounded whatever
 its dimensions.  Every construction and kernel operation acts on each slice
 on its own, so a trial's margin does not depend on the trials that share its
 block, nor on the budget; a violating trial's states are dumped by replaying
-it.  Kernels solve each eigensystem once and pass it on as a linalg.Solved:
-a floored reference state's eigensystem comes from the floor step, rho's one
-solve serves its root, its entropies and its checks, and a Kronecker
-product's eigensystem is built from its factors'; the validations run on the
-reused spectra.  run_all runs the suite, or a named subset, and times and
-counts each check; `entgames verify` calls it.
+it.  Kernels solve each eigensystem once and pass it on as a linalg.Solved,
+which is checked Hermitian and PSD when it is built and not again: a floored
+reference state's eigensystem comes from the floor step, rho's one solve
+serves its root, its entropies and its checks, and a Kronecker product's
+eigensystem is built from its factors'.  run_all runs the suite, or a named
+subset, and times and counts each check; `entgames verify` calls it.
 """
 
 from __future__ import annotations
@@ -45,12 +45,12 @@ import numpy as np
 from .config import _canonical_json
 from .linalg import (
     Solved,
-    hermitian_eig,
     hermitianize,
     kron,
     matrix_sqrt_psd,
     partial_trace_matrix,
     psd_eigvalsh,
+    solve_psd,
 )
 from .qinfo import (
     check_povm,
@@ -101,11 +101,6 @@ def _fidelities(states, pairs):
     for j in {j for _, j in pairs} - roots.keys():
         psd_eigvalsh(states[j])
     return [fidelity_from_root(roots[i], states[j]) for i, j in pairs]
-
-
-def _solved(a) -> Solved:
-    """a with its eigensystem, from one solve."""
-    return Solved(a, *hermitian_eig(a))
 
 
 # --- samplers, each returning (group key, one trial's inputs), and kernels,
@@ -176,7 +171,7 @@ def _sample_povm_bound(rng):
 def _povm_bound(key, x):
     check_povm(x["povm"])
     # the solves fidelity needs anyway also serve the bound's state checks
-    r, s = _solved(x["rho"]), Solved(x["sigma"], psd_eigvalsh(x["sigma"]))
+    r, s = solve_psd(x["rho"]), solve_psd(x["sigma"], vectors=False)
     return povm_outcome_bound(r, s, x["povm"]) - fidelity(r, s), x
 
 
@@ -227,7 +222,7 @@ def _kron_eig(a: Solved, b: Solved) -> Solved:
 
 def _relent_vs_fid(key, x):
     s = floor_eigensystem(x["sigma"], SIGMA_FLOOR)
-    r = _solved(x["rho"])               # one solve for rho's root and its entropy
+    r = solve_psd(x["rho"])             # one solve for rho's root and its entropy
     return relative_entropy(r, s) - (1 - fidelity(r, s)), {"rho": x["rho"], "sigma": s.matrix}
 
 
@@ -249,7 +244,7 @@ def _superadd_classical(dims, x):
 
 def _smax_ge_s(key, x):
     s = floor_eigensystem(x["sigma"], SIGMA_FLOOR)
-    r = Solved(x["rho"], psd_eigvalsh(x["rho"]))    # one spectrum for both entropies
+    r = solve_psd(x["rho"], vectors=False)      # one spectrum for both entropies
     m = min_relative_entropy(r, s) - relative_entropy(r, s)
     return m, {"rho": x["rho"], "sigma": s.matrix}
 
@@ -261,8 +256,8 @@ def _sample_mi_min_relent(rng):
 
 
 def _mi_min_relent(dims, x):
-    r = Solved(x["rho"], psd_eigvalsh(x["rho"]))    # the one full-size solve
-    rx, ry = (_solved(partial_trace_matrix(x["rho"], dims, [i])) for i in (0, 1))
+    r = solve_psd(x["rho"], vectors=False)      # the one full-size solve
+    rx, ry = (solve_psd(partial_trace_matrix(x["rho"], dims, [i])) for i in (0, 1))
     sx, sy = (floor_eigensystem(x[k], SIGMA_FLOOR) for k in ("sigma_x", "sigma_y"))
     m = relative_entropy(r, _kron_eig(sx, sy)) - relative_entropy(r, _kron_eig(rx, ry))
     return m, {"rho": x["rho"], "sigma_x": sx.matrix, "sigma_y": sy.matrix}

@@ -35,6 +35,8 @@ from .games import (
     classical_value,
     entangled_value_seesaw,
     game_to_json,
+    is_free,
+    is_projection,
     load_game,
     majority_game,
     repeat,
@@ -96,7 +98,10 @@ def cmd_value(args) -> int:
     seed = args.seed
     if args.mode == "entangled" and seed is None:
         seed = _fresh_seed()
-    report: dict = {"command": "value", "mode": args.mode, "game": g.name or ""}
+    # which of the paper's two repetition theorems covers g: free games, or
+    # free projection games
+    report: dict = {"command": "value", "mode": args.mode, "game": g.name or "",
+                    "free": is_free(g), "projection": is_projection(g)}
     extra: dict = {}
     if args.mode == "classical":
         res = classical_value(g)

@@ -557,10 +557,6 @@ def game_to_json(g: Game) -> str:
     return json.dumps(game_to_dict(g), sort_keys=True, separators=(",", ":"))
 
 
-def game_from_json(s: str) -> Game:
-    return game_from_dict(json.loads(s))
-
-
 def save_game(g: Game, path: str | Path) -> None:
     Path(path).write_text(game_to_json(g) + "\n")
 

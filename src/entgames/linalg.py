@@ -9,12 +9,12 @@ original order.
 hermitian_eig, psd_eigvalsh, matrix_sqrt_psd, partial_trace_matrix and kron
 also take stacks of shape (..., d, d) and act on each slice, validating each
 slice as they would a single matrix; a single matrix is the unbatched case.
-psd_eigvalsh is the one Hermitian-and-PSD check, which DensityOperator and
-qinfo.check_povm build on; tolerances are the fixed config.DEFAULT_TOLS.
-A caller that already solved a matrix passes it as a Solved, which every
-function reads as its matrix; only hermitian_eig and psd_eigvalsh look at
-the eigensystem it carries, and they run their checks on the given spectrum
-instead of solving again.
+A Solved is a checked state: building one checks its matrix Hermitian and
+its spectrum PSD, once.  solve_psd solves a state and returns it as a
+Solved; psd_eigvalsh, matrix_sqrt_psd, DensityOperator and qinfo.check_povm
+build on it, so a caller that already holds a Solved passes it on and its
+eigensystem is read with no further check or solve.  Tolerances are the
+fixed config.DEFAULT_TOLS.
 """
 
 from __future__ import annotations
@@ -139,11 +139,29 @@ def _check_psd_spectrum(w: np.ndarray) -> None:
 @dataclass(frozen=True)
 class Solved:
     """A matrix or stack (..., d, d) with the eigensystem its caller solved:
-    ascending eigenvalues w and, if solved too, the eigenvectors v."""
+    ascending eigenvalues w and, if solved too, the eigenvectors v.  Built
+    only for states: the matrix is checked Hermitian and w PSD here, once."""
 
     matrix: np.ndarray
     w: np.ndarray
     v: np.ndarray | None = None
+
+    def __post_init__(self):
+        _check_hermitian(self.matrix)
+        _check_psd_spectrum(self.w)
+
+
+def solve_psd(a, vectors: bool = True) -> Solved:
+    """a, a PSD Hermitian matrix or stack, with its eigenvalues and, if
+    vectors, its eigenvectors from one solve, checked as a Solved is.
+
+    A Solved a that carries what is asked for is returned as it is.
+    """
+    if isinstance(a, Solved) and (a.v is not None or not vectors):
+        return a
+    m = as_stack(a)
+    h = hermitianize(m)
+    return Solved(m, *np.linalg.eigh(h)) if vectors else Solved(m, np.linalg.eigvalsh(h))
 
 
 def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
@@ -151,27 +169,17 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (eigenvalues ascending, eigenvector matrix with orthonormal
     columns).  Raises on input that is not Hermitian within tolerance;
-    convergence failures surface as numpy.linalg.LinAlgError.  A Solved h
-    with eigenvectors gets the same check and returns its (w, v) unsolved.
+    convergence failures surface as numpy.linalg.LinAlgError.
     """
     m = as_stack(h)
     _check_hermitian(m)
-    if isinstance(h, Solved) and h.v is not None:
-        return h.w, h.v
     w, v = np.linalg.eigh(hermitianize(m))
     return w, v
 
 
 def psd_eigvalsh(a) -> np.ndarray:
-    """Eigenvalues of a PSD Hermitian matrix (or stack); raises like matrix_sqrt_psd.
-
-    A Solved a has its spectrum checked in place of a solve.
-    """
-    m = as_stack(a)
-    _check_hermitian(m)
-    w = a.w if isinstance(a, Solved) else np.linalg.eigvalsh(hermitianize(m))
-    _check_psd_spectrum(w)
-    return w
+    """Eigenvalues of a PSD Hermitian matrix (or stack); raises like matrix_sqrt_psd."""
+    return solve_psd(a, vectors=False).w
 
 
 def partial_trace_matrix(m: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
@@ -204,12 +212,11 @@ def matrix_sqrt_psd(a) -> np.ndarray:
     """Principal square root of a PSD Hermitian matrix, or of each in a stack.
 
     Eigenvalues in [-psd_tol, 0) are clipped to 0; anything more negative is
-    an error.  A Solved a is not solved again (see hermitian_eig).
+    an error.  A Solved a with eigenvectors is not solved again.
     """
-    w, v = hermitian_eig(a)
-    _check_psd_spectrum(w)
-    w = np.sqrt(np.clip(w, 0.0, None))
-    return hermitianize((v * w[..., None, :]) @ dagger(v))
+    s = solve_psd(a)
+    w = np.sqrt(np.clip(s.w, 0.0, None))
+    return hermitianize((s.v * w[..., None, :]) @ dagger(s.v))
 
 
 def _root_sum(w: np.ndarray) -> np.ndarray:

@@ -21,8 +21,8 @@ collide, which for a fresh random linear map happens with probability exactly
 symbol difference).  The simulator therefore draws one fresh uniform hash
 value per mismatched trial, which reproduces the acceptance distribution
 exactly.  A 0-bit hash is the same draw: its one value is 0, so every
-mismatch collides.  The explicit hash family lives in Gf2LinearHash and is
-verified separately.
+mismatch collides.  exact_collision_probability confirms that rate for a
+random linear map by counting row masks exhaustively.
 
 Conditional threshold: the "won most rounds" statistic uses the fraction
 1 - epsilon/256 for both variants.
@@ -310,37 +310,6 @@ def run_protocol(config: ProtocolConfig, model) -> ProtocolStats:
 
 
 # --- GF(2) linear hashing ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Gf2LinearHash:
-    """Linear map {0,1}^in_bits -> {0,1}^out_bits; row j is an int bitmask."""
-
-    in_bits: int
-    out_bits: int
-    rows: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.rows) != self.out_bits:
-            raise ValueError("need one row mask per output bit")
-        if any(r >> self.in_bits for r in self.rows):
-            raise ValueError("row mask wider than in_bits")
-
-    @classmethod
-    def random(cls, rng, in_bits: int, out_bits: int) -> "Gf2LinearHash":
-        rows = []
-        for _ in range(out_bits):
-            bits = rng.integers(0, 2, size=in_bits)
-            rows.append(int(sum(int(b) << i for i, b in enumerate(bits))))
-        return cls(in_bits, out_bits, tuple(rows))
-
-    def __call__(self, x: int) -> int:
-        if x >> self.in_bits:
-            raise ValueError("input wider than in_bits")
-        out = 0
-        for j, row in enumerate(self.rows):
-            out |= ((row & x).bit_count() & 1) << j
-        return out
 
 
 def exact_collision_probability(in_bits: int, out_bits: int) -> float:

@@ -1,18 +1,17 @@
-"""Fidelity, entropies, purification, POVM and Schmidt primitives.
+"""Fidelity, entropies, purification and POVM primitives.
 
 All entropic quantities use base-2 logarithms (bits).  Two-state scalar
 functions accept DensityOperators, linalg.Solved states or raw ndarrays.
 Registers are named by position in a state's dims: mutual_information takes
-a DensityOperator and two groups of positions, schmidt_decompose a PureState
-and the positions of one side of the cut, and uhlmann_partner the positions
-of phi's system registers.
+a DensityOperator and two groups of positions, and uhlmann_partner the
+positions of phi's system registers.
 
 fidelity, relative_entropy, min_relative_entropy, von_neumann_entropy and
 povm_outcome_bound also take stacks of states, shape (..., d, d), and then
 return an array with one value per slice; every per-matrix validation applies
 to each slice.  A single matrix gives a float.  Each state they read is
-checked Hermitian and PSD; one passed as a linalg.Solved is checked on the
-spectrum it carries, so a caller solves a state once for several quantities.
+checked Hermitian and PSD; one passed as a linalg.Solved was checked when it
+was built, so a caller solves and checks a state once for several quantities.
 A POVM is a (..., n, d, d) stack of n elements, checked by check_povm.
 purification_matrix is the one purification, used by purify, uhlmann_partner
 and sic's decoupling.  Tolerances are the fixed config.DEFAULT_TOLS.
@@ -31,16 +30,15 @@ from .linalg import (
     DensityOperator,
     _check_dims,
     _check_positions,
-    _check_psd_spectrum,
     _root_sum,
     as_matrix,
     as_stack,
     dagger,
-    hermitian_eig,
     hermitianize,
     matrix_sqrt_psd,
     partial_trace,
     psd_eigvalsh,
+    solve_psd,
 )
 
 
@@ -137,16 +135,6 @@ def clip_fidelity(f):
     return _value(np.clip(f, 0.0, 1.0))
 
 
-def fbar(rho, sigma) -> float:
-    """Fidelity defect 1 - F(rho, sigma)."""
-    return 1.0 - fidelity(rho, sigma)
-
-
-def angle(rho, sigma) -> float:
-    """Angle distance arccos F(rho, sigma), a metric in [0, pi/2]."""
-    return float(np.arccos(fidelity(rho, sigma)))
-
-
 def povm_outcome_bound(rho, sigma, povm):
     """Classical-outcome fidelity sum_i sqrt(p_i q_i); upper-bounds F(rho, sigma).
 
@@ -174,10 +162,9 @@ def purification_matrix(rho, anc_dim: int) -> np.ndarray:
     PSD; eigenvalue mass beyond the first anc_dim above 1e-9 raises.
     """
     rho = as_matrix(rho)
-    w, v = hermitian_eig(rho)
-    _check_psd_spectrum(w)
-    order = np.argsort(w)[::-1]
-    w, v = np.clip(w[order], 0.0, None), v[:, order]
+    s = solve_psd(rho)
+    order = np.argsort(s.w)[::-1]
+    w, v = np.clip(s.w[order], 0.0, None), s.v[:, order]
     k = min(anc_dim, rho.shape[0])
     if w[k:].sum() > 1e-9:
         raise ValueError(f"ancilla (dim {anc_dim}) too small to purify: trailing eigenvalue mass")
@@ -287,8 +274,8 @@ def _sigma_basis(r: np.ndarray, sigma):
     basis, and whether rho leaves sigma's support: its mass on eigenvalues
     <= support exceeds support.
     """
-    ws, vs = hermitian_eig(sigma)
-    _check_psd_spectrum(ws)
+    s = solve_psd(sigma)
+    ws, vs = s.w, s.v
     diag = np.einsum("...ik,...ki->...i", dagger(vs) @ r, vs).real
     leak = np.where(ws > DEFAULT_TOLS.support, 0.0, np.clip(diag, 0.0, None)).sum(axis=-1)
     return ws, vs, diag, leak > DEFAULT_TOLS.support
@@ -321,39 +308,3 @@ def min_relative_entropy(rho, sigma):
     lam = np.linalg.eigvalsh(hermitianize(q @ r @ q))[..., -1]
     return _value(np.where(leaves, np.inf, np.log2(np.maximum(lam, DEFAULT_TOLS.zero_eig))))
 
-
-# ---------------------------------------------------------------------------
-# Schmidt decomposition
-
-
-@dataclass(frozen=True)
-class SchmidtDecomposition:
-    """Schmidt data across a bipartition: descending coefficients and bases.
-
-    left/right basis vectors are the columns; they live on the (cut, rest)
-    register ordering, each side's registers in their original order, at the
-    positions left_positions and right_positions.
-    """
-
-    coefficients: np.ndarray
-    left_vectors: np.ndarray
-    right_vectors: np.ndarray
-    left_positions: tuple[int, ...]
-    right_positions: tuple[int, ...]
-
-    def reconstruct(self) -> np.ndarray:
-        """Amplitudes on the (left, right) ordering."""
-        return (self.left_vectors * self.coefficients) @ self.right_vectors.T
-
-
-def schmidt_decompose(psi: PureState, cut: Iterable[int]) -> SchmidtDecomposition:
-    """Schmidt decomposition across the bipartition (registers at positions cut, rest)."""
-    m, cut_pos, rest_pos = _split_matrix(psi, cut)
-    u, sv, vh = np.linalg.svd(m, full_matrices=False)
-    return SchmidtDecomposition(
-        coefficients=sv,
-        left_vectors=u,
-        right_vectors=vh.T,
-        left_positions=tuple(cut_pos),
-        right_positions=tuple(rest_pos),
-    )

@@ -16,8 +16,8 @@ Random states are drawn in two steps.  A trial draws only raw numbers
 (mixed_draw, povm_draw, unitary_draw), and the states are built from stacks
 of those draws (mixed_states, povms, classical_states, haar_unitaries and
 projectives), so a block of trials shares one construction.  Every
-construction acts on each slice on its own; random_mixed, random_povm,
-haar_unitary and random_projective are the one-slice case.
+construction acts on each slice on its own; random_mixed, haar_unitary and
+random_projective are the one-slice case.
 """
 
 from __future__ import annotations
@@ -237,11 +237,6 @@ def povms(g: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(hermitianize(gs.sum(axis=-3)))
     s_isqrt = ((v / np.sqrt(w)[..., None, :]) @ dagger(v))[..., None, :, :]
     return s_isqrt @ gs @ s_isqrt
-
-
-def random_povm(rng: np.random.Generator, dim: int, n_outcomes: int) -> np.ndarray:
-    """Random POVM (n_outcomes, dim, dim): Wishart-like PSD pieces normalized by their sum."""
-    return povms(povm_draw(rng, dim, n_outcomes)[None])[0]
 
 
 def projectives(u: np.ndarray, n_outcomes: int) -> np.ndarray:

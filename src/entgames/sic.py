@@ -120,12 +120,6 @@ def sic_terms(omega: SuperposedState) -> tuple[float, float]:
             _holevo(s_total, t.transpose(3, 0, 1, 2).reshape(k, k * da, db)))
 
 
-def sic_objective(omega: SuperposedState) -> float:
-    """The superposed information cost objective I(X:BY) + I(Y:XA), in bits."""
-    ix, iy = sic_terms(omega)
-    return ix + iy
-
-
 # ---------------------------------------------------------------------------
 # decoupling construction
 

@@ -2,12 +2,17 @@
 
 The acceptance tests record one line per criterion; the terminal-summary hook
 prints them after the run so the pass/fail ledger is visible without -s.
-count_solves counts the eigensolves a run makes, for tests that pin them.
+count_solves counts the eigensolves a run makes, and count_checks the
+Hermitian checks, for tests that pin them.  random_povm is the one-slice
+POVM draw that tests use as a reference.
 """
 
 import math
 
 import numpy as np
+
+from entgames import linalg
+from entgames.random_states import povm_draw, povms
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -40,3 +45,22 @@ def count_solves(monkeypatch, names=("eigh", "eigvalsh", "qr")) -> dict[str, lis
     for name in names:
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     return counts
+
+
+def count_checks(monkeypatch) -> list[int]:
+    """Wrap linalg._check_hermitian to count [calls, matrices], filled as they run."""
+    counts = [0, 0]
+    check = linalg._check_hermitian
+
+    def run(h):
+        counts[0] += 1
+        counts[1] += math.prod(np.shape(h)[:-2])
+        return check(h)
+
+    monkeypatch.setattr(linalg, "_check_hermitian", run)
+    return counts
+
+
+def random_povm(rng: np.random.Generator, dim: int, n_outcomes: int) -> np.ndarray:
+    """Random POVM (n_outcomes, dim, dim): povms on a stack of one draw."""
+    return povms(povm_draw(rng, dim, n_outcomes)[None])[0]

@@ -33,7 +33,7 @@ from entgames.qinfo import (
 )
 from entgames.random_states import floor_eigensystem, rng_block, rng_for
 
-from conftest import count_solves
+from conftest import count_checks, count_solves
 
 EXPECTED_ORDER = [
     "weak_triangle",
@@ -321,6 +321,17 @@ SUITE_SOLVES = {
     "cool_product": {"eigvalsh": [20, 1000]},
     "fact_sum": {},
 }
+# linalg._check_hermitian [calls, matrices] in the same runs: a Solved is
+# checked once, when it is built, so a kernel that passes it on to several
+# quantities checks it once (povm_bound 3 calls a group, relent_vs_fid and
+# smax_ge_s 2)
+SUITE_CHECKS = {
+    "weak_triangle": [80, 4000], "four_state": [125, 5000], "fidelity_sq_sum": [80, 4000],
+    "cq_fidelity": [72, 7032], "povm_bound": [105, 7000], "cptp_mono": [240, 4000],
+    "subadd_cond": [316, 4000], "relent_vs_fid": [30, 2000],
+    "superadd_classical": [270, 6000], "smax_ge_s": [30, 2000], "mi_min_relent": [84, 7000],
+    "relent_mono": [64, 4000], "cool_product": [0, 0], "fact_sum": [0, 0],
+}
 
 
 def _mp_herm(a):
@@ -414,6 +425,12 @@ class TestEigensystemReuse:
         counts = count_solves(monkeypatch, ("eigh", "eigvalsh"))
         run_check(CheckSpec(name, trials=1000, seed=0))
         assert counts == SUITE_SOLVES[name]
+
+    @pytest.mark.parametrize("name", EXPECTED_ORDER)
+    def test_suite_checks_pinned(self, name, monkeypatch):
+        counts = count_checks(monkeypatch)
+        run_check(CheckSpec(name, trials=1000, seed=0))
+        assert counts == SUITE_CHECKS[name]
 
     def test_floored_eigensystem(self):
         sigma = np.stack([checks.mixed_states(np.random.default_rng(s).standard_normal(

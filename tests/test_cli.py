@@ -99,15 +99,33 @@ class TestValue:
             assert all(t >= 0.0 for t in man["timings"].values())
             if mode == "classical":
                 assert "seesaw" not in man
-                assert set(rep) == {"command", "mode", "game", "value", "strategy"}
+                assert set(rep) == {"command", "mode", "game", "free", "projection",
+                                    "value", "strategy"}
                 continue
             # timings stay out of report.json, which is byte-deterministic
-            assert set(rep) == {"command", "mode", "game", "value", "seed", "d",
-                                "restarts", "iters", "best_restart", "traces"}
+            assert set(rep) == {"command", "mode", "game", "free", "projection", "value",
+                                "seed", "d", "restarts", "iters", "best_restart", "traces"}
             assert man["seesaw"]["iterations"] == sum(len(t) for t in rep["traces"])
             assert man["seesaw"]["iterations_per_s"] > 0.0
             # the restarts advance in lockstep, so the longest trace sets the steps
             assert man["seesaw"]["steps"] == max(len(t) for t in rep["traces"])
+
+    @pytest.mark.parametrize("mode", ["classical", "entangled"])
+    def test_reports_which_theorem_covers_the_game(self, tmp_path, mode):
+        # free: the paper's free-game bound applies; free and projection: the
+        # free projection-game bound applies too
+        win_all = np.ones((2, 2, 2, 2), dtype=bool)
+        corr = games.Game(2, 2, np.array([[0.5, 0.0], [0.0, 0.5]]), win_all)
+        all_ones = games.Game(2, 2, np.full((2, 2), 0.25), win_all)
+        cases = {"chsh": (chsh(), True, True), "chsh2": (games.repeat(chsh(), 2), True, True),
+                 "corr": (corr, False, False), "all_ones": (all_ones, True, False)}
+        for name, (g, free, projection) in cases.items():
+            path, out = tmp_path / f"{name}.json", tmp_path / f"{name}-{mode}"
+            save_game(g, path)
+            assert main(["value", str(path), "--mode", mode, "--seed", "0", "--d", "2",
+                         "--restarts", "1", "--iters", "2", "--out", str(out)]) == 0
+            rep = json.loads((out / "report.json").read_text())
+            assert (rep["free"], rep["projection"]) == (free, projection), name
 
     def test_manifest_final_increments(self, tmp_path):
         # each restart's last trace step, null for a one-entry trace; a

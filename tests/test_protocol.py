@@ -10,7 +10,6 @@ from entgames.games import chsh, entangled_value_seesaw, repeat
 from entgames.protocol import (
     CSV_HEADER,
     VARIANTS,
-    Gf2LinearHash,
     IidBernoulli,
     ProtocolConfig,
     StrategyBacked,
@@ -517,24 +516,6 @@ class TestBoundMargin:
 
 
 class TestHashing:
-    def test_linearity(self):
-        rng = rng_for(12)
-        h = Gf2LinearHash.random(rng, 16, 5)
-        for _ in range(50):
-            x = int(rng.integers(0, 1 << 16))
-            y = int(rng.integers(0, 1 << 16))
-            assert h(x ^ y) == h(x) ^ h(y)
-        assert h(0) == 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Gf2LinearHash(4, 2, (1,))            # wrong row count
-        with pytest.raises(ValueError):
-            Gf2LinearHash(4, 1, (1 << 5,))       # mask wider than input
-        h = Gf2LinearHash(4, 1, (0b1011,))
-        with pytest.raises(ValueError):
-            h(1 << 4)
-
     def test_exact_collision_probability(self):
         for in_bits in (1, 4, 8, 12):
             for out_bits in (1, 3, 6):

@@ -13,12 +13,13 @@ from entgames.random_states import (
     povms,
     projectives,
     random_mixed,
-    random_povm,
     random_projective,
     rng_block,
     rng_for,
     unitary_draw,
 )
+
+from conftest import random_povm
 
 # prefixes of the paths rng_block derives, with the trial index appended:
 # the protocol's 3-part path, a 1-part path, the checks' 4-part path,
