@@ -217,7 +217,9 @@ def cmd_simulate(args) -> int:
     )
     t_load = time.perf_counter()
     model = _model_from_doc(doc["model"], path.parent)
+    t_sample = time.perf_counter()
     stats = protocol_mod.run_protocol(config, model)
+    sample_s = time.perf_counter() - t_sample
     verdict = protocol_mod.guarantee_report(config, model, stats)
     report = {
         "command": "simulate",
@@ -238,7 +240,7 @@ def cmd_simulate(args) -> int:
              "report.csv": "\n".join(protocol_mod.stats_csv_lines(stats, verdict.verdict)) + "\n"}
     return _finish(args, _out_path(args, config.seed), cfg, config.seed, (t0, t_load), files,
                    code=1 if verdict.verdict == "violated" else 0,
-                   chunks=protocol_mod.chunk_count(config.trials))
+                   chunks=protocol_mod.chunk_count(config.trials), sample_s=sample_s)
 
 
 def cmd_sic(args) -> int:

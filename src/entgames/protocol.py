@@ -11,8 +11,15 @@ only W as well.
 Trials run in chunks of _CHUNK; chunk i draws from rng_for(seed, 301, i).
 An i.i.d. round model (IidBernoulli, StrategyBacked) draws W by inverse CDF:
 one uniform per trial, looked up in a Binomial(n, w) CDF table that is built
-once per (n, w).  The table is used while it has n + 1 <= 2**16 entries;
-beyond that numpy's binomial draws W, which takes any n up to 2**63 - 1.
+once per (n, w).  The lookup starts from a guide table (Chen and Asau, 1974):
+with M = 2**b >= 4(n + 1) buckets, u * M is exact and bucket j starts at the
+first k whose CDF exceeds j/M, so one step forward (and, for the rare
+uniform that needs more, a binary search) finds exactly the index that
+np.searchsorted(cdf, u, side="right") finds.  Acceptance is then read from a
+table of (k/n)**v, k = 0..n, built once per run, instead of one pow per
+trial; numpy's pow gives the same bits in either layout.  Both tables are
+used while they have n + 1 <= 2**16 entries; beyond that numpy's binomial
+draws W, which takes any n up to 2**63 - 1, and each trial takes its own pow.
 
 The projection variant replaces literal string comparison with a random
 GF(2)-linear hash: on a mismatch the referee still accepts iff the hashes
@@ -45,7 +52,7 @@ _STREAM_PROTOCOL = 301
 _CHUNK = 4096         # trials per derived generator; fixed so results are
                       # independent of how work is scheduled, and large so
                       # each generator's fixed cost is paid rarely
-_TABLE_MAX = 1 << 16  # largest Binomial CDF table (n + 1 entries) to draw from
+_TABLE_MAX = 1 << 16  # largest CDF and acceptance tables (n + 1 entries each)
 Z99 = 2.5758293035489004   # two-sided 99% normal quantile
 
 VARIANTS = ("general", "projection")
@@ -92,8 +99,13 @@ class ProtocolConfig:
         _check_parameters(self.epsilon, self.t, self.variant)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.v_override is not None and self.v_override < 1:
-            raise ValueError("v_override must be >= 1")
+        if self.v_override is not None:
+            if self.v_override < 1:
+                raise ValueError("v_override must be >= 1")
+            try:
+                float(self.v_override)      # acceptance takes (W/n)**v in floats
+            except OverflowError:
+                raise ValueError("v_override is too large for a float") from None
         self.resolved_v()       # an unbounded required v is an input error
         if self.hash_bits is not None and not 0 <= self.hash_bits <= 62:
             raise ValueError("hash_bits must lie in [0, 62]")
@@ -143,24 +155,54 @@ def _binomial_pmf(n: int, w: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _binomial_cdf(n: int, w: float) -> np.ndarray:
+def _binomial_table(n: int, w: float) -> tuple[np.ndarray, np.ndarray]:
     """Read-only Binomial(n, w) CDF whose last entry is exactly 1, so a
-    uniform in [0, 1) never looks up past k = n."""
+    uniform in [0, 1) never looks up past k = n, and its read-only guide
+    table: M = 2**b >= 4(n + 1) buckets, bucket j starting at the first k
+    whose CDF exceeds j/M."""
     cdf = np.cumsum(_binomial_pmf(n, w))
     cdf /= cdf[-1]
-    cdf.flags.writeable = False
-    return cdf
+    buckets = 1 << (4 * (n + 1) - 1).bit_length()
+    guide = np.searchsorted(cdf, np.arange(buckets) / buckets, side="right")
+    cdf.flags.writeable = guide.flags.writeable = False
+    return cdf, guide
+
+
+def _binomial_cdf(n: int, w: float) -> np.ndarray:
+    """The Binomial(n, w) CDF of _binomial_table without its guide: what a
+    plain binary search for W looks up."""
+    return _binomial_table(n, w)[0]
+
+
+def _guided_search(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """np.searchsorted(cdf, u, side="right") for u in [0, 1), started from
+    guide[floor(u * M)], which must not lie past that answer.  Every index
+    below the running one has cdf <= u, so an index with cdf > u is the
+    answer; the few still short of it after one step forward are found by
+    binary search."""
+    idx = guide[(u * guide.size).astype(np.intp)]
+    idx += cdf[idx] <= u
+    late = cdf[idx] <= u
+    if late.any():
+        idx[late] = np.searchsorted(cdf, u[late], side="right")
+    return idx
+
+
+def _acceptance_table(n: int, v: int) -> np.ndarray:
+    """(k/n)**v for k = 0..n: the chance that v inspections with replacement
+    all land on won rounds when k of the n rounds were won."""
+    return (np.arange(n + 1) / n) ** v
 
 
 def _iid_wins(rng, n: int, w: float, trials: int) -> np.ndarray:
     """Rounds won of n i.i.d. rounds won w.p. w, one count per trial: one
-    uniform and a CDF lookup while the table fits in _TABLE_MAX entries,
-    numpy's binomial beyond (any n up to 2**63 - 1).  A lookup draws each
-    count with the share of rng.random's 2**-53 grid inside its CDF step,
-    which is off from its pmf by at most about 2**-53."""
+    uniform and a guided CDF lookup while the table fits in _TABLE_MAX
+    entries, numpy's binomial beyond (any n up to 2**63 - 1).  A lookup draws
+    each count with the share of rng.random's 2**-53 grid inside its CDF
+    step, which is off from its pmf by at most about 2**-53."""
     if n + 1 > _TABLE_MAX:
         return rng.binomial(n, w, size=trials)
-    return np.searchsorted(_binomial_cdf(n, w), rng.random(trials), side="right")
+    return _guided_search(*_binomial_table(n, w), rng.random(trials))
 
 
 @dataclass(frozen=True)
@@ -275,13 +317,15 @@ def run_protocol(config: ProtocolConfig, model) -> ProtocolStats:
     thr = config.win_threshold() - 1e-9    # integer counts vs real threshold
     bits = config.resolved_hash_bits() if projection else None
     successes = mostwin = mismatches = mismatch_accepts = 0
+    # v inspections with replacement all hit won rounds w.p. (W/n)^v, read
+    # from a table indexed by W while it has at most _TABLE_MAX entries
+    accept = _acceptance_table(n, v) if n + 1 <= _TABLE_MAX else None
     rngs = rng_block(config.seed, _STREAM_PROTOCOL, trials=range(chunk_count(config.trials)))
     for chunk_idx, rng in enumerate(rngs):
         size = min(_CHUNK, config.trials - chunk_idx * _CHUNK)
         nwins = model.sample_wins(rng, n, size)
-        # v inspections with replacement all hit won rounds w.p. (W/n)^v;
         # under projection a mismatch is still accepted when its hash collides
-        ok = rng.random(size) < (nwins / n) ** v
+        ok = rng.random(size) < (accept[nwins] if accept is not None else (nwins / n) ** v)
         if projection:
             miss = ~ok
             collide = rng.integers(0, 1 << bits, size=int(miss.sum())) == 0

@@ -436,6 +436,8 @@ class TestSimulate:
         assert set(man["timings"]) == {"load_s", "compute_s", "write_s"}
         assert all(t >= 0.0 for t in man["timings"].values())
         assert man["chunks"] == chunks     # one derived generator per 4,096 trials
+        # the chunk loop's share of compute_s, which also builds the model
+        assert 0.0 <= man["sample_s"] <= man["timings"]["compute_s"]
         # timings stay out of report.json, which is byte-deterministic
         rep = json.loads((out / "report.json").read_text())
         assert set(rep) == {"command", "config", "stats", "guarantee"}
@@ -742,6 +744,8 @@ def _out_of_memory(*args):
                  id="t-projection"),
     pytest.param(["simulate"], {"epsilon": 5e-324}, 2, "epsilon = 4.94066e-324",
                  id="epsilon-subnormal"),
+    pytest.param(["simulate"], {"v_override": 10**310}, 2,
+                 "v_override is too large for a float", id="v_override-huge"),
     pytest.param(["simulate"], {"n": 1 << 63}, 2, "n must lie", id="n-iid"),
     pytest.param(["simulate"], {"n": 1 << 63, "model": {"kind": "strategy_backed",
                                                        "game": "chsh.json"}},
@@ -854,7 +858,7 @@ class TestTopLevel:
                                      "verify_dumps", "simulate", "sic", "sic_decouple"])
     def test_manifest_schema(self, tmp_path, run):
         # every command writes its manifest through one writer, with one
-        # phase-timing schema; only the command's own extra key differs
+        # phase-timing schema; only the command's own extra keys differ
         game = write_chsh(tmp_path)
         sim = tmp_path / "sim.json"
         sim.write_text(json.dumps({"n": 8, "epsilon": 1.0, "t": 0.0, "trials": 50,
@@ -869,7 +873,7 @@ class TestTopLevel:
                        {"checks"}),
             "verify_dumps": (["verify", "--filter", "cool_product", "--trials", "1000",
                               "--seed", "0"], {"checks"}),
-            "simulate": (["simulate", str(sim)], {"chunks"}),
+            "simulate": (["simulate", str(sim)], {"chunks", "sample_s"}),
             "sic": (["sic", spec], set()),
             "sic_decouple": (["sic", spec, "--decouple"], set()),
         }[run]

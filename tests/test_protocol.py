@@ -23,8 +23,11 @@ from entgames.protocol import (
     stats_csv_lines,
     wilson_interval,
     _TABLE_MAX,
+    _acceptance_table,
     _binomial_cdf,
     _binomial_pmf,
+    _binomial_table,
+    _guided_search,
 )
 from entgames.random_states import rng_for
 
@@ -293,6 +296,73 @@ class TestWinCountDraw:
         assert abs(counts.mean() - n * w) <= 5 * se
 
 
+class TestGuidedSearch:
+    """The guide-table lookup returns np.searchsorted(cdf, u, side="right")
+    exactly, also on the uniforms where a step or a bucket edge could slip."""
+
+    @staticmethod
+    def adversarial_uniforms(cdf: np.ndarray, buckets: int) -> np.ndarray:
+        u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.arange(buckets) / buckets,
+                            [0.0, 1.0 - 2.0**-53]])
+        return u[u < 1.0]                  # rng.random draws from [0, 1)
+
+    @pytest.mark.parametrize("n", [1, 8, 256, (1 << 16) - 2])
+    @pytest.mark.parametrize("w", [0.0, 0.3, math.cos(math.pi / 8) ** 2, 0.998, 1.0])
+    def test_matches_searchsorted(self, n, w):
+        cdf, guide = _binomial_table(n, w)
+        assert guide.size >= 4 * (n + 1) and guide.size & (guide.size - 1) == 0
+        u = self.adversarial_uniforms(cdf, guide.size)
+        want = np.searchsorted(cdf, u, side="right")
+        assert np.array_equal(_guided_search(cdf, guide, u), want)
+        uniform = rng_for(n, 7).random(4096)
+        assert np.array_equal(_guided_search(cdf, guide, uniform),
+                              np.searchsorted(cdf, uniform, side="right"))
+
+    def test_binary_search_fallback(self):
+        # w = 0.998 puts nearly no mass on most of the 257 counts, so bucket 0
+        # spans many CDF steps: those uniforms need more than the one step
+        # forward, and only the fallback can return the right index
+        cdf, guide = _binomial_table(256, 0.998)
+        u = self.adversarial_uniforms(cdf, guide.size)
+        want = np.searchsorted(cdf, u, side="right")
+        start = guide[(u * guide.size).astype(np.intp)]
+        assert (want - start > 1).sum() >= 10
+        assert np.array_equal(_guided_search(cdf, guide, u), want)
+        # any guide that never starts past the answer gives the same index
+        zeros = np.zeros_like(guide)
+        assert np.array_equal(_guided_search(cdf, zeros, u), want)
+
+
+class TestAcceptanceTable:
+    """run_protocol reads (W/n)^v from a table; it must hold the bits that one
+    pow per trial gives, in any position of any array."""
+
+    # the benchmark's (n, v) at both variants' v, and v_override cases
+    @pytest.mark.parametrize("n, v", [(256, 2304), (256, 320), (8, 2304), (8, 320),
+                                      (16, 3), (20, 16), (256, 1), (256, 2),
+                                      (256, 10**300)])
+    def test_table_is_pow_per_trial(self, n, v):
+        table = _acceptance_table(n, v)
+        assert table.shape == (n + 1,) and table[n] == 1.0
+        single = np.concatenate([(np.array([k]) / n) ** v for k in range(n + 1)])
+        assert np.array_equal(table, single)
+        # every k also first in its own array, so it meets each SIMD lane
+        assert all(((np.arange(k, n + 1) / n) ** v)[0] == table[k] for k in range(n + 1))
+        wins = rng_for(n, 8).integers(0, n + 1, size=4096)
+        assert np.array_equal(table[wins], (wins / n) ** v)
+
+    def test_table_bound(self):
+        # a run reads the table while n + 1 <= _TABLE_MAX; above, pow per trial
+        for n in (_TABLE_MAX - 1, _TABLE_MAX):
+            cfg = ProtocolConfig(n=n, epsilon=1.0, t=0.0, trials=300, v_override=5_000,
+                                 seed=3)
+            rng = rng_for(3, 301, 0)
+            wins = IidBernoulli(0.9999).sample_wins(rng, n, 300)
+            ok = rng.random(300) < (wins / n) ** 5_000
+            stats = run_protocol(cfg, IidBernoulli(0.9999))
+            assert stats.successes == int(ok.sum())
+
+
 class TestChecking:
     def test_always_winner(self):
         cfg = ProtocolConfig(n=20, epsilon=1.0, t=0.0, trials=400, v_override=16)
@@ -413,6 +483,41 @@ class TestChecking:
         assert chunk_count(cfg.trials) == 258
         stats = run_protocol(cfg, IidBernoulli(w))
         assert (stats.successes, stats.mostwin_successes) == (successes, mostwin)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_chunks_mirror_per_trial_reference(self, variant):
+        # both variants, for an i.i.d. and a two-branch model, drawn per
+        # trial: W, then one inspection uniform per trial, then under
+        # projection one hash value per mismatched trial
+        n, v, seed, bits, q, m = 256, 2304, 4, 2, 0.99, 255
+        cfg = ProtocolConfig(n=n, epsilon=1.0, t=1.0, trials=3 * 4096 + 11, seed=seed,
+                             variant=variant, v_override=v, hash_bits=bits)
+        iid_table = _binomial_cdf(n, 0.998)
+        draws = {
+            "iid": (IidBernoulli(0.998), lambda rng, size: np.searchsorted(
+                iid_table, rng.random(size), side="right")),
+            "waop": (WinAllOrPartial(q, m / n),
+                     lambda rng, size: np.where(rng.random(size) < q, n, m)),
+        }
+        for model, wins_of in draws.values():
+            successes = mostwin = mismatches = mismatch_accepts = 0
+            for i in range(chunk_count(cfg.trials)):
+                rng, size = rng_for(seed, 301, i), min(4096, cfg.trials - 4096 * i)
+                wins = wins_of(rng, size)
+                ok = rng.random(size) < (wins / n) ** v
+                if variant == "projection":
+                    collide = rng.integers(0, 1 << bits, size=int((~ok).sum())) == 0
+                    ok[~ok] = collide
+                    mismatches += collide.size
+                    mismatch_accepts += int(collide.sum())
+                successes += int(ok.sum())
+                mostwin += int((ok & (wins >= cfg.win_threshold() - 1e-9)).sum())
+            stats = run_protocol(cfg, model)
+            assert (stats.successes, stats.mostwin_successes, stats.mismatch_trials,
+                    stats.mismatch_accepts) == (successes, mostwin, mismatches,
+                                                mismatch_accepts)
+            assert 0 < successes < cfg.trials
+            assert (mismatches > 0) == (variant == "projection")
 
     def test_variant_dispatch(self):
         cfg = ProtocolConfig(n=4, epsilon=1.0, t=0.0, trials=50, v_override=2)
