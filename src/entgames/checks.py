@@ -6,28 +6,38 @@ states, Dirichlet weights, samples) and returns them with a group key (the
 trial's dimensions and any discrete choice).  CheckDef.inputs stacks the
 draws of a group of trials along a leading axis and builds their states on
 the whole stack (_BUILD names which draws are states, and how they are
-built).  The kernel takes those stacked inputs and returns one signed margin
-per trial: nonnegative means the inequality held (equality checks return
-minus the absolute deviation).  A trial counts as a violation when the margin
+built; a psi draw is built as the factor psi of the mixed state psi psi^dag).
+The kernel takes those stacked inputs and returns one signed margin per
+trial: nonnegative means the inequality held (equality checks return minus
+the absolute deviation).  A trial counts as a violation when the margin
 falls below minus the check's tolerance.  Trial t of check c uses the
 generator rng_for(seed, CHECK_STREAM, c, t), so any single trial can be
 replayed from the report alone with REGISTRY[name].func, which runs the
 sampler, the construction and the kernel on a batch of one.
 
-run_check takes trials from one lazily consumed rng_block stream until the
-block's built inputs reach _BUDGET matrix entries, counting a fixed charge
-per trial for its sampled objects (a trial's count is looked up by its group
-key), then builds and evaluates the block once per group key.  So checks on
-small states get long blocks, and the memory of a block is bounded whatever
-its dimensions.  Every construction and kernel operation acts on each slice
-on its own, so a trial's margin does not depend on the trials that share its
-block, nor on the budget; a violating trial's states are dumped by replaying
-it.  Kernels solve each eigensystem once and pass it on as a linalg.Solved,
+run_check takes trials from one lazily consumed rng_block stream and keeps
+one pending batch per group key.  A trial's entries are the matrix entries of
+its built inputs plus a fixed charge for its sampled objects, looked up by
+its key.  A key's batch is built and evaluated in one kernel call once its
+entries reach _BUDGET, the largest pending batch once all of them reach
+2 * _BUDGET, and what is left at the end; margins land in one array indexed
+by trial.  So a kernel call holds at most _BUDGET entries plus one trial,
+the pending draws at most twice that, and checks on small states get long
+batches.  Every construction and kernel operation acts on each slice on its
+own, so a trial's margin does not depend on its batch mates, nor on the
+budget; a violating trial's states are dumped by replaying it.
+
+Kernels solve each eigensystem once and pass it on as a linalg.Solved,
 which is checked Hermitian and PSD when it is built and not again: a floored
-reference state's eigensystem comes from the floor step, rho's one solve
-serves its root, its entropies and its checks, and a Kronecker product's
-eigensystem is built from its factors'.  run_all runs the suite, or a named
-subset, and times and counts each check; `entgames verify` calls it.
+reference state's eigensystem comes from the floor step, rho's one spectrum
+serves its entropies and its checks, and a Kronecker product's eigensystem
+is built from its factors'.  Fidelities take no matrix root: F(rho, sigma)
+comes from a factor a of rho = a a^dag (qinfo.fidelity_from_factor), which
+each state has already, the psi of a drawn state, sqrt(p_x) psi_x on the
+blocks of a cq state, or v sqrt(w) of a floored one; each drawn state, and
+each one read as a matrix, is still checked by one eigvalsh.  run_all runs
+the suite, or a named subset, and times and counts each check; `entgames
+verify` calls it.
 """
 
 from __future__ import annotations
@@ -38,7 +48,7 @@ import math
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -47,7 +57,6 @@ from .linalg import (
     Solved,
     hermitianize,
     kron,
-    matrix_sqrt_psd,
     partial_trace_matrix,
     psd_eigvalsh,
     solve_psd,
@@ -55,7 +64,7 @@ from .linalg import (
 from .qinfo import (
     check_povm,
     fidelity,
-    fidelity_from_root,
+    fidelity_from_factor,
     min_relative_entropy,
     povm_outcome_bound,
     relative_entropy,
@@ -65,7 +74,9 @@ from .random_states import (
     classical_states,
     flat_dirichlet,
     floor_eigensystem,
+    gram,
     mixed_draw,
+    mixed_factors,
     mixed_states,
     povm_draw,
     povms,
@@ -77,9 +88,10 @@ CHECK_STREAM = 201
 DIM_POOL = (2, 3, 4, 6, 8)
 SIGMA_FLOOR = 1e-8
 POVM_OUTCOMES = 5       # povm_bound draws POVMs of 2..POVM_OUTCOMES outcomes
-# run_check closes a block once its trials' entries reach _BUDGET: a trial's
-# entries are the matrix entries of its built inputs plus _TRIAL_ENTRIES, a
-# charge for its draw dict and arrays, which outweigh the entries of 2x2 states
+# run_check's cap on the entries of one kernel call (twice it on all pending
+# batches): a trial's entries are the matrix entries of its built inputs plus
+# _TRIAL_ENTRIES, a charge for its draw dict and arrays, which outweigh the
+# entries of 2x2 states
 _BUDGET = 1 << 15
 _TRIAL_ENTRIES = 32
 
@@ -95,12 +107,19 @@ def _pinch_first(m: np.ndarray, d1: int, d2: int) -> np.ndarray:
     return (t * np.eye(d1)[:, None, :, None]).reshape(m.shape)
 
 
-def _fidelities(states, pairs):
-    """F(states[i], states[j]) for each (i, j), one matrix root per distinct i."""
-    roots = {i: matrix_sqrt_psd(states[i]) for i, _ in pairs}
-    for j in {j for _, j in pairs} - roots.keys():
-        psd_eigvalsh(states[j])
-    return [fidelity_from_root(roots[i], states[j]) for i, j in pairs]
+def _fidelities(x, pairs):
+    """F(rho_i, rho_j) for each (i, j) of the states rho_i = psi_i psi_i^dag,
+    whose factors x holds in order, and those states by their dump names.
+
+    Each state costs one eigvalsh, its PSD check; each pair reads psi_i as
+    the factor of rho_i (fidelity_from_factor), so no matrix root is taken.
+    """
+    factors = list(x.values())
+    states = [gram(f) for f in factors]
+    for state in states:
+        psd_eigvalsh(state)
+    fids = [fidelity_from_factor(factors[i], states[j]) for i, j in pairs]
+    return fids, {f"rho{i + 1}": state for i, state in enumerate(states)}
 
 
 # --- samplers, each returning (group key, one trial's inputs), and kernels,
@@ -109,8 +128,9 @@ def _fidelities(states, pairs):
 
 
 def _sample_states(n: int) -> Callable:
-    """Sampler of n mixed states rho1..rhon of one dimension from DIM_POOL."""
-    names = tuple(f"rho{i + 1}" for i in range(n))
+    """Sampler of n mixed states of one dimension from DIM_POOL, drawn as
+    their factors psi1..psin."""
+    names = tuple(f"psi{i + 1}" for i in range(n))
 
     def sample(rng):
         d = _dim(rng)
@@ -119,19 +139,19 @@ def _sample_states(n: int) -> Callable:
 
 
 def _weak_triangle(key, x):
-    f12, f23, f13 = _fidelities(list(x.values()), [(0, 1), (1, 2), (0, 2)])
-    return 2 * (1 - f12) + 2 * (1 - f23) - (1 - f13), x
+    (f12, f23, f13), states = _fidelities(x, [(0, 1), (1, 2), (0, 2)])
+    return 2 * (1 - f12) + 2 * (1 - f23) - (1 - f13), states
 
 
 def _four_state(key, x):
-    *steps, f14 = _fidelities(list(x.values()), [(0, 1), (1, 2), (2, 3), (0, 3)])
+    (*steps, f14), states = _fidelities(x, [(0, 1), (1, 2), (2, 3), (0, 3)])
     chain = sum(1 - f for f in steps)
-    return 3 * chain - (1 - f14), x
+    return 3 * chain - (1 - f14), states
 
 
 def _fidelity_sq_sum(key, x):
-    f12, f23, f13 = _fidelities(list(x.values()), [(0, 1), (1, 2), (0, 2)])
-    return 1 + f13 - f12 ** 2 - f23 ** 2, x
+    (f12, f23, f13), states = _fidelities(x, [(0, 1), (1, 2), (0, 2)])
+    return 1 + f13 - f12 ** 2 - f23 ** 2, states
 
 
 def _sample_cq_fidelity(rng):
@@ -139,20 +159,29 @@ def _sample_cq_fidelity(rng):
     d = _dim(rng, (2, 3, 4))
     p, q = flat_dirichlet(rng, k), flat_dirichlet(rng, k)
     blocks_p, blocks_q = mixed_draw(rng, d, k), mixed_draw(rng, d, k)
-    return (k, d), {"p": p, "q": q, "rho_blocks": blocks_p, "sigma_blocks": blocks_q}
+    return (k, d), {"p": p, "q": q, "psi_blocks": blocks_p, "sigma_blocks": blocks_q}
 
 
 def _cq_fidelity(key, x):
+    # rho's blocks p_x psi_x psi_x^dag give it the block-diagonal factor
+    # sqrt(p_x) psi_x, the only form in which the kernel reads rho; the drawn
+    # blocks and sigma, which it reads as matrices, are checked once each
     k, d = key
     n = len(x["p"])
+    fac = np.zeros((n, k * d, k * d), dtype=complex)
     rho = np.zeros((n, k * d, k * d), dtype=complex)
     sig = np.zeros((n, k * d, k * d), dtype=complex)
-    p, q, blocks_p, blocks_q = x["p"], x["q"], x["rho_blocks"], x["sigma_blocks"]
+    p, q, psi_p, blocks_q = x["p"], x["q"], x["psi_blocks"], x["sigma_blocks"]
+    blocks_p = gram(psi_p)
     for i in range(k):
-        rho[:, i * d:(i + 1) * d, i * d:(i + 1) * d] = p[:, i, None, None] * blocks_p[:, i]
-        sig[:, i * d:(i + 1) * d, i * d:(i + 1) * d] = q[:, i, None, None] * blocks_q[:, i]
-    direct = fidelity(rho, sig)
-    blockwise = (np.sqrt(p * q) * fidelity(blocks_p, blocks_q)).sum(axis=-1)
+        block = slice(i * d, (i + 1) * d)
+        fac[:, block, block] = np.sqrt(p[:, i, None, None]) * psi_p[:, i]
+        rho[:, block, block] = p[:, i, None, None] * blocks_p[:, i]
+        sig[:, block, block] = q[:, i, None, None] * blocks_q[:, i]
+    for state in (sig, blocks_p, blocks_q):
+        psd_eigvalsh(state)
+    direct = fidelity_from_factor(fac, sig)
+    blockwise = (np.sqrt(p * q) * fidelity_from_factor(psi_p, blocks_q)).sum(axis=-1)
     return -abs(direct - blockwise), {"rho": rho, "sigma": sig}
 
 
@@ -165,32 +194,41 @@ def _sample_povm_bound(rng):
     r, s = mixed_draw(rng, d, 2)
     g = np.zeros((POVM_OUTCOMES, 2, d, d))
     g[:n_out] = povm_draw(rng, d, n_out)
-    return (d,), {"rho": r, "sigma": s, "povm": g}
+    return (d,), {"psi": r, "sigma": s, "povm": g}
 
 
 def _povm_bound(key, x):
     check_povm(x["povm"])
-    # the solves fidelity needs anyway also serve the bound's state checks
-    r, s = solve_psd(x["rho"]), solve_psd(x["sigma"], vectors=False)
-    return povm_outcome_bound(r, s, x["povm"]) - fidelity(r, s), x
+    # one spectrum per state checks it for both the bound and the fidelity,
+    # which reads rho through its factor psi
+    psi, povm = x["psi"], x["povm"]
+    r = solve_psd(gram(psi), vectors=False)
+    s = solve_psd(x["sigma"], vectors=False)
+    m = povm_outcome_bound(r, s, povm) - fidelity_from_factor(psi, s.matrix)
+    return m, {"rho": r.matrix, "sigma": s.matrix, "povm": povm}
 
 
 def _sample_cptp_mono(rng):
     d1, d2 = _dim(rng, (2, 3)), _dim(rng, (2, 3, 4))
     r, s = mixed_draw(rng, d1 * d2, 2)
-    return (d1, d2, int(rng.integers(2))), {"rho": r, "sigma": s}
+    return (d1, d2, int(rng.integers(2))), {"psi": r, "sigma": s}
 
 
 def _cptp_mono(key, x):
+    # the full states' fidelity reads rho through its factor psi; the reduced
+    # and pinched states have no factor as narrow as they are, so take fidelity
     d1, d2, pinch = key
-    r, s = x["rho"], x["sigma"]
-    f0 = fidelity(r, s)
+    psi, s = x["psi"], x["sigma"]
+    r = gram(psi)
+    psd_eigvalsh(r)
+    psd_eigvalsh(s)
+    f0 = fidelity_from_factor(psi, s)
     if pinch:
         qr, qs = _pinch_first(r, d1, d2), _pinch_first(s, d1, d2)
     else:
         qr = partial_trace_matrix(r, (d1, d2), [0])
         qs = partial_trace_matrix(s, (d1, d2), [0])
-    return fidelity(qr, qs) - f0, x
+    return fidelity(qr, qs) - f0, {"rho": r, "sigma": s}
 
 
 def _sample_subadd_cond(rng):
@@ -221,9 +259,12 @@ def _kron_eig(a: Solved, b: Solved) -> Solved:
 
 
 def _relent_vs_fid(key, x):
+    # the floored sigma's eigensystem gives its factor v sqrt(w), and F is
+    # symmetric, so rho needs only the spectrum that checks it and gives S
     s = floor_eigensystem(x["sigma"], SIGMA_FLOOR)
-    r = solve_psd(x["rho"])             # one solve for rho's root and its entropy
-    return relative_entropy(r, s) - (1 - fidelity(r, s)), {"rho": x["rho"], "sigma": s.matrix}
+    r = solve_psd(x["rho"], vectors=False)
+    f = fidelity_from_factor(s.v * np.sqrt(s.w)[..., None, :], r.matrix)
+    return relative_entropy(r, s) - (1 - f), {"rho": r.matrix, "sigma": s.matrix}
 
 
 def _sample_superadd_classical(rng):
@@ -305,10 +346,12 @@ def _fact_sum(key, x):
 
 
 # how each named raw draw becomes a state, on the stack of a group's trials;
-# inputs not named here (distributions, samples, constants) are used as drawn
+# a psi name is built as the factor psi of its mixed state psi psi^dag, for
+# the fidelity kernels; inputs not named here (distributions, samples,
+# constants) are used as drawn
 _BUILD = {
-    **dict.fromkeys(("rho", "sigma", "rho1", "rho2", "rho3", "rho4", "rho_blocks",
-                     "sigma_blocks", "sigma_x", "sigma_y"), mixed_states),
+    **dict.fromkeys(("rho", "sigma", "sigma_blocks", "sigma_x", "sigma_y"), mixed_states),
+    **dict.fromkeys(("psi", "psi1", "psi2", "psi3", "psi4", "psi_blocks"), mixed_factors),
     "povm": povms,
     **dict.fromkeys(("sigma12", "ref1", "ref2"), classical_states),
 }
@@ -335,16 +378,6 @@ class CheckDef:
     def _run_group(self, key, draws: list[dict]):
         """The kernel on the stacked inputs of trials that share a group key."""
         return self.kernel(key, self.inputs(draws))
-
-    def evaluate(self, samples: list) -> np.ndarray:
-        """Margins of sampled trials, with one kernel call per group key."""
-        groups: dict = {}
-        for i, (key, _) in enumerate(samples):
-            groups.setdefault(key, []).append(i)
-        margins = np.empty(len(samples))
-        for key, idx in groups.items():
-            margins[idx] = self._run_group(key, [samples[i][1] for i in idx])[0]
-        return margins
 
     def func(self, rng) -> tuple[float, dict]:
         """One trial's (margin, dump states): sampler, construction and kernel
@@ -417,31 +450,14 @@ def _dump_counterexample(directory: Path, name: str, trial: int, margin: float,
     path.write_text(_canonical_json(doc))
 
 
-def _blocks(check: CheckDef, rngs) -> Iterator[list]:
-    """Sampled trials of check, in blocks that close once their entries reach
-    _BUDGET.  A trial's entries (those of its built inputs, plus _TRIAL_ENTRIES)
-    depend only on its group key, so they are counted once per key."""
-    entries: dict = {}
-    block, used = [], 0
-    for rng in rngs:
-        key, draws = check.sample(rng)
-        if key not in entries:
-            entries[key] = check.entries(draws) + _TRIAL_ENTRIES
-        block.append((key, draws))
-        used += entries[key]
-        if used >= _BUDGET:
-            yield block
-            block, used = [], 0
-    if block:
-        yield block
-
-
 def run_check(spec: CheckSpec, report_dir: str | Path | None = None,
               counters: dict | None = None) -> CheckReport:
     """Run one check; deterministic given (spec.name, spec.trials, spec.seed).
 
-    counters, if given, receives the run's number of evaluated blocks and of
-    kernel calls (one per group key of each block).
+    Trials are batched by group key under the _BUDGET caps described in the
+    module docstring; a trial's entries depend only on its key, so they are
+    counted once per key.  counters, if given, receives the run's
+    kernel_calls and max_batch_entries, the entries of its largest one.
     """
     if spec.name not in REGISTRY:
         raise ValueError(f"unknown check {spec.name!r}; have {sorted(REGISTRY)}")
@@ -449,27 +465,50 @@ def run_check(spec: CheckSpec, report_dir: str | Path | None = None,
         raise ValueError(f"trials must be >= 1, got {spec.trials}")
     check_id = list(REGISTRY).index(spec.name)
     check = REGISTRY[spec.name]
-    worst = math.inf
-    worst_trial = -1
-    violations = 0
-    start = blocks = kernel_calls = 0
+    margins = np.empty(spec.trials)
+    entries: dict = {}      # group key -> one trial's entries
+    pending: dict = {}      # group key -> (trial indices, their draws)
+    held = kernel_calls = max_batch = 0
+
+    def size(key) -> int:
+        return len(pending[key][0]) * entries[key]
+
+    def evaluate(key) -> None:
+        nonlocal held, kernel_calls, max_batch
+        used = size(key)
+        trials, draws = pending.pop(key)
+        margins[trials] = check._run_group(key, draws)[0]
+        held -= used
+        kernel_calls += 1
+        max_batch = max(max_batch, used)
+
     rngs = rng_block(spec.seed, CHECK_STREAM, check_id, trials=range(spec.trials))
-    for block in _blocks(check, rngs):
-        blocks += 1
-        kernel_calls += len({key for key, _ in block})
-        for trial, margin in enumerate(check.evaluate(block).tolist(), start):
-            if margin < worst:
-                worst, worst_trial = margin, trial
-            if margin < -check.tolerance:
-                violations += 1
-                if report_dir is not None:
-                    # replaying the trial gives the same margin bits and its states
-                    _, states = check.func(rng_for(spec.seed, CHECK_STREAM, check_id, trial))
-                    _dump_counterexample(Path(report_dir), spec.name, trial, margin, states)
-        start += len(block)
+    for trial, rng in enumerate(rngs):
+        key, draws = check.sample(rng)
+        if key not in entries:
+            entries[key] = check.entries(draws) + _TRIAL_ENTRIES
+        trials, batch = pending.setdefault(key, ([], []))
+        trials.append(trial)
+        batch.append(draws)
+        held += entries[key]
+        if size(key) >= _BUDGET:
+            evaluate(key)
+        if held >= 2 * _BUDGET:
+            evaluate(max(pending, key=size))
+    for key in list(pending):
+        evaluate(key)
+    # argmin keeps the first of equal minimal margins
+    worst = int(np.argmin(margins))
+    violating = np.flatnonzero(margins < -check.tolerance).tolist()
+    if report_dir is not None:
+        for trial in violating:
+            # replaying the trial gives the same margin bits and its states
+            _, states = check.func(rng_for(spec.seed, CHECK_STREAM, check_id, trial))
+            _dump_counterexample(Path(report_dir), spec.name, trial, float(margins[trial]),
+                                 states)
     if counters is not None:
-        counters.update(blocks=blocks, kernel_calls=kernel_calls)
-    return CheckReport(spec.name, spec.trials, violations, worst, worst_trial)
+        counters.update(kernel_calls=kernel_calls, max_batch_entries=max_batch)
+    return CheckReport(spec.name, spec.trials, len(violating), float(margins[worst]), worst)
 
 
 def run_all(seed: int = 0, trials_per_check: int = 10_000,

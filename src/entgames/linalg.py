@@ -123,14 +123,22 @@ def kron(a, b) -> np.ndarray:
 
 
 def _check_hermitian(h: np.ndarray) -> None:
-    """Raise unless every slice is Hermitian within herm * max(1, |h|)."""
+    """Raise unless every slice is finite and Hermitian within herm * max(1, |h|).
+
+    The scale's one pass over |h| is also the finiteness scan: its maximum is
+    inf or nan exactly when the slice has a non-finite entry.
+    """
     scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
+    if not np.isfinite(scale).all():
+        raise ValueError("matrix has non-finite entries")
     if (np.abs(h - dagger(h)).max(axis=(-2, -1)) > DEFAULT_TOLS.herm * scale).any():
         raise ValueError("matrix is not Hermitian within tolerance")
 
 
 def _check_psd_spectrum(w: np.ndarray) -> None:
-    """Raise unless every ascending spectrum in w is above -psd."""
+    """Raise unless every ascending spectrum in w is finite and above -psd."""
+    if not np.isfinite(w).all():
+        raise ValueError("spectrum has non-finite entries")
     low = w[..., 0].min()
     if low < -DEFAULT_TOLS.psd:
         raise ValueError(f"matrix has eigenvalue {low:.3e}; not PSD within tolerance")
@@ -140,7 +148,8 @@ def _check_psd_spectrum(w: np.ndarray) -> None:
 class Solved:
     """A matrix or stack (..., d, d) with the eigensystem its caller solved:
     ascending eigenvalues w and, if solved too, the eigenvectors v.  Built
-    only for states: the matrix is checked Hermitian and w PSD here, once."""
+    only for states: the matrix is checked finite and Hermitian and w finite
+    and PSD here, once."""
 
     matrix: np.ndarray
     w: np.ndarray

@@ -12,6 +12,7 @@ return an array with one value per slice; every per-matrix validation applies
 to each slice.  A single matrix gives a float.  Each state they read is
 checked Hermitian and PSD; one passed as a linalg.Solved was checked when it
 was built, so a caller solves and checks a state once for several quantities.
+fidelity_from_factor takes F from any factor of rho, with no matrix root.
 A POVM is a (..., n, d, d) stack of n elements, checked by check_povm.
 purification_matrix is the one purification, used by purify, uhlmann_partner
 and sic's decoupling.  Tolerances are the fixed config.DEFAULT_TOLS.
@@ -109,22 +110,26 @@ def _outcome_distribution(elements: np.ndarray, rho: np.ndarray) -> np.ndarray:
 def fidelity(rho, sigma):
     """Root fidelity F(rho, sigma) = ||sqrt(rho) sqrt(sigma)||_1, in [0, 1].
 
-    Both states are checked Hermitian and PSD; see fidelity_from_root.
+    Both states are checked Hermitian and PSD; rho's root is the factor
+    fidelity_from_factor takes.
     """
     _, s = _pair(rho, sigma)
     psd_eigvalsh(sigma)
-    return fidelity_from_root(matrix_sqrt_psd(rho), s)
+    return fidelity_from_factor(matrix_sqrt_psd(rho), s)
 
 
-def fidelity_from_root(root_rho: np.ndarray, sigma: np.ndarray):
-    """F(rho, sigma) = sum of sqrt(eigenvalues of sqrt(rho) sigma sqrt(rho)).
+def fidelity_from_factor(a: np.ndarray, sigma: np.ndarray):
+    """F(rho, sigma) = sum of sqrt(eigenvalues of a^dag sigma a) for any
+    factor a of rho = a a^dag, shape (..., d, k).
 
-    root_rho is matrix_sqrt_psd(rho); sigma must already be checked PSD.  A
-    caller that needs several fidelities against one rho computes its root
-    once.  Eigenvalues under the product's rounding floor count as 0 (see
+    By Uhlmann's theorem F = ||a^dag b||_1 for factors a of rho and b of
+    sigma, and a^dag sigma a = (b^dag a)^dag (b^dag a); the root sqrt(rho)
+    is one such factor, a state built as psi psi^dag has psi, and a solved
+    state v w v^dag has v sqrt(w).  The caller checks rho and sigma PSD.
+    Eigenvalues under the product's rounding floor count as 0 (see
     linalg._root_sum); the result goes through clip_fidelity.
     """
-    w = np.linalg.eigvalsh(hermitianize(root_rho @ sigma @ root_rho))
+    w = np.linalg.eigvalsh(hermitianize(dagger(a) @ sigma @ a))
     return clip_fidelity(_root_sum(w))
 
 

@@ -15,9 +15,11 @@ replay entry point.
 Random states are drawn in two steps.  A trial draws only raw numbers
 (mixed_draw, povm_draw, unitary_draw), and the states are built from stacks
 of those draws (mixed_states, povms, classical_states, haar_unitaries and
-projectives), so a block of trials shares one construction.  Every
-construction acts on each slice on its own; random_mixed, haar_unitary and
-random_projective are the one-slice case.
+projectives), so a batch of trials shares one construction.  A mixed state
+is built as psi psi^dag, so mixed_factors gives its factor psi at no cost,
+for fidelities taken from a factor rather than a matrix root
+(qinfo.fidelity_from_factor).  Every construction acts on each slice on its
+own; random_mixed, haar_unitary and random_projective are the one-slice case.
 """
 
 from __future__ import annotations
@@ -177,14 +179,25 @@ def mixed_draw(rng: np.random.Generator, dim: int, n: int | None = None) -> np.n
     return rng.standard_normal((2, dim * dim) if n is None else (n, 2, dim * dim))
 
 
-def mixed_states(g: np.ndarray) -> np.ndarray:
-    """Mixed states from stacked raw draws (..., 2, d^2): the partial trace of
-    the Haar pure state g[..., 0, :] + i g[..., 1, :] (normalized) on d x d."""
+def mixed_factors(g: np.ndarray) -> np.ndarray:
+    """Factors psi (..., d, d) of mixed states psi psi^dag from stacked raw
+    draws (..., 2, d^2): the Haar pure state g[..., 0, :] + i g[..., 1, :]
+    (normalized) on d x d, as a d x d amplitude matrix."""
     v = g[..., 0, :] + 1j * g[..., 1, :]
     v = v / np.linalg.norm(v, axis=-1, keepdims=True)
     d = math.isqrt(v.shape[-1])
-    psi = v.reshape(v.shape[:-1] + (d, d))
-    return psi @ dagger(psi)
+    return v.reshape(v.shape[:-1] + (d, d))
+
+
+def gram(a: np.ndarray) -> np.ndarray:
+    """a a^dag for each matrix of a stack: the state a factor a stands for."""
+    return a @ dagger(a)
+
+
+def mixed_states(g: np.ndarray) -> np.ndarray:
+    """Mixed states from stacked raw draws (..., 2, d^2): the partial trace of
+    the Haar pure state on d x d, the gram of its mixed_factors."""
+    return gram(mixed_factors(g))
 
 
 def random_mixed(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -31,7 +31,7 @@ from entgames.qinfo import (
     relative_entropy,
     von_neumann_entropy,
 )
-from entgames.random_states import floor_eigensystem, rng_block, rng_for
+from entgames.random_states import floor_eigensystem, gram, rng_for
 
 from conftest import count_checks, count_solves
 
@@ -176,6 +176,17 @@ def _bits(margins) -> bytes:
     return np.asarray(margins, dtype=float).tobytes()
 
 
+def _evaluate(check, samples: list) -> np.ndarray:
+    """Margins of sampled trials, with one kernel call per group key."""
+    groups: dict = {}
+    for i, (key, _) in enumerate(samples):
+        groups.setdefault(key, []).append(i)
+    margins = np.empty(len(samples))
+    for key, idx in groups.items():
+        margins[idx] = check.kernel(key, check.inputs([samples[i][1] for i in idx]))[0]
+    return margins
+
+
 class TestDimDraw:
     def test_same_draw_as_choice(self):
         # _dim replaces rng.choice(pool); the draw and the stream after it must match
@@ -188,27 +199,28 @@ class TestDimDraw:
 
 class TestStackedEvaluation:
     """A trial's margin is the same bits whether it is evaluated alone (the
-    replay entry point REGISTRY[name].func) or stacked with any block mates."""
+    replay entry point REGISTRY[name].func) or stacked with any batch mates."""
 
     @pytest.mark.parametrize("name", EXPECTED_ORDER)
     def test_stacked_margins_replay_bit_for_bit(self, name, monkeypatch):
         check, check_id = REGISTRY[name], EXPECTED_ORDER.index(name)
         n = 149
-        # a budget that makes run_check cross block boundaries within n trials
-        monkeypatch.setattr(checks, "_BUDGET", 4000)
+        # a budget that makes run_check split some group key's trials over
+        # several kernel calls within n trials
+        monkeypatch.setattr(checks, "_BUDGET", 1500)
         for seed in (0, 5):
             single = [check.func(rng_for(seed, CHECK_STREAM, check_id, t))[0]
                       for t in range(n)]
             samples = [check.sample(rng_for(seed, CHECK_STREAM, check_id, t))
                        for t in range(n)]
-            stacked = check.evaluate(samples)
+            stacked = _evaluate(check, samples)
             assert _bits(stacked) == _bits(single)
-            # other block mates, and other group sizes, for every trial
-            shifted = check.evaluate(samples[7:])
+            # other batch mates, and other group sizes, for every trial
+            shifted = _evaluate(check, samples[7:])
             assert _bits(shifted) == _bits(single[7:])
             counters: dict = {}
             rep = run_check(CheckSpec(name, trials=n, seed=seed), counters=counters)
-            assert counters["blocks"] >= 2
+            assert counters["kernel_calls"] > len({key for key, _ in samples})
             assert _bits(rep.worst_margin) == _bits(min(single))
             assert rep.worst_case_seed == single.index(min(single))
             assert rep.violations == sum(m < -check.tolerance for m in single)
@@ -229,29 +241,72 @@ def _report_bits(rep: CheckReport) -> tuple:
         rep.worst_case_seed
 
 
+# kernel calls of each check's 1,000-trial seed-7 run: 178 in all, where one
+# shared block split by group key made 472
+KERNEL_CALLS = {
+    "weak_triangle": 7, "four_state": 8, "fidelity_sq_sum": 7, "cq_fidelity": 8,
+    "povm_bound": 11, "cptp_mono": 21, "subadd_cond": 24, "relent_vs_fid": 6,
+    "superadd_classical": 15, "smax_ge_s": 6, "mi_min_relent": 5, "relent_mono": 7,
+    "cool_product": 7, "fact_sum": 46,
+}
+
+
 class TestBudget:
-    """Blocks close on an entry budget; no budget changes a report's bits."""
+    """Each group key's trials pend in one batch, evaluated once it reaches
+    the entry budget, or when all pending batches reach twice the budget;
+    no budget changes a report's bits."""
 
     @pytest.mark.parametrize("name", EXPECTED_ORDER)
     def test_reports_independent_of_budget(self, name, monkeypatch):
         check, check_id = REGISTRY[name], EXPECTED_ORDER.index(name)
-        default = checks._BUDGET
         for seed in (0, 5):
-            # enough trials that the default budget closes one block, not two
-            monkeypatch.setattr(checks, "_BUDGET", default)
-            rngs = rng_block(seed, CHECK_STREAM, check_id, trials=range(10_000))
-            first = next(checks._blocks(check, rngs))
-            spec = CheckSpec(name, trials=len(first) + 25, seed=seed)
+            spec = CheckSpec(name, trials=150, seed=seed)
+            keys = {check.sample(rng_for(seed, CHECK_STREAM, check_id, t))[0]
+                    for t in range(spec.trials)}
             runs = {}
-            for budget in (1, default, 10**12):
+            for budget in (1, 2000, checks._BUDGET, 10**12):
                 monkeypatch.setattr(checks, "_BUDGET", budget)
                 counters: dict = {}
                 runs[budget] = (_report_bits(run_check(spec, counters=counters)), counters)
             reps = {r for r, _ in runs.values()}
             assert len(reps) == 1, runs
-            blocks = [c["blocks"] for _, c in runs.values()]
-            assert blocks == [spec.trials, 2, 1]
-            assert runs[1][1]["kernel_calls"] == spec.trials
+            calls = [c["kernel_calls"] for _, c in runs.values()]
+            # a budget of 1 evaluates every trial alone, a huge one each key once
+            assert calls[0] == spec.trials and calls[-1] == len(keys)
+            assert calls == sorted(calls, reverse=True)
+
+    @pytest.mark.parametrize("name", EXPECTED_ORDER)
+    def test_batches_within_caps(self, name, monkeypatch):
+        # a kernel call holds under _BUDGET entries plus one trial, and the
+        # pending draws under 2 * _BUDGET plus one trial
+        check = REGISTRY[name]
+        entries: dict = {}
+        held, seen = [0], {"batch": 0, "held": 0}
+
+        def sample(rng):
+            key, draws = check.sample(rng)
+            if key not in entries:
+                entries[key] = check.entries(draws) + checks._TRIAL_ENTRIES
+            held[0] += entries[key]
+            seen["held"] = max(seen["held"], held[0])
+            return key, draws
+
+        def kernel(key, x):
+            used = len(next(iter(x.values()))) * entries[key]
+            held[0] -= used
+            seen["batch"] = max(seen["batch"], used)
+            return check.kernel(key, x)
+
+        monkeypatch.setitem(REGISTRY, name, checks.CheckDef(
+            sample, kernel, check.tolerance, check.statement))
+        counters: dict = {}
+        run_check(CheckSpec(name, trials=1000, seed=7), counters=counters)
+        trial = max(entries.values())
+        assert counters == {"kernel_calls": KERNEL_CALLS[name],
+                            "max_batch_entries": seen["batch"]}
+        assert held[0] == 0
+        assert seen["batch"] < checks._BUDGET + trial
+        assert seen["held"] < 2 * checks._BUDGET + trial
 
     def test_entries_count_built_states(self):
         # classical_states turns d Dirichlet weights into d x d entries
@@ -304,33 +359,35 @@ SOLVES = {"relent_vs_fid": (3, 0), "smax_ge_s": (3, 0), "mi_min_relent": (1, 4),
           "relent_mono": (2, 2)}
 # np.linalg eigh and eigvalsh [calls, matrices] of each check's 1,000-trial
 # seed-0 run, construction included: a change that solves a state again,
-# where a kernel reuses its solve, fails here and not only as a slowdown
+# where a kernel reuses its solve, fails here and not only as a slowdown.
+# The fidelity checks take no eigh: each state costs the eigvalsh that checks
+# it, and each fidelity one eigvalsh of a^dag sigma a
 SUITE_SOLVES = {
-    "weak_triangle": {"eigh": [60, 3000], "eigvalsh": [80, 4000]},
-    "four_state": {"eigh": [100, 4000], "eigvalsh": [125, 5000]},
-    "fidelity_sq_sum": {"eigh": [60, 3000], "eigvalsh": [80, 4000]},
-    "cq_fidelity": {"eigh": [36, 3516], "eigvalsh": [72, 7032]},
-    "povm_bound": {"eigh": [75, 2005], "eigvalsh": [105, 7000]},
-    "cptp_mono": {"eigh": [120, 2000], "eigvalsh": [240, 4000]},
-    "subadd_cond": {"eigvalsh": [316, 4000]},
-    "relent_vs_fid": {"eigh": [30, 2000], "eigvalsh": [15, 1000]},
-    "superadd_classical": {"eigh": [90, 2000], "eigvalsh": [135, 3000]},
-    "smax_ge_s": {"eigh": [15, 1000], "eigvalsh": [30, 2000]},
-    "mi_min_relent": {"eigh": [48, 4000], "eigvalsh": [12, 1000]},
-    "relent_mono": {"eigh": [32, 2000], "eigvalsh": [32, 2000]},
-    "cool_product": {"eigvalsh": [20, 1000]},
+    "weak_triangle": {"eigvalsh": [42, 6000]},
+    "four_state": {"eigvalsh": [64, 8000]},
+    "fidelity_sq_sum": {"eigvalsh": [42, 6000]},
+    "cq_fidelity": {"eigvalsh": [40, 9548]},
+    "povm_bound": {"eigh": [16, 1005], "eigvalsh": [44, 8000]},
+    "cptp_mono": {"eigh": [21, 1000], "eigvalsh": [105, 5000]},
+    "subadd_cond": {"eigvalsh": [96, 4000]},
+    "relent_vs_fid": {"eigh": [6, 1000], "eigvalsh": [12, 2000]},
+    "superadd_classical": {"eigh": [30, 2000], "eigvalsh": [45, 3000]},
+    "smax_ge_s": {"eigh": [6, 1000], "eigvalsh": [12, 2000]},
+    "mi_min_relent": {"eigh": [20, 4000], "eigvalsh": [5, 1000]},
+    "relent_mono": {"eigh": [14, 2000], "eigvalsh": [14, 2000]},
+    "cool_product": {"eigvalsh": [7, 1000]},
     "fact_sum": {},
 }
 # linalg._check_hermitian [calls, matrices] in the same runs: a Solved is
 # checked once, when it is built, so a kernel that passes it on to several
-# quantities checks it once (povm_bound 3 calls a group, relent_vs_fid and
-# smax_ge_s 2)
+# quantities checks it once (povm_bound 3 calls a kernel call, relent_vs_fid
+# and smax_ge_s 2)
 SUITE_CHECKS = {
-    "weak_triangle": [80, 4000], "four_state": [125, 5000], "fidelity_sq_sum": [80, 4000],
-    "cq_fidelity": [72, 7032], "povm_bound": [105, 7000], "cptp_mono": [240, 4000],
-    "subadd_cond": [316, 4000], "relent_vs_fid": [30, 2000],
-    "superadd_classical": [270, 6000], "smax_ge_s": [30, 2000], "mi_min_relent": [84, 7000],
-    "relent_mono": [64, 4000], "cool_product": [0, 0], "fact_sum": [0, 0],
+    "weak_triangle": [21, 3000], "four_state": [32, 4000], "fidelity_sq_sum": [21, 3000],
+    "cq_fidelity": [24, 6032], "povm_bound": [33, 7000], "cptp_mono": [84, 4000],
+    "subadd_cond": [96, 4000], "relent_vs_fid": [12, 2000],
+    "superadd_classical": [90, 6000], "smax_ge_s": [12, 2000], "mi_min_relent": [35, 7000],
+    "relent_mono": [28, 4000], "cool_product": [0, 0], "fact_sum": [0, 0],
 }
 
 
@@ -600,10 +657,17 @@ def _ref_sample(name, rng):
     return (n,), {"x": x, "c": float(rng.uniform(1.05, 8.0))}
 
 
+def _as_states(built: dict) -> dict:
+    """Built inputs with each factor psi* replaced by its state rho*."""
+    return {n.replace("psi", "rho", 1): gram(a) if n.startswith("psi") else a
+            for n, a in built.items()}
+
+
 class TestStackedConstruction:
     """Samplers draw raw numbers per trial; CheckDef.inputs builds the states
-    of a whole group at once.  That gives each trial the key and states of the
-    per-trial reference, up to the order of floating-point sums."""
+    (or, for psi names, their factors) of a whole group at once.  That gives
+    each trial the key and states of the per-trial reference, up to the order
+    of floating-point sums."""
 
     @pytest.mark.parametrize("name", EXPECTED_ORDER)
     def test_matches_per_trial_reference(self, name):
@@ -616,7 +680,7 @@ class TestStackedConstruction:
         for i, (key, _) in enumerate(samples):
             groups.setdefault(key, []).append(i)
         for idx in groups.values():
-            built = check.inputs([samples[i][1] for i in idx])
+            built = _as_states(check.inputs([samples[i][1] for i in idx]))
             for j, i in enumerate(idx):
                 ref = refs[i][1]
                 assert built.keys() == ref.keys()

@@ -284,9 +284,12 @@ class TestVerify:
         counters: dict = {}
         reports, _ = checks.run_all(2, 300, ["cptp_mono", "relent_mono"], None, counters)
         for name, entry in man["checks"].items():
-            assert set(entry) == {"wall_s", "trials_per_s", "blocks", "kernel_calls"}
-            assert {k: entry[k] for k in ("blocks", "kernel_calls")} == counters[name]
-            assert 1 <= entry["blocks"] <= entry["kernel_calls"]
+            assert set(entry) == {"wall_s", "trials_per_s", "kernel_calls",
+                                  "max_batch_entries"}
+            assert {k: entry[k] for k in ("kernel_calls", "max_batch_entries")} \
+                == counters[name]
+            assert entry["kernel_calls"] >= 1
+            assert 0 < entry["max_batch_entries"] < checks._BUDGET + 1000
         assert (out / "report.json").read_text() == checks.reports_to_json(reports)
         for rep in json.loads((out / "report.json").read_text()):
             assert set(rep) == {"name", "trials_run", "violations", "worst_margin",

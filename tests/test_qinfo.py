@@ -17,7 +17,7 @@ from entgames.qinfo import (
     check_povm,
     entropy_of_spectrum,
     fidelity,
-    fidelity_from_root,
+    fidelity_from_factor,
     min_relative_entropy,
     mutual_information,
     povm_outcome_bound,
@@ -29,8 +29,12 @@ from entgames.qinfo import (
 )
 from entgames.random_states import (
     floor_eigensystem,
+    gram,
     haar_state,
     haar_unitary,
+    mixed_draw,
+    mixed_factors,
+    mixed_states,
     random_mixed,
     rng_for,
 )
@@ -402,10 +406,24 @@ class TestStacks:
             assert np.array_equal(stacked[i], floored(r[i], 1e-3))
 
     def test_fidelity_from_shared_root(self, rng):
-        # one root of rho serves every fidelity against it
+        # the root of rho is one factor of it, the one fidelity itself takes
         r, s = _stack(rng, 3, 3), _stack(rng, 3, 3)
-        got = fidelity_from_root(matrix_sqrt_psd(r), s)
+        got = fidelity_from_factor(matrix_sqrt_psd(r), s)
         assert got.tolist() == fidelity(r, s).tolist()
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_fidelity_from_any_factor(self, rng, d):
+        # Uhlmann: F(a a^dag, sigma) from the factor a, whatever its form
+        psi = mixed_factors(np.stack([mixed_draw(rng, d) for _ in range(20)]))
+        sigma = mixed_states(np.stack([mixed_draw(rng, d) for _ in range(20)]))
+        want = fidelity(gram(psi), sigma)
+        assert np.abs(fidelity_from_factor(psi, sigma) - want).max() <= 1e-12
+        # a solved state's v sqrt(w), and a factor wider than the state
+        s = floor_eigensystem(gram(psi), 1e-8)
+        f = fidelity_from_factor(s.v * np.sqrt(s.w)[..., None, :], sigma)
+        assert np.abs(f - fidelity(s.matrix, sigma)).max() <= 1e-12
+        wide = np.concatenate([psi / math.sqrt(2), psi / math.sqrt(2)], axis=-1)
+        assert np.abs(fidelity_from_factor(wide, sigma) - want).max() <= 1e-12
 
     def test_fidelity_one_non_psd_sigma_raises(self, rng):
         r, s = _stack(rng, 4, 2), _stack(rng, 4, 2)
@@ -483,3 +501,16 @@ def test_hostile_state_raises(name, position, kind, solved, partner):
     with pytest.raises(ValueError, match=match):
         states[position] = Solved(bad, *np.linalg.eigh(hermitianize(bad))) if solved else bad
         func(*states, *rest)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: von_neumann_entropy(Solved(np.eye(2) / 2, np.array([np.nan, 0.5]))),
+    lambda: von_neumann_entropy(Solved(np.eye(2) / 2, np.array([np.inf, 0.5]))),
+    lambda: floor_eigensystem(np.array([[np.nan, 0.0], [0.0, 1.0]]), 1e-8),
+    lambda: Solved(np.full((2, 2), np.nan), np.array([np.nan, np.nan])),
+], ids=["nan_spectrum", "inf_spectrum", "nan_floored", "nan_matrix"])
+def test_non_finite_solved_raises(make):
+    # nan compares false, so the Hermitian and PSD checks let these through:
+    # the entropies read 0.5 and 0.0 and the floored state had spectrum [nan, nan]
+    with pytest.raises(ValueError, match="non-finite"):
+        make()
