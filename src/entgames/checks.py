@@ -6,14 +6,16 @@ states, Dirichlet weights, samples) and returns them with a group key (the
 trial's dimensions and any discrete choice).  CheckDef.inputs stacks the
 draws of a group of trials along a leading axis and builds their states on
 the whole stack (_BUILD names which draws are states, and how they are
-built; a psi draw is built as the factor psi of the mixed state psi psi^dag).
-The kernel takes those stacked inputs and returns one signed margin per
-trial: nonnegative means the inequality held (equality checks return minus
-the absolute deviation).  A trial counts as a violation when the margin
-falls below minus the check's tolerance.  Trial t of check c uses the
-generator rng_for(seed, CHECK_STREAM, c, t), so any single trial can be
-replayed from the report alone with REGISTRY[name].func, which runs the
-sampler, the construction and the kernel on a batch of one.
+built; a psi or phi draw is built as the factor psi of the mixed state
+psi psi^dag).  The kernel takes those stacked inputs and returns one signed
+margin per trial, nonnegative where the inequality held (equality checks
+return minus the absolute deviation), and a function that builds the
+trial's states for a counterexample dump, called only on the replay path.
+A trial counts as a violation when the margin falls below minus the check's
+tolerance.  Trial t of check c uses the generator
+rng_for(seed, CHECK_STREAM, c, t), so any single trial can be replayed from
+the report alone with REGISTRY[name].func, which runs the sampler, the
+construction and the kernel on a batch of one and builds its dump states.
 
 run_check takes trials from one lazily consumed rng_block stream and keeps
 one pending batch per group key.  A trial's entries are the matrix entries of
@@ -31,11 +33,14 @@ Kernels solve each eigensystem once and pass it on as a linalg.Solved,
 which is checked Hermitian and PSD when it is built and not again: a floored
 reference state's eigensystem comes from the floor step, rho's one spectrum
 serves its entropies and its checks, and a Kronecker product's eigensystem
-is built from its factors'.  Fidelities take no matrix root: F(rho, sigma)
-comes from a factor a of rho = a a^dag (qinfo.fidelity_from_factor), which
-each state has already, the psi of a drawn state, sqrt(p_x) psi_x on the
-blocks of a cq state, or v sqrt(w) of a floored one; each drawn state, and
-each one read as a matrix, is still checked by one eigvalsh.  run_all runs
+is built from its factors'.  Fidelities take no matrix root.  Where both
+states have a factor, F(a a^dag, b b^dag) = ||b^dag a||_1 comes from the two
+factors alone (qinfo.fidelity_from_factors): the psi and phi of drawn
+states, sqrt(p_x) psi_x on the blocks of a cq state, or v sqrt(w) of a
+floored one.  A state read only through its factor is PSD by construction,
+so no eigensolve re-checks it; its factor is checked finite and of unit
+norm instead.  A state read as a matrix (a reduced or pinched state, or one
+whose entropy a kernel takes) is still solved and checked.  run_all runs
 the suite, or a named subset, and times and counts each check; `entgames
 verify` calls it.
 """
@@ -58,21 +63,20 @@ from .linalg import (
     hermitianize,
     kron,
     partial_trace_matrix,
-    psd_eigvalsh,
     solve_psd,
 )
 from .qinfo import (
+    _outcome_distribution,
     check_povm,
     fidelity,
-    fidelity_from_factor,
+    fidelity_from_factors,
     min_relative_entropy,
-    povm_outcome_bound,
     relative_entropy,
     von_neumann_entropy,
 )
 from .random_states import (
     classical_states,
-    flat_dirichlet,
+    flat_dirichlets,
     floor_eigensystem,
     gram,
     mixed_draw,
@@ -88,6 +92,7 @@ CHECK_STREAM = 201
 DIM_POOL = (2, 3, 4, 6, 8)
 SIGMA_FLOOR = 1e-8
 POVM_OUTCOMES = 5       # povm_bound draws POVMs of 2..POVM_OUTCOMES outcomes
+FACT_SAMPLES = 50       # fact_sum draws 5..FACT_SAMPLES samples
 # run_check's cap on the entries of one kernel call (twice it on all pending
 # batches): a trial's entries are the matrix entries of its built inputs plus
 # _TRIAL_ENTRIES, a charge for its draw dict and arrays, which outweigh the
@@ -109,22 +114,26 @@ def _pinch_first(m: np.ndarray, d1: int, d2: int) -> np.ndarray:
 
 def _fidelities(x, pairs):
     """F(rho_i, rho_j) for each (i, j) of the states rho_i = psi_i psi_i^dag,
-    whose factors x holds in order, and those states by their dump names.
-
-    Each state costs one eigvalsh, its PSD check; each pair reads psi_i as
-    the factor of rho_i (fidelity_from_factor), so no matrix root is taken.
-    """
+    whose factors x holds in order, read through those factors alone
+    (fidelity_from_factors), and a function giving the states by their dump
+    names."""
     factors = list(x.values())
-    states = [gram(f) for f in factors]
-    for state in states:
-        psd_eigvalsh(state)
-    fids = [fidelity_from_factor(factors[i], states[j]) for i, j in pairs]
-    return fids, {f"rho{i + 1}": state for i, state in enumerate(states)}
+    fids = [fidelity_from_factors(factors[i], factors[j]) for i, j in pairs]
+    return fids, lambda: {f"rho{i + 1}": gram(f) for i, f in enumerate(factors)}
+
+
+def _block_diag(blocks: np.ndarray) -> np.ndarray:
+    """Block-diagonal (n, k d, k d) matrices from stacks of k blocks (n, k, d, d)."""
+    n, k, d = blocks.shape[:3]
+    out = np.zeros((n, k * d, k * d), dtype=blocks.dtype)
+    for i in range(k):
+        out[:, i * d:(i + 1) * d, i * d:(i + 1) * d] = blocks[:, i]
+    return out
 
 
 # --- samplers, each returning (group key, one trial's inputs), and kernels,
-# each returning (margins, states for counterexample dumps) for a group of
-# stacked trials
+# each returning (margins, function giving the states for counterexample
+# dumps) for a group of stacked trials
 
 
 def _sample_states(n: int) -> Callable:
@@ -157,32 +166,21 @@ def _fidelity_sq_sum(key, x):
 def _sample_cq_fidelity(rng):
     k = int(rng.integers(2, 4))
     d = _dim(rng, (2, 3, 4))
-    p, q = flat_dirichlet(rng, k), flat_dirichlet(rng, k)
-    blocks_p, blocks_q = mixed_draw(rng, d, k), mixed_draw(rng, d, k)
-    return (k, d), {"p": p, "q": q, "psi_blocks": blocks_p, "sigma_blocks": blocks_q}
+    p, q = flat_dirichlets(rng, k, k)
+    g = mixed_draw(rng, d, 2 * k)
+    return (k, d), {"p": p, "q": q, "psi_blocks": g[:k], "phi_blocks": g[k:]}
 
 
 def _cq_fidelity(key, x):
-    # rho's blocks p_x psi_x psi_x^dag give it the block-diagonal factor
-    # sqrt(p_x) psi_x, the only form in which the kernel reads rho; the drawn
-    # blocks and sigma, which it reads as matrices, are checked once each
-    k, d = key
-    n = len(x["p"])
-    fac = np.zeros((n, k * d, k * d), dtype=complex)
-    rho = np.zeros((n, k * d, k * d), dtype=complex)
-    sig = np.zeros((n, k * d, k * d), dtype=complex)
-    p, q, psi_p, blocks_q = x["p"], x["q"], x["psi_blocks"], x["sigma_blocks"]
-    blocks_p = gram(psi_p)
-    for i in range(k):
-        block = slice(i * d, (i + 1) * d)
-        fac[:, block, block] = np.sqrt(p[:, i, None, None]) * psi_p[:, i]
-        rho[:, block, block] = p[:, i, None, None] * blocks_p[:, i]
-        sig[:, block, block] = q[:, i, None, None] * blocks_q[:, i]
-    for state in (sig, blocks_p, blocks_q):
-        psd_eigvalsh(state)
-    direct = fidelity_from_factor(fac, sig)
-    blockwise = (np.sqrt(p * q) * fidelity_from_factor(psi_p, blocks_q)).sum(axis=-1)
-    return -abs(direct - blockwise), {"rho": rho, "sigma": sig}
+    # rho and sigma are read only through their block-diagonal factors
+    # sqrt(p_x) psi_x and sqrt(q_x) phi_x, their blocks through psi_x and phi_x
+    p, q, psi, phi = x["p"], x["q"], x["psi_blocks"], x["phi_blocks"]
+    direct = fidelity_from_factors(_block_diag(np.sqrt(p)[..., None, None] * psi),
+                                   _block_diag(np.sqrt(q)[..., None, None] * phi))
+    blockwise = (np.sqrt(p * q) * fidelity_from_factors(psi, phi)).sum(axis=-1)
+    return -abs(direct - blockwise), lambda: {
+        "rho": _block_diag(p[..., None, None] * gram(psi)),
+        "sigma": _block_diag(q[..., None, None] * gram(phi))}
 
 
 def _sample_povm_bound(rng):
@@ -194,41 +192,39 @@ def _sample_povm_bound(rng):
     r, s = mixed_draw(rng, d, 2)
     g = np.zeros((POVM_OUTCOMES, 2, d, d))
     g[:n_out] = povm_draw(rng, d, n_out)
-    return (d,), {"psi": r, "sigma": s, "povm": g}
+    return (d,), {"psi": r, "phi": s, "povm": g}
 
 
 def _povm_bound(key, x):
-    check_povm(x["povm"])
-    # one spectrum per state checks it for both the bound and the fidelity,
-    # which reads rho through its factor psi
-    psi, povm = x["psi"], x["povm"]
-    r = solve_psd(gram(psi), vectors=False)
-    s = solve_psd(x["sigma"], vectors=False)
-    m = povm_outcome_bound(r, s, povm) - fidelity_from_factor(psi, s.matrix)
-    return m, {"rho": r.matrix, "sigma": s.matrix, "povm": povm}
+    # p_i = Tr(psi^dag E_i psi) is read off the unsolved gram of the factor,
+    # and F from the factors; only the POVM elements are solved, by check_povm
+    psi, phi, povm = x["psi"], x["phi"], x["povm"]
+    check_povm(povm)
+    r, s = gram(psi), gram(phi)
+    p, q = _outcome_distribution(povm, r), _outcome_distribution(povm, s)
+    m = np.sqrt(p * q).sum(axis=-1) - fidelity_from_factors(psi, phi)
+    return m, lambda: {"rho": r, "sigma": s, "povm": povm}
 
 
 def _sample_cptp_mono(rng):
     d1, d2 = _dim(rng, (2, 3)), _dim(rng, (2, 3, 4))
     r, s = mixed_draw(rng, d1 * d2, 2)
-    return (d1, d2, int(rng.integers(2))), {"psi": r, "sigma": s}
+    return (d1, d2, int(rng.integers(2))), {"psi": r, "phi": s}
 
 
 def _cptp_mono(key, x):
-    # the full states' fidelity reads rho through its factor psi; the reduced
-    # and pinched states have no factor as narrow as they are, so take fidelity
+    # the full states' fidelity reads them through their factors psi and phi;
+    # the reduced and pinched states have no factor as narrow as they are, so
+    # take fidelity, which solves and checks them
     d1, d2, pinch = key
-    psi, s = x["psi"], x["sigma"]
-    r = gram(psi)
-    psd_eigvalsh(r)
-    psd_eigvalsh(s)
-    f0 = fidelity_from_factor(psi, s)
+    psi, phi = x["psi"], x["phi"]
+    r, s = gram(psi), gram(phi)
     if pinch:
         qr, qs = _pinch_first(r, d1, d2), _pinch_first(s, d1, d2)
     else:
         qr = partial_trace_matrix(r, (d1, d2), [0])
         qs = partial_trace_matrix(s, (d1, d2), [0])
-    return fidelity(qr, qs) - f0, {"rho": r, "sigma": s}
+    return fidelity(qr, qs) - fidelity_from_factors(psi, phi), lambda: {"rho": r, "sigma": s}
 
 
 def _sample_subadd_cond(rng):
@@ -240,13 +236,17 @@ def _subadd_cond(dims, x):
     def ent(keep):
         return von_neumann_entropy(partial_trace_matrix(x["rho"], dims, keep))
     s_c = ent([2])
-    return (ent([0, 2]) - s_c) + (ent([1, 2]) - s_c) - (ent([0, 1, 2]) - s_c), x
+    return (ent([0, 2]) - s_c) + (ent([1, 2]) - s_c) - (ent([0, 1, 2]) - s_c), lambda: x
 
 
-def _sample_rho_sigma(rng):
-    d = _dim(rng)
-    r, s = mixed_draw(rng, d, 2)
-    return (d,), {"rho": r, "sigma": s}
+def _sample_pair(first: str) -> Callable:
+    """Sampler of two mixed states of one dimension from DIM_POOL, named first
+    and sigma."""
+    def sample(rng):
+        d = _dim(rng)
+        r, s = mixed_draw(rng, d, 2)
+        return (d,), {first: r, "sigma": s}
+    return sample
 
 
 def _kron_eig(a: Solved, b: Solved) -> Solved:
@@ -259,19 +259,19 @@ def _kron_eig(a: Solved, b: Solved) -> Solved:
 
 
 def _relent_vs_fid(key, x):
-    # the floored sigma's eigensystem gives its factor v sqrt(w), and F is
-    # symmetric, so rho needs only the spectrum that checks it and gives S
+    # F comes from rho's factor psi and the floored sigma's v sqrt(w); rho's
+    # one spectrum, which S reads, is its check
+    psi = x["psi"]
     s = floor_eigensystem(x["sigma"], SIGMA_FLOOR)
-    r = solve_psd(x["rho"], vectors=False)
-    f = fidelity_from_factor(s.v * np.sqrt(s.w)[..., None, :], r.matrix)
-    return relative_entropy(r, s) - (1 - f), {"rho": r.matrix, "sigma": s.matrix}
+    r = solve_psd(gram(psi), vectors=False)
+    f = fidelity_from_factors(psi, s.v * np.sqrt(s.w)[..., None, :])
+    return relative_entropy(r, s) - (1 - f), lambda: {"rho": r.matrix, "sigma": s.matrix}
 
 
 def _sample_superadd_classical(rng):
     d1, d2 = _dim(rng, (2, 3, 4)), _dim(rng, (2, 3, 4))
-    return (d1, d2), {"sigma12": flat_dirichlet(rng, d1 * d2),
-                      "ref1": flat_dirichlet(rng, d1),
-                      "ref2": flat_dirichlet(rng, d2)}
+    joint, ref1, ref2 = flat_dirichlets(rng, d1 * d2, d1, d2)
+    return (d1, d2), {"sigma12": joint, "ref1": ref1, "ref2": ref2}
 
 
 def _superadd_classical(dims, x):
@@ -280,14 +280,14 @@ def _superadd_classical(dims, x):
     lhs = relative_entropy(joint, _kron_eig(s1, s2))
     rhs = (relative_entropy(partial_trace_matrix(joint, dims, [0]), s1)
            + relative_entropy(partial_trace_matrix(joint, dims, [1]), s2))
-    return lhs - rhs, {"sigma12": joint, "ref1": s1.matrix, "ref2": s2.matrix}
+    return lhs - rhs, lambda: {"sigma12": joint, "ref1": s1.matrix, "ref2": s2.matrix}
 
 
 def _smax_ge_s(key, x):
     s = floor_eigensystem(x["sigma"], SIGMA_FLOOR)
     r = solve_psd(x["rho"], vectors=False)      # one spectrum for both entropies
     m = min_relative_entropy(r, s) - relative_entropy(r, s)
-    return m, {"rho": x["rho"], "sigma": s.matrix}
+    return m, lambda: {"rho": x["rho"], "sigma": s.matrix}
 
 
 def _sample_mi_min_relent(rng):
@@ -301,7 +301,7 @@ def _mi_min_relent(dims, x):
     rx, ry = (solve_psd(partial_trace_matrix(x["rho"], dims, [i])) for i in (0, 1))
     sx, sy = (floor_eigensystem(x[k], SIGMA_FLOOR) for k in ("sigma_x", "sigma_y"))
     m = relative_entropy(r, _kron_eig(sx, sy)) - relative_entropy(r, _kron_eig(rx, ry))
-    return m, {"rho": x["rho"], "sigma_x": sx.matrix, "sigma_y": sy.matrix}
+    return m, lambda: {"rho": x["rho"], "sigma_x": sx.matrix, "sigma_y": sy.matrix}
 
 
 def _sample_relent_mono(rng):
@@ -315,7 +315,7 @@ def _relent_mono(dims, x):
     m = (relative_entropy(r, s)
          - relative_entropy(partial_trace_matrix(r, dims, [0]),
                             partial_trace_matrix(s.matrix, dims, [0])))
-    return m, {"rho": r, "sigma": s.matrix}
+    return m, lambda: {"rho": r, "sigma": s.matrix}
 
 
 def _sample_cool_product(rng):
@@ -329,29 +329,33 @@ def _cool_product(dims, x):
     ra = partial_trace_matrix(r, dims, [0])
     rb = partial_trace_matrix(r, dims, [1])
     gap = dims[1] * dims[1] * kron(ra, rb) - r
-    return np.linalg.eigvalsh(hermitianize(gap))[:, 0], x
+    return np.linalg.eigvalsh(hermitianize(gap))[:, 0], lambda: x
 
 
 def _sample_fact_sum(rng):
-    n = int(rng.integers(5, 51))
-    x = rng.exponential(1.0, size=n)
-    return (n,), {"x": x, "c": float(rng.uniform(1.05, 8.0))}
+    # n draws, zero-padded to FACT_SAMPLES so that trials group by nothing;
+    # the kernel masks the padding
+    n = int(rng.integers(5, FACT_SAMPLES + 1))
+    x = np.zeros(FACT_SAMPLES)
+    x[:n] = rng.exponential(1.0, size=n)
+    return (), {"x": x, "n": n, "c": float(rng.uniform(1.05, 8.0))}
 
 
 def _fact_sum(key, x):
-    (n,) = key
-    xs, c = x["x"], x["c"]
-    count = (xs <= (c * xs.mean(axis=-1))[:, None]).sum(axis=-1)
-    return count - n * (1 - 1 / c), x
+    xs, n, c = x["x"], x["n"], x["c"]
+    drawn = np.arange(FACT_SAMPLES) < n[:, None]
+    count = ((xs <= (c * xs.sum(axis=-1) / n)[:, None]) & drawn).sum(axis=-1)
+    return count - n * (1 - 1 / c), lambda: x
 
 
 # how each named raw draw becomes a state, on the stack of a group's trials;
-# a psi name is built as the factor psi of its mixed state psi psi^dag, for
-# the fidelity kernels; inputs not named here (distributions, samples,
-# constants) are used as drawn
+# a psi or phi name is built as the factor psi of its mixed state psi psi^dag,
+# for the kernels that read a state only through its factor; inputs not named
+# here (distributions, samples, constants) are used as drawn
 _BUILD = {
-    **dict.fromkeys(("rho", "sigma", "sigma_blocks", "sigma_x", "sigma_y"), mixed_states),
-    **dict.fromkeys(("psi", "psi1", "psi2", "psi3", "psi4", "psi_blocks"), mixed_factors),
+    **dict.fromkeys(("rho", "sigma", "sigma_x", "sigma_y"), mixed_states),
+    **dict.fromkeys(("psi", "psi1", "psi2", "psi3", "psi4", "psi_blocks", "phi", "phi_blocks"),
+                    mixed_factors),
     "povm": povms,
     **dict.fromkeys(("sigma12", "ref1", "ref2"), classical_states),
 }
@@ -360,7 +364,7 @@ _BUILD = {
 @dataclass(frozen=True)
 class CheckDef:
     sample: Callable    # rng -> (group key, dict of one trial's raw draws)
-    kernel: Callable    # (group key, dict of stacked inputs) -> (margins, stacked dump states)
+    kernel: Callable    # (group key, dict of stacked inputs) -> (margins, () -> stacked dump states)
     tolerance: float
     statement: str
 
@@ -381,10 +385,10 @@ class CheckDef:
 
     def func(self, rng) -> tuple[float, dict]:
         """One trial's (margin, dump states): sampler, construction and kernel
-        on a batch of one."""
+        on a batch of one, and the states its dump would hold."""
         key, draws = self.sample(rng)
         margins, dump = self._run_group(key, [draws])
-        return float(margins[0]), {n: a[0] for n, a in dump.items()}
+        return float(margins[0]), {n: a[0] for n, a in dump().items()}
 
 
 # Registry order is frozen: the position is the per-check seed stream id.
@@ -403,11 +407,11 @@ REGISTRY: dict[str, CheckDef] = {
                           "F(Q rho, Q sigma) >= F(rho, sigma) for partial trace / pinching"),
     "subadd_cond": CheckDef(_sample_subadd_cond, _subadd_cond, 1e-9,
                             "S(AB|C) <= S(A|C) + S(B|C)"),
-    "relent_vs_fid": CheckDef(_sample_rho_sigma, _relent_vs_fid, 1e-8,
+    "relent_vs_fid": CheckDef(_sample_pair("psi"), _relent_vs_fid, 1e-8,
                               "S(rho||sigma) >= 1 - F(rho, sigma)"),
     "superadd_classical": CheckDef(_sample_superadd_classical, _superadd_classical, 1e-8,
                                    "classical S(sigma||rho1 x rho2) >= sum of marginal terms"),
-    "smax_ge_s": CheckDef(_sample_rho_sigma, _smax_ge_s, 1e-7,
+    "smax_ge_s": CheckDef(_sample_pair("rho"), _smax_ge_s, 1e-7,
                           "S_inf(rho||sigma) >= S(rho||sigma)"),
     "mi_min_relent": CheckDef(_sample_mi_min_relent, _mi_min_relent, 1e-7,
                               "S(rho||rhoX x rhoY) <= S(rho||sigmaX x sigmaY)"),
@@ -439,7 +443,8 @@ class CheckReport:
 
 
 def _dump_counterexample(directory: Path, name: str, trial: int, margin: float,
-                         payload: dict) -> None:
+                         payload: dict) -> str:
+    """Write one counterexample file into directory; returns its name."""
     directory.mkdir(parents=True, exist_ok=True)
     doc = {"check": name, "trial": trial, "margin": margin, "states": {}}
     for key, arr in payload.items():
@@ -448,6 +453,7 @@ def _dump_counterexample(directory: Path, name: str, trial: int, margin: float,
             if np.iscomplexobj(arr) else arr.tolist()
     path = directory / f"counterexample_{name}_{trial}.json"
     path.write_text(_canonical_json(doc))
+    return path.name
 
 
 def run_check(spec: CheckSpec, report_dir: str | Path | None = None,
@@ -456,8 +462,12 @@ def run_check(spec: CheckSpec, report_dir: str | Path | None = None,
 
     Trials are batched by group key under the _BUDGET caps described in the
     module docstring; a trial's entries depend only on its key, so they are
-    counted once per key.  counters, if given, receives the run's
-    kernel_calls and max_batch_entries, the entries of its largest one.
+    counted once per key, as is the number of trials that fills a batch.
+    counters, if given, receives the run's kernel_calls, max_batch_entries
+    (the entries of its largest one), kernel_s (seconds building and
+    evaluating batches), draw_s (the rest of the trial loop: deriving
+    generators, sampling and batching) and dumps (the names of the files it
+    wrote into report_dir).
     """
     if spec.name not in REGISTRY:
         raise ValueError(f"unknown check {spec.name!r}; have {sorted(REGISTRY)}")
@@ -466,48 +476,59 @@ def run_check(spec: CheckSpec, report_dir: str | Path | None = None,
     check_id = list(REGISTRY).index(spec.name)
     check = REGISTRY[spec.name]
     margins = np.empty(spec.trials)
-    entries: dict = {}      # group key -> one trial's entries
+    sizes: dict = {}        # group key -> (one trial's entries, trials that fill a batch)
     pending: dict = {}      # group key -> (trial indices, their draws)
     held = kernel_calls = max_batch = 0
+    kernel_s = 0.0
 
     def size(key) -> int:
-        return len(pending[key][0]) * entries[key]
+        return len(pending[key][0]) * sizes[key][0]
 
     def evaluate(key) -> None:
-        nonlocal held, kernel_calls, max_batch
+        nonlocal held, kernel_calls, max_batch, kernel_s
         used = size(key)
         trials, draws = pending.pop(key)
+        t0 = time.perf_counter()
         margins[trials] = check._run_group(key, draws)[0]
+        kernel_s += time.perf_counter() - t0
         held -= used
         kernel_calls += 1
         max_batch = max(max_batch, used)
 
+    t_loop = time.perf_counter()
     rngs = rng_block(spec.seed, CHECK_STREAM, check_id, trials=range(spec.trials))
     for trial, rng in enumerate(rngs):
         key, draws = check.sample(rng)
-        if key not in entries:
-            entries[key] = check.entries(draws) + _TRIAL_ENTRIES
-        trials, batch = pending.setdefault(key, ([], []))
-        trials.append(trial)
-        batch.append(draws)
-        held += entries[key]
-        if size(key) >= _BUDGET:
+        batch = pending.get(key)
+        if batch is None:
+            if key not in sizes:
+                entries = check.entries(draws) + _TRIAL_ENTRIES
+                sizes[key] = (entries, -(-_BUDGET // entries))
+            batch = pending[key] = ([], [])
+        batch[0].append(trial)
+        batch[1].append(draws)
+        entries, full = sizes[key]
+        held += entries
+        if len(batch[0]) >= full:
             evaluate(key)
         if held >= 2 * _BUDGET:
             evaluate(max(pending, key=size))
     for key in list(pending):
         evaluate(key)
+    loop_s = time.perf_counter() - t_loop
     # argmin keeps the first of equal minimal margins
     worst = int(np.argmin(margins))
     violating = np.flatnonzero(margins < -check.tolerance).tolist()
+    dumps = []
     if report_dir is not None:
         for trial in violating:
             # replaying the trial gives the same margin bits and its states
             _, states = check.func(rng_for(spec.seed, CHECK_STREAM, check_id, trial))
-            _dump_counterexample(Path(report_dir), spec.name, trial, float(margins[trial]),
-                                 states)
+            dumps.append(_dump_counterexample(Path(report_dir), spec.name, trial,
+                                              float(margins[trial]), states))
     if counters is not None:
-        counters.update(kernel_calls=kernel_calls, max_batch_entries=max_batch)
+        counters.update(kernel_calls=kernel_calls, max_batch_entries=max_batch,
+                        draw_s=loop_s - kernel_s, kernel_s=kernel_s, dumps=dumps)
     return CheckReport(spec.name, spec.trials, len(violating), float(margins[worst]), worst)
 
 

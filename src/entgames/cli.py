@@ -168,9 +168,12 @@ def cmd_verify(args) -> int:
     out = _out_path(args, seed)     # counterexample dumps create it
     counters: dict = {}
     reports, walls = checks_mod.run_all(seed, args.trials, names, out, counters)
-    per_check = {rep.name: {"wall_s": wall, "trials_per_s": rep.trials_run / wall,
-                            **counters[rep.name]}
-                 for rep, wall in zip(reports, walls)}
+    per_check, dumps = {}, []
+    for rep, wall in zip(reports, walls):
+        # outputs name the dumps this run wrote, not older files in out
+        dumps += counters[rep.name].pop("dumps")
+        per_check[rep.name] = {"wall_s": wall, "trials_per_s": rep.trials_run / wall,
+                               **counters[rep.name]}
     for rep in reports:
         print(f"{rep.name}: trials={rep.trials_run} violations={rep.violations} "
               f"worst_margin={rep.worst_margin:.3e}")
@@ -179,7 +182,7 @@ def cmd_verify(args) -> int:
              "report.csv": checks_mod.reports_to_csv(reports)}
     return _finish(args, out, cfg, seed, (t0, t_load), files,
                    code=1 if checks_mod.any_violations(reports) else 0,
-                   dumps=sorted(p.name for p in out.glob("counterexample_*.json")),
+                   dumps=sorted(dumps),
                    checks=per_check)
 
 

@@ -12,7 +12,8 @@ return an array with one value per slice; every per-matrix validation applies
 to each slice.  A single matrix gives a float.  Each state they read is
 checked Hermitian and PSD; one passed as a linalg.Solved was checked when it
 was built, so a caller solves and checks a state once for several quantities.
-fidelity_from_factor takes F from any factor of rho, with no matrix root.
+fidelity_from_factor takes F from any factor of rho, with no matrix root, and
+fidelity_from_factors from a factor of each state, with no state matrix.
 A POVM is a (..., n, d, d) stack of n elements, checked by check_povm.
 purification_matrix is the one purification, used by purify, uhlmann_partner
 and sic's decoupling.  Tolerances are the fixed config.DEFAULT_TOLS.
@@ -98,8 +99,9 @@ def check_povm(elements: np.ndarray) -> None:
 
 
 def _outcome_distribution(elements: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Outcome probabilities tr(E_i rho), shape (..., n), clipped at 0."""
-    p = np.trace(elements @ rho[..., None, :, :], axis1=-2, axis2=-1).real
+    """Outcome probabilities tr(E_i rho) = sum_jk (E_i)_jk rho_kj, shape
+    (..., n), clipped at 0; no product E_i rho is formed."""
+    p = (elements * rho.swapaxes(-1, -2)[..., None, :, :]).real.sum(axis=(-2, -1))
     return np.clip(p, 0.0, None)
 
 
@@ -131,6 +133,39 @@ def fidelity_from_factor(a: np.ndarray, sigma: np.ndarray):
     """
     w = np.linalg.eigvalsh(hermitianize(dagger(a) @ sigma @ a))
     return clip_fidelity(_root_sum(w))
+
+
+def _check_factor(a: np.ndarray) -> None:
+    """Raise unless each factor a of a stack is finite with a a^dag of unit
+    trace: |a|_F^2 within the trace tolerance of 1.
+
+    The one pass over |a|^2, on a's real and imaginary parts as floats, is
+    also the finiteness scan: a non-finite entry makes its slice's sum inf or
+    nan, which fails the comparison.
+    """
+    f = np.ascontiguousarray(a, dtype=complex).view(float)
+    norm2 = np.einsum("...ij,...ij->...", f, f)
+    bad = ~(np.abs(norm2 - 1.0) <= DEFAULT_TOLS.trace)
+    if bad.any():
+        if not np.isfinite(norm2).all():
+            raise ValueError("factor has non-finite entries")
+        raise ValueError(f"factor norm^2 {norm2[bad].flat[0]:.6e} != 1 within tolerance")
+
+
+def fidelity_from_factors(a: np.ndarray, b: np.ndarray):
+    """F(a a^dag, b b^dag) = ||b^dag a||_1, the sum of sqrt(eigenvalues of
+    m^dag m) for m = b^dag a, for stacks of factors (..., d, k) and (..., d, l).
+
+    A state read only through a factor is PSD by construction, so no state
+    is formed or solved: each factor is checked finite with unit norm
+    (_check_factor).  The floor and clip are fidelity_from_factor's.
+    """
+    _check_factor(a)
+    _check_factor(b)
+    m = dagger(b) @ a
+    # eigvalsh reads one triangle, so m^dag m, Hermitian up to rounding, is
+    # not symmetrized first
+    return clip_fidelity(_root_sum(np.linalg.eigvalsh(dagger(m) @ m)))
 
 
 def clip_fidelity(f):

@@ -17,8 +17,8 @@ Random states are drawn in two steps.  A trial draws only raw numbers
 of those draws (mixed_states, povms, classical_states, haar_unitaries and
 projectives), so a batch of trials shares one construction.  A mixed state
 is built as psi psi^dag, so mixed_factors gives its factor psi at no cost,
-for fidelities taken from a factor rather than a matrix root
-(qinfo.fidelity_from_factor).  Every construction acts on each slice on its
+for fidelities taken from factors rather than from states
+(qinfo.fidelity_from_factors).  Every construction acts on each slice on its
 own; random_mixed, haar_unitary and random_projective are the one-slice case.
 """
 
@@ -205,15 +205,22 @@ def random_mixed(rng: np.random.Generator, dim: int) -> np.ndarray:
     return mixed_states(mixed_draw(rng, dim)[None])[0]
 
 
-def flat_dirichlet(rng: np.random.Generator, k: int) -> np.ndarray:
-    """rng.dirichlet(np.ones(k)), draw for draw, without its argument checks.
+def flat_dirichlets(rng: np.random.Generator, *sizes: int) -> tuple[np.ndarray, ...]:
+    """rng.dirichlet(np.ones(k)) for each k in sizes in turn, draw for draw,
+    from one call to the generator and without dirichlet's argument checks.
 
     numpy draws a flat Dirichlet as k gamma(1) variates, which are standard
     exponentials, scaled by the inverse of their running sum; this repeats
-    that arithmetic, so the result and the stream after it are the same.
+    that arithmetic on consecutive runs of one exponential draw, so the
+    results and the stream after them are those of successive dirichlet calls.
     """
-    y = rng.standard_exponential(k)
-    return y * (1.0 / y.cumsum()[-1])
+    y = rng.standard_exponential(sum(sizes))
+    out, end = [], 0
+    for k in sizes:
+        run = y[end:end + k]
+        out.append(run * (1.0 / run.cumsum()[-1]))
+        end += k
+    return tuple(out)
 
 
 def classical_states(p: np.ndarray) -> np.ndarray:

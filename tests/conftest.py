@@ -2,7 +2,7 @@
 
 The acceptance tests record one line per criterion; the terminal-summary hook
 prints them after the run so the pass/fail ledger is visible without -s.
-count_solves counts the eigensolves a run makes, and count_checks the
+count_solves counts the eigensolves, QR and SVD factorizations a run makes, and count_checks the
 Hermitian checks, for tests that pin them.  random_povm is the one-slice
 POVM draw that tests use as a reference.
 """
@@ -30,7 +30,7 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(line)
 
 
-def count_solves(monkeypatch, names=("eigh", "eigvalsh", "qr")) -> dict[str, list[int]]:
+def count_solves(monkeypatch, names=("eigh", "eigvalsh", "qr", "svd")) -> dict[str, list[int]]:
     """Wrap np.linalg solves to count [calls, matrices] per name, filled as they run."""
     counts: dict[str, list[int]] = {}
 

@@ -241,13 +241,14 @@ def _report_bits(rep: CheckReport) -> tuple:
         rep.worst_case_seed
 
 
-# kernel calls of each check's 1,000-trial seed-7 run: 178 in all, where one
-# shared block split by group key made 472
+# kernel calls of each check's 1,000-trial seed-7 run: 135 in all, where one
+# shared block split by group key made 472; fact_sum pads its samples so that
+# its trials share one group key, 3 calls where grouping by n made 46
 KERNEL_CALLS = {
     "weak_triangle": 7, "four_state": 8, "fidelity_sq_sum": 7, "cq_fidelity": 8,
     "povm_bound": 11, "cptp_mono": 21, "subadd_cond": 24, "relent_vs_fid": 6,
     "superadd_classical": 15, "smax_ge_s": 6, "mi_min_relent": 5, "relent_mono": 7,
-    "cool_product": 7, "fact_sum": 46,
+    "cool_product": 7, "fact_sum": 3,
 }
 
 
@@ -302,8 +303,11 @@ class TestBudget:
         counters: dict = {}
         run_check(CheckSpec(name, trials=1000, seed=7), counters=counters)
         trial = max(entries.values())
-        assert counters == {"kernel_calls": KERNEL_CALLS[name],
-                            "max_batch_entries": seen["batch"]}
+        assert counters.keys() == {"kernel_calls", "max_batch_entries", "draw_s", "kernel_s",
+                                   "dumps"}
+        assert (counters["kernel_calls"], counters["max_batch_entries"]) \
+            == (KERNEL_CALLS[name], seen["batch"])
+        assert counters["dumps"] == []
         assert held[0] == 0
         assert seen["batch"] < checks._BUDGET + trial
         assert seen["held"] < 2 * checks._BUDGET + trial
@@ -325,7 +329,7 @@ def _floored(a):
 # the compositions the reuse kernels replaced: each solves the floored sigma
 # again, and rho once per quantity
 def _old_relent_vs_fid(key, x):
-    r, s = x["rho"], _floored(x["sigma"])
+    r, s = gram(x["psi"]), _floored(x["sigma"])
     return relative_entropy(r, s) - (1 - fidelity(r, s))
 
 
@@ -357,18 +361,21 @@ ALL_KEYS = {"relent_vs_fid": {(d,) for d in DIM_POOL}, "smax_ge_s": {(d,) for d 
 # (6, 0), (5, 0), (4, 2) and (3, 2)
 SOLVES = {"relent_vs_fid": (3, 0), "smax_ge_s": (3, 0), "mi_min_relent": (1, 4),
           "relent_mono": (2, 2)}
-# np.linalg eigh and eigvalsh [calls, matrices] of each check's 1,000-trial
-# seed-0 run, construction included: a change that solves a state again,
-# where a kernel reuses its solve, fails here and not only as a slowdown.
-# The fidelity checks take no eigh: each state costs the eigvalsh that checks
-# it, and each fidelity one eigvalsh of a^dag sigma a
+# np.linalg eigh, eigvalsh, qr and svd [calls, matrices] of each check's
+# 1,000-trial seed-0 run, construction included: a change that solves a state
+# again, where a kernel reuses its solve, fails here and not only as a
+# slowdown.  No check takes a qr or an svd.  A state read only through its
+# factor is not solved: the pure-fidelity checks take one eigvalsh of m^dag m
+# (m = b^dag a) per fidelity and nothing else, cq_fidelity one per block and
+# one for the whole state, povm_bound one per POVM element (check_povm) and
+# one for F
 SUITE_SOLVES = {
-    "weak_triangle": {"eigvalsh": [42, 6000]},
-    "four_state": {"eigvalsh": [64, 8000]},
-    "fidelity_sq_sum": {"eigvalsh": [42, 6000]},
-    "cq_fidelity": {"eigvalsh": [40, 9548]},
-    "povm_bound": {"eigh": [16, 1005], "eigvalsh": [44, 8000]},
-    "cptp_mono": {"eigh": [21, 1000], "eigvalsh": [105, 5000]},
+    "weak_triangle": {"eigvalsh": [21, 3000]},
+    "four_state": {"eigvalsh": [32, 4000]},
+    "fidelity_sq_sum": {"eigvalsh": [21, 3000]},
+    "cq_fidelity": {"eigvalsh": [16, 3516]},
+    "povm_bound": {"eigh": [16, 1005], "eigvalsh": [22, 6000]},
+    "cptp_mono": {"eigh": [21, 1000], "eigvalsh": [63, 3000]},
     "subadd_cond": {"eigvalsh": [96, 4000]},
     "relent_vs_fid": {"eigh": [6, 1000], "eigvalsh": [12, 2000]},
     "superadd_classical": {"eigh": [30, 2000], "eigvalsh": [45, 3000]},
@@ -380,11 +387,13 @@ SUITE_SOLVES = {
 }
 # linalg._check_hermitian [calls, matrices] in the same runs: a Solved is
 # checked once, when it is built, so a kernel that passes it on to several
-# quantities checks it once (povm_bound 3 calls a kernel call, relent_vs_fid
-# and smax_ge_s 2)
+# quantities checks it once (relent_vs_fid and smax_ge_s 2 calls a kernel
+# call); a state read only through its factor is not checked as a matrix, so
+# the pure-fidelity and cq checks make none, povm_bound checks only its POVM
+# elements and cptp_mono only its reduced or pinched states
 SUITE_CHECKS = {
-    "weak_triangle": [21, 3000], "four_state": [32, 4000], "fidelity_sq_sum": [21, 3000],
-    "cq_fidelity": [24, 6032], "povm_bound": [33, 7000], "cptp_mono": [84, 4000],
+    "weak_triangle": [0, 0], "four_state": [0, 0], "fidelity_sq_sum": [0, 0],
+    "cq_fidelity": [0, 0], "povm_bound": [11, 5000], "cptp_mono": [42, 2000],
     "subadd_cond": [96, 4000], "relent_vs_fid": [12, 2000],
     "superadd_classical": [90, 6000], "smax_ge_s": [12, 2000], "mi_min_relent": [35, 7000],
     "relent_mono": [28, 4000], "cool_product": [0, 0], "fact_sum": [0, 0],
@@ -449,7 +458,8 @@ class TestEigensystemReuse:
         assert groups.keys() == ALL_KEYS[name]
         for key, draws in groups.items():
             x = check.inputs(draws)
-            new, states = check.kernel(key, x)
+            new, dump = check.kernel(key, x)
+            states = dump()
             old = OLD_KERNELS[name](key, x)
             assert np.abs(new - old).max() <= 1e-9, key
             for i in np.flatnonzero(np.abs(new - old) > 1e-12):
@@ -479,7 +489,7 @@ class TestEigensystemReuse:
 
     @pytest.mark.parametrize("name", EXPECTED_ORDER)
     def test_suite_solves_pinned(self, name, monkeypatch):
-        counts = count_solves(monkeypatch, ("eigh", "eigvalsh"))
+        counts = count_solves(monkeypatch)
         run_check(CheckSpec(name, trials=1000, seed=0))
         assert counts == SUITE_SOLVES[name]
 
@@ -560,7 +570,8 @@ def _reference_margin(name, key, st):
         r, (_, db) = st["rho"], key
         gap = db * db * np.kron(pt(r, key, [0]), pt(r, key, [1])) - r
         return np.linalg.eigvalsh((gap + gap.conj().T) / 2).min()
-    x, c = st["x"], st["c"]
+    x, c = st["x"][:st["n"]], st["c"]
+    assert not st["x"][st["n"]:].any()
     return (x <= c * x.mean()).sum() - len(x) * (1 - 1 / c)
 
 
@@ -653,21 +664,26 @@ def _ref_sample(name, rng):
         return (da, db), {"rho": _ref_mixed(rng, da * db)}
     assert name == "fact_sum"
     n = int(rng.integers(5, 51))
-    x = rng.exponential(1.0, size=n)
-    return (n,), {"x": x, "c": float(rng.uniform(1.05, 8.0))}
+    x = np.concatenate([rng.exponential(1.0, size=n), np.zeros(50 - n)])
+    return (), {"x": x, "n": n, "c": float(rng.uniform(1.05, 8.0))}
+
+
+FACTOR_STATES = {"psi": "rho", "phi": "sigma"}
 
 
 def _as_states(built: dict) -> dict:
-    """Built inputs with each factor psi* replaced by its state rho*."""
-    return {n.replace("psi", "rho", 1): gram(a) if n.startswith("psi") else a
-            for n, a in built.items()}
+    """Built inputs with each factor psi* or phi* replaced by its state rho*
+    or sigma*."""
+    return {FACTOR_STATES[n[:3]] + n[3:] if n[:3] in FACTOR_STATES else n:
+            gram(a) if n[:3] in FACTOR_STATES else a for n, a in built.items()}
 
 
 class TestStackedConstruction:
     """Samplers draw raw numbers per trial; CheckDef.inputs builds the states
     (or, for psi names, their factors) of a whole group at once.  That gives
     each trial the key and states of the per-trial reference, up to the order
-    of floating-point sums."""
+    of floating-point sums.  fact_sum's reference pads its samples with zeros
+    to 50, as its sampler does."""
 
     @pytest.mark.parametrize("name", EXPECTED_ORDER)
     def test_matches_per_trial_reference(self, name):

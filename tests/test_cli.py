@@ -258,6 +258,21 @@ class TestVerify:
         man = json.loads((out / "manifest.json").read_text())
         assert dump.name in man["outputs"]
 
+    def test_outputs_omit_older_dumps(self, tmp_path):
+        # a clean run into a directory that holds an earlier run's dump lists
+        # only the files it wrote; it used to list every dump found there
+        out = tmp_path / "out"
+        assert main(["verify", "--filter", "cool_product", "--trials", "1000",
+                     "--seed", "7", "--out", str(out)]) == 1
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["outputs"] == ["report.json", "report.csv",
+                                  "counterexample_cool_product_640.json"]
+        assert main(["verify", "--filter", "fact_sum", "--trials", "100",
+                     "--seed", "7", "--out", str(out)]) == 0
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["outputs"] == ["report.json", "report.csv"]
+        assert (out / "counterexample_cool_product_640.json").exists()
+
     def test_manifest_check_timings(self, tmp_path):
         # per-check wall time and throughput go to the manifest, never the report
         out = tmp_path / "out"
@@ -285,9 +300,9 @@ class TestVerify:
         reports, _ = checks.run_all(2, 300, ["cptp_mono", "relent_mono"], None, counters)
         for name, entry in man["checks"].items():
             assert set(entry) == {"wall_s", "trials_per_s", "kernel_calls",
-                                  "max_batch_entries"}
+                                  "max_batch_entries", "draw_s", "kernel_s"}
             assert {k: entry[k] for k in ("kernel_calls", "max_batch_entries")} \
-                == counters[name]
+                == {k: counters[name][k] for k in ("kernel_calls", "max_batch_entries")}
             assert entry["kernel_calls"] >= 1
             assert 0 < entry["max_batch_entries"] < checks._BUDGET + 1000
         assert (out / "report.json").read_text() == checks.reports_to_json(reports)
@@ -896,6 +911,11 @@ class TestTopLevel:
         assert man["outputs"][0] == "report.json"
         if run == "verify_dumps":
             assert "counterexample_cool_product_961.json" in written
+        if run.startswith("verify"):
+            # each check's draw and kernel phases fit in its wall time
+            for entry in man["checks"].values():
+                assert entry["draw_s"] >= 0.0 and entry["kernel_s"] >= 0.0
+                assert entry["draw_s"] + entry["kernel_s"] <= entry["wall_s"]
 
     def test_every_manifest_names_its_machine(self, tmp_path):
         game = write_chsh(tmp_path)

@@ -18,6 +18,7 @@ from entgames.qinfo import (
     entropy_of_spectrum,
     fidelity,
     fidelity_from_factor,
+    fidelity_from_factors,
     min_relative_entropy,
     mutual_information,
     povm_outcome_bound,
@@ -470,6 +471,74 @@ class TestStacks:
         povm[1, 0] *= 0.5
         with pytest.raises(ValueError, match="sum to the identity"):
             check_povm(povm)
+
+
+def _unit(x):
+    """Each matrix of a stack scaled to unit Frobenius norm."""
+    return x / np.linalg.norm(x, axis=(-2, -1), keepdims=True)
+
+
+def _factor_pairs(rng, d, n=20):
+    """Stacks (a, b) of factor pairs at dimension d by kind: full-rank d x d
+    factors, rank-1 d x 1 factors (pure states), and d x d factors whose
+    states have orthogonal supports, the first d // 2 basis vectors and the
+    rest."""
+    def gauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    k = d // 2
+    a, b = np.zeros((2, n, d, d), dtype=complex)
+    a[:, :k], b[:, k:] = gauss(n, k, d), gauss(n, d - k, d)
+    return {"full_rank": (_unit(gauss(n, d, d)), _unit(gauss(n, d, d))),
+            "rank_1": (_unit(gauss(n, d, 1)), _unit(gauss(n, d, 1))),
+            "orthogonal": (_unit(a), _unit(b))}
+
+
+class TestFidelityFromFactors:
+    """F(a a^dag, b b^dag) from the two factors alone, with no state matrix."""
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_matches_fidelity(self, rng, d):
+        for kind, (a, b) in _factor_pairs(rng, d).items():
+            got = fidelity_from_factors(a, b)
+            assert np.abs(got - fidelity(gram(a), gram(b))).max() <= 1e-12, kind
+            assert np.abs(got - fidelity_from_factors(b, a)).max() <= 1e-12, kind
+            if kind == "rank_1":
+                # F of two pure states is their overlap
+                overlap = np.abs((a.conj() * b).sum(axis=(-2, -1)))
+                assert np.abs(got - overlap).max() <= 1e-14
+            if kind == "orthogonal":
+                # b^dag a is exactly 0, so no rounding floor is needed
+                assert not got.any()
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_slice_equals_batch_of_one(self, rng, d):
+        # the per-trial replay of a check evaluates a batch of one
+        for kind, (a, b) in _factor_pairs(rng, d).items():
+            got = fidelity_from_factors(a, b)
+            single = [fidelity_from_factors(a[i:i + 1], b[i:i + 1])[0] for i in range(len(a))]
+            assert got.tobytes() == np.array(single).tobytes(), kind
+            assert fidelity_from_factors(a[3], b[3]) == got[3]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_factor_raises(self, rng, bad):
+        a, b = _factor_pairs(rng, 3)["full_rank"]
+        a[4, 1, 2] = bad
+        for args in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="non-finite"):
+                fidelity_from_factors(*args)
+
+    def test_factor_norm_off_by_more_than_tolerance_raises(self, rng):
+        # |a|_F^2 is the trace of a a^dag; the trace tolerance is 1e-9
+        a, b = _factor_pairs(rng, 4)["full_rank"]
+        for scale2 in (1 + 3e-9, 1 - 3e-9, 0.5, 2.0):
+            off = a.copy()
+            off[7] *= math.sqrt(scale2)
+            for args in ((off, b), (b, off)):
+                with pytest.raises(ValueError, match="norm"):
+                    fidelity_from_factors(*args)
+        within = a.copy()
+        within[7] *= math.sqrt(1 + 5e-10)
+        assert np.abs(fidelity_from_factors(within, b) - fidelity_from_factors(a, b)).max() <= 1e-9
 
 
 # every function that reads states, with its number of state arguments and

@@ -4,7 +4,7 @@ import pytest
 from entgames.random_states import (
     _RNG_BLOCK,
     classical_states,
-    flat_dirichlet,
+    flat_dirichlets,
     haar_unitaries,
     haar_unitary,
     mixed_draw,
@@ -125,5 +125,18 @@ class TestFlatDirichlet:
         # that or to its normalization fails here rather than moving streams
         for seed in range(300):
             ref, rng = rng_for(seed, k), rng_for(seed, k)
-            assert np.array_equal(flat_dirichlet(rng, k), ref.dirichlet(np.ones(k)))
+            (got,) = flat_dirichlets(rng, k)
+            assert np.array_equal(got, ref.dirichlet(np.ones(k)))
+            assert rng.standard_normal() == ref.standard_normal()
+
+    @pytest.mark.parametrize("sizes", [(2, 2), (3, 3), (4, 2, 2), (9, 3, 3), (16, 4, 4), (1, 5)])
+    def test_several_sizes_equal_successive_draws(self, sizes):
+        # one exponential draw for all sizes gives the distributions, and the
+        # stream after them, of one dirichlet call per size
+        for seed in range(300):
+            ref, rng = rng_for(seed, *sizes), rng_for(seed, *sizes)
+            got = flat_dirichlets(rng, *sizes)
+            assert len(got) == len(sizes)
+            for k, p in zip(sizes, got):
+                assert np.array_equal(p, ref.dirichlet(np.ones(k)))
             assert rng.standard_normal() == ref.standard_normal()
