@@ -2,8 +2,10 @@
 
 Each named check is a sampler plus a margin kernel.  The sampler draws one
 trial's raw numbers from that trial's generator (Gaussian entries of its
-states, Dirichlet weights, samples) and returns them with a group key (the
-trial's dimensions and any discrete choice).  CheckDef.inputs stacks the
+states, in one call where their shapes are known, Dirichlet weights,
+samples) and returns them with a group key (the trial's dimensions and any
+discrete choice, drawn through one random_states.bounded_draws drawer).
+CheckDef.inputs stacks the
 draws of a group of trials along a leading axis and builds their states on
 the whole stack (_BUILD names which draws are states, and how they are
 built; a psi or phi draw is built as the factor psi of the mixed state
@@ -27,21 +29,27 @@ by trial.  So a kernel call holds at most _BUDGET entries plus one trial,
 the pending draws at most twice that, and checks on small states get long
 batches.  Every construction and kernel operation acts on each slice on its
 own, so a trial's margin does not depend on its batch mates, nor on the
-budget; a violating trial's states are dumped by replaying it.
+budget; a violating trial's states are dumped by replaying it.  After the
+loop the worst trial and each dumped one are replayed alone, and a replayed
+margin whose bits differ from the batched one is reported as a fault.
 
 Kernels solve each eigensystem once and pass it on as a linalg.Solved,
 which is checked Hermitian and PSD when it is built and not again: a floored
 reference state's eigensystem comes from the floor step, rho's one spectrum
 serves its entropies and its checks, and a Kronecker product's eigensystem
-is built from its factors'.  Fidelities take no matrix root.  Where both
-states have a factor, F(a a^dag, b b^dag) = ||b^dag a||_1 comes from the two
-factors alone (qinfo.fidelity_from_factors): the psi and phi of drawn
-states, sqrt(p_x) psi_x on the blocks of a cq state, or v sqrt(w) of a
-floored one.  A state read only through its factor is PSD by construction,
-so no eigensolve re-checks it; its factor is checked finite and of unit
-norm instead.  A state read as a matrix (a reduced or pinched state, or one
-whose entropy a kernel takes) is still solved and checked.  run_all runs
-the suite, or a named subset, and times and counts each check; `entgames
+is built from its factors'.  Where both states have a factor,
+F(a a^dag, b b^dag) = ||b^dag a||_1 comes from the two factors alone
+(qinfo.fidelity_from_factors): the psi and phi of drawn states,
+sqrt(p_x) psi_x on the blocks of a cq state, or v sqrt(w) of a floored one.
+A state read only through its factor is PSD by construction, so no
+eigensolve re-checks it; its factor is checked finite and of unit norm
+instead.  Nor is any other matrix that is PSD by construction solved again:
+POVM elements S^-1/2 X_a X_a^dag S^-1/2 are checked finite and summing to I
+within DEFAULT_TOLS.proj, and cptp_mono's reduced or pinched sigma, a
+partial trace or pinching of phi phi^dag, is read as it is; its rho is
+solved, and so checked, for its root, the one matrix root a fidelity
+takes.  A state whose entropy a kernel takes is solved and checked.  run_all
+runs the suite, or a named subset, and times and counts each check; `entgames
 verify` calls it.
 """
 
@@ -57,24 +65,25 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .config import _canonical_json
+from .config import DEFAULT_TOLS, _canonical_json
 from .linalg import (
     Solved,
     hermitianize,
     kron,
+    matrix_sqrt_psd,
     partial_trace_matrix,
     solve_psd,
 )
 from .qinfo import (
     _outcome_distribution,
-    check_povm,
-    fidelity,
+    fidelity_from_factor,
     fidelity_from_factors,
     min_relative_entropy,
     relative_entropy,
     von_neumann_entropy,
 )
 from .random_states import (
+    bounded_draws,
     classical_states,
     flat_dirichlets,
     floor_eigensystem,
@@ -82,7 +91,6 @@ from .random_states import (
     mixed_draw,
     mixed_factors,
     mixed_states,
-    povm_draw,
     povms,
     rng_block,
     rng_for,
@@ -99,11 +107,6 @@ FACT_SAMPLES = 50       # fact_sum draws 5..FACT_SAMPLES samples
 # entries of 2x2 states
 _BUDGET = 1 << 15
 _TRIAL_ENTRIES = 32
-
-
-def _dim(rng, pool=DIM_POOL) -> int:
-    # the same draw as rng.choice(pool), without building an array per call
-    return pool[int(rng.integers(len(pool)))]
 
 
 def _pinch_first(m: np.ndarray, d1: int, d2: int) -> np.ndarray:
@@ -142,7 +145,7 @@ def _sample_states(n: int) -> Callable:
     names = tuple(f"psi{i + 1}" for i in range(n))
 
     def sample(rng):
-        d = _dim(rng)
+        (d,) = bounded_draws(rng)(DIM_POOL)
         return (d,), dict(zip(names, mixed_draw(rng, d, n)))
     return sample
 
@@ -164,8 +167,7 @@ def _fidelity_sq_sum(key, x):
 
 
 def _sample_cq_fidelity(rng):
-    k = int(rng.integers(2, 4))
-    d = _dim(rng, (2, 3, 4))
+    k, d = bounded_draws(rng)((2, 3), (2, 3, 4))
     p, q = flat_dirichlets(rng, k, k)
     g = mixed_draw(rng, d, 2 * k)
     return (k, d), {"p": p, "q": q, "psi_blocks": g[:k], "phi_blocks": g[k:]}
@@ -186,49 +188,57 @@ def _cq_fidelity(key, x):
 def _sample_povm_bound(rng):
     # 2 to POVM_OUTCOMES outcomes, zero-padded to POVM_OUTCOMES so trials
     # group by d alone: a zero draw builds a zero element, which adds
-    # nothing to the normalization or to the outcome sum
-    d = _dim(rng)
-    n_out = int(rng.integers(2, POVM_OUTCOMES + 1))
-    r, s = mixed_draw(rng, d, 2)
-    g = np.zeros((POVM_OUTCOMES, 2, d, d))
-    g[:n_out] = povm_draw(rng, d, n_out)
-    return (d,), {"psi": r, "phi": s, "povm": g}
+    # nothing to the normalization or to the outcome sum.  psi, phi and the
+    # POVM's (n_out, 2, d, d) Gaussians come from one standard_normal call
+    d, n_out = bounded_draws(rng)(DIM_POOL, range(2, POVM_OUTCOMES + 1))
+    dd = d * d
+    g = np.zeros(2 * dd * (2 + POVM_OUTCOMES))
+    rng.standard_normal(out=g[:2 * dd * (2 + n_out)])
+    r, s = g[:4 * dd].reshape(2, 2, dd)
+    return (d,), {"psi": r, "phi": s, "povm": g[4 * dd:].reshape(POVM_OUTCOMES, 2, d, d)}
 
 
 def _povm_bound(key, x):
     # p_i = Tr(psi^dag E_i psi) is read off the unsolved gram of the factor,
-    # and F from the factors; only the POVM elements are solved, by check_povm
+    # and F from the factors.  The elements S^-1/2 X_a X_a^dag S^-1/2 are PSD
+    # by construction, so they are not solved: they are checked to sum to I,
+    # and that sum is non-finite if any element is
     psi, phi, povm = x["psi"], x["phi"], x["povm"]
-    check_povm(povm)
+    f = fidelity_from_factors(psi, phi)
+    if not (np.abs(povm.sum(axis=-3) - np.eye(povm.shape[-1])) <= DEFAULT_TOLS.proj).all():
+        raise ValueError("POVM elements are not finite or do not sum to the identity")
     r, s = gram(psi), gram(phi)
     p, q = _outcome_distribution(povm, r), _outcome_distribution(povm, s)
-    m = np.sqrt(p * q).sum(axis=-1) - fidelity_from_factors(psi, phi)
-    return m, lambda: {"rho": r, "sigma": s, "povm": povm}
+    return np.sqrt(p * q).sum(axis=-1) - f, lambda: {"rho": r, "sigma": s, "povm": povm}
 
 
 def _sample_cptp_mono(rng):
-    d1, d2 = _dim(rng, (2, 3)), _dim(rng, (2, 3, 4))
+    draw = bounded_draws(rng)
+    d1, d2 = draw((2, 3), (2, 3, 4))
     r, s = mixed_draw(rng, d1 * d2, 2)
-    return (d1, d2, int(rng.integers(2))), {"psi": r, "phi": s}
+    (pinch,) = draw(range(2))
+    return (d1, d2, pinch), {"psi": r, "phi": s}
 
 
 def _cptp_mono(key, x):
-    # the full states' fidelity reads them through their factors psi and phi;
-    # the reduced and pinched states have no factor as narrow as they are, so
-    # take fidelity, which solves and checks them
+    # the full states' fidelity reads them through their factors psi and phi.
+    # The reduced or pinched states, a partial trace or pinching of psi psi^dag
+    # and phi phi^dag, are PSD by construction: qr is solved (and checked) for
+    # its root, the factor F(qr, qs) takes, and qs is read as it is
     d1, d2, pinch = key
     psi, phi = x["psi"], x["phi"]
+    f = fidelity_from_factors(psi, phi)
     r, s = gram(psi), gram(phi)
     if pinch:
         qr, qs = _pinch_first(r, d1, d2), _pinch_first(s, d1, d2)
     else:
         qr = partial_trace_matrix(r, (d1, d2), [0])
         qs = partial_trace_matrix(s, (d1, d2), [0])
-    return fidelity(qr, qs) - fidelity_from_factors(psi, phi), lambda: {"rho": r, "sigma": s}
+    return fidelity_from_factor(matrix_sqrt_psd(qr), qs) - f, lambda: {"rho": r, "sigma": s}
 
 
 def _sample_subadd_cond(rng):
-    dims = tuple(_dim(rng, (2, 3)) for _ in range(3))
+    dims = tuple(bounded_draws(rng)((2, 3), (2, 3), (2, 3)))
     return dims, {"rho": mixed_draw(rng, math.prod(dims))}
 
 
@@ -243,7 +253,7 @@ def _sample_pair(first: str) -> Callable:
     """Sampler of two mixed states of one dimension from DIM_POOL, named first
     and sigma."""
     def sample(rng):
-        d = _dim(rng)
+        (d,) = bounded_draws(rng)(DIM_POOL)
         r, s = mixed_draw(rng, d, 2)
         return (d,), {first: r, "sigma": s}
     return sample
@@ -269,7 +279,7 @@ def _relent_vs_fid(key, x):
 
 
 def _sample_superadd_classical(rng):
-    d1, d2 = _dim(rng, (2, 3, 4)), _dim(rng, (2, 3, 4))
+    d1, d2 = bounded_draws(rng)((2, 3, 4), (2, 3, 4))
     joint, ref1, ref2 = flat_dirichlets(rng, d1 * d2, d1, d2)
     return (d1, d2), {"sigma12": joint, "ref1": ref1, "ref2": ref2}
 
@@ -291,9 +301,13 @@ def _smax_ge_s(key, x):
 
 
 def _sample_mi_min_relent(rng):
-    d1, d2 = _dim(rng, (2, 3)), _dim(rng, (2, 3))
-    r = mixed_draw(rng, d1 * d2)
-    return (d1, d2), {"rho": r, "sigma_x": mixed_draw(rng, d1), "sigma_y": mixed_draw(rng, d2)}
+    # rho's, sigma_x's and sigma_y's (2, d^2) Gaussians from one call
+    d1, d2 = bounded_draws(rng)((2, 3), (2, 3))
+    n1, n2, n = d1 * d1, d2 * d2, (d1 * d2) ** 2
+    g = rng.standard_normal(2 * (n + n1 + n2))
+    return (d1, d2), {"rho": g[:2 * n].reshape(2, n),
+                      "sigma_x": g[2 * n:2 * (n + n1)].reshape(2, n1),
+                      "sigma_y": g[2 * (n + n1):].reshape(2, n2)}
 
 
 def _mi_min_relent(dims, x):
@@ -305,7 +319,7 @@ def _mi_min_relent(dims, x):
 
 
 def _sample_relent_mono(rng):
-    d1, d2 = _dim(rng, (2, 3)), _dim(rng, (2, 3))
+    d1, d2 = bounded_draws(rng)((2, 3), (2, 3))
     r, s = mixed_draw(rng, d1 * d2, 2)
     return (d1, d2), {"rho": r, "sigma": s}
 
@@ -319,8 +333,11 @@ def _relent_mono(dims, x):
 
 
 def _sample_cool_product(rng):
-    db = _dim(rng, (2, 3))
-    da = _dim(rng, tuple(d for d in (2, 3, 4) if d >= db))
+    # da's pool, the dimensions >= db, depends on db; its draw still takes
+    # the half-word db's left
+    draw = bounded_draws(rng)
+    (db,) = draw((2, 3))
+    (da,) = draw((2, 3, 4)[db - 2:])
     return (da, db), {"rho": mixed_draw(rng, da * db)}
 
 
@@ -335,7 +352,7 @@ def _cool_product(dims, x):
 def _sample_fact_sum(rng):
     # n draws, zero-padded to FACT_SAMPLES so that trials group by nothing;
     # the kernel masks the padding
-    n = int(rng.integers(5, FACT_SAMPLES + 1))
+    (n,) = bounded_draws(rng)(range(5, FACT_SAMPLES + 1))
     x = np.zeros(FACT_SAMPLES)
     x[:n] = rng.exponential(1.0, size=n)
     return (), {"x": x, "n": n, "c": float(rng.uniform(1.05, 8.0))}
@@ -463,11 +480,15 @@ def run_check(spec: CheckSpec, report_dir: str | Path | None = None,
     Trials are batched by group key under the _BUDGET caps described in the
     module docstring; a trial's entries depend only on its key, so they are
     counted once per key, as is the number of trials that fills a batch.
-    counters, if given, receives the run's kernel_calls, max_batch_entries
-    (the entries of its largest one), kernel_s (seconds building and
-    evaluating batches), draw_s (the rest of the trial loop: deriving
-    generators, sampling and batching) and dumps (the names of the files it
-    wrote into report_dir).
+    After the loop the run audits its batches: the worst trial, and each
+    violating trial it dumps, is replayed alone through check.func, which
+    must give the bits of its batched margin.  counters, if given, receives
+    the run's kernel_calls, max_batch_entries (the entries of its largest
+    one), kernel_s (seconds building and evaluating batches), draw_s (the
+    rest of the trial loop: deriving generators, sampling and batching),
+    replay_s (the audit's replays and the dumps), replay_mismatches (the
+    replayed trials whose margin bits differ, a program fault) and dumps (the
+    names of the files it wrote into report_dir).
     """
     if spec.name not in REGISTRY:
         raise ValueError(f"unknown check {spec.name!r}; have {sorted(REGISTRY)}")
@@ -519,16 +540,26 @@ def run_check(spec: CheckSpec, report_dir: str | Path | None = None,
     # argmin keeps the first of equal minimal margins
     worst = int(np.argmin(margins))
     violating = np.flatnonzero(margins < -check.tolerance).tolist()
-    dumps = []
+    dumps, mismatches = [], []
+    t_replay = time.perf_counter()
+
+    def replay(trial: int) -> dict:
+        margin, states = check.func(rng_for(spec.seed, CHECK_STREAM, check_id, trial))
+        if np.float64(margin).tobytes() != margins[trial].tobytes():
+            mismatches.append(trial)
+        return states
+
+    if report_dir is None or worst not in violating:
+        replay(worst)
     if report_dir is not None:
         for trial in violating:
-            # replaying the trial gives the same margin bits and its states
-            _, states = check.func(rng_for(spec.seed, CHECK_STREAM, check_id, trial))
             dumps.append(_dump_counterexample(Path(report_dir), spec.name, trial,
-                                              float(margins[trial]), states))
+                                              float(margins[trial]), replay(trial)))
     if counters is not None:
         counters.update(kernel_calls=kernel_calls, max_batch_entries=max_batch,
-                        draw_s=loop_s - kernel_s, kernel_s=kernel_s, dumps=dumps)
+                        draw_s=loop_s - kernel_s, kernel_s=kernel_s,
+                        replay_s=time.perf_counter() - t_replay,
+                        replay_mismatches=mismatches, dumps=dumps)
     return CheckReport(spec.name, spec.trials, len(violating), float(margins[worst]), worst)
 
 

@@ -10,7 +10,9 @@ report.json is byte-deterministic for a fixed seed; the manifest holds the
 nondeterministic bookkeeping.  The directory is created only once the input
 has passed validation, so an input error (exit 2) leaves none.
 
-Exit codes: 0 success, 1 property violation, 2 input error, 3 budget or memory.
+Exit codes: 0 success, 1 property violation, 2 input error, 3 budget or memory,
+4 a program fault: a verify trial whose replay does not give the bits of its
+batched margin.
 """
 
 from __future__ import annotations
@@ -174,16 +176,19 @@ def cmd_verify(args) -> int:
         dumps += counters[rep.name].pop("dumps")
         per_check[rep.name] = {"wall_s": wall, "trials_per_s": rep.trials_run / wall,
                                **counters[rep.name]}
+    code = 1 if checks_mod.any_violations(reports) else 0
     for rep in reports:
         print(f"{rep.name}: trials={rep.trials_run} violations={rep.violations} "
               f"worst_margin={rep.worst_margin:.3e}")
+        if mismatched := per_check[rep.name]["replay_mismatches"]:
+            print(f"error: {rep.name}: replayed trials {mismatched} do not give "
+                  f"their batched margins", file=sys.stderr)
+            code = 4
     cfg = {"trials": args.trials, "filter": args.filter}
     files = {"report.json": checks_mod.reports_to_json(reports),
              "report.csv": checks_mod.reports_to_csv(reports)}
-    return _finish(args, out, cfg, seed, (t0, t_load), files,
-                   code=1 if checks_mod.any_violations(reports) else 0,
-                   dumps=sorted(dumps),
-                   checks=per_check)
+    return _finish(args, out, cfg, seed, (t0, t_load), files, code=code,
+                   dumps=sorted(dumps), checks=per_check)
 
 
 def _model_from_doc(doc: dict, base_dir: Path):

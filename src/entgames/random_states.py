@@ -12,21 +12,28 @@ PCG64's seeding step on Python ints, and one reused Generator takes each
 trial's state in turn.  It is draw for draw equal to rng_for, which stays the
 replay entry point.
 
+bounded_draws rebuilds rng.integers draw for draw from the generator's raw
+words, at a fraction of the cost of an integers call.  Like numpy it keeps
+a word's high half for the next bounded draw, so the generator must hold no
+buffered half-word of its own when a drawer is made, as fresh rng_for and
+rng_block generators do.
+
 Random states are drawn in two steps.  A trial draws only raw numbers
-(mixed_draw, povm_draw, unitary_draw), and the states are built from stacks
-of those draws (mixed_states, povms, classical_states, haar_unitaries and
-projectives), so a batch of trials shares one construction.  A mixed state
-is built as psi psi^dag, so mixed_factors gives its factor psi at no cost,
-for fidelities taken from factors rather than from states
-(qinfo.fidelity_from_factors).  Every construction acts on each slice on its
-own; random_mixed, haar_unitary and random_projective are the one-slice case.
+(mixed_draw, unitary_draw, or a POVM's (n, 2, d, d) Gaussians), and the
+states are built from stacks of those draws (mixed_states, povms,
+classical_states, haar_unitaries and projectives), so a batch of trials
+shares one construction.  A mixed state is built as psi psi^dag, so
+mixed_factors gives its factor psi at no cost, for fidelities taken from
+factors rather than from states (qinfo.fidelity_from_factors).  Every
+construction acts on each slice on its own; random_mixed, haar_unitary and
+random_projective are the one-slice case.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -81,9 +88,9 @@ def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
 _STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)
 
 
-def _pcg64_states(entropy: np.ndarray) -> list[dict]:
-    """PCG64 states of default_rng(SeedSequence(path)) for each row of a
-    (paths, words) uint32 array.
+def _pcg64_states(entropy: np.ndarray) -> Iterator[tuple[int, int]]:
+    """PCG64 (state, inc) of default_rng(SeedSequence(path)) for each row of
+    a (paths, words) uint32 array.
 
     SeedSequence mixes a path word by word, but each step's hash constant does
     not depend on the data, so every step runs on all paths at once, and the
@@ -110,14 +117,26 @@ def _pcg64_states(entropy: np.ndarray) -> list[dict]:
     # little-endian into (seed_hi, seed_lo, inc_hi, inc_lo)
     out = _hashmix(np.tile(pool, (2, 1)), _STATE_CONSTS).astype(np.uint64)
     seeds = out[0::2] | (out[1::2] << np.uint64(32))
-    states = []
     for s_hi, s_lo, i_hi, i_lo in zip(*seeds.tolist()):
         # pcg64_set_seed: srandom(initstate = s, initseq = i)
         inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
-        state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _M128
-        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
-    return states
+        yield (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _M128, inc
+
+
+def _entropy_rows(head: list[int], block: list[int]) -> list[tuple]:
+    """(positions in block, uint32 entropy rows) of the paths head + [t] for
+    the indices t in block, one pair per count of SeedSequence words in t."""
+    if min(block) >= 0 and max(block) <= _M32:
+        entropy = np.empty((len(block), len(head) + 1), dtype=np.uint32)
+        entropy[:, :-1] = head
+        entropy[:, -1] = block
+        return [(range(len(block)), entropy)]
+    tails = [_words(t) for t in block]
+    rows: dict[int, list[int]] = {}
+    for i, w in enumerate(tails):
+        rows.setdefault(len(w), []).append(i)
+    return [(r, np.array([head + tails[i] for i in r], dtype=np.uint32))
+            for r in rows.values()]
 
 
 def rng_block(*prefix: int, trials: Iterable[int]) -> Iterator[np.random.Generator]:
@@ -128,18 +147,59 @@ def rng_block(*prefix: int, trials: Iterable[int]) -> Iterator[np.random.Generat
     """
     head = [w for p in prefix for w in _words(p)]
     rng = np.random.Generator(np.random.PCG64(0))
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     trials = iter(trials)
     while block := list(itertools.islice(trials, _RNG_BLOCK)):
-        tails = [_words(t) for t in block]
-        states: list = [None] * len(block)
-        for width in {len(w) for w in tails}:
-            rows = [i for i, w in enumerate(tails) if len(w) == width]
-            entropy = np.array([head + tails[i] for i in rows], dtype=np.uint32)
-            for i, state in zip(rows, _pcg64_states(entropy)):
-                states[i] = state
-        for state in states:
+        seeded: list = [None] * len(block)
+        for rows, entropy in _entropy_rows(head, block):
+            for i, seed in zip(rows, _pcg64_states(entropy)):
+                seeded[i] = seed
+        for pcg["state"], pcg["inc"] in seeded:     # the setter copies them
             rng.bit_generator.state = state
             yield rng
+
+
+def bounded_draws(rng: np.random.Generator) -> Callable[..., list]:
+    """A drawer of bounded integers from rng: draw(*pools) gives
+    pool[rng.integers(len(pool))] for each pool in turn, draw for draw (the
+    element rng.choice(pool) draws; draw(range(n)) is rng.integers(n)).
+
+    numpy's Lemire method (arXiv:1805.10941) for a span n takes a 32-bit
+    half-word u and m = u * n, redraws while m mod 2^32 < 2^32 mod n, and
+    gives m >> 32.  A half-word is the low half of a raw word, or the high
+    half kept from the word before, which the drawer keeps as numpy's
+    generator does.  So rng must hold no buffered half-word when the drawer
+    is made, and all later bounded draws of rng (one whose pool depends on
+    an earlier draw, one after other numbers) go through this drawer.  A
+    pool of one element draws nothing, as in numpy; pools hold at most 2^32.
+    """
+    raw = rng.bit_generator.random_raw
+    half = None
+
+    def draw(*pools) -> list:
+        nonlocal half
+        out = []
+        for pool in pools:
+            span = len(pool)
+            if not 0 < span <= 1 << 32:
+                raise ValueError(f"pool of {span} elements; expected 1 to 2^32")
+            if span == 1:
+                out.append(pool[0])
+                continue
+            threshold = (1 << 32) % span
+            while True:
+                if half is None:
+                    word = raw()
+                    u, half = word & _M32, word >> 32
+                else:
+                    u, half = half, None
+                m = u * span
+                if m & _M32 >= threshold:
+                    break
+            out.append(pool[m >> 32])
+        return out
+    return draw
 
 
 def haar_state(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -241,12 +301,6 @@ def floor_eigensystem(rho: np.ndarray, floor: float) -> Solved:
     w = np.maximum(w, floor)
     w = w / w.sum(axis=-1, keepdims=True)
     return Solved((v * w[..., None, :]) @ dagger(v), w, v)
-
-
-def povm_draw(rng: np.random.Generator, dim: int, n_outcomes: int) -> np.ndarray:
-    """Raw draw of one random POVM: per outcome, real and imaginary parts of a
-    complex Gaussian matrix, (n_outcomes, 2, dim, dim)."""
-    return rng.standard_normal((n_outcomes, 2, dim, dim))
 
 
 def povms(g: np.ndarray) -> np.ndarray:

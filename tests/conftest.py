@@ -3,8 +3,8 @@
 The acceptance tests record one line per criterion; the terminal-summary hook
 prints them after the run so the pass/fail ledger is visible without -s.
 count_solves counts the eigensolves, QR and SVD factorizations a run makes, and count_checks the
-Hermitian checks, for tests that pin them.  random_povm is the one-slice
-POVM draw that tests use as a reference.
+Hermitian checks, for tests that pin them.  povm_draw and random_povm are
+the raw and built one-slice POVM draws that tests use as references.
 """
 
 import math
@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from entgames import linalg
-from entgames.random_states import povm_draw, povms
+from entgames.random_states import povms
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -59,6 +59,12 @@ def count_checks(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(linalg, "_check_hermitian", run)
     return counts
+
+
+def povm_draw(rng: np.random.Generator, dim: int, n_outcomes: int) -> np.ndarray:
+    """Raw draw of one random POVM: per outcome, real and imaginary parts of a
+    complex Gaussian matrix, (n_outcomes, 2, dim, dim)."""
+    return rng.standard_normal((n_outcomes, 2, dim, dim))
 
 
 def random_povm(rng: np.random.Generator, dim: int, n_outcomes: int) -> np.ndarray:

@@ -71,6 +71,27 @@ def test_criterion_2_seesaw_reaches_tsirelson():
 # cool_product at seed 0, 10000 trials: the documented counterexamples
 COOL_PRODUCT_TRIALS = (961, 1195, 2667, 3466, 4100, 4345, 4760, 5865, 7198, 9961)
 COOL_PRODUCT_WORST_MARGIN = -0.0444849458789
+# every check's (violations, worst_case_seed, worst_margin.hex()) at seed 0,
+# 10000 trials, so that a change to the random streams or to how trials are
+# batched fails here rather than passing with moved numbers.  cq_fidelity is
+# an equality check whose worst margin is rounding noise: a change to the
+# fidelity arithmetic re-pins its entry, with a CHANGES.md note saying so
+SEED_0_REPORT = {
+    "weak_triangle": (0, 5439, "0x1.a77b560495480p-8"),
+    "four_state": (0, 6574, "0x1.59eb8d4587df0p-4"),
+    "fidelity_sq_sum": (0, 9499, "0x1.590c0131e0d00p-9"),
+    "cq_fidelity": (0, 589, "-0x1.2d00000000000p-44"),
+    "povm_bound": (0, 4289, "0x1.e3dd9d151e800p-12"),
+    "cptp_mono": (0, 1072, "0x1.3b461ad3ce860p-6"),
+    "subadd_cond": (0, 6388, "0x1.5fef467303170p-3"),
+    "relent_vs_fid": (0, 8782, "0x1.a38060a532c80p-8"),
+    "superadd_classical": (0, 7292, "0x1.31f4f00000000p-29"),
+    "smax_ge_s": (0, 4476, "0x1.9681a2a8ef3c0p-6"),
+    "mi_min_relent": (0, 7340, "0x1.605182578dc80p-4"),
+    "relent_mono": (0, 7819, "0x1.cee2f63d762a8p-3"),
+    "cool_product": (10, 961, "-0x1.6c6bb176dc16fp-5"),
+    "fact_sum": (0, 4483, "0x1.b1583604f9380p-2"),
+}
 
 
 def _cool_product_gap_min_eig(rho: np.ndarray) -> float:
@@ -102,9 +123,13 @@ def _cool_product_gap_min_eig(rho: np.ndarray) -> float:
 
 def test_criterion_3_randomized_suite_clean(tmp_path):
     t0 = time.perf_counter()
-    reports, walls = run_all(seed=0, trials_per_check=10_000, report_dir=tmp_path)
+    counters: dict = {}
+    reports, walls = run_all(seed=0, trials_per_check=10_000, report_dir=tmp_path,
+                             counters=counters)
     dt = time.perf_counter() - t0
+    mismatched = {n: c["replay_mismatches"] for n, c in counters.items() if c["replay_mismatches"]}
     assert len(walls) == len(reports) == 14 and 0.0 < sum(walls) <= dt
+    pinned = {r.name: (r.violations, r.worst_case_seed, r.worst_margin.hex()) for r in reports}
     by_name = {r.name: r for r in reports}
     cool = by_name.pop("cool_product")
     dirty = [r for r in by_name.values() if r.violations > 0]
@@ -126,7 +151,8 @@ def test_criterion_3_randomized_suite_clean(tmp_path):
                and cool.worst_case_seed == COOL_PRODUCT_TRIALS[0]
                and abs(cool.worst_margin - COOL_PRODUCT_WORST_MARGIN) <= 1e-9)
     dumps_ok = dumps == expected_dumps and all(confirmed)
-    ok = not dirty and cool_ok and dumps_ok and dt < 300.0
+    ok = (not dirty and cool_ok and dumps_ok and pinned == SEED_0_REPORT and not mismatched
+          and dt < 300.0)
     detail = (f"14 checks x 10000 trials in {dt:.1f}s; 13 sound checks: "
               + ("no violations" if not dirty else "; ".join(
                   f"{r.name}: {r.violations} violations "
@@ -135,7 +161,12 @@ def test_criterion_3_randomized_suite_clean(tmp_path):
               + f"; documented discrepancy in cool_product: {cool.violations} "
                 f"violations, worst {cool.worst_margin:.4e} at trial "
                 f"{cool.worst_case_seed}, {sum(confirmed)}/{len(cool_dumps)} dumps "
-                f"confirmed at 50 digits")
+                f"confirmed at 50 digits; "
+              + ("every check's report entry as pinned" if pinned == SEED_0_REPORT else
+                 "moved from the pins: " + ", ".join(
+                     n for n in SEED_0_REPORT if pinned.get(n) != SEED_0_REPORT[n]))
+              + ("; every replay gave its batched margin" if not mismatched else
+                 f"; replays that differ from their batched margins: {mismatched}"))
     record_criterion(3, ok, detail)
     assert dt < 300.0
     assert not dirty, "sound checks found violations: " + ", ".join(
@@ -148,6 +179,8 @@ def test_criterion_3_randomized_suite_clean(tmp_path):
     assert abs(cool.worst_margin - COOL_PRODUCT_WORST_MARGIN) <= 1e-9
     assert dumps == expected_dumps
     assert all(confirmed), [p.name for p, c in zip(cool_dumps, confirmed) if not c]
+    assert pinned == SEED_0_REPORT
+    assert not mismatched
 
 
 def test_criterion_4_decoupling_defect_bounds():

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -7,9 +8,9 @@ import pytest
 
 from entgames import checks
 from entgames.checks import (
+    FACT_SAMPLES,
     POVM_OUTCOMES,
     SIGMA_FLOOR,
-    _dim,
     _kron_eig,
     CHECK_STREAM,
     DIM_POOL,
@@ -31,9 +32,11 @@ from entgames.qinfo import (
     relative_entropy,
     von_neumann_entropy,
 )
-from entgames.random_states import floor_eigensystem, gram, rng_for
+from entgames.cli import main
+from entgames.random_states import (bounded_draws, floor_eigensystem, gram, mixed_draw,
+                                    rng_block, rng_for)
 
-from conftest import count_checks, count_solves
+from conftest import count_checks, count_solves, povm_draw
 
 EXPECTED_ORDER = [
     "weak_triangle",
@@ -189,12 +192,123 @@ def _evaluate(check, samples: list) -> np.ndarray:
 
 class TestDimDraw:
     def test_same_draw_as_choice(self):
-        # _dim replaces rng.choice(pool); the draw and the stream after it must match
+        # the samplers' bounded draws replace rng.choice(pool); the draw and
+        # the stream after it must match
         for t in range(300):
             for pool in (DIM_POOL, (2, 3), (2, 3, 4)):
                 a, b = rng_for(0, CHECK_STREAM, 0, t), rng_for(0, CHECK_STREAM, 0, t)
-                assert _dim(a, pool) == int(b.choice(pool))
+                assert bounded_draws(a)(pool) == [int(b.choice(pool))]
                 assert a.random() == b.random()
+
+
+# --- the samplers as they drew before bounded draws from raw words: one
+# rng.integers call per integer and one mixed_draw or POVM draw per state
+
+
+def _old_dim(rng, pool=DIM_POOL) -> int:
+    return pool[int(rng.integers(len(pool)))]
+
+
+def _old_states(n):
+    def sample(rng):
+        d = _old_dim(rng)
+        return (d,), dict(zip([f"psi{i + 1}" for i in range(n)], mixed_draw(rng, d, n)))
+    return sample
+
+
+def _old_pair(first):
+    def sample(rng):
+        d = _old_dim(rng)
+        r, s = mixed_draw(rng, d, 2)
+        return (d,), {first: r, "sigma": s}
+    return sample
+
+
+def _old_cq_fidelity(rng):
+    k = int(rng.integers(2, 4))
+    d = _old_dim(rng, (2, 3, 4))
+    p, q = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(k))
+    g = mixed_draw(rng, d, 2 * k)
+    return (k, d), {"p": p, "q": q, "psi_blocks": g[:k], "phi_blocks": g[k:]}
+
+
+def _old_povm_bound(rng):
+    d = _old_dim(rng)
+    n_out = int(rng.integers(2, POVM_OUTCOMES + 1))
+    r, s = mixed_draw(rng, d, 2)
+    g = np.zeros((POVM_OUTCOMES, 2, d, d))
+    g[:n_out] = povm_draw(rng, d, n_out)
+    return (d,), {"psi": r, "phi": s, "povm": g}
+
+
+def _old_cptp_mono(rng):
+    d1, d2 = _old_dim(rng, (2, 3)), _old_dim(rng, (2, 3, 4))
+    r, s = mixed_draw(rng, d1 * d2, 2)
+    return (d1, d2, int(rng.integers(2))), {"psi": r, "phi": s}
+
+
+def _old_subadd_cond(rng):
+    dims = tuple(_old_dim(rng, (2, 3)) for _ in range(3))
+    return dims, {"rho": mixed_draw(rng, math.prod(dims))}
+
+
+def _old_superadd_classical(rng):
+    d1, d2 = _old_dim(rng, (2, 3, 4)), _old_dim(rng, (2, 3, 4))
+    return (d1, d2), {"sigma12": rng.dirichlet(np.ones(d1 * d2)),
+                      "ref1": rng.dirichlet(np.ones(d1)), "ref2": rng.dirichlet(np.ones(d2))}
+
+
+def _old_mi_min_relent(rng):
+    d1, d2 = _old_dim(rng, (2, 3)), _old_dim(rng, (2, 3))
+    r = mixed_draw(rng, d1 * d2)
+    return (d1, d2), {"rho": r, "sigma_x": mixed_draw(rng, d1), "sigma_y": mixed_draw(rng, d2)}
+
+
+def _old_relent_mono(rng):
+    d1, d2 = _old_dim(rng, (2, 3)), _old_dim(rng, (2, 3))
+    r, s = mixed_draw(rng, d1 * d2, 2)
+    return (d1, d2), {"rho": r, "sigma": s}
+
+
+def _old_cool_product(rng):
+    db = _old_dim(rng, (2, 3))
+    da = _old_dim(rng, tuple(d for d in (2, 3, 4) if d >= db))
+    return (da, db), {"rho": mixed_draw(rng, da * db)}
+
+
+def _old_fact_sum(rng):
+    n = int(rng.integers(5, FACT_SAMPLES + 1))
+    x = np.zeros(FACT_SAMPLES)
+    x[:n] = rng.exponential(1.0, size=n)
+    return (), {"x": x, "n": n, "c": float(rng.uniform(1.05, 8.0))}
+
+
+OLD_SAMPLERS = {
+    "weak_triangle": _old_states(3), "four_state": _old_states(4),
+    "fidelity_sq_sum": _old_states(3), "cq_fidelity": _old_cq_fidelity,
+    "povm_bound": _old_povm_bound, "cptp_mono": _old_cptp_mono,
+    "subadd_cond": _old_subadd_cond, "relent_vs_fid": _old_pair("psi"),
+    "superadd_classical": _old_superadd_classical, "smax_ge_s": _old_pair("rho"),
+    "mi_min_relent": _old_mi_min_relent, "relent_mono": _old_relent_mono,
+    "cool_product": _old_cool_product, "fact_sum": _old_fact_sum,
+}
+
+
+class TestSamplerDraws:
+    @pytest.mark.parametrize("name", EXPECTED_ORDER)
+    def test_same_draws_as_per_draw_reference(self, name):
+        # every sampler draws the key and the numbers of its per-draw
+        # reference, bit for bit, and leaves the raw stream where it does
+        check, check_id = REGISTRY[name], EXPECTED_ORDER.index(name)
+        trials = range(1000)
+        for t, rng in zip(trials, rng_block(0, CHECK_STREAM, check_id, trials=trials)):
+            ref = rng_for(0, CHECK_STREAM, check_id, t)
+            (key, draws), (ref_key, ref_draws) = check.sample(rng), OLD_SAMPLERS[name](ref)
+            assert key == ref_key and draws.keys() == ref_draws.keys(), (name, t)
+            for n, a in draws.items():
+                assert np.shape(a) == np.shape(ref_draws[n]), (name, t, n)
+                assert np.asarray(a).tobytes() == np.asarray(ref_draws[n]).tobytes(), (name, t, n)
+            assert rng.bit_generator.state["state"] == ref.bit_generator.state["state"]
 
 
 class TestStackedEvaluation:
@@ -234,6 +348,50 @@ class TestStackedEvaluation:
         assert doc["margin"] == margin
         rho = np.array(doc["states"]["rho"]["re"]) + 1j * np.array(doc["states"]["rho"]["im"])
         assert np.array_equal(rho, payload["rho"])
+
+
+def _perturb_one_batched_slice(monkeypatch, name: str) -> None:
+    """Patch check name's kernel to lower slice 1 of the first batch of more
+    than one trial by 100, as a batching fault would; a trial replayed alone,
+    a batch of one, keeps its margin."""
+    check, hit = REGISTRY[name], []
+
+    def kernel(key, x):
+        margins, dump = check.kernel(key, x)
+        if len(margins) > 1 and not hit:
+            hit.append(key)
+            margins = margins.copy()
+            margins[1] -= 100.0
+        return margins, dump
+
+    monkeypatch.setitem(REGISTRY, name, checks.CheckDef(
+        check.sample, kernel, check.tolerance, check.statement))
+
+
+class TestReplayAudit:
+    """run_check replays its worst trial, and each trial it dumps, alone and
+    compares the margin bits with the batched margin's."""
+
+    def test_perturbed_batch_is_a_mismatch(self, monkeypatch):
+        _perturb_one_batched_slice(monkeypatch, "fact_sum")
+        counters: dict = {}
+        rep = run_check(CheckSpec("fact_sum", trials=300), counters=counters)
+        # the perturbed trial is the worst, and its replay does not match
+        assert rep.violations == 1
+        assert counters["replay_mismatches"] == [rep.worst_case_seed]
+
+    def test_mismatch_exits_4(self, monkeypatch, tmp_path, capsys):
+        _perturb_one_batched_slice(monkeypatch, "fact_sum")
+        out = tmp_path / "out"
+        code = main(["verify", "--filter", "fact_sum", "--trials", "300", "--seed", "0",
+                     "--out", str(out)])
+        assert code == 4
+        assert "fact_sum: replayed trials" in capsys.readouterr().err
+        entry = json.loads((out / "manifest.json").read_text())["checks"]["fact_sum"]
+        report = json.loads((out / "report.json").read_text())[0]
+        # the dumped, violating trial is the one replayed and mismatched
+        assert entry["replay_mismatches"] == [report["worst_case_seed"]]
+        assert (out / f"counterexample_fact_sum_{report['worst_case_seed']}.json").is_file()
 
 
 def _report_bits(rep: CheckReport) -> tuple:
@@ -304,10 +462,10 @@ class TestBudget:
         run_check(CheckSpec(name, trials=1000, seed=7), counters=counters)
         trial = max(entries.values())
         assert counters.keys() == {"kernel_calls", "max_batch_entries", "draw_s", "kernel_s",
-                                   "dumps"}
+                                   "replay_s", "replay_mismatches", "dumps"}
         assert (counters["kernel_calls"], counters["max_batch_entries"]) \
             == (KERNEL_CALLS[name], seen["batch"])
-        assert counters["dumps"] == []
+        assert counters["dumps"] == [] and counters["replay_mismatches"] == []
         assert held[0] == 0
         assert seen["batch"] < checks._BUDGET + trial
         assert seen["held"] < 2 * checks._BUDGET + trial
@@ -365,17 +523,18 @@ SOLVES = {"relent_vs_fid": (3, 0), "smax_ge_s": (3, 0), "mi_min_relent": (1, 4),
 # 1,000-trial seed-0 run, construction included: a change that solves a state
 # again, where a kernel reuses its solve, fails here and not only as a
 # slowdown.  No check takes a qr or an svd.  A state read only through its
-# factor is not solved: the pure-fidelity checks take one eigvalsh of m^dag m
-# (m = b^dag a) per fidelity and nothing else, cq_fidelity one per block and
-# one for the whole state, povm_bound one per POVM element (check_povm) and
-# one for F
+# factor, and a state PSD by construction, is not solved: the pure-fidelity
+# checks take one eigvalsh of m^dag m (m = b^dag a) per fidelity and nothing
+# else, cq_fidelity one per block and one for the whole state, povm_bound one
+# for F (its POVM elements are checked to sum to I, not solved), and cptp_mono
+# one for each F and one eigh for the reduced or pinched rho's root
 SUITE_SOLVES = {
     "weak_triangle": {"eigvalsh": [21, 3000]},
     "four_state": {"eigvalsh": [32, 4000]},
     "fidelity_sq_sum": {"eigvalsh": [21, 3000]},
     "cq_fidelity": {"eigvalsh": [16, 3516]},
-    "povm_bound": {"eigh": [16, 1005], "eigvalsh": [22, 6000]},
-    "cptp_mono": {"eigh": [21, 1000], "eigvalsh": [63, 3000]},
+    "povm_bound": {"eigh": [16, 1005], "eigvalsh": [11, 1000]},
+    "cptp_mono": {"eigh": [21, 1000], "eigvalsh": [42, 2000]},
     "subadd_cond": {"eigvalsh": [96, 4000]},
     "relent_vs_fid": {"eigh": [6, 1000], "eigvalsh": [12, 2000]},
     "superadd_classical": {"eigh": [30, 2000], "eigvalsh": [45, 3000]},
@@ -388,12 +547,12 @@ SUITE_SOLVES = {
 # linalg._check_hermitian [calls, matrices] in the same runs: a Solved is
 # checked once, when it is built, so a kernel that passes it on to several
 # quantities checks it once (relent_vs_fid and smax_ge_s 2 calls a kernel
-# call); a state read only through its factor is not checked as a matrix, so
-# the pure-fidelity and cq checks make none, povm_bound checks only its POVM
-# elements and cptp_mono only its reduced or pinched states
+# call); a state read only through its factor, or PSD by construction, is not
+# checked as a matrix, so the pure-fidelity, cq and povm_bound checks make
+# none and cptp_mono checks only the reduced or pinched rho it solves
 SUITE_CHECKS = {
     "weak_triangle": [0, 0], "four_state": [0, 0], "fidelity_sq_sum": [0, 0],
-    "cq_fidelity": [0, 0], "povm_bound": [11, 5000], "cptp_mono": [42, 2000],
+    "cq_fidelity": [0, 0], "povm_bound": [0, 0], "cptp_mono": [21, 1000],
     "subadd_cond": [96, 4000], "relent_vs_fid": [12, 2000],
     "superadd_classical": [90, 6000], "smax_ge_s": [12, 2000], "mi_min_relent": [35, 7000],
     "relent_mono": [28, 4000], "cool_product": [0, 0], "fact_sum": [0, 0],
@@ -487,17 +646,31 @@ class TestEigensystemReuse:
             full = math.prod(key)
             assert (sizes.count(full), len(sizes) - sizes.count(full)) == SOLVES[name]
 
+    @staticmethod
+    def _trial_loop_counts(name, counts):
+        """counts (filled as they run) of run_check(name, 1000, 0), less its
+        audit's one replay of the worst trial, counted on its own."""
+        rep = run_check(CheckSpec(name, trials=1000, seed=0))
+        run = copy.deepcopy(counts)
+        # emptied in place: the wrappers fill this same object
+        if isinstance(counts, dict):
+            counts.clear()
+        else:
+            counts[:] = [0, 0]
+        REGISTRY[name].func(rng_for(0, CHECK_STREAM, EXPECTED_ORDER.index(name),
+                                    rep.worst_case_seed))
+        if isinstance(run, list):
+            return [a - b for a, b in zip(run, counts)]
+        assert counts.keys() == run.keys()
+        return {k: [a - b for a, b in zip(v, counts[k])] for k, v in run.items()}
+
     @pytest.mark.parametrize("name", EXPECTED_ORDER)
     def test_suite_solves_pinned(self, name, monkeypatch):
-        counts = count_solves(monkeypatch)
-        run_check(CheckSpec(name, trials=1000, seed=0))
-        assert counts == SUITE_SOLVES[name]
+        assert self._trial_loop_counts(name, count_solves(monkeypatch)) == SUITE_SOLVES[name]
 
     @pytest.mark.parametrize("name", EXPECTED_ORDER)
     def test_suite_checks_pinned(self, name, monkeypatch):
-        counts = count_checks(monkeypatch)
-        run_check(CheckSpec(name, trials=1000, seed=0))
-        assert counts == SUITE_CHECKS[name]
+        assert self._trial_loop_counts(name, count_checks(monkeypatch)) == SUITE_CHECKS[name]
 
     def test_floored_eigensystem(self):
         sigma = np.stack([checks.mixed_states(np.random.default_rng(s).standard_normal(

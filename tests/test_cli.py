@@ -300,7 +300,8 @@ class TestVerify:
         reports, _ = checks.run_all(2, 300, ["cptp_mono", "relent_mono"], None, counters)
         for name, entry in man["checks"].items():
             assert set(entry) == {"wall_s", "trials_per_s", "kernel_calls",
-                                  "max_batch_entries", "draw_s", "kernel_s"}
+                                  "max_batch_entries", "draw_s", "kernel_s", "replay_s",
+                                  "replay_mismatches"}
             assert {k: entry[k] for k in ("kernel_calls", "max_batch_entries")} \
                 == {k: counters[name][k] for k in ("kernel_calls", "max_batch_entries")}
             assert entry["kernel_calls"] >= 1
@@ -912,10 +913,13 @@ class TestTopLevel:
         if run == "verify_dumps":
             assert "counterexample_cool_product_961.json" in written
         if run.startswith("verify"):
-            # each check's draw and kernel phases fit in its wall time
+            # each check's draw, kernel and replay phases fit in its wall
+            # time, and the audit's replays gave the batched margins
             for entry in man["checks"].values():
-                assert entry["draw_s"] >= 0.0 and entry["kernel_s"] >= 0.0
-                assert entry["draw_s"] + entry["kernel_s"] <= entry["wall_s"]
+                phases = [entry["draw_s"], entry["kernel_s"], entry["replay_s"]]
+                assert all(t >= 0.0 for t in phases)
+                assert sum(phases) <= entry["wall_s"]
+                assert entry["replay_mismatches"] == []
 
     def test_every_manifest_names_its_machine(self, tmp_path):
         game = write_chsh(tmp_path)

@@ -3,13 +3,13 @@ import pytest
 
 from entgames.random_states import (
     _RNG_BLOCK,
+    bounded_draws,
     classical_states,
     flat_dirichlets,
     haar_unitaries,
     haar_unitary,
     mixed_draw,
     mixed_states,
-    povm_draw,
     povms,
     projectives,
     random_mixed,
@@ -19,7 +19,7 @@ from entgames.random_states import (
     unitary_draw,
 )
 
-from conftest import random_povm
+from conftest import povm_draw, random_povm
 
 # prefixes of the paths rng_block derives, with the trial index appended:
 # the protocol's 3-part path, a 1-part path, the checks' 4-part path,
@@ -33,10 +33,12 @@ PREFIXES = [
     (2**64 + 3, 301),
     (1, 2, 3, 4, 5),
 ]
-# trial 0, a run longer than one derivation block, and large indices,
-# including several word widths within one block
+# trial 0, a run longer than one derivation block, large indices, including
+# several word widths within one block, and a run across 2^32 whose first
+# block holds one-word indices only and whose second mixes one and two words
 TRIALS = [range(2 * _RNG_BLOCK + 17),
-          [0, 2**31, 2**32 - 1, 2**32, 2**40 + 3, 5, 2**64 + 1, 2**96]]
+          [0, 2**31, 2**32 - 1, 2**32, 2**40 + 3, 5, 2**64 + 1, 2**96],
+          range(2**32 - _RNG_BLOCK - 40, 2**32 + 40)]
 
 
 def _draws(rng):
@@ -56,6 +58,10 @@ class TestRngBlock:
             seen = 0
             for t, rng in zip(trials, rng_block(*prefix, trials=trials)):
                 ref = np.random.default_rng(np.random.SeedSequence([*prefix, t]))
+                # the whole state, with no buffered half-word (bounded_draws'
+                # precondition)
+                assert rng.bit_generator.state == ref.bit_generator.state, (prefix, t)
+                assert rng.bit_generator.state["has_uint32"] == 0
                 for a, b in zip(_draws(rng), _draws(ref)):
                     assert np.array_equal(a, b), (prefix, t)
                 seen += 1
@@ -140,3 +146,79 @@ class TestFlatDirichlet:
             for k, p in zip(sizes, got):
                 assert np.array_equal(p, ref.dirichlet(np.ones(k)))
             assert rng.standard_normal() == ref.standard_normal()
+
+
+def _position(rng) -> int:
+    """The 128-bit PCG64 state: how far the raw stream has moved."""
+    return rng.bit_generator.state["state"]["state"]
+
+
+class TestBoundedDraws:
+    """A drawer gives rng.integers(len(pool)) draw for draw, from raw words,
+    and leaves the raw stream where numpy leaves it."""
+
+    def test_spans_2_to_50(self):
+        spans = range(2, 51)
+        for seed in range(1000):
+            rng, ref = rng_for(seed, 11), rng_for(seed, 11)
+            assert bounded_draws(rng)(*map(range, spans)) == [int(ref.integers(n)) for n in spans]
+            assert _position(rng) == _position(ref)
+            assert rng.standard_normal() == ref.standard_normal()
+
+    def test_span_with_frequent_rejection(self):
+        # Lemire rejects a half-word for span 2^31 + 1 about half the time,
+        # so a draw can take several half-words and the draws run out of
+        # step with the words
+        span = 2**31 + 1
+        rejected = 0
+        for seed in range(1000):
+            rng, ref = rng_for(seed, 12), rng_for(seed, 12)
+            assert bounded_draws(rng)(*[range(span)] * 5) == [int(ref.integers(span))
+                                                            for _ in range(5)]
+            assert _position(rng) == _position(ref)
+            # five draws take three words (six halves) unless two or more
+            # halves were rejected, which happens in about 89% of streams
+            three = rng_for(seed, 12)
+            three.bit_generator.advance(3)
+            rejected += _position(rng) != _position(three)
+            assert rng.standard_normal() == ref.standard_normal()
+        assert rejected > 800
+
+    def test_span_one_draws_nothing(self):
+        for seed in range(1000):
+            rng, ref = rng_for(seed, 13), rng_for(seed, 13)
+            assert bounded_draws(rng)(range(1), (7,)) == [int(ref.integers(1)), 7]
+            assert _position(rng) == _position(ref) == _position(rng_for(seed, 13))
+            assert bounded_draws(rng)(range(3)) == [int(ref.integers(3))]
+            assert _position(rng) == _position(ref)
+
+    def test_dependent_span_shares_the_half_word(self):
+        # cool_product's: the second pool depends on the first draw, whose
+        # word's high half it takes
+        for seed in range(1000):
+            rng, ref = rng_for(seed, 14), rng_for(seed, 14)
+            draw = bounded_draws(rng)
+            (db,) = draw((2, 3))
+            (da,) = draw((2, 3, 4)[db - 2:])
+            want_db = int(ref.choice((2, 3)))
+            assert (db, da) == (want_db, int(ref.choice([d for d in (2, 3, 4) if d >= want_db])))
+            assert _position(rng) == _position(ref)
+
+    @pytest.mark.parametrize("span", [3, 2**31 + 1])
+    def test_half_word_kept_across_other_draws(self, span):
+        # cptp_mono's: bounded draws, 64-bit draws, then a bounded draw that
+        # takes a half-word the first ones left (after an odd count of them)
+        for seed in range(1000):
+            rng, ref = rng_for(seed, 15), rng_for(seed, 15)
+            draw = bounded_draws(rng)
+            first = draw(range(span))
+            normals = rng.standard_normal(3)
+            assert first == [int(ref.integers(span))]
+            assert np.array_equal(normals, ref.standard_normal(3))
+            assert draw(range(2), range(span)) == [int(ref.integers(2)), int(ref.integers(span))]
+            assert _position(rng) == _position(ref)
+
+    @pytest.mark.parametrize("pool", [(), range(2**32 + 1)])
+    def test_pool_size_outside_range_raises(self, pool):
+        with pytest.raises(ValueError, match="pool of"):
+            bounded_draws(rng_for(0))(pool)
