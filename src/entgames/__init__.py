@@ -18,7 +18,6 @@ from .games import (
     load_game,
     majority_game,
     repeat,
-    save_game,
     strategy_win_probability,
 )
 from .linalg import (
@@ -86,7 +85,6 @@ __all__ = [
     "relative_entropy",
     "repeat",
     "rng_for",
-    "save_game",
     "sic_lower_bound",
     "sic_terms",
     "special_case_report",

@@ -5,19 +5,20 @@ trial's raw numbers from that trial's generator (Gaussian entries of its
 states, in one call where their shapes are known, Dirichlet weights,
 samples) and returns them with a group key (the trial's dimensions and any
 discrete choice, drawn through one random_states.bounded_draws drawer).
-CheckDef.inputs stacks the
-draws of a group of trials along a leading axis and builds their states on
-the whole stack (_BUILD names which draws are states, and how they are
-built; a psi or phi draw is built as the factor psi of the mixed state
-psi psi^dag).  The kernel takes those stacked inputs and returns one signed
-margin per trial, nonnegative where the inequality held (equality checks
-return minus the absolute deviation), and a function that builds the
-trial's states for a counterexample dump, called only on the replay path.
-A trial counts as a violation when the margin falls below minus the check's
-tolerance.  Trial t of check c uses the generator
-rng_for(seed, CHECK_STREAM, c, t), so any single trial can be replayed from
-the report alone with REGISTRY[name].func, which runs the sampler, the
-construction and the kernel on a batch of one and builds its dump states.
+CheckDef.inputs stacks the draws of a group of trials along a leading axis
+and builds their states on the whole stack (_BUILD names which draws are
+states, and how they are built).  Every Haar mixed draw, a psi or phi name,
+is held as its factor psi, and a kernel forms the state psi psi^dag
+(random_states.gram) only where it needs the matrix.  The kernel takes
+those stacked inputs and returns one signed margin per trial, nonnegative
+where the inequality held (equality checks return minus the absolute
+deviation), and a function that builds the trial's states for a
+counterexample dump, called only on the replay path.  A trial counts as a
+violation when the margin falls below minus the check's tolerance.  Trial t
+of check c uses the generator rng_for(seed, CHECK_STREAM, c, t), so any
+single trial can be replayed from the report alone with REGISTRY[name].func,
+which runs the sampler, the construction and the kernel on a batch of one
+and builds its dump states.
 
 run_check takes trials from one lazily consumed rng_block stream and keeps
 one pending batch per group key.  A trial's entries are the matrix entries of
@@ -90,7 +91,6 @@ from .random_states import (
     gram,
     mixed_draw,
     mixed_factors,
-    mixed_states,
     povms,
     rng_block,
     rng_for,
@@ -239,24 +239,17 @@ def _cptp_mono(key, x):
 
 def _sample_subadd_cond(rng):
     dims = tuple(bounded_draws(rng)((2, 3), (2, 3), (2, 3)))
-    return dims, {"rho": mixed_draw(rng, math.prod(dims))}
+    return dims, {"psi": mixed_draw(rng, math.prod(dims))}
 
 
 def _subadd_cond(dims, x):
+    r = gram(x["psi"])
+
     def ent(keep):
-        return von_neumann_entropy(partial_trace_matrix(x["rho"], dims, keep))
+        return von_neumann_entropy(partial_trace_matrix(r, dims, keep))
     s_c = ent([2])
-    return (ent([0, 2]) - s_c) + (ent([1, 2]) - s_c) - (ent([0, 1, 2]) - s_c), lambda: x
-
-
-def _sample_pair(first: str) -> Callable:
-    """Sampler of two mixed states of one dimension from DIM_POOL, named first
-    and sigma."""
-    def sample(rng):
-        (d,) = bounded_draws(rng)(DIM_POOL)
-        r, s = mixed_draw(rng, d, 2)
-        return (d,), {first: r, "sigma": s}
-    return sample
+    m = (ent([0, 2]) - s_c) + (ent([1, 2]) - s_c) - (ent([0, 1, 2]) - s_c)
+    return m, lambda: {"rho": r}
 
 
 def _kron_eig(a: Solved, b: Solved) -> Solved:
@@ -271,8 +264,8 @@ def _kron_eig(a: Solved, b: Solved) -> Solved:
 def _relent_vs_fid(key, x):
     # F comes from rho's factor psi and the floored sigma's v sqrt(w); rho's
     # one spectrum, which S reads, is its check
-    psi = x["psi"]
-    s = floor_eigensystem(x["sigma"], SIGMA_FLOOR)
+    psi = x["psi1"]
+    s = floor_eigensystem(gram(x["psi2"]), SIGMA_FLOOR)
     r = solve_psd(gram(psi), vectors=False)
     f = fidelity_from_factors(psi, s.v * np.sqrt(s.w)[..., None, :])
     return relative_entropy(r, s) - (1 - f), lambda: {"rho": r.matrix, "sigma": s.matrix}
@@ -294,10 +287,11 @@ def _superadd_classical(dims, x):
 
 
 def _smax_ge_s(key, x):
-    s = floor_eigensystem(x["sigma"], SIGMA_FLOOR)
-    r = solve_psd(x["rho"], vectors=False)      # one spectrum for both entropies
+    rho = gram(x["psi1"])
+    s = floor_eigensystem(gram(x["psi2"]), SIGMA_FLOOR)
+    r = solve_psd(rho, vectors=False)      # one spectrum for both entropies
     m = min_relative_entropy(r, s) - relative_entropy(r, s)
-    return m, lambda: {"rho": x["rho"], "sigma": s.matrix}
+    return m, lambda: {"rho": rho, "sigma": s.matrix}
 
 
 def _sample_mi_min_relent(rng):
@@ -305,27 +299,28 @@ def _sample_mi_min_relent(rng):
     d1, d2 = bounded_draws(rng)((2, 3), (2, 3))
     n1, n2, n = d1 * d1, d2 * d2, (d1 * d2) ** 2
     g = rng.standard_normal(2 * (n + n1 + n2))
-    return (d1, d2), {"rho": g[:2 * n].reshape(2, n),
-                      "sigma_x": g[2 * n:2 * (n + n1)].reshape(2, n1),
-                      "sigma_y": g[2 * (n + n1):].reshape(2, n2)}
+    return (d1, d2), {"psi": g[:2 * n].reshape(2, n),
+                      "phi_x": g[2 * n:2 * (n + n1)].reshape(2, n1),
+                      "phi_y": g[2 * (n + n1):].reshape(2, n2)}
 
 
 def _mi_min_relent(dims, x):
-    r = solve_psd(x["rho"], vectors=False)      # the one full-size solve
-    rx, ry = (solve_psd(partial_trace_matrix(x["rho"], dims, [i])) for i in (0, 1))
-    sx, sy = (floor_eigensystem(x[k], SIGMA_FLOOR) for k in ("sigma_x", "sigma_y"))
+    rho = gram(x["psi"])
+    r = solve_psd(rho, vectors=False)      # the one full-size solve
+    rx, ry = (solve_psd(partial_trace_matrix(rho, dims, [i])) for i in (0, 1))
+    sx, sy = (floor_eigensystem(gram(x[k]), SIGMA_FLOOR) for k in ("phi_x", "phi_y"))
     m = relative_entropy(r, _kron_eig(sx, sy)) - relative_entropy(r, _kron_eig(rx, ry))
-    return m, lambda: {"rho": x["rho"], "sigma_x": sx.matrix, "sigma_y": sy.matrix}
+    return m, lambda: {"rho": rho, "sigma_x": sx.matrix, "sigma_y": sy.matrix}
 
 
 def _sample_relent_mono(rng):
     d1, d2 = bounded_draws(rng)((2, 3), (2, 3))
     r, s = mixed_draw(rng, d1 * d2, 2)
-    return (d1, d2), {"rho": r, "sigma": s}
+    return (d1, d2), {"psi": r, "phi": s}
 
 
 def _relent_mono(dims, x):
-    r, s = x["rho"], floor_eigensystem(x["sigma"], SIGMA_FLOOR)
+    r, s = gram(x["psi"]), floor_eigensystem(gram(x["phi"]), SIGMA_FLOOR)
     m = (relative_entropy(r, s)
          - relative_entropy(partial_trace_matrix(r, dims, [0]),
                             partial_trace_matrix(s.matrix, dims, [0])))
@@ -338,15 +333,15 @@ def _sample_cool_product(rng):
     draw = bounded_draws(rng)
     (db,) = draw((2, 3))
     (da,) = draw((2, 3, 4)[db - 2:])
-    return (da, db), {"rho": mixed_draw(rng, da * db)}
+    return (da, db), {"psi": mixed_draw(rng, da * db)}
 
 
 def _cool_product(dims, x):
-    r = x["rho"]
+    r = gram(x["psi"])
     ra = partial_trace_matrix(r, dims, [0])
     rb = partial_trace_matrix(r, dims, [1])
     gap = dims[1] * dims[1] * kron(ra, rb) - r
-    return np.linalg.eigvalsh(hermitianize(gap))[:, 0], lambda: x
+    return np.linalg.eigvalsh(hermitianize(gap))[:, 0], lambda: {"rho": r}
 
 
 def _sample_fact_sum(rng):
@@ -366,13 +361,13 @@ def _fact_sum(key, x):
 
 
 # how each named raw draw becomes a state, on the stack of a group's trials;
-# a psi or phi name is built as the factor psi of its mixed state psi psi^dag,
-# for the kernels that read a state only through its factor; inputs not named
-# here (distributions, samples, constants) are used as drawn
+# every Haar mixed draw, a psi or phi name, is built as the factor psi of its
+# state psi psi^dag, which a kernel forms (gram) only where it needs the
+# matrix; inputs not named here (distributions, samples, constants) are used
+# as drawn
 _BUILD = {
-    **dict.fromkeys(("rho", "sigma", "sigma_x", "sigma_y"), mixed_states),
-    **dict.fromkeys(("psi", "psi1", "psi2", "psi3", "psi4", "psi_blocks", "phi", "phi_blocks"),
-                    mixed_factors),
+    **dict.fromkeys(("psi", "psi1", "psi2", "psi3", "psi4", "psi_blocks",
+                     "phi", "phi_blocks", "phi_x", "phi_y"), mixed_factors),
     "povm": povms,
     **dict.fromkeys(("sigma12", "ref1", "ref2"), classical_states),
 }
@@ -424,11 +419,11 @@ REGISTRY: dict[str, CheckDef] = {
                           "F(Q rho, Q sigma) >= F(rho, sigma) for partial trace / pinching"),
     "subadd_cond": CheckDef(_sample_subadd_cond, _subadd_cond, 1e-9,
                             "S(AB|C) <= S(A|C) + S(B|C)"),
-    "relent_vs_fid": CheckDef(_sample_pair("psi"), _relent_vs_fid, 1e-8,
+    "relent_vs_fid": CheckDef(_sample_states(2), _relent_vs_fid, 1e-8,
                               "S(rho||sigma) >= 1 - F(rho, sigma)"),
     "superadd_classical": CheckDef(_sample_superadd_classical, _superadd_classical, 1e-8,
                                    "classical S(sigma||rho1 x rho2) >= sum of marginal terms"),
-    "smax_ge_s": CheckDef(_sample_pair("rho"), _smax_ge_s, 1e-7,
+    "smax_ge_s": CheckDef(_sample_states(2), _smax_ge_s, 1e-7,
                           "S_inf(rho||sigma) >= S(rho||sigma)"),
     "mi_min_relent": CheckDef(_sample_mi_min_relent, _mi_min_relent, 1e-7,
                               "S(rho||rhoX x rhoY) <= S(rho||sigmaX x sigmaY)"),

@@ -557,9 +557,5 @@ def game_to_json(g: Game) -> str:
     return json.dumps(game_to_dict(g), sort_keys=True, separators=(",", ":"))
 
 
-def save_game(g: Game, path: str | Path) -> None:
-    Path(path).write_text(game_to_json(g) + "\n")
-
-
 def load_game(path: str | Path) -> Game:
     return game_from_dict(_load_json(path))

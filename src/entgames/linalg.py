@@ -11,10 +11,10 @@ also take stacks of shape (..., d, d) and act on each slice, validating each
 slice as they would a single matrix; a single matrix is the unbatched case.
 A Solved is a checked state: building one checks its matrix Hermitian and
 its spectrum PSD, once.  solve_psd solves a state and returns it as a
-Solved; psd_eigvalsh, matrix_sqrt_psd, DensityOperator and qinfo.check_povm
-build on it, so a caller that already holds a Solved passes it on and its
-eigensystem is read with no further check or solve.  Tolerances are the
-fixed config.DEFAULT_TOLS.
+Solved; psd_eigvalsh, matrix_sqrt_psd and DensityOperator build on it, so
+a caller that already holds a Solved passes it on and its eigensystem is
+read with no further check or solve.  Tolerances are the fixed
+config.DEFAULT_TOLS.
 """
 
 from __future__ import annotations

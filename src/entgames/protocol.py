@@ -168,12 +168,6 @@ def _binomial_table(n: int, w: float) -> tuple[np.ndarray, np.ndarray]:
     return cdf, guide
 
 
-def _binomial_cdf(n: int, w: float) -> np.ndarray:
-    """The Binomial(n, w) CDF of _binomial_table without its guide: what a
-    plain binary search for W looks up."""
-    return _binomial_table(n, w)[0]
-
-
 def _guided_search(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
     """np.searchsorted(cdf, u, side="right") for u in [0, 1), started from
     guide[floor(u * M)], which must not lie past that answer.  Every index

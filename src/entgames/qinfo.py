@@ -14,7 +14,7 @@ checked Hermitian and PSD; one passed as a linalg.Solved was checked when it
 was built, so a caller solves and checks a state once for several quantities.
 fidelity_from_factor takes F from any factor of rho, with no matrix root, and
 fidelity_from_factors from a factor of each state, with no state matrix.
-A POVM is a (..., n, d, d) stack of n elements, checked by check_povm.
+A POVM is a (..., n, d, d) stack of n elements.
 purification_matrix is the one purification, used by purify, uhlmann_partner
 and sic's decoupling.  Tolerances are the fixed config.DEFAULT_TOLS.
 """
@@ -87,15 +87,6 @@ class PureState:
 
     def overlap(self, other: "PureState") -> complex:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-
-def check_povm(elements: np.ndarray) -> None:
-    """Raise unless each (..., n, d, d) stack of n elements is a POVM."""
-    elements = as_stack(elements)
-    psd_eigvalsh(elements)
-    total = elements.sum(axis=-3)
-    if np.abs(total - np.eye(total.shape[-1])).max() > DEFAULT_TOLS.proj:
-        raise ValueError("POVM elements do not sum to the identity within tolerance")
 
 
 def _outcome_distribution(elements: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -179,8 +170,8 @@ def povm_outcome_bound(rho, sigma, povm):
     """Classical-outcome fidelity sum_i sqrt(p_i q_i); upper-bounds F(rho, sigma).
 
     Both states are checked Hermitian and PSD.  povm is a stack of elements
-    (..., n, d, d) already passed through check_povm, one POVM per slice of
-    rho and sigma.
+    (..., n, d, d), PSD and summing to I (not checked here), one POVM per
+    slice of rho and sigma.
     """
     r, s = _pair(rho, sigma)
     psd_eigvalsh(rho)

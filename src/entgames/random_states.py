@@ -20,12 +20,14 @@ rng_block generators do.
 
 Random states are drawn in two steps.  A trial draws only raw numbers
 (mixed_draw, unitary_draw, or a POVM's (n, 2, d, d) Gaussians), and the
-states are built from stacks of those draws (mixed_states, povms,
+states are built from stacks of those draws (mixed_factors, povms,
 classical_states, haar_unitaries and projectives), so a batch of trials
-shares one construction.  A mixed state is built as psi psi^dag, so
-mixed_factors gives its factor psi at no cost, for fidelities taken from
-factors rather than from states (qinfo.fidelity_from_factors).  Every
-construction acts on each slice on its own; random_mixed, haar_unitary and
+shares one construction.  A random mixed state is held as its factor psi,
+the normalized Haar pure state on d x d as a d x d amplitude matrix, which
+mixed_factors builds; the state is gram(psi) = psi psi^dag, formed only
+where a matrix is needed, and fidelities are taken from factors
+(qinfo.fidelity_from_factors).  Every construction acts on each slice on its
+own; random_mixed (gram of mixed_factors), haar_unitary and
 random_projective are the one-slice case.
 """
 
@@ -254,15 +256,10 @@ def gram(a: np.ndarray) -> np.ndarray:
     return a @ dagger(a)
 
 
-def mixed_states(g: np.ndarray) -> np.ndarray:
-    """Mixed states from stacked raw draws (..., 2, d^2): the partial trace of
-    the Haar pure state on d x d, the gram of its mixed_factors."""
-    return gram(mixed_factors(g))
-
-
 def random_mixed(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Random mixed state: partial trace of a Haar pure state on dim x dim."""
-    return mixed_states(mixed_draw(rng, dim)[None])[0]
+    """Random mixed state: partial trace of a Haar pure state on dim x dim,
+    the gram of its mixed_factors."""
+    return gram(mixed_factors(mixed_draw(rng, dim)[None]))[0]
 
 
 def flat_dirichlets(rng: np.random.Generator, *sizes: int) -> tuple[np.ndarray, ...]:

@@ -4,17 +4,27 @@ The acceptance tests record one line per criterion; the terminal-summary hook
 prints them after the run so the pass/fail ledger is visible without -s.
 count_solves counts the eigensolves, QR and SVD factorizations a run makes, and count_checks the
 Hermitian checks, for tests that pin them.  povm_draw and random_povm are
-the raw and built one-slice POVM draws that tests use as references.
+the raw and built one-slice POVM draws that tests use as references, and
+check_povm the POVM check.  write_game writes a game document as `entgames
+repeat` writes its game.json.  The tracing fixture loads the benchmark's
+perfbench/tracing.py, whose TARGETS name the package functions it wraps.
 """
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from entgames import linalg
+from entgames.config import DEFAULT_TOLS
+from entgames.games import Game, game_to_json
 from entgames.random_states import povms
 
 ACCEPTANCE_LINES: list[str] = []
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
 def record_criterion(number: int, ok: bool, detail: str) -> None:
@@ -70,3 +80,30 @@ def povm_draw(rng: np.random.Generator, dim: int, n_outcomes: int) -> np.ndarray
 def random_povm(rng: np.random.Generator, dim: int, n_outcomes: int) -> np.ndarray:
     """Random POVM (n_outcomes, dim, dim): povms on a stack of one draw."""
     return povms(povm_draw(rng, dim, n_outcomes)[None])[0]
+
+
+def check_povm(elements: np.ndarray) -> None:
+    """Raise unless each (..., n, d, d) stack of n elements is a POVM."""
+    elements = linalg.as_stack(elements)
+    linalg.psd_eigvalsh(elements)
+    total = elements.sum(axis=-3)
+    if np.abs(total - np.eye(total.shape[-1])).max() > DEFAULT_TOLS.proj:
+        raise ValueError("POVM elements do not sum to the identity within tolerance")
+
+
+def write_game(g: Game, path: str | Path) -> None:
+    """Write g's game document to path: canonical JSON and a newline."""
+    Path(path).write_text(game_to_json(g) + "\n")
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    name = "_perfbench_tracing_under_test"
+    spec = importlib.util.spec_from_file_location(name, TRACING)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module          # dataclasses resolve the module by name
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[name]

@@ -38,7 +38,7 @@ from entgames.sic import (
     special_case_report,
 )
 
-from conftest import record_criterion
+from conftest import record_criterion, write_game
 
 TSIRELSON = math.cos(math.pi / 8) ** 2
 
@@ -286,8 +286,7 @@ def test_criterion_8_reproducible_reports(tmp_path):
         return blobs[0] == blobs[1]
 
     game = tmp_path / "chsh.json"
-    from entgames.games import save_game
-    save_game(chsh(), game)
+    write_game(chsh(), game)
     sim = tmp_path / "sim.json"
     sim.write_text(json.dumps({
         "n": 8, "epsilon": 1.0, "t": 0.0, "trials": 500, "v_override": 4,

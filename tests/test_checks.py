@@ -25,7 +25,6 @@ from entgames.checks import (
 )
 from entgames.linalg import Solved, kron, partial_trace_matrix
 from entgames.qinfo import (
-    check_povm,
     fidelity,
     min_relative_entropy,
     povm_outcome_bound,
@@ -34,9 +33,9 @@ from entgames.qinfo import (
 )
 from entgames.cli import main
 from entgames.random_states import (bounded_draws, floor_eigensystem, gram, mixed_draw,
-                                    rng_block, rng_for)
+                                    mixed_factors, rng_block, rng_for)
 
-from conftest import count_checks, count_solves, povm_draw
+from conftest import check_povm, count_checks, count_solves, povm_draw
 
 EXPECTED_ORDER = [
     "weak_triangle",
@@ -216,14 +215,6 @@ def _old_states(n):
     return sample
 
 
-def _old_pair(first):
-    def sample(rng):
-        d = _old_dim(rng)
-        r, s = mixed_draw(rng, d, 2)
-        return (d,), {first: r, "sigma": s}
-    return sample
-
-
 def _old_cq_fidelity(rng):
     k = int(rng.integers(2, 4))
     d = _old_dim(rng, (2, 3, 4))
@@ -249,7 +240,7 @@ def _old_cptp_mono(rng):
 
 def _old_subadd_cond(rng):
     dims = tuple(_old_dim(rng, (2, 3)) for _ in range(3))
-    return dims, {"rho": mixed_draw(rng, math.prod(dims))}
+    return dims, {"psi": mixed_draw(rng, math.prod(dims))}
 
 
 def _old_superadd_classical(rng):
@@ -261,19 +252,19 @@ def _old_superadd_classical(rng):
 def _old_mi_min_relent(rng):
     d1, d2 = _old_dim(rng, (2, 3)), _old_dim(rng, (2, 3))
     r = mixed_draw(rng, d1 * d2)
-    return (d1, d2), {"rho": r, "sigma_x": mixed_draw(rng, d1), "sigma_y": mixed_draw(rng, d2)}
+    return (d1, d2), {"psi": r, "phi_x": mixed_draw(rng, d1), "phi_y": mixed_draw(rng, d2)}
 
 
 def _old_relent_mono(rng):
     d1, d2 = _old_dim(rng, (2, 3)), _old_dim(rng, (2, 3))
     r, s = mixed_draw(rng, d1 * d2, 2)
-    return (d1, d2), {"rho": r, "sigma": s}
+    return (d1, d2), {"psi": r, "phi": s}
 
 
 def _old_cool_product(rng):
     db = _old_dim(rng, (2, 3))
     da = _old_dim(rng, tuple(d for d in (2, 3, 4) if d >= db))
-    return (da, db), {"rho": mixed_draw(rng, da * db)}
+    return (da, db), {"psi": mixed_draw(rng, da * db)}
 
 
 def _old_fact_sum(rng):
@@ -287,8 +278,8 @@ OLD_SAMPLERS = {
     "weak_triangle": _old_states(3), "four_state": _old_states(4),
     "fidelity_sq_sum": _old_states(3), "cq_fidelity": _old_cq_fidelity,
     "povm_bound": _old_povm_bound, "cptp_mono": _old_cptp_mono,
-    "subadd_cond": _old_subadd_cond, "relent_vs_fid": _old_pair("psi"),
-    "superadd_classical": _old_superadd_classical, "smax_ge_s": _old_pair("rho"),
+    "subadd_cond": _old_subadd_cond, "relent_vs_fid": _old_states(2),
+    "superadd_classical": _old_superadd_classical, "smax_ge_s": _old_states(2),
     "mi_min_relent": _old_mi_min_relent, "relent_mono": _old_relent_mono,
     "cool_product": _old_cool_product, "fact_sum": _old_fact_sum,
 }
@@ -484,15 +475,15 @@ def _floored(a):
     return floor_eigensystem(a, SIGMA_FLOOR).matrix
 
 
-# the compositions the reuse kernels replaced: each solves the floored sigma
-# again, and rho once per quantity
+# the compositions the reuse kernels replaced, on the built states: each
+# solves the floored sigma again, and rho once per quantity
 def _old_relent_vs_fid(key, x):
-    r, s = gram(x["psi"]), _floored(x["sigma"])
+    r, s = x["rho1"], _floored(x["rho2"])
     return relative_entropy(r, s) - (1 - fidelity(r, s))
 
 
 def _old_smax_ge_s(key, x):
-    r, s = x["rho"], _floored(x["sigma"])
+    r, s = x["rho1"], _floored(x["rho2"])
     return min_relative_entropy(r, s) - relative_entropy(r, s)
 
 
@@ -619,7 +610,7 @@ class TestEigensystemReuse:
             x = check.inputs(draws)
             new, dump = check.kernel(key, x)
             states = dump()
-            old = OLD_KERNELS[name](key, x)
+            old = OLD_KERNELS[name](key, _as_states(x))
             assert np.abs(new - old).max() <= 1e-9, key
             for i in np.flatnonzero(np.abs(new - old) > 1e-12):
                 # solving a state again loses digits on its small eigenvalues,
@@ -673,8 +664,8 @@ class TestEigensystemReuse:
         assert self._trial_loop_counts(name, count_checks(monkeypatch)) == SUITE_CHECKS[name]
 
     def test_floored_eigensystem(self):
-        sigma = np.stack([checks.mixed_states(np.random.default_rng(s).standard_normal(
-            (2, 16))) for s in range(5)])
+        sigma = np.stack([gram(mixed_factors(np.random.default_rng(s).standard_normal(
+            (2, 16)))) for s in range(5)])
         s = floor_eigensystem(sigma, SIGMA_FLOOR)
         assert np.all(np.diff(s.w, axis=-1) >= 0) and s.w.min() > 0
         assert np.abs(s.matrix.trace(axis1=-2, axis2=-1) - 1).max() <= 1e-14
@@ -682,7 +673,7 @@ class TestEigensystemReuse:
 
     def test_kron_eigensystem(self):
         rng = np.random.default_rng(0)
-        a, b = (checks.mixed_states(rng.standard_normal((4, 2, d * d))) for d in (2, 3))
+        a, b = (gram(mixed_factors(rng.standard_normal((4, 2, d * d)))) for d in (2, 3))
         ab = _kron_eig(Solved(a, *np.linalg.eigh(a)), Solved(b, *np.linalg.eigh(b)))
         w, v = ab.w, ab.v
         assert np.array_equal(ab.matrix, kron(a, b))
@@ -816,7 +807,7 @@ def _ref_sample(name, rng):
         return dims, {"rho": _ref_mixed(rng, math.prod(dims))}
     if name in ("relent_vs_fid", "smax_ge_s"):
         d = _ref_dim(rng)
-        return (d,), {"rho": _ref_mixed(rng, d), "sigma": _ref_mixed(rng, d)}
+        return (d,), {"rho1": _ref_mixed(rng, d), "rho2": _ref_mixed(rng, d)}
     if name == "superadd_classical":
         d1, d2 = _ref_dim(rng, (2, 3, 4)), _ref_dim(rng, (2, 3, 4))
         joint = _ref_classical(rng, d1 * d2)
@@ -846,7 +837,7 @@ FACTOR_STATES = {"psi": "rho", "phi": "sigma"}
 
 def _as_states(built: dict) -> dict:
     """Built inputs with each factor psi* or phi* replaced by its state rho*
-    or sigma*."""
+    or sigma* (psi1 by rho1, phi_x and phi_y by sigma_x and sigma_y)."""
     return {FACTOR_STATES[n[:3]] + n[3:] if n[:3] in FACTOR_STATES else n:
             gram(a) if n[:3] in FACTOR_STATES else a for n, a in built.items()}
 

@@ -11,14 +11,16 @@ import pytest
 import entgames
 from entgames import checks, cli, games
 from entgames.cli import main
-from entgames.games import chsh, classical_value, load_game, save_game
+from entgames.games import chsh, classical_value, load_game
+
+from conftest import write_game
 
 SQ = 1 / math.sqrt(2)
 
 
 def write_chsh(tmp_path):
     path = tmp_path / "chsh.json"
-    save_game(chsh(), path)
+    write_game(chsh(), path)
     return path
 
 
@@ -121,7 +123,7 @@ class TestValue:
                  "corr": (corr, False, False), "all_ones": (all_ones, True, False)}
         for name, (g, free, projection) in cases.items():
             path, out = tmp_path / f"{name}.json", tmp_path / f"{name}-{mode}"
-            save_game(g, path)
+            write_game(g, path)
             assert main(["value", str(path), "--mode", mode, "--seed", "0", "--d", "2",
                          "--restarts", "1", "--iters", "2", "--out", str(out)]) == 0
             rep = json.loads((out / "report.json").read_text())

@@ -21,7 +21,6 @@ from entgames.games import (
     load_game,
     majority_game,
     repeat,
-    save_game,
     strategy_win_probability,
 )
 from entgames import games as games_mod
@@ -38,7 +37,7 @@ from entgames.linalg import hermitian_eig, hermitianize
 from entgames.qinfo import PureState
 from entgames.random_states import haar_state, random_projective, rng_for
 
-from conftest import count_solves
+from conftest import count_solves, write_game
 
 TSIRELSON = math.cos(math.pi / 8) ** 2
 
@@ -787,7 +786,7 @@ class TestJson:
 
     def test_save_load(self, tmp_path):
         path = tmp_path / "g.json"
-        save_game(chsh(), path)
+        write_game(chsh(), path)
         assert load_game(path) == chsh()
 
     def test_load_reports_position(self, tmp_path):

@@ -1,4 +1,5 @@
-"""The package's export list against the names its __init__ imports.
+"""The package's export list against the names its __init__ imports, and
+no definition in src/ that only tests reach.
 
 Removing a public name means editing both the import and __all__; these tests
 fail when only one of them changes.
@@ -8,6 +9,11 @@ import ast
 from pathlib import Path
 
 import entgames
+
+PACKAGE = Path(entgames.__file__).resolve().parent
+# paper claims that only acceptance criteria run: criterion 7's exact
+# collision probability and criterion 5's bound grid check
+PAPER_CLAIMS = {"protocol.exact_collision_probability", "sic.check_supercos"}
 
 
 def imported_names() -> list[str]:
@@ -34,3 +40,27 @@ def test_readme_library_example_runs():
     section = readme.read_text().split("## Library example", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md", "exec"), {})
+
+
+def _names_read(node: ast.AST) -> set[str]:
+    """The names and attribute names that node's code reads."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+
+
+def test_every_definition_has_a_reader(tracing):
+    # a module-level def or class is read by other src/ code, exported, wrapped
+    # by the benchmark tracer, or a paper claim on PAPER_CLAIMS; a name read
+    # only inside its own definition (recursion) does not count
+    defs, reads = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.append((f"{path.stem}.{node.name}", node))
+            reads.append((node, _names_read(node)))
+    traced = {f"{t.module.removeprefix('entgames.')}.{t.attr.split('.')[0]}"
+              for t in tracing.TARGETS}
+    unread = [name for name, node in defs
+              if node.name not in entgames.__all__ and name not in traced | PAPER_CLAIMS
+              and not any(node.name in names for other, names in reads if other is not node)]
+    assert unread == []

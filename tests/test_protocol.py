@@ -24,7 +24,6 @@ from entgames.protocol import (
     wilson_interval,
     _TABLE_MAX,
     _acceptance_table,
-    _binomial_cdf,
     _binomial_pmf,
     _binomial_table,
     _guided_search,
@@ -278,7 +277,7 @@ class TestWinCountDraw:
         big = exact >= 1e-300
         assert np.all(np.abs(pmf[big] - exact[big]) <= 1e-12 * exact[big])
         assert np.all(pmf[~big] <= 1e-300)
-        cdf = _binomial_cdf(n, w)
+        cdf = _binomial_table(n, w)[0]
         assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0)
         assert np.abs(cdf - np.cumsum(exact)).max() <= 1e-13
 
@@ -288,7 +287,7 @@ class TestWinCountDraw:
         counts = IidBernoulli(w).sample_wins(rng_for(6), n, trials)
         rng = rng_for(6)
         if n + 1 <= _TABLE_MAX:
-            want = np.searchsorted(_binomial_cdf(n, w), rng.random(trials), side="right")
+            want = np.searchsorted(_binomial_table(n, w)[0], rng.random(trials), side="right")
         else:
             want = rng.binomial(n, w, size=trials)
         assert np.array_equal(counts, want)
@@ -472,7 +471,7 @@ class TestChecking:
         n, v, seed, w = 16, 3, 5, 0.9
         cfg = ProtocolConfig(n=n, epsilon=1.0, t=2.0, trials=257 * 4096 + 7, v_override=v,
                              seed=seed)
-        table = _binomial_cdf(n, w)
+        table = _binomial_table(n, w)[0]
         successes = mostwin = 0
         for i in range(chunk_count(cfg.trials)):
             rng, size = rng_for(seed, 301, i), min(4096, cfg.trials - 4096 * i)
@@ -492,7 +491,7 @@ class TestChecking:
         n, v, seed, bits, q, m = 256, 2304, 4, 2, 0.99, 255
         cfg = ProtocolConfig(n=n, epsilon=1.0, t=1.0, trials=3 * 4096 + 11, seed=seed,
                              variant=variant, v_override=v, hash_bits=bits)
-        iid_table = _binomial_cdf(n, 0.998)
+        iid_table = _binomial_table(n, 0.998)[0]
         draws = {
             "iid": (IidBernoulli(0.998), lambda rng, size: np.searchsorted(
                 iid_table, rng.random(size), side="right")),

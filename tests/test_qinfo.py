@@ -14,7 +14,6 @@ from entgames.linalg import (
 )
 from entgames.qinfo import (
     PureState,
-    check_povm,
     entropy_of_spectrum,
     fidelity,
     fidelity_from_factor,
@@ -35,12 +34,11 @@ from entgames.random_states import (
     haar_unitary,
     mixed_draw,
     mixed_factors,
-    mixed_states,
     random_mixed,
     rng_for,
 )
 
-from conftest import random_povm
+from conftest import check_povm, random_povm
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 KET1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -416,7 +414,7 @@ class TestStacks:
     def test_fidelity_from_any_factor(self, rng, d):
         # Uhlmann: F(a a^dag, sigma) from the factor a, whatever its form
         psi = mixed_factors(np.stack([mixed_draw(rng, d) for _ in range(20)]))
-        sigma = mixed_states(np.stack([mixed_draw(rng, d) for _ in range(20)]))
+        sigma = gram(mixed_factors(np.stack([mixed_draw(rng, d) for _ in range(20)])))
         want = fidelity(gram(psi), sigma)
         assert np.abs(fidelity_from_factor(psi, sigma) - want).max() <= 1e-12
         # a solved state's v sqrt(w), and a factor wider than the state

@@ -6,10 +6,11 @@ from entgames.random_states import (
     bounded_draws,
     classical_states,
     flat_dirichlets,
+    gram,
     haar_unitaries,
     haar_unitary,
     mixed_draw,
-    mixed_states,
+    mixed_factors,
     povms,
     projectives,
     random_mixed,
@@ -87,11 +88,11 @@ class TestStackedConstruction:
     @pytest.mark.parametrize("d", [2, 3, 4, 6, 8])
     def test_random_mixed_is_a_slice_of_the_stack(self, d):
         draws = np.stack([mixed_draw(rng_for(0, 9, d, t), d) for t in range(20)])
-        stacked = mixed_states(draws)
+        stacked = gram(mixed_factors(draws))
         for t in range(20):
             assert np.array_equal(random_mixed(rng_for(0, 9, d, t), d), stacked[t])
             assert np.array_equal(random_mixed(rng_for(0, 9, d, t), d),
-                                  mixed_states(draws[t:t + 1])[0])
+                                  gram(mixed_factors(draws[t:t + 1]))[0])
 
     @pytest.mark.parametrize("d, n_out", [(2, 2), (3, 5), (8, 4)])
     def test_random_povm_is_a_slice_of_the_stack(self, d, n_out):

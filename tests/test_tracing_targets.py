@@ -1,31 +1,13 @@
 """The benchmark tracer's targets name functions that exist.
 
 perfbench/tracing.py wraps package functions by name, and a traced run fails
-as soon as one of them is renamed or removed.  Loading it here turns that
-into a tier-1 failure instead of a failure only seen with --trace 1.
+as soon as one of them is renamed or removed.  Loading it here (the tracing
+fixture of conftest.py) turns that into a tier-1 failure instead of a
+failure only seen with --trace 1.
 """
 
 import importlib
-import importlib.util
 import sys
-from pathlib import Path
-
-import pytest
-
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-
-
-@pytest.fixture(scope="module")
-def tracing():
-    name = "_perfbench_tracing_under_test"
-    spec = importlib.util.spec_from_file_location(name, TRACING)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module          # dataclasses resolve the module by name
-    try:
-        spec.loader.exec_module(module)
-        yield module
-    finally:
-        del sys.modules[name]
 
 
 def test_every_target_resolves(tracing):
