@@ -30,9 +30,11 @@ by trial.  So a kernel call holds at most _BUDGET entries plus one trial,
 the pending draws at most twice that, and checks on small states get long
 batches.  Every construction and kernel operation acts on each slice on its
 own, so a trial's margin does not depend on its batch mates, nor on the
-budget; a violating trial's states are dumped by replaying it.  After the
-loop the worst trial and each dumped one are replayed alone, and a replayed
-margin whose bits differ from the batched one is reported as a fault.
+budget; a violating trial's states are taken by replaying it.  After the
+loop the worst trial and each violating one are replayed alone, and a
+replayed margin whose bits differ from the batched one is reported as a
+fault.  run_check returns each violating trial's counterexample document as
+text and writes no file.
 
 Kernels solve each eigensystem once and pass it on as a linalg.Solved,
 which is checked Hermitian and PSD when it is built and not again: a floored
@@ -51,7 +53,7 @@ partial trace or pinching of phi phi^dag, is read as it is; its rho is
 solved, and so checked, for its root, the one matrix root a fidelity
 takes.  A state whose entropy a kernel takes is solved and checked.  run_all
 runs the suite, or a named subset, and times and counts each check; `entgames
-verify` calls it.
+verify` calls it and writes the reports and the documents.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ import io
 import math
 import time
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import Callable, Iterable
 
 import numpy as np
@@ -454,37 +455,34 @@ class CheckReport:
     worst_case_seed: int    # trial index; replay with rng_for(seed, CHECK_STREAM, check_id, it)
 
 
-def _dump_counterexample(directory: Path, name: str, trial: int, margin: float,
-                         payload: dict) -> str:
-    """Write one counterexample file into directory; returns its name."""
-    directory.mkdir(parents=True, exist_ok=True)
+def _counterexample(name: str, trial: int, margin: float, payload: dict) -> tuple[str, str]:
+    """One counterexample file's (name, text): the trial's margin and states."""
     doc = {"check": name, "trial": trial, "margin": margin, "states": {}}
     for key, arr in payload.items():
         arr = np.asarray(arr)
         doc["states"][key] = {"re": arr.real.tolist(), "im": arr.imag.tolist()} \
             if np.iscomplexobj(arr) else arr.tolist()
-    path = directory / f"counterexample_{name}_{trial}.json"
-    path.write_text(_canonical_json(doc))
-    return path.name
+    return f"counterexample_{name}_{trial}.json", _canonical_json(doc)
 
 
-def run_check(spec: CheckSpec, report_dir: str | Path | None = None,
-              counters: dict | None = None) -> CheckReport:
+def run_check(spec: CheckSpec, counters: dict | None = None) -> CheckReport:
     """Run one check; deterministic given (spec.name, spec.trials, spec.seed).
 
     Trials are batched by group key under the _BUDGET caps described in the
     module docstring; a trial's entries depend only on its key, so they are
     counted once per key, as is the number of trials that fills a batch.
     After the loop the run audits its batches: the worst trial, and each
-    violating trial it dumps, is replayed alone through check.func, which
-    must give the bits of its batched margin.  counters, if given, receives
-    the run's kernel_calls, max_batch_entries (the entries of its largest
+    violating trial, is replayed alone through check.func, which must give
+    the bits of its batched margin.  counters, if given, receives the run's
+    wall_s, kernel_calls, max_batch_entries (the entries of its largest
     one), kernel_s (seconds building and evaluating batches), draw_s (the
     rest of the trial loop: deriving generators, sampling and batching),
-    replay_s (the audit's replays and the dumps), replay_mismatches (the
-    replayed trials whose margin bits differ, a program fault) and dumps (the
-    names of the files it wrote into report_dir).
+    replay_s (the audit's replays and the counterexample documents),
+    replay_mismatches (the replayed trials whose margin bits differ, a
+    program fault) and dumps (file name -> text of each violating trial's
+    counterexample document, which the caller writes).
     """
+    t_start = time.perf_counter()
     if spec.name not in REGISTRY:
         raise ValueError(f"unknown check {spec.name!r}; have {sorted(REGISTRY)}")
     if spec.trials < 1:
@@ -535,7 +533,7 @@ def run_check(spec: CheckSpec, report_dir: str | Path | None = None,
     # argmin keeps the first of equal minimal margins
     worst = int(np.argmin(margins))
     violating = np.flatnonzero(margins < -check.tolerance).tolist()
-    dumps, mismatches = [], []
+    mismatches: list[int] = []
     t_replay = time.perf_counter()
 
     def replay(trial: int) -> dict:
@@ -544,37 +542,29 @@ def run_check(spec: CheckSpec, report_dir: str | Path | None = None,
             mismatches.append(trial)
         return states
 
-    if report_dir is None or worst not in violating:
+    if worst not in violating:
         replay(worst)
-    if report_dir is not None:
-        for trial in violating:
-            dumps.append(_dump_counterexample(Path(report_dir), spec.name, trial,
-                                              float(margins[trial]), replay(trial)))
+    dumps = dict(_counterexample(spec.name, t, float(margins[t]), replay(t)) for t in violating)
     if counters is not None:
-        counters.update(kernel_calls=kernel_calls, max_batch_entries=max_batch,
-                        draw_s=loop_s - kernel_s, kernel_s=kernel_s,
-                        replay_s=time.perf_counter() - t_replay,
+        replay_s = time.perf_counter() - t_replay
+        counters.update(wall_s=time.perf_counter() - t_start, kernel_calls=kernel_calls,
+                        max_batch_entries=max_batch, draw_s=loop_s - kernel_s,
+                        kernel_s=kernel_s, replay_s=replay_s,
                         replay_mismatches=mismatches, dumps=dumps)
     return CheckReport(spec.name, spec.trials, len(violating), float(margins[worst]), worst)
 
 
 def run_all(seed: int = 0, trials_per_check: int = 10_000,
             names: Iterable[str] | None = None,
-            report_dir: str | Path | None = None,
-            counters: dict | None = None) -> tuple[list[CheckReport], list[float]]:
+            counters: dict | None = None) -> list[CheckReport]:
     """Run the whole suite (or a named subset) with per-check independent streams.
 
-    Returns the reports in run order and each check's wall seconds; counters,
-    if given, maps each check's name to its run_check counters.
+    Returns the reports in run order; counters, if given, maps each check's
+    name to its run_check counters.
     """
-    reports, walls = [], []
-    for name in REGISTRY if names is None else names:
-        t0 = time.perf_counter()
-        reports.append(run_check(CheckSpec(name, trials=trials_per_check, seed=seed),
-                                 report_dir,
-                                 None if counters is None else counters.setdefault(name, {})))
-        walls.append(time.perf_counter() - t0)
-    return reports, walls
+    return [run_check(CheckSpec(name, trials=trials_per_check, seed=seed),
+                      None if counters is None else counters.setdefault(name, {}))
+            for name in (REGISTRY if names is None else names)]
 
 
 def any_violations(reports: Iterable[CheckReport]) -> bool:

@@ -7,8 +7,9 @@ command's other files, and manifest.json (command, config echo, seed,
 version, environment (cores, numpy, BLAS), wall time, output files, the
 phase timings load_s, compute_s and write_s, and the command's own counters).
 report.json is byte-deterministic for a fixed seed; the manifest holds the
-nondeterministic bookkeeping.  The directory is created only once the input
-has passed validation, so an input error (exit 2) leaves none.
+nondeterministic bookkeeping.  _finish is the one function that writes files, and
+it runs once the computation has finished, so a run that stops on an error
+leaves no directory; one that cannot be written is an error too (exit 2).
 
 Exit codes: 0 success, 1 property violation, 2 input error, 3 budget or memory,
 4 a program fault: a verify trial whose replay does not give the bits of its
@@ -67,29 +68,32 @@ def _environment() -> dict:
 
 
 def _finish(args, out: Path, config: dict, seed, clocks: tuple[float, float],
-            files: dict[str, str], code: int = 0, dumps=(), **extra) -> int:
+            files: dict[str, str], code: int = 0, **extra) -> int:
     """Create out and write files (name -> text, report.json first) and the
     manifest there; return code.  clocks are the run's start and the end of its
-    load phase; dumps names the files its computation already wrote into out."""
+    load phase.  A directory or file that cannot be written is a ValueError."""
     t0, t_load = clocks
     t_write = time.perf_counter()
-    out.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
-        (out / name).write_text(text)
-    timings = {"load_s": t_load - t0, "compute_s": t_write - t_load,
-               "write_s": time.perf_counter() - t_write}
-    manifest = {
-        "command": args.command,
-        "config": config,
-        "seed": seed,
-        "version": VERSION,
-        "environment": _environment(),
-        "wall_time_s": time.perf_counter() - t0,
-        "outputs": [*files, *dumps],
-        "timings": timings,
-        **extra,
-    }
-    (out / "manifest.json").write_text(_canonical_json(manifest))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out / name).write_text(text)
+        timings = {"load_s": t_load - t0, "compute_s": t_write - t_load,
+                   "write_s": time.perf_counter() - t_write}
+        manifest = {
+            "command": args.command,
+            "config": config,
+            "seed": seed,
+            "version": VERSION,
+            "environment": _environment(),
+            "wall_time_s": time.perf_counter() - t0,
+            "outputs": list(files),
+            "timings": timings,
+            **extra,
+        }
+        (out / "manifest.json").write_text(_canonical_json(manifest))
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc.strerror}") from None
     return code
 
 
@@ -167,28 +171,25 @@ def cmd_verify(args) -> int:
         if not names:
             raise ValueError(f"filter {args.filter!r} matches no checks")
     t_load = time.perf_counter()
-    out = _out_path(args, seed)     # counterexample dumps create it
-    counters: dict = {}
-    reports, walls = checks_mod.run_all(seed, args.trials, names, out, counters)
-    per_check, dumps = {}, []
-    for rep, wall in zip(reports, walls):
-        # outputs name the dumps this run wrote, not older files in out
-        dumps += counters[rep.name].pop("dumps")
-        per_check[rep.name] = {"wall_s": wall, "trials_per_s": rep.trials_run / wall,
-                               **counters[rep.name]}
+    per_check: dict = {}
+    reports = checks_mod.run_all(seed, args.trials, names, per_check)
+    dumps: dict = {}
     code = 1 if checks_mod.any_violations(reports) else 0
     for rep in reports:
+        entry = per_check[rep.name]
+        dumps.update(entry.pop("dumps"))
+        entry["trials_per_s"] = rep.trials_run / entry["wall_s"]
         print(f"{rep.name}: trials={rep.trials_run} violations={rep.violations} "
               f"worst_margin={rep.worst_margin:.3e}")
-        if mismatched := per_check[rep.name]["replay_mismatches"]:
+        if mismatched := entry["replay_mismatches"]:
             print(f"error: {rep.name}: replayed trials {mismatched} do not give "
                   f"their batched margins", file=sys.stderr)
             code = 4
     cfg = {"trials": args.trials, "filter": args.filter}
     files = {"report.json": checks_mod.reports_to_json(reports),
-             "report.csv": checks_mod.reports_to_csv(reports)}
-    return _finish(args, out, cfg, seed, (t0, t_load), files, code=code,
-                   dumps=sorted(dumps), checks=per_check)
+             "report.csv": checks_mod.reports_to_csv(reports), **dict(sorted(dumps.items()))}
+    return _finish(args, _out_path(args, seed), cfg, seed, (t0, t_load), files, code=code,
+                   checks=per_check)
 
 
 def _model_from_doc(doc: dict, base_dir: Path):

@@ -125,27 +125,13 @@ def _pcg64_states(entropy: np.ndarray) -> Iterator[tuple[int, int]]:
         yield (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _M128, inc
 
 
-def _entropy_rows(head: list[int], block: list[int]) -> list[tuple]:
-    """(positions in block, uint32 entropy rows) of the paths head + [t] for
-    the indices t in block, one pair per count of SeedSequence words in t."""
-    if min(block) >= 0 and max(block) <= _M32:
-        entropy = np.empty((len(block), len(head) + 1), dtype=np.uint32)
-        entropy[:, :-1] = head
-        entropy[:, -1] = block
-        return [(range(len(block)), entropy)]
-    tails = [_words(t) for t in block]
-    rows: dict[int, list[int]] = {}
-    for i, w in enumerate(tails):
-        rows.setdefault(len(w), []).append(i)
-    return [(r, np.array([head + tails[i] for i in r], dtype=np.uint32))
-            for r in rows.values()]
-
-
 def rng_block(*prefix: int, trials: Iterable[int]) -> Iterator[np.random.Generator]:
     """rng_for(*prefix, t) for each t in trials, derived _RNG_BLOCK at a time.
 
     Yields one Generator, reused: its state is set for each trial in turn, so
-    a trial must finish drawing before the next one is taken.
+    a trial must finish drawing before the next one is taken.  A block that
+    holds an index outside one SeedSequence word yields a fresh rng_for
+    generator for each of its trials instead.
     """
     head = [w for p in prefix for w in _words(p)]
     rng = np.random.Generator(np.random.PCG64(0))
@@ -153,11 +139,13 @@ def rng_block(*prefix: int, trials: Iterable[int]) -> Iterator[np.random.Generat
     state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     trials = iter(trials)
     while block := list(itertools.islice(trials, _RNG_BLOCK)):
-        seeded: list = [None] * len(block)
-        for rows, entropy in _entropy_rows(head, block):
-            for i, seed in zip(rows, _pcg64_states(entropy)):
-                seeded[i] = seed
-        for pcg["state"], pcg["inc"] in seeded:     # the setter copies them
+        if min(block) < 0 or max(block) > _M32:
+            yield from (rng_for(*prefix, t) for t in block)
+            continue
+        entropy = np.empty((len(block), len(head) + 1), dtype=np.uint32)
+        entropy[:, :-1] = head
+        entropy[:, -1] = block
+        for pcg["state"], pcg["inc"] in _pcg64_states(entropy):     # the setter copies them
             rng.bit_generator.state = state
             yield rng
 

@@ -121,26 +121,28 @@ def _cool_product_gap_min_eig(rho: np.ndarray) -> float:
         return float(min(mpmath.eighe(gap, eigvals_only=True)))
 
 
-def test_criterion_3_randomized_suite_clean(tmp_path):
+def test_criterion_3_randomized_suite_clean():
     t0 = time.perf_counter()
     counters: dict = {}
-    reports, walls = run_all(seed=0, trials_per_check=10_000, report_dir=tmp_path,
-                             counters=counters)
+    reports = run_all(seed=0, trials_per_check=10_000, counters=counters)
     dt = time.perf_counter() - t0
     mismatched = {n: c["replay_mismatches"] for n, c in counters.items() if c["replay_mismatches"]}
+    walls = [c["wall_s"] for c in counters.values()]
     assert len(walls) == len(reports) == 14 and 0.0 < sum(walls) <= dt
     pinned = {r.name: (r.violations, r.worst_case_seed, r.worst_margin.hex()) for r in reports}
     by_name = {r.name: r for r in reports}
     cool = by_name.pop("cool_product")
     dirty = [r for r in by_name.values() if r.violations > 0]
 
-    dumps = sorted(tmp_path.glob("counterexample_*.json"))
-    expected_dumps = sorted(tmp_path / f"counterexample_cool_product_{t}.json"
+    # each counterexample document run_check returns, by file name
+    documents = {f: text for c in counters.values() for f, text in c["dumps"].items()}
+    dumps = sorted(documents)
+    expected_dumps = sorted(f"counterexample_cool_product_{t}.json"
                             for t in COOL_PRODUCT_TRIALS)
-    cool_dumps = sorted(tmp_path.glob("counterexample_cool_product_*.json"))
+    cool_dumps = sorted(counters["cool_product"]["dumps"])
     confirmed = []
-    for path in cool_dumps:
-        doc = json.loads(path.read_text())
+    for name in cool_dumps:
+        doc = json.loads(documents[name])
         state = doc["states"]["rho"]
         rho = np.array(state["re"]) + 1j * np.array(state["im"])
         exact = _cool_product_gap_min_eig(rho)
@@ -178,7 +180,7 @@ def test_criterion_3_randomized_suite_clean(tmp_path):
     assert cool.worst_case_seed == COOL_PRODUCT_TRIALS[0]
     assert abs(cool.worst_margin - COOL_PRODUCT_WORST_MARGIN) <= 1e-9
     assert dumps == expected_dumps
-    assert all(confirmed), [p.name for p, c in zip(cool_dumps, confirmed) if not c]
+    assert all(confirmed), [n for n, c in zip(cool_dumps, confirmed) if not c]
     assert pinned == SEED_0_REPORT
     assert not mismatched
 

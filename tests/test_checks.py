@@ -134,11 +134,11 @@ class TestCoolProduct:
         assert rep.worst_case_seed == 961
         assert rep.worst_margin < -1e-3
 
-    def test_counterexample_dump(self, tmp_path):
-        run_check(CheckSpec("cool_product", trials=962), report_dir=tmp_path)
-        files = list(tmp_path.glob("counterexample_cool_product_*.json"))
-        assert len(files) == 1
-        doc = json.loads(files[0].read_text())
+    def test_counterexample_dump(self):
+        counters: dict = {}
+        run_check(CheckSpec("cool_product", trials=962), counters=counters)
+        assert list(counters["dumps"]) == ["counterexample_cool_product_961.json"]
+        doc = json.loads(counters["dumps"]["counterexample_cool_product_961.json"])
         assert doc["check"] == "cool_product"
         assert doc["trial"] == 961
         assert doc["margin"] < 0
@@ -147,19 +147,21 @@ class TestCoolProduct:
 
 class TestSuite:
     def test_run_all_subset(self):
-        reps, walls = run_all(trials_per_check=10, names=["four_state", "fact_sum"])
+        counters: dict = {}
+        reps = run_all(trials_per_check=10, names=["four_state", "fact_sum"], counters=counters)
         assert [r.name for r in reps] == ["four_state", "fact_sum"]
         assert not any_violations(reps)
-        assert len(walls) == 2 and all(w > 0.0 for w in walls)
+        assert list(counters) == ["four_state", "fact_sum"]
+        assert all(c["wall_s"] > 0.0 for c in counters.values())
 
     def test_json_round_trip(self):
-        reps, _ = run_all(trials_per_check=5, names=["weak_triangle"])
+        reps = run_all(trials_per_check=5, names=["weak_triangle"])
         doc = json.loads(reports_to_json(reps))
         assert doc[0]["name"] == "weak_triangle"
         assert doc[0]["trials_run"] == 5
 
     def test_csv_writer(self):
-        reps, _ = run_all(trials_per_check=5, names=["weak_triangle", "fact_sum"])
+        reps = run_all(trials_per_check=5, names=["weak_triangle", "fact_sum"])
         lines = reports_to_csv(reps).strip().splitlines()
         assert lines[0] == "name,trials,violations,worst_margin"
         assert len(lines) == 3
@@ -330,10 +332,11 @@ class TestStackedEvaluation:
             assert rep.worst_case_seed == single.index(min(single))
             assert rep.violations == sum(m < -check.tolerance for m in single)
 
-    def test_replay_payload_matches_dump(self, tmp_path):
+    def test_replay_payload_matches_dump(self):
         # the dumped states are those the stacked kernel evaluated
-        run_check(CheckSpec("cool_product", trials=962), report_dir=tmp_path)
-        doc = json.loads((tmp_path / "counterexample_cool_product_961.json").read_text())
+        counters: dict = {}
+        run_check(CheckSpec("cool_product", trials=962), counters=counters)
+        doc = json.loads(counters["dumps"]["counterexample_cool_product_961.json"])
         margin, payload = REGISTRY["cool_product"].func(
             rng_for(0, CHECK_STREAM, EXPECTED_ORDER.index("cool_product"), 961))
         assert doc["margin"] == margin
@@ -360,7 +363,7 @@ def _perturb_one_batched_slice(monkeypatch, name: str) -> None:
 
 
 class TestReplayAudit:
-    """run_check replays its worst trial, and each trial it dumps, alone and
+    """run_check replays its worst trial, and each violating trial, alone and
     compares the margin bits with the batched margin's."""
 
     def test_perturbed_batch_is_a_mismatch(self, monkeypatch):
@@ -452,11 +455,14 @@ class TestBudget:
         counters: dict = {}
         run_check(CheckSpec(name, trials=1000, seed=7), counters=counters)
         trial = max(entries.values())
-        assert counters.keys() == {"kernel_calls", "max_batch_entries", "draw_s", "kernel_s",
-                                   "replay_s", "replay_mismatches", "dumps"}
+        assert counters.keys() == {"wall_s", "kernel_calls", "max_batch_entries", "draw_s",
+                                   "kernel_s", "replay_s", "replay_mismatches", "dumps"}
         assert (counters["kernel_calls"], counters["max_batch_entries"]) \
             == (KERNEL_CALLS[name], seen["batch"])
-        assert counters["dumps"] == [] and counters["replay_mismatches"] == []
+        # a document for each violating trial: cool_product's trial 640 alone
+        assert list(counters["dumps"]) == (["counterexample_cool_product_640.json"]
+                                           if name == "cool_product" else [])
+        assert counters["replay_mismatches"] == []
         assert held[0] == 0
         assert seen["batch"] < checks._BUDGET + trial
         assert seen["held"] < 2 * checks._BUDGET + trial

@@ -299,7 +299,7 @@ class TestVerify:
         assert man["environment"]["numpy"] == np.__version__
         assert set(man["environment"]["blas"]) == {"name", "version"}
         counters: dict = {}
-        reports, _ = checks.run_all(2, 300, ["cptp_mono", "relent_mono"], None, counters)
+        reports = checks.run_all(2, 300, ["cptp_mono", "relent_mono"], counters)
         for name, entry in man["checks"].items():
             assert set(entry) == {"wall_s", "trials_per_s", "kernel_calls",
                                   "max_batch_entries", "draw_s", "kernel_s", "replay_s",
@@ -345,6 +345,22 @@ class TestVerify:
         assert main(["verify", "--filter", "zzz*", "--trials", "5",
                      "--out", str(tmp_path / "o")]) == 2
         assert "matches no checks" in capsys.readouterr().err
+
+    def test_error_after_a_counterexample_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # four_state, cool_product (violating at trial 961) and fact_sum, whose
+        # kernel raises: the run stops before _finish, so the document of
+        # cool_product's counterexample is never written and no directory is left
+        def kernel(key, x):
+            raise ValueError("kernel failed")
+
+        check = checks.REGISTRY["fact_sum"]
+        monkeypatch.setitem(checks.REGISTRY, "fact_sum", checks.CheckDef(
+            check.sample, kernel, check.tolerance, check.statement))
+        out = tmp_path / "out"
+        assert main(["verify", "--filter", "[cf][ao]*", "--trials", "962", "--seed", "0",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: kernel failed\n"
+        assert not out.exists()
 
 
 class TestSimulate:
@@ -825,6 +841,21 @@ def test_deeply_nested_json_names_the_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: invalid JSON in {path}: maximum recursion depth")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["value", "verify"])
+def test_out_names_a_file(tmp_path, capsys, command):
+    # an --out that is a regular file, or lies under one, is an input error
+    # (exit 2) with one line, not a traceback and exit 1 (a property violation)
+    argv = {"value": ["value", str(write_chsh(tmp_path))],
+            "verify": ["verify", "--filter", "fact_sum", "--trials", "5", "--seed", "0"]}[command]
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    for out in (afile, afile / "sub"):
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+    assert afile.read_text() == "kept\n"
 
 
 class TestTopLevel:

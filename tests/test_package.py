@@ -1,5 +1,5 @@
-"""The package's export list against the names its __init__ imports, and
-no definition in src/ that only tests reach.
+"""The package's export list against the names its __init__ imports, no
+definition in src/ that only tests reach, and no file written outside cli.py.
 
 Removing a public name means editing both the import and __all__; these tests
 fail when only one of them changes.
@@ -64,3 +64,34 @@ def test_every_definition_has_a_reader(tracing):
               if node.name not in entgames.__all__ and name not in traced | PAPER_CLAIMS
               and not any(node.name in names for other, names in reads if other is not node)]
     assert unread == []
+
+
+# calls that create, change or remove files; cli._finish is their one caller
+WRITE_CALLS = {"write_text", "write_bytes", "mkdir", "touch", "unlink", "rename", "rmdir"}
+
+
+def _writes(call: ast.Call) -> bool:
+    """Whether call names a file-writing method or opens a file to write: the
+    builtin open's mode is its second argument, a Path.open's its first."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in WRITE_CALLS:
+        return True
+    if name != "open":
+        return False
+    mode = next((k.value for k in call.keywords if k.arg == "mode"), None)
+    position = 1 if isinstance(func, ast.Name) else 0
+    if mode is None and len(call.args) > position:
+        mode = call.args[position]
+    if mode is None:
+        return False
+    # a mode that is not a literal is counted as a write
+    return not isinstance(mode, ast.Constant) or any(c in str(mode.value) for c in "wax+")
+
+
+def test_only_cli_writes_files():
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "cli.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and _writes(node)]
+    assert found == []

@@ -34,9 +34,10 @@ PREFIXES = [
     (2**64 + 3, 301),
     (1, 2, 3, 4, 5),
 ]
-# trial 0, a run longer than one derivation block, large indices, including
-# several word widths within one block, and a run across 2^32 whose first
-# block holds one-word indices only and whose second mixes one and two words
+# trial 0, a run longer than one derivation block, a block of large indices
+# of several word widths, which takes rng_for for each trial, and a run across
+# 2^32 whose first block holds one-word indices only, derived vectorized, and
+# whose second mixes one and two words and so takes rng_for
 TRIALS = [range(2 * _RNG_BLOCK + 17),
           [0, 2**31, 2**32 - 1, 2**32, 2**40 + 3, 5, 2**64 + 1, 2**96],
           range(2**32 - _RNG_BLOCK - 40, 2**32 + 40)]
