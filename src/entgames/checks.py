@@ -1,33 +1,35 @@
 """Randomized verification suite for the fidelity/entropy inequality stack.
 
-Each named check is a sampler plus a margin kernel.  The sampler draws one
-trial's raw numbers from that trial's generator (Gaussian entries of its
-states, in one call where their shapes are known, Dirichlet weights,
-samples) and returns them with a group key (the trial's dimensions and any
-discrete choice, drawn through one random_states.bounded_draws drawer).
-CheckDef.inputs stacks the draws of a group of trials along a leading axis
-and builds their states on the whole stack (_BUILD names which draws are
-states, and how they are built).  Every Haar mixed draw, a psi or phi name,
-is held as its factor psi, and a kernel forms the state psi psi^dag
-(random_states.gram) only where it needs the matrix.  The kernel takes
-those stacked inputs and returns one signed margin per trial, nonnegative
-where the inequality held (equality checks return minus the absolute
-deviation), and a function that builds the trial's states for a
-counterexample dump, called only on the replay path.  A trial counts as a
-violation when the margin falls below minus the check's tolerance.  Trial t
-of check c uses the generator rng_for(seed, CHECK_STREAM, c, t), so any
-single trial can be replayed from the report alone with REGISTRY[name].func,
-which runs the sampler, the construction and the kernel on a batch of one
-and builds its dump states.
+Each named check is a sampler, a row layout and a margin kernel.  The
+sampler draws one trial's raw numbers from that trial's generator (Gaussian
+entries of its states, in one call where their shapes are known, Dirichlet
+weights, samples) into one 1-D float64 row, and returns it with a group key
+(the trial's dimensions and any discrete choice, drawn through one
+random_states.bounded_draws drawer).  fields(key) names the row's runs in
+order, with their shapes.  CheckDef.inputs reads the rows of a group of
+trials as one array, each field as a view of it, and builds their states on
+the whole stack (_BUILD names which fields are states, and how they are
+built).  Every Haar mixed draw, a psi or phi name, is held as its factor
+psi, and a kernel forms the state psi psi^dag (random_states.gram) only
+where it needs the matrix.  The kernel takes those stacked inputs and
+returns one signed margin per trial, nonnegative where the inequality held
+(equality checks return minus the absolute deviation), and a function that
+builds the trial's states for a counterexample dump, called only on the
+replay path.  A trial counts as a violation when the margin falls below
+minus the check's tolerance.  Trial t of check c uses the generator
+rng_for(seed, CHECK_STREAM, c, t), so any single trial can be replayed from
+the report alone with REGISTRY[name].func, which runs the sampler, the
+construction and the kernel on a batch of one, through the same inputs
+path, and builds its dump states.
 
 run_check takes trials from one lazily consumed rng_block stream and keeps
-one pending batch per group key.  A trial's entries are the matrix entries of
-its built inputs plus a fixed charge for its sampled objects, looked up by
+one pending batch of rows per group key.  A trial's entries are the matrix
+entries of its built inputs plus a fixed charge for its row, looked up by
 its key.  A key's batch is built and evaluated in one kernel call once its
 entries reach _BUDGET, the largest pending batch once all of them reach
 2 * _BUDGET, and what is left at the end; margins land in one array indexed
 by trial.  So a kernel call holds at most _BUDGET entries plus one trial,
-the pending draws at most twice that, and checks on small states get long
+the pending rows at most twice that, and checks on small states get long
 batches.  Every construction and kernel operation acts on each slice on its
 own, so a trial's margin does not depend on its batch mates, nor on the
 budget; a violating trial's states are taken by replaying it.  After the
@@ -87,10 +89,8 @@ from .qinfo import (
 from .random_states import (
     bounded_draws,
     classical_states,
-    flat_dirichlets,
     floor_eigensystem,
     gram,
-    mixed_draw,
     mixed_factors,
     povms,
     rng_block,
@@ -104,8 +104,8 @@ POVM_OUTCOMES = 5       # povm_bound draws POVMs of 2..POVM_OUTCOMES outcomes
 FACT_SAMPLES = 50       # fact_sum draws 5..FACT_SAMPLES samples
 # run_check's cap on the entries of one kernel call (twice it on all pending
 # batches): a trial's entries are the matrix entries of its built inputs plus
-# _TRIAL_ENTRIES, a charge for its draw dict and arrays, which outweigh the
-# entries of 2x2 states
+# _TRIAL_ENTRIES, a charge for its row, which outweighs the entries of 2x2
+# states
 _BUDGET = 1 << 15
 _TRIAL_ENTRIES = 32
 
@@ -135,20 +135,39 @@ def _block_diag(blocks: np.ndarray) -> np.ndarray:
     return out
 
 
-# --- samplers, each returning (group key, one trial's inputs), and kernels,
-# each returning (margins, function giving the states for counterexample
-# dumps) for a group of stacked trials
+# --- samplers, each returning (group key, one trial's row), their layouts
+# fields(key), and kernels, each returning (margins, function giving the
+# states for counterexample dumps) for a group of stacked trials
+
+
+def _dirichlet_runs(rng, out: np.ndarray, *sizes: int) -> None:
+    """rng.dirichlet(np.ones(k)) for each k in sizes in turn, draw for draw,
+    into consecutive runs of out, which they fill: numpy draws a flat
+    Dirichlet as k standard exponentials scaled by the inverse of their
+    running sum, so one exponential call draws them all."""
+    rng.standard_exponential(out=out)
+    end = 0
+    for k in sizes:
+        run = out[end:end + k]
+        run *= 1.0 / run.cumsum()[-1]
+        end += k
 
 
 def _sample_states(n: int) -> Callable:
     """Sampler of n mixed states of one dimension from DIM_POOL, drawn as
-    their factors psi1..psin."""
-    names = tuple(f"psi{i + 1}" for i in range(n))
-
+    the raw draws (2, d^2) of their factors psi1..psin."""
     def sample(rng):
         (d,) = bounded_draws(rng)(DIM_POOL)
-        return (d,), dict(zip(names, mixed_draw(rng, d, n)))
+        return (d,), rng.standard_normal(2 * n * d * d)
     return sample
+
+
+def _states_fields(n: int) -> Callable:
+    names = tuple(f"psi{i + 1}" for i in range(n))
+
+    def fields(key):
+        return tuple((name, (2, key[0] ** 2)) for name in names)
+    return fields
 
 
 def _weak_triangle(key, x):
@@ -169,9 +188,15 @@ def _fidelity_sq_sum(key, x):
 
 def _sample_cq_fidelity(rng):
     k, d = bounded_draws(rng)((2, 3), (2, 3, 4))
-    p, q = flat_dirichlets(rng, k, k)
-    g = mixed_draw(rng, d, 2 * k)
-    return (k, d), {"p": p, "q": q, "psi_blocks": g[:k], "phi_blocks": g[k:]}
+    row = np.empty(2 * k * (1 + 2 * d * d))
+    _dirichlet_runs(rng, row[:2 * k], k, k)
+    rng.standard_normal(out=row[2 * k:])
+    return (k, d), row
+
+
+def _cq_fidelity_fields(key):
+    k, d = key
+    return ("p", (k,)), ("q", (k,)), ("psi_blocks", (k, 2, d * d)), ("phi_blocks", (k, 2, d * d))
 
 
 def _cq_fidelity(key, x):
@@ -193,10 +218,14 @@ def _sample_povm_bound(rng):
     # POVM's (n_out, 2, d, d) Gaussians come from one standard_normal call
     d, n_out = bounded_draws(rng)(DIM_POOL, range(2, POVM_OUTCOMES + 1))
     dd = d * d
-    g = np.zeros(2 * dd * (2 + POVM_OUTCOMES))
-    rng.standard_normal(out=g[:2 * dd * (2 + n_out)])
-    r, s = g[:4 * dd].reshape(2, 2, dd)
-    return (d,), {"psi": r, "phi": s, "povm": g[4 * dd:].reshape(POVM_OUTCOMES, 2, d, d)}
+    row = np.zeros(2 * dd * (2 + POVM_OUTCOMES))
+    rng.standard_normal(out=row[:2 * dd * (2 + n_out)])
+    return (d,), row
+
+
+def _povm_bound_fields(key):
+    (d,) = key
+    return ("psi", (2, d * d)), ("phi", (2, d * d)), ("povm", (POVM_OUTCOMES, 2, d, d))
 
 
 def _povm_bound(key, x):
@@ -213,12 +242,24 @@ def _povm_bound(key, x):
     return np.sqrt(p * q).sum(axis=-1) - f, lambda: {"rho": r, "sigma": s, "povm": povm}
 
 
+def _pair_fields(key):
+    """psi and phi, the factors of two states on the key's first two
+    dimensions."""
+    n = (key[0] * key[1]) ** 2
+    return ("psi", (2, n)), ("phi", (2, n))
+
+
+def _joint_fields(key):
+    """psi, the factor of one state on the product of the key's dimensions."""
+    return (("psi", (2, math.prod(key) ** 2)),)
+
+
 def _sample_cptp_mono(rng):
     draw = bounded_draws(rng)
     d1, d2 = draw((2, 3), (2, 3, 4))
-    r, s = mixed_draw(rng, d1 * d2, 2)
+    row = rng.standard_normal(4 * (d1 * d2) ** 2)
     (pinch,) = draw(range(2))
-    return (d1, d2, pinch), {"psi": r, "phi": s}
+    return (d1, d2, pinch), row
 
 
 def _cptp_mono(key, x):
@@ -240,7 +281,7 @@ def _cptp_mono(key, x):
 
 def _sample_subadd_cond(rng):
     dims = tuple(bounded_draws(rng)((2, 3), (2, 3), (2, 3)))
-    return dims, {"psi": mixed_draw(rng, math.prod(dims))}
+    return dims, rng.standard_normal(2 * math.prod(dims) ** 2)
 
 
 def _subadd_cond(dims, x):
@@ -274,8 +315,14 @@ def _relent_vs_fid(key, x):
 
 def _sample_superadd_classical(rng):
     d1, d2 = bounded_draws(rng)((2, 3, 4), (2, 3, 4))
-    joint, ref1, ref2 = flat_dirichlets(rng, d1 * d2, d1, d2)
-    return (d1, d2), {"sigma12": joint, "ref1": ref1, "ref2": ref2}
+    row = np.empty(d1 * d2 + d1 + d2)
+    _dirichlet_runs(rng, row, d1 * d2, d1, d2)
+    return (d1, d2), row
+
+
+def _superadd_classical_fields(key):
+    d1, d2 = key
+    return ("sigma12", (d1 * d2,)), ("ref1", (d1,)), ("ref2", (d2,))
 
 
 def _superadd_classical(dims, x):
@@ -298,11 +345,12 @@ def _smax_ge_s(key, x):
 def _sample_mi_min_relent(rng):
     # rho's, sigma_x's and sigma_y's (2, d^2) Gaussians from one call
     d1, d2 = bounded_draws(rng)((2, 3), (2, 3))
-    n1, n2, n = d1 * d1, d2 * d2, (d1 * d2) ** 2
-    g = rng.standard_normal(2 * (n + n1 + n2))
-    return (d1, d2), {"psi": g[:2 * n].reshape(2, n),
-                      "phi_x": g[2 * n:2 * (n + n1)].reshape(2, n1),
-                      "phi_y": g[2 * (n + n1):].reshape(2, n2)}
+    return (d1, d2), rng.standard_normal(2 * ((d1 * d2) ** 2 + d1 * d1 + d2 * d2))
+
+
+def _mi_min_relent_fields(key):
+    d1, d2 = key
+    return ("psi", (2, (d1 * d2) ** 2)), ("phi_x", (2, d1 * d1)), ("phi_y", (2, d2 * d2))
 
 
 def _mi_min_relent(dims, x):
@@ -316,8 +364,7 @@ def _mi_min_relent(dims, x):
 
 def _sample_relent_mono(rng):
     d1, d2 = bounded_draws(rng)((2, 3), (2, 3))
-    r, s = mixed_draw(rng, d1 * d2, 2)
-    return (d1, d2), {"psi": r, "phi": s}
+    return (d1, d2), rng.standard_normal(4 * (d1 * d2) ** 2)
 
 
 def _relent_mono(dims, x):
@@ -334,7 +381,7 @@ def _sample_cool_product(rng):
     draw = bounded_draws(rng)
     (db,) = draw((2, 3))
     (da,) = draw((2, 3, 4)[db - 2:])
-    return (da, db), {"psi": mixed_draw(rng, da * db)}
+    return (da, db), rng.standard_normal(2 * (da * db) ** 2)
 
 
 def _cool_product(dims, x):
@@ -346,12 +393,17 @@ def _cool_product(dims, x):
 
 
 def _sample_fact_sum(rng):
-    # n draws, zero-padded to FACT_SAMPLES so that trials group by nothing;
-    # the kernel masks the padding
+    # n draws, zero-padded to FACT_SAMPLES so that trials group by nothing
+    # (the kernel masks the padding), then n and C
     (n,) = bounded_draws(rng)(range(5, FACT_SAMPLES + 1))
-    x = np.zeros(FACT_SAMPLES)
-    x[:n] = rng.exponential(1.0, size=n)
-    return (), {"x": x, "n": n, "c": float(rng.uniform(1.05, 8.0))}
+    row = np.zeros(FACT_SAMPLES + 2)
+    rng.standard_exponential(out=row[:n])
+    row[-2:] = n, rng.uniform(1.05, 8.0)
+    return (), row
+
+
+def _fact_sum_fields(key):
+    return ("x", (FACT_SAMPLES,)), ("n", ()), ("c", ())
 
 
 def _fact_sum(key, x):
@@ -361,78 +413,89 @@ def _fact_sum(key, x):
     return count - n * (1 - 1 / c), lambda: x
 
 
-# how each named raw draw becomes a state, on the stack of a group's trials;
-# every Haar mixed draw, a psi or phi name, is built as the factor psi of its
-# state psi psi^dag, which a kernel forms (gram) only where it needs the
-# matrix; inputs not named here (distributions, samples, constants) are used
-# as drawn
+# how each named field of a row becomes a kernel input, on the stack of a
+# group's trials; every Haar mixed draw, a psi or phi name, is built as the
+# factor psi of its state psi psi^dag, which a kernel forms (gram) only where
+# it needs the matrix, and fact_sum's sample count n is read as an integer;
+# fields not named here (distributions, samples, constants) are used as drawn
 _BUILD = {
     **dict.fromkeys(("psi", "psi1", "psi2", "psi3", "psi4", "psi_blocks",
                      "phi", "phi_blocks", "phi_x", "phi_y"), mixed_factors),
     "povm": povms,
     **dict.fromkeys(("sigma12", "ref1", "ref2"), classical_states),
+    "n": lambda n: n.astype(int),
 }
+
+
+def _views(fields, rows: np.ndarray) -> dict:
+    """Each field (name, shape) of a layout, in order, read from a stack of
+    rows (trials, row size) as a view of shape (trials, *shape)."""
+    x, end = {}, 0
+    for name, shape in fields:
+        start, end = end, end + math.prod(shape)
+        x[name] = rows[:, start:end].reshape(rows.shape[:1] + shape)
+    if end != rows.shape[1]:
+        raise ValueError(f"fields cover {end} of a row's {rows.shape[1]} numbers")
+    return x
 
 
 @dataclass(frozen=True)
 class CheckDef:
-    sample: Callable    # rng -> (group key, dict of one trial's raw draws)
+    sample: Callable    # rng -> (group key, one trial's raw numbers as a 1-D float64 row)
+    fields: Callable    # group key -> ((name, shape), ...), the layout of its rows
     kernel: Callable    # (group key, dict of stacked inputs) -> (margins, () -> stacked dump states)
     tolerance: float
     statement: str
 
-    @staticmethod
-    def inputs(draws: list[dict]) -> dict:
-        """Kernel inputs of trials that share a group key: their raw draws
-        stacked, and the states among them built on the whole stack."""
-        x = {n: np.stack([d[n] for d in draws]) for n in draws[0]}
+    def inputs(self, key, rows: list) -> dict:
+        """Kernel inputs of trials that share a group key: their rows as one
+        array, each field read as a view of it, and the states among them
+        built on the whole stack."""
+        x = _views(self.fields(key), np.array(rows))
         return {n: _BUILD[n](a) if n in _BUILD else a for n, a in x.items()}
 
-    def entries(self, draws: dict) -> int:
+    def entries(self, key, row: np.ndarray) -> int:
         """Matrix entries of one trial's built inputs, the unit of _BUDGET."""
-        return sum(a.size for a in self.inputs([draws]).values())
-
-    def _run_group(self, key, draws: list[dict]):
-        """The kernel on the stacked inputs of trials that share a group key."""
-        return self.kernel(key, self.inputs(draws))
+        return sum(a.size for a in self.inputs(key, [row]).values())
 
     def func(self, rng) -> tuple[float, dict]:
         """One trial's (margin, dump states): sampler, construction and kernel
         on a batch of one, and the states its dump would hold."""
-        key, draws = self.sample(rng)
-        margins, dump = self._run_group(key, [draws])
+        key, row = self.sample(rng)
+        margins, dump = self.kernel(key, self.inputs(key, [row]))
         return float(margins[0]), {n: a[0] for n, a in dump().items()}
 
 
 # Registry order is frozen: the position is the per-check seed stream id.
 REGISTRY: dict[str, CheckDef] = {
-    "weak_triangle": CheckDef(_sample_states(3), _weak_triangle, 1e-9,
+    "weak_triangle": CheckDef(_sample_states(3), _states_fields(3), _weak_triangle, 1e-9,
                               "1-F13 <= 2(1-F12) + 2(1-F23)"),
-    "four_state": CheckDef(_sample_states(4), _four_state, 1e-9,
+    "four_state": CheckDef(_sample_states(4), _states_fields(4), _four_state, 1e-9,
                            "Fbar14 <= 3(Fbar12 + Fbar23 + Fbar34)"),
-    "fidelity_sq_sum": CheckDef(_sample_states(3), _fidelity_sq_sum, 1e-9,
+    "fidelity_sq_sum": CheckDef(_sample_states(3), _states_fields(3), _fidelity_sq_sum, 1e-9,
                                 "F12^2 + F23^2 <= 1 + F13"),
-    "cq_fidelity": CheckDef(_sample_cq_fidelity, _cq_fidelity, 1e-8,
+    "cq_fidelity": CheckDef(_sample_cq_fidelity, _cq_fidelity_fields, _cq_fidelity, 1e-8,
                             "F of cq states = sum_x sqrt(p_x q_x) F(rho_x, sigma_x)"),
-    "povm_bound": CheckDef(_sample_povm_bound, _povm_bound, 1e-9,
+    "povm_bound": CheckDef(_sample_povm_bound, _povm_bound_fields, _povm_bound, 1e-9,
                            "sum_i sqrt(p_i q_i) >= F"),
-    "cptp_mono": CheckDef(_sample_cptp_mono, _cptp_mono, 1e-9,
+    "cptp_mono": CheckDef(_sample_cptp_mono, _pair_fields, _cptp_mono, 1e-9,
                           "F(Q rho, Q sigma) >= F(rho, sigma) for partial trace / pinching"),
-    "subadd_cond": CheckDef(_sample_subadd_cond, _subadd_cond, 1e-9,
+    "subadd_cond": CheckDef(_sample_subadd_cond, _joint_fields, _subadd_cond, 1e-9,
                             "S(AB|C) <= S(A|C) + S(B|C)"),
-    "relent_vs_fid": CheckDef(_sample_states(2), _relent_vs_fid, 1e-8,
+    "relent_vs_fid": CheckDef(_sample_states(2), _states_fields(2), _relent_vs_fid, 1e-8,
                               "S(rho||sigma) >= 1 - F(rho, sigma)"),
-    "superadd_classical": CheckDef(_sample_superadd_classical, _superadd_classical, 1e-8,
+    "superadd_classical": CheckDef(_sample_superadd_classical, _superadd_classical_fields,
+                                   _superadd_classical, 1e-8,
                                    "classical S(sigma||rho1 x rho2) >= sum of marginal terms"),
-    "smax_ge_s": CheckDef(_sample_states(2), _smax_ge_s, 1e-7,
+    "smax_ge_s": CheckDef(_sample_states(2), _states_fields(2), _smax_ge_s, 1e-7,
                           "S_inf(rho||sigma) >= S(rho||sigma)"),
-    "mi_min_relent": CheckDef(_sample_mi_min_relent, _mi_min_relent, 1e-7,
-                              "S(rho||rhoX x rhoY) <= S(rho||sigmaX x sigmaY)"),
-    "relent_mono": CheckDef(_sample_relent_mono, _relent_mono, 1e-8,
+    "mi_min_relent": CheckDef(_sample_mi_min_relent, _mi_min_relent_fields, _mi_min_relent,
+                              1e-7, "S(rho||rhoX x rhoY) <= S(rho||sigmaX x sigmaY)"),
+    "relent_mono": CheckDef(_sample_relent_mono, _pair_fields, _relent_mono, 1e-8,
                             "S(rho||sigma) >= S(rho^X||sigma^X)"),
-    "cool_product": CheckDef(_sample_cool_product, _cool_product, 1e-9,
+    "cool_product": CheckDef(_sample_cool_product, _joint_fields, _cool_product, 1e-9,
                              "rho <= |B|^2 (rho^A x rho^B) for |A| >= |B|"),
-    "fact_sum": CheckDef(_sample_fact_sum, _fact_sum, 1e-9,
+    "fact_sum": CheckDef(_sample_fact_sum, _fact_sum_fields, _fact_sum, 1e-9,
                          "#(x_i <= C mean) >= n (1 - 1/C)"),
 }
 
@@ -491,7 +554,7 @@ def run_check(spec: CheckSpec, counters: dict | None = None) -> CheckReport:
     check = REGISTRY[spec.name]
     margins = np.empty(spec.trials)
     sizes: dict = {}        # group key -> (one trial's entries, trials that fill a batch)
-    pending: dict = {}      # group key -> (trial indices, their draws)
+    pending: dict = {}      # group key -> (trial indices, their rows)
     held = kernel_calls = max_batch = 0
     kernel_s = 0.0
 
@@ -501,9 +564,9 @@ def run_check(spec: CheckSpec, counters: dict | None = None) -> CheckReport:
     def evaluate(key) -> None:
         nonlocal held, kernel_calls, max_batch, kernel_s
         used = size(key)
-        trials, draws = pending.pop(key)
+        trials, rows = pending.pop(key)
         t0 = time.perf_counter()
-        margins[trials] = check._run_group(key, draws)[0]
+        margins[trials] = check.kernel(key, check.inputs(key, rows))[0]
         kernel_s += time.perf_counter() - t0
         held -= used
         kernel_calls += 1
@@ -512,15 +575,15 @@ def run_check(spec: CheckSpec, counters: dict | None = None) -> CheckReport:
     t_loop = time.perf_counter()
     rngs = rng_block(spec.seed, CHECK_STREAM, check_id, trials=range(spec.trials))
     for trial, rng in enumerate(rngs):
-        key, draws = check.sample(rng)
+        key, row = check.sample(rng)
         batch = pending.get(key)
         if batch is None:
             if key not in sizes:
-                entries = check.entries(draws) + _TRIAL_ENTRIES
+                entries = check.entries(key, row) + _TRIAL_ENTRIES
                 sizes[key] = (entries, -(-_BUDGET // entries))
             batch = pending[key] = ([], [])
         batch[0].append(trial)
-        batch[1].append(draws)
+        batch[1].append(row)
         entries, full = sizes[key]
         held += entries
         if len(batch[0]) >= full:

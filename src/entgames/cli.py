@@ -166,7 +166,7 @@ def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     seed = args.seed if args.seed is not None else _fresh_seed()
     names = list(checks_mod.REGISTRY)
-    if args.filter:
+    if args.filter is not None:
         names = [n for n in names if fnmatch.fnmatch(n, args.filter)]
         if not names:
             raise ValueError(f"filter {args.filter!r} matches no checks")

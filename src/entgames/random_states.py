@@ -18,8 +18,10 @@ a word's high half for the next bounded draw, so the generator must hold no
 buffered half-word of its own when a drawer is made, as fresh rng_for and
 rng_block generators do.
 
-Random states are drawn in two steps.  A trial draws only raw numbers
-(mixed_draw, unitary_draw, or a POVM's (n, 2, d, d) Gaussians), and the
+Random states are drawn in two steps.  A trial draws only raw numbers: a
+mixed state's (2, d^2) Gaussians (mixed_draw), a unitary's (2, d, d)
+(unitary_draw), a POVM's (n, 2, d, d) Gaussians or a distribution's flat
+Dirichlet weights, all of a verify trial's numbers in one row (checks).  The
 states are built from stacks of those draws (mixed_factors, povms,
 classical_states, haar_unitaries and projectives), so a batch of trials
 shares one construction.  A random mixed state is held as its factor psi,
@@ -248,24 +250,6 @@ def random_mixed(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Random mixed state: partial trace of a Haar pure state on dim x dim,
     the gram of its mixed_factors."""
     return gram(mixed_factors(mixed_draw(rng, dim)[None]))[0]
-
-
-def flat_dirichlets(rng: np.random.Generator, *sizes: int) -> tuple[np.ndarray, ...]:
-    """rng.dirichlet(np.ones(k)) for each k in sizes in turn, draw for draw,
-    from one call to the generator and without dirichlet's argument checks.
-
-    numpy draws a flat Dirichlet as k gamma(1) variates, which are standard
-    exponentials, scaled by the inverse of their running sum; this repeats
-    that arithmetic on consecutive runs of one exponential draw, so the
-    results and the stream after them are those of successive dirichlet calls.
-    """
-    y = rng.standard_exponential(sum(sizes))
-    out, end = [], 0
-    for k in sizes:
-        run = y[end:end + k]
-        out.append(run * (1.0 / run.cumsum()[-1]))
-        end += k
-    return tuple(out)
 
 
 def classical_states(p: np.ndarray) -> np.ndarray:

@@ -4,8 +4,9 @@ The acceptance tests record one line per criterion; the terminal-summary hook
 prints them after the run so the pass/fail ledger is visible without -s.
 count_solves counts the eigensolves, QR and SVD factorizations a run makes, and count_checks the
 Hermitian checks, for tests that pin them.  povm_draw and random_povm are
-the raw and built one-slice POVM draws that tests use as references, and
-check_povm the POVM check.  write_game writes a game document as `entgames
+the raw and built one-slice POVM draws that tests use as references,
+flat_dirichlets the draw-for-draw reference for the verify samplers' flat
+Dirichlet draws, and check_povm the POVM check.  write_game writes a game document as `entgames
 repeat` writes its game.json.  The tracing fixture loads the benchmark's
 perfbench/tracing.py, whose TARGETS name the package functions it wraps.
 """
@@ -80,6 +81,24 @@ def povm_draw(rng: np.random.Generator, dim: int, n_outcomes: int) -> np.ndarray
 def random_povm(rng: np.random.Generator, dim: int, n_outcomes: int) -> np.ndarray:
     """Random POVM (n_outcomes, dim, dim): povms on a stack of one draw."""
     return povms(povm_draw(rng, dim, n_outcomes)[None])[0]
+
+
+def flat_dirichlets(rng: np.random.Generator, *sizes: int) -> tuple[np.ndarray, ...]:
+    """rng.dirichlet(np.ones(k)) for each k in sizes in turn, draw for draw,
+    from one call to the generator and without dirichlet's argument checks.
+
+    numpy draws a flat Dirichlet as k gamma(1) variates, which are standard
+    exponentials, scaled by the inverse of their running sum; this repeats
+    that arithmetic on consecutive runs of one exponential draw, so the
+    results and the stream after them are those of successive dirichlet calls.
+    """
+    y = rng.standard_exponential(sum(sizes))
+    out, end = [], 0
+    for k in sizes:
+        run = y[end:end + k]
+        out.append(run * (1.0 / run.cumsum()[-1]))
+        end += k
+    return tuple(out)
 
 
 def check_povm(elements: np.ndarray) -> None:

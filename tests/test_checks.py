@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 
@@ -35,7 +36,7 @@ from entgames.cli import main
 from entgames.random_states import (bounded_draws, floor_eigensystem, gram, mixed_draw,
                                     mixed_factors, rng_block, rng_for)
 
-from conftest import check_povm, count_checks, count_solves, povm_draw
+from conftest import check_povm, count_checks, count_solves, flat_dirichlets, povm_draw
 
 EXPECTED_ORDER = [
     "weak_triangle",
@@ -187,7 +188,7 @@ def _evaluate(check, samples: list) -> np.ndarray:
         groups.setdefault(key, []).append(i)
     margins = np.empty(len(samples))
     for key, idx in groups.items():
-        margins[idx] = check.kernel(key, check.inputs([samples[i][1] for i in idx]))[0]
+        margins[idx] = check.kernel(key, check.inputs(key, [samples[i][1] for i in idx]))[0]
     return margins
 
 
@@ -200,6 +201,19 @@ class TestDimDraw:
                 a, b = rng_for(0, CHECK_STREAM, 0, t), rng_for(0, CHECK_STREAM, 0, t)
                 assert bounded_draws(a)(pool) == [int(b.choice(pool))]
                 assert a.random() == b.random()
+
+
+class TestDirichletRuns:
+    @pytest.mark.parametrize("sizes", [(2, 2), (3, 3), (4, 2, 2), (9, 3, 3), (16, 4, 4), (1, 5)])
+    def test_fills_the_reference_draws(self, sizes):
+        # the samplers' in-place runs are the reference's distributions, bit
+        # for bit, and leave the stream where it does
+        for seed in range(300):
+            ref, rng = rng_for(seed, *sizes), rng_for(seed, *sizes)
+            row = np.empty(sum(sizes))
+            checks._dirichlet_runs(rng, row, *sizes)
+            assert row.tobytes() == np.concatenate(flat_dirichlets(ref, *sizes)).tobytes()
+            assert rng.standard_normal() == ref.standard_normal()
 
 
 # --- the samplers as they drew before bounded draws from raw words: one
@@ -287,21 +301,60 @@ OLD_SAMPLERS = {
 }
 
 
+def _split(fields, row: np.ndarray) -> dict:
+    """A row's named draws: consecutive runs of the row in the layout's
+    order, each reshaped to its field's shape."""
+    out, end = {}, 0
+    for name, shape in fields:
+        start, end = end, end + math.prod(shape)
+        out[name] = row[start:end].reshape(shape)
+    return out
+
+
 class TestSamplerDraws:
     @pytest.mark.parametrize("name", EXPECTED_ORDER)
     def test_same_draws_as_per_draw_reference(self, name):
         # every sampler draws the key and the numbers of its per-draw
-        # reference, bit for bit, and leaves the raw stream where it does
+        # reference, bit for bit, and leaves the raw stream where it does;
+        # a row holds float64 numbers, so fact_sum's integer n is compared
+        # as the float it is stored as
         check, check_id = REGISTRY[name], EXPECTED_ORDER.index(name)
         trials = range(1000)
         for t, rng in zip(trials, rng_block(0, CHECK_STREAM, check_id, trials=trials)):
             ref = rng_for(0, CHECK_STREAM, check_id, t)
-            (key, draws), (ref_key, ref_draws) = check.sample(rng), OLD_SAMPLERS[name](ref)
+            (key, row), (ref_key, ref_draws) = check.sample(rng), OLD_SAMPLERS[name](ref)
+            draws = _split(check.fields(key), row)
             assert key == ref_key and draws.keys() == ref_draws.keys(), (name, t)
             for n, a in draws.items():
-                assert np.shape(a) == np.shape(ref_draws[n]), (name, t, n)
-                assert np.asarray(a).tobytes() == np.asarray(ref_draws[n]).tobytes(), (name, t, n)
+                want = np.asarray(ref_draws[n], dtype=np.float64)
+                assert a.shape == want.shape, (name, t, n)
+                assert a.tobytes() == want.tobytes(), (name, t, n)
             assert rng.bit_generator.state["state"] == ref.bit_generator.state["state"]
+
+    @pytest.mark.parametrize("name", EXPECTED_ORDER)
+    def test_fields_cover_each_row(self, name):
+        # for every key drawn, the row is 1-D float64 and its layout covers it
+        # exactly: the field sizes sum to the row's, and the views inputs
+        # reads take each number of the row once
+        check, check_id = REGISTRY[name], EXPECTED_ORDER.index(name)
+        rows = {}
+        for rng in rng_block(0, CHECK_STREAM, check_id, trials=range(1000)):
+            key, row = check.sample(rng)
+            assert row.ndim == 1 and row.dtype == np.float64, (name, key)
+            assert rows.setdefault(key, row.size) == row.size, (name, key)
+        for key, size in rows.items():
+            fields = check.fields(key)
+            assert len({n for n, _ in fields}) == len(fields)
+            assert sum(math.prod(shape) for _, shape in fields) == size, (name, key)
+            batch = np.arange(2 * size, dtype=np.float64).reshape(2, size)
+            views = checks._views(fields, batch)
+            assert all(np.shares_memory(v, batch) for v in views.values())
+            taken = np.concatenate([v.reshape(2, -1) for v in views.values()], axis=1)
+            assert np.array_equal(np.sort(taken, axis=1), batch), (name, key)
+
+    def test_views_reject_a_layout_that_misses_a_row(self):
+        with pytest.raises(ValueError, match="fields cover 8 of a row's 9 numbers"):
+            checks._views((("psi", (2, 4)),), np.zeros((3, 9)))
 
 
 class TestStackedEvaluation:
@@ -358,8 +411,7 @@ def _perturb_one_batched_slice(monkeypatch, name: str) -> None:
             margins[1] -= 100.0
         return margins, dump
 
-    monkeypatch.setitem(REGISTRY, name, checks.CheckDef(
-        check.sample, kernel, check.tolerance, check.statement))
+    monkeypatch.setitem(REGISTRY, name, dataclasses.replace(check, kernel=kernel))
 
 
 class TestReplayAudit:
@@ -437,12 +489,12 @@ class TestBudget:
         held, seen = [0], {"batch": 0, "held": 0}
 
         def sample(rng):
-            key, draws = check.sample(rng)
+            key, row = check.sample(rng)
             if key not in entries:
-                entries[key] = check.entries(draws) + checks._TRIAL_ENTRIES
+                entries[key] = check.entries(key, row) + checks._TRIAL_ENTRIES
             held[0] += entries[key]
             seen["held"] = max(seen["held"], held[0])
-            return key, draws
+            return key, row
 
         def kernel(key, x):
             used = len(next(iter(x.values()))) * entries[key]
@@ -450,8 +502,8 @@ class TestBudget:
             seen["batch"] = max(seen["batch"], used)
             return check.kernel(key, x)
 
-        monkeypatch.setitem(REGISTRY, name, checks.CheckDef(
-            sample, kernel, check.tolerance, check.statement))
+        monkeypatch.setitem(REGISTRY, name, dataclasses.replace(check, sample=sample,
+                                                                kernel=kernel))
         counters: dict = {}
         run_check(CheckSpec(name, trials=1000, seed=7), counters=counters)
         trial = max(entries.values())
@@ -469,12 +521,14 @@ class TestBudget:
 
     def test_entries_count_built_states(self):
         # classical_states turns d Dirichlet weights into d x d entries
-        draws = REGISTRY["superadd_classical"].sample(rng_for(0, CHECK_STREAM, 8, 0))[1]
+        check = REGISTRY["superadd_classical"]
+        key, row = check.sample(rng_for(0, CHECK_STREAM, 8, 0))
+        draws = _split(check.fields(key), row)
         d12, d1, d2 = (draws[k].size for k in ("sigma12", "ref1", "ref2"))
-        assert REGISTRY["superadd_classical"].entries(draws) == d12**2 + d1**2 + d2**2
+        assert check.entries(key, row) == d12**2 + d1**2 + d2**2
         # a mixed state's (2, d^2) raw draw becomes d^2 complex entries
-        key, draws = REGISTRY["weak_triangle"].sample(rng_for(0, CHECK_STREAM, 0, 0))
-        assert REGISTRY["weak_triangle"].entries(draws) == 3 * key[0] ** 2
+        key, row = REGISTRY["weak_triangle"].sample(rng_for(0, CHECK_STREAM, 0, 0))
+        assert REGISTRY["weak_triangle"].entries(key, row) == 3 * key[0] ** 2
 
 
 def _floored(a):
@@ -609,11 +663,11 @@ class TestEigensystemReuse:
         check, check_id = REGISTRY[name], EXPECTED_ORDER.index(name)
         groups: dict = {}
         for t in range(200):
-            key, draws = check.sample(rng_for(3, CHECK_STREAM, check_id, t))
-            groups.setdefault(key, []).append(draws)
+            key, row = check.sample(rng_for(3, CHECK_STREAM, check_id, t))
+            groups.setdefault(key, []).append(row)
         assert groups.keys() == ALL_KEYS[name]
-        for key, draws in groups.items():
-            x = check.inputs(draws)
+        for key, rows in groups.items():
+            x = check.inputs(key, rows)
             new, dump = check.kernel(key, x)
             states = dump()
             old = OLD_KERNELS[name](key, _as_states(x))
@@ -849,11 +903,12 @@ def _as_states(built: dict) -> dict:
 
 
 class TestStackedConstruction:
-    """Samplers draw raw numbers per trial; CheckDef.inputs builds the states
-    (or, for psi names, their factors) of a whole group at once.  That gives
-    each trial the key and states of the per-trial reference, up to the order
-    of floating-point sums.  fact_sum's reference pads its samples with zeros
-    to 50, as its sampler does."""
+    """Samplers draw one row of raw numbers per trial; CheckDef.inputs reads
+    a whole group's rows as one array and builds the states (or, for psi
+    names, their factors) of the group at once.  That gives each trial the
+    key and states of the per-trial reference, up to the order of
+    floating-point sums.  fact_sum's reference pads its samples with zeros to
+    50, as its sampler does."""
 
     @pytest.mark.parametrize("name", EXPECTED_ORDER)
     def test_matches_per_trial_reference(self, name):
@@ -865,8 +920,8 @@ class TestStackedConstruction:
         groups: dict = {}
         for i, (key, _) in enumerate(samples):
             groups.setdefault(key, []).append(i)
-        for idx in groups.values():
-            built = _as_states(check.inputs([samples[i][1] for i in idx]))
+        for key, idx in groups.items():
+            built = _as_states(check.inputs(key, [samples[i][1] for i in idx]))
             for j, i in enumerate(idx):
                 ref = refs[i][1]
                 assert built.keys() == ref.keys()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -346,6 +347,13 @@ class TestVerify:
                      "--out", str(tmp_path / "o")]) == 2
         assert "matches no checks" in capsys.readouterr().err
 
+    def test_empty_filter_matches_no_checks(self, tmp_path, capsys):
+        # an empty glob matches no name; it does not mean "no filter"
+        out = tmp_path / "o"
+        assert main(["verify", "--filter", "", "--trials", "5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: filter '' matches no checks\n"
+        assert not out.exists()
+
     def test_error_after_a_counterexample_writes_nothing(self, tmp_path, capsys, monkeypatch):
         # four_state, cool_product (violating at trial 961) and fact_sum, whose
         # kernel raises: the run stops before _finish, so the document of
@@ -353,9 +361,8 @@ class TestVerify:
         def kernel(key, x):
             raise ValueError("kernel failed")
 
-        check = checks.REGISTRY["fact_sum"]
-        monkeypatch.setitem(checks.REGISTRY, "fact_sum", checks.CheckDef(
-            check.sample, kernel, check.tolerance, check.statement))
+        monkeypatch.setitem(checks.REGISTRY, "fact_sum",
+                            dataclasses.replace(checks.REGISTRY["fact_sum"], kernel=kernel))
         out = tmp_path / "out"
         assert main(["verify", "--filter", "[cf][ao]*", "--trials", "962", "--seed", "0",
                      "--out", str(out)]) == 2

@@ -5,7 +5,6 @@ from entgames.random_states import (
     _RNG_BLOCK,
     bounded_draws,
     classical_states,
-    flat_dirichlets,
     gram,
     haar_unitaries,
     haar_unitary,
@@ -20,7 +19,7 @@ from entgames.random_states import (
     unitary_draw,
 )
 
-from conftest import povm_draw, random_povm
+from conftest import flat_dirichlets, povm_draw, random_povm
 
 # prefixes of the paths rng_block derives, with the trial index appended:
 # the protocol's 3-part path, a 1-part path, the checks' 4-part path,
