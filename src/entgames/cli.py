@@ -249,7 +249,7 @@ def cmd_simulate(args) -> int:
              "report.csv": "\n".join(protocol_mod.stats_csv_lines(stats, verdict.verdict)) + "\n"}
     return _finish(args, _out_path(args, config.seed), cfg, config.seed, (t0, t_load), files,
                    code=1 if verdict.verdict == "violated" else 0,
-                   chunks=protocol_mod.chunk_count(config.trials), sample_s=sample_s)
+                   chunks=protocol_mod.chunk_count(config, model), sample_s=sample_s)
 
 
 def cmd_sic(args) -> int:

@@ -2,32 +2,25 @@
 
 A device plays n rounds of a game.  The referee draws v independent uniform
 round indices (with replacement), inspects those rounds, and accepts iff all
-inspected rounds were won.  Given W won rounds out of n, the v inspections
-all land on won rounds with probability exactly (W/n)**v, so each trial draws
-its win count W from the round model and then one uniform u, and the
-inspections match iff u < (W/n)**v.  The "won most rounds" statistic needs
-only W as well.
-
-Trials run in chunks of _CHUNK; chunk i draws from rng_for(seed, 301, i).
-An i.i.d. round model (IidBernoulli, StrategyBacked) draws W by inverse CDF:
-one uniform per trial, looked up in a Binomial(n, w) CDF table that is built
-once per (n, w).  The lookup starts from a guide table (Chen and Asau, 1974):
-with M = 2**b >= 4(n + 1) buckets, u * M is exact and bucket j starts at the
-first k whose CDF exceeds j/M, so one step forward (and, for the rare
-uniform that needs more, a binary search) finds exactly the index that
-np.searchsorted(cdf, u, side="right") finds.  Acceptance is then read from a
-table of (k/n)**v, k = 0..n, built once per run, instead of one pow per
-trial; numpy's pow gives the same bits in either layout.  Both tables are
-used while they have n + 1 <= 2**16 entries; beyond that numpy's binomial
-draws W, which takes any n up to 2**63 - 1, and each trial takes its own pow.
+inspected rounds were won.  Given W won rounds out of n, the inspections all
+land on won rounds with probability exactly (W/n)**v, and the "won most
+rounds" statistic needs only W as well.  So the simulator draws counts, not
+trials: the round model gives the histogram of W over a run's trials (one
+multinomial of W's distribution), and the trials accepted at each W are one
+Binomial(count, (W/n)**v) draw.  That gives every trial the same
+Bernoulli(sum_k P(W = k) (k/n)**v) acceptance, independently of the others,
+so the draws are exact in distribution and a run costs the same at any
+trial count.  The i.i.d. models' Binomial(n, w) pmf is tabulated while it
+has n + 1 <= 2**16 entries; beyond that (n may reach 2**63 - 1) numpy's
+binomial draws W per trial, _CHUNK trials at a time, each trial its own
+histogram entry.  Chunk i draws from rng_for(seed, 301, i).
 
 The projection variant replaces literal string comparison with a random
 GF(2)-linear hash: on a mismatch the referee still accepts iff the hashes
 collide, which for a fresh random linear map happens with probability exactly
 2**-hash_bits whenever the strings differ (any lost round forces a nonzero
-symbol difference).  The simulator therefore draws one fresh uniform hash
-value per mismatched trial, which reproduces the acceptance distribution
-exactly.  A 0-bit hash is the same draw: its one value is 0, so every
+symbol difference).  So the collisions among each W's mismatched trials are
+one Binomial(mismatches, 2**-hash_bits) draw; with a 0-bit hash every
 mismatch collides.  exact_collision_probability confirms that rate for a
 random linear map by counting row masks exhaustively.
 
@@ -49,10 +42,9 @@ from .games import Game, QuantumStrategy, strategy_win_probability
 from .random_states import rng_block
 
 _STREAM_PROTOCOL = 301
-_CHUNK = 4096         # trials per derived generator; fixed so results are
-                      # independent of how work is scheduled, and large so
-                      # each generator's fixed cost is paid rarely
-_TABLE_MAX = 1 << 16  # largest CDF and acceptance tables (n + 1 entries each)
+_CHUNK = 4096         # trials per generator while W is drawn per trial; fixed
+                      # so results do not depend on how work is scheduled
+_TABLE_MAX = 1 << 16  # largest binomial pmf tabulated (n + 1 entries)
 Z99 = 2.5758293035489004   # two-sided 99% normal quantile
 
 VARIANTS = ("general", "projection")
@@ -97,8 +89,8 @@ class ProtocolConfig:
         if not 1 <= self.n < 1 << 63:
             raise ValueError("n must lie in [1, 2^63 - 1]")
         _check_parameters(self.epsilon, self.t, self.variant)
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if not 1 <= self.trials < 1 << 63:
+            raise ValueError("trials must lie in [1, 2^63 - 1]")
         if self.v_override is not None:
             if self.v_override < 1:
                 raise ValueError("v_override must be >= 1")
@@ -126,8 +118,9 @@ class ProtocolConfig:
 
 
 # --- round-outcome models ---------------------------------------------------
-# sample_wins(rng, n, trials) returns the number of rounds won, one int per
-# trial; which rounds were won never matters to the referee.
+# The referee needs only the number W of rounds won.  win_distribution(n)
+# gives W's values and probabilities, or None where W is drawn per trial;
+# sample_wins(rng, n, trials) gives the W drawn and how many trials drew each.
 
 
 def _binomial_pmf(n: int, w: float) -> np.ndarray:
@@ -155,48 +148,34 @@ def _binomial_pmf(n: int, w: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _binomial_table(n: int, w: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Binomial(n, w) CDF whose last entry is exactly 1, so a
-    uniform in [0, 1) never looks up past k = n, and its read-only guide
-    table: M = 2**b >= 4(n + 1) buckets, bucket j starting at the first k
-    whose CDF exceeds j/M."""
-    cdf = np.cumsum(_binomial_pmf(n, w))
-    cdf /= cdf[-1]
-    buckets = 1 << (4 * (n + 1) - 1).bit_length()
-    guide = np.searchsorted(cdf, np.arange(buckets) / buckets, side="right")
-    cdf.flags.writeable = guide.flags.writeable = False
-    return cdf, guide
-
-
-def _guided_search(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """np.searchsorted(cdf, u, side="right") for u in [0, 1), started from
-    guide[floor(u * M)], which must not lie past that answer.  Every index
-    below the running one has cdf <= u, so an index with cdf > u is the
-    answer; the few still short of it after one step forward are found by
-    binary search."""
-    idx = guide[(u * guide.size).astype(np.intp)]
-    idx += cdf[idx] <= u
-    late = cdf[idx] <= u
-    if late.any():
-        idx[late] = np.searchsorted(cdf, u[late], side="right")
-    return idx
-
-
-def _acceptance_table(n: int, v: int) -> np.ndarray:
-    """(k/n)**v for k = 0..n: the chance that v inspections with replacement
-    all land on won rounds when k of the n rounds were won."""
-    return (np.arange(n + 1) / n) ** v
-
-
-def _iid_wins(rng, n: int, w: float, trials: int) -> np.ndarray:
-    """Rounds won of n i.i.d. rounds won w.p. w, one count per trial: one
-    uniform and a guided CDF lookup while the table fits in _TABLE_MAX
-    entries, numpy's binomial beyond (any n up to 2**63 - 1).  A lookup draws
-    each count with the share of rng.random's 2**-53 grid inside its CDF
-    step, which is off from its pmf by at most about 2**-53."""
+def _binomial_window(n: int, w: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """The k with nonzero Binomial(n, w) pmf (a window around the mode) and
+    their pmf, both read-only; None past _TABLE_MAX pmf entries."""
     if n + 1 > _TABLE_MAX:
-        return rng.binomial(n, w, size=trials)
-    return _guided_search(*_binomial_table(n, w), rng.random(trials))
+        return None
+    pmf = _binomial_pmf(n, w)
+    lo, hi = np.flatnonzero(pmf)[[0, -1]]
+    values, probs = np.arange(lo, hi + 1), pmf[lo:hi + 1]
+    values.flags.writeable = probs.flags.writeable = False
+    return values, probs
+
+
+def _histogram(rng, dist: tuple[np.ndarray, np.ndarray], trials: int):
+    """The values of dist = (values, probs) drawn by a multinomial of trials
+    trials, and their counts."""
+    values, probs = dist
+    counts = rng.multinomial(trials, probs)
+    drawn = counts > 0
+    return values[drawn], counts[drawn]
+
+
+def _iid_wins(rng, n: int, w: float, trials: int):
+    """Histogram of the wins in n i.i.d. rounds won w.p. w: a multinomial over
+    the pmf window, or past _TABLE_MAX one binomial per trial, each count 1."""
+    dist = _binomial_window(n, w)
+    if dist is None:
+        return rng.binomial(n, w, size=trials), np.ones(trials, dtype=np.int64)
+    return _histogram(rng, dist, trials)
 
 
 @dataclass(frozen=True)
@@ -209,7 +188,10 @@ class IidBernoulli:
         if not 0.0 <= self.w <= 1.0:
             raise ValueError("w must lie in [0, 1]")
 
-    def sample_wins(self, rng, n: int, trials: int) -> np.ndarray:
+    def win_distribution(self, n: int):
+        return _binomial_window(n, self.w)
+
+    def sample_wins(self, rng, n: int, trials: int):
         return _iid_wins(rng, n, self.w, trials)
 
     def win_all_probability(self, n: int) -> float:
@@ -219,7 +201,7 @@ class IidBernoulli:
 @dataclass(frozen=True)
 class WinAllOrPartial:
     """With probability q win every round, otherwise win a uniformly random
-    subset of round(f*n) rounds."""
+    subset of min(n, round(f*n)) rounds."""
 
     q: float
     f: float
@@ -229,28 +211,35 @@ class WinAllOrPartial:
             raise ValueError("q and f must lie in [0, 1]")
 
     def partial_win_count(self, n: int) -> int:
-        return int(round(self.f * n))
+        # f * n can round past n in floats (f = 1, n = 2**63 - 1)
+        return min(n, int(round(self.f * n)))
 
-    def sample_wins(self, rng, n: int, trials: int) -> np.ndarray:
-        return np.where(rng.random(trials) < self.q, n, self.partial_win_count(n))
+    def win_distribution(self, n: int):
+        return np.array([n, self.partial_win_count(n)]), np.array([self.q, 1.0 - self.q])
+
+    def sample_wins(self, rng, n: int, trials: int):
+        # the multinomial's one binomial, Binomial(trials, q), splits the trials
+        return _histogram(rng, self.win_distribution(n), trials)
 
     def win_all_probability(self, n: int) -> float:
         return self.q + (1.0 - self.q) * (self.partial_win_count(n) == n)
 
 
 class StrategyBacked:
-    """Rounds generated by playing a fixed entangled strategy on the n-fold
-    repetition.  Inputs are drawn independently per round and outputs are
-    measured independently per round, so the rounds are won i.i.d. with the
-    strategy's exact win probability omega: the same rounds as
-    IidBernoulli(omega), drawn by the same inverse-CDF helper.  No joint-input
-    table is built, so any n runs."""
+    """Rounds of a fixed entangled strategy played on the n-fold repetition.
+    Inputs and outputs are drawn independently per round, so the rounds are
+    won i.i.d. with the strategy's exact win probability omega, drawn as
+    IidBernoulli(omega) draws them.  No joint-input table is built, so any n
+    runs."""
 
     def __init__(self, game: Game, strategy: QuantumStrategy):
         # clipped so float round-off cannot push it outside [0, 1]
         self.omega = min(1.0, max(0.0, strategy_win_probability(game, strategy)))
 
-    def sample_wins(self, rng, n: int, trials: int) -> np.ndarray:
+    def win_distribution(self, n: int):
+        return _binomial_window(n, self.omega)
+
+    def sample_wins(self, rng, n: int, trials: int):
         return _iid_wins(rng, n, self.omega, trials)
 
     def win_all_probability(self, n: int) -> float:
@@ -298,51 +287,60 @@ class ProtocolStats:
     p_hash_accept_given_mismatch: float | None = None
 
 
-def chunk_count(trials: int) -> int:
-    """Chunks in a run of trials: chunk i draws from rng_for(seed, 301, i)."""
-    return -(-trials // _CHUNK)
+def chunk_count(config: ProtocolConfig, model) -> int:
+    """Generators a run draws from, chunk i from rng_for(seed, 301, i): one
+    per _CHUNK trials while the model draws W per trial, else one."""
+    per_trial = model.win_distribution(config.n) is None
+    return -(-config.trials // _CHUNK) if per_trial else 1
+
+
+def _acceptance(wins: np.ndarray, n: int, v: int) -> np.ndarray:
+    """(W/n)**v for each W: the chance that v inspections all hit won rounds."""
+    return (wins / n) ** v
+
+
+def _binomial(rng, counts: np.ndarray, p) -> np.ndarray:
+    """Binomial(counts, p) draws.  Counts of at most one (a chunk drawn per
+    trial) take one uniform per entry, a success below p: the same draws,
+    where numpy's binomial costs several uniforms to set up each entry."""
+    if counts.max() <= 1:
+        return counts * (rng.random(counts.size) < p)
+    return rng.binomial(counts, p)
 
 
 def run_protocol(config: ProtocolConfig, model) -> ProtocolStats:
     """Simulate the spot-checking procedure; config.variant selects the plain
     string comparison ("general") or the hash-compressed one ("projection")."""
     projection = config.variant == "projection"
-    n, v = config.n, config.resolved_v()
+    n, v, trials = config.n, config.resolved_v(), config.trials
     thr = config.win_threshold() - 1e-9    # integer counts vs real threshold
-    bits = config.resolved_hash_bits() if projection else None
+    collide = 2.0 ** -config.resolved_hash_bits() if projection else None
+    chunks = chunk_count(config, model)
+    step = trials if chunks == 1 else _CHUNK
     successes = mostwin = mismatches = mismatch_accepts = 0
-    # v inspections with replacement all hit won rounds w.p. (W/n)^v, read
-    # from a table indexed by W while it has at most _TABLE_MAX entries
-    accept = _acceptance_table(n, v) if n + 1 <= _TABLE_MAX else None
-    rngs = rng_block(config.seed, _STREAM_PROTOCOL, trials=range(chunk_count(config.trials)))
+    rngs = rng_block(config.seed, _STREAM_PROTOCOL, trials=range(chunks))
     for chunk_idx, rng in enumerate(rngs):
-        size = min(_CHUNK, config.trials - chunk_idx * _CHUNK)
-        nwins = model.sample_wins(rng, n, size)
+        values, counts = model.sample_wins(rng, n, min(step, trials - chunk_idx * step))
         # under projection a mismatch is still accepted when its hash collides
-        ok = rng.random(size) < (accept[nwins] if accept is not None else (nwins / n) ** v)
+        ok = _binomial(rng, counts, _acceptance(values, n, v))
         if projection:
-            miss = ~ok
-            collide = rng.integers(0, 1 << bits, size=int(miss.sum())) == 0
-            ok[miss] = collide
-            mismatches += collide.size
-            mismatch_accepts += int(collide.sum())
+            miss = counts - ok
+            hits = _binomial(rng, miss, collide)
+            ok += hits
+            mismatches += int(miss.sum())
+            mismatch_accepts += int(hits.sum())
         successes += int(ok.sum())
-        mostwin += int((ok & (nwins >= thr)).sum())
-    trials = config.trials
-    p_succ = successes / trials
-    cond_defined = successes > 0
+        mostwin += int(ok @ (values >= thr))
+    cond = successes > 0
     return ProtocolStats(
-        variant=config.variant, n=n, epsilon=config.epsilon, t=config.t,
-        v_used=v, trials_effective=trials, successes=successes,
-        p_succeed_hat=p_succ,
-        succeed_ci=wilson_interval(successes, trials),
-        conditional_defined=cond_defined,
+        variant=config.variant, n=n, epsilon=config.epsilon, t=config.t, v_used=v,
+        trials_effective=trials, successes=successes, p_succeed_hat=successes / trials,
+        succeed_ci=wilson_interval(successes, trials), conditional_defined=cond,
         mostwin_successes=mostwin,
-        p_mostwin_given_succeed_hat=(mostwin / successes) if cond_defined else None,
-        mostwin_ci=wilson_interval(mostwin, successes) if cond_defined else None,
-        mismatch_trials=mismatches,
-        mismatch_accepts=mismatch_accepts,
-        p_hash_accept_given_mismatch=(mismatch_accepts / mismatches)
+        p_mostwin_given_succeed_hat=mostwin / successes if cond else None,
+        mostwin_ci=wilson_interval(mostwin, successes) if cond else None,
+        mismatch_trials=mismatches, mismatch_accepts=mismatch_accepts,
+        p_hash_accept_given_mismatch=mismatch_accepts / mismatches
         if projection and mismatches else None,
     )
 

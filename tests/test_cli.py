@@ -473,18 +473,29 @@ class TestSimulate:
 
     @pytest.mark.parametrize("trials, chunks", [(400, 1), (4096, 1), (8200, 3)])
     def test_manifest_timings_and_chunks(self, tmp_path, trials, chunks):
-        cfg = self.write_config(tmp_path, trials=trials)
+        # n + 1 > 2^16: W is drawn per trial, one generator per 4,096 trials
+        cfg = self.write_config(tmp_path, trials=trials, n=1 << 16)
         out = tmp_path / "out"
         assert main(["simulate", str(cfg), "--out", str(out)]) == 0
         man = json.loads((out / "manifest.json").read_text())
         assert set(man["timings"]) == {"load_s", "compute_s", "write_s"}
         assert all(t >= 0.0 for t in man["timings"].values())
-        assert man["chunks"] == chunks     # one derived generator per 4,096 trials
-        # the chunk loop's share of compute_s, which also builds the model
+        assert man["chunks"] == chunks
+        # the sampling's share of compute_s, which also builds the model
         assert 0.0 <= man["sample_s"] <= man["timings"]["compute_s"]
         # timings stay out of report.json, which is byte-deterministic
         rep = json.loads((out / "report.json").read_text())
         assert set(rep) == {"command", "config", "stats", "guarantee"}
+
+    @pytest.mark.parametrize("model", [{"kind": "iid_bernoulli", "w": 0.9},
+                                       {"kind": "win_all_or_partial", "q": 0.9, "f": 0.5}])
+    def test_histogram_run_draws_from_one_generator(self, tmp_path, model):
+        cfg = self.write_config(tmp_path, trials=10**12, model=model)
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["chunks"] == 1
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["stats"]["trials_effective"] == 10**12
 
     def test_negative_seed_flag_is_input_error(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)
@@ -794,6 +805,7 @@ def _out_of_memory(*args):
     pytest.param(["simulate"], {"n": 1 << 63, "model": {"kind": "strategy_backed",
                                                        "game": "chsh.json"}},
                  2, "n must lie", id="n-strategy"),
+    pytest.param(["simulate"], {"trials": 1 << 63}, 2, "trials must lie", id="trials"),
     pytest.param(["repeat", "--n", "4000"], None, 3, "budget", id="repeat"),
     pytest.param(["repeat", "--n", "4000", "--alpha", "0.5"], None, 3, "budget",
                  id="repeat-majority"),
@@ -802,8 +814,9 @@ def _out_of_memory(*args):
 ])
 def test_hostile_input_is_an_error_exit(tmp_path, capsys, monkeypatch, argv, doc, code, named):
     # an input or budget error, not a traceback: simulate's required v as
-    # ceil(inf), an n beyond numpy's int64 binomial, a table size with over
-    # 4,300 digits, and an allocation of every see-saw start at once
+    # ceil(inf), an n or a trial count beyond numpy's int64 binomial and
+    # multinomial, a table size with over 4,300 digits, and an allocation of
+    # every see-saw start at once
     target = write_chsh(tmp_path)
     if doc is not None:
         target = tmp_path / "config.json"

@@ -1,4 +1,5 @@
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -22,11 +23,11 @@ from entgames.protocol import (
     run_protocol,
     stats_csv_lines,
     wilson_interval,
+    _CHUNK,
     _TABLE_MAX,
-    _acceptance_table,
+    _acceptance,
     _binomial_pmf,
-    _binomial_table,
-    _guided_search,
+    _binomial_window,
 )
 from entgames.random_states import rng_for
 
@@ -55,6 +56,72 @@ def exact_probabilities(cfg: ProtocolConfig, model) -> tuple[float, float]:
 def binom_expect_match(n: int, v: int, w: float) -> float:
     # closed form for iid rounds: E[(K/n)^v], K ~ Binomial(n, w)
     return sum(count_pmf(IidBernoulli(w), n, k) * (k / n) ** v for k in range(n + 1))
+
+
+def multinomial_by_hand(rng, trials: int, probs) -> list[int]:
+    """numpy's multinomial: one binomial per value, of the trials left at the
+    value's share of the probability left, until no trial is left; the last
+    value takes the rest."""
+    counts, left, p_left = [0] * len(probs), trials, 1.0
+    for j, p in enumerate(probs[:-1]):
+        counts[j] = int(rng.binomial(left, min(1.0, p / p_left)))
+        left -= counts[j]
+        if left <= 0:
+            break
+        p_left -= p
+    if left > 0:
+        counts[-1] = left
+    return counts
+
+
+def binomials_by_hand(rng, counts, probs) -> list[int]:
+    """One binomial per entry, in order; counts of at most one take one
+    uniform per entry instead, a success below p."""
+    if max(counts) <= 1:
+        return [c * int(u < p) for c, u, p in zip(counts, rng.random(len(counts)), probs)]
+    return [int(rng.binomial(c, p)) for c, p in zip(counts, probs)]
+
+
+def run_by_hand(cfg: ProtocolConfig, model) -> tuple[int, int, int, int]:
+    """(successes, mostwin, mismatches, mismatch accepts) of a run, its draws
+    rebuilt entry by entry from rng_for(seed, 301, chunk): the histogram of W
+    (a multinomial of the pmf window, one binomial splitting a two-branch
+    model's trials, or one binomial per trial past _TABLE_MAX), then the
+    accepted trials at each W, then under projection the hash collisions."""
+    n, v, trials = cfg.n, cfg.resolved_v(), cfg.trials
+    w = getattr(model, "omega", getattr(model, "w", None))
+    per_trial = w is not None and n + 1 > _TABLE_MAX
+    step = _CHUNK if per_trial else trials
+    successes = mostwin = mismatches = mismatch_accepts = 0
+    for i in range(-(-trials // step)):
+        rng, size = rng_for(cfg.seed, 301, i), min(step, trials - i * step)
+        if per_trial:
+            values, counts = list(rng.binomial(n, w, size=size)), [1] * size
+        elif w is None:
+            won_all = int(rng.binomial(size, model.q))
+            values, counts = [n, model.partial_win_count(n)], [won_all, size - won_all]
+        else:
+            pmf = _binomial_pmf(n, w)
+            lo, hi = np.flatnonzero(pmf)[[0, -1]]
+            values = list(range(lo, hi + 1))
+            counts = multinomial_by_hand(rng, size, list(pmf[lo:hi + 1]))
+        values, counts = zip(*[(k, c) for k, c in zip(values, counts) if c])
+        accept = (np.array(values) / n) ** v
+        ok = binomials_by_hand(rng, counts, accept)
+        if cfg.variant == "projection":
+            miss = [c - a for c, a in zip(counts, ok)]
+            hits = binomials_by_hand(rng, miss, [2.0 ** -cfg.resolved_hash_bits()] * len(miss))
+            ok = [a + h for a, h in zip(ok, hits)]
+            mismatches += sum(miss)
+            mismatch_accepts += sum(hits)
+        successes += sum(ok)
+        mostwin += sum(a for k, a in zip(values, ok) if k >= cfg.win_threshold() - 1e-9)
+    return successes, mostwin, mismatches, mismatch_accepts
+
+
+def stats_tuple(stats) -> tuple[int, int, int, int]:
+    return (stats.successes, stats.mostwin_successes, stats.mismatch_trials,
+            stats.mismatch_accepts)
 
 
 # (n, variant, trials, model) of the benchmark's six protocol configs, at
@@ -212,38 +279,56 @@ class TestModels:
 
     def test_two_branch_row_counts(self):
         m = WinAllOrPartial(0.5, 0.75)
-        counts = m.sample_wins(rng_for(3), 8, 4000)
-        assert counts.shape == (4000,)
-        assert set(np.unique(counts)) <= {6, 8}
-        frac_all = (counts == 8).mean()
+        values, counts = m.sample_wins(rng_for(3), 8, 4000)
+        assert counts.sum() == 4000 and counts.min() > 0
+        assert set(values) <= {6, 8}
+        frac_all = counts[values == 8].sum() / 4000
         assert abs(frac_all - 0.5) < 0.03
 
+    def test_two_branch_clamps_partial_count(self):
+        # round(f * n) is 2^63 in floats at f = 1, n = 2^63 - 1: more rounds
+        # than were played, which read as a partial win that lost the run
+        n = (1 << 63) - 1
+        model = WinAllOrPartial(0.5, 1.0)
+        assert model.partial_win_count(n) == n
+        assert model.win_all_probability(n) == 1.0
+        cfg = ProtocolConfig(n=n, epsilon=1.0, t=1.0, trials=1000, seed=0)
+        stats = run_protocol(cfg, model)
+        assert stats.successes == stats.mostwin_successes == 1000
+        assert guarantee_report(cfg, model, stats).verdict == "consistent"
+
     def test_iid_counts_are_binomial(self):
-        counts = IidBernoulli(0.3).sample_wins(rng_for(4), 10, 50_000)
-        assert counts.shape == (50_000,)
-        assert counts.min() >= 0 and counts.max() <= 10
-        assert abs(counts.mean() - 3.0) < 0.03
-        assert abs(counts.var() - 2.1) < 0.06
+        values, counts = IidBernoulli(0.3).sample_wins(rng_for(4), 10, 50_000)
+        assert counts.sum() == 50_000 and counts.min() > 0
+        assert values.min() >= 0 and values.max() <= 10
+        mean = (values * counts).sum() / 50_000
+        assert abs(mean - 3.0) < 0.03
+        assert abs(((values - mean) ** 2 * counts).sum() / 50_000 - 2.1) < 0.06
 
     def test_strategy_backed_round_rate(self):
         res = entangled_value_seesaw(chsh(), d=2, restarts=3, iters=60, seed=0)
         model = StrategyBacked(chsh(), res.strategy)
-        counts = model.sample_wins(rng_for(0), 2, 50_000)
-        assert abs(counts.mean() / 2 - model.omega) < 0.006
-        assert abs((counts == 2).mean() - model.omega**2) < 0.008
+        values, counts = model.sample_wins(rng_for(0), 2, 50_000)
+        assert abs((values * counts).sum() / 100_000 - model.omega) < 0.006
+        assert abs(counts[values == 2].sum() / 50_000 - model.omega**2) < 0.008
         assert_allclose(model.win_all_probability(2), model.omega**2)
 
     def test_strategy_backed_many_rounds(self):
         res = entangled_value_seesaw(chsh(), d=2, restarts=2, iters=40, seed=0)
         model = StrategyBacked(chsh(), res.strategy)
-        counts = model.sample_wins(rng_for(1), 8, 4000)
-        assert abs(counts.mean() / 8 - model.omega) < 0.02
+        values, counts = model.sample_wins(rng_for(1), 8, 4000)
+        assert abs((values * counts).sum() / (8 * 4000) - model.omega) < 0.02
 
     def test_strategy_backed_shares_the_iid_draw(self, chsh_strategy):
-        model = chsh_strategy
+        model, iid = chsh_strategy, IidBernoulli(chsh_strategy.omega)
         for n in (8, 256, _TABLE_MAX):
-            assert np.array_equal(model.sample_wins(rng_for(5), n, 100),
-                                  IidBernoulli(model.omega).sample_wins(rng_for(5), n, 100))
+            mine = model.sample_wins(rng_for(5), n, 100)
+            theirs = iid.sample_wins(rng_for(5), n, 100)
+            assert all(np.array_equal(a, b) for a, b in zip(mine, theirs))
+            dist = model.win_distribution(n)
+            assert (dist is None) == (n + 1 > _TABLE_MAX)
+            if dist is not None:
+                assert all(np.array_equal(a, b) for a, b in zip(dist, iid.win_distribution(n)))
 
     def test_strategy_backed_errors(self):
         # a strategy for another game's arity is refused by strategy_win_probability
@@ -266,8 +351,9 @@ def _exact_pmf(n: int, w: float) -> list[float]:
 
 
 class TestWinCountDraw:
-    """An i.i.d. win count W is one uniform looked up in a Binomial(n, w) CDF
-    table while the table has n + 1 <= 2^16 entries, numpy's binomial beyond."""
+    """An i.i.d. run draws the histogram of W as one multinomial over the
+    nonzero window of the Binomial(n, w) pmf while the pmf has n + 1 <= 2^16
+    entries, and W per trial with numpy's binomial beyond."""
 
     @pytest.mark.parametrize("n", [1, 8, 256, (1 << 16) - 2])
     @pytest.mark.parametrize("w", [0.0, 0.3, math.cos(math.pi / 8) ** 2, 0.998, 1.0])
@@ -277,89 +363,72 @@ class TestWinCountDraw:
         big = exact >= 1e-300
         assert np.all(np.abs(pmf[big] - exact[big]) <= 1e-12 * exact[big])
         assert np.all(pmf[~big] <= 1e-300)
-        cdf = _binomial_table(n, w)[0]
-        assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0)
-        assert np.abs(cdf - np.cumsum(exact)).max() <= 1e-13
+        # the window holds every count of nonzero pmf, and only those
+        values, probs = _binomial_window(n, w)
+        assert np.array_equal(values, np.flatnonzero(pmf))
+        assert np.array_equal(probs, pmf[values]) and probs.min() > 0.0
 
     @pytest.mark.parametrize("n", [_TABLE_MAX - 1, _TABLE_MAX])
     def test_both_sides_of_the_table_bound(self, n):
         w, trials = 0.3, 20_000
-        counts = IidBernoulli(w).sample_wins(rng_for(6), n, trials)
+        model = IidBernoulli(w)
+        values, counts = model.sample_wins(rng_for(6), n, trials)
         rng = rng_for(6)
         if n + 1 <= _TABLE_MAX:
-            want = np.searchsorted(_binomial_table(n, w)[0], rng.random(trials), side="right")
+            want = np.array(multinomial_by_hand(rng, trials, list(_binomial_window(n, w)[1])))
+            assert np.array_equal(counts, want[want > 0])
+            assert model.win_distribution(n) is not None
         else:
-            want = rng.binomial(n, w, size=trials)
-        assert np.array_equal(counts, want)
+            assert np.array_equal(values, rng.binomial(n, w, size=trials))
+            assert np.array_equal(counts, np.ones(trials))
+            assert model.win_distribution(n) is None
         se = math.sqrt(n * w * (1 - w) / trials)
-        assert abs(counts.mean() - n * w) <= 5 * se
+        assert abs((values * counts).sum() / trials - n * w) <= 5 * se
 
-
-class TestGuidedSearch:
-    """The guide-table lookup returns np.searchsorted(cdf, u, side="right")
-    exactly, also on the uniforms where a step or a bucket edge could slip."""
-
-    @staticmethod
-    def adversarial_uniforms(cdf: np.ndarray, buckets: int) -> np.ndarray:
-        u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.arange(buckets) / buckets,
-                            [0.0, 1.0 - 2.0**-53]])
-        return u[u < 1.0]                  # rng.random draws from [0, 1)
-
-    @pytest.mark.parametrize("n", [1, 8, 256, (1 << 16) - 2])
-    @pytest.mark.parametrize("w", [0.0, 0.3, math.cos(math.pi / 8) ** 2, 0.998, 1.0])
-    def test_matches_searchsorted(self, n, w):
-        cdf, guide = _binomial_table(n, w)
-        assert guide.size >= 4 * (n + 1) and guide.size & (guide.size - 1) == 0
-        u = self.adversarial_uniforms(cdf, guide.size)
-        want = np.searchsorted(cdf, u, side="right")
-        assert np.array_equal(_guided_search(cdf, guide, u), want)
-        uniform = rng_for(n, 7).random(4096)
-        assert np.array_equal(_guided_search(cdf, guide, uniform),
-                              np.searchsorted(cdf, uniform, side="right"))
-
-    def test_binary_search_fallback(self):
-        # w = 0.998 puts nearly no mass on most of the 257 counts, so bucket 0
-        # spans many CDF steps: those uniforms need more than the one step
-        # forward, and only the fallback can return the right index
-        cdf, guide = _binomial_table(256, 0.998)
-        u = self.adversarial_uniforms(cdf, guide.size)
-        want = np.searchsorted(cdf, u, side="right")
-        start = guide[(u * guide.size).astype(np.intp)]
-        assert (want - start > 1).sum() >= 10
-        assert np.array_equal(_guided_search(cdf, guide, u), want)
-        # any guide that never starts past the answer gives the same index
-        zeros = np.zeros_like(guide)
-        assert np.array_equal(_guided_search(cdf, zeros, u), want)
+    @pytest.mark.parametrize("n, w", [(8, 0.7), (256, 0.998), (256, 0.3), (4096, 0.5)])
+    def test_histogram_matches_exact_pmf(self, n, w):
+        # every W with enough expected trials is within 5 SE of trials * pmf,
+        # and so is the mass of all the others together
+        trials = 1_000_000
+        values, counts = IidBernoulli(w).sample_wins(rng_for(n, 9), n, trials)
+        drawn = np.zeros(n + 1, dtype=np.int64)
+        drawn[values] = counts
+        expected = trials * np.array(_exact_pmf(n, w))
+        binned = expected >= 25
+        rest = np.array([drawn[~binned].sum()]), np.array([expected[~binned].sum()])
+        for got, want in ((drawn[binned], expected[binned]), rest):
+            se = np.sqrt(want * (1 - want / trials))
+            assert np.all(np.abs(got - want) <= 5 * np.maximum(se, 1.0))
+        assert binned.sum() >= 5
 
 
 class TestAcceptanceTable:
-    """run_protocol reads (W/n)^v from a table; it must hold the bits that one
-    pow per trial gives, in any position of any array."""
+    """run_protocol takes (W/n)^v for the W a run drew; each must have the
+    bits of one pow per trial, in any position of any array."""
 
     # the benchmark's (n, v) at both variants' v, and v_override cases
     @pytest.mark.parametrize("n, v", [(256, 2304), (256, 320), (8, 2304), (8, 320),
                                       (16, 3), (20, 16), (256, 1), (256, 2),
                                       (256, 10**300)])
     def test_table_is_pow_per_trial(self, n, v):
-        table = _acceptance_table(n, v)
+        table = _acceptance(np.arange(n + 1), n, v)
         assert table.shape == (n + 1,) and table[n] == 1.0
         single = np.concatenate([(np.array([k]) / n) ** v for k in range(n + 1)])
         assert np.array_equal(table, single)
         # every k also first in its own array, so it meets each SIMD lane
         assert all(((np.arange(k, n + 1) / n) ** v)[0] == table[k] for k in range(n + 1))
         wins = rng_for(n, 8).integers(0, n + 1, size=4096)
-        assert np.array_equal(table[wins], (wins / n) ** v)
+        assert np.array_equal(table[wins], _acceptance(wins, n, v))
 
     def test_table_bound(self):
-        # a run reads the table while n + 1 <= _TABLE_MAX; above, pow per trial
+        # below _TABLE_MAX a run draws one histogram from chunk 0; from it,
+        # W per trial in chunks of _CHUNK; both rebuilt by hand
         for n in (_TABLE_MAX - 1, _TABLE_MAX):
-            cfg = ProtocolConfig(n=n, epsilon=1.0, t=0.0, trials=300, v_override=5_000,
-                                 seed=3)
-            rng = rng_for(3, 301, 0)
-            wins = IidBernoulli(0.9999).sample_wins(rng, n, 300)
-            ok = rng.random(300) < (wins / n) ** 5_000
-            stats = run_protocol(cfg, IidBernoulli(0.9999))
-            assert stats.successes == int(ok.sum())
+            cfg = ProtocolConfig(n=n, epsilon=1.0, t=0.0, trials=_CHUNK + 300,
+                                 v_override=5_000, seed=3)
+            model = IidBernoulli(0.9999)
+            assert chunk_count(cfg, model) == (1 if n + 1 <= _TABLE_MAX else 2)
+            assert stats_tuple(run_protocol(cfg, model)) == run_by_hand(cfg, model)
 
 
 class TestChecking:
@@ -465,58 +534,57 @@ class TestChecking:
         assert a.successes != c.successes
 
     def test_chunk_i_draws_from_rng_for(self):
-        # chunk generators come from rng_block; 258 chunks cross a derivation
-        # block.  Chunk i draws 4,096 win-count uniforms, looked up in the
-        # CDF table, then 4,096 inspection uniforms.
-        n, v, seed, w = 16, 3, 5, 0.9
-        cfg = ProtocolConfig(n=n, epsilon=1.0, t=2.0, trials=257 * 4096 + 7, v_override=v,
-                             seed=seed)
-        table = _binomial_table(n, w)[0]
-        successes = mostwin = 0
-        for i in range(chunk_count(cfg.trials)):
-            rng, size = rng_for(seed, 301, i), min(4096, cfg.trials - 4096 * i)
-            wins = np.searchsorted(table, rng.random(size), side="right")
-            ok = rng.random(size) < (wins / n) ** v
-            successes += int(ok.sum())
-            mostwin += int((ok & (wins >= cfg.win_threshold() - 1e-9)).sum())
-        assert chunk_count(cfg.trials) == 258
+        # past _TABLE_MAX, W is drawn per trial: chunk i draws its 4,096 trials
+        # from rng_for(seed, 301, i), and 258 chunks cross a derivation block
+        n, w = (1 << 63) - 1, 0.998
+        cfg = ProtocolConfig(n=n, epsilon=1.0, t=1.0, trials=257 * _CHUNK + 7, seed=5)
+        assert chunk_count(cfg, IidBernoulli(w)) == 258
         stats = run_protocol(cfg, IidBernoulli(w))
-        assert (stats.successes, stats.mostwin_successes) == (successes, mostwin)
+        assert stats_tuple(stats) == run_by_hand(cfg, IidBernoulli(w))
+        assert 0 < stats.successes < cfg.trials
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_chunks_mirror_per_trial_reference(self, variant):
-        # both variants, for an i.i.d. and a two-branch model, drawn per
-        # trial: W, then one inspection uniform per trial, then under
-        # projection one hash value per mismatched trial
-        n, v, seed, bits, q, m = 256, 2304, 4, 2, 0.99, 255
-        cfg = ProtocolConfig(n=n, epsilon=1.0, t=1.0, trials=3 * 4096 + 11, seed=seed,
+        # per trial past _TABLE_MAX: W, one acceptance uniform, and under
+        # projection one collision binomial per mismatched trial
+        n, v, seed, bits = _TABLE_MAX, 300, 4, 2
+        cfg = ProtocolConfig(n=n, epsilon=1.0, t=1.0, trials=3 * _CHUNK + 11, seed=seed,
                              variant=variant, v_override=v, hash_bits=bits)
-        iid_table = _binomial_table(n, 0.998)[0]
-        draws = {
-            "iid": (IidBernoulli(0.998), lambda rng, size: np.searchsorted(
-                iid_table, rng.random(size), side="right")),
-            "waop": (WinAllOrPartial(q, m / n),
-                     lambda rng, size: np.where(rng.random(size) < q, n, m)),
-        }
-        for model, wins_of in draws.values():
-            successes = mostwin = mismatches = mismatch_accepts = 0
-            for i in range(chunk_count(cfg.trials)):
-                rng, size = rng_for(seed, 301, i), min(4096, cfg.trials - 4096 * i)
-                wins = wins_of(rng, size)
-                ok = rng.random(size) < (wins / n) ** v
-                if variant == "projection":
-                    collide = rng.integers(0, 1 << bits, size=int((~ok).sum())) == 0
-                    ok[~ok] = collide
-                    mismatches += collide.size
-                    mismatch_accepts += int(collide.sum())
-                successes += int(ok.sum())
-                mostwin += int((ok & (wins >= cfg.win_threshold() - 1e-9)).sum())
-            stats = run_protocol(cfg, model)
-            assert (stats.successes, stats.mostwin_successes, stats.mismatch_trials,
-                    stats.mismatch_accepts) == (successes, mostwin, mismatches,
-                                                mismatch_accepts)
-            assert 0 < successes < cfg.trials
-            assert (mismatches > 0) == (variant == "projection")
+        model = IidBernoulli(0.998)
+        successes, _, mismatches, _ = want = run_by_hand(cfg, model)
+        assert stats_tuple(run_protocol(cfg, model)) == want
+        assert 0 < successes < cfg.trials
+        assert (mismatches > 0) == (variant == "projection")
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("model", [IidBernoulli(0.998), WinAllOrPartial(0.99, 255 / 256)],
+                             ids=["iid_bernoulli", "win_all_or_partial"])
+    def test_histogram_mirrors_reference(self, variant, model):
+        # one histogram of W from chunk 0, then the acceptances at each W and
+        # under projection the collisions, rebuilt draw by draw
+        cfg = ProtocolConfig(n=256, epsilon=1.0, t=1.0, trials=100_003, seed=4,
+                             variant=variant, v_override=2304, hash_bits=2)
+        assert chunk_count(cfg, model) == 1
+        successes, mostwin, mismatches, _ = want = run_by_hand(cfg, model)
+        assert stats_tuple(run_protocol(cfg, model)) == want
+        assert 0 < mostwin <= successes < cfg.trials
+        assert (mismatches > 0) == (variant == "projection")
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("model", [IidBernoulli(0.998), WinAllOrPartial(0.99, 255 / 256)],
+                             ids=["iid_bernoulli", "win_all_or_partial"])
+    def test_cost_does_not_grow_with_trials(self, variant, model):
+        # 10^12 trials take one histogram, not 2.4e8 chunks, and land within
+        # 5 SE (about 2.5e-6) of the exact acceptance
+        cfg = ProtocolConfig(n=256, epsilon=1.0, t=1.0, trials=10**12, seed=1,
+                             variant=variant)
+        t0 = time.perf_counter()
+        stats = run_protocol(cfg, model)
+        assert time.perf_counter() - t0 < 10.0
+        assert stats.trials_effective == 10**12
+        exact = exact_probabilities(cfg, model)[0]
+        se = math.sqrt(exact * (1 - exact) / cfg.trials)
+        assert abs(stats.p_succeed_hat - exact) <= 5 * se
 
     def test_variant_dispatch(self):
         cfg = ProtocolConfig(n=4, epsilon=1.0, t=0.0, trials=50, v_override=2)
@@ -552,11 +620,29 @@ class TestProjection:
         stats = run_protocol(cfg, IidBernoulli(0.0))
         assert stats.successes == 200
         assert stats.p_hash_accept_given_mismatch == 1.0
-        # the 0-bit draw is the general one: all zeros, and no state consumed
-        rng = rng_for(0, 301, 0)
-        state = rng.bit_generator.state
-        assert not rng.integers(0, 1 << 0, size=50).any()
-        assert rng.bit_generator.state == state
+        # the 0-bit draw is the general one: every mismatch collides
+        assert stats.mismatch_accepts == stats.mismatch_trials == 200
+
+    def test_projection_conditional_discrepancy_exact(self):
+        # the documented discrepancy, exactly: the projection variant's v
+        # (32/eps (t + log2(1/eps) + 9)) keeps the general threshold
+        # 1 - eps/256, and a two-branch model whose partial branch wins 254
+        # of 256 rounds is accepted after a loss often enough that P(most
+        # rounds won | accept) is 0.762798 there, against 0.99999999 in general
+        model, n = WinAllOrPartial(0.5, 254 / 256), 256
+        cond = {}
+        for variant in VARIANTS:
+            cfg = ProtocolConfig(n=n, epsilon=1.0, t=1.0, trials=1, variant=variant)
+            values, probs = model.win_distribution(n)
+            match = probs * _acceptance(values, n, cfg.resolved_v())
+            collide = 2.0 ** -cfg.resolved_hash_bits() if variant == "projection" else 0.0
+            accept = match + (probs - match) * collide
+            cond[variant] = accept[values >= cfg.win_threshold()].sum() / accept.sum()
+            assert guarantee_report(cfg, model, run_protocol(cfg, model)).applicable
+            assert cond[variant] == pytest.approx(exact_probabilities(cfg, model)[1], rel=1e-12)
+        threshold = 1 - 1 / 256
+        assert round(cond["projection"], 6) == 0.762798 < threshold
+        assert round(cond["general"], 8) == 0.99999999 >= threshold
 
     def test_report_notes_fixed_threshold(self):
         cfg = ProtocolConfig(n=6, epsilon=1.0, t=0.0, trials=200, v_override=2,
