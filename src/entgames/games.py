@@ -29,7 +29,7 @@ from .config import (
 )
 from .linalg import dagger, hermitian_eig, hermitianize
 from .qinfo import PureState
-from .random_states import haar_state, haar_unitaries, projectives, rng_block, unitary_draw
+from .random_states import haar_unitaries, projectives, rng_block
 
 _STREAM_SEESAW = 101
 _IMPROVE_TOL = 1e-12    # a see-saw restart stops at the first step that gains less
@@ -341,29 +341,36 @@ def _lockstep(weights: np.ndarray, cur: np.ndarray, alice: np.ndarray, bob: np.n
 
     cur holds (R, d, d) states, alice and bob (R, k, l, d, d) measurements.
     Each step advances the restarts still active, indexed by act, through one
-    Alice, Bob and state update on their stacks.  A restart leaves the set
-    when its value rose by less than _IMPROVE_TOL, so its trace and final
-    strategy are those of running it alone.  Returns the traces and the
-    number of steps.
+    Alice, Bob and state update on their stacks (st, a, b), which hold only
+    the active rows.  A restart leaves the set when its value rose by less
+    than _IMPROVE_TOL, so its trace and final strategy are those of running
+    it alone; its rows are written back to (cur, alice, bob) as it leaves,
+    and the rows still active once the steps run out at the end.  Returns
+    the traces and the number of steps.
     """
     traces: list[list[float]] = [[] for _ in range(alice.shape[0])]
     prev = np.full(alice.shape[0], -np.inf)
     act = np.arange(alice.shape[0])
+    st, a, b = cur, alice, bob
     for step in range(1, iters + 1):
-        st = cur[act]
-        a = _update_measurements(alice[act], _alice_payoffs(weights, bob[act], st))
-        b = _update_measurements(bob[act], _bob_payoffs(weights, a, st))
+        a = _update_measurements(a, _alice_payoffs(weights, b, st))
+        b = _update_measurements(b, _bob_payoffs(weights, a, st))
         w, v = hermitian_eig(_payoff_operator(weights, a, b))
         val = w[:, -1]
-        cur[act] = v[:, :, -1].reshape(st.shape)
-        alice[act], bob[act] = a, b
-        for r, v_r in zip(act, val):
-            traces[r].append(float(v_r))
-        keep = val - prev[act] >= _IMPROVE_TOL
-        prev[act] = val
-        act = act[keep]
+        # contiguous, as gathered rows are: a strided operand may leave BLAS
+        # for numpy's own matmul loop, which sums in another order
+        st = np.ascontiguousarray(v[:, :, -1]).reshape(st.shape)
+        for r, v_r in zip(act.tolist(), val.tolist()):
+            traces[r].append(v_r)
+        keep = val - prev >= _IMPROVE_TOL
+        if not keep.all():
+            done = act[~keep]
+            cur[done], alice[done], bob[done] = st[~keep], a[~keep], b[~keep]
+            act, st, a, b, val = act[keep], st[keep], a[keep], b[keep], val[keep]
+        prev = val
         if act.size == 0:
             break
+    cur[act], alice[act], bob[act] = st, a, b
     return traces, step
 
 
@@ -371,20 +378,24 @@ def _draw_starts(g: Game, d: int, restarts: int, seed: int):
     """Start points of the see-saw restarts at local dimension d: (states, alice, bob).
 
     Restart r draws from rng_for(seed, _STREAM_SEESAW, r) (derived through
-    rng_block): a Haar state, then the raw draws of Alice's and Bob's
-    measurements, input by input.  Each player's measurements of every
-    restart are then built with one stacked QR, draw for draw equal to
+    rng_block, one by one for fewer than _RNG_VECTOR_MIN restarts) one row of
+    Gaussians in one call: a Haar state's real and imaginary parts, then the
+    raw draws of Alice's and Bob's measurements, input by input, the numbers
+    of haar_state and two unitary_draw calls.  Each state is normalized on
+    its own, as haar_state does, and each player's measurements of every
+    restart are built with one stacked QR, draw for draw equal to
     random_projective.  states is (R, d, d); alice and bob are (R, k, l, d, d).
     """
-    cur = np.zeros((restarts, d, d), dtype=complex)
-    draw_a = np.zeros((restarts, g.k, 2, d, d))
-    draw_b = np.zeros((restarts, g.k, 2, d, d))
-    for r, rng in enumerate(rng_block(seed, _STREAM_SEESAW, trials=range(restarts))):
-        cur[r] = haar_state(rng, d * d).reshape(d, d)
-        draw_a[r] = unitary_draw(rng, d, g.k)
-        draw_b[r] = unitary_draw(rng, d, g.k)
-    return (cur, projectives(haar_unitaries(draw_a), g.l),
-            projectives(haar_unitaries(draw_b), g.l))
+    dd = d * d
+    rows = np.empty((restarts, 2 * dd * (1 + 2 * g.k)))
+    for row, rng in zip(rows, rng_block(seed, _STREAM_SEESAW, trials=range(restarts))):
+        rng.standard_normal(out=row)
+    cur = rows[:, :dd] + 1j * rows[:, dd:2 * dd]
+    for psi in cur:
+        psi /= np.linalg.norm(psi)
+    draws = rows[:, 2 * dd:].reshape(restarts, 2, g.k, 2, d, d)
+    return (cur.reshape(restarts, d, d), projectives(haar_unitaries(draws[:, 0]), g.l),
+            projectives(haar_unitaries(draws[:, 1]), g.l))
 
 
 def _seesaw_restarts(g: Game, d: int, restarts: int, iters: int, seed: int):

@@ -6,11 +6,15 @@ numpy SeedSequence.  Identical paths give identical streams; distinct paths
 are statistically independent.  This is the package-wide splittable-counter
 scheme, so results are reproducible from (seed, documented stream ids) alone.
 
-rng_block derives the same generators for a run of consecutive trial indices
-at once: numpy's SeedSequence mixing runs vectorized over the block's paths,
-PCG64's seeding step on Python ints, and one reused Generator takes each
-trial's state in turn.  It is draw for draw equal to rng_for, which stays the
-replay entry point.
+rng_block derives the same generators for a run of trial indices, a block
+of _RNG_BLOCK at a time.  A block of at least _RNG_VECTOR_MIN one-word
+indices is derived at once: numpy's SeedSequence mixing runs vectorized over
+the block's paths, PCG64's seeding step on Python ints, and one reused
+Generator takes each trial's state in turn.  A shorter block (a see-saw's
+few restarts, a run's one chunk generator, the tail of a longer run), where
+that set-up costs more than it saves, or one holding a larger index is
+derived one by one through rng_for.  Either way it is draw for draw equal to
+rng_for, which stays the replay entry point.
 
 bounded_draws rebuilds rng.integers draw for draw from the generator's raw
 words, at a fraction of the cost of an integers call.  Like numpy it keeps
@@ -53,6 +57,7 @@ _M32 = 0xFFFFFFFF
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _M128 = (1 << 128) - 1
 _RNG_BLOCK = 256    # trial indices derived per vectorized pass; bounds memory
+_RNG_VECTOR_MIN = 12    # shorter blocks take rng_for, which is cheaper there
 
 
 def rng_for(*path: int) -> np.random.Generator:
@@ -130,20 +135,22 @@ def _pcg64_states(entropy: np.ndarray) -> Iterator[tuple[int, int]]:
 def rng_block(*prefix: int, trials: Iterable[int]) -> Iterator[np.random.Generator]:
     """rng_for(*prefix, t) for each t in trials, derived _RNG_BLOCK at a time.
 
-    Yields one Generator, reused: its state is set for each trial in turn, so
-    a trial must finish drawing before the next one is taken.  A block that
-    holds an index outside one SeedSequence word yields a fresh rng_for
+    A block of _RNG_VECTOR_MIN or more indices, all within one SeedSequence
+    word, yields one Generator, reused: its state is set for each trial in
+    turn, so a trial must finish drawing before the next one is taken.  A
+    shorter block, or one that holds a larger index, yields a fresh rng_for
     generator for each of its trials instead.
     """
     head = [w for p in prefix for w in _words(p)]
-    rng = np.random.Generator(np.random.PCG64(0))
+    rng = None     # made at the first vectorized block; seeding it costs an rng_for
     pcg = {"state": 0, "inc": 0}
     state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     trials = iter(trials)
     while block := list(itertools.islice(trials, _RNG_BLOCK)):
-        if min(block) < 0 or max(block) > _M32:
+        if len(block) < _RNG_VECTOR_MIN or min(block) < 0 or max(block) > _M32:
             yield from (rng_for(*prefix, t) for t in block)
             continue
+        rng = rng or np.random.Generator(np.random.PCG64(0))
         entropy = np.empty((len(block), len(head) + 1), dtype=np.uint32)
         entropy[:, :-1] = head
         entropy[:, -1] = block

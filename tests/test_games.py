@@ -35,7 +35,8 @@ from entgames.games import (
 )
 from entgames.linalg import hermitian_eig, hermitianize
 from entgames.qinfo import PureState
-from entgames.random_states import haar_state, random_projective, rng_for
+from entgames.random_states import (haar_state, haar_unitaries, projectives, random_projective,
+                                    rng_for, unitary_draw)
 
 from conftest import count_solves, write_game
 
@@ -605,6 +606,24 @@ class TestStartDraws:
             zero = ~meas.any(axis=(-2, -1))
             assert (zero.sum(axis=-1) == max(l - d, 0)).all()
 
+    @pytest.mark.parametrize("g, d, restarts", [
+        pytest.param(chsh(), 2, 8, id="chsh-d2"),
+        pytest.param(repeat(chsh(), 2), 4, 20, id="chsh2-d4"),
+        pytest.param(chsh3(), 3, 13, id="chsh3-d3"),
+        pytest.param(chsh(), 1, 8, id="chsh-d1"),
+    ])
+    def test_starts_equal_per_restart_reference(self, g, d, restarts):
+        # one Gaussian row per restart, built on the stack, against each
+        # restart drawn and built alone: fewer and more restarts than
+        # _RNG_VECTOR_MIN take the two derivation paths of rng_block
+        cur, alice, bob = _draw_starts(g, d, restarts, 0)
+        for r in range(restarts):
+            rng = rng_for(0, _STREAM_SEESAW, r)
+            assert np.array_equal(cur[r], haar_state(rng, d * d).reshape(d, d))
+            for meas in (alice, bob):
+                want = projectives(haar_unitaries(unitary_draw(rng, d, g.k)), g.l)
+                assert np.array_equal(meas[r], want)
+
 
 class TestLockstep:
     """The lockstep restarts reproduce the per-restart loop, restart by restart."""
@@ -631,6 +650,22 @@ class TestLockstep:
         r20 = entangled_value_seesaw(chsh(), d=2, restarts=20, iters=100, seed=3)
         r5 = entangled_value_seesaw(chsh(), d=2, restarts=5, iters=100, seed=3)
         assert r20.traces[:5] == r5.traces
+
+    @pytest.mark.parametrize("iters", [200, 5])
+    def test_every_restart_is_written_back(self, iters):
+        # the final strategies of restarts 0-4 do not depend on the 15 beside
+        # them, and each restart's rows hold the strategy of its last step,
+        # whether it stopped (200 iterations) or ran out of steps (5)
+        g = repeat(chsh(), 2)
+        traces, *final = _seesaw_restarts(g, 4, 20, iters, 0)[:4]
+        alone = _seesaw_restarts(g, 4, 5, iters, 0)[1:4]
+        for got, want in zip(final, alone):
+            assert np.array_equal(got[:5], want)
+        assert any(len(t) == iters for t in traces) == (iters == 5)
+        for r, trace in enumerate(traces):
+            state = PureState(final[0][r].reshape(-1), (4, 4))
+            strategy = QuantumStrategy(state, final[1][r], final[2][r])
+            assert abs(strategy_win_probability(g, strategy) - trace[-1]) <= 1e-12
 
     def test_state_groups_count_payoff_operator(self, monkeypatch):
         # CHSH3 at d = 3: the (R, 9, 9) payoff operator, 81 entries per

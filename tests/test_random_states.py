@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
+from entgames import random_states
+from entgames.checks import CheckSpec, run_check
+from entgames.games import chsh, entangled_value_seesaw
+from entgames.protocol import IidBernoulli, ProtocolConfig, WinAllOrPartial, run_protocol
 from entgames.random_states import (
     _RNG_BLOCK,
+    _RNG_VECTOR_MIN,
     bounded_draws,
     classical_states,
     gram,
@@ -76,12 +81,72 @@ class TestRngBlock:
     def test_empty(self):
         assert list(rng_block(0, 201, 1, trials=range(0))) == []
 
+    @pytest.mark.parametrize("trials, generators", [
+        pytest.param(range(0), 0, id="empty"),
+        pytest.param(range(1), 1, id="one"),
+        pytest.param(range(_RNG_VECTOR_MIN - 1), _RNG_VECTOR_MIN - 1, id="one-short"),
+        pytest.param(range(_RNG_VECTOR_MIN), 1, id="at-bound"),
+        pytest.param(range(_RNG_VECTOR_MIN + 1), 1, id="one-over"),
+        # a full block, then a tail one short of the bound or at it
+        pytest.param(range(_RNG_BLOCK + _RNG_VECTOR_MIN - 1), _RNG_VECTOR_MIN, id="tail-short"),
+        pytest.param(range(_RNG_BLOCK + _RNG_VECTOR_MIN), 1, id="tail-at-bound"),
+        # a short block holding indices past one SeedSequence word
+        pytest.param([3, 2**32 + 7, 2**64 + 1], 3, id="large-indices"),
+    ])
+    def test_both_sides_of_the_short_block_bound(self, trials, generators):
+        # a block shorter than _RNG_VECTOR_MIN yields a fresh rng_for
+        # generator per trial, a longer one a single reused generator; both
+        # give rng_for's draws and hold no buffered half-word (bounded_draws'
+        # precondition)
+        seen = []
+        for t, rng in zip(trials, rng_block(4, 301, trials=trials)):
+            assert rng.bit_generator.state["has_uint32"] == 0
+            for a, b in zip(_draws(rng), _draws(rng_for(4, 301, t))):
+                assert np.array_equal(a, b), t
+            seen.append(rng)
+        assert len(seen) == len(trials)
+        assert len({id(rng) for rng in seen}) == generators
+
     @pytest.mark.parametrize("prefix, trials", [((0, -1), range(2)), ((0,), [3, -2])])
     def test_negative_entry_raises(self, prefix, trials):
         with pytest.raises(ValueError):
             rng_for(*prefix, -1)
         with pytest.raises(ValueError):
             list(rng_block(*prefix, trials=trials))
+
+
+class TestDerivationCost:
+    """Vectorized derivation passes (_pcg64_states calls) a run makes: a cost
+    pin, not a timing.  A run that needs fewer than _RNG_VECTOR_MIN
+    generators derives them one by one and makes none."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch) -> list[int]:
+        calls = [0]
+        derive = random_states._pcg64_states
+
+        def counted(entropy):
+            calls[0] += 1
+            return derive(entropy)
+        monkeypatch.setattr(random_states, "_pcg64_states", counted)
+        return calls
+
+    @pytest.mark.parametrize("variant", ["general", "projection"])
+    def test_histogram_simulate_run_makes_none(self, passes, variant):
+        cfg = ProtocolConfig(n=256, epsilon=1.0, t=1.0, trials=20_000, variant=variant)
+        for model in (IidBernoulli(0.998), WinAllOrPartial(0.99, 255 / 256)):
+            assert run_protocol(cfg, model).successes > 0
+        assert passes == [0]
+
+    @pytest.mark.parametrize("restarts, want", [(8, 0), (20, 1)])
+    def test_seesaw(self, passes, restarts, want):
+        entangled_value_seesaw(chsh(), 2, restarts, 60, seed=0)
+        assert passes == [want]
+
+    def test_verify_one_check(self, passes):
+        # 1,000 trials: three full blocks and a 232-trial one
+        assert run_check(CheckSpec("weak_triangle", trials=1000)).trials_run == 1000
+        assert passes == [4]
 
 
 class TestStackedConstruction:
