@@ -2,7 +2,7 @@
 
 Subcommands: value, repeat, verify, simulate, sic.  Each loads and validates
 its input, computes and builds its report; _finish writes every run's output
-directory (default out/<command>/<timestamp>-<seed>/): report.json, the
+directory (--out, or a new out/<command>/<timestamp>-<seed>[-n]/): report.json, the
 command's other files, and manifest.json (command, config echo, seed,
 version, environment (cores, numpy, BLAS), wall time, output files, the
 phase timings load_s, compute_s and write_s, and the command's own counters).
@@ -52,11 +52,17 @@ def _fresh_seed() -> int:
 
 
 def _out_path(args, seed) -> Path:
-    """--out, or out/<command>/<timestamp>-<seed>/ (seed 0 for a run without one)."""
+    """--out, or out/<command>/<timestamp>-<seed>/ (seed 0 for a run without one)
+    with -1, -2, ... added while that name exists: _finish creates a default
+    directory only if it is new, so two runs in one second do not share one."""
     if args.out is not None:
         return Path(args.out)
-    stamp = time.strftime("%Y%m%d-%H%M%S")
-    return Path("out") / args.command / f"{stamp}-{0 if seed is None else seed}"
+    out = base = Path("out") / args.command / f"{time.strftime('%Y%m%d-%H%M%S')}-{seed or 0}"
+    n = 0
+    while out.exists():
+        n += 1
+        out = base.with_name(f"{base.name}-{n}")
+    return out
 
 
 @functools.cache
@@ -69,13 +75,14 @@ def _environment() -> dict:
 
 def _finish(args, out: Path, config: dict, seed, clocks: tuple[float, float],
             files: dict[str, str], code: int = 0, **extra) -> int:
-    """Create out and write files (name -> text, report.json first) and the
-    manifest there; return code.  clocks are the run's start and the end of its
-    load phase.  A directory or file that cannot be written is a ValueError."""
+    """Create out (a default one must be new) and write files (name -> text,
+    report.json first) and the manifest there; return code.  clocks are the
+    run's start and the end of its load phase.  A directory or file that
+    cannot be written is a ValueError."""
     t0, t_load = clocks
     t_write = time.perf_counter()
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=args.out is not None)
         for name, text in files.items():
             (out / name).write_text(text)
         timings = {"load_s": t_load - t0, "compute_s": t_write - t_load,

@@ -15,8 +15,8 @@ was built, so a caller solves and checks a state once for several quantities.
 fidelity_from_factor takes F from any factor of rho, with no matrix root, and
 fidelity_from_factors from a factor of each state, with no state matrix.
 A POVM is a (..., n, d, d) stack of n elements.
-purification_matrix is the one purification, used by purify, uhlmann_partner
-and sic's decoupling.  Tolerances are the fixed config.DEFAULT_TOLS.
+purification_matrix is the one purification, used by purify and
+uhlmann_partner.  Tolerances are the fixed config.DEFAULT_TOLS.
 """
 
 from __future__ import annotations
@@ -231,20 +231,22 @@ def _split_matrix(psi: PureState, system: Iterable[int]) -> tuple[np.ndarray, li
     return t.reshape(d_sys, -1), sys_pos, anc_pos
 
 
-def max_overlap_isometry(target: np.ndarray, source: np.ndarray) -> tuple[np.ndarray, float]:
+def max_overlap_isometry(target: np.ndarray,
+                         source: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     """Isometry U on the ancilla maximizing Re <target| (I (x) U) |source>.
 
-    target/source are (d_system x d_ancilla) amplitude matrices.  The achieved
-    overlap equals F of the two reduced states on the system side.  Requires
-    target ancilla dimension >= source ancilla dimension.
+    target/source are (d_system x d_ancilla) amplitude matrices, or stacks of
+    them that broadcast, with one isometry and overlap per slice from one SVD
+    call.  The achieved overlap equals F of the two reduced states on the
+    system side.  Requires target ancilla dimension >= source ancilla dimension.
     """
-    d_t, d_s = target.shape[1], source.shape[1]
+    d_t, d_s = target.shape[-1], source.shape[-1]
     if d_t < d_s:
         raise ValueError("target ancilla is smaller than source ancilla")
-    b = source.T @ target.conj()          # d_s x d_t
+    b = source.swapaxes(-1, -2) @ target.conj()         # (..., d_s, d_t)
     ub, sv, vbh = np.linalg.svd(b, full_matrices=False)
-    u = vbh.conj().T @ ub.conj().T        # d_t x d_s isometry
-    return u, float(sv.sum())
+    u = dagger(vbh) @ dagger(ub)                        # (..., d_t, d_s) isometries
+    return u, _value(sv.sum(axis=-1))
 
 
 def uhlmann_partner(rho, sigma, phi: PureState, system: Iterable[int]) -> PureState:

@@ -8,8 +8,10 @@ register dephased.  For product input distributions, build_decoupling
 constructs per-input isometries (Alice's U_x on A, Bob's V_y on B) that push
 the state toward a product across the (inputs : work registers) cut, with
 fidelity defects controlled by 9*delta and 81*delta.
-All of it is computed from the (x, a, b, y) amplitude tensor; no density
-matrix of a full state is formed.
+All of it is computed from the (x, a, b, y) amplitude tensor: the (XA x BY)
+amplitude matrix of |Omega> is the reference purification of both average
+states, and every spectrum is a set of squared singular values, so no density
+matrix is formed or solved.
 """
 
 from __future__ import annotations
@@ -22,14 +24,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLS, _field, _integer, _table
 from .games import check_distribution, is_product
-from .linalg import psd_eigvalsh
-from .qinfo import (
-    PureState,
-    clip_fidelity,
-    entropy_of_spectrum,
-    max_overlap_isometry,
-    purification_matrix,
-)
+from .qinfo import PureState, clip_fidelity, entropy_of_spectrum, max_overlap_isometry
 
 
 @dataclass(frozen=True)
@@ -47,7 +42,8 @@ class SuperposedState:
         whose states are each normalized, also on pairs of probability zero.
 
         The reduced (X, Y) diagonal is p_xy times each state's squared norm, so
-        the norm check bounds its distance from p too.
+        the norm check bounds its distance from p too.  Entries of p that
+        check_distribution lets through as rounded negatives weigh 0.
         """
         p = np.asarray(p, dtype=float)
         k = p.shape[0]
@@ -60,7 +56,7 @@ class SuperposedState:
         norms = np.linalg.norm(adv.reshape(k, k, -1), axis=2)
         if np.abs(norms - 1.0).max() > DEFAULT_TOLS.norm:
             raise ValueError("advice states must be normalized")
-        amps = np.sqrt(p)[:, None, None, :] * adv.transpose(0, 2, 3, 1)
+        amps = np.sqrt(np.maximum(p, 0.0))[:, None, None, :] * adv.transpose(0, 2, 3, 1)
         state = PureState(amps.reshape(-1), (k, *adv.shape[2:], k))
         return cls(p, adv, state)
 
@@ -151,26 +147,21 @@ def pure_product_fidelity(m: np.ndarray) -> float:
     """F(|psi><psi|, rho_S (x) rho_R) for the pure psi with (S x R) amplitude matrix m.
 
     For pure psi, F^2 = <psi|rho_S (x) rho_R|psi>; in psi's Schmidt basis this
-    is sum(lambda^3) over the Schmidt weights lambda, which are the spectrum of
-    rho_S = m m^dag, so the smaller side belongs in the rows.  No density
-    matrix of psi itself is formed.  rho_S is checked Hermitian and PSD, and
-    the result goes through qinfo.clip_fidelity, as in qinfo.fidelity.
+    is sum(lambda^3) over the Schmidt weights lambda, the squared singular
+    values of m.  No density matrix is formed, so none is checked; the caller
+    checks psi (a PureState), and the result goes through
+    qinfo.clip_fidelity, as in qinfo.fidelity.
     """
-    w = psd_eigvalsh(m @ m.conj().T)
-    return clip_fidelity(math.sqrt(max(float((w ** 3).sum()), 0.0)))
+    w = np.linalg.svd(m, compute_uv=False) ** 2
+    return clip_fidelity(math.sqrt(float((w ** 3).sum())))
 
 
-def _polar_isometries(rho_plus: np.ndarray, conds: np.ndarray, px: np.ndarray) -> np.ndarray:
-    """Maximal-overlap isometries from each conditional conds[x] (system x ancilla,
-    weight px[x]) onto the purification of rho_plus on a k times larger ancilla."""
-    k, _, d = conds.shape
-    m_phi = purification_matrix(rho_plus, k * d)
-    iso = np.zeros((k, k * d, d), dtype=complex)
-    for x in range(k):
-        if px[x] <= 1e-15:                              # weightless (or rounded-negative)
-            iso[x] = np.eye(k * d, d)                   # input: any isometry
-        else:
-            iso[x], _ = max_overlap_isometry(m_phi, conds[x] / math.sqrt(px[x]))
+def _polar_isometries(px: np.ndarray, ref: np.ndarray, conds: np.ndarray) -> np.ndarray:
+    """One stacked polar solve: maximal-overlap isometries from each conditional conds[x]
+    (system x ancilla, weight px[x], of any scale) onto ref, a purification of their sum on
+    a k times larger ancilla.  A weightless (or rounded-negative) input keeps the identity."""
+    iso, _ = max_overlap_isometry(ref, conds)
+    iso[px <= 1e-15] = np.eye(*iso.shape[1:])
     return iso
 
 
@@ -179,11 +170,12 @@ def build_decoupling(omega: SuperposedState) -> DecouplingResult:
 
     For each x, U_x is the maximal-overlap (polar construction) isometry
     between the purification of the BY-conditional state rho_x carried by the
-    ancilla A, and a fixed canonical purification of the average rho_+ on a
-    larger ancilla A'.  Bob's V_y mirror this on the other side.  The reported
-    defects satisfy fbar_alice <= 9*I(X:BY) and fbar_out <= 81*delta_in up to
-    numerical slack.  Everything is computed from the amplitude tensor; the
-    defects come from pure_product_fidelity.
+    ancilla A, and the purification of the average rho_+ carried by A' = XA:
+    |Omega>'s own amplitude matrix t, read as (BY x XA).  Bob's V_y mirror
+    this with t as (XA x BY) and B' = BY.  Any other purification on A' or B'
+    changes the isometries by a fixed unitary there and no defect.  The
+    reported defects satisfy fbar_alice <= 9*I(X:BY) and fbar_out <=
+    81*delta_in up to numerical slack; they come from pure_product_fidelity.
     """
     p = omega.p
     k = omega.k
@@ -191,26 +183,23 @@ def build_decoupling(omega: SuperposedState) -> DecouplingResult:
         raise ValueError("decoupling construction requires a product input distribution")
 
     da, db = omega.dims()
-    da2, db2 = da * k, db * k
     delta_x, delta_y = sic_terms(omega)
 
     omega_t = omega.state.tensor()                      # [x, a, b, y]
     t = omega_t.reshape(k * da, db * k)                 # (X, A) x (B, Y)
 
-    # Alice side: conditionals on (B, Y) given x, average rho_+ on (B, Y).
-    u_list = _polar_isometries(t.T @ t.conj(),
-                               omega_t.transpose(0, 2, 3, 1).reshape(k, db * k, da), p.sum(axis=1))
+    # Alice side: conditionals on (B, Y) given x, purified by A, onto t^T on A'.
+    u_list = _polar_isometries(p.sum(axis=1), t.T, omega_t.transpose(0, 2, 3, 1).reshape(k, -1, da))
 
     omega1_t = np.einsum("xpa,xaby->xpby", u_list, omega_t)
-    omega1 = PureState(omega1_t.reshape(-1), (k, da2, db, k))
+    omega1 = PureState(omega1_t.reshape(-1), (k, k * da, db, k))
     fbar_alice = 1.0 - pure_product_fidelity(omega1_t.reshape(k, -1))   # X : A'BY
 
-    # Bob side: conditionals on (X, A) given y, average on (X, A).
-    v_list = _polar_isometries(t @ t.conj().T,
-                               omega_t.transpose(3, 0, 1, 2).reshape(k, k * da, db), p.sum(axis=0))
+    # Bob side: conditionals on (X, A) given y, purified by B, onto t on B'.
+    v_list = _polar_isometries(p.sum(axis=0), t, omega_t.transpose(3, 0, 1, 2).reshape(k, -1, db))
 
     omega3_t = np.einsum("yqb,xpby->xpqy", v_list, omega1_t)
-    omega3 = PureState(omega3_t.reshape(-1), (k, da2, db2, k))
+    omega3 = PureState(omega3_t.reshape(-1), (k, k * da, k * db, k))
     fbar_out = 1.0 - pure_product_fidelity(                               # XY : A'B'
         omega3_t.transpose(0, 3, 1, 2).reshape(k * k, -1))
 

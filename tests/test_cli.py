@@ -769,6 +769,20 @@ class TestSic:
         assert f"{field!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", [[], ["--decouple"]])
+    def test_rounded_negative_p_entry_weighs_zero(self, tmp_path, capsys, flag):
+        # check_distribution accepts entries down to -1e-15; their square root
+        # used to be nan, reported as "amplitudes have non-finite entries"
+        doc = json.loads(constant_spec(tmp_path).read_text())
+        spec = tmp_path / "rounded.json"
+        for low, code in ((-1e-16, 0), (-2e-15, 2)):
+            doc["p"] = [[0.5, 0.5 - low], [low, 0.0]]
+            spec.write_text(json.dumps(doc))
+            out = tmp_path / f"out{code}"
+            assert main(["sic", str(spec), *flag, "--out", str(out)]) == code
+            assert out.exists() == (code == 0)
+        assert "error: p has negative entries" in capsys.readouterr().err
+
     def test_non_object_spec_is_input_error(self, tmp_path, capsys):
         spec = tmp_path / "list.json"
         spec.write_text("[1, 2]")
@@ -861,6 +875,38 @@ def test_deeply_nested_json_names_the_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: invalid JSON in {path}: maximum recursion depth")
     assert not (tmp_path / "out").exists()
+
+
+def test_default_out_is_a_new_directory(tmp_path, monkeypatch, capsys):
+    # runs of one command with one seed in one second used to share
+    # out/<command>/<stamp>-<seed>/, so the last report sat next to the
+    # files of the runs before it
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli.time, "strftime", lambda fmt: "20260101-000000")
+    game, spec = write_chsh(tmp_path), str(constant_spec(tmp_path))
+    assert main(["verify", "--filter", "cool_product", "--trials", "1000", "--seed", "0"]) == 1
+    assert main(["verify", "--filter", "fact_sum", "--trials", "10", "--seed", "0"]) == 0
+    for _ in range(3):
+        assert main(["sic", spec]) == 0
+    for _ in range(2):
+        assert main(["repeat", str(game), "--n", "2"]) == 0
+    runs = {c: sorted(p.name for p in (tmp_path / "out" / c).iterdir())
+            for c in ("verify", "sic", "repeat")}
+    stamp = "20260101-000000-0"
+    assert runs == {"verify": [stamp, f"{stamp}-1"],
+                    "sic": [stamp, f"{stamp}-1", f"{stamp}-2"],
+                    "repeat": [stamp, f"{stamp}-1"]}
+    verify = tmp_path / "out" / "verify"
+    assert [r["name"] for r in json.loads((verify / stamp / "report.json").read_text())] \
+        == ["cool_product"]
+    assert sorted(p.name for p in (verify / f"{stamp}-1").iterdir()) \
+        == ["manifest.json", "report.csv", "report.json"]
+    assert f"wrote {Path('out', 'repeat', f'{stamp}-1', 'game.json')} " in capsys.readouterr().out
+    # an explicit --out is written into again, as before
+    out = tmp_path / "given"
+    for _ in range(2):
+        assert main(["sic", spec, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "report.json"]
 
 
 @pytest.mark.parametrize("command", ["value", "verify"])

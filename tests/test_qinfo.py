@@ -18,6 +18,7 @@ from entgames.qinfo import (
     fidelity,
     fidelity_from_factor,
     fidelity_from_factors,
+    max_overlap_isometry,
     min_relative_entropy,
     mutual_information,
     povm_outcome_bound,
@@ -272,6 +273,22 @@ class TestUhlmann:
         first = uhlmann_partner(r, s, PureState(m_phi.reshape(-1), (3, 8)), [0])
         assert_allclose(first.amplitudes.reshape(3, 2, 4).transpose(1, 0, 2).reshape(-1),
                         psi.amplitudes, atol=1e-12)
+
+    def test_stacked_isometries_match_each_slice(self, rng):
+        # a stack of sources, against one target or a stack of targets, gives
+        # each slice's isometry and overlap bit for bit, from one SVD call; the
+        # target is also taken as a transposed view, as sic's decoupling does
+        m = purification_matrix(random_mixed(rng, 4), 6) @ haar_unitary(rng, 6)
+        sources = np.stack([haar_state(rng, 12).reshape(4, 3) for _ in range(3)])
+        for target in (m, np.ascontiguousarray(m.T).T, np.stack([m, m.conj(), -m])):
+            u, overlaps = max_overlap_isometry(target, sources)
+            assert u.shape == (3, 6, 3) and overlaps.shape == (3,)
+            for i in range(3):
+                ui, ov = max_overlap_isometry(target if target.ndim == 2 else target[i],
+                                              sources[i])
+                assert np.array_equal(u[i], ui) and overlaps[i] == ov
+                assert abs(ov - fidelity(gram(target if target.ndim == 2 else target[i]),
+                                         gram(sources[i]))) <= 1e-9
 
     @pytest.mark.parametrize("system, match", [
         ([], "both sides"), ([0, 1], "both sides"), ([2], "outside"),

@@ -6,9 +6,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 from entgames.cli import main
-from entgames.linalg import kron, partial_trace_matrix
-from entgames.qinfo import fidelity, von_neumann_entropy
-from entgames.random_states import haar_state, rng_for
+from entgames.linalg import kron, partial_trace_matrix, psd_eigvalsh
+from entgames.qinfo import (
+    clip_fidelity,
+    fidelity,
+    max_overlap_isometry,
+    purification_matrix,
+    von_neumann_entropy,
+)
+from entgames.random_states import haar_state, haar_unitary, rng_for
 from entgames.sic import (
     SuperposedState,
     build_decoupling,
@@ -20,6 +26,8 @@ from entgames.sic import (
     sic_terms,
     special_case_report,
 )
+
+from conftest import count_solves
 
 UNIFORM2 = np.full((2, 2), 0.25)
 
@@ -51,6 +59,48 @@ def random_product_instance(rng, k: int = 2, da: int = 2, db: int = 2) -> Superp
     px = rng.dirichlet(np.ones(k))
     py = rng.dirichlet(np.ones(k))
     return SuperposedState.build(np.outer(px, py), haar_advice(rng, k, da, db))
+
+
+def rotated(om: SuperposedState, seed: int = 64) -> SuperposedState:
+    """om with every advice state rotated by one fixed Haar unitary on A and one on B."""
+    da, db = om.dims()
+    ua, ub = haar_unitary(rng_for(seed, da), da), haar_unitary(rng_for(seed + 1, db), db)
+    return SuperposedState.build(om.p, np.einsum("ia,xyab,jb->xyij", ua, om.advice, ub))
+
+
+def reference_decoupling(om: SuperposedState) -> tuple[float, float]:
+    """(fbar_alice, fbar_out) of the construction on canonical purifications:
+    purification_matrix of each average state, one max_overlap_isometry per
+    input on its normalized conditional, and each defect from the eigenvalues
+    of the reduced state on the inputs.  build_decoupling's purifications
+    differ from these by a fixed unitary on A' and on B', which moves no
+    defect."""
+    k, (da, db) = om.k, om.dims()
+    t4 = om.state.tensor()                              # [x, a, b, y]
+    t = t4.reshape(k * da, db * k)
+
+    def isometries(rho_plus, conds, px):
+        d = conds.shape[2]
+        m_phi = purification_matrix(rho_plus, k * d)
+        iso = np.zeros((k, k * d, d), dtype=complex)
+        for x in range(k):
+            if px[x] <= 1e-15:
+                iso[x] = np.eye(k * d, d)
+            else:
+                iso[x], _ = max_overlap_isometry(m_phi, conds[x] / math.sqrt(px[x]))
+        return iso
+
+    def defect(m):
+        w = psd_eigvalsh(m @ m.conj().T)
+        return 1.0 - clip_fidelity(math.sqrt(max(float((w ** 3).sum()), 0.0)))
+
+    u = isometries(t.T @ t.conj(), t4.transpose(0, 2, 3, 1).reshape(k, db * k, da),
+                   om.p.sum(axis=1))
+    t1 = np.einsum("xpa,xaby->xpby", u, t4)
+    v = isometries(t @ t.conj().T, t4.transpose(3, 0, 1, 2).reshape(k, k * da, db),
+                   om.p.sum(axis=0))
+    t3 = np.einsum("yqb,xpby->xpqy", v, t1)
+    return defect(t1.reshape(k, -1)), defect(t3.transpose(0, 3, 1, 2).reshape(k * k, -1))
 
 
 class TestSuperposedState:
@@ -179,10 +229,36 @@ class TestDecoupling:
         assert_allclose(np.linalg.norm(res.state_alice.amplitudes), 1.0, atol=1e-9)
         assert_allclose(np.linalg.norm(res.state_out.amplitudes), 1.0, atol=1e-9)
 
+    def test_weightless_inputs_keep_the_identity(self):
+        # x = 1 and y = 0 have probability 0: any isometry serves, and the
+        # construction picks the identity embedding
+        p = np.outer([0.3, 0.0, 0.7], [0.0, 0.6, 0.4])
+        res = build_decoupling(SuperposedState.build(p, haar_advice(rng_for(62), 3, 2, 2)))
+        assert np.array_equal(res.isometries_alice[1], np.eye(6, 2))
+        assert np.array_equal(res.isometries_bob[0], np.eye(6, 2))
+        for iso in (res.isometries_alice[[0, 2]], res.isometries_bob[[1, 2]]):
+            assert not np.array_equal(iso, np.broadcast_to(np.eye(6, 2), iso.shape))
+
+    def test_solves_pinned(self, monkeypatch, tmp_path):
+        # (calls, matrices) per solver for one construction at k = 2, dA = 3,
+        # dB = 2: three SVD calls for the two terms, one stacked polar SVD per
+        # player, one SVD per defect, and no eigensolve.  A change that adds
+        # a solve fails here without timing noise.
+        om = random_product_instance(rng_for(9), k=2, da=3, db=2)
+        counts = count_solves(monkeypatch)
+        build_decoupling(om)
+        assert counts == {"svd": [7, 11]}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(_spec_doc(om)))
+        counts.clear()
+        assert main(["sic", str(spec), "--decouple", "--out", str(tmp_path / "out")]) == 0
+        assert counts == {"svd": [7, 11]}
+
 
 def _amplitude_instances():
     """Seeded product instances over k in {2, 3}, (dA, dB) in {1, 2, 3}^2, plus
-    one with a weightless input on each side and one with constant advice."""
+    one with a weightless input on each side, one with constant advice and
+    two with rank-deficient advice."""
     cases = [pytest.param(random_product_instance(rng_for(61, k, da, db), k, da, db),
                           id=f"k{k}-{da}x{db}")
              for k in (2, 3) for da in (1, 2, 3) for db in (1, 2, 3)]
@@ -191,7 +267,26 @@ def _amplitude_instances():
                               id="zero-weight"))
     cases.append(pytest.param(SuperposedState.build(UNIFORM2, constant_advice()),
                               id="constant"))
+    # rank-deficient advice: Schmidt coefficients down to 1e-7, and product
+    # states a_y (x) b_x, so each conditional misses part of A or of B
+    rng = rng_for(65)
+    s = np.array([1.0, 1e-4, 1e-7]) / math.sqrt(1.0 + 1e-8 + 1e-14)
+    small = np.array([[haar_unitary(rng, 3) @ np.diag(s) @ haar_unitary(rng, 3).T
+                       for _ in range(2)] for _ in range(2)])
+    a, b = haar_advice(rng, 2, 3, 1)[0, :, :, 0], haar_advice(rng, 2, 3, 1)[0, :, :, 0]
+    rank1 = np.einsum("ya,xb->xyab", a, b)
+    for adv, name in ((small, "svals-1e-7"), (rank1, "rank-1")):
+        p = np.outer(rng.dirichlet(np.ones(2)), rng.dirichlet(np.ones(2)))
+        cases.append(pytest.param(SuperposedState.build(p, adv), id=name))
     return cases
+
+
+def _spec_doc(om: SuperposedState) -> dict:
+    """om as an `entgames sic` state spec."""
+    k, dims = om.k, list(om.dims())
+    advice = [[[[a.real, a.imag] for a in om.advice[x, y].reshape(-1)]
+               for y in range(k)] for x in range(k)]
+    return {"p": om.p.tolist(), "dims": dims, "advice": advice}
 
 
 def _pinch(rho, dims, pos):
@@ -239,6 +334,18 @@ class TestAmplitudeRoute:
         assert abs(tx - ref_x) <= 1e-12 and abs(ty - ref_y) <= 1e-12
         assert (res.delta_x, res.delta_y) == (tx, ty)
 
+    @pytest.mark.parametrize("om", _amplitude_instances())
+    def test_matches_canonical_purification_construction(self, om):
+        # |Omega>'s amplitude matrix as the reference purification moves no
+        # defect, also with the advice under fixed local unitaries, which
+        # change the canonical purification's eigenbasis
+        ref = reference_decoupling(om)
+        for case in (om, rotated(om)):
+            res = build_decoupling(case)
+            got = (res.fbar_alice, res.fbar_out)
+            assert_allclose(got, reference_decoupling(case), rtol=0, atol=1e-13)
+            assert_allclose(got, ref, rtol=0, atol=1e-13)
+
     def test_fidelity_kernel_raises_above_one(self):
         m = np.zeros((2, 3), dtype=complex)
         m[0, 0] = 1.01                  # product state of norm 1.01: F = 1.01^3
@@ -249,10 +356,8 @@ class TestAmplitudeRoute:
 
     def test_cli_terms_are_decoupling_deltas(self, tmp_path):
         om = random_product_instance(rng_for(63), 2, 3, 2)
-        advice = [[[[a.real, a.imag] for a in om.advice[x, y].reshape(-1)]
-                   for y in range(2)] for x in range(2)]
         spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"p": om.p.tolist(), "dims": [3, 2], "advice": advice}))
+        spec.write_text(json.dumps(_spec_doc(om)))
         out = tmp_path / "out"
         assert main(["sic", str(spec), "--decouple", "--out", str(out)]) == 0
         rep = json.loads((out / "report.json").read_text())
