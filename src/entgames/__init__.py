@@ -1,6 +1,6 @@
 """Numerics for two-player games with entangled strategies: exact classical
 values, see-saw lower bounds on entangled values, a quantum-information
-toolkit (fidelity, entropies, purifications), superposed-state diagnostics
+toolkit (fidelity, entropies, mutual information), superposed-state diagnostics
 with decoupling isometries, a randomized inequality suite, and Monte-Carlo
 simulation of referee spot-checking protocols."""
 
@@ -21,7 +21,6 @@ from .games import (
     strategy_win_probability,
 )
 from .linalg import (
-    DensityOperator,
     Solved,
     hermitian_eig,
     partial_trace,
@@ -32,9 +31,7 @@ from .qinfo import (
     fidelity,
     min_relative_entropy,
     mutual_information,
-    purify,
     relative_entropy,
-    uhlmann_partner,
     von_neumann_entropy,
 )
 from .random_states import haar_state, haar_unitary, random_mixed, rng_for
@@ -54,7 +51,6 @@ __all__ = [
     "BudgetError",
     "ClassicalStrategy",
     "DEFAULT_TOLS",
-    "DensityOperator",
     "Game",
     "PureState",
     "QuantumStrategy",
@@ -79,7 +75,6 @@ __all__ = [
     "min_relative_entropy",
     "mutual_information",
     "partial_trace",
-    "purify",
     "random_mixed",
     "rel_ent_game_shift_check",
     "relative_entropy",
@@ -90,6 +85,5 @@ __all__ = [
     "special_case_report",
     "strategy_win_probability",
     "trace_norm",
-    "uhlmann_partner",
     "von_neumann_entropy",
 ]

@@ -18,9 +18,9 @@ builds the trial's states for a counterexample dump, called only on the
 replay path.  A trial counts as a violation when the margin falls below
 minus the check's tolerance.  Trial t of check c uses the generator
 rng_for(seed, CHECK_STREAM, c, t), so any single trial can be replayed from
-the report alone with REGISTRY[name].func, which runs the sampler, the
-construction and the kernel on a batch of one, through the same inputs
-path, and builds its dump states.
+the report alone with replay(seed, name, t), which runs REGISTRY[name].func:
+the sampler, the construction and the kernel on a batch of one, through the
+same inputs path, and its dump states.
 
 run_check takes trials from one lazily consumed rng_block stream and keeps
 one pending batch of rows per group key.  A trial's entries are the matrix
@@ -515,7 +515,13 @@ class CheckReport:
     trials_run: int
     violations: int
     worst_margin: float
-    worst_case_seed: int    # trial index; replay with rng_for(seed, CHECK_STREAM, check_id, it)
+    worst_case_seed: int    # trial index; replay(seed, name, it) replays it
+
+
+def replay(seed: int, name: str, trial: int) -> tuple[float, dict]:
+    """(margin, dump states) of one trial of a run at seed, alone, from its
+    generator rng_for(seed, CHECK_STREAM, c, trial), c the check's position."""
+    return REGISTRY[name].func(rng_for(seed, CHECK_STREAM, list(REGISTRY).index(name), trial))
 
 
 def _counterexample(name: str, trial: int, margin: float, payload: dict) -> tuple[str, str]:
@@ -535,8 +541,8 @@ def run_check(spec: CheckSpec, counters: dict | None = None) -> CheckReport:
     module docstring; a trial's entries depend only on its key, so they are
     counted once per key, as is the number of trials that fills a batch.
     After the loop the run audits its batches: the worst trial, and each
-    violating trial, is replayed alone through check.func, which must give
-    the bits of its batched margin.  counters, if given, receives the run's
+    violating trial, is replayed alone through replay, which must give the
+    bits of its batched margin.  counters, if given, receives the run's
     wall_s, kernel_calls, max_batch_entries (the entries of its largest
     one), kernel_s (seconds building and evaluating batches), draw_s (the
     rest of the trial loop: deriving generators, sampling and batching),
@@ -599,15 +605,15 @@ def run_check(spec: CheckSpec, counters: dict | None = None) -> CheckReport:
     mismatches: list[int] = []
     t_replay = time.perf_counter()
 
-    def replay(trial: int) -> dict:
-        margin, states = check.func(rng_for(spec.seed, CHECK_STREAM, check_id, trial))
+    def audit(trial: int) -> dict:
+        margin, states = replay(spec.seed, spec.name, trial)
         if np.float64(margin).tobytes() != margins[trial].tobytes():
             mismatches.append(trial)
         return states
 
     if worst not in violating:
-        replay(worst)
-    dumps = dict(_counterexample(spec.name, t, float(margins[t]), replay(t)) for t in violating)
+        audit(worst)
+    dumps = dict(_counterexample(spec.name, t, float(margins[t]), audit(t)) for t in violating)
     if counters is not None:
         replay_s = time.perf_counter() - t_replay
         counters.update(wall_s=time.perf_counter() - t_start, kernel_calls=kernel_calls,

@@ -3,8 +3,7 @@
 DEFAULT_TOLS holds the tolerances that linalg, qinfo and the construction of
 games.QuantumStrategy check states, measurements and spectra against; code
 reads its fields and no function takes a tolerance argument.  Slacks local
-to one construction are literals beside it (games' distribution checks, the
-purification rule).
+to one construction are literals beside it (games' distribution checks).
 _load_json reads a JSON input document (a game, a simulate config, a state
 spec), and _field reads one field of it; both turn malformed input into a
 ValueError that names the file or the field.  _canonical_json is the one

@@ -11,9 +11,11 @@ also take stacks of shape (..., d, d) and act on each slice, validating each
 slice as they would a single matrix; a single matrix is the unbatched case.
 A Solved is a checked state: building one checks its matrix Hermitian and
 its spectrum PSD, once.  solve_psd solves a state and returns it as a
-Solved; psd_eigvalsh, matrix_sqrt_psd and DensityOperator build on it, so
+Solved; psd_eigvalsh, matrix_sqrt_psd and _check_state build on it, so
 a caller that already holds a Solved passes it on and its eigensystem is
-read with no further check or solve.  Tolerances are the fixed
+read with no further check or solve.  partial_trace takes a state as a
+plain matrix or a Solved with its register dims, and _check_state is where
+it, and qinfo.mutual_information, checks them.  Tolerances are the fixed
 config.DEFAULT_TOLS.
 """
 
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,7 +33,7 @@ from .config import DEFAULT_TOLS, MAX_KRON_DIM, BudgetError
 
 def as_stack(a) -> np.ndarray:
     """Coerce a matrix or a stack of matrices, shape (..., d, d), to complex;
-    a DensityOperator or Solved gives its matrix."""
+    a Solved gives its matrix."""
     m = getattr(a, "matrix", a)
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -42,7 +44,7 @@ def as_stack(a) -> np.ndarray:
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce a matrix-like (ndarray or DensityOperator) to a complex ndarray."""
+    """Coerce a matrix-like (ndarray or Solved) to a complex ndarray."""
     m = as_stack(a)
     if m.ndim != 2:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
@@ -78,35 +80,6 @@ def _check_positions(positions: Iterable[int], n: int) -> list[int]:
     if pos and not 0 <= pos[0] <= pos[-1] < n:
         raise ValueError(f"register positions {pos} outside range({n})")
     return pos
-
-
-@dataclass(frozen=True)
-class DensityOperator:
-    """Validated density matrix together with its register dimensions.
-
-    dims defaults to one register of the full dimension.  Construction
-    checks Hermiticity, positivity and unit trace against DEFAULT_TOLS.
-    PureState.density and partial_trace turn the checks off, as their input
-    is already checked: a pure state within the 1e-9 norm slack may have a
-    trace 2e-9 from 1, and re-checking a partial trace costs an eigensolve.
-    """
-
-    matrix: np.ndarray
-    dims: tuple[int, ...] | None = None
-    validate: bool = field(default=True, repr=False, compare=False)
-
-    def __post_init__(self):
-        m = as_matrix(self.matrix)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dims", _check_dims(self.dims, m.shape[0]))
-        if self.validate:
-            psd_eigvalsh(m)
-            if abs(m.trace() - 1.0) > DEFAULT_TOLS.trace:
-                raise ValueError(f"density matrix trace {m.trace():.3e} != 1 within tolerance")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def kron(a, b) -> np.ndarray:
@@ -207,14 +180,33 @@ def partial_trace_matrix(m: np.ndarray, dims: Sequence[int], keep: Sequence[int]
     return np.einsum(t, [..., *row, *col], [..., *out]).reshape(m.shape[:-2] + (dk, dk))
 
 
-def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
-    """Trace out every register whose position is not in keep; kept registers
-    stay in their original order."""
-    pos = _check_positions(keep, len(rho.dims))
+def _check_state(rho, dims) -> tuple[np.ndarray, tuple[int, ...]]:
+    """rho's matrix and its register dims, once rho is checked a state on
+    them: a finite square matrix, Hermitian and PSD (solve_psd), of unit trace
+    within DEFAULT_TOLS.trace, with dims that factor its size.  A Solved rho
+    is not solved again."""
+    m = as_matrix(rho)
+    dims = _check_dims(dims, m.shape[0])
+    solve_psd(rho, vectors=False)
+    if abs(m.trace() - 1.0) > DEFAULT_TOLS.trace:
+        raise ValueError(f"density matrix trace {m.trace():.3e} != 1 within tolerance")
+    return m, dims
+
+
+def _reduce(m: np.ndarray, dims: tuple[int, ...], keep: Iterable[int]) -> np.ndarray:
+    """partial_trace of a state _check_state has passed; checks keep."""
+    pos = _check_positions(keep, len(dims))
     if not pos:
         raise ValueError("must keep at least one register")
-    out = partial_trace_matrix(rho.matrix, rho.dims, pos)
-    return DensityOperator(out, tuple(rho.dims[p] for p in pos), validate=False)
+    return partial_trace_matrix(m, dims, pos)
+
+
+def partial_trace(rho, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
+    """Trace the state rho on registers dims down to the registers whose
+    positions are in keep; kept registers stay in their original order, so
+    the result's dims are dims[p] for p in sorted(keep).  rho is checked as
+    _check_state does."""
+    return _reduce(*_check_state(rho, dims), keep)
 
 
 def matrix_sqrt_psd(a) -> np.ndarray:

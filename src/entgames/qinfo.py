@@ -1,10 +1,10 @@
-"""Fidelity, entropies, purification and POVM primitives.
+"""Fidelity, entropies, mutual information and POVM primitives.
 
 All entropic quantities use base-2 logarithms (bits).  Two-state scalar
-functions accept DensityOperators, linalg.Solved states or raw ndarrays.
-Registers are named by position in a state's dims: mutual_information takes
-a DensityOperator and two groups of positions, and uhlmann_partner the
-positions of phi's system registers.
+functions accept linalg.Solved states or raw ndarrays.  Registers are named
+by position in a state's dims: mutual_information takes a state, its
+register dims and two groups of positions, and checks them as
+linalg.partial_trace does.
 
 fidelity, relative_entropy, min_relative_entropy, von_neumann_entropy and
 povm_outcome_bound also take stacks of states, shape (..., d, d), and then
@@ -14,31 +14,28 @@ checked Hermitian and PSD; one passed as a linalg.Solved was checked when it
 was built, so a caller solves and checks a state once for several quantities.
 fidelity_from_factor takes F from any factor of rho, with no matrix root, and
 fidelity_from_factors from a factor of each state, with no state matrix.
-A POVM is a (..., n, d, d) stack of n elements.
-purification_matrix is the one purification, used by purify and
-uhlmann_partner.  Tolerances are the fixed config.DEFAULT_TOLS.
+A POVM is a (..., n, d, d) stack of n elements.  max_overlap_isometry is
+the polar step of the Uhlmann construction that sic.build_decoupling runs.
+Tolerances are the fixed config.DEFAULT_TOLS.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .config import DEFAULT_TOLS
 from .linalg import (
-    DensityOperator,
     _check_dims,
-    _check_positions,
+    _check_state,
+    _reduce,
     _root_sum,
-    as_matrix,
     as_stack,
     dagger,
     hermitianize,
     matrix_sqrt_psd,
-    partial_trace,
     psd_eigvalsh,
     solve_psd,
 )
@@ -73,20 +70,9 @@ class PureState:
         if abs(np.linalg.norm(a) - 1.0) > DEFAULT_TOLS.norm:
             raise ValueError(f"state norm {np.linalg.norm(a):.6e} != 1 within tolerance")
 
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
     def tensor(self) -> np.ndarray:
         """Amplitudes reshaped to one axis per register."""
         return self.amplitudes.reshape(self.dims)
-
-    def density(self) -> DensityOperator:
-        return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()),
-                               self.dims, validate=False)
-
-    def overlap(self, other: "PureState") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 def _outcome_distribution(elements: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -182,53 +168,7 @@ def povm_outcome_bound(rho, sigma, povm):
 
 
 # ---------------------------------------------------------------------------
-# purification and Uhlmann partners
-
-
-def purification_matrix(rho, anc_dim: int) -> np.ndarray:
-    """(d x anc_dim) amplitude matrix m with m m^dag = rho, eigenvalues descending.
-
-    Column j is sqrt(w_j) v_j for rho's j-th largest eigenpair; columns past
-    d are zero, so the width is always anc_dim.  rho is checked Hermitian and
-    PSD; eigenvalue mass beyond the first anc_dim above 1e-9 raises.
-    """
-    rho = as_matrix(rho)
-    s = solve_psd(rho)
-    order = np.argsort(s.w)[::-1]
-    w, v = np.clip(s.w[order], 0.0, None), s.v[:, order]
-    k = min(anc_dim, rho.shape[0])
-    if w[k:].sum() > 1e-9:
-        raise ValueError(f"ancilla (dim {anc_dim}) too small to purify: trailing eigenvalue mass")
-    m = np.zeros((rho.shape[0], anc_dim), dtype=complex)
-    m[:, :k] = v[:, :k] * np.sqrt(w[:k])
-    return m
-
-
-def purify(rho: DensityOperator) -> PureState:
-    """Canonical purification with ancilla dimension equal to the system dimension.
-
-    Eigenvalues are taken in descending order, so a pure input purifies to
-    |anc_0> tensor |psi>.  The ancilla is register 0, followed by rho's
-    registers in their order.
-    """
-    d = rho.dim
-    amps = purification_matrix(rho.matrix, d).T.reshape(-1)    # index (anc, sys)
-    return PureState(amps, (d,) + rho.dims)
-
-
-def _split_matrix(psi: PureState, system: Iterable[int]) -> tuple[np.ndarray, list[int], list[int]]:
-    """Amplitudes as a (d_system x d_ancilla) matrix; returns (M, sys_pos, anc_pos).
-
-    system holds register positions of psi; it must be non-empty and leave
-    at least one register out.
-    """
-    sys_pos = _check_positions(system, len(psi.dims))
-    anc_pos = [p for p in range(len(psi.dims)) if p not in sys_pos]
-    if not sys_pos or not anc_pos:
-        raise ValueError("a cut needs registers on both sides")
-    t = psi.tensor().transpose(sys_pos + anc_pos)
-    d_sys = math.prod(psi.dims[p] for p in sys_pos)
-    return t.reshape(d_sys, -1), sys_pos, anc_pos
+# Uhlmann isometries
 
 
 def max_overlap_isometry(target: np.ndarray,
@@ -249,30 +189,6 @@ def max_overlap_isometry(target: np.ndarray,
     return u, _value(sv.sum(axis=-1))
 
 
-def uhlmann_partner(rho, sigma, phi: PureState, system: Iterable[int]) -> PureState:
-    """Purification of sigma, on phi's space, closest to the purification phi of rho.
-
-    system holds the positions of phi's system registers, the ones rho and
-    sigma live on, in phi's order; all other registers of phi form the
-    ancilla.  The construction is the polar / SVD one, so <phi|psi> is real
-    nonnegative and equals F(rho, sigma) up to numerics.  sigma's
-    purification follows purification_matrix's rules.
-    """
-    r, s = _pair(rho, sigma)
-    m_phi, sys_pos, anc_pos = _split_matrix(phi, system)
-    if r.shape != (m_phi.shape[0],) * 2:
-        raise ValueError("rho's dimension differs from that of phi's system registers")
-    if np.abs(m_phi @ m_phi.conj().T - r).max() > 1e-8:
-        raise ValueError("phi does not purify rho within 1e-8")
-    m_src = purification_matrix(s, m_phi.shape[1])     # d_sys x d_anc, zero-padded
-    u, _ = max_overlap_isometry(m_phi, m_src)
-    m_psi = m_src @ u.T                   # d_sys x d_anc
-
-    t = m_psi.reshape([phi.dims[p] for p in sys_pos + anc_pos])
-    amps = t.transpose(np.argsort(sys_pos + anc_pos)).reshape(-1)
-    return PureState(amps, phi.dims)
-
-
 # ---------------------------------------------------------------------------
 # entropies
 
@@ -289,17 +205,17 @@ def von_neumann_entropy(rho):
     return entropy_of_spectrum(psd_eigvalsh(rho))
 
 
-def _reduced_entropy(rho: DensityOperator, positions: Iterable[int]) -> float:
-    return von_neumann_entropy(partial_trace(rho, positions).matrix)
-
-
-def mutual_information(rho: DensityOperator, x: Iterable[int], y: Iterable[int]) -> float:
-    """I(X:Y) = S(X) + S(Y) - S(XY) for the registers at positions x and y."""
+def mutual_information(rho, dims: Sequence[int], x: Iterable[int],
+                       y: Iterable[int]) -> float:
+    """I(X:Y) = S(X) + S(Y) - S(XY) for the registers at positions x and y
+    of the state rho on registers dims, both checked as linalg.partial_trace
+    checks them."""
+    m, dims = _check_state(rho, dims)
     x, y = list(x), list(y)
     if set(x) & set(y):
         raise ValueError("the two register groups overlap")
-    return (_reduced_entropy(rho, x) + _reduced_entropy(rho, y)
-            - _reduced_entropy(rho, x + y))
+    sx, sy, sxy = (von_neumann_entropy(_reduce(m, dims, keep)) for keep in (x, y, x + y))
+    return sx + sy - sxy
 
 
 def _sigma_basis(r: np.ndarray, sigma):

@@ -6,7 +6,8 @@ count_solves counts the eigensolves, QR and SVD factorizations a run makes, and 
 Hermitian checks, for tests that pin them.  povm_draw and random_povm are
 the raw and built one-slice POVM draws that tests use as references,
 flat_dirichlets the draw-for-draw reference for the verify samplers' flat
-Dirichlet draws, and check_povm the POVM check.  write_game writes a game document as `entgames
+Dirichlet draws, check_povm the POVM check, and purification_matrix the
+canonical purification that test_sic's reference decoupling starts from.  write_game writes a game document as `entgames
 repeat` writes its game.json.  The tracing fixture loads the benchmark's
 perfbench/tracing.py, whose TARGETS name the package functions it wraps.
 """
@@ -108,6 +109,25 @@ def check_povm(elements: np.ndarray) -> None:
     total = elements.sum(axis=-3)
     if np.abs(total - np.eye(total.shape[-1])).max() > DEFAULT_TOLS.proj:
         raise ValueError("POVM elements do not sum to the identity within tolerance")
+
+
+def purification_matrix(rho, anc_dim: int) -> np.ndarray:
+    """(d x anc_dim) amplitude matrix m with m m^dag = rho, eigenvalues descending.
+
+    Column j is sqrt(w_j) v_j for rho's j-th largest eigenpair; columns past
+    d are zero, so the width is always anc_dim.  rho is checked Hermitian and
+    PSD; eigenvalue mass beyond the first anc_dim above 1e-9 raises.
+    """
+    rho = linalg.as_matrix(rho)
+    s = linalg.solve_psd(rho)
+    order = np.argsort(s.w)[::-1]
+    w, v = np.clip(s.w[order], 0.0, None), s.v[:, order]
+    k = min(anc_dim, rho.shape[0])
+    if w[k:].sum() > 1e-9:
+        raise ValueError(f"ancilla (dim {anc_dim}) too small to purify: trailing eigenvalue mass")
+    m = np.zeros((rho.shape[0], anc_dim), dtype=complex)
+    m[:, :k] = v[:, :k] * np.sqrt(w[:k])
+    return m
 
 
 def write_game(g: Game, path: str | Path) -> None:

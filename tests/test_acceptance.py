@@ -17,7 +17,7 @@ import time
 import mpmath
 import numpy as np
 
-from entgames.checks import run_all
+from entgames.checks import replay, run_all
 from entgames.cli import main as cli_main
 from entgames.games import chsh, classical_value, entangled_value_seesaw, repeat
 from entgames.protocol import (
@@ -127,6 +127,9 @@ def test_criterion_3_randomized_suite_clean():
     reports = run_all(seed=0, trials_per_check=10_000, counters=counters)
     dt = time.perf_counter() - t0
     mismatched = {n: c["replay_mismatches"] for n, c in counters.items() if c["replay_mismatches"]}
+    # each worst trial, replayed from the report alone, gives the reported bits
+    mismatched.update({r.name: [r.worst_case_seed] for r in reports
+                       if replay(0, r.name, r.worst_case_seed)[0].hex() != r.worst_margin.hex()})
     walls = [c["wall_s"] for c in counters.values()]
     assert len(walls) == len(reports) == 14 and 0.0 < sum(walls) <= dt
     pinned = {r.name: (r.violations, r.worst_case_seed, r.worst_margin.hex()) for r in reports}

@@ -20,6 +20,7 @@ from entgames.checks import (
     CheckSpec,
     any_violations,
     reports_to_csv,
+    replay,
     reports_to_json,
     run_all,
     run_check,
@@ -359,7 +360,7 @@ class TestSamplerDraws:
 
 class TestStackedEvaluation:
     """A trial's margin is the same bits whether it is evaluated alone (the
-    replay entry point REGISTRY[name].func) or stacked with any batch mates."""
+    replay entry point, checks.replay) or stacked with any batch mates."""
 
     @pytest.mark.parametrize("name", EXPECTED_ORDER)
     def test_stacked_margins_replay_bit_for_bit(self, name, monkeypatch):
@@ -369,8 +370,7 @@ class TestStackedEvaluation:
         # several kernel calls within n trials
         monkeypatch.setattr(checks, "_BUDGET", 1500)
         for seed in (0, 5):
-            single = [check.func(rng_for(seed, CHECK_STREAM, check_id, t))[0]
-                      for t in range(n)]
+            single = [replay(seed, name, t)[0] for t in range(n)]
             samples = [check.sample(rng_for(seed, CHECK_STREAM, check_id, t))
                        for t in range(n)]
             stacked = _evaluate(check, samples)
@@ -385,13 +385,22 @@ class TestStackedEvaluation:
             assert rep.worst_case_seed == single.index(min(single))
             assert rep.violations == sum(m < -check.tolerance for m in single)
 
+    def test_replay_is_the_trial_address(self):
+        # replay(seed, name, t) is check.func on trial t's own generator
+        for check_id, name in enumerate(EXPECTED_ORDER):
+            for seed, t in ((0, 0), (3, 17)):
+                margin, states = replay(seed, name, t)
+                ref, ref_states = REGISTRY[name].func(rng_for(seed, CHECK_STREAM, check_id, t))
+                assert _bits(margin) == _bits(ref)
+                assert all(np.array_equal(states[k], ref_states[k]) for k in ref_states)
+                assert states.keys() == ref_states.keys()
+
     def test_replay_payload_matches_dump(self):
         # the dumped states are those the stacked kernel evaluated
         counters: dict = {}
         run_check(CheckSpec("cool_product", trials=962), counters=counters)
         doc = json.loads(counters["dumps"]["counterexample_cool_product_961.json"])
-        margin, payload = REGISTRY["cool_product"].func(
-            rng_for(0, CHECK_STREAM, EXPECTED_ORDER.index("cool_product"), 961))
+        margin, payload = replay(0, "cool_product", 961)
         assert doc["margin"] == margin
         rho = np.array(doc["states"]["rho"]["re"]) + 1j * np.array(doc["states"]["rho"]["im"])
         assert np.array_equal(rho, payload["rho"])
@@ -693,7 +702,7 @@ class TestEigensystemReuse:
         for t in range(20):
             sizes.clear()
             key, _ = check.sample(rng_for(0, CHECK_STREAM, check_id, t))
-            check.func(rng_for(0, CHECK_STREAM, check_id, t))
+            replay(0, name, t)
             full = math.prod(key)
             assert (sizes.count(full), len(sizes) - sizes.count(full)) == SOLVES[name]
 
@@ -708,8 +717,7 @@ class TestEigensystemReuse:
             counts.clear()
         else:
             counts[:] = [0, 0]
-        REGISTRY[name].func(rng_for(0, CHECK_STREAM, EXPECTED_ORDER.index(name),
-                                    rep.worst_case_seed))
+        replay(0, name, rep.worst_case_seed)
         if isinstance(run, list):
             return [a - b for a, b in zip(run, counts)]
         assert counts.keys() == run.keys()
@@ -806,7 +814,7 @@ class TestKernelsMatchReference:
         check, check_id = REGISTRY[name], EXPECTED_ORDER.index(name)
         for t in range(40):
             key, _ = check.sample(rng_for(1, CHECK_STREAM, check_id, t))
-            margin, states = check.func(rng_for(1, CHECK_STREAM, check_id, t))
+            margin, states = replay(1, name, t)
             assert abs(margin - _reference_margin(name, key, states)) <= 1e-10
 
 

@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose
 
 from entgames.config import BudgetError
 from entgames.linalg import (
-    DensityOperator,
     as_matrix,
     hermitian_eig,
     hermitianize,
@@ -12,8 +11,10 @@ from entgames.linalg import (
     matrix_sqrt_psd,
     partial_trace,
     partial_trace_matrix,
+    solve_psd,
     trace_norm,
 )
+from entgames.qinfo import mutual_information
 from entgames.random_states import haar_state, random_mixed, rng_for
 
 
@@ -22,39 +23,52 @@ def rng():
     return rng_for(1234)
 
 
-class TestDensityOperator:
-    def test_valid_state(self, rng):
-        rho = random_mixed(rng, 4)
-        d = DensityOperator(rho, (2, 2))
-        assert d.dim == 4 and d.dims == (2, 2)
-        assert_allclose(np.trace(d.matrix), 1.0, atol=1e-12)
+# the two functions that take a state with its register dims, each reading
+# the first register (and the second for mutual_information)
+STATE_READERS = {
+    "partial_trace": lambda rho, dims: partial_trace(rho, dims, [0]),
+    "mutual_information": lambda rho, dims: mutual_information(rho, dims, [0], [1]),
+}
 
-    def test_dims(self, rng):
+
+@pytest.mark.parametrize("reader", STATE_READERS)
+class TestStateChecks:
+    """partial_trace and mutual_information check their state and its dims
+    in one place, linalg._check_state."""
+
+    def test_valid_state(self, rng, reader):
+        rho = random_mixed(rng, 4)
+        for state in (rho, solve_psd(rho)):
+            out = STATE_READERS[reader](state, (2, 2))
+            if reader == "partial_trace":
+                assert out.shape == (2, 2)
+                assert_allclose(np.trace(out), 1.0, atol=1e-12)
+            else:
+                assert out >= -1e-12
+
+    def test_rejects_nonhermitian(self, rng, reader):
+        m = random_mixed(rng, 4)
+        m[0, 1] += 0.3
+        with pytest.raises(ValueError, match="not Hermitian"):
+            STATE_READERS[reader](m, (2, 2))
+
+    def test_rejects_negative(self, reader):
+        m = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
+        with pytest.raises(ValueError, match="not PSD"):
+            STATE_READERS[reader](m, (2, 2))
+
+    @pytest.mark.parametrize("trace", [0.6, 1.2, 2.0])
+    def test_rejects_bad_trace(self, reader, trace):
+        with pytest.raises(ValueError, match="trace"):
+            STATE_READERS[reader](np.eye(4, dtype=complex) * trace / 4, (2, 2))
+
+    def test_dims(self, rng, reader):
         rho = random_mixed(rng, 6)
-        assert DensityOperator(rho).dims == (6,)
-        assert DensityOperator(rho, [2, 3]).dims == (2, 3)
-        assert DensityOperator(rho, (1, 6, 1)).dims == (1, 6, 1)
+        STATE_READERS[reader](rho, [2, 3])
+        STATE_READERS[reader](rho, (1, 6, 1))
         for dims in ((2, 2), (6, 0), (-2, -3), (12,), ()):
             with pytest.raises(ValueError, match="do not factor"):
-                DensityOperator(rho, dims)
-
-    def test_rejects_nonhermitian(self):
-        m = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
-        with pytest.raises(ValueError):
-            DensityOperator(m)
-
-    def test_rejects_bad_trace(self):
-        with pytest.raises(ValueError):
-            DensityOperator(np.eye(2, dtype=complex))
-
-    def test_rejects_negative(self):
-        m = np.diag([1.5, -0.5]).astype(complex)
-        with pytest.raises(ValueError):
-            DensityOperator(m)
-
-    def test_rejects_trace_above_one(self):
-        with pytest.raises(ValueError, match="trace"):
-            DensityOperator(np.eye(2, dtype=complex) * 0.6)
+                STATE_READERS[reader](rho, dims)
 
 
 class TestHermitianEig:
@@ -87,24 +101,21 @@ class TestPartialTrace:
         # tracing {B} then {C} equals tracing {B, C} in one shot
         psi = haar_state(rng, 2 * 3 * 2)
         rho = np.outer(psi, psi.conj())
-        d = DensityOperator(rho, (2, 3, 2))
-        ac = partial_trace(d, [2, 0])
-        assert ac.dims == (2, 2)
-        one = partial_trace(ac, [0])
-        two = partial_trace(d, [0])
-        assert two.dims == (2,)
-        assert_allclose(one.matrix, two.matrix, atol=1e-12)
+        ac = partial_trace(rho, (2, 3, 2), [2, 0])
+        assert ac.shape == (4, 4)
+        one = partial_trace(ac, (2, 2), [0])
+        two = partial_trace(rho, (2, 3, 2), [0])
+        assert two.shape == (2, 2)
+        assert_allclose(one, two, atol=1e-12)
 
     def test_keep_everything(self, rng):
         rho = random_mixed(rng, 6)
-        d = DensityOperator(rho, (2, 3))
-        assert_allclose(partial_trace(d, [0, 1]).matrix, rho, atol=1e-12)
+        assert_allclose(partial_trace(rho, (2, 3), [0, 1]), rho, atol=1e-12)
 
     def test_matches_partial_trace_matrix(self, rng):
         rho = random_mixed(rng, 12)
-        d = DensityOperator(rho, (2, 3, 2))
         for keep in ([0], [1], [2], [0, 2], [1, 2]):
-            assert np.array_equal(partial_trace(d, keep).matrix,
+            assert np.array_equal(partial_trace(rho, (2, 3, 2), keep),
                                   partial_trace_matrix(rho, (2, 3, 2), keep))
 
     @pytest.mark.parametrize("keep, match", [
@@ -112,9 +123,9 @@ class TestPartialTrace:
         ([0, 0], "repeated"), (["A"], None), ([0.0], None),
     ])
     def test_bad_positions(self, rng, keep, match):
-        d = DensityOperator(random_mixed(rng, 12), (2, 3, 2))
+        rho = random_mixed(rng, 12)
         with pytest.raises(ValueError if match else TypeError, match=match):
-            partial_trace(d, keep)
+            partial_trace(rho, (2, 3, 2), keep)
 
     def test_trace_out_all_but_one(self, rng):
         rho = random_mixed(rng, 8)
@@ -180,8 +191,8 @@ class TestAsMatrix:
             as_matrix(np.array([[np.inf, 0], [0, 1.0]]))
 
     def test_unwraps_matrix_attr(self, rng):
-        d = DensityOperator(random_mixed(rng, 3))
-        assert as_matrix(d) is d.matrix
+        s = solve_psd(random_mixed(rng, 3))
+        assert as_matrix(s) is s.matrix
 
 
 class TestStacks:

@@ -1,14 +1,22 @@
 """The package's export list against the names its __init__ imports, no
-definition in src/ that only tests reach, and no file written outside cli.py.
+definition in src/ that only tests reach, no public name that no command
+enters unless it is listed with its reason, and no file written outside cli.py.
 
 Removing a public name means editing both the import and __all__; these tests
 fail when only one of them changes.
 """
 
 import ast
+import inspect
+import json
+import sys
 from pathlib import Path
 
 import entgames
+from entgames.cli import main
+from entgames.games import chsh
+
+from conftest import write_game
 
 PACKAGE = Path(entgames.__file__).resolve().parent
 # paper claims that only acceptance criteria run: criterion 7's exact
@@ -64,6 +72,87 @@ def test_every_definition_has_a_reader(tracing):
               if node.name not in entgames.__all__ and name not in traced | PAPER_CLAIMS
               and not any(node.name in names for other, names in reads if other is not node)]
     assert unread == []
+
+
+# the public names that no command enters, each with why it is public
+LIBRARY_ONLY = {
+    "chsh": "the README's game; the CLI reads games from files",
+    "check_bound_at_delta_zero": "paper claim: criterion 5's eps/162 grid (ROADMAP item 7)",
+    "fidelity": "tracer target qinfo.fidelity; the README's and the tests' reference",
+    "haar_state": "the tests' draws",
+    "haar_unitary": "the tests' draws",
+    "mutual_information": "tracer target qinfo.mutual_information",
+    "partial_trace": "tracer target linalg.partial_trace",
+    "random_mixed": "tracer target random_states.random_mixed",
+    "rel_ent_game_shift_check": "paper claim: the relative-entropy game shift (ROADMAP item 7)",
+    "sic_lower_bound": "paper claim: the scalar bound criterion 5's grids read (ROADMAP item 7)",
+    "special_case_report": "paper claim: criterion 5's eps/324 special case (ROADMAP item 7)",
+    "trace_norm": "tracer target linalg.trace_norm",
+}
+
+
+def _command_lines(tmp: Path) -> list[list[str]]:
+    """Every command on tiny inputs: value in both modes, repeat with --n and
+    with --alpha, verify, simulate with each model kind, sic with and without
+    --decouple."""
+    game = tmp / "chsh.json"
+    write_game(chsh(), game)
+    bell = [[0.5 ** 0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5 ** 0.5, 0.0]]
+    spec = tmp / "spec.json"
+    spec.write_text(json.dumps({"p": [[0.25, 0.25], [0.25, 0.25]], "dims": [2, 2],
+                                "advice": [[bell, bell], [bell, bell]]}))
+    models = [{"kind": "iid_bernoulli", "w": 0.9},
+              {"kind": "win_all_or_partial", "q": 0.9, "f": 0.75},
+              {"kind": "strategy_backed", "game": "chsh.json", "restarts": 2, "iters": 20}]
+    configs = []
+    for i, model in enumerate(models):
+        configs.append(tmp / f"config{i}.json")
+        configs[-1].write_text(json.dumps({"n": 8, "epsilon": 1.0, "t": 1.0, "trials": 200,
+                                           "v_override": 4, "model": model}))
+    lines = [["value", str(game), "--mode", "classical"],
+             ["value", str(game), "--mode", "entangled", "--restarts", "2", "--iters", "20",
+              "--seed", "0"],
+             ["repeat", str(game), "--n", "2"],
+             ["repeat", str(game), "--n", "3", "--alpha", "0.5"],
+             ["verify", "--trials", "20", "--seed", "0"],
+             *(["simulate", str(c), "--seed", "0"] for c in configs),
+             ["sic", str(spec)],
+             ["sic", str(spec), "--decouple"]]
+    return [line + ["--out", str(tmp / f"out{i}")] for i, line in enumerate(lines)]
+
+
+def _own_codes(obj) -> set:
+    """The code of a function, or of every function defined in a class's body."""
+    if not inspect.isclass(obj):
+        return {obj.__code__}
+    path = inspect.getfile(obj)
+    funcs = (getattr(v, "__func__", v) for v in vars(obj).values())
+    return {f.__code__ for f in funcs
+            if inspect.isfunction(f) and f.__code__.co_filename == path}
+
+
+def test_public_names_reached_by_a_command(tmp_path):
+    # a class counts as entered when a function defined in its body runs;
+    # names with nothing to enter (a value, an exception or a record class
+    # with no function of its own) are left out
+    lines = _command_lines(tmp_path)
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        codes = [main(line) for line in lines]
+    finally:
+        sys.setprofile(previous)
+    assert set(codes) <= {0, 1}     # each command ran through; 1 is a found violation
+    public = {name: _own_codes(getattr(entgames, name)) for name in entgames.__all__
+              if callable(getattr(entgames, name))}
+    unreached = {name for name, own in public.items() if own and not own & entered}
+    assert unreached == set(LIBRARY_ONLY)
 
 
 # calls that create, change or remove files; cli._finish is their one caller

@@ -5,11 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from entgames.linalg import (
-    DensityOperator,
     Solved,
     hermitianize,
     matrix_sqrt_psd,
-    partial_trace,
     partial_trace_matrix,
 )
 from entgames.qinfo import (
@@ -22,10 +20,7 @@ from entgames.qinfo import (
     min_relative_entropy,
     mutual_information,
     povm_outcome_bound,
-    purification_matrix,
-    purify,
     relative_entropy,
-    uhlmann_partner,
     von_neumann_entropy,
 )
 from entgames.random_states import (
@@ -39,7 +34,7 @@ from entgames.random_states import (
     rng_for,
 )
 
-from conftest import check_povm, random_povm
+from conftest import check_povm, purification_matrix, random_povm
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 KET1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -138,38 +133,11 @@ class TestPureState:
             with pytest.raises(ValueError, match="do not factor"):
                 PureState(v, dims)
 
-    def test_density_and_overlap(self):
-        psi = bell_state()
-        rho = psi.density()
-        assert_allclose(np.trace(rho.matrix), 1.0, atol=1e-12)
-        assert_allclose(abs(psi.overlap(psi)), 1.0, atol=1e-12)
-
-
-class TestPurify:
-    def test_reduction_recovers_state(self, rng):
-        rho = DensityOperator(random_mixed(rng, 3))
-        phi = purify(rho)
-        back = partial_trace(phi.density(), [1])
-        assert_allclose(back.matrix, rho.matrix, atol=1e-10)
-
-    def test_ancilla_first_and_descending(self, rng):
-        rho = DensityOperator(random_mixed(rng, 4))
-        phi = purify(rho)
-        assert phi.dims == (4, 4)
-        # canonical form: amplitude blocks ordered by descending eigenvalue
-        m = phi.amplitudes.reshape(4, 4)
-        col_norms = (np.abs(m) ** 2).sum(axis=1)
-        assert (np.diff(col_norms) <= 1e-12).all()
-
-    def test_pure_input_passthrough(self):
-        phi = purify(DensityOperator(KET0))
-        amps = phi.amplitudes.reshape(2, 2)
-        # ancilla collapses to its first basis vector for a pure input
-        assert_allclose(np.abs(amps[0]), [1.0, 0.0], atol=1e-10)
-        assert_allclose(np.abs(amps[1]), [0.0, 0.0], atol=1e-10)
-
 
 class TestPurificationMatrix:
+    """conftest.purification_matrix, the canonical purification that
+    test_sic's reference decoupling starts from."""
+
     def test_reproduces_rho_with_descending_columns(self, rng):
         for d in (2, 3, 5):
             rho = random_mixed(rng, d)
@@ -202,78 +170,7 @@ class TestPurificationMatrix:
             purification_matrix(np.diag([1.5, -0.5]).astype(complex), 2)
 
 
-class TestUhlmann:
-    def test_overlap_matches_fidelity(self, rng):
-        for d in (2, 3, 4):
-            r = DensityOperator(random_mixed(rng, d))
-            s = DensityOperator(random_mixed(rng, d))
-            phi = purify(r)
-            psi = uhlmann_partner(r, s, phi, [1])
-            ov = phi.overlap(psi)
-            assert abs(ov.imag) <= 1e-9
-            assert abs(ov.real - fidelity(r.matrix, s.matrix)) <= 1e-7
-
-    def test_partner_purifies_sigma(self, rng):
-        r = DensityOperator(random_mixed(rng, 3))
-        s = DensityOperator(random_mixed(rng, 3))
-        psi = uhlmann_partner(r, s, purify(r), [1])
-        red = partial_trace(psi.density(), [1])
-        assert_allclose(red.matrix, s.matrix, atol=1e-9)
-
-    def test_ancilla_larger_than_system(self, rng):
-        # phi's 5-dim ancilla exceeds the 2-dim system: sigma's purification
-        # is padded with zero columns before the polar step
-        r = DensityOperator(random_mixed(rng, 2))
-        s = random_mixed(rng, 2)
-        m_phi = purification_matrix(r.matrix, 5) @ haar_unitary(rng, 5)
-        phi = PureState(m_phi.reshape(-1), (2, 5))
-        psi = uhlmann_partner(r, s, phi, [0])
-        assert psi.dims == phi.dims
-        ov = phi.overlap(psi)
-        assert abs(ov.imag) <= 1e-9
-        assert abs(ov.real - fidelity(r.matrix, s)) <= 1e-9
-        assert_allclose(partial_trace(psi.density(), [0]).matrix, s, atol=1e-12)
-
-    def test_ancilla_too_small(self):
-        # a pure rho purified on a 1-dim ancilla; sigma fits iff its mass
-        # beyond the top eigenvalue is at most 1e-9
-        r = DensityOperator(KET0)
-        phi = PureState([1.0, 0.0], (2, 1))
-        near_pure = np.diag([1.0 - 5e-10, 5e-10]).astype(complex)
-        assert abs(uhlmann_partner(r, near_pure, phi, [0]).overlap(phi)) >= 1.0 - 1e-9
-        with pytest.raises(ValueError, match="trailing eigenvalue mass"):
-            uhlmann_partner(r, np.eye(2, dtype=complex) / 2, phi, [0])
-
-    def test_rejects_wrong_purification(self, rng):
-        r = DensityOperator(random_mixed(rng, 3))
-        s = DensityOperator(random_mixed(rng, 3))
-        with pytest.raises(ValueError):
-            uhlmann_partner(s, r, purify(r), [1])
-
-    def test_rejects_unnormalized_sigma(self, rng):
-        # sigma = I has trace 2: its partner used to be a "pure state" of norm sqrt(2)
-        r = DensityOperator(random_mixed(rng, 2))
-        with pytest.raises(ValueError, match="state norm 1.414214e"):
-            uhlmann_partner(r, np.eye(2, dtype=complex), purify(r), [1])
-
-    def test_system_in_the_middle(self, rng):
-        # phi on (E1, S, E2) with the system at position 1: the partner
-        # purifies sigma on S, keeps phi's dims, and overlaps phi by F
-        r, s = random_mixed(rng, 3), random_mixed(rng, 3)
-        m_phi = purification_matrix(r, 8) @ haar_unitary(rng, 8)   # S x (E1 E2)
-        amps = m_phi.reshape(3, 2, 4).transpose(1, 0, 2).reshape(-1)
-        phi = PureState(amps, (2, 3, 4))
-        psi = uhlmann_partner(r, s, phi, [1])
-        assert psi.dims == (2, 3, 4)
-        ov = phi.overlap(psi)
-        assert abs(ov.imag) <= 1e-9
-        assert abs(ov.real - fidelity(r, s)) <= 1e-9
-        assert_allclose(partial_trace(psi.density(), [1]).matrix, s, atol=1e-12)
-        # the same partner, computed with the system moved first, then moved back
-        first = uhlmann_partner(r, s, PureState(m_phi.reshape(-1), (3, 8)), [0])
-        assert_allclose(first.amplitudes.reshape(3, 2, 4).transpose(1, 0, 2).reshape(-1),
-                        psi.amplitudes, atol=1e-12)
-
+class TestMaxOverlapIsometry:
     def test_stacked_isometries_match_each_slice(self, rng):
         # a stack of sources, against one target or a stack of targets, gives
         # each slice's isometry and overlap bit for bit, from one SVD call; the
@@ -289,17 +186,6 @@ class TestUhlmann:
                 assert np.array_equal(u[i], ui) and overlaps[i] == ov
                 assert abs(ov - fidelity(gram(target if target.ndim == 2 else target[i]),
                                          gram(sources[i]))) <= 1e-9
-
-    @pytest.mark.parametrize("system, match", [
-        ([], "both sides"), ([0, 1], "both sides"), ([2], "outside"),
-        ([-1], "outside"), ([1, 1], "repeated"), ([0], "dimension differs"),
-    ])
-    def test_bad_positions(self, rng, system, match):
-        r = DensityOperator(random_mixed(rng, 3), (3,))
-        phi = PureState(purification_matrix(r.matrix, 2 * 3).T.reshape(-1), (6, 3))
-        assert abs(uhlmann_partner(r, r, phi, [1]).overlap(phi) - 1.0) <= 1e-9
-        with pytest.raises(ValueError, match=match):
-            uhlmann_partner(r, r, phi, system)
 
 
 class TestEntropies:
@@ -330,13 +216,13 @@ class TestEntropies:
                         0.0, atol=1e-12)
 
     def test_mutual_information_bell(self):
-        assert_allclose(mutual_information(bell_state().density(), [0], [1]),
+        a = bell_state().amplitudes
+        assert_allclose(mutual_information(np.outer(a, a.conj()), (2, 2), [0], [1]),
                         2.0, atol=1e-9)
 
     def test_mutual_information_product(self, rng):
         ra, rb = random_mixed(rng, 2), random_mixed(rng, 2)
-        d = DensityOperator(np.kron(ra, rb), (2, 2))
-        assert abs(mutual_information(d, [0], [1])) <= 1e-9
+        assert abs(mutual_information(np.kron(ra, rb), (2, 2), [0], [1])) <= 1e-9
 
     def test_mutual_information_non_adjacent_groups(self, rng):
         # registers (X, M, Y): a Bell pair on X, Y around a pure state on M
@@ -349,17 +235,15 @@ class TestEntropies:
         rho = np.outer(psi, psi.conj())
         noisy = 0.5 * rho + 0.5 * np.kron(np.kron(np.eye(2) / 2, random_mixed(rng, 3)),
                                             np.eye(2) / 2)
-        d = DensityOperator(noisy, (2, 3, 2))
         want = (von_neumann_entropy(partial_trace_matrix(noisy, (2, 3, 2), [0]))
                 + von_neumann_entropy(partial_trace_matrix(noisy, (2, 3, 2), [2]))
                 - von_neumann_entropy(partial_trace_matrix(noisy, (2, 3, 2), [0, 2])))
         assert want > 0.1
-        assert mutual_information(d, [2], [0]) == pytest.approx(want, abs=1e-12)
-        pure = DensityOperator(rho, (2, 3, 2))
-        assert_allclose(mutual_information(pure, [0], [2]), 2.0, atol=1e-9)
-        assert abs(mutual_information(pure, [0], [1])) <= 1e-9
+        assert mutual_information(noisy, (2, 3, 2), [2], [0]) == pytest.approx(want, abs=1e-12)
+        assert_allclose(mutual_information(rho, (2, 3, 2), [0], [2]), 2.0, atol=1e-9)
+        assert abs(mutual_information(rho, (2, 3, 2), [0], [1])) <= 1e-9
         with pytest.raises(ValueError, match="overlap"):
-            mutual_information(pure, [0, 1], [1, 2])
+            mutual_information(rho, (2, 3, 2), [0, 1], [1, 2])
 
 
 class TestRelativeEntropy:

@@ -11,8 +11,7 @@ from entgames.qinfo import (
     clip_fidelity,
     fidelity,
     max_overlap_isometry,
-    purification_matrix,
-    von_neumann_entropy,
+    mutual_information,
 )
 from entgames.random_states import haar_state, haar_unitary, rng_for
 from entgames.sic import (
@@ -27,7 +26,7 @@ from entgames.sic import (
     special_case_report,
 )
 
-from conftest import count_solves
+from conftest import count_solves, purification_matrix
 
 UNIFORM2 = np.full((2, 2), 0.25)
 
@@ -180,9 +179,9 @@ class TestObjective:
     def test_objective_is_sum(self):
         # the objective I(X:BY) + I(Y:XA) from the dephased density matrix
         om = random_product_instance(rng_for(4))
-        omega, dims = om.state.density().matrix, om.state.dims    # (X, A, B, Y)
-        ref = (_mutual_information(_pinch(omega, dims, 0), dims, [0], [2, 3])
-               + _mutual_information(_pinch(omega, dims, 3), dims, [3], [0, 1]))
+        omega, dims = density(om.state), om.state.dims    # (X, A, B, Y)
+        ref = (mutual_information(_pinch(omega, dims, 0), dims, [0], [2, 3])
+               + mutual_information(_pinch(omega, dims, 3), dims, [3], [0, 1]))
         assert_allclose(sum(sic_terms(om)), ref, atol=1e-12)
 
 
@@ -299,11 +298,9 @@ def _pinch(rho, dims, pos):
     return out
 
 
-def _mutual_information(rho, dims, x, y):
-    """I(X:Y) = S(X) + S(Y) - S(XY) over factor positions x and y."""
-    def s(keep):
-        return von_neumann_entropy(partial_trace_matrix(rho, dims, keep))
-    return s(x) + s(y) - s(x + y)
+def density(psi) -> np.ndarray:
+    """|psi><psi| of a PureState, as a matrix."""
+    return np.outer(psi.amplitudes, psi.amplitudes.conj())
 
 
 class TestAmplitudeRoute:
@@ -313,13 +310,13 @@ class TestAmplitudeRoute:
     def test_matches_density_matrix_references(self, om):
         res = build_decoupling(om)
 
-        rho1, dims = res.state_alice.density().matrix, res.state_alice.dims
+        rho1, dims = density(res.state_alice), res.state_alice.dims
         prod1 = kron(partial_trace_matrix(rho1, dims, [0]),
                      partial_trace_matrix(rho1, dims, [1, 2, 3]))
         assert abs(res.fbar_alice - (1.0 - fidelity(rho1, prod1))) <= 1e-12
 
         # rho_XY (x) rho_AB is ordered (X, Y, A, B); move Y last to match rho3
-        rho3, dims = res.state_out.density().matrix, res.state_out.dims
+        rho3, dims = density(res.state_out), res.state_out.dims
         k, da, db, _ = dims
         prod3 = kron(partial_trace_matrix(rho3, dims, [0, 3]),
                      partial_trace_matrix(rho3, dims, [1, 2]))
@@ -327,9 +324,9 @@ class TestAmplitudeRoute:
         prod3 = prod3.reshape(rho3.shape)
         assert abs(res.fbar_out - (1.0 - fidelity(rho3, prod3))) <= 1e-12
 
-        omega, dims = om.state.density().matrix, om.state.dims    # (X, A, B, Y)
-        ref_x = _mutual_information(_pinch(omega, dims, 0), dims, [0], [2, 3])
-        ref_y = _mutual_information(_pinch(omega, dims, 3), dims, [3], [0, 1])
+        omega, dims = density(om.state), om.state.dims    # (X, A, B, Y)
+        ref_x = mutual_information(_pinch(omega, dims, 0), dims, [0], [2, 3])
+        ref_y = mutual_information(_pinch(omega, dims, 3), dims, [3], [0, 1])
         tx, ty = sic_terms(om)
         assert abs(tx - ref_x) <= 1e-12 and abs(ty - ref_y) <= 1e-12
         assert (res.delta_x, res.delta_y) == (tx, ty)
