@@ -128,11 +128,14 @@ def cmd_value(args) -> int:
         res = entangled_value_seesaw(g, d=args.d, restarts=args.restarts,
                                      iters=args.iters, seed=seed)
         n_iter = sum(len(tr) for tr in res.traces)
+        start = res.tensor_start
         # a restart whose last step still rose by 1e-12 or more hit --iters
         extra["seesaw"] = {"iterations": n_iter, "steps": res.steps,
                            "iterations_per_s": n_iter / (time.perf_counter() - t_load),
                            "final_increments": [tr[-1] - tr[-2] if len(tr) > 1 else None
-                                                for tr in res.traces]}
+                                                for tr in res.traces],
+                           "tensor_start": None if start is None else {
+                               k: v for k, v in asdict(start).items() if k != "restart"}}
         report["value"] = res.value
         report["seed"] = seed
         report["d"] = args.d
@@ -140,9 +143,14 @@ def cmd_value(args) -> int:
         report["iters"] = args.iters
         report["best_restart"] = res.best_restart
         report["traces"] = [[float(v) for v in tr] for tr in res.traces]
+        if start is not None:
+            report["tensor_start"] = {"n": start.n, "base_d": start.base_d,
+                                      "restart": start.restart}
         print(f"entangled value (lower bound): {res.value:.12g}")
         for r, tr in enumerate(res.traces):
-            print(f"  restart {r}: {tr[-1]:.12g} after {len(tr)} iterations")
+            label = "" if start is None or r != start.restart else (
+                f" (tensor start: base game at d = {start.base_d}, n = {start.n})")
+            print(f"  restart {r}{label}: {tr[-1]:.12g} after {len(tr)} iterations")
     cfg = {"game": str(args.game), "mode": args.mode, "d": args.d,
            "restarts": args.restarts, "iters": args.iters}
     return _finish(args, _out_path(args, seed), cfg, seed, (t0, t_load),

@@ -4,6 +4,11 @@ A game is (inputs [k] x [k] with distribution p, outputs [l] x [l], winning
 predicate V indexed [a, b, x, y]).  Repeated games use little-endian
 mixed-radix index encoding: round 1 is the least significant digit of every
 combined input/output index.
+
+The see-saw lower bound warm-starts a repeated game: when g is repeat(base,
+n) (found from g's tables alone, _repetition_base) and the local dimension
+is d = d1^n for an integer d1, it solves base at d1 and adds the n-th tensor
+power of that strategy as one restart after the random ones.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
@@ -398,17 +404,112 @@ def _draw_starts(g: Game, d: int, restarts: int, seed: int):
             projectives(haar_unitaries(draws[:, 1]), g.l))
 
 
-def _seesaw_restarts(g: Game, d: int, restarts: int, iters: int, seed: int):
-    """See-saw restarts at local dimension d from _draw_starts, run in
-    consecutive lockstep groups (_lockstep) whose largest intermediate, the
-    (R, k, l, d, d) measurements or the (R, d^2, d^2) payoff operator, stays
-    within MAX_TABLE_ENTRIES.
+def _int_root(m: int, n: int) -> int | None:
+    """The integer r with r^n = m, or None."""
+    r = round(m ** (1.0 / n))
+    return r if r ** n == m else None
 
-    Returns (traces, states, alice, bob, steps): the per-restart value
-    traces, the final (R, d, d) states and (R, k, l, d, d) measurements, and
-    the number of lockstep steps.  Raises ValueError unless restarts and
-    iters are both at least 1, and BudgetError, before anything is drawn,
-    when one restart alone exceeds the budget.
+
+def _repetition_base(g: Game) -> tuple[Game, int] | None:
+    """(base, n) with repeat(base, n) equal to g, for the largest such n >= 2,
+    or None.
+
+    A candidate n needs integer k1 = k^(1/n) and l1 = l^(1/n) with
+    k1 l1 >= 2, so a game with two inputs and two outputs builds no table.
+    The candidate base's p is p's marginal on digit 0 and its V is V at
+    repeated digits (every round's digit equal); it is accepted only if
+    repeat(base, n) gives V exactly and p within 1e-15.  A game whose V is
+    over MAX_TABLE_ENTRIES, which repeat would not rebuild, has none.
+    """
+    if g.v.size > MAX_TABLE_ENTRIES:
+        return None
+    for n in range(max(g.k, g.l).bit_length() - 1, 1, -1):
+        k1, l1 = _int_root(g.k, n), _int_root(g.l, n)
+        if k1 is None or l1 is None or k1 * l1 < 2:
+            continue
+        rest = g.k // k1
+        # digit i repeated in all n rounds is the index i (1 + m + ... + m^(n-1))
+        xs = np.arange(k1) * sum(k1 ** i for i in range(n))
+        ab = np.arange(l1) * sum(l1 ** i for i in range(n))
+        try:
+            base = Game(k1, l1, g.p.reshape(rest, k1, rest, k1).sum(axis=(0, 2)),
+                        g.v[np.ix_(ab, ab, xs, xs)])
+        except ValueError:          # a marginal that is not a distribution
+            continue
+        rep = repeat(base, n)
+        if np.array_equal(rep.v, g.v) and np.abs(rep.p - g.p).max() <= 1e-15:
+            return base, n
+    return None
+
+
+def _kron_measurements(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """kron(hi[x1, a1], lo[x0, a0]) at input x1 k0 + x0 and outcome a1 l0 + a0,
+    where lo has k0 inputs and l0 outcomes: lo plays the less significant round."""
+    (k1, l1, d1), (k0, l0, d0) = hi.shape[:3], lo.shape[:3]
+    t = np.einsum("xaij,ybkl->xyabikjl", hi, lo)
+    return t.reshape(k1 * k0, l1 * l0, d1 * d0, d1 * d0)
+
+
+def _tensor_power(s: QuantumStrategy, n: int) -> QuantumStrategy:
+    """s played in each of n rounds on the n-fold product of its state, in
+    repeat's little-endian order: round 1 is the least significant digit of
+    every input, outcome and register index.  Checked as a QuantumStrategy."""
+    psi = s.state.tensor()
+    state, alice, bob = psi, s.alice, s.bob
+    for _ in range(n - 1):
+        state = np.kron(psi, state)
+        alice, bob = _kron_measurements(s.alice, alice), _kron_measurements(s.bob, bob)
+    return QuantumStrategy(PureState(state.reshape(-1), state.shape), alice, bob)
+
+
+@dataclass(frozen=True)
+class TensorStart:
+    """The warm start of a repeated game's see-saw, run as restart `restart`:
+    the n-th tensor power of the best strategy entangled_value_seesaw found
+    for the base game at base_d, with base_value, base_iterations and
+    base_steps from that run.  detect_s is the time _repetition_base took;
+    base_s that of the base see-saw and the power."""
+
+    n: int
+    base_d: int
+    restart: int
+    base_value: float
+    base_iterations: int
+    base_steps: int
+    detect_s: float
+    base_s: float
+
+
+def _tensor_start(g: Game, d: int, restarts: int, iters: int,
+                  seed: int) -> tuple[TensorStart | None, QuantumStrategy | None]:
+    """The tensor start of g at local dimension d and its strategy, or (None,
+    None) unless g is repeat(base, n) and d = d1^n for an integer d1.  The
+    base see-saw runs at d1 with the same restarts, iters and seed."""
+    t0 = perf_counter()
+    found = _repetition_base(g)
+    if found is None or (d1 := _int_root(d, found[1])) is None:
+        return None, None
+    (base, n), t1 = found, perf_counter()
+    res = entangled_value_seesaw(base, d1, restarts, iters, seed)
+    power = _tensor_power(res.strategy, n)
+    start = TensorStart(n, d1, restarts, res.value, sum(len(t) for t in res.traces),
+                        res.steps, t1 - t0, perf_counter() - t1)
+    return start, power
+
+
+def _seesaw_restarts(g: Game, d: int, restarts: int, iters: int, seed: int):
+    """See-saw restarts at local dimension d from _draw_starts, and the tensor
+    start (_tensor_start) as one restart after them when g has one at d, run
+    in consecutive lockstep groups (_lockstep) whose largest intermediate,
+    the (R, k, l, d, d) measurements or the (R, d^2, d^2) payoff operator,
+    stays within MAX_TABLE_ENTRIES.
+
+    Returns (traces, states, alice, bob, steps, start): the per-restart value
+    traces, the final (R, d, d) states and (R, k, l, d, d) measurements, the
+    number of lockstep steps, and the TensorStart or None.  Raises
+    ValueError unless restarts and iters are both at least 1, and
+    BudgetError, before anything is drawn or solved, when one restart alone
+    exceeds the budget.
     """
     if restarts < 1 or iters < 1:
         raise ValueError(f"restarts and iters must be >= 1, got {restarts} and {iters}")
@@ -417,29 +518,36 @@ def _seesaw_restarts(g: Game, d: int, restarts: int, iters: int, seed: int):
     if per_restart is None or per_restart > MAX_TABLE_ENTRIES:
         raise BudgetError(f"one see-saw restart needs {per_restart or 'd^4'} entries, "
                           f"more than the budget of {MAX_TABLE_ENTRIES}")
+    start, power = _tensor_start(g, d, restarts, iters, seed)
     cur, alice, bob = _draw_starts(g, d, restarts, seed)
+    if power is not None:
+        cur = np.concatenate([cur, power.state.tensor()[None]])
+        alice = np.concatenate([alice, power.alice[None]])
+        bob = np.concatenate([bob, power.bob[None]])
     weights = _payoff_weights(g)
     group = MAX_TABLE_ENTRIES // per_restart
     traces: list[list[float]] = []
     steps = 0
-    for lo in range(0, restarts, group):
+    for lo in range(0, len(cur), group):
         part = slice(lo, lo + group)
         tr, n = _lockstep(weights, cur[part], alice[part], bob[part], iters)
         traces += tr
         steps += n
-    return traces, cur, alice, bob, steps
+    return traces, cur, alice, bob, steps, start
 
 
 @dataclass(frozen=True)
 class SeesawResult:
-    """Best lower bound found, its strategy, per-restart value traces, and the
-    number of lockstep steps the restarts took together."""
+    """Best lower bound found, its strategy, per-restart value traces, the
+    number of lockstep steps the restarts took together, and the tensor
+    start, whose trace is the last, or None."""
 
     value: float
     strategy: QuantumStrategy
     traces: tuple[tuple[float, ...], ...]
     best_restart: int
     steps: int
+    tensor_start: TensorStart | None
 
 
 def entangled_value_seesaw(g: Game, d: int, restarts: int = 20, iters: int = 100,
@@ -453,20 +561,25 @@ def entangled_value_seesaw(g: Game, d: int, restarts: int = 20, iters: int = 100
     error, the best iterate is still returned.  Heuristic: no optimality claim
     at fixed d, only a valid lower bound.
 
+    A repeated game at d = d1^n gets one restart more, after the random ones
+    (_tensor_start): the n-th tensor power of this function's best strategy
+    for the base game at d1.  Every restart is scored on g's own payoff, so
+    the value stays a lower bound.
+
     value is the largest final value; best_restart, whose strategy is
     returned, is the first restart that ends within 1e-12 of it, so rounding
     noise between restarts that reach the same value does not pick it.
     """
     if d < 1:
         raise ValueError("local dimension must be >= 1")
-    traces, phi, alice, bob, steps = _seesaw_restarts(g, d, restarts, iters, seed)
+    traces, phi, alice, bob, steps, start = _seesaw_restarts(g, d, restarts, iters, seed)
     finals = np.array([trace[-1] for trace in traces])
     best_val = float(finals.max())
     best = int(np.argmax(finals >= best_val - 1e-12))
     strategy = QuantumStrategy(PureState(phi[best].reshape(-1), (d, d)),
                                alice[best], bob[best])
     return SeesawResult(min(best_val, 1.0), strategy,
-                        tuple(tuple(trace) for trace in traces), best, steps)
+                        tuple(tuple(trace) for trace in traces), best, steps, start)
 
 
 # ---------------------------------------------------------------------------

@@ -94,10 +94,13 @@ def _holevo(s_total: float, cond: np.ndarray) -> float:
 
     cond[x] is an amplitude matrix of the unnormalized rho_x (trace p_x), so
     rho_x's spectrum is its squared singular values.  The conditional sum is
-    the entropy of all those spectra together less H(p).
+    the entropy of all those spectra together less H(p).  The quantity is
+    nonnegative, so a rounding deficit below 0 is clamped to 0, as
+    entropy_of_spectrum clamps an entropy.
     """
     w = np.linalg.svd(cond, compute_uv=False) ** 2
-    return s_total - entropy_of_spectrum(w.reshape(-1)) + entropy_of_spectrum(w.sum(axis=-1))
+    h = s_total - entropy_of_spectrum(w.reshape(-1)) + entropy_of_spectrum(w.sum(axis=-1))
+    return max(h, 0.0)
 
 
 def sic_terms(omega: SuperposedState) -> tuple[float, float]:

@@ -112,6 +112,37 @@ class TestValue:
             assert man["seesaw"]["iterations_per_s"] > 0.0
             # the restarts advance in lockstep, so the longest trace sets the steps
             assert man["seesaw"]["steps"] == max(len(t) for t in rep["traces"])
+            assert man["seesaw"]["tensor_start"] is None     # CHSH is no repetition
+
+    def test_tensor_start(self, tmp_path, capsys):
+        # CHSH^2 at d = 4 = 2^2 gets the start; at d = 2 it does not, and its
+        # report has no tensor_start key
+        game = write_chsh(tmp_path)
+        assert main(["repeat", str(game), "--n", "2", "--out", str(tmp_path / "rep")]) == 0
+        chsh2 = tmp_path / "rep" / "game.json"
+        for d in (4, 2):
+            out = tmp_path / f"d{d}"
+            capsys.readouterr()
+            assert main(["value", str(chsh2), "--mode", "entangled", "--d", str(d),
+                         "--seed", "0", "--restarts", "3", "--iters", "40",
+                         "--out", str(out)]) == 0
+            text = capsys.readouterr().out
+            rep = json.loads((out / "report.json").read_text())
+            start = json.loads((out / "manifest.json").read_text())["seesaw"]["tensor_start"]
+            if d == 2:
+                assert "tensor_start" not in rep and start is None
+                assert len(rep["traces"]) == 3 and "tensor start" not in text
+                continue
+            assert rep["tensor_start"] == {"n": 2, "base_d": 2, "restart": 3}
+            assert len(rep["traces"]) == 4 and rep["best_restart"] == 3
+            assert abs(rep["value"] - math.cos(math.pi / 8) ** 4) <= 1e-12
+            assert "restart 3 (tensor start: base game at d = 2, n = 2):" in text
+            assert set(start) == {"n", "base_d", "base_value", "base_iterations",
+                                  "base_steps", "detect_s", "base_s"}
+            assert (start["n"], start["base_d"]) == (2, 2)
+            assert abs(start["base_value"] - math.cos(math.pi / 8) ** 2) <= 1e-12
+            assert start["base_steps"] >= 1 and start["base_iterations"] >= 3
+            assert start["detect_s"] >= 0.0 and start["base_s"] > 0.0
 
     @pytest.mark.parametrize("mode", ["classical", "entangled"])
     def test_reports_which_theorem_covers_the_game(self, tmp_path, mode):
@@ -422,6 +453,18 @@ class TestSimulate:
         rep = json.loads((out / "report.json").read_text())
         assert rep["guarantee"]["win_all_probability"] == pytest.approx(
             math.cos(math.pi / 8) ** 4, abs=1e-3)
+
+    def test_strategy_backed_repeated_game_gets_the_tensor_start(self, tmp_path):
+        write_game(games.repeat(chsh(), 2), tmp_path / "chsh2.json")
+        cfg = self.write_config(tmp_path, n=2, trials=400,
+                                model={"kind": "strategy_backed",
+                                       "game": "chsh2.json", "d": 4,
+                                       "restarts": 2, "iters": 40})
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 0
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["guarantee"]["win_all_probability"] == pytest.approx(
+            math.cos(math.pi / 8) ** 8, abs=1e-12)
 
     def test_readme_strategy_backed_example(self, tmp_path):
         # the README config with its strategy_backed model, at n = 256

@@ -361,6 +361,21 @@ class TestAmplitudeRoute:
         assert rep["term_x"] == rep["decoupling"]["delta_x"]
         assert rep["term_y"] == rep["decoupling"]["delta_y"]
 
+    def test_bell_example_terms_are_exactly_zero(self, tmp_path):
+        # the README's spec: a Bell state on every input pair.  Its terms
+        # round to -1.1e-16 and -2.2e-16 before the clamp at 0
+        bell = [[0.7071067811865476, 0.0], [0, 0], [0, 0], [0.7071067811865476, 0.0]]
+        spec = tmp_path / "bell.json"
+        spec.write_text(json.dumps({"p": UNIFORM2.tolist(), "dims": [2, 2],
+                                    "advice": [[bell, bell], [bell, bell]]}))
+        out = tmp_path / "out"
+        assert main(["sic", str(spec), "--decouple", "--out", str(out)]) == 0
+        rep = json.loads((out / "report.json").read_text())
+        dec = rep["decoupling"]
+        got = (rep["term_x"], rep["term_y"], rep["objective"], dec["delta_in"],
+               dec["alice_bound_9x"], dec["combined_bound_81x"])
+        assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in got)
+
 
 class TestScalarBound:
     def test_range_errors(self):
